@@ -27,7 +27,12 @@
 #     work tree with pending changes under lib/sdp/ or lib/linalg/,
 #     some BENCH_*.json must change too (regenerate with
 #     `dune exec bench/main.exe -- --fast ... --json` and compare via
-#     `bench ab`).
+#     `bench ab`);
+#  8. run-directory state and fault plans keep one substrate — outside
+#     lib/substrate, no lib/ or bin/ source opens a file for appending
+#     (`O_APPEND`/`Open_append`: a second ledger) or mentions the `'@'`
+#     character (a second fault-token parser); both belong to
+#     `Substrate.Wal` and `Substrate.Fault_plan`.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -104,6 +109,12 @@ if [ -f "$sdp_mli" ]; then
   [ -z "$extra" ] || \
     fail "Sdp.Session.solve grew scattered optional args ($(echo $extra)); extend params or the session instead"
 fi
+
+# One ledger, one fault grammar (check 8).
+strays="$(grep -lE "O_APPEND|Open_append|'@'" "$repo"/lib/*/*.ml "$repo"/bin/*.ml \
+  2>/dev/null | grep -v "^$repo/lib/substrate/" || true)"
+[ -z "$strays" ] || \
+  fail "append-mode opens or '@' token splitting outside lib/substrate (use Substrate.Wal / Substrate.Fault_plan):$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

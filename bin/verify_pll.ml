@@ -135,11 +135,9 @@ let run order degree robust advect_iters sim_validate psd_tol eq_tol point
                 then Format.printf "supervision report: %s@." report;
                 (match Supervise.run_dir ctx with
                 | Some dir ->
-                    let oc = open_out (Filename.concat dir "report.json") in
-                    Printf.fprintf oc
-                      "{\"supervise\":%s,\"resilient\":%s}\n" report
-                      (Resilient.report_json resilience);
-                    close_out oc
+                    Substrate.Fs.write_atomic (Filename.concat dir "report.json")
+                      (Printf.sprintf "{\"supervise\":%s,\"resilient\":%s}\n" report
+                         (Resilient.report_json resilience))
                 | None -> ())
           in
           (* The (point-adjusted) scaled model the job will verify; also

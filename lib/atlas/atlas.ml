@@ -179,86 +179,53 @@ let fingerprint (job : job) grid =
 (* Fault plans *)
 
 module Fault = struct
+  module Fp = Substrate.Fault_plan
+
   type t =
     | Kill_at_cell of string
     | Fail_cell of string
-    | Cell_scoped of string * string
-    | Global of string
+    | Cell_scoped of string * Resilient.Faults.plan
+    | Global of Resilient.Faults.plan
 
   type plan = t list
 
   let none = []
-  let starts ~p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-  let parse_tok tok =
-    match String.index_opt tok '/' with
-    | Some i -> (
-        let cell = String.sub tok 0 i in
-        let rest = String.sub tok (i + 1) (String.length tok - i - 1) in
-        if cell = "" || rest = "" then
-          Error (Printf.sprintf "fault %S: expected CELL/token" tok)
-        else
-          match Resilient.Faults.of_string rest with
-          | Ok p when not (Resilient.Faults.is_empty p) -> Ok (Cell_scoped (cell, rest))
-          | Ok _ -> Error (Printf.sprintf "fault %S: empty cell-scoped token" tok)
-          | Error e -> Error (Printf.sprintf "fault %S: %s" tok e))
-    | None ->
-        if starts ~p:"fail-cell@" tok then begin
-          let cell = String.sub tok 10 (String.length tok - 10) in
-          if cell = "" then Error (Printf.sprintf "fault %S: missing cell id" tok)
-          else Ok (Fail_cell cell)
-        end
-        else
-          (* [kill@S:I] stays a process-level worker fault; [kill@CELL]
-             (anything that does not parse as a solve trigger) is the
-             orchestrator kill. *)
-          let as_resilient () =
-            match Resilient.Faults.of_string tok with
-            | Ok p when not (Resilient.Faults.is_empty p) -> Some (Global tok)
-            | _ -> None
-          in
-          (match as_resilient () with
-          | Some g -> Ok g
-          | None ->
-              if starts ~p:"kill@" tok then begin
-                let cell = String.sub tok 5 (String.length tok - 5) in
-                if cell = "" then Error (Printf.sprintf "fault %S: missing cell id" tok)
-                else Ok (Kill_at_cell cell)
-              end
-              else
-                Error
-                  (Printf.sprintf
-                     "fault %S: not a solver fault, kill@CELL, fail-cell@CELL or \
-                      CELL/token"
-                     tok))
+  let of_token (t : Fp.token) =
+    let fail why = Error (Printf.sprintf "fault %S: %s" (Fp.token_to_string t) why) in
+    let cell_site mk =
+      match Fp.site t with Some "" | None -> fail "missing cell id" | Some c -> Ok (mk c)
+    in
+    match t.scope with
+    | Some cell -> (
+        match Resilient.Faults.of_token { t with scope = None } with
+        | Ok p -> Ok (Cell_scoped (cell, p))
+        | Error e -> fail e)
+    | None when t.kind = "fail-cell" && t.key <> None -> cell_site (fun c -> Fail_cell c)
+    | None -> (
+        (* [kill@S:I] stays a process-level worker fault; [kill@CELL]
+           (anything that is not a solve trigger) is the orchestrator
+           kill. *)
+        match Resilient.Faults.of_token t with
+        | Ok p -> Ok (Global p)
+        | Error _ when t.kind = "kill" && t.key <> None -> cell_site (fun c -> Kill_at_cell c)
+        | Error _ -> fail "not a solver fault, kill@CELL, fail-cell@CELL or CELL/token")
 
-  let of_string s =
-    let s = String.trim s in
-    if s = "" || s = "none" then Ok none
-    else
-      let toks =
-        String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
-      in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | tok :: rest -> (
-            match parse_tok tok with Error e -> Error e | Ok t -> go (t :: acc) rest)
-      in
-      go [] toks
+  let of_string = Fp.claim_all of_token
 
-  let tok_to_string = function
-    | Kill_at_cell c -> "kill@" ^ c
-    | Fail_cell c -> "fail-cell@" ^ c
-    | Cell_scoped (c, t) -> c ^ "/" ^ t
-    | Global t -> t
+  let to_tokens = function
+    | Kill_at_cell c -> [ Fp.{ scope = None; kind = "kill"; key = Some c; args = [] } ]
+    | Fail_cell c -> [ { scope = None; kind = "fail-cell"; key = Some c; args = [] } ]
+    | Cell_scoped (c, p) ->
+        List.map (fun t -> { t with Fp.scope = Some c }) (Resilient.Faults.to_tokens p)
+    | Global p -> Resilient.Faults.to_tokens p
 
-  let to_string plan =
-    if plan = [] then "none" else String.concat "," (List.map tok_to_string plan)
+  let to_string plan = Fp.to_string (List.concat_map to_tokens plan)
 
   let fail_cell plan id =
     List.exists
       (function
-        | Fail_cell p -> p = id || starts ~p:(p ^ ".") id
+        | Fail_cell p -> p = id || String.starts_with ~prefix:(p ^ ".") id
         | _ -> false)
       plan
 
@@ -266,17 +233,13 @@ module Fault = struct
     List.exists (function Kill_at_cell k -> k = id | _ -> false) plan
 
   let resilient_plan plan id =
-    let toks =
-      List.filter_map
-        (function
-          | Global t -> Some t
-          | Cell_scoped (c, t) when c = id -> Some t
-          | _ -> None)
-        plan
-    in
-    match Resilient.Faults.of_string (String.concat "," toks) with
-    | Ok p -> p
-    | Error _ -> Resilient.Faults.none ()
+    Resilient.Faults.union
+      (List.filter_map
+         (function
+           | Global p -> Some p
+           | Cell_scoped (c, p) when c = id -> Some p
+           | _ -> None)
+         plan)
 end
 
 (* ----------------------------------------------------------------- *)
@@ -325,25 +288,12 @@ let quarantine_list r =
 
 let exit_code r = if r.quarantined > 0 then 2 else 0
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json r =
   (* Deterministic: no wall-clock, no replay/solve counts, no paths. *)
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\"atlas\":\"v1\"";
-  add ",\"grid\":\"%s\"" (json_escape (Grid.to_string r.grid));
+  add ",\"grid\":\"%s\"" (Service.Json.escape (Grid.to_string r.grid));
   add ",\"order\":\"%s\",\"degree\":%d,\"robust\":%b,\"full\":%b,\"exact\":%b"
     (order_name r.job.order) r.job.degree r.job.robust r.job.full r.job.exact;
   add ",\"bisect_steps\":%d,\"max_subdiv\":%d" r.job.bisect_steps r.job.max_subdiv;
@@ -359,7 +309,7 @@ let report_json r =
   List.iteri
     (fun i rec_ ->
       if i > 0 then add ",";
-      add "{\"id\":\"%s\",\"depth\":%d,\"box\":{" (json_escape rec_.cell.id)
+      add "{\"id\":\"%s\",\"depth\":%d,\"box\":{" (Service.Json.escape rec_.cell.id)
         rec_.cell.depth;
       List.iteri
         (fun j (ax, lo, hi) ->
@@ -372,13 +322,15 @@ let report_json r =
       | Subdivided -> add ",\"status\":\"subdivided\""
       | Quarantined d ->
           add ",\"status\":\"quarantined\",\"diagnosis\":{\"kind\":\"%s\",\"detail\":\"%s\"}"
-            (json_escape d.kind) (json_escape d.detail));
+            (Service.Json.escape d.kind) (Service.Json.escape d.detail));
       add "}")
     r.records;
   add "]";
   add ",\"quarantine\":[%s]"
     (String.concat ","
-       (List.map (fun (id, _) -> Printf.sprintf "\"%s\"" (json_escape id)) (quarantine_list r)));
+       (List.map
+          (fun (id, _) -> Printf.sprintf "\"%s\"" (Service.Json.escape id))
+          (quarantine_list r)));
   add "}";
   Buffer.contents b
 
@@ -410,6 +362,8 @@ let pp_summary ppf r =
 (* Ledger *)
 
 module Ledger = struct
+  module Wal = Substrate.Wal
+
   type entry = {
     id : string;
     depth : int;
@@ -422,19 +376,9 @@ module Ledger = struct
   let magic = "pll-atlas-ledger v1"
   let path dir = Filename.concat dir "ledger.log"
 
-  let append_line file line =
-    let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let payload =
-          if (Unix.fstat fd).Unix.st_size = 0 then magic ^ "\n" ^ line else line
-        in
-        let b = Bytes.of_string payload in
-        let len = Bytes.length b in
-        let rec wr off = if off < len then wr (off + Unix.write fd b off (len - off)) in
-        wr 0;
-        Unix.fsync fd)
+  let append_line dir line =
+    let w = Wal.open_ ~magic (path dir) in
+    Fun.protect ~finally:(fun () -> Wal.close w) (fun () -> Wal.append w line)
 
   let status_str = function
     | Certified _ -> "certified"
@@ -447,11 +391,11 @@ module Ledger = struct
       match e.result with Quarantined d -> (d.kind, d.detail) | _ -> ("-", "")
     in
     (* %h floats round-trip exactly through float_of_string. *)
-    Printf.sprintf "done %s %d %s %h %d %d %h %s %s\n" e.id e.depth
-      (status_str e.result) beta e.solves e.attempts e.attempt_s kind detail
+    Printf.sprintf "done %s %d %s %h %d %d %h %s %s" e.id e.depth (status_str e.result) beta
+      e.solves e.attempts e.attempt_s kind detail
 
-  let append dir e = append_line (path dir) (entry_line e)
-  let mark_start dir id = append_line (path dir) (Printf.sprintf "start %s\n" id)
+  let append dir e = append_line dir (entry_line e)
+  let mark_start dir id = append_line dir ("start " ^ id)
 
   let parse_done line =
     match String.split_on_char ' ' line with
@@ -479,38 +423,26 @@ module Ledger = struct
         | _ -> Error "unparseable numeric field")
     | _ -> Error "malformed done line"
 
+  (* Last entry per id wins; first-seen order is kept. *)
   let read dir =
     let file = path dir in
-    if not (Sys.file_exists file) then ([], [])
-    else begin
-      let ic = open_in file in
-      let entries = Hashtbl.create 64 in
-      let order = ref [] in
-      let diags = ref [] in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           if
-             line = "" || line = magic
-             || Fault.starts ~p:"start " line
-             || Fault.starts ~p:"run " line
-           then ()
-           else
-             match parse_done line with
-             | Ok e ->
-                 if not (Hashtbl.mem entries e.id) then order := e.id :: !order;
-                 Hashtbl.replace entries e.id e
-             | Error why ->
-                 diags :=
-                   Printf.sprintf "ledger line %d: %s (%S)" !lineno why line :: !diags
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let es = List.rev_map (fun id -> Hashtbl.find entries id) !order in
-      (es, List.rev !diags)
-    end
+    let r = Wal.replay ~magic file in
+    let entries = Hashtbl.create 64 in
+    let order, diags =
+      List.fold_left
+        (fun (order, diags) ((_, line) as numbered) ->
+          if String.starts_with ~prefix:"start " line || String.starts_with ~prefix:"run " line
+          then (order, diags)
+          else
+            match parse_done line with
+            | Ok e ->
+                let order = if Hashtbl.mem entries e.id then order else e.id :: order in
+                Hashtbl.replace entries e.id e;
+                (order, diags)
+            | Error why -> (order, Wal.diagnosis file numbered why :: diags))
+        ([], []) r.Wal.records
+    in
+    (List.rev_map (Hashtbl.find entries) order, List.rev diags @ r.Wal.diags)
 end
 
 (* ----------------------------------------------------------------- *)
@@ -534,7 +466,9 @@ let probe_fail ?(full = "") ~kind ~detail () =
     p_beta = 0.0;
     p_kind = kind;
     p_detail = detail;
-    p_full = (if full = "" then Printf.sprintf "{\"error\":\"%s\"}" (json_escape detail) else full);
+    p_full =
+      (if full = "" then Printf.sprintf "{\"error\":\"%s\"}" (Service.Json.escape detail)
+       else full);
     p_solves = 0;
     p_attempts = 0;
     p_attempt_s = 0.0;
@@ -922,15 +856,6 @@ let exec_via_daemon ~sock ?(retries = 10) ?(retry_base_s = 0.5) (job : job) :
 (* ----------------------------------------------------------------- *)
 (* Orchestration *)
 
-let write_file path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
-
-let mkdir_p dir = try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
 let rec take n = function
   | [] -> ([], [])
   | l when n = 0 -> ([], l)
@@ -1052,7 +977,7 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
                             probe_fail
                               ~full:
                                 (Printf.sprintf "{\"error\":\"%s\"}"
-                                   (json_escape e))
+                                   (Service.Json.escape e))
                               ~kind:"crash" ~detail:"cell worker crashed" ()
                       in
                       let result =
@@ -1066,15 +991,15 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
                       (match (run_dir, result) with
                       | Some d, Quarantined _ ->
                           let qdir = Filename.concat d "quarantine" in
-                          mkdir_p qdir;
-                          write_file
+                          Substrate.Fs.mkdir_p qdir;
+                          Substrate.Fs.write_atomic
                             (Filename.concat qdir
                                (Printf.sprintf "%s.json"
                                   (String.map (fun ch -> if ch = '/' then '_' else ch) c.id)))
                             (Printf.sprintf
                                "{\"cell\":\"%s\",\"kind\":\"%s\",\"detail\":\"%s\",\"journal\":%s}\n"
-                               (json_escape c.id) (json_escape p.p_kind)
-                               (json_escape p.p_detail)
+                               (Service.Json.escape c.id) (Service.Json.escape p.p_kind)
+                               (Service.Json.escape p.p_detail)
                                (if p.p_full = "" then "null" else p.p_full))
                       | _ -> ());
                       let entry : Ledger.entry =
@@ -1124,8 +1049,9 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
         in
         Option.iter
           (fun d ->
-            write_file (Filename.concat d "atlas.json") (report_json report ^ "\n");
-            write_file
+            Substrate.Fs.write_atomic (Filename.concat d "atlas.json")
+              (report_json report ^ "\n");
+            Substrate.Fs.write_atomic
               (Filename.concat d "summary.txt")
               (Format.asprintf "%a@." pp_summary report))
           run_dir;

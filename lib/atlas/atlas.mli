@@ -115,28 +115,32 @@ val fingerprint : job -> Grid.t -> string
     Deliberately excludes the fault plan, job count and budgets: a
     chaos run is resumed by a plain run of the same problem. *)
 
-(** Atlas-level fault plans. On top of the in-process and process-level
-    kinds of {!Resilient.Faults} (which apply to every cell, or to one
-    cell via a [CELL/tok] scope), two orchestrator-level kinds exercise
-    the sweep's own crash recovery. *)
+(** Atlas-level fault plans, in the {!Substrate.Fault_plan} grammar. On
+    top of the in-process and process-level kinds of {!Resilient.Faults}
+    (which apply to every cell, or to one cell via a [CELL/tok] scope),
+    two orchestrator-level kinds exercise the sweep's own crash
+    recovery. *)
 module Fault : sig
   type t =
     | Kill_at_cell of string
         (** [kill@CELL]: the orchestrator [_exit]s (as if SIGKILLed)
             immediately after ledgering CELL's completion — the resume
-            chaos fault *)
+            chaos fault. A [kill@S:I] solve trigger stays a worker
+            fault ([Global]). *)
     | Fail_cell of string
         (** [fail-cell@CELL]: CELL and its descendants fail without
             solving (diagnosis kind [injected]) — drives subdivision
             into quarantine deterministically *)
-    | Cell_scoped of string * string
+    | Cell_scoped of string * Resilient.Faults.plan
         (** [CELL/tok]: a {!Resilient.Faults} token applied to that
             cell's solves only *)
-    | Global of string  (** a bare {!Resilient.Faults} token: every cell *)
+    | Global of Resilient.Faults.plan
+        (** a bare {!Resilient.Faults} token: every cell *)
 
   type plan = t list
 
   val none : plan
+
   val of_string : string -> (plan, string) result
   val to_string : plan -> string
 end
@@ -182,7 +186,10 @@ val pp_summary : Format.formatter -> report -> unit
 val exit_code : report -> int
 (** [0] fully certified, [2] completed with quarantined cells. *)
 
-(** The write-ahead atlas ledger ([ledger.log]). Exposed for tests. *)
+(** The write-ahead atlas ledger ([ledger.log]), a {!Substrate.Wal}
+    with magic [pll-atlas-ledger v1], [start <id>] lines and
+    [done <id> <depth> <status> <beta> <solves> <attempts> <attempt_s>
+    <kind> <detail>] lines (floats in [%h]). Exposed for tests. *)
 module Ledger : sig
   type entry = {
     id : string;
@@ -198,10 +205,10 @@ module Ledger : sig
   val read : string -> entry list * string list
   (** Completed cells of a run directory's ledger (last entry per id
       wins; insertion order preserved) plus one diagnosis per malformed
-      line. Missing ledger reads as [([], [])]. *)
+      or torn line. Missing ledger reads as [([], [])]. *)
 
   val append : string -> entry -> unit
-  (** Fsync'd append of a [done] line. *)
+  (** Fsync'd append of a [done] line; raises if the fsync fails. *)
 
   val mark_start : string -> string -> unit
   (** Fsync'd append of a [start CELL] line (crash forensics: which

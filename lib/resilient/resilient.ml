@@ -103,62 +103,74 @@ module Faults = struct
   let fired p = p.fired
   let proc_specs p = p.procs
 
-  let spec_to_string s =
-    let site = if s.solve = 0 then "*" else string_of_int s.solve in
-    match s.kind with
-    | Fail -> Printf.sprintf "fail@%s:%d" site s.iter
-    | Truncate -> Printf.sprintf "trunc@%s:%d" site s.iter
-    | Noise m -> Printf.sprintf "noise@%s:%d:%g" site s.iter m
+  let union plans =
+    {
+      specs = List.concat_map (fun p -> p.specs) plans;
+      procs = List.concat_map (fun p -> p.procs) plans;
+      fired = 0;
+    }
+
+  (* Every kind here is a solve trigger [kind@S:I[:ARG]], S a logical
+     solve index or [*] (0: every solve). The process-level kinds'
+     specs are Supervise's, so that library stays independent of this
+     one; they land in the separate [procs] list. *)
+  let to_tokens p =
+    let tok kind solve args =
+      let key = if solve = 0 then "*" else string_of_int solve in
+      { Substrate.Fault_plan.scope = None; kind; key = Some key; args }
+    in
+    List.map
+      (fun s ->
+        let iter = string_of_int s.iter in
+        match s.kind with
+        | Fail -> tok "fail" s.solve [ iter ]
+        | Truncate -> tok "trunc" s.solve [ iter ]
+        | Noise m -> tok "noise" s.solve [ iter; Printf.sprintf "%g" m ])
+      p.specs
+    @ List.map
+        (fun (s : Supervise.Fault.spec) ->
+          let iter = string_of_int s.iter in
+          match s.kind with
+          | Kill -> tok "kill" s.solve [ iter ]
+          | Stall -> tok "stall" s.solve [ iter ]
+          | Corrupt_cache -> tok "corrupt-cache" s.solve [])
+        p.procs
 
   let to_string p =
-    String.concat ","
-      (List.map spec_to_string p.specs
-      @ List.map Supervise.Fault.to_string p.procs)
+    String.concat "," (List.map Substrate.Fault_plan.token_to_string (to_tokens p))
 
-  let parse_spec tok =
-    let fail () = Error (Printf.sprintf "bad fault spec %S (want fail@S:I, trunc@S:I, noise@S:I:MAG, kill@S:I, stall@S:I or corrupt-cache@S)" tok) in
-    match String.index_opt tok '@' with
-    | None -> fail ()
-    | Some at -> (
-        let kind_s = String.sub tok 0 at in
-        let rest = String.sub tok (at + 1) (String.length tok - at - 1) in
-        let parts = String.split_on_char ':' rest in
-        let solve_of s = if s = "*" then Some 0 else int_of_string_opt s in
-        match (kind_s, parts) with
-        | "fail", [ s; i ] -> (
-            match (solve_of s, int_of_string_opt i) with
-            | Some solve, Some iter -> Ok { kind = Fail; solve; iter }
-            | _ -> fail ())
-        | "trunc", [ s; i ] -> (
-            match (solve_of s, int_of_string_opt i) with
-            | Some solve, Some iter -> Ok { kind = Truncate; solve; iter }
-            | _ -> fail ())
-        | "noise", [ s; i; m ] -> (
-            match (solve_of s, int_of_string_opt i, float_of_string_opt m) with
-            | Some solve, Some iter, Some mag -> Ok { kind = Noise mag; solve; iter }
-            | _ -> fail ())
-        | _ -> fail ())
+  let of_token (t : Substrate.Fault_plan.token) =
+    let solve =
+      match t.key with Some "*" -> Some 0 | Some s -> int_of_string_opt s | None -> None
+    in
+    let at iter mk =
+      match (t.scope, solve, iter) with
+      | None, Some solve, Some iter -> Some (mk solve iter)
+      | _ -> None
+    in
+    let spec kind i = at (int_of_string_opt i) (fun solve iter -> of_specs [ { kind; solve; iter } ]) in
+    let proc kind iter =
+      at iter (fun solve iter -> of_specs ~procs:[ { Supervise.Fault.kind; solve; iter } ] [])
+    in
+    match
+      match (t.kind, t.args) with
+      | "fail", [ i ] -> spec Fail i
+      | "trunc", [ i ] -> spec Truncate i
+      | "noise", [ i; m ] -> Option.bind (float_of_string_opt m) (fun m -> spec (Noise m) i)
+      | "kill", [ i ] -> proc Kill (int_of_string_opt i)
+      | "stall", [ i ] -> proc Stall (int_of_string_opt i)
+      | "corrupt-cache", ([] | [ _ ]) -> proc Corrupt_cache (Some 0)
+      | _ -> None
+    with
+    | Some p -> Ok p
+    | None ->
+        Error
+          (Printf.sprintf
+             "bad fault spec %S (want fail@S:I, trunc@S:I, noise@S:I:MAG, kill@S:I, \
+              stall@S:I or corrupt-cache@S)"
+             (Substrate.Fault_plan.token_to_string t))
 
-  (* Process-level kinds (kill/stall/corrupt-cache) live in Supervise so
-     that library stays independent of this one; here their specs parse
-     out of the same plan string into the separate [procs] list. *)
-  let of_string str =
-    let str = String.trim str in
-    if str = "" || str = "none" then Ok (none ())
-    else
-      let toks = List.map String.trim (String.split_on_char ',' str) in
-      let rec go specs procs = function
-        | [] -> Ok { specs = List.rev specs; procs = List.rev procs; fired = 0 }
-        | t :: rest -> (
-            match Supervise.Fault.parse t with
-            | Some (Ok p) -> go specs (p :: procs) rest
-            | Some (Error e) -> Error e
-            | None -> (
-                match parse_spec t with
-                | Ok s -> go (s :: specs) procs rest
-                | Error e -> Error e))
-      in
-      go [] [] toks
+  let of_string s = Result.map union (Substrate.Fault_plan.claim_all of_token s)
 
   (* Faults fire only on the first attempt of their target solve, so the
      retry ladder gets a clean re-solve to recover with. *)

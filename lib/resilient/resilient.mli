@@ -126,13 +126,25 @@ module Faults : sig
   val none : unit -> plan
   val of_specs : ?procs:Supervise.Fault.spec list -> spec list -> plan
 
+  val of_token : Substrate.Fault_plan.token -> (plan, string) result
+  (** Claim one token as [fail@S:I], [trunc@S:I], [noise@S:I:MAG], or a
+      process-level [kill@S:I], [stall@S:I], [corrupt-cache@S[:I]] (a
+      {!Supervise.Fault.spec}), with [S] a solve index or [*]; any other
+      token (scoped ones included) is an [Error]. *)
+
   val of_string : string -> (plan, string) result
-  (** Parse a comma-separated plan: [fail@S:I], [trunc@S:I],
-      [noise@S:I:MAG], plus the process-level [kill@S:I], [stall@S:I],
-      [corrupt-cache@S], with [S] a solve index or [*]. [""] and
-      ["none"] are the empty plan. *)
+  (** {!union} of every token's {!of_token}. [""] and ["none"] are the
+      empty plan. *)
+
+  val union : plan list -> plan
+  (** All the triggers of [plans], in order, under a fresh fired count. *)
+
+  val to_tokens : plan -> Substrate.Fault_plan.token list
+  (** In-process triggers first, then process-level ones. *)
 
   val to_string : plan -> string
+  (** The tokens of {!to_tokens}, comma-separated ([""] when empty). *)
+
   val is_empty : plan -> bool
 
   val proc_specs : plan -> Supervise.Fault.spec list

@@ -1,9 +1,12 @@
+module Fs = Substrate.Fs
 module Log = (val Logs.src_log (Logs.Src.create "service.daemon") : Logs.LOG)
 
 (* ----------------------------------------------------------------- *)
 (* Daemon-level fault plans *)
 
 module Fault = struct
+  module Fp = Substrate.Fault_plan
+
   type t =
     | Kill_worker of string
     | Stall_worker of string
@@ -16,65 +19,37 @@ module Fault = struct
 
   let none = []
 
-  let of_token tok =
-    let at p =
-      let lp = String.length p in
-      if
-        String.length tok > lp
-        && String.sub tok 0 lp = p
-        && tok.[lp] = '@'
-      then Some (String.sub tok (lp + 1) (String.length tok - lp - 1))
-      else None
+  let to_token f =
+    let kind, key =
+      match f with
+      | Kill_worker k -> ("kill-worker", Some k)
+      | Stall_worker k -> ("stall-worker", Some k)
+      | Kill_cell k -> ("kill-cell", Some k)
+      | Drop_client k -> ("drop-client", Some k)
+      | Wedge_queue -> ("wedge-queue", None)
+      | Die_at k -> ("die", Some k)
     in
-    if tok = "wedge-queue" then Ok Wedge_queue
-    else
-      match at "kill-worker" with
-      | Some id -> Ok (Kill_worker id)
-      | None -> (
-          match at "stall-worker" with
-          | Some id -> Ok (Stall_worker id)
-          | None -> (
-              match at "kill-cell" with
-              | Some id -> Ok (Kill_cell id)
-              | None -> (
-                  match at "drop-client" with
-                  | Some id -> Ok (Drop_client id)
-                  | None -> (
-                      match at "die" with
-                      | Some id -> Ok (Die_at id)
-                      | None ->
-                          Error
-                            (Printf.sprintf
-                               "unknown daemon fault %S (kill-worker@JOB, \
-                                stall-worker@JOB, kill-cell@KEY, drop-client@JOB, \
-                                wedge-queue, die@JOB)"
-                               tok)))))
+    { Fp.scope = None; kind; key; args = [] }
 
-  let of_string s =
-    let s = String.trim s in
-    if s = "" || s = "none" then Ok []
-    else
-      List.fold_left
-        (fun acc tok ->
-          Result.bind acc (fun plan ->
-              Result.map (fun f -> f :: plan) (of_token (String.trim tok))))
-        (Ok [])
-        (String.split_on_char ',' s)
-      |> Result.map List.rev
+  (* The printer is the one list of kind names: a token means the fault
+     that prints back as it, keyed by the token's whole site. *)
+  let of_token (t : Fp.token) =
+    let candidates =
+      match Fp.site t with
+      | Some k -> [ Kill_worker k; Stall_worker k; Kill_cell k; Drop_client k; Die_at k ]
+      | None -> [ Wedge_queue ]
+    in
+    match List.find_opt (fun f -> t.scope = None && (to_token f).kind = t.kind) candidates with
+    | Some f -> Ok f
+    | None ->
+        Error
+          (Printf.sprintf
+             "unknown daemon fault %S (kill-worker@JOB, stall-worker@JOB, kill-cell@KEY, \
+              drop-client@JOB, wedge-queue, die@JOB)"
+             (Fp.token_to_string t))
 
-  let to_string plan =
-    if plan = [] then "none"
-    else
-      String.concat ","
-        (List.map
-           (function
-             | Kill_worker id -> "kill-worker@" ^ id
-             | Stall_worker id -> "stall-worker@" ^ id
-             | Kill_cell id -> "kill-cell@" ^ id
-             | Drop_client id -> "drop-client@" ^ id
-             | Wedge_queue -> "wedge-queue"
-             | Die_at id -> "die@" ^ id)
-           plan)
+  let of_string = Fp.claim_all of_token
+  let to_string plan = Fp.to_string (List.map to_token plan)
 end
 
 (* ----------------------------------------------------------------- *)
@@ -308,9 +283,9 @@ let notify st id v =
 (* Result store *)
 
 let stored_result st fp =
-  match Ioutil.read_file (result_path st fp) with
-  | None -> None
-  | Some bytes -> (
+  match Fs.read_file (result_path st fp) with
+  | exception Sys_error _ -> None
+  | bytes -> (
       match Json.parse bytes with Ok v -> Some v | Error _ -> None)
 
 let result_response ~id ~cached ?(solves = 0) result_obj =
@@ -390,11 +365,11 @@ let run_cell st (e : Jobqueue.entry) (c : Bulk.cell_spec) =
            ("solves", Json.Num (float_of_int probe.Bulk.solves));
          ])
   in
-  Ioutil.write_atomic ~path:(outbox_path st e.Jobqueue.id) outbox;
+  Fs.write_atomic (outbox_path st e.Jobqueue.id) outbox;
   (* Only conclusive probes enter the result store — a budget- or
      fault-shaped answer is not a fact about the cell. *)
   if Bulk.probe_storable probe then
-    Ioutil.write_atomic ~path:(result_path st e.Jobqueue.fp)
+    Fs.write_atomic (result_path st e.Jobqueue.fp)
       (Json.to_string (Bulk.probe_to_json probe));
   if probe.Bulk.ok then 0 else 2
 
@@ -417,13 +392,13 @@ let run_point st (e : Jobqueue.entry) (spec : Job.spec) =
            ("deadline_hit", Json.Bool r.Job.deadline_hit);
          ])
   in
-  Ioutil.write_atomic ~path:(outbox_path st e.Jobqueue.id) outbox;
+  Fs.write_atomic (outbox_path st e.Jobqueue.id) outbox;
   (* Only clean completions enter the result store: a Failed or
      deadline-cut run is budget-dependent, not a fact about the
      problem, so it must not be replayed as one. (This is also
      why the fingerprint may soundly exclude the deadline.) *)
   if r.Job.verdict <> Job.Failed && not r.Job.deadline_hit then
-    Ioutil.write_atomic ~path:(result_path st e.Jobqueue.fp) stable;
+    Fs.write_atomic (result_path st e.Jobqueue.fp) stable;
   Job.exit_code r.Job.verdict
 
 let spawn_worker st (e : Jobqueue.entry) =
@@ -535,8 +510,8 @@ let maybe_cache_gc st =
               stats.Supervise.Cache.entries stats.Supervise.Cache.bytes)
 
 let job_done st (e : Jobqueue.entry) (w : worker) =
-  match Ioutil.read_file (outbox_path st e.Jobqueue.id) with
-  | Some bytes when not w.cancelled -> (
+  match Fs.read_file (outbox_path st e.Jobqueue.id) with
+  | bytes when not w.cancelled -> (
       match Json.parse bytes with
       | Ok outbox ->
           let solves =
@@ -590,7 +565,7 @@ let job_done st (e : Jobqueue.entry) (w : worker) =
           Log.warn (fun k ->
               k "job %s outbox unparseable (%s); treating as crash" e.Jobqueue.id why);
           false)
-  | _ -> false
+  | _ | (exception Sys_error _) -> false
 
 let reap st =
   let rec go () =
@@ -691,7 +666,7 @@ let reap st =
                     (match e.Jobqueue.payload with
                     | Jobqueue.Point _ ->
                         (try
-                           Ioutil.write_atomic ~path:(dead_letter_path st id)
+                           Fs.write_atomic (dead_letter_path st id)
                              (Json.to_string (Json.Obj (dl_fields None)))
                          with _ -> ());
                         Jobqueue.finish st.q e Job.Failed;
@@ -708,7 +683,7 @@ let reap st =
                             (Json.Obj (dl_fields (Some c.Bulk.cell_id)))
                         in
                         (try
-                           Ioutil.write_atomic ~path:(dead_letter_path st id) dl
+                           Fs.write_atomic (dead_letter_path st id) dl
                          with _ -> ());
                         Jobqueue.finish st.q e Job.Failed;
                         let probe =
@@ -1186,7 +1161,6 @@ let drain_exit st =
              );
            ]))
     st.pending;
-  Jobqueue.fsync st.q;
   Jobqueue.close st.q;
   List.iter (fun c -> close_fd c.cfd) st.clients;
   close_fd st.listen;
@@ -1204,7 +1178,6 @@ let interrupt_exit st =
   List.iter
     (fun w -> try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ())
     st.workers;
-  Jobqueue.fsync st.q;
   Jobqueue.close st.q;
   List.iter (fun c -> close_fd c.cfd) st.clients;
   close_fd st.listen;
@@ -1258,7 +1231,7 @@ let loop st =
 
 let run cfg =
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("verifyd: " ^ m); 1) fmt in
-  Ioutil.mkdir_p cfg.run_dir;
+  Fs.mkdir_p cfg.run_dir;
   match Supervise.Lock.acquire ~dir:cfg.run_dir ~wait_s:cfg.lock_wait_s () with
   | Error diag -> fail "%s" diag
   | Ok _ -> (
@@ -1283,9 +1256,9 @@ let run cfg =
                 close_fd listen;
                 fail "cannot listen on %s: %s" sock (Unix.error_message err)
             | () ->
-                Ioutil.mkdir_p (Filename.concat cfg.run_dir "results");
-                Ioutil.mkdir_p (Filename.concat cfg.run_dir "outbox");
-                Ioutil.mkdir_p (Filename.concat cfg.run_dir "dead-letter");
+                Fs.mkdir_p (Filename.concat cfg.run_dir "results");
+                Fs.mkdir_p (Filename.concat cfg.run_dir "outbox");
+                Fs.mkdir_p (Filename.concat cfg.run_dir "dead-letter");
                 let cache =
                   Supervise.Cache.create ~dir:(Filename.concat cfg.run_dir "cache")
                 in

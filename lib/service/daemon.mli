@@ -35,8 +35,9 @@
       [EPIPE] on a client socket is treated as that client
       disconnecting. *)
 
-(** Daemon-level chaos faults, extending the fault-plan vocabulary of
-    {!Resilient.Faults} / {!Supervise.Fault} one level up. Each fires
+(** Daemon-level chaos faults in the {!Substrate.Fault_plan} grammar,
+    the kinds of {!Resilient.Faults} / {!Supervise.Fault} one level up.
+    [KEY] is the verbatim text after ['@']. Each fires
     once (except [kill-cell], which fires on every dispatch of its
     target). Point jobs are addressed by job id; cells also match
     their stable sweep cell id (job ids depend on submission order,
@@ -69,6 +70,7 @@ module Fault : sig
   type plan = t list
 
   val none : plan
+
   val of_string : string -> (plan, string) result
   val to_string : plan -> string
 end

@@ -31,14 +31,14 @@ type entry = {
   mutable state : state;
 }
 
+module Wal = Substrate.Wal
+
 type t = {
-  dir : string;
-  mutable fd : Unix.file_descr;
-  mutable oc : out_channel;
+  wal : Wal.t;
   mutable next_seq : int;
   tbl : (string, entry) Hashtbl.t;
   mutable order : string list;  (* reverse submit order *)
-  mutable existing : bool;
+  existing : bool;
 }
 
 let magic = "pll-queue v1"
@@ -47,149 +47,89 @@ let path dir = Filename.concat dir "queue.log"
 (* ----------------------------------------------------------------- *)
 (* Replay *)
 
-let parse_line line =
-  match String.index_opt line ' ' with
-  | None -> (line, "")
-  | Some i ->
-      (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-
-(* Split off the first [n] space-separated tokens, returning the rest of
-   the line verbatim (the job line itself contains spaces). *)
-let tokens_then_rest n s =
-  let rec go n s acc =
-    if n = 0 then Some (List.rev acc, s)
-    else
-      match String.index_opt s ' ' with
-      | None -> if n = 1 && s <> "" then Some (List.rev (s :: acc), "") else None
-      | Some i ->
-          go (n - 1)
-            (String.sub s (i + 1) (String.length s - i - 1))
-            (String.sub s 0 i :: acc)
-  in
-  go n s []
+(* First space-separated word and the rest of the line verbatim (the job
+   line itself contains spaces). *)
+let split_word s =
+  match String.index_opt s ' ' with
+  | None -> (s, "")
+  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
 let seq_of_id id =
   if String.length id > 1 && id.[0] = 'j' then
     int_of_string_opt (String.sub id 1 (String.length id - 1))
   else None
 
+(* Last event per id wins. *)
 let replay file =
+  let r = Wal.replay ~magic file in
   let entries = Hashtbl.create 16 in
   let order = ref [] in
   let diags = ref [] in
   let seq_hw = ref 0 in
-  let any = ref false in
-  (match open_in file with
-  | exception Sys_error _ -> ()
-  | ic ->
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           let diag why =
-             diags :=
-               Printf.sprintf "queue ledger line %d: %s (%S)" !lineno why line
-               :: !diags
-           in
-           if line = "" || line = magic then ()
-           else begin
-             any := true;
-             let verb, rest = parse_line line in
-             match verb with
-             | "seq" -> (
-                 match int_of_string_opt rest with
-                 | Some n -> seq_hw := max !seq_hw n
-                 | None -> diag "bad seq line")
-             | "submit" -> (
-                 match tokens_then_rest 2 rest with
-                 | Some ([ id; fp ], job_line) -> (
-                     match payload_of_line job_line with
-                     | Ok payload ->
-                         if not (Hashtbl.mem entries id) then
-                           order := id :: !order;
-                         Hashtbl.replace entries id
-                           { id; fp; payload; state = Pending };
-                         (match seq_of_id id with
-                         | Some n -> seq_hw := max !seq_hw n
-                         | None -> ())
-                     | Error why -> diag why)
-                 | _ -> diag "malformed submit line")
-             | "start" -> (
-                 match Hashtbl.find_opt entries rest with
-                 | Some e -> e.state <- Running
-                 | None -> diag "start for unknown job")
-             | "done" -> (
-                 match String.split_on_char ' ' rest with
-                 | [ id; v ] -> (
-                     match (Hashtbl.find_opt entries id, Job.verdict_of_string v) with
-                     | Some e, Ok verdict -> e.state <- Done verdict
-                     | None, _ -> diag "done for unknown job"
-                     | _, Error why -> diag why)
-                 | _ -> diag "malformed done line")
-             | "cancel" -> (
-                 match Hashtbl.find_opt entries rest with
-                 | Some e -> e.state <- Cancelled
-                 | None -> diag "cancel for unknown job")
-             | _ -> diag "unknown ledger verb"
-           end
-         done
-       with End_of_file -> ());
-      close_in ic);
+  List.iter
+    (fun ((_, line) as numbered) ->
+      let diag why = diags := Wal.diagnosis file numbered why :: !diags in
+      let verb, rest = split_word line in
+      match verb with
+      | "seq" -> (
+          match int_of_string_opt rest with
+          | Some n -> seq_hw := max !seq_hw n
+          | None -> diag "bad seq line")
+      | "submit" -> (
+          let id, rest = split_word rest in
+          match split_word rest with
+          | ("", _) | (_, "") -> diag "malformed submit line"
+          | fp, job_line -> (
+              match payload_of_line job_line with
+              | Ok payload ->
+                  if not (Hashtbl.mem entries id) then order := id :: !order;
+                  Hashtbl.replace entries id { id; fp; payload; state = Pending };
+                  Option.iter (fun n -> seq_hw := max !seq_hw n) (seq_of_id id)
+              | Error why -> diag why))
+      | "start" -> (
+          match Hashtbl.find_opt entries rest with
+          | Some e -> e.state <- Running
+          | None -> diag "start for unknown job")
+      | "done" -> (
+          match String.split_on_char ' ' rest with
+          | [ id; v ] -> (
+              match (Hashtbl.find_opt entries id, Job.verdict_of_string v) with
+              | Some e, Ok verdict -> e.state <- Done verdict
+              | None, _ -> diag "done for unknown job"
+              | _, Error why -> diag why)
+          | _ -> diag "malformed done line")
+      | "cancel" -> (
+          match Hashtbl.find_opt entries rest with
+          | Some e -> e.state <- Cancelled
+          | None -> diag "cancel for unknown job")
+      | _ -> diag "unknown ledger verb")
+    r.Wal.records;
   let in_order = List.rev_map (fun id -> Hashtbl.find entries id) !order in
-  (in_order, !seq_hw, List.rev !diags, !any)
+  (in_order, !seq_hw, List.rev !diags @ r.Wal.diags, r.Wal.records <> [] || r.Wal.diags <> [])
 
 (* ----------------------------------------------------------------- *)
 (* Appends *)
-
-let append t line =
-  output_string t.oc line;
-  output_char t.oc '\n';
-  flush t.oc;
-  Unix.fsync t.fd
-
-let open_append file =
-  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-  (fd, Unix.out_channel_of_descr fd)
 
 let submit_line e =
   Printf.sprintf "submit %s %s %s" e.id e.fp (payload_line e.payload)
 
 let open_ ~dir =
-  Ioutil.mkdir_p dir;
+  Substrate.Fs.mkdir_p dir;
   let file = path dir in
-  match replay file with
+  let all, seq_hw, diags, existing = replay file in
+  let recovered = List.filter (fun e -> e.state = Pending || e.state = Running) all in
+  List.iter (fun e -> e.state <- Pending) recovered;
+  (* Compact: survivors only, re-submitted, under a fresh seq high-water
+     — atomically, so a crash mid-compaction keeps the old ledger. *)
+  (try Wal.rewrite ~magic file (Printf.sprintf "seq %d" seq_hw :: List.map submit_line recovered)
+   with e -> Log.warn (fun k -> k "queue compaction failed: %s" (Printexc.to_string e)));
+  match Wal.open_ ~magic file with
   | exception e -> Error ("cannot open queue ledger: " ^ Printexc.to_string e)
-  | all, seq_hw, diags, any ->
-      let recovered =
-        List.filter (fun e -> e.state = Pending || e.state = Running) all
-      in
-      List.iter (fun e -> e.state <- Pending) recovered;
-      (* Compact: survivors only, re-submitted, under a fresh seq
-         high-water — atomically, so a crash mid-compaction keeps the
-         old ledger. *)
-      let b = Buffer.create 256 in
-      Buffer.add_string b (magic ^ "\n");
-      Printf.bprintf b "seq %d\n" seq_hw;
-      List.iter (fun e -> Buffer.add_string b (submit_line e ^ "\n")) recovered;
-      (try Ioutil.write_atomic ~path:file (Buffer.contents b)
-       with e ->
-         Log.warn (fun k -> k "queue compaction failed: %s" (Printexc.to_string e)));
-      let fd, oc = open_append file in
+  | wal ->
       let tbl = Hashtbl.create 64 in
       List.iter (fun e -> Hashtbl.replace tbl e.id e) recovered;
-      let t =
-        {
-          dir;
-          fd;
-          oc;
-          next_seq = seq_hw + 1;
-          tbl;
-          order = List.rev_map (fun e -> e.id) recovered;
-          existing = any;
-        }
-      in
-      Ok (t, recovered, diags)
+      let order = List.rev_map (fun e -> e.id) recovered in
+      Ok ({ wal; next_seq = seq_hw + 1; tbl; order; existing }, recovered, diags)
 
 let had_entries t = t.existing
 
@@ -199,28 +139,21 @@ let submit t payload =
   let e = { id; fp = payload_fingerprint payload; payload; state = Pending } in
   Hashtbl.replace t.tbl id e;
   t.order <- id :: t.order;
-  append t (submit_line e);
+  Wal.append t.wal (submit_line e);
   e
 
 let start t e =
   e.state <- Running;
-  append t ("start " ^ e.id)
+  Wal.append t.wal ("start " ^ e.id)
 
 let finish t e verdict =
   e.state <- Done verdict;
-  append t (Printf.sprintf "done %s %s" e.id (Job.verdict_to_string verdict))
+  Wal.append t.wal (Printf.sprintf "done %s %s" e.id (Job.verdict_to_string verdict))
 
 let cancel t e =
   e.state <- Cancelled;
-  append t ("cancel " ^ e.id)
+  Wal.append t.wal ("cancel " ^ e.id)
 
 let find t id = Hashtbl.find_opt t.tbl id
 let entries t = List.rev_map (fun id -> Hashtbl.find t.tbl id) t.order
-
-let fsync t =
-  flush t.oc;
-  Unix.fsync t.fd
-
-let close t =
-  (try flush t.oc with _ -> ());
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+let close t = Wal.close t.wal

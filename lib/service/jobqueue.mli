@@ -1,6 +1,6 @@
 (** The daemon's crash-safe durable job queue: an fsync'd append-only
-    ledger ([queue.log] in the run directory) that records every job
-    admission and state change, replayed on restart.
+    ledger ([queue.log] in the run directory, a {!Substrate.Wal}) that
+    records every job admission and state change, replayed on restart.
 
     Ledger format (line-oriented, write-ahead — each line fsync'd before
     the daemon acts on it):
@@ -22,8 +22,9 @@
     entries for re-dispatch; their solves replay from the content-
     addressed solve cache, so recovery costs zero re-solves for
     anything that completed. The [seq] high-water line keeps job ids
-    unique across restarts. Malformed lines (e.g. truncated by the
-    crash) are skipped with a diagnosis, never a raise. *)
+    unique across restarts. Malformed lines and a torn final line (the
+    crash) are skipped with a diagnosis, never a raise. An append whose
+    write or fsync fails raises. *)
 
 type state =
   | Pending
@@ -81,9 +82,5 @@ val find : t -> string -> entry option
 
 val entries : t -> entry list
 (** All entries known to this handle, in submit order. *)
-
-val fsync : t -> unit
-(** Force the ledger to disk (appends already fsync; this is the final
-    belt-and-braces flush of the SIGTERM drain path). *)
 
 val close : t -> unit

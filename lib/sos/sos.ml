@@ -369,11 +369,6 @@ let solve ?(options = Options.default) p =
     max_eq_residual;
   }
 
-(* Deprecated scattered-optional-arg surface, kept so external callers
-   keep compiling across the Options migration. *)
-let solve_legacy ?solver ?params ?psd_tol ?eq_tol p =
-  solve ~options:(Options.make ?solver ?params ?psd_tol ?eq_tol ()) p
-
 let value sol pp = Ppoly.value sol.assign pp
 
 let gram_blocks sol = Array.to_list sol.sdp.Sdp.x_blocks

@@ -146,18 +146,6 @@ val solve : ?options:Options.t -> t -> solution
     for the dispatch precedence between an injected solver and a
     warm-start session. *)
 
-val solve_legacy :
-  ?solver:Options.solver_fn ->
-  ?params:Sdp.params ->
-  ?psd_tol:float ->
-  ?eq_tol:float ->
-  t ->
-  solution
-  [@@ocaml.deprecated "use Sos.solve ?options with Sos.Options.make"]
-(** Pre-[Options] surface, equivalent to [solve ~options:(Options.make
-    ?solver ?params ?psd_tol ?eq_tol ())]. New code should build an
-    {!Options.t}. *)
-
 val value : solution -> Ppoly.t -> Poly.t
 (** Instantiate a parametric polynomial under the solution. *)
 

@@ -8,51 +8,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 external set_mem_limit_mb : int -> int = "pll_supervise_set_mem_limit_mb"
 
-(* ------------------------------------------------------------------ *)
-(* Small filesystem helpers                                           *)
-(* ------------------------------------------------------------------ *)
-
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    end
-  in
-  go dir
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
-(* Atomic durable write: temp file in the same directory, fsync, rename
-   into place, fsync the directory. A crash at any point leaves either
-   no entry or the complete one. *)
-let write_atomic path content =
-  let dir = Filename.dirname path in
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let b = Bytes.of_string content in
-      let n = Bytes.length b in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd b !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  fsync_dir dir
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+module Fs = Substrate.Fs
 
 (* ------------------------------------------------------------------ *)
 (* Process-level fault specs                                          *)
@@ -61,44 +17,6 @@ let read_file path =
 module Fault = struct
   type kind = Kill | Stall | Corrupt_cache
   type spec = { kind : kind; solve : int; iter : int }
-
-  let to_string s =
-    let site = if s.solve = 0 then "*" else string_of_int s.solve in
-    match s.kind with
-    | Kill -> Printf.sprintf "kill@%s:%d" site s.iter
-    | Stall -> Printf.sprintf "stall@%s:%d" site s.iter
-    | Corrupt_cache -> Printf.sprintf "corrupt-cache@%s" site
-
-  let parse tok =
-    match String.index_opt tok '@' with
-    | None -> None
-    | Some at -> (
-        let kind_s = String.sub tok 0 at in
-        let rest = String.sub tok (at + 1) (String.length tok - at - 1) in
-        let parts = String.split_on_char ':' rest in
-        let solve_of s = if s = "*" then Some 0 else int_of_string_opt s in
-        let bad () =
-          Some
-            (Error
-               (Printf.sprintf
-                  "bad process-fault spec %S (want kill@S:I, stall@S:I or corrupt-cache@S)"
-                  tok))
-        in
-        match (kind_s, parts) with
-        | "kill", [ s; i ] -> (
-            match (solve_of s, int_of_string_opt i) with
-            | Some solve, Some iter -> Some (Ok { kind = Kill; solve; iter })
-            | _ -> bad ())
-        | "stall", [ s; i ] -> (
-            match (solve_of s, int_of_string_opt i) with
-            | Some solve, Some iter -> Some (Ok { kind = Stall; solve; iter })
-            | _ -> bad ())
-        | "corrupt-cache", [ s ] | "corrupt-cache", [ s; _ ] -> (
-            match solve_of s with
-            | Some solve -> Some (Ok { kind = Corrupt_cache; solve; iter = 0 })
-            | None -> bad ())
-        | ("kill" | "stall" | "corrupt-cache"), _ -> bad ()
-        | _ -> None)
 
   let for_solve specs idx =
     List.find_opt (fun s -> s.solve = 0 || s.solve = idx) specs
@@ -131,7 +49,7 @@ module Cache = struct
   let magic = "pll-solve-cache v1"
 
   let create ~dir =
-    mkdir_p dir;
+    Fs.mkdir_p dir;
     { dir }
 
   let dir t = t.dir
@@ -143,7 +61,7 @@ module Cache = struct
       Printf.sprintf "%s %d %s\n" magic (String.length payload)
         (Digest.to_hex (Digest.string payload))
     in
-    match write_atomic (path t ~key) (header ^ payload) with
+    match Fs.write_atomic (path t ~key) (header ^ payload) with
     | () -> Ok ()
     | exception (Unix.Unix_error _ | Sys_error _) ->
         Error (Printf.sprintf "cannot write cache entry %s" key)
@@ -152,7 +70,7 @@ module Cache = struct
     let file = path t ~key in
     if not (Sys.file_exists file) then Error Missing
     else
-      match read_file file with
+      match Fs.read_file file with
       | exception Sys_error m -> Error (Io_error m)
       | content -> (
           match String.index_opt content '\n' with
@@ -185,7 +103,7 @@ module Cache = struct
 
   let corrupt t ~key =
     let file = path t ~key in
-    match read_file file with
+    match Fs.read_file file with
     | exception Sys_error _ -> false
     | content ->
         let keep = String.length content / 2 in
@@ -227,7 +145,7 @@ module Cache = struct
        they are invisible to the loader but not to the disk. *)
     let now = Unix.gettimeofday () in
     let is_stale_tmp name =
-      (* write_atomic temp names are <key>.solve.tmp.<pid>. *)
+      (* Fs.write_atomic temp names are <key>.solve.tmp.<pid>. *)
       let marker = entry_suffix ^ ".tmp." in
       let nm = String.length marker and nn = String.length name in
       let rec has i = i + nm <= nn && (String.sub name i nm = marker || has (i + 1)) in
@@ -261,7 +179,7 @@ module Cache = struct
     let kept, remaining_over = evict [] (total - max_bytes) entries in
     ignore remaining_over;
     (* Make the deletions durable the same way stores are. *)
-    fsync_dir t.dir;
+    Fs.fsync_dir t.dir;
     let bytes = List.fold_left (fun b (_, sz) -> b + sz) 0 kept in
     {
       entries = List.length kept;
@@ -276,6 +194,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Journal = struct
+  module Wal = Substrate.Wal
+
   type entry = {
     seq : int;
     key : string;
@@ -285,79 +205,44 @@ module Journal = struct
     label : string;
   }
 
-  type t = { oc : out_channel; fd : Unix.file_descr }
+  type t = Wal.t
 
   let magic = "pll-run-journal v1"
   let path dir = Filename.concat dir "journal.log"
 
-  (* Tolerant reader: a crash can truncate the final line; any
-     unparseable line becomes a diagnosis, never an exception. *)
   let read dir =
     let file = path dir in
-    if not (Sys.file_exists file) then ([], [])
-    else
-      match read_file file with
-      | exception Sys_error m -> ([], [ Printf.sprintf "journal unreadable: %s" m ])
-      | content ->
-          let lines = String.split_on_char '\n' content in
-          let entries = ref [] and diags = ref [] in
-          List.iteri
-            (fun lineno line ->
-              if line <> "" then
-                match String.split_on_char ' ' line with
-                | _ when lineno = 0 && line = magic -> ()
-                | "run" :: _ -> ()
-                | "start" :: _ -> ()
-                | "done" :: seq :: key :: source :: status :: wall :: label_words -> (
-                    match (int_of_string_opt seq, float_of_string_opt wall) with
-                    | Some seq, Some wall_s ->
-                        entries :=
-                          {
-                            seq;
-                            key;
-                            source;
-                            status;
-                            wall_s;
-                            label = String.concat " " label_words;
-                          }
-                          :: !entries
-                    | _ ->
-                        diags :=
-                          Printf.sprintf "journal line %d malformed: %S" (lineno + 1)
-                            line
-                          :: !diags)
-                | _ ->
-                    diags :=
-                      Printf.sprintf "journal line %d unrecognized: %S" (lineno + 1) line
-                      :: !diags)
-            lines;
-          (List.rev !entries, List.rev !diags)
+    let r = Wal.replay ~magic file in
+    let entries, diags =
+      List.fold_left
+        (fun (entries, diags) ((_, line) as numbered) ->
+          let bad why = (entries, Wal.diagnosis file numbered why :: diags) in
+          match String.split_on_char ' ' line with
+          | ("run" | "start") :: _ -> (entries, diags)
+          | "done" :: seq :: key :: source :: status :: wall :: label_words -> (
+              match (int_of_string_opt seq, float_of_string_opt wall) with
+              | Some seq, Some wall_s ->
+                  let label = String.concat " " label_words in
+                  ({ seq; key; source; status; wall_s; label } :: entries, diags)
+              | _ -> bad "malformed done line")
+          | _ -> bad "unrecognized line")
+        ([], []) r.Wal.records
+    in
+    (List.rev entries, List.rev diags @ r.Wal.diags)
 
   let open_ dir =
-    mkdir_p dir;
-    let file = path dir in
-    let fresh = not (Sys.file_exists file) in
-    let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 file in
-    let fd = Unix.descr_of_out_channel oc in
-    if fresh then output_string oc (magic ^ "\n");
-    Printf.fprintf oc "run %.3f %d\n" (Unix.gettimeofday ()) (Unix.getpid ());
-    flush oc;
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    { oc; fd }
+    let t = Wal.open_ ~magic (path dir) in
+    Wal.append t (Printf.sprintf "run %.3f %d" (Unix.gettimeofday ()) (Unix.getpid ()));
+    t
 
-  let append t line =
-    output_string t.oc line;
-    output_char t.oc '\n';
-    flush t.oc;
-    (* The fsync is what makes the journal write-ahead: the [start] line
-       is durable before the worker launches. *)
-    try Unix.fsync t.fd with Unix.Unix_error _ -> ()
-
+  (* Each append is fsync'd before the solve it records proceeds: the
+     [start] line is durable before the worker launches. *)
   let record_start t ~seq ~key ~label =
-    append t (Printf.sprintf "start %d %s %s" seq key label)
+    Wal.append t (Printf.sprintf "start %d %s %s" seq key label)
 
   let record_done t ~seq ~key ~source ~status ~wall_s ~label =
-    append t (Printf.sprintf "done %d %s %s %s %.6f %s" seq key source status wall_s label)
+    Wal.append t
+      (Printf.sprintf "done %d %s %s %s %.6f %s" seq key source status wall_s label)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -375,7 +260,7 @@ module Lock = struct
   let held : (string, int) Hashtbl.t = Hashtbl.create 4
 
   let holder ~dir =
-    match read_file (path dir) with
+    match Fs.read_file (path dir) with
     | exception Sys_error _ -> None
     | content -> int_of_string_opt (String.trim content)
 
@@ -399,7 +284,7 @@ module Lock = struct
       (path dir) pid waited_s
 
   let acquire ~dir ?(wait_s = 0.0) () =
-    mkdir_p dir;
+    Fs.mkdir_p dir;
     let file = path dir in
     let deadline = Unix.gettimeofday () +. wait_s in
     let rec go ~stole =
@@ -435,7 +320,7 @@ module Lock = struct
                   go ~stole
               | () -> (
                   let claimed =
-                    match read_file claim with
+                    match Fs.read_file claim with
                     | exception Sys_error _ -> None
                     | content -> int_of_string_opt (String.trim content)
                   in
@@ -485,7 +370,7 @@ module Config_guard = struct
      human-readable summary of what was fingerprinted — so a refusal can
      show what the run directory was built with. *)
   let read dir =
-    match read_file (path dir) with
+    match Fs.read_file (path dir) with
     | exception Sys_error _ -> None
     | content -> (
         match String.split_on_char '\n' content with
@@ -497,9 +382,9 @@ module Config_guard = struct
     let digest = Digest.to_hex (Digest.string fingerprint) in
     match read run_dir with
     | None -> (
-        mkdir_p run_dir;
+        Fs.mkdir_p run_dir;
         match
-          write_atomic (path run_dir)
+          Fs.write_atomic (path run_dir)
             (Printf.sprintf "%s\n%s\n%s\n" magic digest summary)
         with
         | () -> Ok Fresh
@@ -569,8 +454,8 @@ let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
     match run_dir with
     | None -> (None, None, 0)
     | Some dir ->
-        mkdir_p dir;
-        mkdir_p (Filename.concat dir "artifacts");
+        Fs.mkdir_p dir;
+        Fs.mkdir_p (Filename.concat dir "artifacts");
         let completed, diags = Journal.read dir in
         List.iter (fun d -> Log.warn (fun k -> k "%s" d)) diags;
         let replayed =
@@ -621,7 +506,7 @@ let temp_result_file ctx =
   match ctx.run_dir with
   | Some dir ->
       let tmp = Filename.concat dir "tmp" in
-      mkdir_p tmp;
+      Fs.mkdir_p tmp;
       Filename.temp_file ~temp_dir:tmp "worker" ".res"
   | None -> Filename.temp_file "pll-supervise" ".res"
 
@@ -638,7 +523,7 @@ let write_result file v =
   Unix.close fd
 
 let read_result file =
-  match read_file file with
+  match Fs.read_file file with
   | exception Sys_error m -> Error ("worker result unreadable: " ^ m)
   | "" -> Error "worker wrote no result"
   | payload -> (
@@ -952,7 +837,7 @@ let save_artifact ctx ~name content =
         String.map (fun c -> if c = '/' || c = ' ' then '_' else c) name
       in
       let path = Filename.concat (Filename.concat dir "artifacts") safe in
-      (match write_atomic path content with
+      (match Fs.write_atomic path content with
       | () -> ()
       | exception (Unix.Unix_error _ | Sys_error _) ->
           Log.warn (fun k -> k "cannot persist artifact %s" path));

@@ -46,9 +46,9 @@
     already the isolation boundary) but still consult and populate the
     cache. *)
 
-(** Process-level fault injection specs, parsed from the same fault-plan
-    strings as {!Resilient.Faults} ([kill@S:I], [stall@S:I],
-    [corrupt-cache@S]). *)
+(** Process-level fault injection specs: what the [kill@S:I],
+    [stall@S:I] and [corrupt-cache@S] tokens of a {!Resilient.Faults}
+    plan mean to the supervisor. *)
 module Fault : sig
   type kind =
     | Kill  (** worker SIGKILLs itself at the trigger iteration *)
@@ -62,14 +62,6 @@ module Fault : sig
     solve : int;  (** 1-based logical solve index; 0 = every solve *)
     iter : int;  (** trigger iteration for [Kill]/[Stall] *)
   }
-
-  val parse : string -> (spec, string) result option
-  (** [parse tok] is [None] when [tok] is not a process-fault spec (so a
-      caller can fall through to in-process kinds), [Some (Ok s)] on a
-      well-formed [kill@S:I] / [stall@S:I] / [corrupt-cache@S[:I]], and
-      [Some (Error _)] on a malformed one. *)
-
-  val to_string : spec -> string
 
   val for_solve : spec list -> int -> spec option
   (** The first spec targeting the given logical solve index, if any. *)
@@ -131,12 +123,15 @@ module Cache : sig
       content-addressed cache bounded ([verifyd --cache-max-mb]). *)
 end
 
-(** The write-ahead run journal, [journal.log] in the run directory:
-    line-oriented, one [start] line fsync'd before each solve launches
-    and one [done] line after it completes (with its outcome source:
-    [solved], [cache], [crash], [timeout]). Malformed lines — e.g. a
-    line truncated by the crash that killed the run — are skipped with a
-    structured diagnosis, never a raise. *)
+(** The write-ahead run journal, [journal.log] in the run directory: a
+    {!Substrate.Wal} (magic [pll-run-journal v1]) with one
+    [run <ts> <pid>] line per opening, one [start <seq> <key> <label>]
+    line fsync'd before each solve launches and one
+    [done <seq> <key> <source> <status> <wall_s> <label>] line after it
+    completes (source: [solved], [cache], [crash], [timeout]). Appends
+    follow the {!Substrate.Wal} fsync policy: a failed fsync raises.
+    Malformed lines and a torn final line — the crash that killed the
+    run — are skipped with a structured diagnosis, never a raise. *)
 module Journal : sig
   type entry = {
     seq : int;  (** supervised-solve sequence number within the run *)

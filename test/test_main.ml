@@ -18,4 +18,5 @@ let () =
       ("core", Test_core.suite);
       ("atlas", Test_atlas.suite);
       ("service", Test_service.suite);
+      ("substrate", Test_substrate.suite);
     ]

@@ -522,7 +522,6 @@ let service_fast () =
         Service.Daemon.resume = true;
         queue_cap = 4;
         faults = [ Service.Daemon.Fault.Kill_worker "c0" ];
-        cell_runner = Some Atlas.certify_service;
       }
   in
   let bulk_job =
@@ -541,7 +540,7 @@ let service_fast () =
   let bulk_ok =
     Atlas.exec_via_daemon ~sock ~retries:3 bulk_job cells
     |> List.for_all (function
-         | Ok p -> p.Atlas.p_ok
+         | Ok p -> p.Service.Bulk.ok
          | Error e -> failwith ("service-fast: bulk cell failed: " ^ e))
   in
   if not bulk_ok then failwith "service-fast: a bulk cell was not certified";

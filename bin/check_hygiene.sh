@@ -32,7 +32,13 @@
 #     lib/substrate, no lib/ or bin/ source opens a file for appending
 #     (`O_APPEND`/`Open_append`: a second ledger) or mentions the `'@'`
 #     character (a second fault-token parser); both belong to
-#     `Substrate.Wal` and `Substrate.Fault_plan`.
+#     `Substrate.Wal` and `Substrate.Fault_plan`;
+#  9. certification keeps one pipeline — outside lib/certificates and
+#     lib/core, no lib/ or bin/ .ml file but lib/service/job.ml calls
+#     `Certificates.attractive_invariant` or
+#     `Pll_core.Inevitability.verify` (points and cells both go through
+#     `Service.Job.certify`; interfaces may still name the
+#     attractive_invariant type; bench/ and examples/ are exempt).
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -115,6 +121,13 @@ strays="$(grep -lE "O_APPEND|Open_append|'@'" "$repo"/lib/*/*.ml "$repo"/bin/*.m
   2>/dev/null | grep -v "^$repo/lib/substrate/" || true)"
 [ -z "$strays" ] || \
   fail "append-mode opens or '@' token splitting outside lib/substrate (use Substrate.Wal / Substrate.Fault_plan):$(echo " $strays" | sed "s|$repo/||g")"
+
+# One certification pipeline (check 9).
+strays="$(grep -lE 'Certificates\.attractive_invariant|Inevitability\.verify' \
+  "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null \
+  | grep -vE "^$repo/lib/(certificates|core)/|^$repo/lib/service/job\.ml\$" || true)"
+[ -z "$strays" ] || \
+  fail "a second certification pipeline (call Service.Job.certify instead):$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

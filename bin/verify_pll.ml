@@ -10,8 +10,10 @@
    produce the same verdict through the same code path; this driver
    owns only argument parsing, supervision/run-dir wiring and reports.
 
-   Exit codes: 0 = inevitability verified; 2 = pipeline completed but
-   the property was not established; 1 = pipeline/setup failure;
+   Exit codes: 0 = inevitability verified; 2 = the property was not
+   established (conclusively infeasible, no positive level certifies,
+   P1/P2 not both established, or --validate refused); 1 = solver,
+   deadline or setup failure;
    130 = interrupted (checkpoint saved — resume with --resume);
    124 = usage error. *)
 

@@ -75,9 +75,6 @@ let run run_dir resume sock workers queue_cap cache_max_mb breaker_threshold
           lock_wait_s = lock_wait;
           faults;
           resume;
-          (* Bulk (atlas) cells run through the atlas library's cell
-             certifier; injecting it here keeps lib/service atlas-free. *)
-          cell_runner = Some Atlas.certify_service;
         }
 
 let run_dir_arg =

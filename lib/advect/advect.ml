@@ -35,7 +35,7 @@ let default_config =
     sdp_params = { Sdp.default_params with Sdp.max_iter = 60 };
     (* Shared by every run using the default config; pipelines wanting an
        isolated journal/deadline should install their own policy (as
-       [Pll_core.Inevitability.verify ~resilience] does). *)
+       Pll_core's inevitability pipeline does through [~resilience]). *)
     resilience = Resilient.default ();
   }
 

@@ -66,7 +66,7 @@ val default_config : config
 (** Note: the default config carries one module-level {!Resilient}
     policy shared by every caller that uses it; pipelines wanting an
     isolated journal/deadline should install a fresh policy (as
-    [Pll_core.Inevitability.verify ~resilience] does). *)
+    Pll_core's inevitability pipeline does through [~resilience]). *)
 
 type step = {
   front : Poly.t;  (** the new front [w] *)

@@ -1,6 +1,7 @@
 (* Fault-tolerant certification atlas over the Table-1 parameter space.
 
-   Layering: each cell gets a fresh Resilient policy wired to the shared
+   Layering: each cell is certified by Service.Bulk.run (the pipeline
+   point jobs use too) under a fresh Resilient policy wired to the shared
    Supervise context, so per-solve isolation / caching / journaling come
    from the existing stack. This module owns only sweep-level state: the
    cell tree (grid cells and their subdivision descendants), the
@@ -446,200 +447,11 @@ module Ledger = struct
 end
 
 (* ----------------------------------------------------------------- *)
-(* Per-cell certification (runs inside pool workers) *)
-
-(* Marshal-safe result a worker sends back to the orchestrator. *)
-type probe = {
-  p_ok : bool;
-  p_beta : float;
-  p_kind : string;  (* deterministic diagnosis kind when not ok *)
-  p_detail : string;  (* deterministic short detail *)
-  p_full : string;  (* full JSON journal (may carry timings) *)
-  p_solves : int;
-  p_attempts : int;
-  p_attempt_s : float;
-}
-
-let probe_fail ?(full = "") ~kind ~detail () =
-  {
-    p_ok = false;
-    p_beta = 0.0;
-    p_kind = kind;
-    p_detail = detail;
-    p_full =
-      (if full = "" then Printf.sprintf "{\"error\":\"%s\"}" (Service.Json.escape detail)
-       else full);
-    p_solves = 0;
-    p_attempts = 0;
-    p_attempt_s = 0.0;
-  }
-
-let build_raw (job : job) (c : cell) =
-  let base = match job.order with Pll.Third -> Pll.table1_third | Pll.Fourth -> Pll.table1_fourth in
-  List.fold_left
-    (fun acc (ax, lo, hi) ->
-      Result.bind acc (fun raw ->
-          if job.robust then Pll.set_axis_relative raw ax ~lo ~hi
-          else
-            let m = 0.5 *. (lo +. hi) in
-            Pll.set_axis_relative raw ax ~lo:m ~hi:m))
-    (Ok base) c.box
-
-(* Classify a failed cell from the policy's journal. Deterministic: only
-   labels and statuses, never timings or raw error strings. *)
-let classify policy =
-  if Resilient.out_of_time policy then ("budget-exhausted", "per-cell budget exhausted")
-  else
-    let fails = Resilient.failures policy in
-    if fails = [] then
-      (* The certificate search journals every failure it escalates, so an
-         error with a clean journal is the level maximization finding no
-         positive certified level. *)
-      ("level-collapse", "certificate found but no positive level certifies")
-    else
-    let label =
-      match List.rev fails with
-      | [] -> "certificate search"
-      | d :: _ -> d.Resilient.label
-    in
-    let infeasible =
-      List.exists
-        (fun (d : Resilient.diagnosis) ->
-          List.exists
-            (fun (a : Resilient.attempt) ->
-              match a.Resilient.status with
-              | Sdp.Primal_infeasible | Sdp.Dual_infeasible -> true
-              | _ -> false)
-            d.Resilient.attempts)
-        fails
-    in
-    if infeasible then ("infeasible", "conclusively infeasible at " ^ label)
-    else ("solver-failure", "solver failed at " ^ label)
-
-let with_budget policy (p : probe) =
-  let b = Resilient.consumed policy in
-  {
-    p with
-    p_solves = b.Resilient.solves;
-    p_attempts = b.Resilient.attempts;
-    p_attempt_s = b.Resilient.attempt_s;
-  }
-
-let certify_cell ~ctx ~faults (job : job) (c : cell) =
-  if Fault.fail_cell faults c.id then
-    probe_fail ~kind:"injected" ~detail:"fail-cell fault injected" ()
-  else
-    match build_raw job c with
-    | Error e -> probe_fail ~kind:"bad-cell" ~detail:e ()
-    | Ok raw -> (
-        let s = Pll.scale raw in
-        let policy =
-          Resilient.make
-            ~faults:(Fault.resilient_plan faults c.id)
-            ?pipeline_deadline_s:job.cell_budget_s ~supervise:ctx ()
-        in
-        let base = Certificates.default_config s.Pll.order in
-        let cfg =
-          {
-            base with
-            Certificates.degree = job.degree;
-            robust_vertices = job.robust;
-            resilience = policy;
-          }
-        in
-        let fail ~kind ~detail =
-          with_budget policy
-            (probe_fail ~full:(Resilient.report_json policy) ~kind ~detail ())
-        in
-        let classified () =
-          let kind, detail = classify policy in
-          fail ~kind ~detail
-        in
-        let certified beta =
-          with_budget policy
-            {
-              p_ok = true;
-              p_beta = beta;
-              p_kind = "";
-              p_detail = "";
-              p_full = "";
-              p_solves = 0;
-              p_attempts = 0;
-              p_attempt_s = 0.0;
-            }
-        in
-        (* Exact re-validation gate: a certified cell only counts when the
-           exact kernel re-proves it; the artifact lands in artifacts/ under
-           a per-cell name (check_cert replays it). The validation solves
-           run without the supervisor so their solutions stay in-process. *)
-        let exact_gate cert beta =
-          if not job.exact then certified beta
-          else
-            let cert' =
-              {
-                cert with
-                Certificates.cfg =
-                  {
-                    cert.Certificates.cfg with
-                    Certificates.resilience = Resilient.with_supervisor policy None;
-                  };
-              }
-            in
-            match Certificates.validate_exactly s cert' with
-            | Ok ev when ev.Certificates.all_proven ->
-                ignore
-                  (Supervise.save_artifact ctx
-                     ~name:(Printf.sprintf "cell-%s.artifact" c.id)
-                     (Exact.Artifact.write ev.Certificates.artifact));
-                certified beta
-            | Ok ev ->
-                let failed =
-                  List.filter_map
-                    (fun (name, v) ->
-                      match v with Exact.Check.Proven _ -> None | _ -> Some name)
-                    ev.Certificates.verdicts
-                in
-                fail ~kind:"exact-unproven"
-                  ~detail:("exact kernel could not prove: " ^ String.concat ", " failed)
-            | Error _ ->
-                fail ~kind:"exact-unproven" ~detail:"exact re-validation solve failed"
-        in
-        try
-          if job.full then
-            match
-              Pll_core.Inevitability.verify ~cert_config:cfg ~resilience:policy s
-            with
-            | Ok report when report.Pll_core.Inevitability.verified ->
-                let inv = report.Pll_core.Inevitability.invariant in
-                exact_gate inv.Certificates.cert inv.Certificates.beta
-            | Ok _ ->
-                if Resilient.failures policy <> [] || Resilient.out_of_time policy then
-                  classified ()
-                else
-                  fail ~kind:"not-established"
-                    ~detail:"pipeline completed but P1 and P2 not both established"
-            | Error _ -> classified ()
-          else
-            match
-              Certificates.attractive_invariant ~config:cfg
-                ~bisect_steps:job.bisect_steps s
-            with
-            | Ok ai when ai.Certificates.beta > 0.0 ->
-                exact_gate ai.Certificates.cert ai.Certificates.beta
-            | Ok _ ->
-                fail ~kind:"level-collapse"
-                  ~detail:"certificate found but no positive level certifies"
-            | Error _ -> classified ()
-        with
-        | Supervise.Interrupted as i -> raise i
-        | e -> fail ~kind:"crash" ~detail:(Printexc.to_string e))
-
-(* ----------------------------------------------------------------- *)
 (* Service bridge: run cells through the verification daemon *)
 
-(* The daemon's cell vocabulary (Service.Bulk) mirrors ours; these
-   conversions are the entire coupling. Conclusions are shared by box
-   content (the spec fingerprint), not by grid position. *)
+(* A cell as the service layer certifies it, locally or on a daemon.
+   Conclusions are shared by box content (the spec fingerprint), not by
+   grid position. *)
 let cell_to_spec (job : job) (c : cell) =
   {
     Service.Bulk.order = job.order;
@@ -654,61 +466,8 @@ let cell_to_spec (job : job) (c : cell) =
     box = c.box;
   }
 
-let job_of_spec (s : Service.Bulk.cell_spec) =
-  ( {
-      order = s.Service.Bulk.order;
-      degree = s.Service.Bulk.degree;
-      robust = s.Service.Bulk.robust;
-      full = s.Service.Bulk.full;
-      exact = s.Service.Bulk.exact;
-      bisect_steps = s.Service.Bulk.bisect_steps;
-      max_subdiv = 0;
-      cell_budget_s = s.Service.Bulk.budget_s;
-    },
-    {
-      id = s.Service.Bulk.cell_id;
-      depth = s.Service.Bulk.depth;
-      box = s.Service.Bulk.box;
-    } )
-
-let probe_to_service (p : probe) =
-  {
-    Service.Bulk.ok = p.p_ok;
-    beta = p.p_beta;
-    kind = p.p_kind;
-    detail = p.p_detail;
-    journal = (if p.p_full = "" then None else Some p.p_full);
-    solves = p.p_solves;
-    attempts = p.p_attempts;
-    attempt_s = p.p_attempt_s;
-  }
-
-let probe_of_service (p : Service.Bulk.probe) =
-  {
-    p_ok = p.Service.Bulk.ok;
-    p_beta = p.Service.Bulk.beta;
-    p_kind = p.Service.Bulk.kind;
-    p_detail = p.Service.Bulk.detail;
-    p_full = Option.value p.Service.Bulk.journal ~default:"";
-    p_solves = p.Service.Bulk.solves;
-    p_attempts = p.Service.Bulk.attempts;
-    p_attempt_s = p.Service.Bulk.attempt_s;
-  }
-
-(* The daemon-side cell runner ([verifyd] wires this into its config):
-   certify one cell in the worker process over the shared run-dir
-   cache/journal. *)
-let certify_service ~run_dir (s : Service.Bulk.cell_spec) =
-  let job, c = job_of_spec s in
-  try
-    let ctx = Supervise.create ~run_dir ~isolate:false ~jobs:1 () in
-    Ok (probe_to_service (certify_cell ~ctx ~faults:Fault.none job c))
-  with
-  | Supervise.Interrupted as i -> raise i
-  | e -> Error (Printexc.to_string e)
-
 (* An execution backend for one wave of cells. *)
-type exec = cell list -> (probe, string) result list
+type exec = cell list -> (Service.Bulk.probe, string) result list
 
 (* The client side of bulk execution: ship the wave to the daemon as
    one bulk request, collect streamed [cell-result] lines keyed by the
@@ -725,7 +484,7 @@ let exec_via_daemon ~sock ?(retries = 10) ?(retry_base_s = 0.5) (job : job) :
   let module J = Service.Json in
   let specs = List.map (fun c -> (c, cell_to_spec job c)) cells in
   let fp_of s = Service.Bulk.fingerprint s in
-  let results : (string, probe) Hashtbl.t = Hashtbl.create 16 in
+  let results : (string, Service.Bulk.probe) Hashtbl.t = Hashtbl.create 16 in
   let fatal = ref None in
   let remaining () =
     let seen = Hashtbl.create 16 in
@@ -785,8 +544,7 @@ let exec_via_daemon ~sock ?(retries = 10) ?(retry_base_s = 0.5) (job : job) :
                              Option.bind (J.member "probe" v) (fun p ->
                                  Result.to_option (Service.Bulk.probe_of_json p))
                            with
-                          | Some sp ->
-                              Hashtbl.replace results fp (probe_of_service sp)
+                          | Some p -> Hashtbl.replace results fp p
                           | None -> ());
                           waiting := List.filter (fun f -> f <> fp) !waiting
                       | None -> ())
@@ -935,7 +693,13 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
           | None ->
               ( (fun chunk ->
                   Supervise.Pool.map ctx
-                    ~f:(fun _ c -> certify_cell ~ctx ~faults job c)
+                    ~f:(fun _ c ->
+                      if Fault.fail_cell faults c.id then
+                        Service.Bulk.probe_fail ~kind:"injected"
+                          ~detail:"fail-cell fault injected"
+                      else
+                        Service.Bulk.run ~ctx ~faults:(Fault.resilient_plan faults c.id)
+                          (cell_to_spec job c))
                     chunk),
                 max 1 (Supervise.jobs ctx) )
         in
@@ -974,19 +738,16 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
                                daemon: specifics go to the journal, so
                                atlas.json stays byte-identical across
                                backends. *)
-                            probe_fail
-                              ~full:
-                                (Printf.sprintf "{\"error\":\"%s\"}"
-                                   (Service.Json.escape e))
-                              ~kind:"crash" ~detail:"cell worker crashed" ()
+                            {
+                              (Service.Bulk.probe_fail ~kind:"crash" ~detail:e) with
+                              detail = "cell worker crashed";
+                            }
                       in
                       let result =
-                        if p.p_ok then Certified { beta = p.p_beta }
-                        else if
-                          c.depth < job.max_subdiv && p.p_kind <> "bad-cell"
-                          && split c <> None
+                        if p.ok then Certified { beta = p.beta }
+                        else if c.depth < job.max_subdiv && p.kind <> "bad-cell" && split c <> None
                         then Subdivided
-                        else Quarantined { kind = p.p_kind; detail = p.p_detail }
+                        else Quarantined { kind = p.kind; detail = p.detail }
                       in
                       (match (run_dir, result) with
                       | Some d, Quarantined _ ->
@@ -998,23 +759,23 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
                                   (String.map (fun ch -> if ch = '/' then '_' else ch) c.id)))
                             (Printf.sprintf
                                "{\"cell\":\"%s\",\"kind\":\"%s\",\"detail\":\"%s\",\"journal\":%s}\n"
-                               (Service.Json.escape c.id) (Service.Json.escape p.p_kind)
-                               (Service.Json.escape p.p_detail)
-                               (if p.p_full = "" then "null" else p.p_full))
+                               (Service.Json.escape c.id) (Service.Json.escape p.kind)
+                               (Service.Json.escape p.detail)
+                               (Option.value p.journal ~default:"null"))
                       | _ -> ());
                       let entry : Ledger.entry =
                         {
                           Ledger.id = c.id;
                           depth = c.depth;
                           result;
-                          solves = p.p_solves;
-                          attempts = p.p_attempts;
-                          attempt_s = p.p_attempt_s;
+                          solves = p.solves;
+                          attempts = p.attempts;
+                          attempt_s = p.attempt_s;
                         }
                       in
                       Option.iter (fun d -> Ledger.append d entry) run_dir;
-                      push c result ~replayed:false ~solves:p.p_solves
-                        ~attempts:p.p_attempts ~attempt_s:p.p_attempt_s next;
+                      push c result ~replayed:false ~solves:p.solves
+                        ~attempts:p.attempts ~attempt_s:p.attempt_s next;
                       Log.info (fun m ->
                           m "cell %s: %s" c.id (Ledger.status_str result));
                       if Fault.kill_after faults c.id then begin

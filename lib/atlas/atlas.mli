@@ -5,10 +5,11 @@
 
     Each {e cell} of the grid is a box of circuit parameters in relative
     units (multiples of the Table-1 nominals, see
-    {!Pll.set_axis_relative}). A cell is certified by running the
-    attractive-invariant search (property P1) — or the full
-    inevitability pipeline — on the model it induces, under a fresh
-    {!Resilient} policy wired to a shared {!Supervise} context, so every
+    {!Pll.set_axis_relative}). A cell is certified by
+    {!Service.Bulk.run} — the attractive-invariant search (property P1)
+    or the full inevitability pipeline, the same code that serves point
+    jobs — on the model it induces, under a fresh {!Resilient} policy
+    wired to a shared {!Supervise} context, so every
     interior-point solve is isolated, cached and journaled. When a cell
     cannot be certified the orchestrator {e subdivides} it (bisecting
     its widest axis, up to a depth limit): lock certificates often exist
@@ -215,30 +216,10 @@ module Ledger : sig
       cells were in flight). *)
 end
 
-(** Marshal-safe per-cell certification result (what an execution
-    backend returns for each cell). *)
-type probe = {
-  p_ok : bool;
-  p_beta : float;  (** maximized invariant level when [p_ok] *)
-  p_kind : string;  (** deterministic diagnosis kind when not ok *)
-  p_detail : string;  (** deterministic short detail *)
-  p_full : string;  (** full JSON journal (may carry timings); [""] = none *)
-  p_solves : int;
-  p_attempts : int;
-  p_attempt_s : float;
-}
-
-type exec = cell list -> (probe, string) result list
+type exec = cell list -> (Service.Bulk.probe, string) result list
 (** An execution backend for one wave of cells: same length and order
-    as its input; [Error] quarantines the cell (kind [crash]). *)
-
-val certify_service :
-  run_dir:string -> Service.Bulk.cell_spec -> (Service.Bulk.probe, string) result
-(** The daemon-side cell runner ([bin/verifyd] wires it into
-    {!Service.Daemon.config}[.cell_runner]): certify one cell in the
-    calling (worker) process over the run directory's shared solve
-    cache and journal. [Error] only for setup failures — per-cell
-    trouble comes back as a structured not-ok probe. *)
+    as its input; [Error] quarantines the cell (kind [crash]). Cells are
+    certified by {!Service.Bulk.run}, whichever backend runs them. *)
 
 val exec_via_daemon :
   sock:string -> ?retries:int -> ?retry_base_s:float -> job -> exec

@@ -1,9 +1,8 @@
 (* Batch (atlas) cells as daemon jobs: the canonical wire format for a
-   cell of a parameter sweep, its content fingerprint, and the probe
-   payload that crosses back. Kept free of any atlas dependency — the
-   daemon's cell runner is injected (bin/verifyd wires it to the atlas
-   library), so lib/service never links lib/atlas and the atlas client
-   can link lib/service without a cycle. *)
+   cell of a parameter sweep, its content fingerprint, the probe payload
+   that crosses back, and the cell certifier itself ([run]) — the
+   local atlas pool and the daemon's workers both certify cells here,
+   through Job's pipeline. *)
 
 type cell_spec = {
   order : Pll.order;
@@ -166,7 +165,7 @@ let probe_fail ~kind ~detail =
     beta = 0.0;
     kind;
     detail;
-    journal = None;
+    journal = Some (Printf.sprintf "{\"error\":\"%s\"}" (Json.escape detail));
     solves = 0;
     attempts = 0;
     attempt_s = 0.0;
@@ -216,3 +215,49 @@ let probe_of_json j =
             | None -> 0);
           attempt_s = Option.value (Json.mem_num "attempt_s" j) ~default:0.0;
         }
+
+(* ----------------------------------------------------------------- *)
+(* Certification *)
+
+(* Advect's default cap, which --full sweep cells have always run with;
+   kept so full atlases do not move (point jobs default to 25). *)
+let advect_iters = 20
+
+let run ~ctx ?faults c =
+  let box =
+    if c.robust then c.box
+    else
+      List.map
+        (fun (a, lo, hi) ->
+          let m = 0.5 *. (lo +. hi) in
+          (a, m, m))
+        c.box
+  in
+  match Job.raw_of_box c.order box with
+  | Error e -> probe_fail ~kind:"bad-cell" ~detail:e
+  | Ok raw ->
+      let spec =
+        {
+          (Job.default_spec c.order) with
+          Job.property = (if c.full then Job.Full else Job.P1);
+          degree = c.degree;
+          robust = c.robust;
+          bisect_steps = c.bisect_steps;
+          advect_iters;
+          deadline_s = c.budget_s;
+        }
+      in
+      let policy = Job.make_policy ~supervise:ctx ?faults spec in
+      let exact = if c.exact then Some ("cell-" ^ c.cell_id ^ ".artifact") else None in
+      let o = Job.certify ~policy ?exact spec raw in
+      let ok = o.Job.verdict = Job.Verified in
+      {
+        ok;
+        beta = o.Job.beta;
+        kind = o.Job.kind;
+        detail = o.Job.detail;
+        journal = (if ok then None else Some (Resilient.report_json policy));
+        solves = o.Job.solves;
+        attempts = o.Job.attempts;
+        attempt_s = o.Job.attempt_s;
+      }

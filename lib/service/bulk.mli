@@ -5,13 +5,9 @@
     streams per-cell completions back. This module defines the shared
     vocabulary of that path: the {!cell_spec} wire format (a canonical
     one-line rendering with hex floats, like {!Job.to_line}), its
-    content {!fingerprint}, and the {!probe} payload a completed cell
-    answers with.
-
-    Deliberately atlas-free: the daemon's cell runner is injected
-    ([bin/verifyd] wires it to the atlas library), so [lib/service]
-    never links [lib/atlas] while the atlas's remote execution backend
-    can link [lib/service] without a dependency cycle. *)
+    content {!fingerprint}, the {!probe} payload a completed cell
+    answers with — and {!run}, the one cell certifier, used both by the
+    local atlas pool and by the daemon's workers. *)
 
 (** Everything that determines one cell's certification problem, plus
     its sweep identity (cell id, depth) and budget. *)
@@ -42,13 +38,14 @@ val fingerprint : cell_spec -> string
 
 val validate : cell_spec -> (unit, string) result
 
-(** A completed cell's answer — the daemon-side rendering of the
-    atlas's per-cell probe, using the same diagnosis taxonomy so a
-    remote answer maps onto the local quarantine format verbatim. *)
+(** A completed cell's answer, local or remote alike, so a daemon
+    answer lands in the atlas quarantine format verbatim. *)
 type probe = {
   ok : bool;
   beta : float;  (** maximized invariant level when [ok] *)
-  kind : string;  (** atlas quarantine kind when not [ok]; [""] when ok *)
+  kind : string;
+      (** {!Job.kinds} entry (or [bad-cell], or an atlas-side [injected] /
+          [crash]) when not [ok]; [""] when ok *)
   detail : string;
   journal : string option;  (** full diagnosis JSON for quarantine forensics *)
   solves : int;
@@ -57,11 +54,24 @@ type probe = {
 }
 
 val probe_fail : kind:string -> detail:string -> probe
+(** A not-ok probe with zero counters and journal [{"error":DETAIL}]. *)
 
 val probe_storable : probe -> bool
 (** Whether the probe is a fact about the cell's problem (certified, or
     conclusively refuted) rather than an artifact of budgets or faults
-    — only storable probes enter the daemon's result store. *)
+    — only storable probes enter the daemon's result store. Agrees with
+    {!Job.storable} on every kind a cell can produce; [bad-cell] is
+    storable, unlike a point's [bad-point]. *)
 
 val probe_to_json : probe -> Json.t
 val probe_of_json : Json.t -> (probe, string) result
+
+val run : ctx:Supervise.ctx -> ?faults:Resilient.Faults.plan -> cell_spec -> probe
+(** Certify one cell over [ctx]'s solve cache and journal: {!Job.certify}
+    on the cell midpoint (the whole box when [robust]) under a fresh
+    policy with the cell budget as pipeline deadline, advection capped
+    at 20 iterations for [full] cells, and the [exact] gate saving
+    [artifacts/cell-<id>.artifact]. A not-ok probe carries
+    the policy's diagnosis journal ([{"error":…}] for [bad-cell], an
+    axis that does not exist at the order). Re-raises
+    {!Supervise.Interrupted}. *)

@@ -70,8 +70,6 @@ type config = {
   lock_wait_s : float;
   faults : Fault.plan;
   resume : bool;
-  cell_runner :
-    (run_dir:string -> Bulk.cell_spec -> (Bulk.probe, string) result) option;
 }
 
 let default_config ~run_dir =
@@ -90,7 +88,6 @@ let default_config ~run_dir =
     lock_wait_s = 0.0;
     faults = Fault.none;
     resume = false;
-    cell_runner = None;
   }
 
 let socket_path cfg =
@@ -337,23 +334,8 @@ let cell_result_response ~id ~fp ~cell_id ~cached ?(degraded = false)
 
 let deadline_grace_s = 5.0
 
-(* Run one cell in the (already forked) worker: the runner is injected
-   by the driver (bin/verifyd wires the atlas library in), so the
-   service layer itself never depends on lib/atlas. *)
-let run_cell st (e : Jobqueue.entry) (c : Bulk.cell_spec) =
-  let probe =
-    match st.cfg.cell_runner with
-    | None ->
-        Bulk.probe_fail ~kind:"crash"
-          ~detail:"cell worker crashed"
-          |> fun p -> { p with Bulk.journal = Some "daemon started without a cell runner" }
-    | Some run -> (
-        match run ~run_dir:st.cfg.run_dir c with
-        | Ok p -> p
-        | Error why ->
-            { (Bulk.probe_fail ~kind:"crash" ~detail:"cell worker crashed") with
-              Bulk.journal = Some why })
-  in
+let run_cell st ctx (e : Jobqueue.entry) (c : Bulk.cell_spec) =
+  let probe = Bulk.run ~ctx c in
   let outbox =
     Json.to_string
       (Json.Obj
@@ -373,8 +355,7 @@ let run_cell st (e : Jobqueue.entry) (c : Bulk.cell_spec) =
       (Json.to_string (Bulk.probe_to_json probe));
   if probe.Bulk.ok then 0 else 2
 
-let run_point st (e : Jobqueue.entry) (spec : Job.spec) =
-  let ctx = Supervise.create ~run_dir:st.cfg.run_dir ~isolate:false ~jobs:1 () in
+let run_point st ctx (e : Jobqueue.entry) (spec : Job.spec) =
   let policy = Job.make_policy ~supervise:ctx spec in
   let r = Job.run ~policy spec in
   let stable = Job.result_json r in
@@ -397,7 +378,7 @@ let run_point st (e : Jobqueue.entry) (spec : Job.spec) =
      deadline-cut run is budget-dependent, not a fact about the
      problem, so it must not be replayed as one. (This is also
      why the fingerprint may soundly exclude the deadline.) *)
-  if r.Job.verdict <> Job.Failed && not r.Job.deadline_hit then
+  if Job.storable r then
     Fs.write_atomic (result_path st e.Jobqueue.fp) stable;
   Job.exit_code r.Job.verdict
 
@@ -451,9 +432,10 @@ let spawn_worker st (e : Jobqueue.entry) =
         done;
       let code =
         try
+          let ctx = Supervise.create ~run_dir:st.cfg.run_dir ~isolate:false ~jobs:1 () in
           match e.Jobqueue.payload with
-          | Jobqueue.Point spec -> run_point st e spec
-          | Jobqueue.Cell c -> run_cell st e c
+          | Jobqueue.Point spec -> run_point st ctx e spec
+          | Jobqueue.Cell c -> run_cell st ctx e c
         with
         | Supervise.Interrupted -> 130
         | e ->

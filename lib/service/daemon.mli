@@ -2,6 +2,8 @@
     accepts verify jobs over a Unix-domain socket (newline-delimited
     JSON), runs each job in a forked worker over the shared
     content-addressed solve cache, and survives crashes of either side.
+    Workers certify point jobs with {!Job.run} and bulk cells with
+    {!Bulk.run}, one pipeline under both.
 
     Robustness surface (see DESIGN.md §6g):
 
@@ -96,18 +98,12 @@ type config = {
   lock_wait_s : float;
   faults : Fault.plan;
   resume : bool;
-  cell_runner :
-    (run_dir:string -> Bulk.cell_spec -> (Bulk.probe, string) result) option;
-      (** how a worker certifies one bulk cell — injected by the driver
-          ([bin/verifyd] wires it to the atlas library) so [lib/service]
-          never links [lib/atlas]. [None] completes cells with a
-          structured crash-kind probe. *)
 }
 
 val default_config : run_dir:string -> config
 (** 2 workers, queue cap 16, no cache cap, breaker 3 crashes / 30 s
     cooldown, no default deadline, 2 retries, 30 s lease TTL, 1 s
-    heartbeat spacing, no faults, no cell runner, fresh start. *)
+    heartbeat spacing, no faults, fresh start. *)
 
 val socket_path : config -> string
 

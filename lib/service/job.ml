@@ -371,122 +371,145 @@ let make_policy ?supervise ?faults spec =
   let faults = match faults with Some f -> f | None -> Resilient.Faults.none () in
   Resilient.make ~faults ?pipeline_deadline_s:spec.deadline_s ?supervise ()
 
-let build_raw spec =
-  let base =
-    match spec.order with
-    | Pll.Third -> Pll.table1_third
-    | Pll.Fourth -> Pll.table1_fourth
-  in
+let raw_of_box order box =
+  let base = match order with Pll.Third -> Pll.table1_third | Pll.Fourth -> Pll.table1_fourth in
   List.fold_left
-    (fun acc (a, v) ->
-      Result.bind acc (fun raw -> Pll.set_axis_relative raw a ~lo:v ~hi:v))
-    (Ok base) spec.point
+    (fun acc (a, lo, hi) -> Result.bind acc (fun raw -> Pll.set_axis_relative raw a ~lo ~hi))
+    (Ok base) box
 
-(* Deterministic failure classification from the policy's journal —
-   mirrors the atlas quarantine taxonomy so the two surfaces agree. *)
+let kinds =
+  [
+    ("", Verified);
+    ("infeasible", Not_established);
+    ("level-collapse", Not_established);
+    ("not-established", Not_established);
+    ("validation-failed", Not_established);
+    ("exact-unproven", Not_established);
+    ("solver-failure", Failed);
+    ("budget-exhausted", Failed);
+    ("crash", Failed);
+    ("bad-point", Failed);
+  ]
+
+let storable r = r.verdict <> Failed && not r.deadline_hit
+
+(* Deterministic failure classification from the policy's journal: only
+   labels and statuses, never timings or raw error strings. *)
 let classify policy =
-  if Resilient.out_of_time policy then
-    (Failed, "budget-exhausted", "per-job deadline exhausted", true)
+  if Resilient.out_of_time policy then ("budget-exhausted", "pipeline deadline exhausted")
   else
-    let fails = Resilient.failures policy in
-    let label =
-      match List.rev fails with
-      | [] -> "certificate search"
-      | d :: _ -> d.Resilient.label
-    in
-    let infeasible =
-      List.exists
-        (fun (d : Resilient.diagnosis) ->
+    match List.rev (Resilient.failures policy) with
+    | [] ->
+        (* The certificate search journals every failure it escalates,
+           and the level checks are quiet probes, so an error with a
+           clean journal is the level maximization finding no positive
+           certified level. *)
+        ("level-collapse", "certificate found but no positive level certifies")
+    | last :: _ as fails ->
+        let label = last.Resilient.label in
+        let infeasible =
           List.exists
-            (fun (a : Resilient.attempt) ->
-              match a.Resilient.status with
-              | Sdp.Primal_infeasible | Sdp.Dual_infeasible -> true
-              | _ -> false)
-            d.Resilient.attempts)
-        fails
-    in
-    if infeasible then
-      (Not_established, "infeasible", "conclusively infeasible at " ^ label, false)
-    else (Failed, "solver-failure", "solver failed at " ^ label, false)
+            (fun (d : Resilient.diagnosis) ->
+              List.exists
+                (fun (a : Resilient.attempt) ->
+                  match a.Resilient.status with
+                  | Sdp.Primal_infeasible | Sdp.Dual_infeasible -> true
+                  | _ -> false)
+                d.Resilient.attempts)
+            fails
+        in
+        if infeasible then ("infeasible", "conclusively infeasible at " ^ label)
+        else ("solver-failure", "solver failed at " ^ label)
 
-let run ~policy ?(validate = fun _ -> true) spec =
-  let finish verdict ~beta ~kind ~detail ~deadline_hit =
-    let b = Resilient.consumed policy in
+let outcome policy ?(beta = 0.0) (kind, detail) =
+  let b = Resilient.consumed policy in
+  {
+    verdict = List.assoc kind kinds;
+    beta;
+    kind;
+    detail;
+    solves = b.Resilient.solves;
+    attempts = b.Resilient.attempts;
+    attempt_s = b.Resilient.attempt_s;
+    deadline_hit = kind = "budget-exhausted";
+  }
+
+let certify ~policy ?(validate = fun _ -> true) ?exact spec raw =
+  let outcome = outcome policy in
+  let s = Pll.scale raw in
+  let base = Certificates.default_config s.Pll.order in
+  let cfg =
     {
-      verdict;
-      beta;
-      kind;
-      detail;
-      solves = b.Resilient.solves;
-      attempts = b.Resilient.attempts;
-      attempt_s = b.Resilient.attempt_s;
-      deadline_hit;
+      base with
+      Certificates.degree = spec.degree;
+      robust_vertices = spec.robust;
+      psd_tol = Option.value spec.psd_tol ~default:base.Certificates.psd_tol;
+      eq_tol = Option.value spec.eq_tol ~default:base.Certificates.eq_tol;
+      resilience = policy;
     }
   in
-  let fail ~kind ~detail ~deadline_hit =
-    finish Failed ~beta:0.0 ~kind ~detail ~deadline_hit
+  (* Exact re-validation gate: the run only counts as certified when the
+     exact kernel re-proves it; the artifact lands in artifacts/<exact>
+     (check_cert replays it). The validation solves run without the
+     supervisor so their solutions stay in-process. *)
+  let certified (cert : Certificates.t) beta =
+    match exact with
+    | None -> outcome ~beta ("", "")
+    | Some name -> (
+        let cfg' =
+          { cert.Certificates.cfg with resilience = Resilient.with_supervisor policy None }
+        in
+        match Certificates.validate_exactly s { cert with Certificates.cfg = cfg' } with
+        | Ok ev when ev.Certificates.all_proven ->
+            Option.iter
+              (fun ctx ->
+                ignore
+                  (Supervise.save_artifact ctx ~name
+                     (Exact.Artifact.write ev.Certificates.artifact)))
+              (Resilient.supervisor policy);
+            outcome ~beta ("", "")
+        | Ok ev ->
+            let failed =
+              List.filter_map
+                (fun (name, v) ->
+                  match v with Exact.Check.Proven _ -> None | _ -> Some name)
+                ev.Certificates.verdicts
+            in
+            outcome
+              ("exact-unproven", "exact kernel could not prove: " ^ String.concat ", " failed)
+        | Error _ -> outcome ("exact-unproven", "exact re-validation solve failed"))
   in
-  let classified () =
-    let verdict, kind, detail, deadline_hit = classify policy in
-    finish verdict ~beta:0.0 ~kind ~detail ~deadline_hit
-  in
-  match build_raw spec with
-  | Error e -> fail ~kind:"bad-point" ~detail:e ~deadline_hit:false
-  | Ok raw -> (
-      let s = Pll.scale raw in
-      let base = Certificates.default_config s.Pll.order in
-      let cfg =
-        {
-          base with
-          Certificates.degree = spec.degree;
-          robust_vertices = spec.robust;
-          psd_tol = Option.value spec.psd_tol ~default:base.Certificates.psd_tol;
-          eq_tol = Option.value spec.eq_tol ~default:base.Certificates.eq_tol;
-          resilience = policy;
-        }
-      in
-      try
-        match spec.property with
-        | Full -> (
-            match
-              Pll_core.Inevitability.verify ~cert_config:cfg
-                ~max_advect_iter:spec.advect_iters ~resilience:policy s
-            with
-            | Ok report when report.Pll_core.Inevitability.verified ->
-                if validate report then
-                  finish Verified
-                    ~beta:
-                      report.Pll_core.Inevitability.invariant.Certificates.beta
-                    ~kind:"" ~detail:"" ~deadline_hit:false
-                else
-                  finish Not_established ~beta:0.0 ~kind:"validation-failed"
-                    ~detail:"pipeline verified but extra validation failed"
-                    ~deadline_hit:false
-            | Ok _ ->
-                if Resilient.failures policy <> [] || Resilient.out_of_time policy
-                then classified ()
-                else
-                  finish Not_established ~beta:0.0 ~kind:"not-established"
-                    ~detail:"pipeline completed but P1 and P2 not both established"
-                    ~deadline_hit:false
-            | Error _ -> classified ())
-        | P1 -> (
-            match
-              Certificates.attractive_invariant ~config:cfg
-                ~bisect_steps:spec.bisect_steps s
-            with
-            | Ok ai when ai.Certificates.beta > 0.0 ->
-                finish Verified ~beta:ai.Certificates.beta ~kind:"" ~detail:""
-                  ~deadline_hit:false
-            | Ok _ ->
-                finish Not_established ~beta:0.0 ~kind:"level-collapse"
-                  ~detail:"certificate found but no positive level certifies"
-                  ~deadline_hit:false
-            | Error _ -> classified ())
-      with
-      | Supervise.Interrupted -> raise Supervise.Interrupted
-      | e ->
-          Log.warn (fun k -> k "job crashed: %s" (Printexc.to_string e));
-          fail ~kind:"crash"
-            ~detail:("exception: " ^ Printexc.to_string e)
-            ~deadline_hit:false)
+  try
+    match spec.property with
+    | Full -> (
+        match
+          Pll_core.Inevitability.verify ~cert_config:cfg ~max_advect_iter:spec.advect_iters
+            ~resilience:policy s
+        with
+        | Ok report when report.Pll_core.Inevitability.verified ->
+            let inv = report.Pll_core.Inevitability.invariant in
+            if validate report then certified inv.Certificates.cert inv.Certificates.beta
+            else
+              outcome
+                ("validation-failed", "pipeline verified but extra validation failed")
+        | Ok _ when Resilient.failures policy = [] && not (Resilient.out_of_time policy) ->
+            outcome
+              ("not-established", "pipeline completed but P1 and P2 not both established")
+        | Ok _ | Error _ -> outcome (classify policy))
+    | P1 -> (
+        (* [attractive_invariant] answers [Error] rather than a level <= 0. *)
+        match
+          Certificates.attractive_invariant ~config:cfg ~bisect_steps:spec.bisect_steps s
+        with
+        | Ok ai -> certified ai.Certificates.cert ai.Certificates.beta
+        | Error _ -> outcome (classify policy))
+  with
+  | Supervise.Interrupted -> raise Supervise.Interrupted
+  | e ->
+      Log.warn (fun k -> k "certification crashed: %s" (Printexc.to_string e));
+      outcome ("crash", Printexc.to_string e)
+
+let run ~policy ?validate spec =
+  match raw_of_box spec.order (List.map (fun (a, v) -> (a, v, v)) spec.point) with
+  | Error e -> outcome policy ("bad-point", e)
+  | Ok raw -> certify ~policy ?validate spec raw

@@ -17,7 +17,9 @@
     its per-worker supervision context) and returns a flat, marshal-free
     {!outcome} whose deterministic core ({!result_json}) is byte-stable:
     replaying the same spec against a warm solve cache reproduces it
-    exactly. *)
+    exactly. {!certify}, the pipeline under {!run}, is also what
+    certifies sweep cells ({!Bulk.run}), so points and cells share one
+    classification. *)
 
 type property = P1 | Full
 
@@ -95,16 +97,26 @@ val exit_code : verdict -> int
 type outcome = {
   verdict : verdict;
   beta : float;  (** maximized invariant level when verified, else 0 *)
-  kind : string;
-      (** deterministic diagnosis kind when not verified: [infeasible],
-          [level-collapse], [not-established], [validation-failed],
-          [solver-failure], [budget-exhausted], [crash], [bad-point] *)
+  kind : string;  (** deterministic diagnosis kind, one of {!kinds} *)
   detail : string;  (** deterministic short detail *)
   solves : int;  (** logical solves this run spent (0 on full replay) *)
   attempts : int;
   attempt_s : float;
   deadline_hit : bool;
 }
+
+val kinds : (string * verdict) list
+(** Every diagnosis kind {!run} and {!certify} emit, with the verdict
+    it carries: [""] (verified); [infeasible], [level-collapse] (the
+    level search found no positive level), [not-established],
+    [validation-failed], [exact-unproven] (not established); and
+    [solver-failure], [budget-exhausted] (the one kind with
+    [deadline_hit]), [crash], [bad-point] (failed). *)
+
+val storable : outcome -> bool
+(** Whether the outcome is a fact about the problem and may be replayed
+    from the daemon's result store: neither [Failed] nor deadline-cut.
+    {!Bulk.probe_storable} is the same rule for cells. *)
 
 val result_json : outcome -> string
 (** The deterministic core only — verdict, beta, kind, detail — no
@@ -117,17 +129,42 @@ val result_of_json : Json.t -> (outcome, string) result
 
 val make_policy :
   ?supervise:Supervise.ctx -> ?faults:Resilient.Faults.plan -> spec -> Resilient.policy
-(** The daemon-side policy for a job: default ladder, the spec's
-    deadline as the pipeline deadline, optional supervision context. *)
+(** The policy for a job or cell: default ladder, the spec's deadline
+    as the pipeline deadline, optional supervision context. *)
+
+val raw_of_box : Pll.order -> (Pll.axis * float * float) list -> (Pll.raw, string) result
+(** The Table-1 model of the order with each listed axis's interval
+    replaced by [[lo, hi]] in relative units ({!Pll.set_axis_relative});
+    a point is the degenerate box [(a, v, v)]. [Error] names an axis
+    that does not exist at this order. *)
+
+val certify :
+  policy:Resilient.policy ->
+  ?validate:(Pll_core.Inevitability.report -> bool) ->
+  ?exact:string ->
+  spec ->
+  Pll.raw ->
+  outcome
+(** The one certification pipeline, shared by point jobs ({!run}) and
+    sweep cells ({!Bulk.run}): P1 (attractive invariant + level
+    maximization, [bisect_steps]) or the full P1+P2 pipeline (advection
+    capped at [advect_iters]) on the given model, failures classified
+    from the policy's journal. The spec's [point] is ignored — the
+    caller built the model. [exact] gates certification on exact
+    rational re-validation and names the artifact saved under
+    [artifacts/] in the policy's run directory; a failed re-proof is
+    [exact-unproven]. [validate] is as in {!run}. *)
 
 val run :
   policy:Resilient.policy ->
   ?validate:(Pll_core.Inevitability.report -> bool) ->
   spec ->
   outcome
-(** Execute the job. [validate] (Full property only) is the CLI's hook
-    for printing the pipeline report and running extra checks (e.g.
-    Monte-Carlo simulation); returning [false] downgrades a verified
-    run to [Not_established] with kind [validation-failed]. Catches
-    everything except {!Supervise.Interrupted}, which is re-raised so
-    drivers can checkpoint and exit 130. *)
+(** Execute the job: {!certify} on the model at the spec's point
+    ([bad-point] when an axis does not exist at the order). [validate]
+    (Full property only) is the CLI's hook for printing the pipeline
+    report and running extra checks (e.g. Monte-Carlo simulation);
+    returning [false] downgrades a verified run to [Not_established]
+    with kind [validation-failed]. Catches everything except
+    {!Supervise.Interrupted}, which is re-raised so drivers can
+    checkpoint and exit 130. *)

@@ -1,6 +1,7 @@
 (* Tests for the verification service layer: the minimal JSON codec,
    canonical job lines and fingerprints, the crash-safe queue ledger's
-   replay/compaction, and the clock-injected circuit breaker. *)
+   replay/compaction, the clock-injected circuit breaker, and the one
+   certification pipeline behind point jobs and sweep cells. *)
 
 let tmp_dir =
   let n = ref 0 in
@@ -392,6 +393,92 @@ let test_breaker_state_machine () =
   Alcotest.(check (float 0.0)) "no retry hint when closed" 0.0
     (Service.Breaker.retry_after_s b)
 
+(* ---- the shared certification pipeline ---- *)
+
+(* A third-order degree-4 P1 problem at the nominal point. *)
+let nominal_p1 () =
+  { (Service.Job.default_spec Pll.Third) with Service.Job.degree = 4 }
+
+(* [fail@*:1] fails the first attempt of every solve. The retry ladder
+   rescues the certificate search, but the level checks are quiet
+   single-attempt probes, so no level certifies while the journal stays
+   clean: a level collapse (not established, exit 2), not a solver
+   failure — the same rule sweep cells use. *)
+let test_level_collapse () =
+  let faults =
+    match Resilient.Faults.of_string "fail@*:1" with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
+  in
+  let spec = nominal_p1 () in
+  let r = Service.Job.run ~policy:(Service.Job.make_policy ~faults spec) spec in
+  Alcotest.(check string) "verdict" "not-established"
+    (Service.Job.verdict_to_string r.Service.Job.verdict);
+  Alcotest.(check string) "kind" "level-collapse" r.Service.Job.kind;
+  Alcotest.(check int) "exit code" 2 (Service.Job.exit_code r.Service.Job.verdict)
+
+(* The daemon stores point outcomes by [Job.storable] and cell probes by
+   [Bulk.probe_storable]; both must agree on every kind a cell can
+   produce. Cells have no validation hook ([validation-failed]) and
+   report bad input as [bad-cell], which is storable, where a point's
+   [bad-point] is a failure. *)
+let test_storability_table () =
+  List.iter
+    (fun (kind, verdict) ->
+      if not (List.mem kind [ "validation-failed"; "bad-point" ]) then begin
+        let o =
+          {
+            Service.Job.verdict;
+            beta = 0.0;
+            kind;
+            detail = "d";
+            solves = 0;
+            attempts = 0;
+            attempt_s = 0.0;
+            deadline_hit = kind = "budget-exhausted";
+          }
+        in
+        let p =
+          {
+            (Service.Bulk.probe_fail ~kind ~detail:"d") with
+            Service.Bulk.ok = verdict = Service.Job.Verified;
+          }
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "kind %S stored alike" kind)
+          (Service.Job.storable o) (Service.Bulk.probe_storable p)
+      end)
+    Service.Job.kinds;
+  Alcotest.(check bool) "bad-cell is a fact" true
+    (Service.Bulk.probe_storable (Service.Bulk.probe_fail ~kind:"bad-cell" ~detail:"d"))
+
+(* lib/service certifies a cell on its own, with the beta the atlas
+   reports for the same cell. *)
+let test_cell_certification () =
+  let cell =
+    {
+      (sample_cell ()) with
+      Service.Bulk.bisect_steps = 6;
+      budget_s = None;
+      cell_id = "c0";
+      depth = 0;
+      box = [ (Pll.Ip, 1.0, 1.0) ];
+    }
+  in
+  let p = Service.Bulk.run ~ctx:(Supervise.create ~jobs:1 ()) cell in
+  Alcotest.(check bool) "certified" true p.Service.Bulk.ok;
+  Alcotest.(check (float 1e-9)) "beta" 187.5 p.Service.Bulk.beta;
+  let grid = Result.get_ok (Atlas.Grid.parse "ip=1:1:1") in
+  match
+    Atlas.run ~ctx:(Supervise.create ~jobs:1 ()) ~resume:false
+      { (Atlas.default_job Pll.Third) with Atlas.degree = 4 }
+      grid
+  with
+  | Error e -> Alcotest.fail e
+  | Ok { Atlas.records = [ { Atlas.result = Atlas.Certified { beta }; _ } ]; _ } ->
+      Alcotest.(check (float 0.0)) "same beta as the atlas" beta p.Service.Bulk.beta
+  | Ok _ -> Alcotest.fail "the atlas did not certify its one cell"
+
 (* ---- daemon fault-plan parsing ---- *)
 
 let test_daemon_fault_parse () =
@@ -435,4 +522,7 @@ let suite =
     Alcotest.test_case "queue-cell-replay" `Quick test_queue_cell_replay;
     Alcotest.test_case "breaker-state-machine" `Quick test_breaker_state_machine;
     Alcotest.test_case "daemon-fault-parse" `Quick test_daemon_fault_parse;
+    Alcotest.test_case "level-collapse" `Slow test_level_collapse;
+    Alcotest.test_case "storability-table" `Quick test_storability_table;
+    Alcotest.test_case "cell-certification" `Slow test_cell_certification;
   ]

@@ -667,6 +667,13 @@ let row_to_json r =
     r.atlas_quarantined r.service_accepted r.service_shed r.service_deduped
     r.service_hit_rate r.leases_reclaimed r.redispatched r.dead_lettered
 
+(* CPU seconds of this process and of every child it has reaped: forked
+   workers and pool children do most of a supervised run's work, which
+   [Sys.time] never sees. *)
+let cpu_now () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime +. t.Unix.tms_cutime +. t.Unix.tms_cstime
+
 let instrument rows (name, f) =
   ( name,
     fun () ->
@@ -683,7 +690,7 @@ let instrument rows (name, f) =
       let ac0, ace0, aq0 = !atlas_counters in
       let sa0, ss0, sd0, sc0, st0 = !service_counters in
       let lr0, rd0, dl0 = !service_lease_counters in
-      let w0 = Unix.gettimeofday () and c0 = Sys.time () in
+      let w0 = Unix.gettimeofday () and c0 = cpu_now () in
       f ();
       let hits1, stores1, sup1 =
         match !bench_ctx with
@@ -700,7 +707,7 @@ let instrument rows (name, f) =
         {
           name;
           wall_s = Unix.gettimeofday () -. w0;
-          cpu_s = Sys.time () -. c0;
+          cpu_s = cpu_now () -. c0;
           solves = Sdp.solve_count () - solves0;
           iterations = Sdp.iteration_count () - iters0;
           warm_accepted = wt1.Sdp.Session.warm_accepted - wt0.Sdp.Session.warm_accepted;

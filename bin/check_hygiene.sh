@@ -38,7 +38,10 @@
 #     `Certificates.attractive_invariant` or
 #     `Pll_core.Inevitability.verify` (points and cells both go through
 #     `Service.Job.certify`; interfaces may still name the
-#     attractive_invariant type; bench/ and examples/ are exempt).
+#     attractive_invariant type; bench/ and examples/ are exempt);
+# 10. solver workers keep one protocol — no lib/supervise source
+#     mentions `WNOHANG`, `temp_file` or a `.res` suffix, so the polled
+#     result-file handoff cannot come back next to the pipe framing.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -128,6 +131,11 @@ strays="$(grep -lE 'Certificates\.attractive_invariant|Inevitability\.verify' \
   | grep -vE "^$repo/lib/(certificates|core)/|^$repo/lib/service/job\.ml\$" || true)"
 [ -z "$strays" ] || \
   fail "a second certification pipeline (call Service.Job.certify instead):$(echo " $strays" | sed "s|$repo/||g")"
+
+# One worker protocol (check 10).
+strays="$(grep -nE 'WNOHANG|temp_file|\.res\b' "$repo"/lib/supervise/* 2>/dev/null || true)"
+[ -z "$strays" ] || \
+  fail "a polled result-file handoff in lib/supervise (workers answer over pipes):$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

@@ -398,51 +398,16 @@ let contained_in_invariant ?(mult_deg = 2) ?caps ?(probe_iters = 60) (s : Pll.sc
     Sos.add_nonneg_on ~mult_deg prob
       ~domain:((Poly.neg front :: cap) @ Pll.mode_domain s m)
       (Ppoly.of_poly (Poly.sub (Poly.const n ai.Certificates.beta) v));
-    let sol, _ =
-      Resilient.solve_sos pol
-        ~label:(Printf.sprintf "inclusion:%s" (Pll.mode_name m))
-        ~params prob
-    in
-    (prob, sol)
+    (fst
+       (Resilient.solve_sos pol
+          ~label:(Printf.sprintf "inclusion:%s" (Pll.mode_name m))
+          ~params prob))
+      .Sos.certified
   in
-  match Resilient.supervisor pol with
-  | Some ctx when not (Supervise.in_worker ctx) ->
-      (* Per-mode inclusion checks are independent probes: fan them out
-         across the worker pool and require every mode to certify.
-         Solves happen in forked children, so the parent session never
-         sees their solutions — each child distills its clean solve
-         into a warm-start capsule (pure data, Marshal-safe) and the
-         parent feeds the capsules back into the session, warming the
-         next advection step's checks. *)
-      let results =
-        Supervise.Pool.map ctx
-          ~f:(fun _ m ->
-            let prob, sol = check m in
-            let capsule =
-              if sol.Sos.sdp.Sdp.status = Sdp.Optimal && sol.Sos.sdp.Sdp.injected = 0
-              then Sdp.warm_start_of_solution (Sos.sdp_problem prob) sol.Sos.sdp
-              else None
-            in
-            (sol.Sos.certified, capsule))
-          (List.init Pll.n_modes Fun.id)
-      in
-      (match Resilient.session_of pol with
-      | Some sess ->
-          List.iter
-            (function
-              | Ok (_, Some w) -> Sdp.Session.remember_capsule sess w
-              | Ok (_, None) | Error _ -> ())
-            results
-      | None -> ());
-      List.for_all
-        (function Ok (ok, _) -> ok | Error _ -> false)
-        results
-  | _ ->
-      let ok = ref true in
-      for m = 0 to Pll.n_modes - 1 do
-        if !ok then if not (snd (check m)).Sos.certified then ok := false
-      done;
-      !ok
+  (* Mode by mode, stopping at the first that fails: inclusion usually
+     fails at the first mode until the advection converges. *)
+  let rec from m = m >= Pll.n_modes || (check m && from (m + 1)) in
+  from 0
 
 let validate_step_by_simulation ?(samples = 200) ?(seed = 7) (s : Pll.scaled) pt ~h
     ~old_front front =

@@ -471,6 +471,49 @@ let conclusive = function
   | Sdp.Primal_infeasible | Sdp.Dual_infeasible -> true
   | _ -> false
 
+(* The iteration hook of one ladder attempt: the fault plan's trigger,
+   then the per-solve and pipeline deadlines. Under supervision it
+   travels to the solver worker inside every request, so it captures
+   only numbers, the fault hook and [deadline_hit], never the policy
+   (whose session would ride along). Both deadlines count from the
+   hook's first firing — the pipeline one on top of the time already
+   spent when the attempt began — so neither compares clocks of two
+   processes, nor depends on how much CPU a long-lived worker has
+   burnt before this solve. *)
+let iteration_hook policy ~solve_index ~attempt ~deadline_hit (params : Sdp.params) =
+  let fault_hook = Faults.hook policy.faults ~solve_index ~attempt in
+  let mode = policy.clock_mode in
+  let solve_d = policy.solve_deadline_s and pipeline_d = policy.pipeline_deadline_s in
+  ensure_started policy;
+  let spent = elapsed_s policy in
+  let first = ref None in
+  let inner = params.Sdp.on_iteration in
+  let hook iter =
+    match (match fault_hook with Some h -> h iter | None -> None) with
+    | Some f -> Some f
+    | None ->
+        let over =
+          (solve_d <> None || pipeline_d <> None)
+          &&
+          let t = time_of_mode mode in
+          let t0 =
+            match !first with
+            | Some t0 -> t0
+            | None ->
+                first := Some t;
+                t
+          in
+          let past d x = match d with Some d -> x >= d | None -> false in
+          past solve_d (t -. t0) || past pipeline_d (spent +. (t -. t0))
+        in
+        if over then begin
+          deadline_hit := true;
+          Some Sdp.Stop_now
+        end
+        else ( match inner with Some h -> h iter | None -> None)
+  in
+  { params with Sdp.on_iteration = Some hook }
+
 (* Run one logical solve through the ladder. [attempt_solve] runs the
    underlying solver with the given parameters and returns the caller's
    payload plus the raw SDP solution; [certified] is the caller's
@@ -483,40 +526,7 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
   policy.clock.solve_count <- policy.clock.solve_count + 1;
   let solve_index = policy.clock.solve_count in
   let deadline_hit = ref false in
-  let wrap ~attempt (params : Sdp.params) =
-    let fault_hook = Faults.hook policy.faults ~solve_index ~attempt in
-    (* The solve's own start time is captured lazily at the hook's first
-       firing, not at wrap time: under supervision this closure crosses
-       a fork, and the child's CPU clock restarts at zero — a pre-fork
-       [Cpu_time] stamp would push the deadline out of reach. *)
-    let solve_start = ref None in
-    let inner = params.Sdp.on_iteration in
-    let hook iter =
-      match (match fault_hook with Some h -> h iter | None -> None) with
-      | Some f -> Some f
-      | None ->
-          let over_solve =
-            match policy.solve_deadline_s with
-            | None -> false
-            | Some d ->
-                let t = now policy in
-                let t0 =
-                  match !solve_start with
-                  | Some t0 -> t0
-                  | None ->
-                      solve_start := Some t;
-                      t
-                in
-                t -. t0 >= d
-          in
-          if over_solve || out_of_time policy then begin
-            deadline_hit := true;
-            Some Sdp.Stop_now
-          end
-          else ( match inner with Some h -> h iter | None -> None)
-    in
-    { params with Sdp.on_iteration = Some hook }
-  in
+  let wrap ~attempt params = iteration_hook policy ~solve_index ~attempt ~deadline_hit params in
   let rungs = Baseline :: (if policy.retries_enabled then policy.ladder else []) in
   let finish ~attempts_rev ~outcome ~accepted_rung payload =
     let d =

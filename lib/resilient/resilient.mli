@@ -294,6 +294,22 @@ val elapsed_s : policy -> float
 val solves : policy -> int
 (** Logical solves run under this policy so far. *)
 
+val iteration_hook :
+  policy ->
+  solve_index:int ->
+  attempt:int ->
+  deadline_hit:bool ref ->
+  Sdp.params ->
+  Sdp.params
+(** [params] with the [on_iteration] hook that {!solve_sos} and
+    {!solve_sdp} install for one attempt: the fault plan's trigger for
+    [(solve_index, attempt)], then the per-solve and pipeline deadlines
+    (setting [deadline_hit] when one stops the solve), then the
+    caller's own hook. Under supervision the hook is marshalled into
+    every worker request, so it captures no more than those deadline
+    numbers, the pipeline time spent so far, the fault trigger and
+    [deadline_hit] — never the policy itself. *)
+
 (** Cumulative resource accounting for one policy/pipeline — the basis
     of per-cell budgets in the sweep orchestrator: an atlas cell gets a
     fresh policy, so [consumed] is exactly what that cell cost,

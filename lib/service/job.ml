@@ -479,6 +479,10 @@ let certify ~policy ?(validate = fun _ -> true) ?exact spec raw =
               ("exact-unproven", "exact kernel could not prove: " ^ String.concat ", " failed)
         | Error _ -> outcome ("exact-unproven", "exact re-validation solve failed"))
   in
+  (* Reap the solver worker when the verdict returns, so that its CPU
+     time is accounted to the caller. *)
+  Fun.protect ~finally:(fun () -> Option.iter Supervise.release (Resilient.supervisor policy))
+  @@ fun () ->
   try
     match spec.property with
     | Full -> (

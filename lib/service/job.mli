@@ -153,7 +153,8 @@ val certify :
     caller built the model. [exact] gates certification on exact
     rational re-validation and names the artifact saved under
     [artifacts/] in the policy's run directory; a failed re-proof is
-    [exact-unproven]. [validate] is as in {!run}. *)
+    [exact-unproven]. [validate] is as in {!run}. On return, normal or
+    by exception, the policy's supervisor is {!Supervise.release}d. *)
 
 val run :
   policy:Resilient.policy ->

@@ -1,5 +1,6 @@
-(* Process-isolated solve supervision: forked workers with wall-clock
-   timeouts and rlimit caps, a content-addressed solve cache with atomic
+(* Process-isolated solve supervision: one long-lived solver worker per
+   context with wall-clock timeouts and rlimit caps, a forked pool for
+   independent work items, a content-addressed solve cache with atomic
    writes, and a write-ahead journal for crash-safe resume. *)
 
 let src = Logs.Src.create "supervise" ~doc:"Process-isolated solve supervision"
@@ -429,6 +430,16 @@ type ctx = {
   mutable seq : int;
   mutable in_worker : bool;
   mutable interrupted : bool;
+  mutable worker : worker option;
+}
+
+(* The solver worker: a fork of the context's process that serves solve
+   requests over two pipes until it is retired. *)
+and worker = {
+  pid : int;
+  owner : int;  (** the pid that spawned it: the only process that may talk to it *)
+  requests : Unix.file_descr;  (** parent to worker *)
+  answers : Unix.file_descr;  (** worker to parent *)
 }
 
 exception Interrupted
@@ -448,6 +459,20 @@ let fresh_stats () =
     pool_tasks = 0;
   }
 
+(* Runs killed under the old per-solve protocol could leave their
+   workers' result files in [tmp/]; nothing else was ever kept there. *)
+let sweep_legacy_tmp dir =
+  let tmp = Filename.concat dir "tmp" in
+  match Sys.readdir tmp with
+  | exception Sys_error _ -> ()
+  | names ->
+      Array.iter
+        (fun f ->
+          if String.starts_with ~prefix:"worker" f then
+            try Sys.remove (Filename.concat tmp f) with Sys_error _ -> ())
+        names;
+      (try Unix.rmdir tmp with Unix.Unix_error _ -> ())
+
 let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
   let jobs = match jobs with Some j -> max 1 j | None -> ncpus () in
   let cache_, journal, replayed =
@@ -456,6 +481,7 @@ let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
     | Some dir ->
         Fs.mkdir_p dir;
         Fs.mkdir_p (Filename.concat dir "artifacts");
+        sweep_legacy_tmp dir;
         let completed, diags = Journal.read dir in
         List.iter (fun d -> Log.warn (fun k -> k "%s" d)) diags;
         let replayed =
@@ -481,6 +507,7 @@ let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
     seq = 0;
     in_worker = false;
     interrupted = false;
+    worker = None;
   }
 
 let jobs ctx = ctx.jobs
@@ -499,40 +526,51 @@ let install_signal_handlers ctx =
 let check_interrupt ctx = if ctx.interrupted && not ctx.in_worker then raise Interrupted
 
 (* ------------------------------------------------------------------ *)
-(* Worker protocol                                                    *)
+(* Framing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let temp_result_file ctx =
-  match ctx.run_dir with
-  | Some dir ->
-      let tmp = Filename.concat dir "tmp" in
-      Fs.mkdir_p tmp;
-      Filename.temp_file ~temp_dir:tmp "worker" ".res"
-  | None -> Filename.temp_file "pll-supervise" ".res"
+(* Every message between a process and its workers is one frame on a
+   pipe: the payload length as 8 big-endian bytes, then the payload, a
+   marshalled value. *)
+module Frame = struct
+  let header = 8
 
-let write_result file v =
-  let payload = Marshal.to_string v [] in
-  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-  let b = Bytes.of_string payload in
-  let n = Bytes.length b in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write fd b !written (n - !written)
-  done;
-  (try Unix.fsync fd with Unix.Unix_error _ -> ());
-  Unix.close fd
+  let rec write_all fd b off len =
+    if len > 0 then
+      match Unix.single_write fd b off len with
+      | n -> write_all fd b (off + n) (len - n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
 
-let read_result file =
-  match Fs.read_file file with
-  | exception Sys_error m -> Error ("worker result unreadable: " ^ m)
-  | "" -> Error "worker wrote no result"
-  | payload -> (
-      match Marshal.from_string payload 0 with
-      | v -> Ok v
-      | exception (Failure m | Invalid_argument m) ->
-          Error ("worker result does not decode: " ^ m))
+  let send fd payload =
+    let h = Bytes.create header in
+    Bytes.set_int64_be h 0 (Int64.of_int (String.length payload));
+    write_all fd h 0 header;
+    write_all fd (Bytes.unsafe_of_string payload) 0 (String.length payload)
 
-let cleanup file = try Sys.remove file with Sys_error _ -> ()
+  let rec read_exact fd b off len =
+    len = 0
+    ||
+    match Unix.read fd b off len with
+    | 0 -> false
+    | n -> read_exact fd b (off + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_exact fd b off len
+
+  (* One whole frame; [None] if the writer closed its end first. A
+     parent calls it once [select] finds the pipe readable: a worker
+     writes its answer in one go, so the rest follows at once. *)
+  let recv fd =
+    let h = Bytes.create header in
+    if not (read_exact fd h 0 header) then None
+    else
+      let body = Bytes.create (Int64.to_int (Bytes.get_int64_be h 0)) in
+      if read_exact fd body 0 (Bytes.length body) then Some (Bytes.unsafe_to_string body)
+      else None
+end
+
+let decode payload =
+  match Marshal.from_string payload 0 with
+  | v -> Ok v
+  | exception (Failure m | Invalid_argument m) -> Error ("worker result does not decode: " ^ m)
 
 let rec waitpid_retry flags pid =
   try Unix.waitpid flags pid
@@ -540,22 +578,78 @@ let rec waitpid_retry flags pid =
 
 let kill_and_reap pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (waitpid_retry [] pid)
+  try ignore (waitpid_retry [] pid) with Unix.Unix_error _ -> ()
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Why a worker that produced no answer ended. *)
+let exit_reason = function
+  | Unix.WEXITED 0 -> "worker wrote no result"
+  | Unix.WEXITED c -> Printf.sprintf "worker exited with code %d" c
+  | Unix.WSIGNALED sg -> Printf.sprintf "worker killed by signal %d" sg
+  | Unix.WSTOPPED sg -> Printf.sprintf "worker stopped by signal %d" sg
+
+(* ------------------------------------------------------------------ *)
+(* The solver worker                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Solver workers this process image spawned or inherited and has not
+   retired: the [at_exit] reaper's list, and what a forked child closes
+   so that it never holds another worker's pipes open. *)
+let live : worker list ref = ref []
+
+(* Let go of [w]. Its spawner closes the pipes and reaps it (after
+   SIGKILL when [kill]) and gets its wait status; any other process only
+   closes the ends it inherited, once, since the descriptor numbers may
+   be reused afterwards. *)
+let retire ?(kill = true) w =
+  if not (List.memq w !live) then None
+  else begin
+    live := List.filter (fun w' -> w' != w) !live;
+    close_quietly w.requests;
+    close_quietly w.answers;
+    if w.owner <> Unix.getpid () then None
+    else begin
+      if kill then (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      match waitpid_retry [] w.pid with
+      | _, st -> Some st
+      | exception Unix.Unix_error _ -> None
+    end
+  end
+
+(* In a child this module forks: close every inherited worker pipe. *)
+let drop_inherited () =
+  List.iter
+    (fun w ->
+      close_quietly w.requests;
+      close_quietly w.answers)
+    !live;
+  live := []
+
+let release ctx =
+  Option.iter (fun w -> ignore (retire w)) ctx.worker;
+  ctx.worker <- None
+
+(* Reap what a direct library caller left behind. *)
+let () = at_exit (fun () -> List.iter (fun w -> ignore (retire w)) !live)
 
 (* Chain a process-fault trigger in front of the caller's hook, so the
    worker kills or wedges itself at the requested interior-point
-   iteration. Runs in the child only. *)
+   iteration. Runs in the worker only. A wedged worker leaves once its
+   parent is gone. *)
 let inject_proc_fault (pf : Fault.spec option) (params : Sdp.params) =
   match pf with
   | None | Some { Fault.kind = Fault.Corrupt_cache; _ } -> params
   | Some { Fault.kind; iter; _ } ->
       let inner = params.Sdp.on_iteration in
+      let parent = Unix.getppid () in
       let hook i =
         if i = iter then begin
           match kind with
           | Fault.Kill -> Unix.kill (Unix.getpid ()) Sys.sigkill
           | Fault.Stall ->
               while true do
+                if Unix.getppid () <> parent then Unix._exit 1;
                 Unix.sleepf 0.05
               done
           | Fault.Corrupt_cache -> ()
@@ -564,77 +658,152 @@ let inject_proc_fault (pf : Fault.spec option) (params : Sdp.params) =
       in
       { params with Sdp.on_iteration = Some hook }
 
-type worker_outcome =
-  | W_done of Sdp.solution
-  | W_crashed of string
-  | W_timed_out of float
+(* One solve request: parameters (the iteration hook included), the
+   problem, the warm-start hint and the process fault to inject. *)
+type request = Sdp.params * Sdp.problem * Sdp.warm_start option * Fault.spec option
 
-(* Fork, solve in the child, marshal the solution back through a temp
-   file; reap on wall-clock timeout or interrupt. The child exits with
-   [Unix._exit] so no parent at_exit/flush machinery runs twice. *)
-let run_forked ctx ~proc_fault ?hint ~params prob =
-  let file = temp_result_file ctx in
+(* The worker's loop: one request in, one answer out, until the request
+   pipe reaches end of file (the parent retired it or died) or the
+   answer cannot be written (the parent died). A solve that raised ends
+   the loop too, so the next request runs on a fresh heap. Never
+   returns: the worker leaves by [Unix._exit], so no parent at_exit or
+   flush machinery runs twice. *)
+let serve req res =
+  let rec loop () =
+    match Frame.recv req with
+    | None -> ()
+    | Some payload ->
+        let params, prob, hint, proc_fault = (Marshal.from_string payload 0 : request) in
+        let params = inject_proc_fault proc_fault params in
+        (* A throwaway session applies the standard warm-start discipline
+           (bounded warm attempt, cold re-solve unless Optimal). *)
+        let result =
+          try
+            Ok
+              (match hint with
+              | Some w -> Sdp.Session.solve (Sdp.Session.create ()) ~hint:w ~params prob
+              | None -> Sdp.solve ~params prob)
+          with e -> Error (Printexc.to_string e)
+        in
+        Frame.send res (Marshal.to_string (result : (Sdp.solution, string) result) []);
+        if Result.is_ok result then loop ()
+  in
+  (try loop () with _ -> Unix._exit 2);
+  Unix._exit 0
+
+(* Spawned at the first isolated solve, not at [create], so it inherits
+   whatever the process installed by then (a daemon job worker's
+   heartbeat sink, say). *)
+let spawn ctx =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let res_r, res_w = Unix.pipe ~cloexec:true () in
   flush stdout;
   flush stderr;
   ctx.stats.forked <- ctx.stats.forked + 1;
   match Unix.fork () with
   | 0 ->
+      Unix.close req_w;
+      Unix.close res_r;
+      drop_inherited ();
       ctx.in_worker <- true;
       (match ctx.mem_limit_mb with
       | Some mb -> ignore (set_mem_limit_mb mb)
       | None -> ());
-      let params = inject_proc_fault proc_fault params in
-      (* The warm-start hint crosses the fork as inherited memory — no
-         serialization needed. A throwaway session applies the standard
-         discipline (bounded warm attempt, cold re-solve unless Optimal). *)
-      let result =
-        try
-          Ok
-            (match hint with
-            | Some w -> Sdp.Session.solve (Sdp.Session.create ()) ~hint:w ~params prob
-            | None -> Sdp.solve ~params prob)
-        with e -> Error (Printexc.to_string e)
-      in
-      (try write_result file result with _ -> ());
-      Unix._exit 0
+      (* A dead parent must surface as EPIPE on the answer, not kill the
+         worker mid-write with its inherited disposition. *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      serve req_r res_w
   | pid ->
-      let deadline =
-        Option.map (fun t -> Unix.gettimeofday () +. t) ctx.solve_timeout_s
-      in
-      let t0 = Unix.gettimeofday () in
-      let rec wait sleep =
+      Unix.close req_r;
+      Unix.close res_w;
+      let w = { pid; owner = Unix.getpid (); requests = req_w; answers = res_r } in
+      live := w :: !live;
+      ctx.worker <- Some w;
+      w
+
+let worker_of ctx =
+  match ctx.worker with
+  | Some w when w.owner = Unix.getpid () && List.memq w !live -> w
+  | inherited ->
+      (* A copy of a context from before someone else's fork: not ours
+         to talk to. *)
+      Option.iter (fun w -> ignore (retire w)) inherited;
+      spawn ctx
+
+(* A write to a worker that died while idle must fail with EPIPE, not
+   kill this process. *)
+let send_request w payload =
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
+    (fun () -> Frame.send w.requests payload)
+
+type worker_outcome =
+  | W_done of Sdp.solution
+  | W_crashed of string
+  | W_timed_out of float
+
+(* Send the request to the context's worker and wait for the answer in
+   [select], waking every 50 ms for interrupts, up to the solve
+   deadline. A crash, timeout or interrupt retires the worker; the next
+   solve spawns a fresh one. *)
+let solve_in_worker ctx ~proc_fault ?hint ~params prob =
+  let w = worker_of ctx in
+  let t0 = Unix.gettimeofday () in
+  let deadline = Option.map (fun t -> t0 +. t) ctx.solve_timeout_s in
+  let retire_worker ?kill () =
+    ctx.worker <- None;
+    retire ?kill w
+  in
+  let died () =
+    match retire_worker ~kill:false () with
+    | Some (Unix.WSIGNALED sg) when sg = Sys.sigkill ->
+        W_crashed "worker killed by SIGKILL (crash or OOM-kill)"
+    | Some st -> W_crashed (exit_reason st)
+    | None -> W_crashed (exit_reason (Unix.WEXITED 0))
+  in
+  (* No sharing: with it, the extern table marshalling builds stays in
+     this process's heap. The hook closures are valid in the worker
+     because it is a fork of this very image, never exec'd. *)
+  let payload =
+    Marshal.to_string
+      ((params, prob, hint, proc_fault) : request)
+      [ Marshal.Closures; Marshal.No_sharing ]
+  in
+  match send_request w payload with
+  | exception Unix.Unix_error _ -> died ()
+  | () ->
+      let rec wait () =
         if ctx.interrupted then begin
-          kill_and_reap pid;
-          cleanup file;
+          ignore (retire_worker ());
           raise Interrupted
         end;
-        match waitpid_retry [ Unix.WNOHANG ] pid with
-        | 0, _ -> (
-            match deadline with
-            | Some d when Unix.gettimeofday () > d ->
-                kill_and_reap pid;
-                W_timed_out (Unix.gettimeofday () -. t0)
-            | _ ->
-                Unix.sleepf sleep;
-                wait (Float.min 0.05 (sleep *. 1.5)))
-        | _, Unix.WEXITED 0 -> (
-            match read_result file with
-            | Ok (Ok sol) -> W_done sol
-            | Ok (Error e) -> W_crashed ("worker exception: " ^ e)
-            | Error e -> W_crashed e)
-        | _, Unix.WEXITED c -> W_crashed (Printf.sprintf "worker exited with code %d" c)
-        | _, Unix.WSIGNALED sg ->
-            W_crashed
-              (if sg = Sys.sigkill then "worker killed by SIGKILL (crash or OOM-kill)"
-               else Printf.sprintf "worker killed by signal %d" sg)
-        | _, Unix.WSTOPPED sg -> (
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (waitpid_retry [] pid);
-            W_crashed (Printf.sprintf "worker stopped by signal %d" sg))
+        let now = Unix.gettimeofday () in
+        match deadline with
+        | Some d when now > d ->
+            ignore (retire_worker ());
+            W_timed_out (Unix.gettimeofday () -. t0)
+        | _ -> (
+            let timeout =
+              match deadline with Some d -> Float.min 0.05 (d -. now) | None -> 0.05
+            in
+            match Unix.select [ w.answers ] [] [] timeout with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+            | [], _, _ -> wait ()
+            | _ -> (
+                match Frame.recv w.answers with
+                | None -> died ()
+                | Some payload -> (
+                    match decode payload with
+                    | Ok (Ok sol) -> W_done sol
+                    | Ok (Error e) ->
+                        ignore (retire_worker ());
+                        W_crashed ("worker exception: " ^ e)
+                    | Error e ->
+                        ignore (retire_worker ());
+                        W_crashed e)))
       in
-      let outcome = wait 0.002 in
-      cleanup file;
-      outcome
+      wait ()
 
 (* A synthetic solution for a crashed or reaped worker: correctly
    dimensioned, [best_score = infinity] so the resilience layer never
@@ -785,7 +954,7 @@ let solve_sdp ctx ~label ?proc_fault ?session ?hint ?(params = Sdp.default_param
             "solved" )
         end
         else
-          match run_forked ctx ~proc_fault ?hint ~params prob with
+          match solve_in_worker ctx ~proc_fault ?hint ~params prob with
           | W_done sol -> (sol, "solved")
           | W_crashed why ->
               st.crashes <- st.crashes + 1;
@@ -799,7 +968,7 @@ let solve_sdp ctx ~label ?proc_fault ?session ?hint ?(params = Sdp.default_param
               (failed_solution Sdp.Max_iterations prob, "timeout")
       in
       let wall_s = Unix.gettimeofday () -. t0 in
-      (* Forked results reach the parent's session here (the inline path
+      (* Worker results reach the parent's session here (the inline path
          already remembered through [Session.solve]); [remember] itself
          keeps only clean Optimal solutions. *)
       (if source = "solved" then
@@ -874,58 +1043,61 @@ module Pool = struct
       check_interrupt ctx;
       ctx.stats.pool_tasks <- ctx.stats.pool_tasks + n;
       let results = Array.make n (Error "not run") in
+      (* answer pipe -> (pid, item index) *)
       let running = Hashtbl.create 8 in
       let launch i =
-        let file = temp_result_file ctx in
+        let r, w = Unix.pipe ~cloexec:true () in
         flush stdout;
         flush stderr;
         ctx.stats.forked <- ctx.stats.forked + 1;
         match Unix.fork () with
         | 0 ->
+            Unix.close r;
+            drop_inherited ();
             ctx.in_worker <- true;
-            let r = try Ok (f i items.(i)) with e -> Error (Printexc.to_string e) in
-            (try write_result file r with _ -> ());
+            let res = try Ok (f i items.(i)) with e -> Error (Printexc.to_string e) in
+            (try Frame.send w (Marshal.to_string res []) with _ -> ());
             Unix._exit 0
-        | pid -> Hashtbl.replace running pid (i, file)
+        | pid ->
+            Unix.close w;
+            Hashtbl.replace running r (pid, i)
       in
-      let reap_one () =
-        match (try Unix.wait () with Unix.Unix_error (Unix.EINTR, _, _) -> (0, Unix.WEXITED 0)) with
-        | 0, _ -> ()
-        | pid, st -> (
-            match Hashtbl.find_opt running pid with
-            | None -> ()
-            | Some (i, file) ->
-                Hashtbl.remove running pid;
-                let r =
-                  match st with
-                  | Unix.WEXITED 0 -> (
-                      match read_result file with Ok r -> r | Error e -> Error e)
-                  | Unix.WEXITED c -> Error (Printf.sprintf "worker exited with code %d" c)
-                  | Unix.WSIGNALED sg ->
-                      Error (Printf.sprintf "worker killed by signal %d" sg)
-                  | Unix.WSTOPPED sg ->
-                      kill_and_reap pid;
-                      Error (Printf.sprintf "worker stopped by signal %d" sg)
-                in
-                cleanup file;
-                results.(i) <- r)
+      (* Read a ready child's answer before reaping it: a child blocks
+         writing an answer larger than the pipe buffer until it is read. *)
+      let finish fd =
+        let pid, i = Hashtbl.find running fd in
+        Hashtbl.remove running fd;
+        let answer = Frame.recv fd in
+        Unix.close fd;
+        results.(i) <-
+          (match (snd (waitpid_retry [] pid), answer) with
+          | Unix.WEXITED 0, Some payload -> (
+              match decode payload with Ok r -> r | Error e -> Error e)
+          | st, _ -> Error (exit_reason st))
+      in
+      let pump () =
+        let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) running [] in
+        match Unix.select fds [] [] 0.05 with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | ready, _, _ -> List.iter finish ready
       in
       let next = ref 0 in
       (try
          while !next < n || Hashtbl.length running > 0 do
-           if ctx.interrupted then begin
-             Hashtbl.iter (fun pid _ -> kill_and_reap pid) running;
-             Hashtbl.reset running;
-             raise Interrupted
-           end;
+           check_interrupt ctx;
            if !next < n && Hashtbl.length running < ctx.jobs then begin
              launch !next;
              incr next
            end
-           else reap_one ()
+           else pump ()
          done
        with e ->
-         Hashtbl.iter (fun pid (_, file) -> kill_and_reap pid; cleanup file) running;
+         Hashtbl.iter
+           (fun fd (pid, _) ->
+             kill_and_reap pid;
+             close_quietly fd)
+           running;
+         Hashtbl.reset running;
          raise e);
       Array.to_list results
     end

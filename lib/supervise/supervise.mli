@@ -1,23 +1,24 @@
-(** Process-isolated solve supervision: forked workers, a crash-safe run
-    journal, and a content-addressed solve cache.
+(** Process-isolated solve supervision: a long-lived solver worker, a
+    crash-safe run journal, and a content-addressed solve cache.
 
     The verification pipeline decomposes into many interior-point solves
     (per-mode Lyapunov certificates, bisection probes on the level β,
-    advection and escape checks). Run in one process, a single hung or
-    segfaulting solve loses the whole run; the {!Resilient} retry ladder
-    only recovers failures the solver itself reports. This module adds
-    the process-level layer:
+    advection, inclusion and escape checks). Run in one process, a
+    single hung or segfaulting solve loses the whole run; the
+    {!Resilient} retry ladder only recovers failures the solver itself
+    reports. This module adds the process-level layer:
 
-    - {e fault isolation}: every supervised [Sdp.solve] runs in a forked
-      worker with a wall-clock timeout and an optional address-space
-      rlimit; a worker that crashes (nonzero exit, signal, OOM-kill) or
-      stalls past its deadline is reaped with SIGKILL and reported as a
-      failed attempt, which the retry ladder running in the parent can
-      recover from;
-    - {e parallel fan-out}: independent work items (per-mode inclusion
-      checks, escape-certificate searches, exact re-validation
-      conditions) run across a bounded worker pool ({!Pool.map},
-      [--jobs N]);
+    - {e fault isolation}: every supervised [Sdp.solve] runs in the
+      context's solver worker, a fork of the caller that serves one
+      request at a time under a wall-clock timeout and an optional
+      address-space rlimit. A worker that crashes (nonzero exit, signal,
+      OOM-kill), raises, or stalls past its deadline is reaped with
+      SIGKILL and reported as a failed attempt, which the retry ladder
+      running in the parent can recover from; the next solve spawns a
+      fresh worker;
+    - {e parallel fan-out}: independent work items (escape-certificate
+      searches, exact re-validation conditions, atlas cells) run across
+      a bounded pool of forked children ({!Pool.map}, [--jobs N]);
     - {e crash-safe restartability}: every solve request is canonically
       serialized and hashed ({!Sdp.fingerprint}); clean results are
       written atomically (tmp + rename, fsync'd) into a content-
@@ -31,6 +32,24 @@
       [corrupt-cache@S] (the entry stored for solve [S] is truncated
       after the write) exercise every recovery path deterministically.
 
+    {b Worker protocol.} The solver worker is forked lazily, at the
+    context's first isolated solve. Each request is one frame on a pipe
+    (an 8-byte big-endian length, then the [Marshal]led parameters,
+    problem, warm-start hint and process fault); the answer is one frame
+    on a second pipe ([Ok solution] or [Error exception_text]). The
+    request is marshalled with [Closures] — valid because the worker is
+    a fork of the same image and is never exec'd — so the iteration
+    hook crosses with it; with [No_sharing], so this process keeps no
+    extern table. {!Pool.map} children answer with the same framing.
+
+    {b Lifetime.} {!release} closes the pipes and reaps the worker, so
+    its CPU time lands in the caller's [cutime]; [Service.Job.certify]
+    releases when a verdict returns, and an [at_exit] hook reaps what a
+    direct caller left behind. The worker exits on end of file on its
+    request pipe and on a failed answer write, so it never outlives its
+    parent by more than one solve. Children this module forks close the
+    worker pipes they inherit.
+
     The run directory also reserves [artifacts/] for exact-certificate
     artifacts ({!save_artifact}), so SOS proofs found along the way
     survive crashes next to the solve cache that produced them.
@@ -39,12 +58,9 @@
     [on_iteration] intervention fired (injected fault, deadline
     interrupt) is machine- or plan-dependent and is always re-solved.
 
-    Fork-based, Unix-only. A worker inherits the problem by fork (no
-    request marshalling); only the [Sdp.solution] — plain data — crosses
-    back, via [Marshal] into a temp file. Inside a pool worker, nested
-    supervision degrades gracefully: solves run inline (the worker is
-    already the isolation boundary) but still consult and populate the
-    cache. *)
+    Fork-based, Unix-only. Inside a pool child, nested supervision
+    degrades gracefully: solves run inline (the child is already the
+    isolation boundary) but still consult and populate the cache. *)
 
 (** Process-level fault injection specs: what the [kill@S:I],
     [stall@S:I] and [corrupt-cache@S] tokens of a {!Resilient.Faults}
@@ -206,7 +222,7 @@ end
 
 type stats = {
   mutable supervised : int;  (** supervised solve requests *)
-  mutable forked : int;  (** worker processes launched *)
+  mutable forked : int;  (** processes forked: solver workers spawned plus pool children *)
   mutable inline_solves : int;  (** solves run inline inside a pool worker *)
   mutable cache_hits : int;
   mutable cache_stores : int;
@@ -241,8 +257,11 @@ val create :
     [cache/] and [artifacts/] subdirectories and write-ahead journal;
     without it there is no persistence (isolation and pooling still
     work). [jobs] defaults to {!ncpus}; [isolate] (default [true])
-    controls whether individual solves fork workers — with [false] only
-    the cache/journal layer is active. *)
+    controls whether individual solves run in the solver worker — with
+    [false] only the cache/journal layer is active. On an existing run
+    directory, result files left in [tmp/] by runs of the earlier
+    file-based worker protocol are deleted, and [tmp/] with them once
+    empty. *)
 
 val jobs : ctx -> int
 val run_dir : ctx -> string option
@@ -253,6 +272,12 @@ val in_worker : ctx -> bool
 val replayed : ctx -> int
 (** Completed solves already on record in the journal when this context
     opened the run directory — what [--resume] will replay from cache. *)
+
+val release : ctx -> unit
+(** Close the context's solver-worker pipes and reap the worker, if one
+    is running; idempotent. The context stays usable: the next isolated
+    solve spawns a fresh worker. Call it when a verdict is done, so the
+    worker's CPU time is accounted to the caller's reaped children. *)
 
 val interrupt : ctx -> unit
 (** Request a graceful checkpoint-and-exit: the next supervision point
@@ -289,9 +314,9 @@ val solve_sdp :
   Sdp.solution
 (** The supervised [Sdp.solve]: fingerprint the request, return the
     cached solution on a hit (rejecting corrupt entries with a logged
-    diagnosis), otherwise journal the start, run the solve in a forked
-    worker under the timeout/rlimit (inline when [isolate] is off or
-    already inside a pool worker), store a clean result atomically, and
+    diagnosis), otherwise journal the start, run the solve in the
+    solver worker under the timeout/rlimit (inline when [isolate] is
+    off or already inside a pool worker), store a clean result atomically, and
     journal completion. A crashed worker yields a synthetic
     [Numerical_failure] solution, a timed-out one [Max_iterations] —
     with [best_score = infinity] so they are never salvaged — letting
@@ -304,8 +329,8 @@ val solve_sdp :
     alone, so whether a result was produced warm or cold never changes
     which cache entry answers the request — [-jN] and [--resume]
     determinism are preserved. The hint (explicit, or the session's
-    remembered capsule for this structure) crosses the worker fork as
-    inherited memory; the worker applies the standard session
+    remembered capsule for this structure) travels in the request; the
+    worker applies the standard session
     discipline, and the parent feeds clean results (including cache
     replays) back into [session]'s memory. *)
 

@@ -226,6 +226,40 @@ let test_lease_exhaustion () =
   Alcotest.(check bool) "attempt 4 dead-letters" true
     (exhausted lease_policy ~attempt:4)
 
+(* The iteration hook is marshalled into every supervised request, so it
+   must not capture the policy: a warm session alone outweighs the
+   guard's 4 KiB. *)
+let test_hook_captures_little () =
+  let n = 40 in
+  let warm =
+    {
+      Sdp.block_dims = [| n |];
+      n_free = 0;
+      constraints =
+        Array.init n (fun i ->
+            { Sdp.lhs = [ { Sdp.blk = 0; row = i; col = i; value = 1.0 } ]; free = []; rhs = 1.0 });
+      obj_blocks =
+        List.init (n - 1) (fun i -> { Sdp.blk = 0; row = i; col = i + 1; value = 1.0 });
+      obj_free = [];
+    }
+  in
+  let session = Sdp.Session.create () in
+  ignore (Sdp.Session.solve session warm);
+  let pol =
+    Resilient.make ~session ~faults:(plan "noise@1:3:0.5") ~solve_deadline_s:60.0
+      ~pipeline_deadline_s:600.0 ()
+  in
+  let bytes v = String.length (Marshal.to_string v [ Marshal.Closures ]) in
+  Alcotest.(check bool) "the policy holds a warm session" true (bytes pol > 4096);
+  let params =
+    Resilient.iteration_hook pol ~solve_index:1 ~attempt:0 ~deadline_hit:(ref false)
+      Sdp.default_params
+  in
+  Alcotest.(check bool) "a hook is installed" true (params.Sdp.on_iteration <> None);
+  let hook_bytes = bytes params.Sdp.on_iteration in
+  if hook_bytes >= 4096 then
+    Alcotest.failf "the iteration hook marshals to %d bytes; it captures the policy" hook_bytes
+
 let suite =
   [
     Alcotest.test_case "fault plan parsing" `Quick test_fault_plan_parsing;
@@ -242,4 +276,5 @@ let suite =
     Alcotest.test_case "solve deadline" `Quick test_solve_deadline;
     Alcotest.test_case "pipeline deadline" `Quick test_pipeline_deadline;
     Alcotest.test_case "probe is quiet" `Quick test_probe_is_quiet;
+    Alcotest.test_case "hook captures little" `Quick test_hook_captures_little;
   ]

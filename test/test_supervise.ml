@@ -1,7 +1,8 @@
 (* Tests for process-isolated solve supervision: request fingerprints,
    the content-addressed cache and its corruption diagnoses, the
    write-ahead journal's tolerant reader, process-fault spec parsing,
-   deadline clock modes, and the worker pool. *)
+   deadline clock modes, the solver worker's lifecycle, and the worker
+   pool. *)
 
 let entry blk row col value = { Sdp.blk; row; col; value }
 
@@ -14,6 +15,11 @@ let small_problem ?(rhs = 1.0) () =
     obj_blocks = [ entry 0 0 0 1.0; entry 0 1 1 1.0 ];
     obj_free = [];
   }
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let tmp_dir =
   let n = ref 0 in
@@ -294,6 +300,187 @@ let test_worker_timeout_reaped () =
     (sol.Sdp.status = Sdp.Max_iterations);
   Alcotest.(check int) "timeout counted" 1 (Supervise.stats ctx).Supervise.timeouts
 
+(* ---- solver-worker lifecycle ---- *)
+
+(* Run [f] in a forked child, so that "no children left" speaks of this
+   check's children only; a failure comes back as the exit status. *)
+let in_child name f =
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        match f () with
+        | () -> 0
+        | exception e ->
+            prerr_endline (name ^ ": " ^ Printexc.to_string e);
+            1
+      in
+      Unix._exit code
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.failf "%s failed in its child process" name)
+
+let no_children () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
+(* [f ()] and the warnings logged while it ran. *)
+let with_warnings f =
+  let msgs = ref [] in
+  let report _src _level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun m ->
+            msgs := m :: !msgs;
+            over ();
+            k ())
+          fmt)
+  in
+  let previous = Logs.reporter () in
+  Logs.set_reporter { Logs.report };
+  let r = Fun.protect ~finally:(fun () -> Logs.set_reporter previous) f in
+  (r, List.rev !msgs)
+
+let fault kind solve iter = { Supervise.Fault.kind; solve; iter }
+
+let test_job_leaves_no_children () =
+  in_child "job-leaves-no-children" (fun () ->
+      let ctx = Supervise.create ~jobs:1 () in
+      let spec =
+        { (Service.Job.default_spec Pll.Third) with Service.Job.degree = 4; bisect_steps = 2 }
+      in
+      let o = Service.Job.run ~policy:(Resilient.make ~supervise:ctx ()) spec in
+      Alcotest.(check bool) "verdict reached" true (o.Service.Job.solves > 0);
+      Alcotest.(check int) "one solver worker served the verdict" 1
+        (Supervise.stats ctx).Supervise.forked;
+      Alcotest.(check bool) "no child left after Job.run" true (no_children ()))
+
+let test_worker_respawns_after_kill () =
+  in_child "worker-respawns-after-kill" (fun () ->
+      let ctx = Supervise.create ~jobs:1 () in
+      let p = small_problem () in
+      let killed, warnings =
+        with_warnings (fun () ->
+            Supervise.solve_sdp ctx ~label:"killed" ~proc_fault:(fault Supervise.Fault.Kill 1 3) p)
+      in
+      Alcotest.(check bool) "crash surfaces as Numerical_failure" true
+        (killed.Sdp.status = Sdp.Numerical_failure);
+      Alcotest.(check bool) "crash reason unchanged" true
+        (List.exists
+           (fun m -> contains m "worker killed by SIGKILL (crash or OOM-kill)")
+           warnings);
+      let next = Supervise.solve_sdp ctx ~label:"next" p in
+      Alcotest.(check bool) "next solve on the same ctx succeeds" true
+        (next.Sdp.status = Sdp.Optimal);
+      Alcotest.(check int) "a fresh worker was spawned" 2 (Supervise.stats ctx).Supervise.forked;
+      Supervise.release ctx;
+      Supervise.release ctx;
+      Alcotest.(check bool) "release reaps, and is idempotent" true (no_children ()))
+
+let test_worker_respawns_after_timeout () =
+  in_child "worker-respawns-after-timeout" (fun () ->
+      let ctx = Supervise.create ~jobs:1 ~solve_timeout_s:0.3 () in
+      let p = small_problem () in
+      let stalled =
+        Supervise.solve_sdp ctx ~label:"stalled" ~proc_fault:(fault Supervise.Fault.Stall 1 1) p
+      in
+      Alcotest.(check bool) "timeout surfaces as Max_iterations" true
+        (stalled.Sdp.status = Sdp.Max_iterations);
+      Alcotest.(check int) "timeout counted" 1 (Supervise.stats ctx).Supervise.timeouts;
+      let next = Supervise.solve_sdp ctx ~label:"next" p in
+      Alcotest.(check bool) "next solve on the same ctx succeeds" true
+        (next.Sdp.status = Sdp.Optimal);
+      Supervise.release ctx;
+      Alcotest.(check bool) "no child left" true (no_children ()))
+
+let test_alarm_interrupts_stalled_solve () =
+  in_child "alarm-interrupts-stalled-solve" (fun () ->
+      let ctx = Supervise.create ~jobs:1 () in
+      Sys.set_signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Supervise.interrupt ctx));
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.0; it_value = 0.2 });
+      let t0 = Unix.gettimeofday () in
+      (match
+         Supervise.solve_sdp ctx ~label:"stalled"
+           ~proc_fault:(fault Supervise.Fault.Stall 1 1)
+           (small_problem ())
+       with
+      | _ -> Alcotest.fail "a stalled solve returned"
+      | exception Supervise.Interrupted -> ());
+      Alcotest.(check bool) "interrupted within 1 s of the alarm" true
+        (Unix.gettimeofday () -. t0 < 1.2);
+      Alcotest.(check bool) "no child left" true (no_children ()))
+
+(* min <C, X> s.t. diag X = 1 over one [n]x[n] block, dense C. *)
+let dense_problem n =
+  let obj = ref [] in
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      obj := entry 0 i j (cos (float_of_int ((i * n) + j))) :: !obj
+    done
+  done;
+  {
+    Sdp.block_dims = [| n |];
+    n_free = 0;
+    constraints =
+      Array.init n (fun i -> { Sdp.lhs = [ entry 0 i i 1.0 ]; free = []; rhs = 1.0 });
+    obj_blocks = List.rev !obj;
+    obj_free = [];
+  }
+
+let test_large_request_intact () =
+  let p = dense_problem 100 in
+  Alcotest.(check bool) "request exceeds a pipe buffer" true
+    (String.length (Marshal.to_string p []) > 65536);
+  let ctx = Supervise.create ~jobs:1 () in
+  let sol = Supervise.solve_sdp ctx ~label:"large" p in
+  Supervise.release ctx;
+  let inline = Sdp.solve p in
+  Alcotest.(check bool) "status" true (sol.Sdp.status = inline.Sdp.status);
+  Alcotest.(check (float 0.0)) "objective bit-identical to an inline solve"
+    inline.Sdp.primal_obj sol.Sdp.primal_obj;
+  Alcotest.(check bool) "iterate bit-identical" true
+    (Marshal.to_string sol.Sdp.x_blocks [] = Marshal.to_string inline.Sdp.x_blocks [])
+
+let test_pool_large_results_intact () =
+  let ctx = Supervise.create ~jobs:2 () in
+  let mib = 1 lsl 20 in
+  let results =
+    Supervise.Pool.map ctx
+      ~f:(fun _ i -> String.make (mib + i) (Char.chr (Char.code 'a' + i)))
+      [ 0; 1; 2; 3 ]
+  in
+  List.iteri
+    (fun i r ->
+      match r with
+      | Ok s ->
+          Alcotest.(check bool) (Printf.sprintf "result %d intact" i) true
+            (s = String.make (mib + i) (Char.chr (Char.code 'a' + i)))
+      | Error e -> Alcotest.fail e)
+    results
+
+let test_legacy_tmp_swept () =
+  let dir = tmp_dir () in
+  let tmp = Filename.concat dir "tmp" in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir tmp 0o755;
+  let planted = Filename.concat tmp "worker1a2b3c.res" in
+  let oc = open_out planted in
+  output_string oc "partial";
+  close_out oc;
+  ignore (Supervise.create ~run_dir:dir ());
+  Alcotest.(check bool) "leftover result file deleted" false (Sys.file_exists planted);
+  Alcotest.(check bool) "empty tmp/ removed" false (Sys.file_exists tmp);
+  let fresh = tmp_dir () in
+  let ctx = Supervise.create ~run_dir:fresh ~jobs:1 () in
+  ignore (Supervise.solve_sdp ctx ~label:"fresh" (small_problem ()));
+  Supervise.release ctx;
+  Alcotest.(check int) "the solve ran in the worker" 1 (Supervise.stats ctx).Supervise.forked;
+  Alcotest.(check bool) "a supervised solve creates no tmp/" false
+    (Sys.file_exists (Filename.concat fresh "tmp"))
+
 (* ---- pool ---- *)
 
 let test_pool_map_order_and_errors () =
@@ -336,11 +523,6 @@ let test_interrupt_raises () =
 
 (* Advisory run-dir lock: fresh acquire, reentrancy, stale-holder steal,
    and the structured refusal when a live process holds it. *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 let lock_tmpdir () =
   let d =
@@ -506,4 +688,13 @@ let suite =
     Alcotest.test_case "pool-order-and-errors" `Quick test_pool_map_order_and_errors;
     Alcotest.test_case "pool-jobs-equivalence" `Quick test_pool_jobs_equivalence;
     Alcotest.test_case "interrupt-raises" `Quick test_interrupt_raises;
+    Alcotest.test_case "job-leaves-no-children" `Quick test_job_leaves_no_children;
+    Alcotest.test_case "worker-respawns-after-kill" `Quick test_worker_respawns_after_kill;
+    Alcotest.test_case "worker-respawns-after-timeout" `Quick
+      test_worker_respawns_after_timeout;
+    Alcotest.test_case "alarm-interrupts-stalled-solve" `Quick
+      test_alarm_interrupts_stalled_solve;
+    Alcotest.test_case "large-request-intact" `Quick test_large_request_intact;
+    Alcotest.test_case "pool-large-results-intact" `Quick test_pool_large_results_intact;
+    Alcotest.test_case "legacy-tmp-swept" `Quick test_legacy_tmp_swept;
   ]

@@ -41,7 +41,10 @@
 #     attractive_invariant type; bench/ and examples/ are exempt);
 # 10. solver workers keep one protocol — no lib/supervise source
 #     mentions `WNOHANG`, `temp_file` or a `.res` suffix, so the polled
-#     result-file handoff cannot come back next to the pipe framing.
+#     result-file handoff cannot come back next to the pipe framing;
+# 11. step clocks are wall-clock spans — no lib/certificates or
+#     lib/advect source mentions `Sys.time`, whose CPU seconds of this
+#     process miss the work a supervised solve does in its worker.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -136,6 +139,11 @@ strays="$(grep -lE 'Certificates\.attractive_invariant|Inevitability\.verify' \
 strays="$(grep -nE 'WNOHANG|temp_file|\.res\b' "$repo"/lib/supervise/* 2>/dev/null || true)"
 [ -z "$strays" ] || \
   fail "a polled result-file handoff in lib/supervise (workers answer over pipes):$(echo " $strays" | sed "s|$repo/||g")"
+
+# Wall-clock step timings (check 11).
+strays="$(grep -nE 'Sys\.time' "$repo"/lib/certificates/* "$repo"/lib/advect/* 2>/dev/null || true)"
+[ -z "$strays" ] || \
+  fail "CPU-time step clocks in lib/certificates or lib/advect (time steps with Unix.gettimeofday):$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

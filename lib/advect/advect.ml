@@ -327,7 +327,7 @@ let try_gamma cfg (s : Pll.scaled) pt q_cur gamma =
   if sol.Sos.certified then Some (Poly.chop ~tol:1e-10 (Sos.value sol w)) else None
 
 let advect_step_sos ?(config = default_config) (s : Pll.scaled) pt q_cur =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   (* Larger gamma = larger certified soundness margin = harder program.
      Probe the small end first, then bisect upward for the largest
      feasible margin. *)
@@ -337,7 +337,8 @@ let advect_step_sos ?(config = default_config) (s : Pll.scaled) pt q_cur =
       Error (Printf.sprintf "advection step infeasible even at gamma = %g" gamma_min)
   | Some w0 -> (
       match try_gamma config s pt q_cur config.gamma_max with
-      | Some w -> Ok { front = w; gamma = config.gamma_max; time_s = Sys.time () -. t0 }
+      | Some w ->
+          Ok { front = w; gamma = config.gamma_max; time_s = Unix.gettimeofday () -. t0 }
       | None ->
           let best = ref (w0, gamma_min) in
           let lo = ref gamma_min and hi = ref config.gamma_max in
@@ -350,10 +351,10 @@ let advect_step_sos ?(config = default_config) (s : Pll.scaled) pt q_cur =
             | None -> hi := mid
           done;
           let front, gamma = !best in
-          Ok { front; gamma; time_s = Sys.time () -. t0 })
+          Ok { front; gamma; time_s = Unix.gettimeofday () -. t0 })
 
 let advect_step ?(config = default_config) ?caps (s : Pll.scaled) pt q_cur =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let n = s.Pll.nvars in
   let rng = Random.State.make [| 97 |] in
   (* 1. Sample the current (capped) set per mode and push through the
@@ -377,7 +378,7 @@ let advect_step ?(config = default_config) ?caps (s : Pll.scaled) pt q_cur =
       else begin
         let front = covering_quadric n !images inflate in
         if certify_transport ?caps config s pt q_cur front gamma then
-          Ok { front; gamma; time_s = Sys.time () -. t0 }
+          Ok { front; gamma; time_s = Unix.gettimeofday () -. t0 }
         else attempt (inflate *. 1.35) (tries - 1)
       end
     in
@@ -454,14 +455,9 @@ type run_result = {
 
 let run ?(config = default_config) ?(max_iter = 20) ?(escape_deg = 4) (s : Pll.scaled) ai
     ~init =
-  (* Phase timings: CPU seconds when everything runs in-process, wall
-     clock under a supervisor — forked workers burn CPU the parent's
-     [Sys.time] never sees. *)
-  let now =
-    match Resilient.supervisor config.resilience with
-    | Some _ -> Unix.gettimeofday
-    | None -> Sys.time
-  in
+  (* Phase timings are wall-clock spans: a supervised solve runs in a
+     worker process whose CPU time this process never sees. *)
+  let now = Unix.gettimeofday in
   let t0 = now () in
   let pt = Pll.nominal s in
   let fronts = ref [] in

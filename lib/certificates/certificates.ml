@@ -57,7 +57,7 @@ let stats_of prob (sol : Sos.solution) time_s =
    a Degraded outcome means. *)
 let search_multi_lyapunov (cfg : config) (s : Pll.scaled) =
   let n = s.Pll.nvars in
-  let t_start = Sys.time () in
+  let t_start = Unix.gettimeofday () in
   let prob = Sos.create ~nvars:n in
   let vs = Array.init Pll.n_modes (fun _ -> Sos.fresh_poly prob ~deg:cfg.degree ~min_deg:2) in
   let nrm = norm2_poly n in
@@ -103,7 +103,7 @@ let search_multi_lyapunov (cfg : config) (s : Pll.scaled) =
     Resilient.solve_sos cfg.resilience ~label:"multi-lyapunov" ~params:cfg.sdp_params
       ~psd_tol:cfg.psd_tol ~eq_tol:cfg.eq_tol prob
   in
-  let time_s = Sys.time () -. t_start in
+  let time_s = Unix.gettimeofday () -. t_start in
   let values () = Array.map (fun v -> Poly.chop ~tol:1e-9 (Sos.value sol v)) vs in
   let candidate () = { vs = values (); cfg; solve_stats = stats_of prob sol time_s } in
   (sol, diag, candidate)
@@ -425,20 +425,22 @@ let find_multi_lyapunov ?config (s : Pll.scaled) =
   in
   go None fracs
 
-(* {V_q <= beta} ∩ slab_q must keep a strict margin inside every
-   containment constraint of mode q. *)
-let check_level ?(mult_deg = 2) (s : Pll.scaled) cert beta =
-  let mult_deg = Some mult_deg in
-  (* A failed level check is an expected answer that steers the
-     bisection, not an error: probe policy (no retries, quiet), but
-     sharing the pipeline clock and fault plan. *)
-  let pol = Resilient.probe cert.cfg.resilience in
-  let margin = 1e-3 in
-  let ok = ref (not (Resilient.out_of_time pol)) in
-  (* Cheap numeric prefilter: a sampled counterexample refutes the level
-     without touching the SDP. *)
+(* The Lemma-1 level check, one containment program at a time: mode [m]'s
+   slice [{V_m <= beta} ∩ slab_m] must keep a strict margin inside
+   containment constraint [g]. The programs, in mode-major order: *)
+let level_programs (s : Pll.scaled) =
+  Array.concat
+    (List.init Pll.n_modes (fun m ->
+         Array.of_list (List.map (fun g -> (m, g)) (Pll.containment_constraints s m))))
+
+let level_margin = 1e-3
+
+(* Cheap numeric prefilter: a sampled counterexample refutes the level
+   without touching the SDP. *)
+let level_prefilter (s : Pll.scaled) cert beta =
   let n = s.Pll.nvars in
   let rng = Random.State.make [| 31 |] in
+  let ok = ref true in
   for _ = 1 to 4000 do
     if !ok then begin
       let x =
@@ -455,68 +457,131 @@ let check_level ?(mult_deg = 2) (s : Pll.scaled) cert beta =
                (match Pll.mode_domain s m with
                | theta_slab :: _ -> [ theta_slab ]
                | [] -> [])
-          && List.exists (fun g -> Poly.eval g x < margin) (Pll.containment_constraints s m)
+          && List.exists (fun g -> Poly.eval g x < level_margin)
+               (Pll.containment_constraints s m)
         then ok := false
       done
     end
   done;
-  for m = 0 to Pll.n_modes - 1 do
-    if !ok then begin
-      let v = cert.vs.(m) in
-      let n = Poly.nvars v in
-      let sublevel = Poly.sub (Poly.const n beta) v (* >= 0 inside *) in
-      let slab = Pll.mode_domain s m in
-      List.iter
-        (fun g ->
-          if !ok then begin
-            let prob = Sos.create ~nvars:n in
-            let target =
-              Ppoly.of_poly (Poly.sub g (Poly.const n margin))
-            in
-            Sos.add_nonneg_on ?mult_deg prob ~domain:(sublevel :: slab) target;
-            let sol, _ =
-              Resilient.solve_sos pol
-                ~label:(Printf.sprintf "level:%s" (Pll.mode_name m))
-                prob
-            in
-            if not sol.Sos.certified then ok := false
-          end)
-        (Pll.containment_constraints s m)
-    end
-  done;
   !ok
 
+(* One Lemma-1 program, solved under [pol]. *)
+let level_program ~mult_deg pol (s : Pll.scaled) cert (m, g) beta =
+  let v = cert.vs.(m) in
+  let n = Poly.nvars v in
+  let sublevel = Poly.sub (Poly.const n beta) v (* >= 0 inside *) in
+  let prob = Sos.create ~nvars:n in
+  let target = Ppoly.of_poly (Poly.sub g (Poly.const n level_margin)) in
+  Sos.add_nonneg_on ~mult_deg prob ~domain:(sublevel :: Pll.mode_domain s m) target;
+  let sol, _ =
+    Resilient.solve_sos pol ~label:(Printf.sprintf "level:%s" (Pll.mode_name m)) prob
+  in
+  sol.Sos.certified
+
+(* A failed level check is an expected answer that steers the
+   bisection, not an error: probe policy (no retries, quiet), but
+   sharing the pipeline clock and fault plan. *)
+let level_policy cert = Resilient.probe cert.cfg.resilience
+
+let check_level ?(mult_deg = 2) (s : Pll.scaled) cert beta =
+  let pol = level_policy cert in
+  (not (Resilient.out_of_time pol))
+  && level_prefilter s cert beta
+  && Array.for_all (fun p -> level_program ~mult_deg pol s cert p beta) (level_programs s)
+
+(* Bisection over [check_level] that solves, at each midpoint, only the
+   prefilter and the {e active} programs — those that have failed
+   somewhere — and then confirms the final level against every program.
+   Each Lemma-1 program is monotone in β (a certificate at β is one at
+   any β' < β: add s₀·(β − β')), so a program that fails at a midpoint
+   the active set passed also fails at the final level; the confirmation
+   then activates it and the bisection is replayed from the start, the
+   memo making every step already solved free. The active set only
+   grows, so this ends, on the path and β of the plain bisection.
+   Until some level has passed every program (the floor), a check runs
+   them all, active ones first, so a deadline hit past the floor leaves
+   a level certified by every program to degrade to. *)
 let maximize_level ?(bisect_steps = 20) ?(beta_hi = 2000.0) (s : Pll.scaled) cert =
-  let t_start = Sys.time () in
-  let pol = cert.cfg.resilience in
-  let lo = ref 0.0 and hi = ref beta_hi in
-  (* Grow hi if it is certifiable outright? beta_hi is assumed infeasible. *)
-  if check_level s cert !hi then lo := !hi
-  else begin
-    let step = ref 0 in
+  let t_start = Unix.gettimeofday () in
+  let pol = level_policy cert in
+  let programs = level_programs s in
+  let memo = Hashtbl.create 64 and prefilter_memo = Hashtbl.create 32 in
+  let memoized tbl key f =
+    match Hashtbl.find_opt tbl key with
+    | Some r -> r
+    | None ->
+        let r = f () in
+        Hashtbl.add tbl key r;
+        r
+  in
+  let passes beta i =
+    memoized memo (i, beta) (fun () ->
+        level_program ~mult_deg:2 pol s cert programs.(i) beta)
+  in
+  (* Active programs in the order they were activated, so a replayed
+     step reaches the program that failed it before any activated
+     later. *)
+  let active = ref [ 0 ] in
+  let indices = List.init (Array.length programs) Fun.id in
+  (* Every program, active ones first; the first one failing at [beta]
+     is activated. *)
+  let all_pass beta =
+    let rest = List.filter (fun i -> not (List.mem i !active)) indices in
+    match List.find_opt (fun i -> not (passes beta i)) (!active @ rest) with
+    | Some i ->
+        if not (List.mem i !active) then active := !active @ [ i ];
+        false
+    | None -> true
+  in
+  (* The floor: the level every program passed at; [0.] until one has. *)
+  let certified = ref 0.0 in
+  let check beta =
+    (not (Resilient.out_of_time pol))
+    && memoized prefilter_memo beta (fun () -> level_prefilter s cert beta)
+    &&
+    if !certified > 0.0 then List.for_all (passes beta) !active
+    else begin
+      let ok = all_pass beta in
+      if ok then certified := beta;
+      ok
+    end
+  in
+  (* One walk of the bisection; [None] when the pipeline deadline
+     stopped it. *)
+  let bisect () =
+    let lo = ref 0.0 and hi = ref beta_hi in
     let stopped = ref false in
-    while !step < bisect_steps && not !stopped do
-      incr step;
-      (* A stuck/over-budget bisection degrades gracefully: stop and
-         return the largest level certified so far — a smaller but still
-         sound attractive invariant. *)
-      if Resilient.out_of_time pol then begin
-        stopped := true;
+    if check !hi then lo := !hi
+    else begin
+      let step = ref 0 in
+      while !step < bisect_steps && not !stopped do
+        incr step;
+        if Resilient.out_of_time pol then stopped := true
+        else begin
+          let mid = 0.5 *. (!lo +. !hi) in
+          if check mid then lo := mid else hi := mid
+        end
+      done
+    end;
+    if !stopped then None else Some !lo
+  in
+  let rec settle () =
+    match bisect () with
+    | None ->
+        (* A stuck/over-budget bisection degrades gracefully: the largest
+           level every program certified — a smaller but still sound
+           attractive invariant. *)
         Log.warn (fun k ->
-            k "level bisection: pipeline deadline hit after %d step(s) — degrading to \
-               certified β = %g"
-              (!step - 1) !lo)
-      end
-      else begin
-        let mid = 0.5 *. (!lo +. !hi) in
-        if check_level s cert mid then lo := mid else hi := mid
-      end
-    done
-  end;
-  let time_s = Sys.time () -. t_start in
-  ( !lo,
+            k "level bisection: pipeline deadline hit — degrading to certified β = %g"
+              !certified);
+        !certified
+    | Some lo when lo = 0.0 -> 0.0
+    | Some lo -> if all_pass lo then lo else settle ()
+  in
+  let beta = settle () in
+  ( beta,
     {
-      time_s;
+      time_s = Unix.gettimeofday () -. t_start;
       sdp_iterations = 0;
       n_constraints = 0;
       n_gram_blocks = 0;
@@ -651,7 +716,7 @@ let check_escape ?(mult_deg = 2) ?(eps = 1e-2) ?policy ~nvars ~flow ~domain ~cer
         .Sos.certified
 
 let find_escape ?(deg = 4) ?(eps = 1e-2) ?sdp_params ?policy ~nvars ~flow ~domain () =
-  let t_start = Sys.time () in
+  let t_start = Unix.gettimeofday () in
   let prob = Sos.create ~nvars in
   let e = Sos.fresh_poly prob ~deg ~min_deg:1 in
   (* -dE/dt - eps >= 0 on the domain *)
@@ -666,7 +731,7 @@ let find_escape ?(deg = 4) ?(eps = 1e-2) ?sdp_params ?policy ~nvars ~flow ~domai
         (* No escape certificate stalls the advection loop — ladder. *)
         fst (Resilient.solve_sos pol ~label:"escape-search" ?params:sdp_params prob)
   in
-  let time_s = Sys.time () -. t_start in
+  let time_s = Unix.gettimeofday () -. t_start in
   if sol.Sos.certified then Ok (Poly.chop ~tol:1e-9 (Sos.value sol e), stats_of prob sol time_s)
   else Error "no escape certificate at this degree"
 

@@ -115,14 +115,25 @@ val validate_exactly :
 
 val check_level : ?mult_deg:int -> Pll.scaled -> t -> float -> bool
 (** One Lemma-1 feasibility check: is every slice
-    [{V_q <= β} ∩ slab_q] strictly inside the certified region?
+    [{V_q <= β} ∩ slab_q] strictly inside the certified region? A
+    sampled prefilter, then one SOS program per (mode, containment
+    constraint) in mode-major order, stopping at the first failure.
     [mult_deg] (default 2) is the S-procedure multiplier degree. *)
 
 val maximize_level :
   ?bisect_steps:int -> ?beta_hi:float -> Pll.scaled -> t -> float * stats
 (** The paper's second SOS program: largest certified [β] by bisection
-    (the product [σ·β] is bilinear, so each step is a linear SOS
-    feasibility problem). Returns [0.] if even tiny levels fail. *)
+    over [[0, beta_hi]] (the product [σ·β] is bilinear, so each step is
+    a linear SOS feasibility problem). Each step solves the prefilter
+    and only the {e active} Lemma-1 programs of {!check_level} — those
+    that have failed at some level — once some level has passed every
+    program; the final level is then confirmed against all of them,
+    and a program failing there is activated and the bisection
+    replayed (memoized, so only new solves cost). Since each program is
+    monotone in [β], the result is the plain bisection's over
+    {!check_level}, bit for bit. The returned [β] always passed every
+    program; under a pipeline deadline it is the largest such level
+    reached. Returns [0.] if even tiny levels fail. *)
 
 (** An attractive invariant [X1] (Theorem 2): certificate plus maximized
     common level. *)

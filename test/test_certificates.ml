@@ -98,6 +98,96 @@ let test_level_monotone () =
   Alcotest.(check bool) "much larger level fails" false
     (Certificates.check_level s ai.Certificates.cert (100.0 *. ai.Certificates.beta))
 
+(* The plain bisection over the public Lemma-1 check that
+   [maximize_level] must reproduce, bit for bit. *)
+let plain_bisection ~steps s cert =
+  let beta_hi = 2000.0 in
+  if Certificates.check_level s cert beta_hi then beta_hi
+  else begin
+    let lo = ref 0.0 and hi = ref beta_hi in
+    for _ = 1 to steps do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if Certificates.check_level s cert mid then lo := mid else hi := mid
+    done;
+    !lo
+  end
+
+let with_policy cert pol =
+  { cert with Certificates.cfg = { cert.Certificates.cfg with Certificates.resilience = pol } }
+
+(* Scaling V_0 by 2 shrinks mode 0's slices, so the first program no
+   longer binds: a program that never failed before the floor fails at
+   the lazily reached level, and only the final confirmation and replay
+   recover the plain bisection's answer. *)
+let test_level_matches_plain_bisection () =
+  let s = Lazy.force s3 and ai = Lazy.force ai3 in
+  let steps = 12 in
+  List.iter
+    (fun c ->
+      let cert = ai.Certificates.cert in
+      let vs = Array.mapi (fun m v -> if m = 0 then Poly.scale c v else v) cert.Certificates.vs in
+      let cert () = with_policy { cert with Certificates.vs } (Resilient.default ()) in
+      let plain = plain_bisection ~steps s (cert ()) in
+      let beta, _ = Certificates.maximize_level ~bisect_steps:steps s (cert ()) in
+      Alcotest.(check bool)
+        (Printf.sprintf "V_0 x %g: same level as plain bisection (%h vs %h)" c beta plain)
+        true (beta = plain);
+      Alcotest.(check bool) "positive level" true (beta > 0.0);
+      Alcotest.(check bool) "check_level passes at the returned level" true
+        (Certificates.check_level s (cert ()) beta))
+    [ 1.0; 2.0 ]
+
+let is_level_label l = String.length l >= 6 && String.sub l 0 6 = "level:"
+
+let test_level_solve_count () =
+  let s = Lazy.force s3 and ai = Lazy.force ai3 in
+  let run_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pll-test-level-%d-%.0f" (Unix.getpid ()) (Unix.gettimeofday () *. 1e6))
+  in
+  let ctx = Supervise.create ~run_dir ~jobs:1 () in
+  let beta, _ =
+    Fun.protect
+      ~finally:(fun () -> Supervise.release ctx)
+      (fun () ->
+        Certificates.maximize_level ~bisect_steps:20 s
+          (with_policy ai.Certificates.cert (Resilient.make ~supervise:ctx ())))
+  in
+  let entries, _ = Supervise.Journal.read run_dir in
+  let levels =
+    List.length (List.filter (fun e -> is_level_label e.Supervise.Journal.label) entries)
+  in
+  Alcotest.(check bool) "supervised level equals the shared invariant's" true
+    (beta = ai.Certificates.beta);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 32 level solves journaled (%d)" levels)
+    true
+    (levels > 0 && levels <= 32)
+
+(* The pipeline deadline fires once 20 solves have run: past the first
+   level every program passed, before the bisection ends. *)
+let test_level_deadline_degrades () =
+  let s = Lazy.force s3 and ai = Lazy.force ai3 in
+  let pol = Resilient.make ~pipeline_deadline_s:10.0 () in
+  Resilient.set_wall_clock_source
+    (Some (fun () -> if Resilient.solves pol >= 20 then 1e9 else 0.0));
+  let beta, hit =
+    Fun.protect
+      ~finally:(fun () -> Resilient.set_wall_clock_source None)
+      (fun () ->
+        Resilient.begin_pipeline pol;
+        let beta, _ =
+          Certificates.maximize_level ~bisect_steps:20 s (with_policy ai.Certificates.cert pol)
+        in
+        (beta, Resilient.out_of_time pol))
+  in
+  Alcotest.(check bool) "the deadline fired" true hit;
+  Alcotest.(check bool) (Printf.sprintf "degraded level %g is positive" beta) true (beta > 0.0);
+  Alcotest.(check bool) "degraded level is below the full one" true
+    (beta < ai.Certificates.beta);
+  Alcotest.(check bool) "check_level passes at the degraded level" true
+    (Certificates.check_level s (with_policy ai.Certificates.cert (Resilient.default ())) beta)
+
 let test_member () =
   let s = Lazy.force s3 and ai = Lazy.force ai3 in
   Alcotest.(check bool) "origin inside X1" true (Certificates.member s ai [| 0.0; 0.0; 0.0 |]);
@@ -202,6 +292,9 @@ let suite =
     Alcotest.test_case "V decreases along flows" `Slow test_lyapunov_decrease;
     Alcotest.test_case "V non-increasing at jumps" `Slow test_jump_non_increase;
     Alcotest.test_case "level check monotone" `Slow test_level_monotone;
+    Alcotest.test_case "level matches plain bisection" `Slow test_level_matches_plain_bisection;
+    Alcotest.test_case "level solve count" `Slow test_level_solve_count;
+    Alcotest.test_case "level deadline degrades" `Slow test_level_deadline_degrades;
     Alcotest.test_case "membership" `Slow test_member;
     Alcotest.test_case "simulation validation" `Slow test_validate_by_simulation;
     Alcotest.test_case "invariant boundary in box" `Slow test_invariant_boundary_inside_box;

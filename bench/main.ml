@@ -1,21 +1,19 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   experimental evaluation (Section 4), plus the ablations called out in
-   DESIGN.md.
+(* Regenerates every table and figure of the paper's experimental
+   evaluation (Section 4), plus the ablations called out in DESIGN.md.
 
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe table1       -- just one artifact
      dune exec bench/main.exe --fast       -- degree-4 certificates for
                                               the 3rd order (seconds
                                               instead of minutes)
-     dune exec bench/main.exe --json P     -- also write per-artifact
-                                              wall/CPU timings and
-                                              solve/cache counters to P
 
-   Artifacts: table1 table2 fig2 fig2-replay fig3 fig4 fig5
-   ablation-reachset ablation-degree ablation-robust ablation-advect
-   extensions sweep-fast service-fast kernels. (--fast skips fig4: it
-   only re-renders fig2's already-forced pipeline, so its fast-profile
-   row measured nothing.)
+   Artifacts: table1 table2 fig2 fig3 fig4 fig5 ablation-reachset
+   ablation-degree ablation-robust ablation-advect extensions kernels.
+   (--fast skips fig4 when running everything: it only re-renders
+   fig2's already-forced pipeline.) An unknown artifact name exits 1.
+
+   Performance is measured by the repository benchmark
+   (benchsuite/run.sh), not here.
 
    Absolute times differ from the paper (different machine, different
    solver); the reproduced shape is: which step dominates the runtime
@@ -30,20 +28,12 @@ let sect title = Format.printf "@.==== %s ====@.@." title
 
 type pipeline = { scaled : Pll.scaled; report : Pll_core.Inevitability.report }
 
-(* With --json, the pipeline runs carry a (non-isolating) supervision
-   context whose content-addressed cache deduplicates identical solve
-   requests across artifacts; its counters feed the JSON report. *)
-let bench_ctx : Supervise.ctx option ref = ref None
-
 let run_pipeline ~label scaled ~degree ~max_advect_iter =
   Format.printf "[running %s pipeline with degree-%d certificates...]@." label degree;
   let cert_config =
     { (Certificates.default_config scaled.Pll.order) with Certificates.degree }
   in
-  match
-    Pll_core.Inevitability.verify ~cert_config ~max_advect_iter ?supervise:!bench_ctx
-      scaled
-  with
+  match Pll_core.Inevitability.verify ~cert_config ~max_advect_iter scaled with
   | Error e -> failwith (Printf.sprintf "%s pipeline failed: %s" label e)
   | Ok report -> { scaled; report }
 
@@ -142,25 +132,6 @@ let fig2 () =
     ~title:"Fig 2: 3rd-order attractive invariant on (v1,v2) and (v2,dphi)"
     ~planes:[ ((0, 1), "(v1, v2)"); ((1, 2), "(v2, dphi)") ]
     (Lazy.force third_pipeline)
-
-(* A fresh (non-lazy) re-run of the third-order pipeline over the same
-   problems fig2 forced. With --json active the shared supervision
-   context serves every solve from its content-addressed cache, so this
-   artifact's cache_hit_rate reads ~1.0 even on a pristine container —
-   the cache accounting is measured inside one bench run instead of
-   depending on a leftover _bench_cache/ directory (which is gitignored,
-   so fresh checkouts always ran it cold and BENCH_fast.json showed
-   zeros). *)
-let fig2_replay () =
-  sect "Fig 2 (replay): 3rd-order pipeline re-run against the warm solve cache";
-  let degree = if !fast_mode then 4 else 6 in
-  let p =
-    run_pipeline ~label:"third-order (replay)" (Lazy.force third) ~degree
-      ~max_advect_iter:12
-  in
-  Format.printf "  verified = %b; common level beta = %.4f@."
-    p.report.Pll_core.Inevitability.verified
-    p.report.Pll_core.Inevitability.invariant.Certificates.beta
 
 let fig3 () =
   fig_invariant
@@ -342,224 +313,6 @@ let extensions () =
       | Error e -> Format.printf "  start-up safety: %s@." e)
 
 (* ------------------------------------------------------------------ *)
-(* Sweep profile — a small certification atlas (lib/atlas) over the
-   pump-current x VCO-gain plane, exercising the cell pipeline the
-   sweep orchestrator runs at scale. Its cell counters feed the
-   atlas_cells/atlas_certified/atlas_quarantined fields of --json. *)
-
-(* (cells recorded, certified, quarantined) accumulated across runs. *)
-let atlas_counters = ref (0, 0, 0)
-
-let sweep_fast () =
-  sect "Sweep: fast certification atlas (3rd order, degree 4, 2x2 grid)";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pll-bench-atlas-%d" (Unix.getpid ()))
-  in
-  let ctx = Supervise.create ~run_dir:dir ~jobs:2 () in
-  let job =
-    {
-      (Atlas.default_job Pll.Third) with
-      Atlas.degree = 4;
-      bisect_steps = 4;
-      max_subdiv = 1;
-    }
-  in
-  match Atlas.Grid.parse "ip=0.9:1.1:2,kv=0.95:1.05:2" with
-  | Error e -> failwith e
-  | Ok grid -> (
-      match Atlas.run ~ctx ~resume:false job grid with
-      | Error e -> failwith ("atlas sweep failed: " ^ e)
-      | Ok report ->
-          let c0, ce0, q0 = !atlas_counters in
-          atlas_counters :=
-            ( c0 + List.length report.Atlas.records,
-              ce0 + report.Atlas.certified,
-              q0 + report.Atlas.quarantined );
-          Format.printf "%a@." Atlas.pp_summary report)
-
-(* ------------------------------------------------------------------ *)
-(* Service profile — the verification daemon (lib/service) exercised
-   end to end over two lifetimes of a forked verifyd on a temp run
-   dir: a real solve followed by a byte-identical replay from the
-   result store, then (after a graceful drain and a --resume restart
-   with the dispatcher wedged) deterministic in-flight dedup and
-   load shedding against the bounded admission queue. Its admission
-   counters feed the service_accepted/service_shed/service_deduped/
-   service_hit_rate fields of --json. *)
-
-(* (accepted, shed, deduped, cache_served, submits) accumulated. *)
-let service_counters = ref (0, 0, 0, 0, 0)
-
-(* (leases_reclaimed, redispatched, dead_lettered) accumulated — the
-   daemon's worker-supervision counters, fed by the batch lifetime. *)
-let service_lease_counters = ref (0, 0, 0)
-
-let service_fast () =
-  sect "Service: daemon admission, dedup and load shedding (3rd order, degree 4)";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pll-bench-service-%d" (Unix.getpid ()))
-  in
-  Unix.mkdir dir 0o755;
-  let base =
-    {
-      (Service.Daemon.default_config ~run_dir:dir) with
-      Service.Daemon.workers = 1;
-      queue_cap = 1;
-    }
-  in
-  let sock = Service.Daemon.socket_path base in
-  let start config =
-    (* The daemon chats on stdout; keep its lines out of the bench
-       report. *)
-    Format.pp_print_flush Format.std_formatter ();
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        let log =
-          Unix.openfile (Filename.concat dir "daemon.log")
-            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-            0o644
-        in
-        Unix.dup2 log Unix.stdout;
-        Unix.dup2 log Unix.stderr;
-        Unix.close log;
-        exit (Service.Daemon.run config)
-    | pid ->
-        (* A socket file can linger across lifetimes; ready means the
-           daemon answers status. *)
-        let rec ready n =
-          if n > 100 then failwith "service-fast: daemon never became ready"
-          else
-            match Service.Client.status ~sock () with
-            | Ok _ -> ()
-            | Error _ ->
-                Unix.sleepf 0.1;
-                ready (n + 1)
-        in
-        ready 0;
-        pid
-  in
-  let stop pid =
-    (match Service.Client.stop ~sock () with
-    | Ok _ -> ()
-    | Error e -> failwith ("service-fast: stop failed: " ^ e));
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> ()
-    | _, st ->
-        let code = match st with Unix.WEXITED c -> c | _ -> -1 in
-        failwith (Printf.sprintf "service-fast: daemon did not drain cleanly (%d)" code)
-  in
-  let ok what = function
-    | Ok j -> j
-    | Error e -> failwith (Printf.sprintf "service-fast: %s: %s" what e)
-  in
-  let spec point =
-    {
-      (Service.Job.default_spec Pll.Third) with
-      Service.Job.degree = 4;
-      bisect_steps = 4;
-      point;
-    }
-  in
-  let record_status () =
-    let s = ok "status" (Service.Client.status ~sock ()) in
-    let n field =
-      match Service.Json.mem_num field s with
-      | Some v -> int_of_float v
-      | None -> failwith ("service-fast: status lacks " ^ field)
-    in
-    let a0, s0, d0, c0, t0 = !service_counters in
-    service_counters :=
-      (a0 + n "accepted", s0 + n "shed", d0 + n "deduped", c0 + n "cache_served",
-       t0 + n "submits");
-    let l0, r0, dl0 = !service_lease_counters in
-    service_lease_counters :=
-      (l0 + n "leases_reclaimed", r0 + n "redispatched", dl0 + n "dead_lettered")
-  in
-  let typ j = Option.value ~default:"?" (Service.Json.mem_str "type" j) in
-  (* Lifetime 1: a real solve, then a replay served from the result
-     store. *)
-  let pid = start base in
-  let r1 = ok "job A" (Service.Client.submit ~sock (spec [])) in
-  let r2 = ok "job A (replay)" (Service.Client.submit ~sock (spec [])) in
-  if Service.Json.mem_bool "cached" r2 <> Some true then
-    failwith "service-fast: replay was not served from the result store";
-  record_status ();
-  stop pid;
-  (* Lifetime 2: resume over the same ledger with the dispatcher
-     wedged, so dedup and shedding are deterministic. *)
-  let pid =
-    start
-      {
-        base with
-        Service.Daemon.resume = true;
-        faults = [ Service.Daemon.Fault.Wedge_queue ];
-      }
-  in
-  let b = spec [ (Pll.Ip, 1.01) ] in
-  let sub s = Service.Client.submit ~sock ~wait:false s in
-  let j1 = ok "job B" (sub b) in
-  let j2 = ok "job B (dup)" (sub b) in
-  let j3 = ok "job C (over cap)" (sub (spec [ (Pll.Ip, 1.02) ])) in
-  if typ j1 <> "accepted" then failwith "service-fast: job B was not accepted";
-  if Service.Json.mem_bool "deduped" j2 <> Some true then
-    failwith "service-fast: duplicate submit was not deduped";
-  if typ j3 <> "overloaded" then
-    failwith "service-fast: over-cap submit was not shed";
-  record_status ();
-  stop pid;
-  (* Lifetime 3: batch mode — a bulk submission of two atlas cells
-     through the daemon's leased per-cell jobs, with the first cell's
-     worker SIGKILLed on launch so the redispatch path is on the
-     measured path too. *)
-  let pid =
-    start
-      {
-        base with
-        Service.Daemon.resume = true;
-        queue_cap = 4;
-        faults = [ Service.Daemon.Fault.Kill_worker "c0" ];
-      }
-  in
-  let bulk_job =
-    {
-      (Atlas.default_job Pll.Third) with
-      Atlas.degree = 4;
-      bisect_steps = 4;
-      max_subdiv = 0;
-    }
-  in
-  let cells =
-    match Atlas.Grid.parse "ip=0.95:1.05:2" with
-    | Ok g -> Atlas.grid_cells g
-    | Error e -> failwith ("service-fast: " ^ e)
-  in
-  let bulk_ok =
-    Atlas.exec_via_daemon ~sock ~retries:3 bulk_job cells
-    |> List.for_all (function
-         | Ok p -> p.Service.Bulk.ok
-         | Error e -> failwith ("service-fast: bulk cell failed: " ^ e))
-  in
-  if not bulk_ok then failwith "service-fast: a bulk cell was not certified";
-  record_status ();
-  stop pid;
-  Format.printf "  job A verdict: %s; replay cached: %b@."
-    (Option.value ~default:"?"
-       (Option.bind (Service.Json.member "result" r1) (Service.Json.mem_str "verdict")))
-    (Service.Json.mem_bool "cached" r2 = Some true);
-  let a, sh, d, c, t = !service_counters in
-  Format.printf
-    "  admission: accepted=%d shed=%d deduped=%d cache_served=%d of %d submits@." a sh d
-    c t;
-  let lr, rd, dl = !service_lease_counters in
-  Format.printf "  supervision: leases_reclaimed=%d redispatched=%d dead_lettered=%d@."
-    lr rd dl;
-  ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the numerical kernels.                 *)
 
 let kernels () =
@@ -631,220 +384,15 @@ let kernels () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Per-artifact accounting for --json: wall clock, CPU seconds of this
-   process, interior-point solve/iteration counts, warm-start session
-   counters, and the supervision cache counters when a context is
-   active. [cache_hit_rate] is hits over supervised requests — a real
-   rate now that the bench cache dir persists across runs. *)
-type row = {
-  name : string;
-  wall_s : float;
-  cpu_s : float;
-  solves : int;
-  iterations : int;
-  warm_accepted : int;
-  warm_rejected : int;
-  cache_hits : int;
-  cache_stores : int;
-  cache_hit_rate : float;
-  atlas_cells : int;
-  atlas_certified : int;
-  atlas_quarantined : int;
-  service_accepted : int;
-  service_shed : int;
-  service_deduped : int;
-  service_hit_rate : float;
-  leases_reclaimed : int;
-  redispatched : int;
-  dead_lettered : int;
-}
-
-let row_to_json r =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"wall_s\":%.3f,\"cpu_s\":%.3f,\"solves\":%d,\"iterations\":%d,\"warm_accepted\":%d,\"warm_rejected\":%d,\"cache_hits\":%d,\"cache_stores\":%d,\"cache_hit_rate\":%.3f,\"atlas_cells\":%d,\"atlas_certified\":%d,\"atlas_quarantined\":%d,\"service_accepted\":%d,\"service_shed\":%d,\"service_deduped\":%d,\"service_hit_rate\":%.3f,\"leases_reclaimed\":%d,\"redispatched\":%d,\"dead_lettered\":%d}"
-    r.name r.wall_s r.cpu_s r.solves r.iterations r.warm_accepted r.warm_rejected
-    r.cache_hits r.cache_stores r.cache_hit_rate r.atlas_cells r.atlas_certified
-    r.atlas_quarantined r.service_accepted r.service_shed r.service_deduped
-    r.service_hit_rate r.leases_reclaimed r.redispatched r.dead_lettered
-
-(* CPU seconds of this process and of every child it has reaped: forked
-   workers and pool children do most of a supervised run's work, which
-   [Sys.time] never sees. *)
-let cpu_now () =
-  let t = Unix.times () in
-  t.Unix.tms_utime +. t.Unix.tms_stime +. t.Unix.tms_cutime +. t.Unix.tms_cstime
-
-let instrument rows (name, f) =
-  ( name,
-    fun () ->
-      let hits0, stores0, sup0 =
-        match !bench_ctx with
-        | Some ctx ->
-            let s = Supervise.stats ctx in
-            (s.Supervise.cache_hits, s.Supervise.cache_stores, s.Supervise.supervised)
-        | None -> (0, 0, 0)
-      in
-      let solves0 = Sdp.solve_count () in
-      let iters0 = Sdp.iteration_count () in
-      let wt0 = Sdp.Session.totals () in
-      let ac0, ace0, aq0 = !atlas_counters in
-      let sa0, ss0, sd0, sc0, st0 = !service_counters in
-      let lr0, rd0, dl0 = !service_lease_counters in
-      let w0 = Unix.gettimeofday () and c0 = cpu_now () in
-      f ();
-      let hits1, stores1, sup1 =
-        match !bench_ctx with
-        | Some ctx ->
-            let s = Supervise.stats ctx in
-            (s.Supervise.cache_hits, s.Supervise.cache_stores, s.Supervise.supervised)
-        | None -> (0, 0, 0)
-      in
-      let wt1 = Sdp.Session.totals () in
-      let ac1, ace1, aq1 = !atlas_counters in
-      let sa1, ss1, sd1, sc1, st1 = !service_counters in
-      let lr1, rd1, dl1 = !service_lease_counters in
-      rows :=
-        {
-          name;
-          wall_s = Unix.gettimeofday () -. w0;
-          cpu_s = cpu_now () -. c0;
-          solves = Sdp.solve_count () - solves0;
-          iterations = Sdp.iteration_count () - iters0;
-          warm_accepted = wt1.Sdp.Session.warm_accepted - wt0.Sdp.Session.warm_accepted;
-          warm_rejected = wt1.Sdp.Session.warm_rejected - wt0.Sdp.Session.warm_rejected;
-          cache_hits = hits1 - hits0;
-          cache_stores = stores1 - stores0;
-          cache_hit_rate =
-            (if sup1 = sup0 then 0.0
-             else float_of_int (hits1 - hits0) /. float_of_int (sup1 - sup0));
-          atlas_cells = ac1 - ac0;
-          atlas_certified = ace1 - ace0;
-          atlas_quarantined = aq1 - aq0;
-          service_accepted = sa1 - sa0;
-          service_shed = ss1 - ss0;
-          service_deduped = sd1 - sd0;
-          service_hit_rate =
-            (if st1 = st0 then 0.0
-             else float_of_int (sc1 - sc0) /. float_of_int (st1 - st0));
-          leases_reclaimed = lr1 - lr0;
-          redispatched = rd1 - rd0;
-          dead_lettered = dl1 - dl0;
-        }
-        :: !rows )
-
-let write_json path rows =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"fast\":%b,\"total_solves\":%d,\"artifacts\":[%s]}\n" !fast_mode
-    (Sdp.solve_count ())
-    (String.concat "," (List.rev_map row_to_json rows));
-  close_out oc;
-  Format.printf "@.[wrote %d artifact timing row(s) to %s]@." (List.length rows) path
-
-(* ------------------------------------------------------------------ *)
-(* bench ab <old.json> <new.json> — per-artifact deltas with a
-   noise-aware regression gate.                                       *)
-
-let ab_load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  match Service.Json.parse s with
-  | Error e -> failwith (Printf.sprintf "%s: %s" path e)
-  | Ok j -> (
-      match Service.Json.member "artifacts" j with
-      | Some a -> (
-          match Service.Json.arr a with
-          | Some rows ->
-              List.filter_map
-                (fun r ->
-                  match Service.Json.mem_str "name" r with
-                  | Some name ->
-                      let num k = Option.value ~default:0.0 (Service.Json.mem_num k r) in
-                      Some (name, (num "wall_s", num "cpu_s", num "iterations", num "cache_hit_rate"))
-                  | None -> None)
-                rows
-          | None -> failwith (path ^ ": \"artifacts\" is not an array"))
-      | None -> failwith (path ^ ": no \"artifacts\" member"))
-
-(* Regression = new wall exceeds old by 20% plus a 0.5s absolute floor,
-   so sub-second artifacts can't trip the gate on scheduler noise. *)
-let ab_regressed ~old_wall ~new_wall = new_wall > (old_wall *. 1.2) +. 0.5
-
-let ab old_path new_path =
-  let olds = ab_load old_path and news = ab_load new_path in
-  let regressions = ref [] in
-  Format.printf "  %-20s %22s %22s %18s %14s@." "artifact" "wall (s)" "cpu (s)"
-    "iterations" "cache hit rate";
-  List.iter
-    (fun (name, (nw, nc, ni, nh)) ->
-      match List.assoc_opt name olds with
-      | None -> Format.printf "  %-20s (new artifact: %.3fs wall)@." name nw
-      | Some (ow, oc, oi, oh) ->
-          let pct o n = if o = 0.0 then 0.0 else (n -. o) /. o *. 100.0 in
-          Format.printf "  %-20s %9.3f->%8.3f %s %9.3f->%8.3f %7.0f->%7.0f %6.2f->%6.2f@."
-            name ow nw
-            (Printf.sprintf "(%+.0f%%)" (pct ow nw))
-            oc nc oi ni oh nh;
-          if ab_regressed ~old_wall:ow ~new_wall:nw then regressions := name :: !regressions)
-    news;
-  List.iter
-    (fun (name, (ow, _, _, _)) ->
-      if not (List.mem_assoc name news) then
-        Format.printf "  %-20s (dropped; was %.3fs wall)@." name ow)
-    olds;
-  match !regressions with
-  | [] ->
-      Format.printf "@.  no wall-clock regressions (threshold: +20%% and +0.5s)@.";
-      0
-  | rs ->
-      Format.printf "@.  REGRESSION in: %s@." (String.concat ", " (List.rev rs));
-      1
-
 let () =
-  (match Array.to_list Sys.argv |> List.tl with
-  | [ "ab"; old_path; new_path ] -> exit (ab old_path new_path)
-  | "ab" :: _ ->
-      Format.printf "usage: bench ab <old.json> <new.json>@.";
-      exit 124
-  | _ -> ());
   let args = Array.to_list Sys.argv |> List.tl in
   fast_mode := List.mem "--fast" args;
   let args = List.filter (fun a -> a <> "--fast") args in
-  (* A path-taking flag with its path missing used to fall through to
-     artifact-name matching ("unknown artifact --json"); it is a usage
-     error, diagnosed as one. *)
-  let path_flag flag args =
-    let rec go acc = function
-      | [ f ] when f = flag ->
-          Format.eprintf "bench: %s requires a path@." flag;
-          exit 124
-      | f :: path :: rest when f = flag -> (Some path, List.rev_append acc rest)
-      | a :: rest -> go (a :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    go [] args
-  in
-  let json_path, args = path_flag "--json" args in
-  let cache_dir, args = path_flag "--cache-dir" args in
-  (* Each profile keeps a persistent cache dir (overridable with
-     --cache-dir), so repeat bench runs measure real cache hit rates
-     instead of the pristine-run-dir zeros BENCH_*.json used to show. *)
-  (if json_path <> None then
-     let dir =
-       match cache_dir with
-       | Some d -> d
-       | None ->
-           Filename.concat "_bench_cache" (if !fast_mode then "fast" else "full")
-     in
-     bench_ctx := Some (Supervise.create ~run_dir:dir ~isolate:false ()));
   let artifacts =
     [
       ("table1", table1);
       ("table2", table2);
       ("fig2", fig2);
-      ("fig2-replay", fig2_replay);
       ("fig3", fig3);
       ("fig4", fig4);
       ("fig5", fig5);
@@ -853,18 +401,11 @@ let () =
       ("ablation-robust", ablation_robust);
       ("ablation-advect", ablation_advect);
       ("extensions", extensions);
-      ("sweep-fast", sweep_fast);
-      ("service-fast", service_fast);
       ("kernels", kernels);
     ]
   in
-  let rows = ref [] in
-  let artifacts = List.map (instrument rows) artifacts in
-  (match args with
+  match args with
   | [] ->
-      (* fig4 only re-renders fig2's already-forced pipeline, so in the
-         fast profile its row measures nothing; it stays addressable by
-         name. *)
       List.iter
         (fun (name, f) -> if not (!fast_mode && name = "fig4") then f ())
         artifacts
@@ -877,5 +418,4 @@ let () =
               Format.printf "unknown artifact %s; available: %s@." name
                 (String.concat " " (List.map fst artifacts));
               exit 1)
-        names);
-  match json_path with None -> () | Some path -> write_json path !rows
+        names

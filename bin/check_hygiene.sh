@@ -11,10 +11,12 @@
 #     --run-dir must document --resume and vice versa (a driver with
 #     persistent state but no resume story, or the reverse, is a doc
 #     bug);
-#  4. the bench --json schema must keep the atlas cell counters
-#     (atlas_cells / atlas_certified / atlas_quarantined) and the
-#     daemon supervision counters (leases_reclaimed / redispatched /
-#     dead_lettered), which downstream tooling reads from BENCH_*.json;
+#  4. the run counters keep their readers — each daemon supervision
+#     counter (leases_reclaimed / redispatched / dead_lettered) is
+#     emitted by lib/service/daemon.ml's status and asserted by
+#     test/soak_smoke.ml, and each atlas counter (certified /
+#     quarantined) is emitted by Atlas.report_json and asserted by
+#     test/atlas_smoke.ml;
 #  5. the README's documented daemon CLI must match reality — the
 #     `verifyd flags:` line in README.md and the flags reported by
 #     `verifyd --help` must be the same set, both ways (only checked
@@ -23,11 +25,10 @@
 #     arguments — `Sos.solve` takes configuration through
 #     `?options:Sos.Options.t` only, and `Sdp.Session.solve` through
 #     `?hint`/`?params` only (new knobs belong in the records);
-#  7. performance PRs must carry bench evidence — when run in a git
-#     work tree with pending changes under lib/sdp/ or lib/linalg/,
-#     some BENCH_*.json must change too (regenerate with
-#     `dune exec bench/main.exe -- --fast ... --json` and compare via
-#     `bench ab`);
+#  7. solver-core changes must carry benchmark evidence — when run in
+#     a git work tree with pending changes under lib/sdp/ or
+#     lib/linalg/, EXPERIMENTS.md must change too, and its added lines
+#     must record a `benchsuite/run.sh ab OLD NEW` pair;
 #  8. run-directory state and fault plans keep one substrate — outside
 #     lib/substrate, no lib/ or bin/ source opens a file for appending
 #     (`O_APPEND`/`Open_append`: a second ledger) or mentions the `'@'`
@@ -44,7 +45,11 @@
 #     result-file handoff cannot come back next to the pipe framing;
 # 11. step clocks are wall-clock spans — no lib/certificates or
 #     lib/advect source mentions `Sys.time`, whose CPU seconds of this
-#     process miss the work a supervised solve does in its worker.
+#     process miss the work a supervised solve does in its worker;
+# 12. one benchmark gate — no BENCH_*.json is tracked, and
+#     bench/main.ml has no "ab", "--json" or "--cache-dir" literal:
+#     bench/main.exe prints the paper's artifacts, and benchsuite/run.sh
+#     measures performance.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -75,13 +80,25 @@ for ml in "$repo"/bin/*.ml; do
     fail "${ml#"$repo"/} documents only one of --run-dir/--resume; a persistent driver must offer both"
 done
 
-# Bench atlas + daemon-supervision counters (check 4).
-bench="$repo/bench/main.ml"
-if [ -f "$bench" ]; then
-  for field in atlas_cells atlas_certified atlas_quarantined \
-               leases_reclaimed redispatched dead_lettered; do
-    grep -q "$field" "$bench" || \
-      fail "bench/main.ml --json schema lost the $field counter"
+# Daemon supervision and atlas counters keep their readers (check 4).
+daemon="$repo/lib/service/daemon.ml"
+soak="$repo/test/soak_smoke.ml"
+if [ -f "$daemon" ]; then
+  for field in leases_reclaimed redispatched dead_lettered; do
+    grep -qF "(\"$field\", Json.Num" "$daemon" || \
+      fail "lib/service/daemon.ml's status no longer emits the $field counter"
+    grep -qE "json_int .*\"$field\"" "$soak" 2>/dev/null || \
+      fail "test/soak_smoke.ml no longer asserts the $field counter"
+  done
+fi
+atlas="$repo/lib/atlas/atlas.ml"
+atlas_smoke="$repo/test/atlas_smoke.ml"
+if [ -f "$atlas" ]; then
+  for field in certified quarantined; do
+    grep -qF '\"'"$field"'\":%d' "$atlas" || \
+      fail "Atlas.report_json no longer emits the $field counter"
+    grep -qE "json_int .*\"$field\"" "$atlas_smoke" 2>/dev/null || \
+      fail "test/atlas_smoke.ml no longer asserts the $field counter"
   done
 fi
 
@@ -145,17 +162,31 @@ strays="$(grep -nE 'Sys\.time' "$repo"/lib/certificates/* "$repo"/lib/advect/* 2
 [ -z "$strays" ] || \
   fail "CPU-time step clocks in lib/certificates or lib/advect (time steps with Unix.gettimeofday):$(echo " $strays" | sed "s|$repo/||g")"
 
+# One benchmark gate (check 12, the tracked-file half is below).
+bench="$repo/bench/main.ml"
+if [ -f "$bench" ]; then
+  strays="$(grep -nE '"(ab|--json|--cache-dir)"' "$bench" || true)"
+  [ -z "$strays" ] || \
+    fail "a second perf harness in bench/main.ml (measure with benchsuite/run.sh):$(echo " $strays")"
+fi
+
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"
   if [ -n "$root" ]; then
     tracked="$(git -C "$root" ls-files _build | head -n 1)"
     [ -z "$tracked" ] || fail "build artifacts are tracked: $tracked"
-    # Perf changes need bench evidence (check 7): pending edits to the
-    # solver core must be accompanied by a refreshed BENCH_*.json.
+    # No tracked BENCH_*.json (check 12).
+    benches="$(git -C "$root" ls-files 'BENCH_*.json')"
+    [ -z "$benches" ] || \
+      fail "tracked BENCH_*.json (measure with benchsuite/run.sh instead): $(echo $benches)"
+    # Solver-core changes need benchmark evidence (check 7): pending
+    # edits under lib/sdp or lib/linalg come with an EXPERIMENTS.md
+    # change whose added lines record a `benchsuite/run.sh ab` pair.
     pending="$(git -C "$root" diff --name-only HEAD -- 2>/dev/null || true)"
     if printf '%s\n' "$pending" | grep -qE '^lib/(sdp|linalg)/'; then
-      printf '%s\n' "$pending" | grep -q 'BENCH_.*\.json' || \
-        fail "lib/sdp or lib/linalg changed without a BENCH_*.json delta; regenerate (bench --json) and compare with 'bench ab'"
+      git -C "$root" diff HEAD -- EXPERIMENTS.md 2>/dev/null | grep '^+[^+]' \
+        | grep -qE 'benchsuite/run\.sh ab [^ ]+ [^ ]+' || \
+        fail "lib/sdp or lib/linalg changed without an EXPERIMENTS.md record of a 'benchsuite/run.sh ab OLD NEW' pair"
     fi
   fi
 fi

@@ -405,8 +405,9 @@ let shift_strictly_feasible (m : Mat.t) =
     out
   end
 
-(* Process-wide interior-point iteration counter (throughput accounting
-   for `bench ab` deltas; forked workers report their own counts). *)
+(* Process-wide interior-point iteration counter, read by the
+   benchmark's in-process counting pass (forked workers keep their own
+   counts). *)
 let iterations_total = ref 0
 
 let iteration_count () = !iterations_total
@@ -880,8 +881,9 @@ let unscale_solution d sol =
     s_blocks = Array.mapi (congruence (fun v -> 1.0 /. v)) sol.s_blocks;
   }
 
-(* Process-wide count of interior-point solves, for cheap throughput
-   accounting (bench --json, supervision reports). *)
+(* Process-wide count of interior-point solves, read by the
+   benchmark's in-process counting pass (forked workers keep their own
+   counts). *)
 let solves_total = ref 0
 
 let solve_count () = !solves_total
@@ -1066,13 +1068,6 @@ module Session = struct
       match warm_start_of_solution p sol with
       | Some w -> Hashtbl.replace t.memory w.ws_structure w
       | None -> ()
-
-  (* Feed a capsule produced elsewhere (typically in a forked pool
-     worker, shipped back over the Marshal channel) into this session's
-     memory. The producer is responsible for only capturing clean
-     solutions; [warm_start_of_solution] already rejects non-finite
-     iterates. *)
-  let remember_capsule t w = Hashtbl.replace t.memory w.ws_structure w
 
   (* Bound the cost of a failed warm attempt: the cold fallback then
      costs at most ~1/3 extra over a straight cold solve. *)

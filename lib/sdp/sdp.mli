@@ -198,12 +198,6 @@ module Session : sig
   val remember : t -> problem -> solution -> unit
   (** Feed an externally-obtained solution (cache hit, forked worker
       result) into the session's memory; ignored unless clean. *)
-
-  val remember_capsule : t -> warm_start -> unit
-  (** Feed a ready-made capsule into the session's memory — the path
-      for pool workers, which marshal capsules back to the parent
-      because live solutions' problems stay in the child. The producer
-      must only capture clean ([Optimal], fault-free) solves. *)
 end
 
 val canonical_serialization : ?params:params -> problem -> string
@@ -221,13 +215,15 @@ val fingerprint : ?params:params -> problem -> string
     solve request. *)
 
 val solve_count : unit -> int
-(** Process-wide number of {!solve} calls so far (cheap throughput
-    accounting for benchmarks and supervision reports). *)
+(** Process-wide number of {!solve} calls so far in this process; the
+    benchmark's counting pass (benchsuite/) reads it with every solve
+    run in-process. *)
 
 val iteration_count : unit -> int
-(** Process-wide number of interior-point iterations attempted so far —
-    the warm-start payoff shows up here (and in [bench ab] deltas) even
-    when solve counts are unchanged. *)
+(** Process-wide number of interior-point iterations attempted so far in
+    this process — the warm-start payoff shows up here even when solve
+    counts are unchanged; the benchmark's counting pass (benchsuite/)
+    reads it with every solve run in-process. *)
 
 val to_sdpa : problem -> string
 (** Serialize the problem in the sparse SDPA format (.dat-s), the lingua

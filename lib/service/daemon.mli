@@ -105,8 +105,6 @@ val default_config : run_dir:string -> config
     cooldown, no default deadline, 2 retries, 30 s lease TTL, 1 s
     heartbeat spacing, no faults, fresh start. *)
 
-val socket_path : config -> string
-
 val run : config -> int
 (** Run the daemon until drained (exit 0), interrupted (130), or a
     setup failure (1: lock held, un-resumed non-empty queue ledger,

@@ -53,6 +53,22 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+(* The integer after the first ["field":] in a JSON text. *)
+let json_int ~what field s =
+  let marker = "\"" ^ field ^ "\":" in
+  let n = String.length s and m = String.length marker in
+  let rec find i =
+    if i + m > n then die "%s: no %s in %s" what field s
+    else if String.sub s i m = marker then i + m
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < n && (match s.[!stop] with '0' .. '9' | '-' -> true | _ -> false) do
+    incr stop
+  done;
+  int_of_string (String.sub s start (!stop - start))
+
 let count_lines_with path needle =
   let n = ref 0 in
   let ic = open_in path in
@@ -79,8 +95,10 @@ let () =
   (* Run A: the uninterrupted reference. *)
   ignore (run ~expect:0 ~what:"run A (reference sweep)" (base ^ " -j 1 --run-dir " ^ dir "A"));
   let ref_atlas = read_file (Filename.concat root "A/atlas.json") in
-  if not (contains ref_atlas "\"certified\":4") then
+  if json_int ~what:"run A" "certified" ref_atlas <> 4 then
     die "run A did not certify all 4 cells:\n%s" ref_atlas;
+  if json_int ~what:"run A" "quarantined" ref_atlas <> 0 then
+    die "run A quarantined a cell:\n%s" ref_atlas;
 
   (* Run D: parallelism must not change the atlas. *)
   ignore (run ~expect:0 ~what:"run D (-j 4 determinism)" (base ^ " -j 4 --run-dir " ^ dir "D"));
@@ -124,6 +142,9 @@ let () =
   let qdir = Filename.concat root "C/quarantine" in
   let qfiles = try Sys.readdir qdir with _ -> [||] in
   if Array.length qfiles = 0 then die "no quarantine diagnoses written";
+  let c_atlas = read_file (Filename.concat root "C/atlas.json") in
+  if json_int ~what:"run C" "quarantined" c_atlas < 1 then
+    die "run C's atlas.json does not count its quarantined cell:\n%s" c_atlas;
   Array.iter
     (fun f ->
       let d = read_file (Filename.concat qdir f) in

@@ -490,20 +490,20 @@ let test_session_structure_mismatch_cold () =
   Alcotest.(check int) "no warm attempt on mismatch" before.Sdp.Session.warm_accepted
     after.Sdp.Session.warm_accepted
 
-(* Capsules produced elsewhere (pool workers) feed back via
-   [remember_capsule] and warm the next same-structure solve. *)
-let test_session_remember_capsule () =
+(* A solution obtained outside the session (a cache hit or a supervised
+   worker's answer) feeds back via [remember] and warms the next
+   same-structure solve. *)
+let test_session_remember () =
   let _, p0 = eig_family 0.0 in
   let sol0 = Sdp.solve p0 in
-  let w = Option.get (Sdp.warm_start_of_solution p0 sol0) in
   let sess = Sdp.Session.create () in
-  Sdp.Session.remember_capsule sess w;
+  Sdp.Session.remember sess p0 sol0;
   let a1, p1 = eig_family 0.1 in
   let sol1 = Sdp.Session.solve sess p1 in
   Alcotest.(check bool) "solved" true (sol1.Sdp.status = Sdp.Optimal);
   check_float "lambda_min" (Mat.min_eig a1) sol1.Sdp.f.(0);
   let c = Sdp.Session.counters sess in
-  Alcotest.(check int) "capsule warmed the solve" 1 c.Sdp.Session.warm_accepted;
+  Alcotest.(check int) "remembered solution warmed the solve" 1 c.Sdp.Session.warm_accepted;
   Alcotest.(check int) "no cold solve needed" 0 c.Sdp.Session.cold_solves
 
 let suite =
@@ -531,6 +531,5 @@ let suite =
       test_fingerprint_hint_invariance;
     Alcotest.test_case "session: mismatched hint falls back cold" `Quick
       test_session_structure_mismatch_cold;
-    Alcotest.test_case "session: remember_capsule warms" `Quick
-      test_session_remember_capsule;
+    Alcotest.test_case "session: remember warms" `Quick test_session_remember;
   ]

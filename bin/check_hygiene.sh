@@ -49,7 +49,13 @@
 # 12. one benchmark gate — no BENCH_*.json is tracked, and
 #     bench/main.ml has no "ab", "--json" or "--cache-dir" literal:
 #     bench/main.exe prints the paper's artifacts, and benchsuite/run.sh
-#     measures performance.
+#     measures performance;
+# 13. one daemon job kind — lib/service/jobqueue.ml declares no payload
+#     variant (no `type payload`, no constructor carrying a `Job.spec`
+#     or `Bulk.cell_spec`), lib/service/daemon.ml neither calls
+#     `Job.run` nor names `Job.storable`, and at most one storability
+#     predicate (`let …storable`) is defined under lib/service: a point
+#     is a one-cell job, stored by `Bulk.storable`.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -168,6 +174,21 @@ if [ -f "$bench" ]; then
   strays="$(grep -nE '"(ab|--json|--cache-dir)"' "$bench" || true)"
   [ -z "$strays" ] || \
     fail "a second perf harness in bench/main.ml (measure with benchsuite/run.sh):$(echo " $strays")"
+fi
+
+# One daemon job kind (check 13).
+service="$repo/lib/service"
+if [ -d "$service" ]; then
+  strays="$(grep -nE 'type[[:space:]]+payload|[A-Z][A-Za-z_]*[[:space:]]+of[[:space:]]+(Job\.spec|Bulk\.cell_spec)' \
+    "$service/jobqueue.ml" 2>/dev/null || true)"
+  [ -z "$strays" ] || \
+    fail "a second job kind in lib/service/jobqueue.ml (queue Bulk.cell_spec only):$(echo " $strays")"
+  strays="$(grep -nE 'Job\.(run|storable)\b' "$service/daemon.ml" 2>/dev/null || true)"
+  [ -z "$strays" ] || \
+    fail "a point path in lib/service/daemon.ml (run and store every job as a cell):$(echo " $strays")"
+  preds="$(grep -nE '^let[[:space:]]+([a-z_]*_)?storable\b' "$service"/*.ml 2>/dev/null || true)"
+  [ "$(printf '%s' "$preds" | grep -c .)" -le 1 ] || \
+    fail "more than one storability predicate under lib/service:$(echo " $preds" | sed "s|$repo/||g")"
 fi
 
 if command -v git >/dev/null 2>&1; then

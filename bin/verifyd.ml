@@ -124,16 +124,15 @@ let breaker_cooldown =
 
 let default_deadline =
   Arg.(value & opt (some float) None & info [ "default-deadline" ] ~docv:"SEC"
-         ~doc:"Per-job pipeline deadline applied to submitted jobs that do not \
-               carry one; a worker past deadline + grace is killed and the job \
-               reported as a structured failure.")
+         ~doc:"Per-job pipeline deadline applied to every job (point or cell) \
+               that does not carry one; a worker past deadline + grace is killed \
+               and the job answered as $(b,budget-exhausted).")
 
 let job_retries =
   Arg.(value & opt int 2 & info [ "job-retries" ] ~docv:"N"
          ~doc:"Worker re-dispatches (with jittered exponential backoff) per job \
-               before the job is dead-lettered (points fail as \
-               $(b,worker-crash); cells come back as a $(b,crash)-kind probe \
-               with the attempt history).")
+               before the job is dead-lettered and answered as a $(b,crash)-kind \
+               failure carrying the attempt history.")
 
 let lease_ttl =
   Arg.(value & opt float 30.0 & info [ "lease-ttl" ] ~docv:"SEC"

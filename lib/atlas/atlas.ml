@@ -460,6 +460,9 @@ let cell_to_spec (job : job) (c : cell) =
     full = job.full;
     exact = job.exact;
     bisect_steps = job.bisect_steps;
+    advect_iters = Service.Bulk.default_advect_iters;
+    psd_tol = None;
+    eq_tol = None;
     budget_s = job.cell_budget_s;
     cell_id = c.id;
     depth = c.depth;

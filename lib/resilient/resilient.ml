@@ -400,19 +400,6 @@ let outcome_string = function
   | Degraded -> "degraded"
   | Failed -> "failed"
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float f =
   if Float.is_nan f then "\"nan\""
   else if f = Float.infinity then "\"inf\""
@@ -422,17 +409,17 @@ let json_float f =
 let attempt_to_json a =
   Printf.sprintf
     "{\"rung\":\"%s\",\"status\":\"%s\",\"iterations\":%d,\"gap\":%s,\"primal_res\":%s,\"dual_res\":%s,\"best_score\":%s,\"faults_fired\":%d,\"time_s\":%s}"
-    (json_escape (rung_name a.rung))
+    (Substrate.Json.escape (rung_name a.rung))
     (status_string a.status) a.iterations (json_float a.gap) (json_float a.primal_res)
     (json_float a.dual_res) (json_float a.best_score) a.faults_fired (json_float a.time_s)
 
 let diagnosis_to_json d =
   Printf.sprintf
     "{\"label\":\"%s\",\"solve_index\":%d,\"outcome\":\"%s\",\"accepted_rung\":%s,\"deadline_hit\":%b,\"attempts\":[%s]}"
-    (json_escape d.label) d.solve_index (outcome_string d.outcome)
+    (Substrate.Json.escape d.label) d.solve_index (outcome_string d.outcome)
     (match d.accepted_rung with
     | None -> "null"
-    | Some r -> Printf.sprintf "\"%s\"" (json_escape (rung_name r)))
+    | Some r -> Printf.sprintf "\"%s\"" (Substrate.Json.escape (rung_name r)))
     d.deadline_hit
     (String.concat "," (List.map attempt_to_json d.attempts))
 

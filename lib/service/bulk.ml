@@ -1,8 +1,8 @@
-(* Batch (atlas) cells as daemon jobs: the canonical wire format for a
-   cell of a parameter sweep, its content fingerprint, the probe payload
-   that crosses back, and the cell certifier itself ([run]) — the
-   local atlas pool and the daemon's workers both certify cells here,
-   through Job's pipeline. *)
+(* Cells, the daemon's one job type: the canonical wire format for a
+   box of parameters (a sweep cell, or a point as a degenerate box), its
+   content fingerprint, the probe payload that crosses back, and the
+   cell certifier itself ([run]) — the local atlas pool and the daemon's
+   workers both certify cells here, through Job's pipeline. *)
 
 type cell_spec = {
   order : Pll.order;
@@ -11,6 +11,9 @@ type cell_spec = {
   full : bool;
   exact : bool;
   bisect_steps : int;
+  advect_iters : int;
+  psd_tol : float option;
+  eq_tol : float option;
   budget_s : float option;
   cell_id : string;
   depth : int;
@@ -21,6 +24,11 @@ type cell_spec = {
 (* Canonical line + fingerprint *)
 
 let magic = "pll-cell v1"
+
+(* Advect's default cap, which --full sweep cells have always run with
+   (point jobs default to 25). A cell line names its cap only when it
+   differs, so sweep cells keep the line they always had. *)
+let default_advect_iters = 20
 
 let box_to_string box =
   String.concat ","
@@ -53,6 +61,10 @@ let to_line ?(with_identity = true) c =
   Buffer.add_string b magic;
   Printf.bprintf b " order=%s degree=%d robust=%b full=%b exact=%b bisect=%d"
     (Job.order_name c.order) c.degree c.robust c.full c.exact c.bisect_steps;
+  if c.advect_iters <> default_advect_iters then
+    Printf.bprintf b " advect=%d" c.advect_iters;
+  Option.iter (Printf.bprintf b " psd-tol=%h") c.psd_tol;
+  Option.iter (Printf.bprintf b " eq-tol=%h") c.eq_tol;
   Printf.bprintf b " box=%s" (box_to_string c.box);
   if with_identity then begin
     Printf.bprintf b " id=%s depth=%d" c.cell_id c.depth;
@@ -96,18 +108,23 @@ let of_line line =
     in
     let* degree = int_field "degree" (Job.paper_degree order) in
     let* bisect_steps = int_field "bisect" 6 in
+    let* advect_iters = int_field "advect" default_advect_iters in
     let* depth = int_field "depth" 0 in
-    let* budget_s =
-      match get "budget" with
+    let float_field k =
+      match get k with
       | None -> Ok None
       | Some v -> (
           match float_of_string_opt v with
           | Some f -> Ok (Some f)
-          | None -> Error (Printf.sprintf "bad budget field %S" v))
+          | None -> Error (Printf.sprintf "bad %s field %S" k v))
     in
+    let* psd_tol = float_field "psd-tol" in
+    let* eq_tol = float_field "eq-tol" in
+    let* budget_s = float_field "budget" in
     let* box =
       match get "box" with
-      | None | Some "" -> Error "missing box"
+      | None -> Error "missing box"
+      | Some "" -> Ok []
       | Some s -> box_of_string s
     in
     Ok
@@ -118,6 +135,9 @@ let of_line line =
         full = get "full" = Some "true";
         exact = get "exact" = Some "true";
         bisect_steps;
+        advect_iters;
+        psd_tol;
+        eq_tol;
         budget_s;
         cell_id = Option.value (get "id") ~default:"";
         depth;
@@ -126,24 +146,48 @@ let of_line line =
 
 let fingerprint c = Digest.to_hex (Digest.string (to_line ~with_identity:false c))
 
+(* A point is a degenerate box, listed in canonical axis order so the
+   fingerprint does not depend on how the client ordered the axes. *)
+let of_spec (spec : Job.spec) =
+  {
+    order = spec.Job.order;
+    degree = spec.Job.degree;
+    robust = spec.Job.robust;
+    full = spec.Job.property = Job.Full;
+    exact = false;
+    bisect_steps = spec.Job.bisect_steps;
+    advect_iters = spec.Job.advect_iters;
+    psd_tol = spec.Job.psd_tol;
+    eq_tol = spec.Job.eq_tol;
+    budget_s = spec.Job.deadline_s;
+    cell_id = "point";
+    depth = 0;
+    box = List.map (fun (a, v) -> (a, v, v)) (Job.sort_point spec.Job.point);
+  }
+
 let validate c =
   let ( let* ) = Result.bind in
   let* () = if c.degree > 0 then Ok () else Error "degree must be positive" in
   let* () =
     if c.bisect_steps >= 0 then Ok () else Error "bisect steps must be >= 0"
   in
+  let* () =
+    if c.advect_iters > 0 then Ok () else Error "advect iters must be positive"
+  in
   let* () = if c.cell_id <> "" then Ok () else Error "cell id must be non-empty" in
-  let* () = if c.box <> [] then Ok () else Error "cell box must be non-empty" in
-  List.fold_left
-    (fun acc (a, lo, hi) ->
-      let* () = acc in
-      if Float.is_finite lo && Float.is_finite hi && lo > 0.0 && hi >= lo then
-        Ok ()
-      else
-        Error
-          (Printf.sprintf "box bounds for %s must be positive finite with lo <= hi"
-             (Pll.axis_name a)))
-    (Ok ()) c.box
+  let* () =
+    List.fold_left
+      (fun acc (a, lo, hi) ->
+        let* () = acc in
+        if Float.is_finite lo && Float.is_finite hi && lo > 0.0 && hi >= lo then
+          Ok ()
+        else
+          Error
+            (Printf.sprintf "box bounds for %s must be positive finite with lo <= hi"
+               (Pll.axis_name a)))
+      (Ok ()) c.box
+  in
+  Result.map ignore (Job.raw_of_box c.order c.box)
 
 (* ----------------------------------------------------------------- *)
 (* Probes *)
@@ -171,14 +215,19 @@ let probe_fail ~kind ~detail =
     attempt_s = 0.0;
   }
 
+(* The verdict a probe carries, by the one kind table. *)
+let verdict p =
+  if p.ok then Job.Verified
+  else
+    match List.assoc_opt p.kind Job.kinds with
+    | Some Job.Not_established -> Job.Not_established
+    | _ -> Job.Failed
+
 (* Conclusive probes are facts about the cell's problem and may be
-   replayed from the result store; budget- or fault-shaped ones are
-   not. Mirrors the Point rule (Failed / deadline-cut runs are never
-   stored). *)
-let probe_storable p =
-  p.ok
-  || List.mem p.kind
-       [ "infeasible"; "level-collapse"; "not-established"; "exact-unproven"; "bad-cell" ]
+   replayed from the result store; budget- or fault-shaped ones
+   (Failed) are not. This is also why the fingerprint may soundly
+   exclude the budget. *)
+let storable p = verdict p <> Job.Failed
 
 let probe_to_json p =
   Json.Obj
@@ -219,10 +268,6 @@ let probe_of_json j =
 (* ----------------------------------------------------------------- *)
 (* Certification *)
 
-(* Advect's default cap, which --full sweep cells have always run with;
-   kept so full atlases do not move (point jobs default to 25). *)
-let advect_iters = 20
-
 let run ~ctx ?faults c =
   let box =
     if c.robust then c.box
@@ -243,7 +288,9 @@ let run ~ctx ?faults c =
           degree = c.degree;
           robust = c.robust;
           bisect_steps = c.bisect_steps;
-          advect_iters;
+          advect_iters = c.advect_iters;
+          psd_tol = c.psd_tol;
+          eq_tol = c.eq_tol;
           deadline_s = c.budget_s;
         }
       in

@@ -1,13 +1,15 @@
-(** Batch (atlas) cells as daemon jobs.
+(** Cells: the daemon's one job type.
 
-    A bulk submission ships a list of sweep cells to the daemon, which
-    shards them into per-cell jobs over the shared solve cache and
-    streams per-cell completions back. This module defines the shared
-    vocabulary of that path: the {!cell_spec} wire format (a canonical
-    one-line rendering with hex floats, like {!Job.to_line}), its
-    content {!fingerprint}, the {!probe} payload a completed cell
-    answers with — and {!run}, the one cell certifier, used both by the
-    local atlas pool and by the daemon's workers. *)
+    A cell is a box of relative parameters; a verification point is the
+    degenerate box ({!of_spec}). A bulk submission ships a list of sweep
+    cells to the daemon and a [submit] ships one point; either way the
+    daemon queues, runs, stores and dead-letters cells over the shared
+    solve cache. This module defines the shared vocabulary: the
+    {!cell_spec} wire format (a canonical one-line rendering with hex
+    floats), its content {!fingerprint}, the {!probe} a completed cell
+    answers with and its {!verdict} — and {!run}, the one cell
+    certifier, used both by the local atlas pool and by the daemon's
+    workers. *)
 
 (** Everything that determines one cell's certification problem, plus
     its sweep identity (cell id, depth) and budget. *)
@@ -18,17 +20,25 @@ type cell_spec = {
   full : bool;  (** full P1+P2 pipeline instead of P1 only *)
   exact : bool;  (** gate certification on exact re-validation *)
   bisect_steps : int;
+  advect_iters : int;  (** advection cap of [full] cells *)
+  psd_tol : float option;  (** a-posteriori PSD tolerance override *)
+  eq_tol : float option;  (** a-posteriori equality tolerance override *)
   budget_s : float option;  (** per-cell pipeline deadline *)
   cell_id : string;
   depth : int;
   box : (Pll.axis * float * float) list;  (** per-axis [lo, hi], relative *)
 }
 
+val default_advect_iters : int
+(** 20, the advection cap sweep cells have always run with. *)
+
 val to_line : ?with_identity:bool -> cell_spec -> string
 (** Canonical one-line rendering, magic [pll-cell v1], floats in hex.
-    [with_identity:false] drops the cell id, depth and budget — the
-    fingerprint input, so results are shared by box content, not by
-    grid position or budget. *)
+    [advect_iters], [psd_tol] and [eq_tol] are rendered only when they
+    differ from the cell defaults (20, none, none), so sweep cells keep
+    their line and fingerprint. [with_identity:false] drops the cell id,
+    depth and budget — the fingerprint input, so results are shared by
+    box content, not by grid position or budget. *)
 
 val of_line : string -> (cell_spec, string) result
 
@@ -36,7 +46,18 @@ val fingerprint : cell_spec -> string
 (** Hex digest of [to_line ~with_identity:false] — the dedup and
     result-store key. *)
 
+val of_spec : Job.spec -> cell_spec
+(** A point job as a one-cell job: each point axis becomes a degenerate
+    interval (in canonical axis order; the nominal point is the empty
+    box), [full] iff the property is [Full], the deadline becomes the
+    budget, [exact = false], cell id [point], depth 0. {!run} on it
+    builds the model {!Job.run} builds, robust or not. *)
+
 val validate : cell_spec -> (unit, string) result
+(** Structural sanity (positive degree and advection cap, non-negative
+    bisection steps, a cell id, positive finite bounds with lo <= hi)
+    and that every box axis exists at the order. The empty box (the
+    nominal model) is valid. *)
 
 (** A completed cell's answer, local or remote alike, so a daemon
     answer lands in the atlas quarantine format verbatim. *)
@@ -44,8 +65,8 @@ type probe = {
   ok : bool;
   beta : float;  (** maximized invariant level when [ok] *)
   kind : string;
-      (** {!Job.kinds} entry (or [bad-cell], or an atlas-side [injected] /
-          [crash]) when not [ok]; [""] when ok *)
+      (** {!Job.kinds} entry (or [bad-cell], or an atlas-side [injected])
+          when not [ok]; [""] when ok *)
   detail : string;
   journal : string option;  (** full diagnosis JSON for quarantine forensics *)
   solves : int;
@@ -56,12 +77,15 @@ type probe = {
 val probe_fail : kind:string -> detail:string -> probe
 (** A not-ok probe with zero counters and journal [{"error":DETAIL}]. *)
 
-val probe_storable : probe -> bool
-(** Whether the probe is a fact about the cell's problem (certified, or
-    conclusively refuted) rather than an artifact of budgets or faults
-    — only storable probes enter the daemon's result store. Agrees with
-    {!Job.storable} on every kind a cell can produce; [bad-cell] is
-    storable, unlike a point's [bad-point]. *)
+val verdict : probe -> Job.verdict
+(** [Verified] when [ok], else the {!Job.kinds} verdict of [kind];
+    kinds outside that table ([bad-cell], [injected]) are [Failed]. *)
+
+val storable : probe -> bool
+(** [verdict p <> Failed]: whether the probe is a fact about the cell's
+    problem (certified, or conclusively refuted) rather than an artifact
+    of budgets or faults — the one rule for what enters the daemon's
+    result store. *)
 
 val probe_to_json : probe -> Json.t
 val probe_of_json : Json.t -> (probe, string) result
@@ -70,7 +94,7 @@ val run : ctx:Supervise.ctx -> ?faults:Resilient.Faults.plan -> cell_spec -> pro
 (** Certify one cell over [ctx]'s solve cache and journal: {!Job.certify}
     on the cell midpoint (the whole box when [robust]) under a fresh
     policy with the cell budget as pipeline deadline, advection capped
-    at 20 iterations for [full] cells, and the [exact] gate saving
+    at [advect_iters] for [full] cells, and the [exact] gate saving
     [artifacts/cell-<id>.artifact]. A not-ok probe carries
     the policy's diagnosis journal ([{"error":…}] for [bad-cell], an
     axis that does not exist at the order). Re-raises

@@ -137,7 +137,7 @@ let refusal_types = [ "overloaded"; "degraded"; "draining" ]
 
 let submit_with_retries ~sock ?wait ?timeout_s ?(retries = 0)
     ?(retry_base_s = 0.5) spec =
-  let key = Job.fingerprint spec in
+  let key = Bulk.fingerprint (Bulk.of_spec spec) in
   let policy =
     {
       Resilient.Lease.default_policy with

@@ -40,8 +40,9 @@ val submit :
   Job.spec ->
   (Json.t, string) result
 (** Submit a job. With [wait] (default true) returns the terminal
-    response — a [result], or a structured refusal ([overloaded] /
-    [degraded] / [draining]); with [wait:false] returns the immediate
+    response — a [result], a structured refusal ([overloaded] /
+    [degraded] / [draining]), or an [error] (a malformed job, or a point
+    axis absent at the order); with [wait:false] returns the immediate
     admission response ([accepted] or a refusal) without waiting for
     the verdict. *)
 
@@ -57,7 +58,7 @@ val submit_with_retries :
     ([overloaded] / [degraded] / [draining]) are retried after the
     larger of their [retry_after_s] hint and a jittered exponential
     backoff step (base [retry_base_s], default 0.5 s, doubling, capped,
-    jitter keyed on the job fingerprint); connection-level failures
+    jitter keyed on the job's cell fingerprint); connection-level failures
     retry on the ladder alone. After [retries] (default 0) extra
     attempts the last response or error is returned as-is. *)
 

@@ -100,9 +100,14 @@ let socket_path cfg =
 
 type client = { cfd : Unix.file_descr; cbuf : Buffer.t }
 
+(* Which command a waiter came from: each completion is rendered as that
+   command's reply, a [result] or a [cell-result]. *)
+type reply = Result | Cell_result
+
+type waiter = { wfd : Unix.file_descr; reply : reply }
+
 type worker = {
   w_id : string;
-  key : string;  (* fault-matching key: job id for points, cell id for cells *)
   pid : int;
   kill_after : float option;  (* absolute wall deadline + grace *)
   hb_r : Unix.file_descr;  (* heartbeat pipe, read end *)
@@ -139,7 +144,7 @@ type st = {
   mutable clients : client list;
   pending : string Queue.t;
   mutable workers : worker list;
-  waiters : (string, Unix.file_descr list ref) Hashtbl.t;
+  waiters : (string, waiter list ref) Hashtbl.t;
   detached : (string, unit) Hashtbl.t;
   by_fp : (string, string) Hashtbl.t;
   retries : (string, int) Hashtbl.t;
@@ -162,19 +167,6 @@ let outbox_path st id = Filename.concat (outbox_dir st) (id ^ ".json")
 
 let dead_letter_path st id = Filename.concat (dead_letter_dir st) (id ^ ".json")
 
-(* Fault-matching key: points are addressed by job id, cells by their
-   stable sweep id (job ids depend on submission order, cell ids do
-   not). *)
-let entry_key (e : Jobqueue.entry) =
-  match e.Jobqueue.payload with
-  | Jobqueue.Point _ -> e.Jobqueue.id
-  | Jobqueue.Cell c -> c.Bulk.cell_id
-
-let entry_deadline (e : Jobqueue.entry) =
-  match e.Jobqueue.payload with
-  | Jobqueue.Point spec -> spec.Job.deadline_s
-  | Jobqueue.Cell c -> c.Bulk.budget_s
-
 let fault_fires st f =
   if List.mem f st.cfg.faults && not (List.mem f st.fired) then begin
     st.fired <- f :: st.fired;
@@ -182,12 +174,17 @@ let fault_fires st f =
   end
   else false
 
+(* A one-shot fault aimed at a job fires on its job id or on its cell id
+   (job ids depend on submission order, sweep cell ids do not). *)
+let fires_for st (e : Jobqueue.entry) fault =
+  fault_fires st (fault e.Jobqueue.id) || fault_fires st (fault e.Jobqueue.cell.Bulk.cell_id)
+
 let wedged st = List.mem Fault.Wedge_queue st.cfg.faults
 
 (* ----------------------------------------------------------------- *)
 (* Client I/O *)
 
-let send_raw st cl line =
+let send_raw cl line =
   let line = line ^ "\n" in
   let n = String.length line in
   let rec go off =
@@ -197,18 +194,17 @@ let send_raw st cl line =
       | w -> go (off + w)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          (* Satellite: a vanished client is a structured diagnosis on
-             our side, never a daemon-killing SIGPIPE. *)
+          (* A vanished client is a structured diagnosis on our side,
+             never a daemon-killing SIGPIPE. *)
           Log.info (fun k -> k "client gone mid-write (EPIPE): dropping it");
           false
       | exception Unix.Unix_error (err, _, _) ->
           Log.warn (fun k -> k "client write failed: %s" (Unix.error_message err));
           false
   in
-  ignore st;
   go 0
 
-let send st cl v = send_raw st cl (Json.to_string v)
+let send cl v = send_raw cl (Json.to_string v)
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -216,17 +212,14 @@ let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
    cancelled — unless detached (submitted no-wait, or recovered from the
    ledger), which run to completion regardless. *)
 let rec drop_client st fd =
-  (match List.find_opt (fun c -> c.cfd == fd) st.clients with
-  | Some _ -> ()
-  | None -> ());
   st.clients <- List.filter (fun c -> c.cfd != fd) st.clients;
   close_fd fd;
   let orphaned = ref [] in
   Hashtbl.iter
-    (fun id fds ->
-      if List.memq fd !fds then begin
-        fds := List.filter (fun f -> f != fd) !fds;
-        if !fds = [] then orphaned := id :: !orphaned
+    (fun id ws ->
+      if List.exists (fun w -> w.wfd == fd) !ws then begin
+        ws := List.filter (fun w -> w.wfd != fd) !ws;
+        if !ws = [] then orphaned := id :: !orphaned
       end)
     st.waiters;
   List.iter
@@ -264,129 +257,102 @@ and cancel_job st id =
           | None -> ())
       | _ -> ())
 
-let notify st id v =
+(* Answer every waiter of [id], each in its own command's terms. *)
+let notify st id render =
   (match Hashtbl.find_opt st.waiters id with
-  | Some fds ->
+  | Some ws ->
       List.iter
-        (fun fd ->
-          match List.find_opt (fun c -> c.cfd == fd) st.clients with
-          | Some cl -> if not (send st cl v) then drop_client st fd
+        (fun w ->
+          match List.find_opt (fun c -> c.cfd == w.wfd) st.clients with
+          | Some cl -> if not (send cl (render w.reply)) then drop_client st w.wfd
           | None -> ())
-        !fds
+        !ws
   | None -> ());
   Hashtbl.remove st.waiters id
 
 (* ----------------------------------------------------------------- *)
-(* Result store *)
+(* Result store and answers *)
 
-let stored_result st fp =
+let stored_probe st fp =
   match Fs.read_file (result_path st fp) with
   | exception Sys_error _ -> None
-  | bytes -> (
-      match Json.parse bytes with Ok v -> Some v | Error _ -> None)
+  | bytes -> Result.to_option (Result.bind (Json.parse bytes) Bulk.probe_of_json)
 
-let result_response ~id ~cached ?(solves = 0) result_obj =
-  let verdict = Option.value (Json.mem_str "verdict" result_obj) ~default:"failed" in
-  let exit_code =
-    match Job.verdict_of_string verdict with
-    | Ok v -> Job.exit_code v
-    | Error _ -> 1
-  in
-  Json.Obj
-    [
-      ("type", Json.Str "result");
-      ("id", Json.Str id);
-      ("verdict", Json.Str verdict);
-      ("exit", Json.Num (float_of_int exit_code));
-      ("cached", Json.Bool cached);
-      ("solves", Json.Num (float_of_int solves));
-      ("result", result_obj);
-    ]
+(* A cell's answer as one waiter sees it. A [submit] gets a [result]:
+   the verdict, its exit code and the deterministic
+   {verdict,beta,kind,detail} core. A [bulk] gets a [cell-result] with
+   the whole probe, keyed by the content fingerprint [fp] so two grid
+   cells with identical boxes (deduped onto one worker) both resolve
+   from a single line. *)
+let answer ~id ~fp ~cell_id ~cached ?(degraded = false) ?(dead_letter = false)
+    (p : Bulk.probe) = function
+  | Result ->
+      let verdict = Json.Str (Job.verdict_to_string (Bulk.verdict p)) in
+      Json.Obj
+        [
+          ("type", Json.Str "result");
+          ("id", Json.Str id);
+          ("verdict", verdict);
+          ("exit", Json.Num (float_of_int (Job.exit_code (Bulk.verdict p))));
+          ("cached", Json.Bool cached);
+          ("solves", Json.Num (float_of_int (if cached then 0 else p.Bulk.solves)));
+          ( "result",
+            Json.Obj
+              [
+                ("verdict", verdict);
+                ("beta", Json.Num p.Bulk.beta);
+                ("kind", Json.Str p.Bulk.kind);
+                ("detail", Json.Str p.Bulk.detail);
+              ] );
+        ]
+  | Cell_result ->
+      Json.Obj
+        [
+          ("type", Json.Str "cell-result");
+          ("id", Json.Str id);
+          ("fp", Json.Str fp);
+          ("cell_id", Json.Str cell_id);
+          ("cached", Json.Bool cached);
+          ("degraded", Json.Bool degraded);
+          ("dead_letter", Json.Bool dead_letter);
+          ("probe", Bulk.probe_to_json p);
+        ]
 
-let synthetic_result ~verdict ~kind ~detail =
-  Json.Obj
-    [
-      ("verdict", Json.Str (Job.verdict_to_string verdict));
-      ("beta", Json.Num 0.0);
-      ("kind", Json.Str kind);
-      ("detail", Json.Str detail);
-    ]
-
-(* [fp] is the cell's content fingerprint: the batch client keys
-   answers by it, so two grid cells with identical boxes (deduped
-   daemon-side onto one worker) both resolve from a single line. *)
-let cell_result_response ~id ~fp ~cell_id ~cached ?(degraded = false)
-    ?(dead_letter = false) probe_obj =
-  Json.Obj
-    [
-      ("type", Json.Str "cell-result");
-      ("id", Json.Str id);
-      ("fp", Json.Str fp);
-      ("cell_id", Json.Str cell_id);
-      ("cached", Json.Bool cached);
-      ("degraded", Json.Bool degraded);
-      ("dead_letter", Json.Bool dead_letter);
-      ("probe", probe_obj);
-    ]
+(* The one completion path: ledger the verdict and answer the waiters. *)
+let complete st (e : Jobqueue.entry) ?dead_letter probe =
+  Jobqueue.finish st.q e (Bulk.verdict probe);
+  notify st e.Jobqueue.id
+    (answer ~id:e.Jobqueue.id ~fp:e.Jobqueue.fp ~cell_id:e.Jobqueue.cell.Bulk.cell_id
+       ~cached:false ?dead_letter probe)
 
 (* ----------------------------------------------------------------- *)
 (* Workers *)
 
 let deadline_grace_s = 5.0
 
-let run_cell st ctx (e : Jobqueue.entry) (c : Bulk.cell_spec) =
-  let probe = Bulk.run ~ctx c in
-  let outbox =
-    Json.to_string
-      (Json.Obj
-         [
-           ("id", Json.Str e.Jobqueue.id);
-           ("fp", Json.Str e.Jobqueue.fp);
-           ("cell_id", Json.Str c.Bulk.cell_id);
-           ("probe", Bulk.probe_to_json probe);
-           ("solves", Json.Num (float_of_int probe.Bulk.solves));
-         ])
-  in
-  Fs.write_atomic (outbox_path st e.Jobqueue.id) outbox;
-  (* Only conclusive probes enter the result store — a budget- or
-     fault-shaped answer is not a fact about the cell. *)
-  if Bulk.probe_storable probe then
+(* The worker body: certify the cell, hand the probe back through the
+   outbox, and store it when it is a fact about the problem. *)
+let run_job st ctx (e : Jobqueue.entry) =
+  let probe = Bulk.run ~ctx e.Jobqueue.cell in
+  Fs.write_atomic (outbox_path st e.Jobqueue.id)
+    (Json.to_string
+       (Json.Obj
+          [
+            ("id", Json.Str e.Jobqueue.id);
+            ("fp", Json.Str e.Jobqueue.fp);
+            ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
+            ("probe", Bulk.probe_to_json probe);
+          ]));
+  if Bulk.storable probe then
     Fs.write_atomic (result_path st e.Jobqueue.fp)
       (Json.to_string (Bulk.probe_to_json probe));
-  if probe.Bulk.ok then 0 else 2
-
-let run_point st ctx (e : Jobqueue.entry) (spec : Job.spec) =
-  let policy = Job.make_policy ~supervise:ctx spec in
-  let r = Job.run ~policy spec in
-  let stable = Job.result_json r in
-  let outbox =
-    Json.to_string
-      (Json.Obj
-         [
-           ("id", Json.Str e.Jobqueue.id);
-           ("fp", Json.Str e.Jobqueue.fp);
-           ( "result",
-             match Json.parse stable with Ok v -> v | Error _ -> Json.Null );
-           ("solves", Json.Num (float_of_int r.Job.solves));
-           ("attempts", Json.Num (float_of_int r.Job.attempts));
-           ("attempt_s", Json.Num r.Job.attempt_s);
-           ("deadline_hit", Json.Bool r.Job.deadline_hit);
-         ])
-  in
-  Fs.write_atomic (outbox_path st e.Jobqueue.id) outbox;
-  (* Only clean completions enter the result store: a Failed or
-     deadline-cut run is budget-dependent, not a fact about the
-     problem, so it must not be replayed as one. (This is also
-     why the fingerprint may soundly exclude the deadline.) *)
-  if Job.storable r then
-    Fs.write_atomic (result_path st e.Jobqueue.fp) stable;
-  Job.exit_code r.Job.verdict
+  Job.exit_code (Bulk.verdict probe)
 
 let spawn_worker st (e : Jobqueue.entry) =
   let id = e.Jobqueue.id in
-  let key = entry_key e in
+  let key = e.Jobqueue.cell.Bulk.cell_id in
   Jobqueue.start st.q e;
-  if fault_fires st (Fault.Die_at id) || fault_fires st (Fault.Die_at key) then begin
+  if fires_for st e (fun k -> Fault.Die_at k) then begin
     (* Deterministic kill -9 mid-job: the start line is ledgered and
        fsync'd, the worker never runs, the daemon dies like the OOM
        killer got it. --resume recovers the job. *)
@@ -394,9 +360,7 @@ let spawn_worker st (e : Jobqueue.entry) =
     Format.pp_print_flush Format.std_formatter ();
     Unix._exit 137
   end;
-  let stall =
-    fault_fires st (Fault.Stall_worker id) || fault_fires st (Fault.Stall_worker key)
-  in
+  let stall = fires_for st e (fun k -> Fault.Stall_worker k) in
   (* kill-cell is NOT one-shot: it fires on every dispatch attempt of
      its target, so the re-dispatch budget demonstrably exhausts and
      the job dead-letters deterministically. *)
@@ -431,11 +395,7 @@ let spawn_worker st (e : Jobqueue.entry) =
           Unix.sleepf 3600.0
         done;
       let code =
-        try
-          let ctx = Supervise.create ~run_dir:st.cfg.run_dir ~isolate:false ~jobs:1 () in
-          match e.Jobqueue.payload with
-          | Jobqueue.Point spec -> run_point st ctx e spec
-          | Jobqueue.Cell c -> run_cell st ctx e c
+        try run_job st (Supervise.create ~run_dir:st.cfg.run_dir ~isolate:false ~jobs:1 ()) e
         with
         | Supervise.Interrupted -> 130
         | e ->
@@ -449,7 +409,7 @@ let spawn_worker st (e : Jobqueue.entry) =
       let kill_after =
         Option.map
           (fun d -> Unix.gettimeofday () +. d +. deadline_grace_s)
-          (entry_deadline e)
+          e.Jobqueue.cell.Bulk.budget_s
       in
       let lease =
         Resilient.Lease.grant st.lease_policy ~holder:id ~now:(Resilient.wall_now ())
@@ -457,7 +417,6 @@ let spawn_worker st (e : Jobqueue.entry) =
       st.workers <-
         {
           w_id = id;
-          key;
           pid;
           kill_after;
           hb_r;
@@ -470,11 +429,7 @@ let spawn_worker st (e : Jobqueue.entry) =
         }
         :: st.workers;
       Log.info (fun k -> k "job %s started in worker %d" id pid);
-      if
-        fault_fires st (Fault.Kill_worker id)
-        || fault_fires st (Fault.Kill_worker key)
-        || kill_always
-      then begin
+      if fires_for st e (fun k -> Fault.Kill_worker k) || kill_always then begin
         Format.printf "verifyd: fault kill-worker@%s firing on pid %d@." key pid;
         Format.pp_print_flush Format.std_formatter ();
         try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
@@ -491,63 +446,30 @@ let maybe_cache_gc st =
               stats.Supervise.Cache.evicted stats.Supervise.Cache.evicted_bytes
               stats.Supervise.Cache.entries stats.Supervise.Cache.bytes)
 
-let job_done st (e : Jobqueue.entry) (w : worker) =
-  match Fs.read_file (outbox_path st e.Jobqueue.id) with
-  | bytes when not w.cancelled -> (
-      match Json.parse bytes with
-      | Ok outbox ->
-          let solves =
-            match Json.mem_num "solves" outbox with
-            | Some f -> int_of_float f
-            | None -> 0
-          in
-          (match e.Jobqueue.payload with
-          | Jobqueue.Point _ ->
-              let result_obj =
-                Option.value (Json.member "result" outbox) ~default:Json.Null
-              in
-              let verdict =
-                match
-                  Option.bind (Json.mem_str "verdict" result_obj) (fun v ->
-                      Result.to_option (Job.verdict_of_string v))
-                with
-                | Some v -> v
-                | None -> Job.Failed
-              in
-              Jobqueue.finish st.q e verdict;
-              notify st e.Jobqueue.id
-                (result_response ~id:e.Jobqueue.id ~cached:false ~solves result_obj);
-              Format.printf "verifyd: job %s done: %s (%d solves)@." e.Jobqueue.id
-                (Job.verdict_to_string verdict)
-                solves
-          | Jobqueue.Cell c ->
-              let probe_obj =
-                Option.value (Json.member "probe" outbox) ~default:Json.Null
-              in
-              let verdict =
-                match Bulk.probe_of_json probe_obj with
-                | Ok p when p.Bulk.ok -> Job.Verified
-                | Ok p when Bulk.probe_storable p -> Job.Not_established
-                | _ -> Job.Failed
-              in
-              Jobqueue.finish st.q e verdict;
-              notify st e.Jobqueue.id
-                (cell_result_response ~id:e.Jobqueue.id ~fp:e.Jobqueue.fp
-                   ~cell_id:c.Bulk.cell_id ~cached:false probe_obj);
-              Format.printf "verifyd: cell %s (job %s) done: %s (%d solves)@."
-                c.Bulk.cell_id e.Jobqueue.id
-                (Job.verdict_to_string verdict)
-                solves);
-          st.c.completed <- st.c.completed + 1;
-          Breaker.success st.breaker;
-          Format.pp_print_flush Format.std_formatter ();
-          maybe_cache_gc st;
-          true
-      | Error why ->
-          Log.warn (fun k ->
-              k "job %s outbox unparseable (%s); treating as crash" e.Jobqueue.id why);
-          false)
-  | _ | (exception Sys_error _) -> false
+(* A worker that exited with an outbox finished its job. *)
+let job_done st (e : Jobqueue.entry) =
+  match
+    Result.bind
+      (Json.parse (Fs.read_file (outbox_path st e.Jobqueue.id)))
+      (fun outbox ->
+        Bulk.probe_of_json (Option.value (Json.member "probe" outbox) ~default:Json.Null))
+  with
+  | exception Sys_error _ -> false
+  | Error why ->
+      Log.warn (fun k ->
+          k "job %s outbox unparseable (%s); treating as crash" e.Jobqueue.id why);
+      false
+  | Ok probe ->
+      complete st e probe;
+      Format.printf "verifyd: job %s (cell %s) done: %s (%d solves)@." e.Jobqueue.id
+        e.Jobqueue.cell.Bulk.cell_id
+        (Job.verdict_to_string (Bulk.verdict probe))
+        probe.Bulk.solves;
+      st.c.completed <- st.c.completed + 1;
+      Breaker.success st.breaker;
+      Format.pp_print_flush Format.std_formatter ();
+      maybe_cache_gc st;
+      true
 
 let reap st =
   let rec go () =
@@ -574,14 +496,12 @@ let reap st =
                   Hashtbl.remove st.history id
                 in
                 if w.cancelled then cleanup ()
-                else if job_done st e w then cleanup ()
+                else if job_done st e then cleanup ()
                 else if w.timed_out then begin
                   st.c.timeouts <- st.c.timeouts + 1;
-                  Jobqueue.finish st.q e Job.Failed;
-                  notify st id
-                    (result_response ~id ~cached:false
-                       (synthetic_result ~verdict:Job.Failed ~kind:"deadline"
-                          ~detail:"worker exceeded the job deadline and was killed"));
+                  complete st e
+                    (Bulk.probe_fail ~kind:"budget-exhausted"
+                       ~detail:"worker exceeded the job deadline and was killed");
                   cleanup ()
                 end
                 else begin
@@ -624,61 +544,31 @@ let reap st =
                        the atlas quarantine record, so a remote cell and
                        a locally quarantined one read identically. *)
                     st.c.dead_lettered <- st.c.dead_lettered + 1;
-                    let attempts_json =
-                      Json.Arr
-                        (List.rev_map
-                           (fun s -> Json.Str s)
-                           (Option.value (Hashtbl.find_opt st.history id) ~default:[]))
-                    in
                     let detail = "cell worker crashed" in
-                    let dl_fields cell_id =
-                      [
-                        ("id", Json.Str id);
-                        ("fp", Json.Str e.Jobqueue.fp);
-                      ]
-                      @ (match cell_id with
-                        | Some c -> [ ("cell_id", Json.Str c) ]
-                        | None -> [])
-                      @ [
-                          ("kind", Json.Str "crash");
-                          ("detail", Json.Str detail);
-                          ("attempts", attempts_json);
-                        ]
+                    let dl =
+                      Json.to_string
+                        (Json.Obj
+                           [
+                             ("id", Json.Str id);
+                             ("fp", Json.Str e.Jobqueue.fp);
+                             ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
+                             ("kind", Json.Str "crash");
+                             ("detail", Json.Str detail);
+                             ( "attempts",
+                               Json.Arr
+                                 (List.rev_map
+                                    (fun s -> Json.Str s)
+                                    (Option.value (Hashtbl.find_opt st.history id)
+                                       ~default:[])) );
+                           ])
                     in
-                    (match e.Jobqueue.payload with
-                    | Jobqueue.Point _ ->
-                        (try
-                           Fs.write_atomic (dead_letter_path st id)
-                             (Json.to_string (Json.Obj (dl_fields None)))
-                         with _ -> ());
-                        Jobqueue.finish st.q e Job.Failed;
-                        notify st id
-                          (result_response ~id ~cached:false
-                             (synthetic_result ~verdict:Job.Failed
-                                ~kind:"worker-crash"
-                                ~detail:
-                                  (Printf.sprintf "worker died %d time(s), last by %s"
-                                     attempt how)))
-                    | Jobqueue.Cell c ->
-                        let dl =
-                          Json.to_string
-                            (Json.Obj (dl_fields (Some c.Bulk.cell_id)))
-                        in
-                        (try
-                           Fs.write_atomic (dead_letter_path st id) dl
-                         with _ -> ());
-                        Jobqueue.finish st.q e Job.Failed;
-                        let probe =
-                          {
-                            (Bulk.probe_fail ~kind:"crash" ~detail) with
-                            Bulk.journal = Some dl;
-                            Bulk.attempts = attempt;
-                          }
-                        in
-                        notify st id
-                          (cell_result_response ~id ~fp:e.Jobqueue.fp
-                             ~cell_id:c.Bulk.cell_id ~cached:false
-                             ~dead_letter:true (Bulk.probe_to_json probe)));
+                    (try Fs.write_atomic (dead_letter_path st id) dl with _ -> ());
+                    complete st e ~dead_letter:true
+                      {
+                        (Bulk.probe_fail ~kind:"crash" ~detail) with
+                        Bulk.journal = Some dl;
+                        Bulk.attempts = attempt;
+                      };
                     Format.printf
                       "verifyd: job %s dead-lettered after %d attempt(s)@." id
                       attempt;
@@ -831,126 +721,157 @@ let error_response fmt =
       Json.Obj [ ("type", Json.Str "error"); ("message", Json.Str msg) ])
     fmt
 
-let handle_submit st cl req =
+type refusal = Draining | Degraded | Overloaded
+
+(* Where admission put a cell. *)
+type admission =
+  | Stored of Bulk.probe  (* answered from the result store *)
+  | Joined of string  (* attached to the in-flight job with this id *)
+  | Queued of string * bool  (* new job id; the drop-client fault fired *)
+  | Refused of refusal * float  (* with a retry-after hint, seconds *)
+
+(* The one admission path, for a submitted point and for each cell of a
+   bulk request: result-store hit, in-flight dedup, drain, breaker,
+   queue cap, then enqueue. A waiting client is attached to the job with
+   the reply it asked for; a no-wait submit leaves it detached. *)
+let admit st cl ~reply ~wait (cell : Bulk.cell_spec) =
   st.c.submits <- st.c.submits + 1;
-  match
-    match Json.member "job" req with
-    | Some j -> Job.spec_of_json j
-    | None -> Error "submit request missing \"job\""
-  with
-  | Error why -> ignore (send st cl (error_response "%s" why))
-  | Ok spec -> (
-      let spec =
-        match (spec.Job.deadline_s, st.cfg.default_deadline_s) with
-        | None, Some d -> { spec with Job.deadline_s = Some d }
-        | _ -> spec
-      in
-      let wait = Json.mem_bool "wait" req <> Some false in
-      let fp = Job.fingerprint spec in
-      match stored_result st fp with
-      | Some stored ->
-          (* Replay from the durable result store: byte-identical to the
-             run that produced it, zero solves. *)
-          st.c.cache_served <- st.c.cache_served + 1;
-          ignore (send st cl (result_response ~id:("cached-" ^ fp) ~cached:true stored))
-      | None -> (
-          match Hashtbl.find_opt st.by_fp fp with
-          | Some id ->
-              (* In-flight dedup: N clients asking the same point share
-                 one worker. *)
-              st.c.deduped <- st.c.deduped + 1;
-              if wait then begin
-                let fds =
-                  match Hashtbl.find_opt st.waiters id with
-                  | Some fds -> fds
-                  | None ->
-                      let fds = ref [] in
-                      Hashtbl.replace st.waiters id fds;
-                      fds
-                in
-                if not (List.memq cl.cfd !fds) then fds := cl.cfd :: !fds
+  let cell =
+    match (cell.Bulk.budget_s, st.cfg.default_deadline_s) with
+    | None, Some d -> { cell with Bulk.budget_s = Some d }
+    | _ -> cell
+  in
+  let fp = Bulk.fingerprint cell in
+  let attach id =
+    let ws =
+      match Hashtbl.find_opt st.waiters id with
+      | Some ws -> ws
+      | None ->
+          let ws = ref [] in
+          Hashtbl.replace st.waiters id ws;
+          ws
+    in
+    let w = { wfd = cl.cfd; reply } in
+    if not (List.exists (fun x -> x.wfd == w.wfd && x.reply = reply) !ws) then
+      ws := w :: !ws
+  in
+  let pending = Queue.length st.pending in
+  let admission =
+    match stored_probe st fp with
+    | Some p ->
+        (* Replay from the durable result store: the same answer as the
+           run that produced it, zero solves. *)
+        st.c.cache_served <- st.c.cache_served + 1;
+        Stored p
+    | None -> (
+        match Hashtbl.find_opt st.by_fp fp with
+        | Some id ->
+            (* In-flight dedup: N clients asking the same cell share one
+               worker. *)
+            st.c.deduped <- st.c.deduped + 1;
+            if wait then attach id;
+            Joined id
+        | None ->
+            if !(st.draining) then Refused (Draining, 1.0)
+            else if Breaker.state st.breaker = Breaker.Open then begin
+              (* Circuit open: degrade to cache-only serving. *)
+              st.c.breaker_rejects <- st.c.breaker_rejects + 1;
+              st.c.shed <- st.c.shed + 1;
+              Refused (Degraded, Breaker.retry_after_s st.breaker)
+            end
+            else if pending >= st.cfg.queue_cap then begin
+              (* Bounded admission: shed load with a structured refusal
+                 instead of growing without bound. *)
+              st.c.shed <- st.c.shed + 1;
+              Refused (Overloaded, 2.0 *. float_of_int pending)
+            end
+            else begin
+              let e = Jobqueue.submit st.q cell in
+              let id = e.Jobqueue.id in
+              Queue.add id st.pending;
+              Hashtbl.replace st.by_fp fp id;
+              st.c.accepted <- st.c.accepted + 1;
+              if wait then attach id else Hashtbl.replace st.detached id ();
+              let drop = fires_for st e (fun k -> Fault.Drop_client k) in
+              if drop then begin
+                Format.printf "verifyd: fault drop-client@%s firing@." id;
+                Format.pp_print_flush Format.std_formatter ()
               end;
-              ignore
-                (send st cl
-                   (Json.Obj
-                      [
-                        ("type", Json.Str "accepted");
-                        ("id", Json.Str id);
-                        ("fp", Json.Str fp);
-                        ("deduped", Json.Bool true);
-                      ]))
-          | None ->
-              if !(st.draining) then
-                ignore
-                  (send st cl
-                     (Json.Obj
-                        [
-                          ("type", Json.Str "draining");
-                          ( "message",
-                            Json.Str "daemon is draining; resubmit after restart" );
-                        ]))
-              else if Breaker.state st.breaker = Breaker.Open then begin
-                (* Circuit open: degrade to cache-only serving. *)
-                st.c.breaker_rejects <- st.c.breaker_rejects + 1;
-                st.c.shed <- st.c.shed + 1;
-                ignore
-                  (send st cl
-                     (Json.Obj
-                        [
-                          ("type", Json.Str "degraded");
-                          ( "message",
-                            Json.Str
-                              "worker fleet unhealthy; serving cached results only" );
-                          ("retry_after_s", Json.Num (Breaker.retry_after_s st.breaker));
-                        ]))
-              end
-              else if Queue.length st.pending >= st.cfg.queue_cap then begin
-                (* Bounded admission: shed load with a structured
-                   refusal instead of growing without bound. *)
-                st.c.shed <- st.c.shed + 1;
-                ignore
-                  (send st cl
-                     (Json.Obj
-                        [
-                          ("type", Json.Str "overloaded");
-                          ("queue_depth", Json.Num (float_of_int (Queue.length st.pending)));
-                          ( "retry_after_s",
-                            Json.Num (2.0 *. float_of_int (Queue.length st.pending)) );
-                        ]))
-              end
-              else begin
-                let e = Jobqueue.submit st.q (Jobqueue.Point spec) in
-                let id = e.Jobqueue.id in
-                Queue.add id st.pending;
-                Hashtbl.replace st.by_fp fp id;
-                st.c.accepted <- st.c.accepted + 1;
-                if wait then Hashtbl.replace st.waiters id (ref [ cl.cfd ])
-                else Hashtbl.replace st.detached id ();
-                ignore
-                  (send st cl
-                     (Json.Obj
-                        [
-                          ("type", Json.Str "accepted");
-                          ("id", Json.Str id);
-                          ("fp", Json.Str fp);
-                          ("deduped", Json.Bool false);
-                        ]));
-                if fault_fires st (Fault.Drop_client id) then begin
-                  Format.printf "verifyd: fault drop-client@%s firing@." id;
-                  Format.pp_print_flush Format.std_formatter ();
-                  drop_client st cl.cfd
-                end
-              end))
+              Queued (id, drop)
+            end)
+  in
+  (fp, admission)
+
+(* A [submit]: one point, as the one-cell job it converts to. *)
+let handle_submit st cl req =
+  let parsed =
+    let ( let* ) = Result.bind in
+    let* j = Option.to_result ~none:"submit request missing \"job\"" (Json.member "job" req) in
+    let* spec = Job.spec_of_json j in
+    let cell = Bulk.of_spec spec in
+    let* () = Bulk.validate cell in
+    Ok cell
+  in
+  match parsed with
+  | Error why -> ignore (send cl (error_response "%s" why))
+  | Ok cell -> (
+      let wait = Json.mem_bool "wait" req <> Some false in
+      let fp, admission = admit st cl ~reply:Result ~wait cell in
+      let accepted id deduped =
+        Json.Obj
+          [
+            ("type", Json.Str "accepted");
+            ("id", Json.Str id);
+            ("fp", Json.Str fp);
+            ("deduped", Json.Bool deduped);
+          ]
+      in
+      match admission with
+      | Stored p ->
+          ignore
+            (send cl
+               (answer ~id:("cached-" ^ fp) ~fp ~cell_id:cell.Bulk.cell_id ~cached:true p
+                  Result))
+      | Joined id -> ignore (send cl (accepted id true))
+      | Queued (id, drop) ->
+          ignore (send cl (accepted id false));
+          if drop then drop_client st cl.cfd
+      | Refused (Draining, _) ->
+          ignore
+            (send cl
+               (Json.Obj
+                  [
+                    ("type", Json.Str "draining");
+                    ("message", Json.Str "daemon is draining; resubmit after restart");
+                  ]))
+      | Refused (Degraded, retry_after_s) ->
+          ignore
+            (send cl
+               (Json.Obj
+                  [
+                    ("type", Json.Str "degraded");
+                    ( "message",
+                      Json.Str "worker fleet unhealthy; serving cached results only" );
+                    ("retry_after_s", Json.Num retry_after_s);
+                  ]))
+      | Refused (Overloaded, retry_after_s) ->
+          ignore
+            (send cl
+               (Json.Obj
+                  [
+                    ("type", Json.Str "overloaded");
+                    ("queue_depth", Json.Num (float_of_int (Queue.length st.pending)));
+                    ("retry_after_s", Json.Num retry_after_s);
+                  ])))
 
 (* A bulk submission: the atlas client ships a wave of sweep cells in
-   one request; the daemon shards them into per-cell jobs over the
-   shared solve cache and streams [cell-result] lines back as each
-   completes. Cells with a stored result are answered inline (tagged
-   [degraded] when the fleet is unhealthy and cache-only service is all
-   we offer); unknown cells are queued, deduped against in-flight
-   work, or — when draining, breaker-open, or at the queue cap —
-   deferred with a [retry_after_s] the client honours before
-   resubmitting just those cells. *)
+   one request, and each is admitted like a submit. Cells with a stored
+   result are answered inline (tagged [degraded] when the fleet is
+   unhealthy and cache-only service is all we offer); the rest are
+   queued or deduped against in-flight work and answered by streamed
+   [cell-result] lines, or — when draining, breaker-open, or at the
+   queue cap — deferred with a [retry_after_s] the client honours
+   before resubmitting just those cells. *)
 let handle_bulk st cl req =
   let parsed =
     match Json.member "cells" req with
@@ -968,110 +889,66 @@ let handle_bulk st cl req =
     | _ -> Error "bulk request missing \"cells\" array"
   in
   match parsed with
-  | Error why -> ignore (send st cl (error_response "%s" why))
+  | Error why -> ignore (send cl (error_response "%s" why))
   | Ok cells ->
-      let queued = ref 0 and cached = ref 0 and deduped = ref 0 in
-      let deferred = ref [] in
-      let cached_replies = ref [] in
-      let drop_after = ref false in
-      (* Cache-only degradation: when the breaker is open or the daemon
-         is draining, stored answers still flow but are tagged so the
-         client knows the batch ran degraded, not healthy. *)
-      let degraded_now =
-        Breaker.state st.breaker = Breaker.Open || !(st.draining)
+      let degraded = Breaker.state st.breaker = Breaker.Open || !(st.draining) in
+      let admitted =
+        List.map
+          (fun c ->
+            let fp, a = admit st cl ~reply:Cell_result ~wait:true c in
+            (c, fp, a))
+          cells
       in
-      let defer c retry_after_s =
-        deferred := (c.Bulk.cell_id, retry_after_s) :: !deferred
-      in
-      List.iter
-        (fun c ->
-          st.c.submits <- st.c.submits + 1;
-          let fp = Bulk.fingerprint c in
-          match stored_result st fp with
-          | Some probe_obj ->
-              st.c.cache_served <- st.c.cache_served + 1;
-              incr cached;
-              cached_replies :=
-                cell_result_response ~id:("cached-" ^ fp) ~fp
-                  ~cell_id:c.Bulk.cell_id ~cached:true ~degraded:degraded_now
-                  probe_obj
-                :: !cached_replies
-          | None -> (
-              match Hashtbl.find_opt st.by_fp fp with
-              | Some id ->
-                  st.c.deduped <- st.c.deduped + 1;
-                  incr deduped;
-                  let fds =
-                    match Hashtbl.find_opt st.waiters id with
-                    | Some fds -> fds
-                    | None ->
-                        let fds = ref [] in
-                        Hashtbl.replace st.waiters id fds;
-                        fds
-                  in
-                  if not (List.memq cl.cfd !fds) then fds := cl.cfd :: !fds
-              | None ->
-                  if !(st.draining) then defer c 1.0
-                  else if Breaker.state st.breaker = Breaker.Open then begin
-                    st.c.breaker_rejects <- st.c.breaker_rejects + 1;
-                    st.c.shed <- st.c.shed + 1;
-                    defer c (Breaker.retry_after_s st.breaker)
-                  end
-                  else if Queue.length st.pending >= st.cfg.queue_cap then begin
-                    st.c.shed <- st.c.shed + 1;
-                    defer c (2.0 *. float_of_int (Queue.length st.pending))
-                  end
-                  else begin
-                    let e = Jobqueue.submit st.q (Jobqueue.Cell c) in
-                    let id = e.Jobqueue.id in
-                    Queue.add id st.pending;
-                    Hashtbl.replace st.by_fp fp id;
-                    Hashtbl.replace st.waiters id (ref [ cl.cfd ]);
-                    st.c.accepted <- st.c.accepted + 1;
-                    incr queued;
-                    if
-                      fault_fires st (Fault.Drop_client id)
-                      || fault_fires st (Fault.Drop_client c.Bulk.cell_id)
-                    then begin
-                      Format.printf "verifyd: fault drop-client@%s firing@."
-                        c.Bulk.cell_id;
-                      Format.pp_print_flush Format.std_formatter ();
-                      drop_after := true
-                    end
-                  end))
-        cells;
+      let count f = List.length (List.filter (fun (_, _, a) -> f a) admitted) in
       ignore
-        (send st cl
+        (send cl
            (Json.Obj
               [
                 ("type", Json.Str "bulk-accepted");
                 ("total", Json.Num (float_of_int (List.length cells)));
-                ("queued", Json.Num (float_of_int !queued));
-                ("cached", Json.Num (float_of_int !cached));
-                ("deduped", Json.Num (float_of_int !deduped));
-                ("degraded", Json.Bool degraded_now);
+                ( "queued",
+                  Json.Num (float_of_int (count (function Queued _ -> true | _ -> false))) );
+                ( "cached",
+                  Json.Num (float_of_int (count (function Stored _ -> true | _ -> false))) );
+                ( "deduped",
+                  Json.Num (float_of_int (count (function Joined _ -> true | _ -> false))) );
+                ("degraded", Json.Bool degraded);
                 ( "deferred",
                   Json.Arr
-                    (List.rev_map
-                       (fun (cid, r) ->
-                         Json.Obj
-                           [
-                             ("cell_id", Json.Str cid);
-                             ("retry_after_s", Json.Num r);
-                           ])
-                       !deferred) );
+                    (List.filter_map
+                       (fun ((c : Bulk.cell_spec), _, a) ->
+                         match a with
+                         | Refused (_, r) ->
+                             Some
+                               (Json.Obj
+                                  [
+                                    ("cell_id", Json.Str c.Bulk.cell_id);
+                                    ("retry_after_s", Json.Num r);
+                                  ])
+                         | _ -> None)
+                       admitted) );
               ]));
-      List.iter (fun r -> ignore (send st cl r)) (List.rev !cached_replies);
-      if !drop_after then drop_client st cl.cfd
+      List.iter
+        (fun ((c : Bulk.cell_spec), fp, a) ->
+          match a with
+          | Stored p ->
+              ignore
+                (send cl
+                   (answer ~id:("cached-" ^ fp) ~fp ~cell_id:c.Bulk.cell_id ~cached:true
+                      ~degraded p Cell_result))
+          | _ -> ())
+        admitted;
+      if List.exists (function _, _, Queued (_, true) -> true | _ -> false) admitted then
+        drop_client st cl.cfd
 
 let handle_request st cl line =
   match Json.parse line with
-  | Error why -> ignore (send st cl (error_response "bad request: %s" why))
+  | Error why -> ignore (send cl (error_response "bad request: %s" why))
   | Ok req -> (
       match Json.mem_str "cmd" req with
       | Some "submit" -> handle_submit st cl req
       | Some "bulk" -> handle_bulk st cl req
-      | Some "status" -> ignore (send st cl (status_json st))
+      | Some "status" -> ignore (send cl (status_json st))
       | Some "cache-gc" -> (
           let max_mb =
             match Json.mem_num "max_mb" req with
@@ -1081,13 +958,13 @@ let handle_request st cl line =
           match max_mb with
           | None ->
               ignore
-                (send st cl
+                (send cl
                    (error_response
                       "cache-gc needs max_mb (or start verifyd with --cache-max-mb)"))
           | Some mb ->
               let s = Supervise.Cache.gc st.cache ~max_bytes:(mb * 1024 * 1024) in
               ignore
-                (send st cl
+                (send cl
                    (Json.Obj
                       [
                         ("type", Json.Str "cache-gc");
@@ -1100,15 +977,14 @@ let handle_request st cl line =
       | Some "stop" ->
           st.draining := true;
           ignore
-            (send st cl
+            (send cl
                (Json.Obj [ ("type", Json.Str "stopping"); ("draining", Json.Bool true) ]))
-      | Some c -> ignore (send st cl (error_response "unknown command %S" c))
-      | None -> ignore (send st cl (error_response "request without \"cmd\"")))
+      | Some c -> ignore (send cl (error_response "unknown command %S" c))
+      | None -> ignore (send cl (error_response "request without \"cmd\"")))
 
 (* Consume complete lines out of a client's receive buffer. *)
-let feed_client st cl bytes n chunk =
+let feed_client st cl n chunk =
   Buffer.add_subbytes cl.cbuf chunk 0 n;
-  ignore bytes;
   let rec go () =
     let s = Buffer.contents cl.cbuf in
     match String.index_opt s '\n' with
@@ -1133,15 +1009,14 @@ let drain_exit st =
   let checkpointed = Queue.length st.pending in
   Queue.iter
     (fun id ->
-      notify st id
-        (Json.Obj
-           [
-             ("type", Json.Str "draining");
-             ("id", Json.Str id);
-             ( "message",
-               Json.Str "job checkpointed in the queue ledger; resubmit after restart"
-             );
-           ]))
+      notify st id (fun _ ->
+          Json.Obj
+            [
+              ("type", Json.Str "draining");
+              ("id", Json.Str id);
+              ( "message",
+                Json.Str "job checkpointed in the queue ledger; resubmit after restart" );
+            ]))
     st.pending;
   Jobqueue.close st.q;
   List.iter (fun c -> close_fd c.cfd) st.clients;
@@ -1195,7 +1070,7 @@ let loop st =
                 | Some cl -> (
                     match Unix.read fd chunk 0 (Bytes.length chunk) with
                     | 0 -> drop_client st fd
-                    | n -> feed_client st cl 0 n chunk
+                    | n -> feed_client st cl n chunk
                     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
                     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
                       ->
@@ -1225,7 +1100,7 @@ let run cfg =
             fail
               "{\"error\":\"queue-not-resumed\",\"message\":\"run directory %s has a \
                job-queue ledger; restart with --resume (or use a fresh directory)\"}"
-              (String.concat "" [ cfg.run_dir ])
+              (Json.escape cfg.run_dir)
           else begin
             let sock = socket_path cfg in
             (try Unix.unlink sock with Unix.Unix_error _ -> ());

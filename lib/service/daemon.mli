@@ -2,8 +2,12 @@
     accepts verify jobs over a Unix-domain socket (newline-delimited
     JSON), runs each job in a forked worker over the shared
     content-addressed solve cache, and survives crashes of either side.
-    Workers certify point jobs with {!Job.run} and bulk cells with
-    {!Bulk.run}, one pipeline under both.
+    The daemon has one job type, the {!Bulk.cell_spec}: a [submit]'s
+    point becomes the one-cell job {!Bulk.of_spec} makes of it at
+    admission (an axis absent at the order is an [error] reply), a
+    [bulk] request's lines are cells already, and workers certify every
+    job with {!Bulk.run}. Each waiter is answered in its command's
+    terms: a [result] for a submit, a [cell-result] for a bulk cell.
 
     Robustness surface (see DESIGN.md §6g):
 
@@ -15,18 +19,22 @@
     - {e backpressure}: a bounded admission queue — beyond
       [queue_cap], submits receive a structured [overloaded] refusal
       with a retry-after hint instead of growing memory;
-    - {e dedup}: jobs are keyed by {!Job.fingerprint}; a submit
-      matching an in-flight job attaches to it instead of re-solving,
-      and one matching the per-fingerprint result store is answered
-      immediately from disk, byte-identically;
-    - {e per-job deadlines}: the spec deadline rides into the worker's
-      pipeline policy; a wedged worker is SIGKILLed past
-      deadline + grace and reported as a structured failure;
+    - {e dedup}: jobs are keyed by {!Bulk.fingerprint}; a submit or
+      bulk cell matching an in-flight job attaches to it instead of
+      re-solving, and one matching the per-fingerprint result store
+      (probes {!Bulk.storable} accepts) is answered immediately from
+      disk;
+    - {e per-job deadlines}: the cell budget (or [default_deadline_s])
+      rides into the worker's pipeline policy; a wedged worker is
+      SIGKILLed past deadline + grace and answered as
+      [budget-exhausted];
     - {e cancellation}: a waiting client that disconnects cancels its
       job (pending jobs leave the queue; running workers are killed)
       unless another client shares it or it was submitted no-wait;
     - {e supervision + circuit breaker}: a crashed worker is retried
-      with exponential backoff; repeated consecutive crashes open the
+      with exponential backoff, and dead-lettered and answered as a
+      [crash] once [job_retries] run out; repeated consecutive crashes
+      open the
       breaker and the daemon degrades to cache-only serving
       (structured [degraded] refusals) until a cooldown and a
       successful probe close it again;
@@ -41,9 +49,8 @@
     the kinds of {!Resilient.Faults} / {!Supervise.Fault} one level up.
     [KEY] is the verbatim text after ['@']. Each fires
     once (except [kill-cell], which fires on every dispatch of its
-    target). Point jobs are addressed by job id; cells also match
-    their stable sweep cell id (job ids depend on submission order,
-    cell ids do not). *)
+    target). [KEY] matches a job's id or its cell id (job ids depend on
+    submission order, sweep cell ids do not). *)
 module Fault : sig
   type t =
     | Kill_worker of string
@@ -87,7 +94,7 @@ type config = {
           completed job (and once at startup) *)
   breaker_threshold : int;  (** consecutive crashes that open the breaker *)
   breaker_cooldown_s : float;
-  default_deadline_s : float option;  (** for jobs that carry none *)
+  default_deadline_s : float option;  (** budget of every job that carries none *)
   job_retries : int;  (** worker re-dispatches per job before dead-lettering *)
   lease_ttl_s : float;
       (** a worker that goes this long without a heartbeat is presumed

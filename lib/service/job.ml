@@ -121,7 +121,7 @@ let point_of_string s =
 
 let magic = "pll-job v1"
 
-let to_line ?(with_deadline = false) spec =
+let to_line spec =
   let b = Buffer.create 128 in
   Buffer.add_string b magic;
   Printf.bprintf b " order=%s prop=%s degree=%d robust=%b bisect=%d advect=%d"
@@ -135,10 +135,6 @@ let to_line ?(with_deadline = false) spec =
     | pt ->
         String.concat ","
           (List.map (fun (a, v) -> Printf.sprintf "%s:%h" (Pll.axis_name a) v) pt));
-  (if with_deadline then
-     match spec.deadline_s with
-     | Some d -> Printf.bprintf b " deadline=%h" d
-     | None -> ());
   Buffer.contents b
 
 let of_line line =
@@ -224,8 +220,6 @@ let of_line line =
         eq_tol;
         deadline_s;
       }
-
-let fingerprint spec = Digest.to_hex (Digest.string (to_line spec))
 
 (* ----------------------------------------------------------------- *)
 (* Wire encoding *)
@@ -390,8 +384,6 @@ let kinds =
     ("crash", Failed);
     ("bad-point", Failed);
   ]
-
-let storable r = r.verdict <> Failed && not r.deadline_hit
 
 (* Deterministic failure classification from the policy's journal: only
    labels and statuses, never timings or raw error strings. *)

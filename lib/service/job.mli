@@ -7,10 +7,8 @@
     nominals, empty = nominal model), the property (P1 attractive
     invariant only, or the full P1+P2 inevitability pipeline), the
     certificate degree and search knobs, plus a per-job pipeline
-    deadline. {!fingerprint} canonically hashes the problem-determining
-    fields — deliberately excluding the deadline, which changes how hard
-    a job may try but not what a {e clean} result means — and is what
-    the daemon dedups in-flight jobs and keys its result store by.
+    deadline. The daemon runs a spec as a one-cell job
+    ({!Bulk.of_spec}), keyed by the cell's fingerprint.
 
     {!run} executes the job under a caller-supplied {!Resilient.policy}
     (so the CLI can wire its own retry ladder and the daemon can attach
@@ -56,19 +54,19 @@ val default_spec : Pll.order -> spec
 val validate : spec -> (unit, string) result
 (** Structural sanity: positive finite point values, no duplicate axes,
     positive degree, non-negative step counts. Whether an axis exists at
-    this order is checked by {!run} (a [bad-point] failure). *)
+    this order is checked by {!run} (a [bad-point] failure) and, for
+    daemon submits, at admission ({!Bulk.validate}). *)
 
-val to_line : ?with_deadline:bool -> spec -> string
-(** Canonical one-line rendering (floats in hex so the round-trip is
-    exact); the fingerprint input. [with_deadline] (default false)
-    appends the deadline — the queue ledger stores that variant so a
-    recovered job keeps its budget. *)
+val sort_point : (Pll.axis * float) list -> (Pll.axis * float) list
+(** Canonical point order: axis declaration order. *)
+
+val to_line : spec -> string
+(** Canonical one-line rendering, magic [pll-job v1] (floats in hex so
+    the round-trip is exact; the deadline is not part of it). *)
 
 val of_line : string -> (spec, string) result
-(** Inverse of {!to_line} (either variant). *)
-
-val fingerprint : spec -> string
-(** Hex digest of [to_line spec] — the dedup/result-store key. *)
+(** Inverse of {!to_line}; also reads the [deadline=] field of the
+    point lines older daemon queue ledgers hold. *)
 
 val point_of_string : string -> ((Pll.axis * float) list, string) result
 (** Parse a CLI point spec like ["ip=1.05,kv=0.9"]. Empty string is the
@@ -111,18 +109,14 @@ val kinds : (string * verdict) list
     level search found no positive level), [not-established],
     [validation-failed], [exact-unproven] (not established); and
     [solver-failure], [budget-exhausted] (the one kind with
-    [deadline_hit]), [crash], [bad-point] (failed). *)
-
-val storable : outcome -> bool
-(** Whether the outcome is a fact about the problem and may be replayed
-    from the daemon's result store: neither [Failed] nor deadline-cut.
-    {!Bulk.probe_storable} is the same rule for cells. *)
+    [deadline_hit]), [crash], [bad-point] (failed). {!Bulk.storable}
+    stores what is not [Failed]. *)
 
 val result_json : outcome -> string
 (** The deterministic core only — verdict, beta, kind, detail — no
-    timings or counters, so a cache-replayed job reproduces the stored
-    bytes exactly. This is what the daemon persists per fingerprint and
-    what [service_smoke] compares across restarts. *)
+    timings or counters, so a replayed job reproduces the bytes exactly.
+    The daemon's [result] reply carries the same object, derived from
+    the cell probe. *)
 
 val result_of_json : Json.t -> (outcome, string) result
 (** Decode a stored {!result_json} document (counters read as 0). *)

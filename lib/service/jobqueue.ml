@@ -2,32 +2,20 @@ module Log = (val Logs.src_log (Logs.Src.create "service.queue") : Logs.LOG)
 
 type state = Pending | Running | Done of Job.verdict | Cancelled
 
-(* The queue carries two job kinds: single verification points and
-   sweep cells of a bulk (atlas) submission. Both render to a
-   self-identifying canonical line, so the ledger stays a flat text
-   file and replay dispatches on the magic prefix. *)
-type payload = Point of Job.spec | Cell of Bulk.cell_spec
-
-let payload_line = function
-  | Point spec -> Job.to_line ~with_deadline:true spec
-  | Cell c -> Bulk.to_line c
-
-let payload_fingerprint = function
-  | Point spec -> Job.fingerprint spec
-  | Cell c -> Bulk.fingerprint c
-
-let payload_of_line line =
-  match Job.of_line line with
-  | Ok spec -> Ok (Point spec)
-  | Error _ -> (
-      match Bulk.of_line line with
-      | Ok c -> Ok (Cell c)
-      | Error why -> Error why)
+(* Every job is a cell ([pll-cell v1] line). A [pll-job v1] point line
+   from an older ledger is read as the one-cell job it converts to. *)
+let cell_of_line line =
+  match Bulk.of_line line with
+  | Ok c -> Ok c
+  | Error why -> (
+      match Job.of_line line with
+      | Ok spec -> Ok (Bulk.of_spec spec)
+      | Error _ -> Error why)
 
 type entry = {
   id : string;
   fp : string;
-  payload : payload;
+  cell : Bulk.cell_spec;
   mutable state : state;
 }
 
@@ -79,11 +67,12 @@ let replay file =
           let id, rest = split_word rest in
           match split_word rest with
           | ("", _) | (_, "") -> diag "malformed submit line"
-          | fp, job_line -> (
-              match payload_of_line job_line with
-              | Ok payload ->
+          | _, job_line -> (
+              match cell_of_line job_line with
+              | Ok cell ->
                   if not (Hashtbl.mem entries id) then order := id :: !order;
-                  Hashtbl.replace entries id { id; fp; payload; state = Pending };
+                  Hashtbl.replace entries id
+                    { id; fp = Bulk.fingerprint cell; cell; state = Pending };
                   Option.iter (fun n -> seq_hw := max !seq_hw n) (seq_of_id id)
               | Error why -> diag why))
       | "start" -> (
@@ -111,7 +100,7 @@ let replay file =
 (* Appends *)
 
 let submit_line e =
-  Printf.sprintf "submit %s %s %s" e.id e.fp (payload_line e.payload)
+  Printf.sprintf "submit %s %s %s" e.id e.fp (Bulk.to_line e.cell)
 
 let open_ ~dir =
   Substrate.Fs.mkdir_p dir;
@@ -133,10 +122,10 @@ let open_ ~dir =
 
 let had_entries t = t.existing
 
-let submit t payload =
+let submit t cell =
   let id = Printf.sprintf "j%d" t.next_seq in
   t.next_seq <- t.next_seq + 1;
-  let e = { id; fp = payload_fingerprint payload; payload; state = Pending } in
+  let e = { id; fp = Bulk.fingerprint cell; cell; state = Pending } in
   Hashtbl.replace t.tbl id e;
   t.order <- id :: t.order;
   Wal.append t.wal (submit_line e);

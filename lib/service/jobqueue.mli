@@ -8,7 +8,7 @@
     {v
     pll-queue v1
     seq <next-seq>
-    submit <id> <fingerprint> <canonical job line (with deadline)>
+    submit <id> <fingerprint> <canonical cell line (with budget)>
     start <id>
     done <id> <verdict>
     cancel <id>
@@ -24,7 +24,13 @@
     anything that completed. The [seq] high-water line keeps job ids
     unique across restarts. Malformed lines and a torn final line (the
     crash) are skipped with a diagnosis, never a raise. An append whose
-    write or fsync fails raises. *)
+    write or fsync fails raises.
+
+    Every job is one {!Bulk.cell_spec}. A [submit] line carrying a
+    [pll-job v1] point (written by daemons that queued points as a
+    second job kind) replays as the one-cell job {!Bulk.of_spec} makes
+    of it; only cell lines are written. The fingerprint is recomputed
+    from the cell on replay. *)
 
 type state =
   | Pending
@@ -32,24 +38,10 @@ type state =
   | Done of Job.verdict
   | Cancelled
 
-(** What a queue entry carries: a single verification point or one
-    sweep cell of a bulk submission. Both kinds render to a
-    self-identifying canonical line ([pll-job v1] / [pll-cell v1]), so
-    the ledger stays flat text and replay dispatches on the magic. *)
-type payload = Point of Job.spec | Cell of Bulk.cell_spec
-
-val payload_line : payload -> string
-(** The canonical ledger rendering (points keep their deadline). *)
-
-val payload_fingerprint : payload -> string
-(** {!Job.fingerprint} / {!Bulk.fingerprint} of the payload. *)
-
-val payload_of_line : string -> (payload, string) result
-
 type entry = {
   id : string;  (** [j<seq>], unique across restarts of one run dir *)
-  fp : string;  (** {!payload_fingerprint} of the payload *)
-  payload : payload;
+  fp : string;  (** {!Bulk.fingerprint} of the cell *)
+  cell : Bulk.cell_spec;
   mutable state : state;
 }
 
@@ -69,7 +61,7 @@ val had_entries : t -> bool
 (** Whether the ledger already had any entries (terminal or not) when
     opened — the daemon refuses such a directory without [--resume]. *)
 
-val submit : t -> payload -> entry
+val submit : t -> Bulk.cell_spec -> entry
 (** Admit a job: assign the next id, ledger the [submit] line (fsync'd)
     and return the pending entry. *)
 

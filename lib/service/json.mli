@@ -29,8 +29,7 @@ val to_string : t -> string
     with round-trip precision. *)
 
 val escape : string -> string
-(** JSON string-escape (no surrounding quotes) — shared with call sites
-    that splice strings into hand-built JSON. *)
+(** JSON string-escape (no surrounding quotes): {!Substrate.Json.escape}. *)
 
 (** Accessors; [None] on shape mismatch. *)
 

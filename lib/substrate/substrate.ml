@@ -1,6 +1,7 @@
-(* Durable run-directory state and fault-plan tokens: the one copy of
-   each, shared by the journal, the atlas ledger, the job queue and the
-   four fault layers. *)
+(* Durable run-directory state, fault-plan tokens and JSON string
+   escaping: the one copy of each, shared by the journal, the atlas
+   ledger, the job queue, the four fault layers and every hand-built
+   JSON diagnosis. *)
 
 module Fs = struct
   let rec mkdir_p dir =
@@ -176,4 +177,22 @@ module Fault_plan = struct
   let to_string = function
     | [] -> "none"
     | toks -> String.concat "," (List.map token_to_string toks)
+end
+
+module Json = struct
+  let escape s =
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
 end

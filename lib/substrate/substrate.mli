@@ -1,8 +1,9 @@
 (** The durable-state and fault-plan substrate shared by every layer that
     keeps a run directory: the solve journal ({!Supervise}), the atlas
     ledger ({!Atlas}) and the daemon's job queue ([Service.Jobqueue]) all
-    persist through {!Fs} and {!Wal}, and every [--fault-plan] string is
-    tokenized by {!Fault_plan}. Callers own only their record codecs and
+    persist through {!Fs} and {!Wal}, every [--fault-plan] string is
+    tokenized by {!Fault_plan}, and hand-built JSON escapes strings
+    with {!Json.escape}. Callers own only their record codecs and
     the typed meaning of their fault kinds. *)
 
 (** Whole-file helpers. *)
@@ -103,4 +104,13 @@ module Fault_plan : sig
   val site : token -> string option
   (** [key] and [args] rejoined with [':'] — the verbatim text after
       ['@'], for kinds whose key is an opaque id. *)
+end
+
+(** JSON string escaping for hand-built diagnoses (run directories are
+    user paths and may contain quotes or backslashes). *)
+module Json : sig
+  val escape : string -> string
+  (** JSON string-escape, no surrounding quotes: the double quote, the
+      backslash, newline, carriage return and tab get their two-character
+      escapes, other control characters a [\u] escape. *)
 end

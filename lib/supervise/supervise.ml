@@ -10,6 +10,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 external set_mem_limit_mb : int -> int = "pll_supervise_set_mem_limit_mb"
 
 module Fs = Substrate.Fs
+module Json = Substrate.Json
 
 (* ------------------------------------------------------------------ *)
 (* Process-level fault specs                                          *)
@@ -281,8 +282,7 @@ module Lock = struct
   let diagnosis ~dir ~pid ~waited_s =
     Printf.sprintf
       "{\"error\":\"run-dir-locked\",\"dir\":\"%s\",\"lock\":\"%s\",\"holder_pid\":%d,\"waited_s\":%.1f,\"hint\":\"another process is using this run directory's solve cache; wait for it, pick a fresh --run-dir, or remove the lock file if the holder is gone\"}"
-      (String.concat "/" (String.split_on_char '/' dir))
-      (path dir) pid waited_s
+      (Json.escape dir) (Json.escape (path dir)) pid waited_s
 
   let acquire ~dir ?(wait_s = 0.0) () =
     Fs.mkdir_p dir;
@@ -351,8 +351,8 @@ module Lock = struct
               go ~stole)
       | exception Unix.Unix_error (e, _, _) ->
           Error
-            (Printf.sprintf "{\"error\":\"lock-io\",\"lock\":\"%s\",\"detail\":\"%s\"}" file
-               (Unix.error_message e))
+            (Printf.sprintf "{\"error\":\"lock-io\",\"lock\":\"%s\",\"detail\":\"%s\"}"
+               (Json.escape file) (Json.escape (Unix.error_message e)))
     in
     go ~stole:None
 end
@@ -393,16 +393,16 @@ module Config_guard = struct
             Error
               (Printf.sprintf
                  "{\"error\":\"config-io\",\"detail\":\"cannot write %s\"}"
-                 (path run_dir)))
+                 (Json.escape (path run_dir))))
     | Some (stored, stored_summary) ->
         if stored = digest then Ok Matched
         else
           Error
             (Printf.sprintf
                "{\"error\":\"config-drift\",\"run_dir\":\"%s\",\"stored\":\"%s\",\"requested\":\"%s\",\"stored_config\":\"%s\",\"requested_config\":\"%s\",\"hint\":\"these CLI arguments change the problem fingerprints; resuming would silently mix cache entries from different problems — rerun with the original arguments or use a fresh --run-dir\"}"
-               run_dir stored digest
-               (String.concat " " (String.split_on_char '\n' stored_summary))
-               (String.concat " " (String.split_on_char '\n' summary)))
+               (Json.escape run_dir) (Json.escape stored) digest
+               (Json.escape (String.concat " " (String.split_on_char '\n' stored_summary)))
+               (Json.escape (String.concat " " (String.split_on_char '\n' summary))))
 end
 
 type stats = {
@@ -1019,7 +1019,7 @@ let report_json ctx =
     ctx.jobs
     (match ctx.run_dir with
     | None -> "null"
-    | Some d -> Printf.sprintf "\"%s\"" (String.concat "\\\\" (String.split_on_char '\\' d)))
+    | Some d -> Printf.sprintf "\"%s\"" (Json.escape d))
     s.supervised s.forked s.inline_solves s.cache_hits s.cache_stores s.cache_rejects
     s.crashes s.timeouts s.pool_tasks ctx.replayed
 

@@ -260,10 +260,12 @@ let () =
   let results = Filename.concat d2 "results" in
   Unix.mkdir results 0o755;
   let oc =
-    open_out (Filename.concat results (Service.Job.fingerprint ne_spec ^ ".json"))
+    open_out
+      (Filename.concat results
+         (Service.Bulk.fingerprint (Service.Bulk.of_spec ne_spec) ^ ".json"))
   in
   output_string oc
-    "{\"verdict\":\"not-established\",\"beta\":0,\"kind\":\"infeasible\",\"detail\":\"conclusively infeasible at certificate search\"}";
+    "{\"ok\":false,\"beta\":0,\"kind\":\"infeasible\",\"detail\":\"conclusively infeasible at certificate search\",\"journal\":null,\"solves\":0,\"attempts\":0,\"attempt_s\":0}";
   close_out oc;
   let d = start_daemon ~exe:daemon_exe ~dir:d2 ~sock [ "--workers"; "1" ] in
   await_ready ~what:"verdict phase" ~client ~sock;

@@ -11,6 +11,10 @@
      reclaimed lease and the redispatches, nothing dead-letters, and no
      SDP key is ever solved twice (bounded re-solves: the redispatched
      attempts ride the shared solve cache);
+   - timed-out cell: a cell whose worker wedges (alive, heartbeating
+     nothing, under the default 30 s lease TTL) is killed at its budget
+     plus grace and answered as budget-exhausted at once — the sweep
+     client is not left waiting for a reply that never comes;
    - dead-letter quarantine: a cell whose worker is killed on EVERY
      dispatch (kill-cell@) exhausts its --job-retries budget, lands in
      dead-letter/ with its attempt history, and comes back to the sweep
@@ -217,6 +221,29 @@ let () =
   assert_zero_resolves ~what:"storm" (Filename.concat d2 "journal.log");
   Unix.kill d.pid Sys.sigterm;
   ignore (wait_bg ~what:"storm drain" ~expect:0 d);
+
+  (* ---------------- a timed-out cell is answered ------------------- *)
+  let d6 = dir "timeout" in
+  let sock = Filename.concat d6 "verifyd.sock" in
+  let d = start_daemon ~dir:d6 ~sock [ "--fault-plan"; "stall-worker@c0-0" ] in
+  await_ready ~what:"timeout" ~client ~sock;
+  let a6 = dir "timeout-atlas" in
+  let t0 = Unix.gettimeofday () in
+  ignore
+    (atlas_run ~expect:2 ~what:"sweep with a wedged cell" ~run_dir:a6
+       (" --max-subdiv 0 --cell-budget 1 --via-daemon " ^ Filename.quote sock));
+  let took = Unix.gettimeofday () -. t0 in
+  if took > 30.0 then
+    die "the wedged cell's answer took %.1fs (the client waited out its receive timeout)"
+      took;
+  let q = read_file (Filename.concat a6 (Filename.concat "quarantine" "c0-0.json")) in
+  if not (contains q "\"kind\":\"budget-exhausted\"") then
+    die "the wedged cell was not answered as budget-exhausted:\n%s" q;
+  let st = status ~what:"timeout status" ~client ~sock in
+  if json_int ~what:"timeout" "timeouts" st <> 1 then
+    die "exactly one worker should time out:\n%s" st;
+  Unix.kill d.pid Sys.sigterm;
+  ignore (wait_bg ~what:"timeout drain" ~expect:0 d);
 
   (* ---------------- dead-letter -> quarantine ---------------------- *)
   let d3 = dir "deadletter" in

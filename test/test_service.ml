@@ -1,7 +1,8 @@
 (* Tests for the verification service layer: the minimal JSON codec,
-   canonical job lines and fingerprints, the crash-safe queue ledger's
-   replay/compaction, the clock-injected circuit breaker, and the one
-   certification pipeline behind point jobs and sweep cells. *)
+   canonical job and cell lines and fingerprints, points as one-cell
+   jobs, the crash-safe queue ledger's replay/compaction, the
+   clock-injected circuit breaker, and the one certification pipeline
+   behind point jobs and sweep cells. *)
 
 let tmp_dir =
   let n = ref 0 in
@@ -89,27 +90,29 @@ let test_job_line_roundtrip () =
   | Ok spec' ->
       Alcotest.(check bool) "round-trips (deadline excluded)" true
         (spec' = { spec with Service.Job.deadline_s = None }));
-  match Service.Job.of_line (Service.Job.to_line ~with_deadline:true spec) with
+  (* Older queue ledgers carry the deadline on the point line. *)
+  match Service.Job.of_line (Service.Job.to_line spec ^ " deadline=0x1.9p+3") with
   | Error e -> Alcotest.fail e
   | Ok spec' ->
-      Alcotest.(check bool) "deadline variant round-trips exactly" true (spec' = spec)
+      Alcotest.(check bool) "a ledgered deadline is read back" true (spec' = spec)
+
+(* The daemon keys a point by the fingerprint of the cell it becomes. *)
+let point_fp spec = Service.Bulk.fingerprint (Service.Bulk.of_spec spec)
 
 let test_fingerprint_deadline_independent () =
   let spec = spec_with_point () in
   let spec' = { spec with Service.Job.deadline_s = Some 99.0 } in
   Alcotest.(check string) "deadline does not change the job identity"
-    (Service.Job.fingerprint spec)
-    (Service.Job.fingerprint spec');
+    (point_fp spec) (point_fp spec');
   let other = { spec with Service.Job.degree = 6 } in
-  Alcotest.(check bool) "problem fields do" true
-    (Service.Job.fingerprint spec <> Service.Job.fingerprint other)
+  Alcotest.(check bool) "problem fields do" true (point_fp spec <> point_fp other)
 
 let test_fingerprint_point_order_canonical () =
   let a = { (Service.Job.default_spec Pll.Third) with
             Service.Job.point = [ (Pll.Ip, 1.05); (Pll.Kv, 0.9) ] } in
   let b = { a with Service.Job.point = [ (Pll.Kv, 0.9); (Pll.Ip, 1.05) ] } in
   Alcotest.(check string) "axis listing order is canonicalized away"
-    (Service.Job.fingerprint a) (Service.Job.fingerprint b)
+    (point_fp a) (point_fp b)
 
 let test_point_parse () =
   (match Service.Job.point_of_string "ip=1.05,kv=0.9" with
@@ -151,8 +154,7 @@ let test_spec_json_roundtrip () =
              | Ok p -> p
              | Error _ -> [] ) });
       Alcotest.(check string) "same fingerprint across the wire"
-        (Service.Job.fingerprint spec)
-        (Service.Job.fingerprint spec')
+        (point_fp spec) (point_fp spec')
 
 let test_result_json_roundtrip () =
   let r =
@@ -183,6 +185,25 @@ let test_result_json_roundtrip () =
 
 (* ---- queue ledger ---- *)
 
+let sample_cell () =
+  {
+    Service.Bulk.order = Pll.Third;
+    degree = 4;
+    robust = false;
+    full = false;
+    exact = false;
+    bisect_steps = 4;
+    advect_iters = Service.Bulk.default_advect_iters;
+    psd_tol = None;
+    eq_tol = None;
+    budget_s = Some 30.0;
+    cell_id = "c1-0.1";
+    depth = 1;
+    box = [ (Pll.Ip, 0.9, 1.0); (Pll.Kv, 1.0, 1.1) ];
+  }
+
+let cell_of_degree degree = { (sample_cell ()) with Service.Bulk.degree }
+
 let open_q dir =
   match Service.Jobqueue.open_ ~dir with
   | Ok v -> v
@@ -194,12 +215,9 @@ let test_queue_replay_and_compaction () =
   Alcotest.(check int) "fresh queue is empty" 0 (List.length recovered);
   Alcotest.(check int) "no diagnoses" 0 (List.length diags);
   Alcotest.(check bool) "fresh ledger" false (Service.Jobqueue.had_entries q);
-  let s1 = Service.Job.default_spec Pll.Third in
-  let s2 = { s1 with Service.Job.degree = 4 } in
-  let s3 = { s1 with Service.Job.degree = 5 } in
-  let e1 = Service.Jobqueue.submit q (Service.Jobqueue.Point s1) in
-  let e2 = Service.Jobqueue.submit q (Service.Jobqueue.Point s2) in
-  let e3 = Service.Jobqueue.submit q (Service.Jobqueue.Point s3) in
+  let e1 = Service.Jobqueue.submit q (cell_of_degree 6) in
+  let e2 = Service.Jobqueue.submit q (cell_of_degree 4) in
+  let e3 = Service.Jobqueue.submit q (cell_of_degree 5) in
   Alcotest.(check string) "sequential ids" "j1" e1.Service.Jobqueue.id;
   Alcotest.(check string) "sequential ids" "j3" e3.Service.Jobqueue.id;
   Service.Jobqueue.start q e1;
@@ -221,10 +239,10 @@ let test_queue_replay_and_compaction () =
         true
         (e.Service.Jobqueue.state = Service.Jobqueue.Pending))
     recovered;
-  Alcotest.(check string) "recovered spec survives"
-    (Service.Job.fingerprint s2)
+  Alcotest.(check string) "recovered cell survives"
+    (Service.Bulk.fingerprint (cell_of_degree 4))
     (List.nth recovered 0).Service.Jobqueue.fp;
-  let e4 = Service.Jobqueue.submit q2 (Service.Jobqueue.Point { s1 with Service.Job.degree = 7 }) in
+  let e4 = Service.Jobqueue.submit q2 (cell_of_degree 7) in
   Alcotest.(check string) "seq high-water survives restart" "j4"
     e4.Service.Jobqueue.id;
   Service.Jobqueue.close q2
@@ -232,8 +250,7 @@ let test_queue_replay_and_compaction () =
 let test_queue_tolerates_garbage () =
   let dir = tmp_dir () in
   let q, _, _ = open_q dir in
-  let e = Service.Jobqueue.submit q (Service.Jobqueue.Point (Service.Job.default_spec Pll.Third)) in
-  ignore e;
+  ignore (Service.Jobqueue.submit q (sample_cell ()));
   Service.Jobqueue.close q;
   (* Simulate a crash-truncated tail and stray corruption. *)
   let oc =
@@ -255,7 +272,7 @@ let test_queue_tolerates_garbage () =
 let test_queue_cancel_is_terminal () =
   let dir = tmp_dir () in
   let q, _, _ = open_q dir in
-  let e = Service.Jobqueue.submit q (Service.Jobqueue.Point (Service.Job.default_spec Pll.Third)) in
+  let e = Service.Jobqueue.submit q (sample_cell ()) in
   Service.Jobqueue.cancel q e;
   Service.Jobqueue.close q;
   let q2, recovered, _ = open_q dir in
@@ -264,20 +281,6 @@ let test_queue_cancel_is_terminal () =
   Service.Jobqueue.close q2
 
 (* ---- bulk cell lines, fingerprints and probes ---- *)
-
-let sample_cell () =
-  {
-    Service.Bulk.order = Pll.Third;
-    degree = 4;
-    robust = false;
-    full = false;
-    exact = false;
-    bisect_steps = 4;
-    budget_s = Some 30.0;
-    cell_id = "c1-0.1";
-    depth = 1;
-    box = [ (Pll.Ip, 0.9, 1.0); (Pll.Kv, 1.0, 1.1) ];
-  }
 
 let test_cell_line_roundtrip () =
   let c = sample_cell () in
@@ -307,7 +310,7 @@ let test_cell_fingerprint_identity_excluded () =
 
 let test_probe_storable () =
   let storable p what expect =
-    Alcotest.(check bool) what expect (Service.Bulk.probe_storable p)
+    Alcotest.(check bool) what expect (Service.Bulk.storable p)
   in
   let ok =
     { Service.Bulk.ok = true; beta = 0.5; kind = ""; detail = ""; journal = None;
@@ -339,7 +342,7 @@ let test_queue_cell_replay () =
   let dir = tmp_dir () in
   let q, _, _ = open_q dir in
   let c = sample_cell () in
-  let e = Service.Jobqueue.submit q (Service.Jobqueue.Cell c) in
+  let e = Service.Jobqueue.submit q c in
   Alcotest.(check string) "cell fingerprint keys the entry"
     (Service.Bulk.fingerprint c) e.Service.Jobqueue.fp;
   Service.Jobqueue.start q e;
@@ -349,12 +352,138 @@ let test_queue_cell_replay () =
   let q2, recovered, diags = open_q dir in
   Alcotest.(check int) "clean replay" 0 (List.length diags);
   (match recovered with
-  | [ { Service.Jobqueue.payload = Service.Jobqueue.Cell c'; _ } ] ->
-      Alcotest.(check bool) "cell payload survives the ledger" true (c' = c)
-  | [ { Service.Jobqueue.payload = Service.Jobqueue.Point _; _ } ] ->
-      Alcotest.fail "cell replayed as a point job"
+  | [ { Service.Jobqueue.cell = c'; _ } ] ->
+      Alcotest.(check bool) "cell survives the ledger" true (c' = c)
   | l -> Alcotest.failf "expected 1 recovered entry, got %d" (List.length l));
   Service.Jobqueue.close q2
+
+(* Fingerprints of three atlas cells as computed before points became
+   one-cell jobs: sweep cells must keep their store keys. *)
+let test_cell_fingerprints_pinned () =
+  let cell ~robust ~full ~exact ~id box =
+    { (sample_cell ()) with Service.Bulk.robust; full; exact; cell_id = id; depth = 0; box }
+  in
+  List.iter
+    (fun (what, c, fp) ->
+      Alcotest.(check string) what fp (Service.Bulk.fingerprint c))
+    [
+      ( "robust P1 cell",
+        cell ~robust:true ~full:false ~exact:false ~id:"c0-0"
+          [ (Pll.Ip, 0.9, 1.0); (Pll.Kv, 0.9, 1.0) ],
+        "c58b2661a1a2d56ade5e7a246ec5a3aa" );
+      ( "full cell",
+        cell ~robust:false ~full:true ~exact:false ~id:"c1-0" [ (Pll.Ip, 1.0, 1.1) ],
+        "a93a10d6b7f1e5c486df1b91043620c4" );
+      ( "exact cell",
+        cell ~robust:false ~full:false ~exact:true ~id:"c0-1.1"
+          [ (Pll.Kv, 1.0, 1.05); (Pll.R, 0.95, 1.0) ],
+        "1e103a5c416e88de04fd3929d1311d89" );
+    ]
+
+let gen_cell =
+  QCheck.Gen.(
+    let pos = map (fun f -> 0.5 +. f) (float_bound_inclusive 1.0) in
+    let opt g = option g in
+    let* order = oneofl [ Pll.Third; Pll.Fourth ] in
+    let* degree = int_range 1 8 in
+    let* robust = bool and* full = bool and* exact = bool in
+    let* bisect_steps = int_range 0 20 in
+    let* advect_iters = oneof [ return Service.Bulk.default_advect_iters; int_range 1 60 ] in
+    let* psd_tol = opt (float_bound_inclusive 1e-3) in
+    let* eq_tol = opt (float_bound_inclusive 1e-3) in
+    let* budget_s = opt pos in
+    let* depth = int_range 0 4 in
+    let* axes = shuffle_l Pll.axes in
+    let* n = int_range 0 3 in
+    let* box =
+      flatten_l
+        (List.map
+           (fun a -> map2 (fun lo w -> (a, lo, lo +. w)) pos (float_bound_inclusive 0.5))
+           (List.filteri (fun i _ -> i < n) axes))
+    in
+    return
+      {
+        Service.Bulk.order;
+        degree;
+        robust;
+        full;
+        exact;
+        bisect_steps;
+        advect_iters;
+        psd_tol;
+        eq_tol;
+        budget_s;
+        cell_id = Printf.sprintf "c%d-%d" depth n;
+        depth;
+        box;
+      })
+
+let prop_cell_line_roundtrip =
+  QCheck.Test.make ~name:"cell line round-trips" ~count:300
+    (QCheck.make ~print:Service.Bulk.to_line gen_cell)
+    (fun c -> Service.Bulk.of_line (Service.Bulk.to_line c) = Ok c)
+
+(* A point is a one-cell job: degenerate intervals in canonical axis
+   order, the nominal point as the empty box, axes absent at the order
+   refused at admission. *)
+let test_point_as_cell () =
+  let spec = spec_with_point () in
+  let c = Service.Bulk.of_spec { spec with Service.Job.point = [ (Pll.Kv, 0.9); (Pll.Ip, 1.05) ] } in
+  Alcotest.(check bool) "degenerate box" true
+    (c.Service.Bulk.box = [ (Pll.Ip, 1.05, 1.05); (Pll.Kv, 0.9, 0.9) ]);
+  Alcotest.(check bool) "problem fields carried" true
+    (c.Service.Bulk.degree = 4 && c.Service.Bulk.robust && (not c.Service.Bulk.full)
+    && (not c.Service.Bulk.exact) && c.Service.Bulk.bisect_steps = 3
+    && c.Service.Bulk.advect_iters = 25 && c.Service.Bulk.psd_tol = Some 1e-6
+    && c.Service.Bulk.budget_s = Some 12.5);
+  let full = Service.Bulk.of_spec { spec with Service.Job.property = Service.Job.Full } in
+  Alcotest.(check bool) "full property" true full.Service.Bulk.full;
+  let nominal = Service.Bulk.of_spec (Service.Job.default_spec Pll.Third) in
+  Alcotest.(check bool) "nominal is the empty box" true (nominal.Service.Bulk.box = []);
+  Alcotest.(check bool) "the empty box is valid" true
+    (Service.Bulk.validate nominal = Ok ());
+  (match Service.Bulk.of_line (Service.Bulk.to_line nominal) with
+  | Ok c' -> Alcotest.(check bool) "empty box round-trips" true (c' = nominal)
+  | Error e -> Alcotest.fail e);
+  let absent =
+    Service.Bulk.of_spec
+      { (Service.Job.default_spec Pll.Third) with Service.Job.point = [ (Pll.C3, 1.1) ] }
+  in
+  (match Service.Bulk.validate absent with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "an axis absent at third order was admitted");
+  Alcotest.(check bool) "the point line names its non-default fields" true
+    (contains (Service.Bulk.to_line c) " advect=25 psd-tol=")
+
+(* A queue.log written while points were a second job kind: the pending
+   point resumes as one pending cell job with the same box, degree,
+   property and deadline. *)
+let test_queue_point_line_replay () =
+  let dir = tmp_dir () in
+  let oc = open_out (Service.Jobqueue.path dir) in
+  output_string oc
+    "pll-queue v1\n\
+     seq 0\n\
+     submit j1 77179b9f31e7fa10c843fc5bf9ffa08e pll-job v1 order=third prop=full \
+     degree=4 robust=false bisect=4 advect=25 point=ip:0x1.f333333333333p-1 \
+     deadline=0x1.ep+4\n\
+     start j1\n";
+  close_out oc;
+  let q, recovered, diags = open_q dir in
+  Alcotest.(check int) "clean replay" 0 (List.length diags);
+  (match recovered with
+  | [ { Service.Jobqueue.id = "j1"; cell = c; fp; state = Service.Jobqueue.Pending } ] ->
+      Alcotest.(check bool) "same box" true (c.Service.Bulk.box = [ (Pll.Ip, 0.975, 0.975) ]);
+      Alcotest.(check int) "same degree" 4 c.Service.Bulk.degree;
+      Alcotest.(check bool) "same property" true c.Service.Bulk.full;
+      Alcotest.(check (option (float 0.0))) "same deadline" (Some 30.0) c.Service.Bulk.budget_s;
+      Alcotest.(check string) "keyed by the cell" (Service.Bulk.fingerprint c) fp
+  | l -> Alcotest.failf "expected 1 pending job j1, got %d entries" (List.length l));
+  Service.Jobqueue.close q;
+  (* Compaction rewrote it as a cell line. *)
+  let ledger = In_channel.with_open_bin (Service.Jobqueue.path dir) In_channel.input_all in
+  Alcotest.(check bool) "rewritten as a cell line" true
+    (contains ledger "pll-cell v1" && not (contains ledger "pll-job v1"))
 
 (* ---- circuit breaker ---- *)
 
@@ -417,40 +546,26 @@ let test_level_collapse () =
   Alcotest.(check string) "kind" "level-collapse" r.Service.Job.kind;
   Alcotest.(check int) "exit code" 2 (Service.Job.exit_code r.Service.Job.verdict)
 
-(* The daemon stores point outcomes by [Job.storable] and cell probes by
-   [Bulk.probe_storable]; both must agree on every kind a cell can
-   produce. Cells have no validation hook ([validation-failed]) and
-   report bad input as [bad-cell], which is storable, where a point's
-   [bad-point] is a failure. *)
-let test_storability_table () =
+(* One storability rule, read off the kind table: every kind is stored
+   exactly when its verdict is not a failure, and a probe's verdict is
+   its kind's. *)
+let test_storable_kinds () =
   List.iter
     (fun (kind, verdict) ->
-      if not (List.mem kind [ "validation-failed"; "bad-point" ]) then begin
-        let o =
-          {
-            Service.Job.verdict;
-            beta = 0.0;
-            kind;
-            detail = "d";
-            solves = 0;
-            attempts = 0;
-            attempt_s = 0.0;
-            deadline_hit = kind = "budget-exhausted";
-          }
-        in
-        let p =
-          {
-            (Service.Bulk.probe_fail ~kind ~detail:"d") with
-            Service.Bulk.ok = verdict = Service.Job.Verified;
-          }
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "kind %S stored alike" kind)
-          (Service.Job.storable o) (Service.Bulk.probe_storable p)
-      end)
-    Service.Job.kinds;
-  Alcotest.(check bool) "bad-cell is a fact" true
-    (Service.Bulk.probe_storable (Service.Bulk.probe_fail ~kind:"bad-cell" ~detail:"d"))
+      let p =
+        {
+          (Service.Bulk.probe_fail ~kind ~detail:"d") with
+          Service.Bulk.ok = verdict = Service.Job.Verified;
+        }
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "kind %S carries its verdict" kind)
+        (Service.Job.verdict_to_string verdict)
+        (Service.Job.verdict_to_string (Service.Bulk.verdict p));
+      Alcotest.(check bool)
+        (Printf.sprintf "kind %S stored iff not failed" kind)
+        (verdict <> Service.Job.Failed) (Service.Bulk.storable p))
+    Service.Job.kinds
 
 (* lib/service certifies a cell on its own, with the beta the atlas
    reports for the same cell. *)
@@ -478,6 +593,26 @@ let test_cell_certification () =
   | Ok { Atlas.records = [ { Atlas.result = Atlas.Certified { beta }; _ } ]; _ } ->
       Alcotest.(check (float 0.0)) "same beta as the atlas" beta p.Service.Bulk.beta
   | Ok _ -> Alcotest.fail "the atlas did not certify its one cell"
+
+(* The one-cell job a point becomes certifies the model Job.run builds:
+   same verdict, beta, kind and detail. (A robust point cell certifies
+   its degenerate box itself, the same model; robust runs are too slow
+   for this suite.) *)
+let test_point_cell_same_outcome () =
+  let spec =
+    { (nominal_p1 ()) with Service.Job.bisect_steps = 4; point = [ (Pll.Ip, 0.975) ] }
+  in
+  let o = Service.Job.run ~policy:(Service.Job.make_policy spec) spec in
+  let p = Service.Bulk.run ~ctx:(Supervise.create ~jobs:1 ()) (Service.Bulk.of_spec spec) in
+  Alcotest.(check string) "same result core" (Service.Job.result_json o)
+    (Service.Job.result_json
+       {
+         o with
+         Service.Job.verdict = Service.Bulk.verdict p;
+         beta = p.Service.Bulk.beta;
+         kind = p.Service.Bulk.kind;
+         detail = p.Service.Bulk.detail;
+       })
 
 (* ---- daemon fault-plan parsing ---- *)
 
@@ -520,9 +655,14 @@ let suite =
     Alcotest.test_case "probe-storable" `Quick test_probe_storable;
     Alcotest.test_case "probe-json-roundtrip" `Quick test_probe_json_roundtrip;
     Alcotest.test_case "queue-cell-replay" `Quick test_queue_cell_replay;
+    Alcotest.test_case "queue-point-line-replay" `Quick test_queue_point_line_replay;
+    Alcotest.test_case "cell-fingerprints-pinned" `Quick test_cell_fingerprints_pinned;
+    QCheck_alcotest.to_alcotest prop_cell_line_roundtrip;
+    Alcotest.test_case "point-as-cell" `Quick test_point_as_cell;
     Alcotest.test_case "breaker-state-machine" `Quick test_breaker_state_machine;
     Alcotest.test_case "daemon-fault-parse" `Quick test_daemon_fault_parse;
     Alcotest.test_case "level-collapse" `Slow test_level_collapse;
-    Alcotest.test_case "storability-table" `Quick test_storability_table;
+    Alcotest.test_case "storable-kinds" `Quick test_storable_kinds;
     Alcotest.test_case "cell-certification" `Slow test_cell_certification;
+    Alcotest.test_case "point-cell-same-outcome" `Slow test_point_cell_same_outcome;
   ]

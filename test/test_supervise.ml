@@ -643,6 +643,23 @@ let test_lock_refuses_live_holder () =
       Alcotest.(check bool) "structured diagnosis" true
         (contains diag "run-dir-locked" && contains diag "\"holder_pid\":1")
 
+(* The refusal is JSON even when the run directory's name needs
+   escaping. *)
+let test_lock_diagnosis_escapes_dir () =
+  let dir = Filename.concat (lock_tmpdir ()) "a\"b\\c" in
+  Unix.mkdir dir 0o755;
+  let oc = open_out (Supervise.Lock.path dir) in
+  output_string oc "1";
+  close_out oc;
+  match Supervise.Lock.acquire ~dir ~wait_s:0.0 () with
+  | Ok _ -> Alcotest.fail "live holder must refuse"
+  | Error diag -> (
+      match Service.Json.parse diag with
+      | Ok j ->
+          Alcotest.(check (option string)) "dir survives the round trip" (Some dir)
+            (Service.Json.mem_str "dir" j)
+      | Error e -> Alcotest.failf "diagnosis is not JSON (%s): %s" e diag)
+
 (* Config fingerprint guard: first use records, match passes, drift is a
    structured refusal. *)
 
@@ -668,6 +685,7 @@ let suite =
     Alcotest.test_case "lock-stale-steal-contention" `Quick test_lock_stale_steal_contention;
     Alcotest.test_case "cache-gc-lru" `Quick test_cache_gc_lru;
     Alcotest.test_case "lock-refuses-live-holder" `Quick test_lock_refuses_live_holder;
+    Alcotest.test_case "lock-diagnosis-escapes-dir" `Quick test_lock_diagnosis_escapes_dir;
     Alcotest.test_case "config-guard" `Quick test_config_guard;
     Alcotest.test_case "fingerprint-ignores-hooks" `Quick test_fingerprint_ignores_hooks;
     Alcotest.test_case "cache-roundtrip" `Quick test_cache_roundtrip;

@@ -18,8 +18,7 @@ let setup_logs verbose =
 let cli_error = 124
 
 let run order degree grid_spec robust full exact bisect_steps max_subdiv cell_budget
-    fault_plan jobs run_dir resume via_daemon client_retries lock_wait solve_timeout
-    mem_limit verbose =
+    fault_plan jobs run_dir resume via_daemon client_retries lock_wait verbose =
   setup_logs verbose;
   let order = match order with `Third -> Pll.Third | `Fourth -> Pll.Fourth in
   let base_job = Atlas.default_job order in
@@ -49,10 +48,7 @@ let run order degree grid_spec robust full exact bisect_steps max_subdiv cell_bu
       let run_dir =
         match (resume, run_dir) with Some d, _ -> Some d | None, d -> d
       in
-      let ctx =
-        Supervise.create ?run_dir ?jobs ?solve_timeout_s:solve_timeout
-          ?mem_limit_mb:mem_limit ()
-      in
+      let ctx = Supervise.create ?run_dir ?jobs () in
       Supervise.install_signal_handlers ctx;
       let guarded =
         match Supervise.run_dir ctx with
@@ -167,12 +163,14 @@ let cell_budget =
 
 let fault_plan =
   Arg.(value & opt string "none" & info [ "fault-plan" ] ~docv:"SPEC"
-         ~doc:"Deterministic fault injection, comma-separated. Solver/worker faults \
-               ($(b,fail@S:I), $(b,trunc@S:I), $(b,noise@S:I:MAG), $(b,kill@S:I), \
-               $(b,stall@S:I), $(b,corrupt-cache@S)) apply to every cell, or to one \
-               cell as $(b,CELL/fault). Atlas-level: $(b,kill@CELL) makes the \
-               orchestrator die (as if SIGKILLed) right after CELL completes — resume \
-               with $(b,--resume); $(b,fail-cell@CELL) makes CELL and its subdivision \
+         ~doc:"Deterministic fault injection, comma-separated. Solver faults \
+               ($(b,fail@S:I), $(b,trunc@S:I), $(b,noise@S:I:MAG), \
+               $(b,corrupt-cache@S)) apply to every cell, or to one cell as \
+               $(b,CELL/fault). Cells solve inline in their worker, so the \
+               solver-worker faults $(b,kill@S:I) and $(b,stall@S:I) are refused \
+               (exit 124). Atlas-level: $(b,kill@CELL) makes the orchestrator die \
+               (as if SIGKILLed) right after CELL completes — resume with \
+               $(b,--resume); $(b,fail-cell@CELL) makes CELL and its subdivision \
                descendants fail without solving.")
 
 let jobs =
@@ -217,15 +215,6 @@ let lock_wait =
                before failing (default 0: fail fast with a structured diagnosis). \
                Stale locks left by dead processes are stolen immediately.")
 
-let solve_timeout =
-  Arg.(value & opt (some float) None & info [ "solve-timeout" ] ~docv:"SEC"
-         ~doc:"Wall-clock budget per supervised solve worker; a worker past it is \
-               reaped with SIGKILL and retried by the cell's resilience ladder.")
-
-let mem_limit =
-  Arg.(value & opt (some int) None & info [ "mem-limit-mb" ] ~docv:"MB"
-         ~doc:"Address-space rlimit per supervised solve worker, in MiB.")
-
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log per-cell progress.")
 
 let cmd =
@@ -235,7 +224,6 @@ let cmd =
     Term.(
       const run $ order $ degree $ grid $ robust $ full $ exact $ bisect_steps
       $ max_subdiv $ cell_budget $ fault_plan $ jobs $ run_dir_arg $ resume
-      $ via_daemon $ client_retries $ lock_wait $ solve_timeout $ mem_limit
-      $ verbose)
+      $ via_daemon $ client_retries $ lock_wait $ verbose)
 
 let () = exit (Cmd.eval' cmd)

@@ -40,9 +40,13 @@
 #     `Pll_core.Inevitability.verify` (points and cells both go through
 #     `Service.Job.certify`; interfaces may still name the
 #     attractive_invariant type; bench/ and examples/ are exempt);
-# 10. solver workers keep one protocol — no lib/supervise source
-#     mentions `WNOHANG`, `temp_file` or a `.res` suffix, so the polled
-#     result-file handoff cannot come back next to the pipe framing;
+# 10. one fork site, one worker protocol — no lib/ or bin/ source
+#     outside lib/supervise calls `Unix.fork`, and lib/supervise calls
+#     it at most twice (the solver worker and the one-answer child); no
+#     lib/supervise source mentions `WNOHANG`, `temp_file` or a `.res`
+#     suffix, and no lib/service source mentions `WNOHANG`, `waitpid`
+#     or `outbox`, so neither the polled result-file handoff nor a
+#     daemon-side copy of it can come back next to the pipe framing;
 # 11. step clocks are wall-clock spans — no lib/certificates or
 #     lib/advect source mentions `Sys.time`, whose CPU seconds of this
 #     process miss the work a supervised solve does in its worker;
@@ -158,10 +162,20 @@ strays="$(grep -lE 'Certificates\.attractive_invariant|Inevitability\.verify' \
 [ -z "$strays" ] || \
   fail "a second certification pipeline (call Service.Job.certify instead):$(echo " $strays" | sed "s|$repo/||g")"
 
-# One worker protocol (check 10).
+# One fork site, one worker protocol (check 10).
+strays="$(grep -nE 'Unix\.fork' "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null \
+  | grep -v "^$repo/lib/supervise/" || true)"
+[ -z "$strays" ] || \
+  fail "a fork outside lib/supervise (spawn a Supervise.Child):$(echo " $strays" | sed "s|$repo/||g")"
+forks="$(cat "$repo"/lib/supervise/*.ml 2>/dev/null | grep -cE 'Unix\.fork' || true)"
+[ "$forks" -le 2 ] || \
+  fail "lib/supervise forks at $forks sites (the solver worker and Child.spawn are the two)"
 strays="$(grep -nE 'WNOHANG|temp_file|\.res\b' "$repo"/lib/supervise/* 2>/dev/null || true)"
 [ -z "$strays" ] || \
   fail "a polled result-file handoff in lib/supervise (workers answer over pipes):$(echo " $strays" | sed "s|$repo/||g")"
+strays="$(grep -nE 'WNOHANG|waitpid|outbox' "$repo"/lib/service/* 2>/dev/null || true)"
+[ -z "$strays" ] || \
+  fail "process handling or a result-file handoff in lib/service (daemon workers are Supervise children):$(echo " $strays" | sed "s|$repo/||g")"
 
 # Wall-clock step timings (check 11).
 strays="$(grep -nE 'Sys\.time' "$repo"/lib/certificates/* "$repo"/lib/advect/* 2>/dev/null || true)"

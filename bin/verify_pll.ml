@@ -145,19 +145,10 @@ let run order degree robust advect_iters sim_validate psd_tol eq_tol point
           (* The (point-adjusted) scaled model the job will verify; also
              what the Monte-Carlo cross-check simulates. *)
           let scaled =
-            match
-              List.fold_left
-                (fun acc (a, v) ->
-                  Result.bind acc (fun raw ->
-                      Pll.set_axis_relative raw a ~lo:v ~hi:v))
-                (Ok
-                   (match order with
-                   | Pll.Third -> Pll.table1_third
-                   | Pll.Fourth -> Pll.table1_fourth))
-                spec.Service.Job.point
-            with
-            | Ok raw -> Some (Pll.scale raw)
-            | Error _ -> None
+            Result.to_option
+              (Result.map Pll.scale
+                 (Service.Job.raw_of_box order
+                    (List.map (fun (a, v) -> (a, v, v)) spec.Service.Job.point)))
           in
           (match scaled with
           | Some s -> Format.printf "%a@.@." Pll.pp_scaled s

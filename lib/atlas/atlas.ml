@@ -158,7 +158,7 @@ type job = {
 let default_job order =
   {
     order;
-    degree = (match order with Pll.Third -> 6 | Pll.Fourth -> 4);
+    degree = Service.Job.paper_degree order;
     robust = false;
     full = false;
     exact = false;
@@ -167,13 +167,11 @@ let default_job order =
     cell_budget_s = None;
   }
 
-let order_name = function Pll.Third -> "third" | Pll.Fourth -> "fourth"
-
 let fingerprint (job : job) grid =
   Printf.sprintf
     "pll-atlas v1 grid=%s order=%s degree=%d robust=%b full=%b exact=%b bisect=%d \
      max-subdiv=%d"
-    (Grid.to_string grid) (order_name job.order) job.degree job.robust job.full
+    (Grid.to_string grid) (Service.Job.order_name job.order) job.degree job.robust job.full
     job.exact job.bisect_steps job.max_subdiv
 
 (* ----------------------------------------------------------------- *)
@@ -197,18 +195,31 @@ module Fault = struct
     let cell_site mk =
       match Fp.site t with Some "" | None -> fail "missing cell id" | Some c -> Ok (mk c)
     in
+    (* Cells solve inline in their pool worker, with no solver worker
+       to kill or wedge: [corrupt-cache@S] is the one process-level
+       kind that acts on them. *)
+    let solver p mk =
+      if
+        List.exists
+          (fun (s : Supervise.Fault.spec) -> s.kind <> Supervise.Fault.Corrupt_cache)
+          (Resilient.Faults.proc_specs p)
+      then
+        fail
+          "cells solve inline, with no solver worker to kill or stall (use kill@CELL \
+           or fail-cell@CELL)"
+      else Ok (mk p)
+    in
     match t.scope with
     | Some cell -> (
         match Resilient.Faults.of_token { t with scope = None } with
-        | Ok p -> Ok (Cell_scoped (cell, p))
+        | Ok p -> solver p (fun p -> Cell_scoped (cell, p))
         | Error e -> fail e)
     | None when t.kind = "fail-cell" && t.key <> None -> cell_site (fun c -> Fail_cell c)
     | None -> (
-        (* [kill@S:I] stays a process-level worker fault; [kill@CELL]
-           (anything that is not a solve trigger) is the orchestrator
-           kill. *)
+        (* A solve trigger is a solver fault; [kill@CELL] (anything
+           that is not a solve trigger) is the orchestrator kill. *)
         match Resilient.Faults.of_token t with
-        | Ok p -> Ok (Global p)
+        | Ok p -> solver p (fun p -> Global p)
         | Error _ when t.kind = "kill" && t.key <> None -> cell_site (fun c -> Kill_at_cell c)
         | Error _ -> fail "not a solver fault, kill@CELL, fail-cell@CELL or CELL/token")
 
@@ -296,7 +307,7 @@ let report_json r =
   add "{\"atlas\":\"v1\"";
   add ",\"grid\":\"%s\"" (Service.Json.escape (Grid.to_string r.grid));
   add ",\"order\":\"%s\",\"degree\":%d,\"robust\":%b,\"full\":%b,\"exact\":%b"
-    (order_name r.job.order) r.job.degree r.job.robust r.job.full r.job.exact;
+    (Service.Job.order_name r.job.order) r.job.degree r.job.robust r.job.full r.job.exact;
   add ",\"bisect_steps\":%d,\"max_subdiv\":%d" r.job.bisect_steps r.job.max_subdiv;
   add ",\"cells_total\":%d,\"certified\":%d,\"subdivided\":%d,\"quarantined\":%d"
     (List.length r.records) r.certified r.subdivided r.quarantined;
@@ -338,7 +349,7 @@ let report_json r =
 let pp_summary ppf r =
   let open Format in
   fprintf ppf "@[<v>certification atlas: %s order, degree %d, grid %s%s@,"
-    (order_name r.job.order) r.job.degree (Grid.to_string r.grid)
+    (Service.Job.order_name r.job.order) r.job.degree (Grid.to_string r.grid)
     (if r.job.robust then " (robust: whole-box cells)" else " (cell midpoints)");
   fprintf ppf "cells: %d recorded | %d certified, %d subdivided, %d quarantined@,"
     (List.length r.records) r.certified r.subdivided r.quarantined;
@@ -480,8 +491,7 @@ type exec = cell list -> (Service.Bulk.probe, string) result list
    with jittered exponential backoff. Cells still unanswered when the
    retry budget exhausts come back as [Error] — the atlas quarantines
    them; it never wedges. *)
-let exec_via_daemon ~sock ?(retries = 10) ?(retry_base_s = 0.5) (job : job) :
-    exec =
+let exec_via_daemon ~sock ?(retries = 10) (job : job) : exec =
  fun cells ->
   let module C = Service.Client in
   let module J = Service.Json in
@@ -504,7 +514,7 @@ let exec_via_daemon ~sock ?(retries = 10) ?(retry_base_s = 0.5) (job : job) :
   let policy =
     {
       Resilient.Lease.default_policy with
-      Resilient.Lease.backoff_base_s = retry_base_s;
+      Resilient.Lease.backoff_base_s = 0.5;
       Resilient.Lease.backoff_max_s = 5.0;
       Resilient.Lease.max_attempts = retries + 1;
     }
@@ -638,7 +648,7 @@ let validate_grid (job : job) (grid : Grid.t) =
   else if bad <> [] then
     Error
       (Printf.sprintf "grid axes %s do not exist at %s order"
-         (String.concat ", " bad) (order_name job.order))
+         (String.concat ", " bad) (Service.Job.order_name job.order))
   else Ok ()
 
 let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =

@@ -117,17 +117,20 @@ val fingerprint : job -> Grid.t -> string
     chaos run is resumed by a plain run of the same problem. *)
 
 (** Atlas-level fault plans, in the {!Substrate.Fault_plan} grammar. On
-    top of the in-process and process-level kinds of {!Resilient.Faults}
-    (which apply to every cell, or to one cell via a [CELL/tok] scope),
-    two orchestrator-level kinds exercise the sweep's own crash
-    recovery. *)
+    top of the in-process kinds of {!Resilient.Faults} and
+    [corrupt-cache@S] (which apply to every cell, or to one cell via a
+    [CELL/tok] scope), two orchestrator-level kinds exercise the sweep's
+    own crash recovery. Cells solve inline in their pool worker or
+    daemon job worker, so the solver-worker kinds [kill@S:I] and
+    [stall@S:I] would never fire: {!of_string} refuses them, bare or
+    scoped. *)
 module Fault : sig
   type t =
     | Kill_at_cell of string
         (** [kill@CELL]: the orchestrator [_exit]s (as if SIGKILLed)
             immediately after ledgering CELL's completion — the resume
-            chaos fault. A [kill@S:I] solve trigger stays a worker
-            fault ([Global]). *)
+            chaos fault. A [kill@S:I] solve trigger is refused, not
+            read as a cell id. *)
     | Fail_cell of string
         (** [fail-cell@CELL]: CELL and its descendants fail without
             solving (diagnosis kind [injected]) — drives subdivision
@@ -221,16 +224,15 @@ type exec = cell list -> (Service.Bulk.probe, string) result list
     as its input; [Error] quarantines the cell (kind [crash]). Cells are
     certified by {!Service.Bulk.run}, whichever backend runs them. *)
 
-val exec_via_daemon :
-  sock:string -> ?retries:int -> ?retry_base_s:float -> job -> exec
+val exec_via_daemon : sock:string -> ?retries:int -> job -> exec
 (** Bulk execution over a running daemon: ships each wave as one [bulk]
     request, collects streamed [cell-result] lines (keyed by content
     fingerprint, so daemon-side dedup still answers every cell),
     resubmits deferred cells after their [retry_after_s] hint, and
     survives daemon restarts by reconnecting with jittered exponential
-    backoff ([retries] extra rounds, default 10, base [retry_base_s]
-     0.5 s). Cells still unanswered when the budget exhausts return
-    [Error] — quarantined by the sweep, never a wedge. *)
+    backoff ([retries] extra rounds, default 10, base 0.5 s). Cells
+    still unanswered when the budget exhausts return [Error] —
+    quarantined by the sweep, never a wedge. *)
 
 val run :
   ctx:Supervise.ctx ->

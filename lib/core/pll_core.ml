@@ -25,23 +25,14 @@ module Inevitability = struct
     | Pll.Third -> [| 1.5; 1.5; 1.2 |]
     | Pll.Fourth -> [| 0.9; 0.9; 0.9; 0.72 |]
 
-  let verify ?cert_config ?adv_config ?max_advect_iter ?init_radii ?resilience
-      ?supervise (s : Pll.scaled) =
+  let verify ?cert_config ?max_advect_iter ?resilience (s : Pll.scaled) =
     (* One policy across both phases: shared pipeline deadline, one
        chronological journal, and logical solve indices that a fault
-       plan can target deterministically. A supervision context rides on
-       the policy (made fresh here when only [supervise] is given), so
-       worker isolation, the solve cache and the run journal cover both
-       phases too. *)
-    let resilience =
-      match (resilience, supervise) with
-      | _, None -> resilience
-      | Some pol, Some ctx -> Some (Resilient.with_supervisor pol (Some ctx))
-      | None, Some ctx -> Some (Resilient.make ~supervise:ctx ())
-    in
+       plan can target deterministically. The policy's supervision
+       context, if any, covers both phases too. *)
     let cert_config, adv_config =
       match resilience with
-      | None -> (cert_config, adv_config)
+      | None -> (cert_config, None)
       | Some pol ->
           Resilient.begin_pipeline pol;
           let cc =
@@ -49,17 +40,13 @@ module Inevitability = struct
             | Some c -> c
             | None -> Certificates.default_config s.Pll.order
           in
-          let ac = Option.value adv_config ~default:Advect.default_config in
           ( Some { cc with Certificates.resilience = pol },
-            Some { ac with Advect.resilience = pol } )
+            Some { Advect.default_config with Advect.resilience = pol } )
     in
     match Certificates.attractive_invariant ?config:cert_config s with
     | Error e -> Error ("P1 failed: " ^ e)
     | Ok invariant ->
-        let radii =
-          match init_radii with Some r -> r | None -> default_init_radii s
-        in
-        let init_front = Advect.ellipsoid_front s ~radii in
+        let init_front = Advect.ellipsoid_front s ~radii:(default_init_radii s) in
         let advection =
           Advect.run ?config:adv_config ?max_iter:max_advect_iter s invariant ~init:init_front
         in

@@ -35,24 +35,20 @@ module Inevitability : sig
 
   val verify :
     ?cert_config:Certificates.config ->
-    ?adv_config:Advect.config ->
     ?max_advect_iter:int ->
-    ?init_radii:float array ->
     ?resilience:Resilient.policy ->
-    ?supervise:Supervise.ctx ->
     Pll.scaled ->
     (report, string) result
-  (** Run the two-pronged verification on a scaled CP PLL model.
-      [init_radii] are the semi-axes of the ellipsoidal initial set [X2]
-      (default: 80% of the domain box). [resilience], when given, is
-      installed as the single solve-orchestration policy of both phases
-      (overriding whatever the configs carry) and reset via
-      {!Resilient.begin_pipeline}: one shared pipeline deadline, one
-      failure journal, and deterministic logical solve indices for fault
-      plans. [supervise] attaches a supervision context to that policy
-      (a default policy is created when [resilience] is absent): every
-      solve then runs in a forked worker under the context's timeout and
-      memory cap, independent per-mode/per-condition work fans out
+  (** Run the two-pronged verification on a scaled CP PLL model, from
+      the ellipsoidal initial set [X2] of {!default_init_radii}.
+      [resilience], when given, is installed as the single
+      solve-orchestration policy of both phases (overriding whatever the
+      configs carry) and reset via {!Resilient.begin_pipeline}: one
+      shared pipeline deadline, one failure journal, and deterministic
+      logical solve indices for fault plans. A supervision context on
+      that policy ([Resilient.make ~supervise]) covers both phases: every
+      solve then runs in the context's solver worker under its timeout
+      and memory cap, independent per-mode/per-condition work fans out
       across its pool, and — with a run directory — completed solves are
       cached and journaled so a killed run resumes from its checkpoint. *)
 

@@ -9,24 +9,17 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Time sources                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [Sys.time] is CPU seconds of THIS process: it neither advances while
-   a forked worker burns cycles nor while the process sleeps in
-   [waitpid], and a fork resets the child's CPU clock entirely. Wall
-   clock is therefore the default deadline base; CPU time remains
-   available for single-process benchmarking. The wall source is
-   injectable so deadline tests don't have to actually wait. *)
-
-type time_mode = Cpu_time | Wall_clock
+(* Deadlines count wall-clock seconds: [Sys.time] is CPU seconds of THIS
+   process, which neither advances while a forked worker burns cycles
+   nor while the process sleeps in [waitpid], and a fork resets the
+   child's CPU clock entirely. The wall source is injectable so deadline
+   tests don't have to actually wait. *)
 
 let wall_clock_source = ref Unix.gettimeofday
 
 let set_wall_clock_source = function
   | Some f -> wall_clock_source := f
   | None -> wall_clock_source := Unix.gettimeofday
-
-let time_of_mode = function
-  | Cpu_time -> Sys.time ()
-  | Wall_clock -> !wall_clock_source ()
 
 let wall_now () = !wall_clock_source ()
 
@@ -295,14 +288,11 @@ type diagnosis = {
 type policy = {
   ladder : rung list;
   retries_enabled : bool;
-  accept_degraded : bool;
   quiet : bool;
-  solve_deadline_s : float option;
   pipeline_deadline_s : float option;
-  clock_mode : time_mode;
   faults : Faults.plan;
   supervise : Supervise.ctx option;
-  session : Sdp.Session.t option;
+  session : Sdp.Session.t;
   clock : clock;
 }
 
@@ -320,24 +310,16 @@ and clock = {
 let fresh_clock () =
   { started = None; solve_count = 0; journal_rev = []; attempt_count = 0; attempt_s = 0.0 }
 
-let make ?(ladder = default_ladder) ?(retries = true) ?(accept_degraded = true)
-    ?solve_deadline_s ?pipeline_deadline_s ?(clock_mode = Wall_clock)
-    ?(faults = Faults.none ()) ?supervise ?(warm_starts = true) ?session () =
-  let session =
-    if not warm_starts then None
-    else Some (match session with Some s -> s | None -> Sdp.Session.create ())
-  in
+let make ?(ladder = default_ladder) ?(retries = true) ?pipeline_deadline_s
+    ?(faults = Faults.none ()) ?supervise () =
   {
     ladder;
     retries_enabled = retries;
-    accept_degraded;
     quiet = false;
-    solve_deadline_s;
     pipeline_deadline_s;
-    clock_mode;
     faults;
     supervise;
-    session;
+    session = Sdp.Session.create ();
     clock = fresh_clock ();
   }
 
@@ -351,21 +333,20 @@ let with_supervisor p supervise = { p with supervise }
    for one logical attempt, which would double-fire iteration-indexed
    injected faults and skew the fired-fault accounting chaos tests
    assert on. *)
-let session_of p = if Faults.is_empty p.faults then p.session else None
-let now p = time_of_mode p.clock_mode
+let session_of p = if Faults.is_empty p.faults then Some p.session else None
 
 let begin_pipeline p =
-  p.clock.started <- Some (now p);
+  p.clock.started <- Some (wall_now ());
   p.clock.solve_count <- 0;
   p.clock.journal_rev <- [];
   p.clock.attempt_count <- 0;
   p.clock.attempt_s <- 0.0;
   Faults.reset p.faults
 
-let ensure_started p = if p.clock.started = None then p.clock.started <- Some (now p)
+let ensure_started p = if p.clock.started = None then p.clock.started <- Some (wall_now ())
 
 let elapsed_s p =
-  match p.clock.started with None -> 0.0 | Some t0 -> now p -. t0
+  match p.clock.started with None -> 0.0 | Some t0 -> wall_now () -. t0
 
 let out_of_time p =
   match p.pipeline_deadline_s with
@@ -459,18 +440,15 @@ let conclusive = function
   | _ -> false
 
 (* The iteration hook of one ladder attempt: the fault plan's trigger,
-   then the per-solve and pipeline deadlines. Under supervision it
-   travels to the solver worker inside every request, so it captures
-   only numbers, the fault hook and [deadline_hit], never the policy
-   (whose session would ride along). Both deadlines count from the
-   hook's first firing — the pipeline one on top of the time already
-   spent when the attempt began — so neither compares clocks of two
-   processes, nor depends on how much CPU a long-lived worker has
-   burnt before this solve. *)
+   then the pipeline deadline. Under supervision it travels to the
+   solver worker inside every request, so it captures only numbers, the
+   fault hook and [deadline_hit], never the policy (whose session would
+   ride along). The deadline counts from the hook's first firing, on top
+   of the time already spent when the attempt began, so it never
+   compares clocks of two processes. *)
 let iteration_hook policy ~solve_index ~attempt ~deadline_hit (params : Sdp.params) =
   let fault_hook = Faults.hook policy.faults ~solve_index ~attempt in
-  let mode = policy.clock_mode in
-  let solve_d = policy.solve_deadline_s and pipeline_d = policy.pipeline_deadline_s in
+  let pipeline_d = policy.pipeline_deadline_s in
   ensure_started policy;
   let spent = elapsed_s policy in
   let first = ref None in
@@ -480,18 +458,18 @@ let iteration_hook policy ~solve_index ~attempt ~deadline_hit (params : Sdp.para
     | Some f -> Some f
     | None ->
         let over =
-          (solve_d <> None || pipeline_d <> None)
-          &&
-          let t = time_of_mode mode in
-          let t0 =
-            match !first with
-            | Some t0 -> t0
-            | None ->
-                first := Some t;
-                t
-          in
-          let past d x = match d with Some d -> x >= d | None -> false in
-          past solve_d (t -. t0) || past pipeline_d (spent +. (t -. t0))
+          match pipeline_d with
+          | None -> false
+          | Some d ->
+              let t = wall_now () in
+              let t0 =
+                match !first with
+                | Some t0 -> t0
+                | None ->
+                    first := Some t;
+                    t
+              in
+              spent +. (t -. t0) >= d
         in
         if over then begin
           deadline_hit := true;
@@ -554,7 +532,7 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
     match rungs with
     | [] -> (
         match best with
-        | Some (rung, payload, _) when policy.accept_degraded ->
+        | Some (rung, payload, _) ->
             finish ~attempts_rev ~outcome:Degraded ~accepted_rung:(Some rung) payload
         | _ -> (
             match last with
@@ -563,7 +541,7 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
     | rung :: rest ->
         let params = apply_rung params rung in
         let fired_before = Faults.fired policy.faults in
-        let t0 = now policy in
+        let t0 = wall_now () in
         let payload, (sdp : Sdp.solution) =
           attempt_solve ~attempt:attempt_idx ~hint:(Option.map fst hint)
             (wrap ~attempt:attempt_idx params)
@@ -578,7 +556,7 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
             dual_res = sdp.Sdp.dual_res;
             best_score = sdp.Sdp.best_score;
             faults_fired = Faults.fired policy.faults - fired_before;
-            time_s = now policy -. t0;
+            time_s = wall_now () -. t0;
           }
         in
         policy.clock.attempt_count <- policy.clock.attempt_count + 1;

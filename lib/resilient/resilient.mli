@@ -14,9 +14,11 @@
       tolerances, bumped iteration limits (margin/degree adjustment for
       certificate searches lives in {!Certificates}, which composes with
       this ladder);
-    - {e per-solve and per-pipeline deadlines} with best-iterate
-      salvage, enforced through the solver's [on_iteration] hook — a
-      stuck solve degrades to its best iterate instead of hanging;
+    - a {e pipeline deadline} with best-iterate salvage, enforced
+      through the solver's [on_iteration] hook — a stuck solve degrades
+      to its best iterate instead of hanging (a bound per solve is the
+      supervisor's wall-clock timeout, [Supervise.create
+      ~solve_timeout_s]);
     - a {e graceful degradation} contract: a non-certified but
       salvageable solution is surfaced as [Degraded]; callers must gate
       acceptance on the exact kernel ([Certificates.validate_exactly] /
@@ -33,11 +35,10 @@
     journal, so one policy threaded through a whole pipeline gives a
     shared deadline and a single chronological journal. Create a fresh
     policy per pipeline (or call {!begin_pipeline}). Deadlines are
-    monotonic wall-clock seconds by default ({!Wall_clock}); the
-    {!Cpu_time} mode ([Sys.time]) remains available, but note that CPU
-    time neither advances while a supervised worker process solves nor
-    survives a fork — under {!Supervise} isolation, wall clock is the
-    only base that measures the pipeline truthfully.
+    wall-clock seconds: CPU time neither advances while a supervised
+    worker process solves nor survives a fork, so under {!Supervise}
+    isolation wall clock is the only base that measures the pipeline
+    truthfully.
 
     With a {!Supervise.ctx} attached ([make ~supervise]), every ladder
     attempt's interior-point solve runs in a forked worker under the
@@ -47,16 +48,10 @@
     [Max_iterations] attempts that the ladder escalates exactly like
     in-process failures. *)
 
-(** The deadline time base. *)
-type time_mode =
-  | Cpu_time  (** [Sys.time]: CPU seconds of this process only *)
-  | Wall_clock  (** [Unix.gettimeofday]-based; the default — the only
-                    base that keeps measuring across forked workers *)
-
 val set_wall_clock_source : (unit -> float) option -> unit
-(** Replace (or with [None] restore) the wall-clock source — a test
-    hook, so deadline behaviour is checkable without waiting. Global;
-    affects every policy in {!Wall_clock} mode. *)
+(** Replace (or with [None] restore) the wall-clock source
+    ([Unix.gettimeofday]) — a test hook, so deadline behaviour is
+    checkable without waiting. Global; affects every policy. *)
 
 val wall_now : unit -> float
 (** The current wall clock through the injectable source — the time
@@ -213,30 +208,27 @@ type diagnosis = {
 val pp_diagnosis : Format.formatter -> diagnosis -> unit
 val diagnosis_to_json : diagnosis -> string
 
+(** A salvageable-but-uncertified solution is always surfaced as
+    [Degraded] rather than [Failed]; acceptance must then be gated by
+    exact validation. *)
 type policy = {
   ladder : rung list;
   retries_enabled : bool;
-  accept_degraded : bool;
-      (** surface salvageable-but-uncertified solutions as [Degraded]
-          rather than [Failed]; acceptance must then be gated by exact
-          validation *)
   quiet : bool;
       (** probe mode: non-certified outcomes are expected answers — they
           are not journaled and log at debug level only *)
-  solve_deadline_s : float option;  (** per-solve budget, in {!clock_mode} seconds *)
   pipeline_deadline_s : float option;
-      (** budget for the whole pipeline sharing this policy *)
-  clock_mode : time_mode;  (** deadline time base; default {!Wall_clock} *)
+      (** wall-clock budget for the whole pipeline sharing this policy *)
   faults : Faults.plan;
   supervise : Supervise.ctx option;
       (** when present, ladder attempts solve in forked workers through
           {!Supervise.solve_sdp} (timeout, memory cap, cache, journal) *)
-  session : Sdp.Session.t option;
+  session : Sdp.Session.t;
       (** warm-start session shared by every solve under this policy:
           bisection rungs and sweep neighbours of the same problem
           structure resume from the previous clean iterate, and retry
-          rungs warm-start from the best salvaged one. [None] disables
-          warm starts entirely. *)
+          rungs warm-start from the best salvaged one (see
+          {!session_of}) *)
   clock : clock;  (** mutable pipeline state (journal, counter, clock) *)
 }
 
@@ -245,21 +237,14 @@ and clock
 val make :
   ?ladder:rung list ->
   ?retries:bool ->
-  ?accept_degraded:bool ->
-  ?solve_deadline_s:float ->
   ?pipeline_deadline_s:float ->
-  ?clock_mode:time_mode ->
   ?faults:Faults.plan ->
   ?supervise:Supervise.ctx ->
-  ?warm_starts:bool ->
-  ?session:Sdp.Session.t ->
   unit ->
   policy
-(** Fresh policy (fresh clock/journal). Defaults: {!default_ladder},
-    retries on, degradation on, no deadlines, wall-clock deadline base,
-    no faults, no supervisor, and a fresh warm-start session
-    ([~warm_starts:false] opts out; [~session] shares an existing
-    one). *)
+(** Fresh policy (fresh clock/journal, fresh warm-start session).
+    Defaults: {!default_ladder}, retries on, no deadline, no faults, no
+    supervisor. *)
 
 val session_of : policy -> Sdp.Session.t option
 (** The session solves under this policy will actually use: the
@@ -303,12 +288,12 @@ val iteration_hook :
   Sdp.params
 (** [params] with the [on_iteration] hook that {!solve_sos} and
     {!solve_sdp} install for one attempt: the fault plan's trigger for
-    [(solve_index, attempt)], then the per-solve and pipeline deadlines
-    (setting [deadline_hit] when one stops the solve), then the
-    caller's own hook. Under supervision the hook is marshalled into
-    every worker request, so it captures no more than those deadline
-    numbers, the pipeline time spent so far, the fault trigger and
-    [deadline_hit] — never the policy itself. *)
+    [(solve_index, attempt)], then the pipeline deadline (setting
+    [deadline_hit] when it stops the solve), then the caller's own hook.
+    Under supervision the hook is marshalled into every worker request,
+    so it captures no more than the deadline, the pipeline time spent
+    so far, the fault trigger and [deadline_hit] — never the policy
+    itself. *)
 
 (** Cumulative resource accounting for one policy/pipeline — the basis
     of per-cell budgets in the sweep orchestrator: an atlas cell gets a
@@ -316,7 +301,7 @@ val iteration_hook :
     including quiet probe solves that never enter the journal. *)
 type budget = {
   attempts : int;  (** individual solver attempts, across all rungs *)
-  attempt_s : float;  (** total attempt time, in {!time_mode} seconds *)
+  attempt_s : float;  (** total attempt time, in wall-clock seconds *)
   solves : int;  (** logical solves (= {!solves}) *)
 }
 

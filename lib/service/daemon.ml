@@ -108,7 +108,7 @@ type waiter = { wfd : Unix.file_descr; reply : reply }
 
 type worker = {
   w_id : string;
-  pid : int;
+  child : Bulk.probe Supervise.Child.t;
   kill_after : float option;  (* absolute wall deadline + grace *)
   hb_r : Unix.file_descr;  (* heartbeat pipe, read end *)
   mutable hb_open : bool;
@@ -160,10 +160,8 @@ type st = {
 }
 
 let results_dir st = Filename.concat st.cfg.run_dir "results"
-let outbox_dir st = Filename.concat st.cfg.run_dir "outbox"
 let dead_letter_dir st = Filename.concat st.cfg.run_dir "dead-letter"
 let result_path st fp = Filename.concat (results_dir st) (fp ^ ".json")
-let outbox_path st id = Filename.concat (outbox_dir st) (id ^ ".json")
 
 let dead_letter_path st id = Filename.concat (dead_letter_dir st) (id ^ ".json")
 
@@ -248,12 +246,13 @@ and cancel_job st id =
           match List.find_opt (fun w -> w.w_id = id) st.workers with
           | Some w ->
               w.cancelled <- true;
-              (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+              Supervise.Child.kill w.child;
               Jobqueue.cancel st.q e;
               Hashtbl.remove st.by_fp e.Jobqueue.fp;
               st.c.cancelled <- st.c.cancelled + 1;
               Log.info (fun k ->
-                  k "job %s cancelled (client gone, worker %d killed)" id w.pid)
+                  k "job %s cancelled (client gone, worker %d killed)" id
+                    (Supervise.Child.pid w.child))
           | None -> ())
       | _ -> ())
 
@@ -330,23 +329,15 @@ let complete st (e : Jobqueue.entry) ?dead_letter probe =
 
 let deadline_grace_s = 5.0
 
-(* The worker body: certify the cell, hand the probe back through the
-   outbox, and store it when it is a fact about the problem. *)
-let run_job st ctx (e : Jobqueue.entry) =
+(* The worker body: certify the cell, store the probe when it is a fact
+   about the problem, and answer it to the daemon. *)
+let run_job st (e : Jobqueue.entry) =
+  let ctx = Supervise.create ~run_dir:st.cfg.run_dir ~isolate:false ~jobs:1 () in
   let probe = Bulk.run ~ctx e.Jobqueue.cell in
-  Fs.write_atomic (outbox_path st e.Jobqueue.id)
-    (Json.to_string
-       (Json.Obj
-          [
-            ("id", Json.Str e.Jobqueue.id);
-            ("fp", Json.Str e.Jobqueue.fp);
-            ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
-            ("probe", Bulk.probe_to_json probe);
-          ]));
   if Bulk.storable probe then
     Fs.write_atomic (result_path st e.Jobqueue.fp)
       (Json.to_string (Bulk.probe_to_json probe));
-  Job.exit_code (Bulk.verdict probe)
+  probe
 
 let spawn_worker st (e : Jobqueue.entry) =
   let id = e.Jobqueue.id in
@@ -369,71 +360,67 @@ let spawn_worker st (e : Jobqueue.entry) =
     || List.mem (Fault.Kill_cell id) st.cfg.faults
   in
   let hb_r, hb_w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      (* Worker. Shed every inherited daemon fd so client EOF detection
-         keeps working in the parent, then run the job over the shared
-         run-dir cache/journal and exit with the verdict's code. *)
-      Sys.set_signal Sys.sigterm Sys.Signal_default;
-      Sys.set_signal Sys.sigint Sys.Signal_default;
-      close_fd st.listen;
-      close_fd hb_r;
-      List.iter (fun c -> close_fd c.cfd) st.clients;
-      (* Liveness: every supervised solve (and each interior-point
-         iteration) writes a byte up the heartbeat pipe; the daemon
-         renews our lease on drain. A worker that stops beating past
-         the TTL is reclaimed with SIGKILL and re-dispatched. *)
-      let hb_byte = Bytes.make 1 'h' in
-      Supervise.Heartbeat.install ~min_interval_s:st.cfg.heartbeat_interval_s
-        (fun () ->
-          try ignore (Unix.write hb_w hb_byte 0 1) with Unix.Unix_error _ -> ());
-      Supervise.Heartbeat.beat ();
-      if stall then
-        (* Injected wedge: alive but silent — exactly the failure mode
-           leases exist for. *)
-        while true do
-          Unix.sleepf 3600.0
-        done;
-      let code =
-        try run_job st (Supervise.create ~run_dir:st.cfg.run_dir ~isolate:false ~jobs:1 ()) e
-        with
-        | Supervise.Interrupted -> 130
-        | e ->
-            prerr_endline ("verifyd worker: " ^ Printexc.to_string e);
-            1
-      in
-      Unix._exit code
-  | pid ->
-      close_fd hb_w;
-      Unix.set_nonblock hb_r;
-      let kill_after =
-        Option.map
-          (fun d -> Unix.gettimeofday () +. d +. deadline_grace_s)
-          e.Jobqueue.cell.Bulk.budget_s
-      in
-      let lease =
-        Resilient.Lease.grant st.lease_policy ~holder:id ~now:(Resilient.wall_now ())
-      in
-      st.workers <-
-        {
-          w_id = id;
-          pid;
-          kill_after;
-          hb_r;
-          hb_open = true;
-          lease;
-          killed = false;
-          timed_out = false;
-          lease_expired = false;
-          cancelled = false;
-        }
-        :: st.workers;
-      Log.info (fun k -> k "job %s started in worker %d" id pid);
-      if fires_for st e (fun k -> Fault.Kill_worker k) || kill_always then begin
-        Format.printf "verifyd: fault kill-worker@%s firing on pid %d@." key pid;
-        Format.pp_print_flush Format.std_formatter ();
-        try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
-      end
+  let child =
+    Supervise.Child.spawn (fun () ->
+        (* Worker. Shed every inherited daemon fd so client EOF
+           detection keeps working in the parent, then run the job over
+           the shared run-dir cache/journal. *)
+        Sys.set_signal Sys.sigterm Sys.Signal_default;
+        Sys.set_signal Sys.sigint Sys.Signal_default;
+        close_fd st.listen;
+        close_fd hb_r;
+        List.iter (fun c -> close_fd c.cfd) st.clients;
+        List.iter
+          (fun w ->
+            close_fd (Supervise.Child.fd w.child);
+            if w.hb_open then close_fd w.hb_r)
+          st.workers;
+        (* Liveness: every supervised solve (and each interior-point
+           iteration) writes a byte up the heartbeat pipe; the daemon
+           renews our lease on drain. A worker that stops beating past
+           the TTL is reclaimed with SIGKILL and re-dispatched. *)
+        let hb_byte = Bytes.make 1 'h' in
+        Supervise.Heartbeat.install ~min_interval_s:st.cfg.heartbeat_interval_s
+          (fun () ->
+            try ignore (Unix.write hb_w hb_byte 0 1) with Unix.Unix_error _ -> ());
+        Supervise.Heartbeat.beat ();
+        if stall then
+          (* Injected wedge: alive but silent — exactly the failure mode
+             leases exist for. *)
+          while true do
+            Unix.sleepf 3600.0
+          done;
+        run_job st e)
+  in
+  close_fd hb_w;
+  Unix.set_nonblock hb_r;
+  let pid = Supervise.Child.pid child in
+  let kill_after =
+    Option.map
+      (fun d -> Unix.gettimeofday () +. d +. deadline_grace_s)
+      e.Jobqueue.cell.Bulk.budget_s
+  in
+  let lease = Resilient.Lease.grant st.lease_policy ~holder:id ~now:(Resilient.wall_now ()) in
+  st.workers <-
+    {
+      w_id = id;
+      child;
+      kill_after;
+      hb_r;
+      hb_open = true;
+      lease;
+      killed = false;
+      timed_out = false;
+      lease_expired = false;
+      cancelled = false;
+    }
+    :: st.workers;
+  Log.info (fun k -> k "job %s started in worker %d" id pid);
+  if fires_for st e (fun k -> Fault.Kill_worker k) || kill_always then begin
+    Format.printf "verifyd: fault kill-worker@%s firing on pid %d@." key pid;
+    Format.pp_print_flush Format.std_formatter ();
+    Supervise.Child.kill child
+  end
 
 let maybe_cache_gc st =
   match st.cfg.cache_max_mb with
@@ -446,141 +433,102 @@ let maybe_cache_gc st =
               stats.Supervise.Cache.evicted stats.Supervise.Cache.evicted_bytes
               stats.Supervise.Cache.entries stats.Supervise.Cache.bytes)
 
-(* A worker that exited with an outbox finished its job. *)
-let job_done st (e : Jobqueue.entry) =
-  match
-    Result.bind
-      (Json.parse (Fs.read_file (outbox_path st e.Jobqueue.id)))
-      (fun outbox ->
-        Bulk.probe_of_json (Option.value (Json.member "probe" outbox) ~default:Json.Null))
-  with
-  | exception Sys_error _ -> false
-  | Error why ->
-      Log.warn (fun k ->
-          k "job %s outbox unparseable (%s); treating as crash" e.Jobqueue.id why);
-      false
-  | Ok probe ->
-      complete st e probe;
-      Format.printf "verifyd: job %s (cell %s) done: %s (%d solves)@." e.Jobqueue.id
-        e.Jobqueue.cell.Bulk.cell_id
-        (Job.verdict_to_string (Bulk.verdict probe))
-        probe.Bulk.solves;
-      st.c.completed <- st.c.completed + 1;
-      Breaker.success st.breaker;
-      Format.pp_print_flush Format.std_formatter ();
-      maybe_cache_gc st;
-      true
-
-let reap st =
-  let rec go () =
-    match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-    | 0, _ -> ()
-    | pid, status -> (
-        match List.find_opt (fun w -> w.pid = pid) st.workers with
-        | None -> go ()
-        | Some w ->
-            st.workers <- List.filter (fun x -> x.pid <> pid) st.workers;
-            if w.hb_open then begin
-              w.hb_open <- false;
-              close_fd w.hb_r
-            end;
-            (match Jobqueue.find st.q w.w_id with
-            | None -> ()
-            | Some e ->
-                let id = e.Jobqueue.id in
-                let cleanup () =
-                  Hashtbl.remove st.by_fp e.Jobqueue.fp;
-                  Hashtbl.remove st.detached id;
-                  Hashtbl.remove st.retries id;
-                  Hashtbl.remove st.not_before id;
-                  Hashtbl.remove st.history id
-                in
-                if w.cancelled then cleanup ()
-                else if job_done st e then cleanup ()
-                else if w.timed_out then begin
-                  st.c.timeouts <- st.c.timeouts + 1;
-                  complete st e
-                    (Bulk.probe_fail ~kind:"budget-exhausted"
-                       ~detail:"worker exceeded the job deadline and was killed");
-                  cleanup ()
-                end
-                else begin
-                  (* Crash: the worker died without an outbox (killed,
-                     OOM'd, or SIGKILLed by us after its lease expired). *)
-                  st.c.crashes <- st.c.crashes + 1;
-                  Breaker.failure st.breaker;
-                  let how =
-                    match status with
-                    | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-                    | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-                    | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
-                  in
-                  let how =
-                    if w.lease_expired then how ^ " (lease expired; reclaimed)"
-                    else how
-                  in
-                  let attempt =
-                    1 + Option.value (Hashtbl.find_opt st.retries id) ~default:0
-                  in
-                  Hashtbl.replace st.history id
-                    (Printf.sprintf "attempt %d: worker died by %s" attempt how
-                    :: Option.value (Hashtbl.find_opt st.history id) ~default:[]);
-                  if attempt <= st.cfg.job_retries then begin
-                    Hashtbl.replace st.retries id attempt;
-                    Hashtbl.replace st.not_before id
-                      (Unix.gettimeofday ()
-                      +. Resilient.Lease.backoff_s st.lease_policy ~key:id ~attempt);
-                    e.Jobqueue.state <- Jobqueue.Pending;
-                    Queue.add id st.pending;
-                    st.c.redispatched <- st.c.redispatched + 1;
-                    Format.printf
-                      "verifyd: job %s worker crashed (%s); redispatch %d/%d with backoff@."
-                      id how attempt st.cfg.job_retries;
-                    Format.pp_print_flush Format.std_formatter ()
-                  end
-                  else begin
-                    (* Re-dispatch budget exhausted: dead-letter with the
-                       full attempt history. The diagnosis shape matches
-                       the atlas quarantine record, so a remote cell and
-                       a locally quarantined one read identically. *)
-                    st.c.dead_lettered <- st.c.dead_lettered + 1;
-                    let detail = "cell worker crashed" in
-                    let dl =
-                      Json.to_string
-                        (Json.Obj
-                           [
-                             ("id", Json.Str id);
-                             ("fp", Json.Str e.Jobqueue.fp);
-                             ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
-                             ("kind", Json.Str "crash");
-                             ("detail", Json.Str detail);
-                             ( "attempts",
-                               Json.Arr
-                                 (List.rev_map
-                                    (fun s -> Json.Str s)
-                                    (Option.value (Hashtbl.find_opt st.history id)
-                                       ~default:[])) );
-                           ])
-                    in
-                    (try Fs.write_atomic (dead_letter_path st id) dl with _ -> ());
-                    complete st e ~dead_letter:true
-                      {
-                        (Bulk.probe_fail ~kind:"crash" ~detail) with
-                        Bulk.journal = Some dl;
-                        Bulk.attempts = attempt;
-                      };
-                    Format.printf
-                      "verifyd: job %s dead-lettered after %d attempt(s)@." id
-                      attempt;
-                    Format.pp_print_flush Format.std_formatter ();
-                    cleanup ()
-                  end
-                end);
-            go ())
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
+(* A worker answered or died: collect it and settle its job — done,
+   timed out, re-dispatched after a crash, or dead-lettered. *)
+let finish st w =
+  st.workers <- List.filter (fun x -> x != w) st.workers;
+  let answer = Supervise.Child.collect w.child in
+  if w.hb_open then begin
+    w.hb_open <- false;
+    close_fd w.hb_r
+  end;
+  match Jobqueue.find st.q w.w_id with
+  | None -> ()
+  | Some e -> (
+      let id = e.Jobqueue.id in
+      let cleanup () =
+        Hashtbl.remove st.by_fp e.Jobqueue.fp;
+        Hashtbl.remove st.detached id;
+        Hashtbl.remove st.retries id;
+        Hashtbl.remove st.not_before id;
+        Hashtbl.remove st.history id
+      in
+      match answer with
+      | _ when w.cancelled -> cleanup ()
+      | Ok probe ->
+          complete st e probe;
+          Format.printf "verifyd: job %s (cell %s) done: %s (%d solves)@." id
+            e.Jobqueue.cell.Bulk.cell_id
+            (Job.verdict_to_string (Bulk.verdict probe))
+            probe.Bulk.solves;
+          st.c.completed <- st.c.completed + 1;
+          Breaker.success st.breaker;
+          Format.pp_print_flush Format.std_formatter ();
+          maybe_cache_gc st;
+          cleanup ()
+      | Error _ when w.timed_out ->
+          st.c.timeouts <- st.c.timeouts + 1;
+          complete st e
+            (Bulk.probe_fail ~kind:"budget-exhausted"
+               ~detail:"worker exceeded the job deadline and was killed");
+          cleanup ()
+      | Error how ->
+          (* Crash: the worker died without an answer (killed, OOM'd,
+             raised, or SIGKILLed by us after its lease expired). *)
+          st.c.crashes <- st.c.crashes + 1;
+          Breaker.failure st.breaker;
+          let how = if w.lease_expired then how ^ " (lease expired; reclaimed)" else how in
+          let attempt = 1 + Option.value (Hashtbl.find_opt st.retries id) ~default:0 in
+          Hashtbl.replace st.history id
+            (Printf.sprintf "attempt %d: %s" attempt how
+            :: Option.value (Hashtbl.find_opt st.history id) ~default:[]);
+          if attempt <= st.cfg.job_retries then begin
+            Hashtbl.replace st.retries id attempt;
+            Hashtbl.replace st.not_before id
+              (Unix.gettimeofday ()
+              +. Resilient.Lease.backoff_s st.lease_policy ~key:id ~attempt);
+            e.Jobqueue.state <- Jobqueue.Pending;
+            Queue.add id st.pending;
+            st.c.redispatched <- st.c.redispatched + 1;
+            Format.printf
+              "verifyd: job %s worker crashed (%s); redispatch %d/%d with backoff@." id how
+              attempt st.cfg.job_retries;
+            Format.pp_print_flush Format.std_formatter ()
+          end
+          else begin
+            (* Re-dispatch budget exhausted: dead-letter with the full
+               attempt history. The diagnosis shape matches the atlas
+               quarantine record, so a remote cell and a locally
+               quarantined one read identically. *)
+            st.c.dead_lettered <- st.c.dead_lettered + 1;
+            let detail = "cell worker crashed" in
+            let dl =
+              Json.to_string
+                (Json.Obj
+                   [
+                     ("id", Json.Str id);
+                     ("fp", Json.Str e.Jobqueue.fp);
+                     ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
+                     ("kind", Json.Str "crash");
+                     ("detail", Json.Str detail);
+                     ( "attempts",
+                       Json.Arr
+                         (List.rev_map
+                            (fun s -> Json.Str s)
+                            (Option.value (Hashtbl.find_opt st.history id) ~default:[])) );
+                   ])
+            in
+            (try Fs.write_atomic (dead_letter_path st id) dl with _ -> ());
+            complete st e ~dead_letter:true
+              {
+                (Bulk.probe_fail ~kind:"crash" ~detail) with
+                Bulk.journal = Some dl;
+                Bulk.attempts = attempt;
+              };
+            Format.printf "verifyd: job %s dead-lettered after %d attempt(s)@." id attempt;
+            Format.pp_print_flush Format.std_formatter ();
+            cleanup ()
+          end)
 
 let enforce_deadlines st =
   let now = Unix.gettimeofday () in
@@ -591,13 +539,15 @@ let enforce_deadlines st =
           w.killed <- true;
           w.timed_out <- true;
           Log.warn (fun k ->
-              k "job %s worker %d past deadline + grace; SIGKILL" w.w_id w.pid);
-          (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
+              k "job %s worker %d past deadline + grace; SIGKILL" w.w_id
+                (Supervise.Child.pid w.child));
+          Supervise.Child.kill w.child
       | _ -> ())
     st.workers
 
 (* Drain each worker's heartbeat pipe (non-blocking); any byte renews
-   its lease. EOF means the worker is gone — reap will collect it. *)
+   its lease. The worker's answer pipe, not this one, tells of its
+   death: processes it forked may hold the heartbeat pipe open. *)
 let drain_heartbeats st =
   let now = Resilient.wall_now () in
   let buf = Bytes.create 256 in
@@ -625,7 +575,7 @@ let drain_heartbeats st =
     st.workers
 
 (* A worker whose lease expired (no heartbeat for a full TTL) is
-   presumed wedged: reclaim it with SIGKILL. Reap then routes the death
+   presumed wedged: reclaim it with SIGKILL. [finish] then routes the death
    through the ordinary crash path — bounded re-dispatch with backoff,
    then dead-letter — so a silent wedge and a hard crash converge on
    the same recovery machinery. *)
@@ -640,9 +590,9 @@ let enforce_leases st =
         Format.printf
           "verifyd: job %s lease expired (no heartbeat within %.3gs); reclaiming \
            worker %d@."
-          w.w_id st.lease_policy.Resilient.Lease.ttl_s w.pid;
+          w.w_id st.lease_policy.Resilient.Lease.ttl_s (Supervise.Child.pid w.child);
         Format.pp_print_flush Format.std_formatter ();
-        try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ()
+        Supervise.Child.kill w.child
       end)
     st.workers
 
@@ -1029,12 +979,8 @@ let drain_exit st =
   0
 
 let interrupt_exit st =
-  List.iter
-    (fun w -> try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
-    st.workers;
-  List.iter
-    (fun w -> try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ())
-    st.workers;
+  List.iter (fun w -> Supervise.Child.kill w.child) st.workers;
+  List.iter (fun w -> ignore (Supervise.Child.collect w.child)) st.workers;
   Jobqueue.close st.q;
   List.iter (fun c -> close_fd c.cfd) st.clients;
   close_fd st.listen;
@@ -1048,34 +994,32 @@ let loop st =
   let rec go () =
     drain_heartbeats st;
     enforce_leases st;
-    reap st;
     enforce_deadlines st;
     dispatch st;
     if !(st.interrupted) then interrupt_exit st
     else if !(st.draining) && st.workers = [] then drain_exit st
     else begin
-      let fds = st.listen :: List.map (fun c -> c.cfd) st.clients in
+      let answers = List.map (fun w -> Supervise.Child.fd w.child) st.workers in
+      let fds = (st.listen :: answers) @ List.map (fun c -> c.cfd) st.clients in
       (match Unix.select fds [] [] 0.05 with
       | readable, _, _ ->
           List.iter
             (fun fd ->
-              if fd == st.listen then (
-                match Unix.accept st.listen with
-                | cfd, _ ->
-                    st.clients <- { cfd; cbuf = Buffer.create 256 } :: st.clients
-                | exception Unix.Unix_error _ -> ())
-              else
-                match List.find_opt (fun c -> c.cfd == fd) st.clients with
-                | None -> ()
-                | Some cl -> (
-                    match Unix.read fd chunk 0 (Bytes.length chunk) with
-                    | 0 -> drop_client st fd
-                    | n -> feed_client st cl n chunk
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-                      ->
-                        drop_client st fd
-                    | exception Unix.Unix_error _ -> drop_client st fd))
+              match List.find_opt (fun w -> Supervise.Child.fd w.child == fd) st.workers with
+              | Some w -> finish st w
+              | None when fd == st.listen -> (
+                  match Unix.accept st.listen with
+                  | cfd, _ -> st.clients <- { cfd; cbuf = Buffer.create 256 } :: st.clients
+                  | exception Unix.Unix_error _ -> ())
+              | None -> (
+                  match List.find_opt (fun c -> c.cfd == fd) st.clients with
+                  | None -> ()
+                  | Some cl -> (
+                      match Unix.read fd chunk 0 (Bytes.length chunk) with
+                      | 0 -> drop_client st fd
+                      | n -> feed_client st cl n chunk
+                      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+                      | exception Unix.Unix_error _ -> drop_client st fd)))
             readable
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       go ()
@@ -1114,7 +1058,6 @@ let run cfg =
                 fail "cannot listen on %s: %s" sock (Unix.error_message err)
             | () ->
                 Fs.mkdir_p (Filename.concat cfg.run_dir "results");
-                Fs.mkdir_p (Filename.concat cfg.run_dir "outbox");
                 Fs.mkdir_p (Filename.concat cfg.run_dir "dead-letter");
                 let cache =
                   Supervise.Cache.create ~dir:(Filename.concat cfg.run_dir "cache")

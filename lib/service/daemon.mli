@@ -1,7 +1,11 @@
 (** The verification daemon: a single-process [Unix.select] loop that
     accepts verify jobs over a Unix-domain socket (newline-delimited
-    JSON), runs each job in a forked worker over the shared
-    content-addressed solve cache, and survives crashes of either side.
+    JSON), runs each job in a worker over the shared content-addressed
+    solve cache, and survives crashes of either side. A worker is a
+    {!Supervise.Child}: it answers its job's probe in one frame over a
+    pipe, and the loop selects on those pipes next to the clients, so
+    an answer, or a worker's death (end of file with no answer), wakes
+    it at once. The daemon forks nothing itself.
     The daemon has one job type, the {!Bulk.cell_spec}: a [submit]'s
     point becomes the one-cell job {!Bulk.of_spec} makes of it at
     admission (an axis absent at the order is an [error] reply), a
@@ -33,9 +37,9 @@
       unless another client shares it or it was submitted no-wait;
     - {e supervision + circuit breaker}: a crashed worker is retried
       with exponential backoff, and dead-lettered and answered as a
-      [crash] once [job_retries] run out; repeated consecutive crashes
-      open the
-      breaker and the daemon degrades to cache-only serving
+      [crash] once [job_retries] run out (each attempt's line in the
+      record gives the worker's exit reason or exception); repeated
+      consecutive crashes open the breaker and the daemon degrades to cache-only serving
       (structured [degraded] refusals) until a cooldown and a
       successful probe close it again;
     - {e graceful drain}: SIGTERM (or a [stop] request) stops

@@ -90,12 +90,6 @@ let validate spec =
              (Pll.axis_name a)))
     (Ok ()) spec.point
 
-let point_to_string point =
-  String.concat ","
-    (List.map
-       (fun (a, v) -> Printf.sprintf "%s=%g" (Pll.axis_name a) v)
-       (sort_point point))
-
 let point_of_string s =
   let s = String.trim s in
   if s = "" || s = "nominal" then Ok []
@@ -338,25 +332,6 @@ let result_json r =
          ("kind", Json.Str r.kind);
          ("detail", Json.Str r.detail);
        ])
-
-let result_of_json j =
-  let ( let* ) = Result.bind in
-  let* verdict =
-    match Json.mem_str "verdict" j with
-    | Some v -> verdict_of_string v
-    | None -> Error "result object missing \"verdict\""
-  in
-  Ok
-    {
-      verdict;
-      beta = Option.value (Json.mem_num "beta" j) ~default:0.0;
-      kind = Option.value (Json.mem_str "kind" j) ~default:"";
-      detail = Option.value (Json.mem_str "detail" j) ~default:"";
-      solves = 0;
-      attempts = 0;
-      attempt_s = 0.0;
-      deadline_hit = false;
-    }
 
 (* ----------------------------------------------------------------- *)
 (* Execution *)

@@ -72,8 +72,6 @@ val point_of_string : string -> ((Pll.axis * float) list, string) result
 (** Parse a CLI point spec like ["ip=1.05,kv=0.9"]. Empty string is the
     nominal point. *)
 
-val point_to_string : (Pll.axis * float) list -> string
-
 val spec_to_json : spec -> Json.t
 (** Wire encoding (the [job] object of a submit request). *)
 
@@ -117,9 +115,6 @@ val result_json : outcome -> string
     timings or counters, so a replayed job reproduces the bytes exactly.
     The daemon's [result] reply carries the same object, derived from
     the cell probe. *)
-
-val result_of_json : Json.t -> (outcome, string) result
-(** Decode a stored {!result_json} document (counters read as 0). *)
 
 val make_policy :
   ?supervise:Supervise.ctx -> ?faults:Resilient.Faults.plan -> spec -> Resilient.policy

@@ -572,13 +572,8 @@ let decode payload =
   | v -> Ok v
   | exception (Failure m | Invalid_argument m) -> Error ("worker result does not decode: " ^ m)
 
-let rec waitpid_retry flags pid =
-  try Unix.waitpid flags pid
-  with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry flags pid
-
-let kill_and_reap pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  try ignore (waitpid_retry [] pid) with Unix.Unix_error _ -> ()
+let rec waitpid_retry pid =
+  try Unix.waitpid [] pid with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -586,6 +581,7 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let exit_reason = function
   | Unix.WEXITED 0 -> "worker wrote no result"
   | Unix.WEXITED c -> Printf.sprintf "worker exited with code %d" c
+  | Unix.WSIGNALED sg when sg = Sys.sigkill -> "worker killed by SIGKILL (crash or OOM-kill)"
   | Unix.WSIGNALED sg -> Printf.sprintf "worker killed by signal %d" sg
   | Unix.WSTOPPED sg -> Printf.sprintf "worker stopped by signal %d" sg
 
@@ -611,24 +607,78 @@ let retire ?(kill = true) w =
     if w.owner <> Unix.getpid () then None
     else begin
       if kill then (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-      match waitpid_retry [] w.pid with
+      match waitpid_retry w.pid with
       | _, st -> Some st
       | exception Unix.Unix_error _ -> None
     end
   end
 
-(* In a child this module forks: close every inherited worker pipe. *)
+(* The write end of the answer pipe, when this process is a {!Child}.
+   Every process forked below it closes its copy, so the child's death
+   is end of file on the pipe at once, whatever it leaves running. *)
+let answer_end : Unix.file_descr option ref = ref None
+
+(* In a child this module forks: close every inherited worker pipe and
+   the parent's answer end. *)
 let drop_inherited () =
   List.iter
     (fun w ->
       close_quietly w.requests;
       close_quietly w.answers)
     !live;
-  live := []
+  live := [];
+  Option.iter close_quietly !answer_end;
+  answer_end := None
 
 let release ctx =
   Option.iter (fun w -> ignore (retire w)) ctx.worker;
   ctx.worker <- None
+
+(* ------------------------------------------------------------------ *)
+(* One-answer children                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Child = struct
+  type 'a t = { pid : int; answer : Unix.file_descr }
+
+  (* The child runs [body], sends its result (or the text of the
+     exception it raised) as one frame and leaves by [Unix._exit], so no
+     at_exit or flush machinery of the parent runs twice. *)
+  let spawn body =
+    let r, w = Unix.pipe ~cloexec:true () in
+    flush stdout;
+    flush stderr;
+    match Unix.fork () with
+    | 0 ->
+        Unix.close r;
+        drop_inherited ();
+        answer_end := Some w;
+        let res = try Ok (body ()) with e -> Error (Printexc.to_string e) in
+        (try Frame.send w (Marshal.to_string res []) with _ -> ());
+        Unix._exit 0
+    | pid ->
+        Unix.close w;
+        { pid; answer = r }
+
+  let fd c = c.answer
+  let pid c = c.pid
+
+  (* Read the answer before reaping: a child blocks writing an answer
+     larger than the pipe buffer until it is read. *)
+  let collect c =
+    let answer = Frame.recv c.answer in
+    close_quietly c.answer;
+    let status =
+      match waitpid_retry c.pid with
+      | _, st -> st
+      | exception Unix.Unix_error _ -> Unix.WEXITED 0
+    in
+    match (status, answer) with
+    | Unix.WEXITED 0, Some payload -> Result.join (decode payload)
+    | st, _ -> Error (exit_reason st)
+
+  let kill c = try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
+end
 
 (* Reap what a direct library caller left behind. *)
 let () = at_exit (fun () -> List.iter (fun w -> ignore (retire w)) !live)
@@ -756,11 +806,9 @@ let solve_in_worker ctx ~proc_fault ?hint ~params prob =
     retire ?kill w
   in
   let died () =
-    match retire_worker ~kill:false () with
-    | Some (Unix.WSIGNALED sg) when sg = Sys.sigkill ->
-        W_crashed "worker killed by SIGKILL (crash or OOM-kill)"
-    | Some st -> W_crashed (exit_reason st)
-    | None -> W_crashed (exit_reason (Unix.WEXITED 0))
+    W_crashed
+      (exit_reason
+         (Option.value (retire_worker ~kill:false ()) ~default:(Unix.WEXITED 0)))
   in
   (* No sharing: with it, the extern table marshalling builds stays in
      this process's heap. The hook closures are valid in the worker
@@ -1043,61 +1091,43 @@ module Pool = struct
       check_interrupt ctx;
       ctx.stats.pool_tasks <- ctx.stats.pool_tasks + n;
       let results = Array.make n (Error "not run") in
-      (* answer pipe -> (pid, item index) *)
-      let running = Hashtbl.create 8 in
+      let running = ref [] in
       let launch i =
-        let r, w = Unix.pipe ~cloexec:true () in
-        flush stdout;
-        flush stderr;
         ctx.stats.forked <- ctx.stats.forked + 1;
-        match Unix.fork () with
-        | 0 ->
-            Unix.close r;
-            drop_inherited ();
-            ctx.in_worker <- true;
-            let res = try Ok (f i items.(i)) with e -> Error (Printexc.to_string e) in
-            (try Frame.send w (Marshal.to_string res []) with _ -> ());
-            Unix._exit 0
-        | pid ->
-            Unix.close w;
-            Hashtbl.replace running r (pid, i)
-      in
-      (* Read a ready child's answer before reaping it: a child blocks
-         writing an answer larger than the pipe buffer until it is read. *)
-      let finish fd =
-        let pid, i = Hashtbl.find running fd in
-        Hashtbl.remove running fd;
-        let answer = Frame.recv fd in
-        Unix.close fd;
-        results.(i) <-
-          (match (snd (waitpid_retry [] pid), answer) with
-          | Unix.WEXITED 0, Some payload -> (
-              match decode payload with Ok r -> r | Error e -> Error e)
-          | st, _ -> Error (exit_reason st))
+        let c =
+          Child.spawn (fun () ->
+              ctx.in_worker <- true;
+              f i items.(i))
+        in
+        running := (c, i) :: !running
       in
       let pump () =
-        let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) running [] in
-        match Unix.select fds [] [] 0.05 with
+        match Unix.select (List.map (fun (c, _) -> Child.fd c) !running) [] [] 0.05 with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | ready, _, _ -> List.iter finish ready
+        | ready, _, _ ->
+            let finished, still =
+              List.partition (fun (c, _) -> List.mem (Child.fd c) ready) !running
+            in
+            running := still;
+            List.iter (fun (c, i) -> results.(i) <- Child.collect c) finished
       in
       let next = ref 0 in
       (try
-         while !next < n || Hashtbl.length running > 0 do
+         while !next < n || !running <> [] do
            check_interrupt ctx;
-           if !next < n && Hashtbl.length running < ctx.jobs then begin
+           if !next < n && List.length !running < ctx.jobs then begin
              launch !next;
              incr next
            end
            else pump ()
          done
        with e ->
-         Hashtbl.iter
-           (fun fd (pid, _) ->
-             kill_and_reap pid;
-             close_quietly fd)
-           running;
-         Hashtbl.reset running;
+         List.iter
+           (fun (c, _) ->
+             Child.kill c;
+             ignore (Child.collect c))
+           !running;
+         running := [];
          raise e);
       Array.to_list results
     end

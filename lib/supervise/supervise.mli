@@ -18,7 +18,8 @@
       fresh worker;
     - {e parallel fan-out}: independent work items (escape-certificate
       searches, exact re-validation conditions, atlas cells) run across
-      a bounded pool of forked children ({!Pool.map}, [--jobs N]);
+      a bounded pool of forked children ({!Pool.map}, [--jobs N]), each
+      a {!Child} that answers once;
     - {e crash-safe restartability}: every solve request is canonically
       serialized and hashed ({!Sdp.fingerprint}); clean results are
       written atomically (tmp + rename, fsync'd) into a content-
@@ -40,7 +41,12 @@
     request is marshalled with [Closures] — valid because the worker is
     a fork of the same image and is never exec'd — so the iteration
     hook crosses with it; with [No_sharing], so this process keeps no
-    extern table. {!Pool.map} children answer with the same framing.
+    extern table. A {!Child} answers with the same framing.
+
+    {b Two fork sites.} This module forks in exactly two places: the
+    solver worker and the one-answer {!Child}. {!Pool.map} items and
+    the verification daemon's job workers are children; nothing else
+    in the libraries or the command-line tools forks.
 
     {b Lifetime.} {!release} closes the pipes and reaps the worker, so
     its CPU time lands in the caller's [cutime]; [Service.Job.certify]
@@ -48,7 +54,8 @@
     direct caller left behind. The worker exits on end of file on its
     request pipe and on a failed answer write, so it never outlives its
     parent by more than one solve. Children this module forks close the
-    worker pipes they inherit.
+    worker pipes they inherit, and the answer pipe of the child they
+    were forked from.
 
     The run directory also reserves [artifacts/] for exact-certificate
     artifacts ({!save_artifact}), so SOS proofs found along the way
@@ -343,11 +350,42 @@ val save_artifact : ctx -> name:string -> string -> string option
 val report_json : ctx -> string
 (** Machine-readable supervision report: jobs, counters, replay count. *)
 
+(** A forked child that runs one closure and answers once: the
+    closure's result, or the text of the exception it raised, travels
+    back as one frame on a pipe. The write end of that pipe is closed in
+    every process this module forks below the child, so the child's
+    death is end of file on {!fd} at once, even while processes it
+    spawned (pool items, a solver worker) still run. *)
+module Child : sig
+  type 'a t
+
+  val spawn : (unit -> 'a) -> 'a t
+  (** Fork a child that runs the closure. Its result must be
+      marshal-safe (plain data, no closures). The child inherits
+      everything the caller set up; the closure closes what it must
+      not hold. *)
+
+  val fd : 'a t -> Unix.file_descr
+  (** Readable once the child has answered or died: what to [select]
+      on. *)
+
+  val pid : 'a t -> int
+
+  val collect : 'a t -> ('a, string) result
+  (** Read the child's frame, then reap it; blocks until both happen.
+      [Error] carries the exception text, or the reason the child ended
+      without an answer (its exit code or signal). Call it exactly
+      once. *)
+
+  val kill : 'a t -> unit
+  (** SIGKILL the child. It still has to be {!collect}ed. *)
+end
+
 (** Bounded parallel fan-out over independent work items. *)
 module Pool : sig
   val map : ctx -> f:(int -> 'a -> 'b) -> 'a list -> ('b, string) result list
   (** [map ctx ~f items] runs [f i item] for each item across at most
-      {!jobs} forked workers and returns the results in item order.
+      {!jobs} {!Child}ren and returns the results in item order.
       [f]'s result must be marshal-safe (plain data, no closures). A
       worker that raises, crashes or is killed yields [Error] for its
       item only. Called from inside a pool worker it degrades to an

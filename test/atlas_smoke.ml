@@ -15,7 +15,8 @@
    - guard rails: resuming with drifted configuration is refused (exit
      1), reusing a populated run dir without --resume is refused (exit
      1), malformed fault plans are usage errors (exit 124) in both
-     atlas_pll and verify_pll. *)
+     atlas_pll and verify_pll, and so are the per-solve worker knobs
+     atlas cells never use (--solve-timeout, kill@S:I). *)
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("atlas_smoke: " ^ m); exit 1) fmt
 
@@ -164,6 +165,10 @@ let () =
   ignore
     (run ~expect:1 ~what:"populated dir without --resume" (base ^ " -j 1 --run-dir " ^ dir "A"));
   ignore (run ~expect:124 ~what:"atlas bad fault plan" (base ^ " --fault-plan melt@1"));
+  (* Cells solve inline, so per-solve worker knobs and faults would
+     never act on them: they are usage errors, not silent no-ops. *)
+  ignore (run ~expect:124 ~what:"atlas --solve-timeout" (base ^ " --solve-timeout 1"));
+  ignore (run ~expect:124 ~what:"atlas worker-kill fault" (base ^ " --fault-plan kill@1:2"));
   ignore
     (run ~expect:124 ~what:"verify_pll bad fault plan"
        (verify_exe ^ " -o third --fault-plan melt@1"));

@@ -4,7 +4,8 @@
    token, or a refusal. Each CLI parses its --fault-plan with one layer:
    verify_pll with Resilient.Faults (which also claims the process-level
    kinds of Supervise.Fault), atlas_pll with Atlas.Fault, verifyd with
-   Service.Daemon.Fault. *)
+   Service.Daemon.Fault. Atlas cells solve inline, so Atlas.Fault
+   refuses the solver-worker kinds kill@S:I and stall@S:I. *)
 
 module Fp = Substrate.Fault_plan
 
@@ -24,9 +25,13 @@ let proc kind solve iter =
 
 let inproc kind solve iter = Resilient.Faults.of_specs [ { Resilient.Faults.kind; solve; iter } ]
 
-(* A process-level solve trigger: a worker fault, for every atlas cell. *)
-let trigger ?canon tok kind solve iter =
-  let p = proc kind solve iter in
+(* A solver-worker trigger: verify_pll's worker fault, refused by the
+   atlas. *)
+let trigger ?canon tok kind solve iter = row ?canon tok ~res:(proc kind solve iter)
+
+(* A corrupt-cache trigger acts on inline solves too: every atlas cell. *)
+let cache_trigger ?canon tok solve =
+  let p = proc Supervise.Fault.Corrupt_cache solve 0 in
   row ?canon tok ~res:p ~atlas:(Atlas.Fault.Global p)
 
 let in_process tok kind solve iter =
@@ -45,9 +50,13 @@ let rows =
       trigger "kill@1:2" Kill 1 2;
       trigger "kill@0:2" Kill 0 2 ~canon:"kill@*:2";
       trigger "stall@*:1" Stall 0 1;
-      trigger "corrupt-cache@2" Corrupt_cache 2 0;
-      trigger "corrupt-cache@1" Corrupt_cache 1 0;
-      trigger "corrupt-cache@2:5" Corrupt_cache 2 0 ~canon:"corrupt-cache@2";
+      cache_trigger "corrupt-cache@2" 2;
+      cache_trigger "corrupt-cache@1" 1;
+      cache_trigger "corrupt-cache@2:5" 2 ~canon:"corrupt-cache@2";
+      row "c0/kill@1:2";
+      row "c0/stall@*:1";
+      row "c0/corrupt-cache@1"
+        ~atlas:(Atlas.Fault.Cell_scoped ("c0", proc Corrupt_cache 1 0));
       in_process "fail@1:2" Resilient.Faults.Fail 1 2;
       in_process "trunc@*:3" Resilient.Faults.Truncate 0 3;
       in_process "noise@2:1:0.5" (Resilient.Faults.Noise 0.5) 2 1;

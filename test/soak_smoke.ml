@@ -189,6 +189,10 @@ let () =
     die "daemon did not accept the 4 bulk cells:\n%s" st;
   if json_int ~what:"bulk baseline" "completed" st < 4 then
     die "daemon did not complete the 4 bulk cells:\n%s" st;
+  (* Workers answer over a pipe: the run directory keeps no per-job
+     handoff files. *)
+  if Sys.file_exists (Filename.concat d1 "outbox") then
+    die "the daemon's run directory holds an outbox/ after its jobs completed";
   Unix.kill d.pid Sys.sigterm;
   ignore (wait_bg ~what:"bulk baseline drain" ~expect:0 d);
 

@@ -89,10 +89,10 @@ let test_fault_plan () =
   check "empty" true (Atlas.Fault.of_string "" = Ok Atlas.Fault.none);
   check "none" true (Atlas.Fault.of_string "none" = Ok Atlas.Fault.none);
   (* Token-level claims and refusals live in the shared fault table. *)
-  let p = faults "kill@1:2,kill@c0,fail-cell@c1.0,c0/fail@1:1,trunc@*:3" in
-  Alcotest.(check string) "round trip" "kill@1:2,kill@c0,fail-cell@c1.0,c0/fail@1:1,trunc@*:3"
+  let p = faults "kill@c0,fail-cell@c1.0,c0/fail@1:1,trunc@*:3" in
+  Alcotest.(check string) "round trip" "kill@c0,fail-cell@c1.0,c0/fail@1:1,trunc@*:3"
     (Atlas.Fault.to_string p);
-  Alcotest.(check int) "one fault per token, in order" 5 (List.length p)
+  Alcotest.(check int) "one fault per token, in order" 4 (List.length p)
 
 (* ------------------------------------------------------------------ *)
 (* Ledger *)

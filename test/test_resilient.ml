@@ -112,11 +112,6 @@ let test_no_retries_structured_failure () =
 (* ------------------------------------------------------------------ *)
 (* Deadlines: an exhausted budget truncates the solve and is recorded. *)
 
-let test_solve_deadline () =
-  let pol = Resilient.make ~solve_deadline_s:0.0 () in
-  let _, diag = Resilient.solve_sos pol ~label:"deadline" (feasible_prob ()) in
-  Alcotest.(check bool) "deadline recorded" true diag.Resilient.deadline_hit
-
 let test_pipeline_deadline () =
   let pol = Resilient.make ~pipeline_deadline_s:0.0 () in
   Resilient.begin_pipeline pol;
@@ -243,12 +238,8 @@ let test_hook_captures_little () =
       obj_free = [];
     }
   in
-  let session = Sdp.Session.create () in
-  ignore (Sdp.Session.solve session warm);
-  let pol =
-    Resilient.make ~session ~faults:(plan "noise@1:3:0.5") ~solve_deadline_s:60.0
-      ~pipeline_deadline_s:600.0 ()
-  in
+  let pol = Resilient.make ~faults:(plan "noise@1:3:0.5") ~pipeline_deadline_s:600.0 () in
+  ignore (Sdp.Session.solve pol.Resilient.session warm);
   let bytes v = String.length (Marshal.to_string v [ Marshal.Closures ]) in
   Alcotest.(check bool) "the policy holds a warm session" true (bytes pol > 4096);
   let params =
@@ -273,7 +264,6 @@ let suite =
     Alcotest.test_case "fault targets logical solve" `Quick test_fault_targets_logical_solve;
     Alcotest.test_case "no retries: structured failure" `Quick
       test_no_retries_structured_failure;
-    Alcotest.test_case "solve deadline" `Quick test_solve_deadline;
     Alcotest.test_case "pipeline deadline" `Quick test_pipeline_deadline;
     Alcotest.test_case "probe is quiet" `Quick test_probe_is_quiet;
     Alcotest.test_case "hook captures little" `Quick test_hook_captures_little;

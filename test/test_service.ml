@@ -148,11 +148,7 @@ let test_spec_json_roundtrip () =
   match Service.Job.spec_of_json (Service.Job.spec_to_json spec) with
   | Error e -> Alcotest.fail e
   | Ok spec' ->
-      Alcotest.(check bool) "wire encoding round-trips" true
-        (spec' = { spec with Service.Job.point = Service.Job.(
-             match point_of_string (point_to_string spec.point) with
-             | Ok p -> p
-             | Error _ -> [] ) });
+      Alcotest.(check bool) "wire encoding round-trips" true (spec' = spec);
       Alcotest.(check string) "same fingerprint across the wire"
         (point_fp spec) (point_fp spec')
 
@@ -172,16 +168,15 @@ let test_result_json_roundtrip () =
   let s = Service.Job.result_json r in
   match Service.Json.parse s with
   | Error e -> Alcotest.fail e
-  | Ok j -> (
-      match Service.Job.result_of_json j with
-      | Error e -> Alcotest.fail e
-      | Ok r' ->
-          Alcotest.(check bool) "stable core survives" true
-            (r'.Service.Job.verdict = r.Service.Job.verdict
-            && r'.Service.Job.kind = r.Service.Job.kind
-            && r'.Service.Job.detail = r.Service.Job.detail);
-          Alcotest.(check int) "counters are not part of the stable core" 0
-            r'.Service.Job.solves)
+  | Ok j ->
+      Alcotest.(check (option string)) "verdict" (Some "not-established")
+        (Service.Json.mem_str "verdict" j);
+      Alcotest.(check (option string)) "kind" (Some "infeasible")
+        (Service.Json.mem_str "kind" j);
+      Alcotest.(check (option string)) "detail" (Some "conclusively infeasible at P1")
+        (Service.Json.mem_str "detail" j);
+      Alcotest.(check bool) "counters are not part of the stable core" true
+        (Service.Json.member "solves" j = None)
 
 (* ---- queue ledger ---- *)
 

@@ -1,8 +1,8 @@
 (* Tests for process-isolated solve supervision: request fingerprints,
    the content-addressed cache and its corruption diagnoses, the
    write-ahead journal's tolerant reader, process-fault spec parsing,
-   deadline clock modes, the solver worker's lifecycle, and the worker
-   pool. *)
+   the deadline clock, the solver worker's lifecycle, one-answer
+   children, and the worker pool. *)
 
 let entry blk row col value = { Sdp.blk; row; col; value }
 
@@ -229,7 +229,7 @@ let test_fault_for_solve () =
   | Some { Supervise.Fault.kind = Supervise.Fault.Stall; _ } -> ()
   | _ -> Alcotest.fail "wildcard spec applies to every solve"
 
-(* ---- deadline clock modes ---- *)
+(* ---- the deadline clock ---- *)
 
 let test_wall_clock_deadline () =
   let fake = ref 0.0 in
@@ -245,18 +245,6 @@ let test_wall_clock_deadline () =
         (Resilient.out_of_time pol);
       Alcotest.(check (float 1e-9)) "elapsed reads the injected source" 11.0
         (Resilient.elapsed_s pol))
-
-let test_cpu_clock_ignores_wall_source () =
-  let fake = ref 0.0 in
-  Resilient.set_wall_clock_source (Some (fun () -> !fake));
-  Fun.protect
-    ~finally:(fun () -> Resilient.set_wall_clock_source None)
-    (fun () ->
-      let pol = Resilient.make ~clock_mode:Resilient.Cpu_time ~pipeline_deadline_s:1e6 () in
-      Resilient.begin_pipeline pol;
-      fake := 1e9;
-      Alcotest.(check bool) "CPU mode never reads the wall source" false
-        (Resilient.out_of_time pol))
 
 (* ---- supervised solves ---- *)
 
@@ -481,6 +469,67 @@ let test_legacy_tmp_swept () =
   Alcotest.(check bool) "a supervised solve creates no tmp/" false
     (Sys.file_exists (Filename.concat fresh "tmp"))
 
+(* ---- one-answer children ---- *)
+
+(* [Some answer] once the child's pipe turns readable within [within_s]. *)
+let collect_within within_s c =
+  match Unix.select [ Supervise.Child.fd c ] [] [] within_s with
+  | [], _, _ -> None
+  | _ -> Some (Supervise.Child.collect c)
+
+let test_child_large_answer_intact () =
+  let answer = String.init ((1 lsl 20) + 7) (fun i -> Char.chr (i land 0xff)) in
+  let c = Supervise.Child.spawn (fun () -> answer) in
+  match collect_within 30.0 c with
+  | Some (Ok s) -> Alcotest.(check bool) "a 1 MiB answer arrives intact" true (s = answer)
+  | Some (Error e) -> Alcotest.fail e
+  | None -> Alcotest.fail "no answer within 30 s"
+
+let test_child_exception_collected () =
+  let c = Supervise.Child.spawn (fun () -> if true then failwith "boom in child" else 0) in
+  match collect_within 30.0 c with
+  | Some (Error e) ->
+      Alcotest.(check bool) "the exception text comes back" true (contains e "boom in child")
+  | Some (Ok _) -> Alcotest.fail "a raising body answered Ok"
+  | None -> Alcotest.fail "no answer within 30 s"
+
+(* A child that dies while a pool item it forked still sleeps: the
+   grandchild does not hold the child's answer pipe, so the death is end
+   of file at once. *)
+let test_child_death_seen_at_once () =
+  let pid_r, pid_w = Unix.pipe () in
+  let c =
+    Supervise.Child.spawn (fun () ->
+        let ctx = Supervise.create ~jobs:1 () in
+        Supervise.Pool.map ctx
+          ~f:(fun _ () ->
+            let me = Printf.sprintf "%d\n" (Unix.getpid ()) in
+            ignore (Unix.write_substring pid_w me 0 (String.length me));
+            Unix.sleepf 30.0)
+          [ () ])
+  in
+  Unix.close pid_w;
+  let grandchild =
+    match Unix.select [ pid_r ] [] [] 30.0 with
+    | [], _, _ -> Alcotest.fail "the pool item never started"
+    | _ ->
+        let b = Bytes.create 32 in
+        let n = Unix.read pid_r b 0 32 in
+        int_of_string (String.trim (Bytes.sub_string b 0 n))
+  in
+  Unix.close pid_r;
+  Unix.kill (Supervise.Child.pid c) Sys.sigkill;
+  let t0 = Unix.gettimeofday () in
+  let answer = collect_within 2.0 c in
+  (try Unix.kill grandchild Sys.sigkill with Unix.Unix_error _ -> ());
+  match answer with
+  | None -> Alcotest.fail "the killed child's death was not seen within 2 s"
+  | Some (Ok _) -> Alcotest.fail "a killed child answered Ok"
+  | Some (Error e) ->
+      Alcotest.(check bool) "collected as Error within 2 s" true
+        (Unix.gettimeofday () -. t0 < 2.0);
+      Alcotest.(check bool) "the reason names the kill" true (contains e "SIGKILL")
+
 (* ---- pool ---- *)
 
 let test_pool_map_order_and_errors () =
@@ -698,7 +747,6 @@ let suite =
     Alcotest.test_case "mixed-plan-parse" `Quick test_mixed_plan_parse;
     Alcotest.test_case "fault-for-solve" `Quick test_fault_for_solve;
     Alcotest.test_case "wall-clock-deadline" `Quick test_wall_clock_deadline;
-    Alcotest.test_case "cpu-clock-ignores-wall-source" `Quick test_cpu_clock_ignores_wall_source;
     Alcotest.test_case "inline-solve-and-cache" `Quick test_inline_solve_and_cache;
     Alcotest.test_case "forked-solve" `Quick test_forked_solve;
     Alcotest.test_case "worker-kill-synthetic-failure" `Quick test_worker_kill_is_synthetic_failure;
@@ -715,4 +763,7 @@ let suite =
     Alcotest.test_case "large-request-intact" `Quick test_large_request_intact;
     Alcotest.test_case "pool-large-results-intact" `Quick test_pool_large_results_intact;
     Alcotest.test_case "legacy-tmp-swept" `Quick test_legacy_tmp_swept;
+    Alcotest.test_case "child-large-answer-intact" `Quick test_child_large_answer_intact;
+    Alcotest.test_case "child-exception-collected" `Quick test_child_exception_collected;
+    Alcotest.test_case "child-death-seen-at-once" `Quick test_child_death_seen_at_once;
   ]

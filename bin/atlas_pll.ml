@@ -159,7 +159,8 @@ let max_subdiv =
 let cell_budget =
   Arg.(value & opt (some float) None & info [ "cell-budget" ] ~docv:"SEC"
          ~doc:"Per-cell pipeline deadline in wall-clock seconds; a cell past it is \
-               subdivided or quarantined as $(b,budget-exhausted).")
+               subdivided or quarantined as $(b,budget-exhausted); one still running \
+               5 s later is killed, as verifyd kills it.")
 
 let fault_plan =
   Arg.(value & opt string "none" & info [ "fault-plan" ] ~docv:"SPEC"

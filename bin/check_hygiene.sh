@@ -40,13 +40,14 @@
 #     `Pll_core.Inevitability.verify` (points and cells both go through
 #     `Service.Job.certify`; interfaces may still name the
 #     attractive_invariant type; bench/ and examples/ are exempt);
-# 10. one fork site, one worker protocol — no lib/ or bin/ source
-#     outside lib/supervise calls `Unix.fork`, and lib/supervise calls
-#     it at most twice (the solver worker and the one-answer child); no
-#     lib/supervise source mentions `WNOHANG`, `temp_file` or a `.res`
-#     suffix, and no lib/service source mentions `WNOHANG`, `waitpid`
-#     or `outbox`, so neither the polled result-file handoff nor a
-#     daemon-side copy of it can come back next to the pipe framing;
+# 10. one fork site, one scheduler — outside lib/supervise no lib/ or
+#     bin/ source calls `Unix.fork` or names `Supervise.Child.`,
+#     `Heartbeat.install` or `Lease.grant`/`renew`/`expired` (children,
+#     leases and deadlines belong to `Supervise.Pool`), and lib/supervise
+#     forks at most twice (solver worker, one-answer child); no
+#     lib/supervise source mentions `WNOHANG`, `temp_file` or `.res`,
+#     and no lib/service source `WNOHANG`, `waitpid`, `outbox` or
+#     `Unix.pipe`, so no polled result-file handoff comes back;
 # 11. step clocks are wall-clock spans — no lib/certificates or
 #     lib/advect source mentions `Sys.time`, whose CPU seconds of this
 #     process miss the work a supervised solve does in its worker;
@@ -162,20 +163,22 @@ strays="$(grep -lE 'Certificates\.attractive_invariant|Inevitability\.verify' \
 [ -z "$strays" ] || \
   fail "a second certification pipeline (call Service.Job.certify instead):$(echo " $strays" | sed "s|$repo/||g")"
 
-# One fork site, one worker protocol (check 10).
+# One fork site, one scheduler (check 10).
 strays="$(grep -nE 'Unix\.fork' "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null \
   | grep -v "^$repo/lib/supervise/" || true)"
 [ -z "$strays" ] || \
-  fail "a fork outside lib/supervise (spawn a Supervise.Child):$(echo " $strays" | sed "s|$repo/||g")"
+  fail "a fork outside lib/supervise (submit to a Supervise.Pool):$(echo " $strays" | sed "s|$repo/||g")"
 forks="$(cat "$repo"/lib/supervise/*.ml 2>/dev/null | grep -cE 'Unix\.fork' || true)"
 [ "$forks" -le 2 ] || \
   fail "lib/supervise forks at $forks sites (the solver worker and Child.spawn are the two)"
 strays="$(grep -nE 'WNOHANG|temp_file|\.res\b' "$repo"/lib/supervise/* 2>/dev/null || true)"
 [ -z "$strays" ] || \
   fail "a polled result-file handoff in lib/supervise (workers answer over pipes):$(echo " $strays" | sed "s|$repo/||g")"
-strays="$(grep -nE 'WNOHANG|waitpid|outbox' "$repo"/lib/service/* 2>/dev/null || true)"
+strays="$( (grep -nE 'WNOHANG|waitpid|outbox|Unix\.pipe' "$repo"/lib/service/*; \
+  grep -nE 'Supervise\.Child\.|Heartbeat\.install|Lease\.(grant|renew|expired)' \
+  "$repo"/lib/*/*.ml "$repo"/lib/*/*.mli "$repo"/bin/*.ml | grep -v "^$repo/lib/supervise/") 2>/dev/null || true)"
 [ -z "$strays" ] || \
-  fail "process handling or a result-file handoff in lib/service (daemon workers are Supervise children):$(echo " $strays" | sed "s|$repo/||g")"
+  fail "a second scheduler outside lib/supervise (daemon workers and cells are Supervise.Pool items):$(echo " $strays" | sed "s|$repo/||g")"
 
 # Wall-clock step timings (check 11).
 strays="$(grep -nE 'Sys\.time' "$repo"/lib/certificates/* "$repo"/lib/advect/* 2>/dev/null || true)"

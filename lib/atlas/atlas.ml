@@ -480,24 +480,54 @@ let cell_to_spec (job : job) (c : cell) =
     box = c.box;
   }
 
-(* An execution backend for one wave of cells. *)
-type exec = cell list -> (Service.Bulk.probe, string) result list
+(* An execution backend for one wave of cells: [start] each cell as it
+   is sent off, [settle] it as its answer comes back. *)
+type exec =
+  cell list ->
+  start:(cell -> unit) ->
+  settle:(cell -> (Service.Bulk.probe, string) result -> unit) ->
+  unit
+
+(* The local backend: one pool child per cell, at most [-j] at once,
+   killed at the cell budget plus the grace verifyd gives. *)
+let exec_local ~ctx ~faults (job : job) : exec =
+ fun cells ~start ~settle ->
+  Supervise.Pool.run ctx
+    ?deadline_s:(Option.map (fun b -> b +. Service.Bulk.deadline_grace_s) job.cell_budget_s)
+    ~on_start:(fun _ c -> start c)
+    ~f:(fun _ c ->
+      if Fault.fail_cell faults c.id then
+        Service.Bulk.probe_fail ~kind:"injected" ~detail:"fail-cell fault injected"
+      else
+        Service.Bulk.run ~ctx ~faults:(Fault.resilient_plan faults c.id) (cell_to_spec job c))
+    ~on_settle:(fun _ c -> function
+      | Supervise.Pool.Answered p -> settle c (Ok p)
+      | Supervise.Pool.Timed_out -> settle c (Ok Service.Bulk.budget_exhausted)
+      | Supervise.Pool.Died why | Supervise.Pool.Lease_expired why -> settle c (Error why))
+    cells
 
 (* The client side of bulk execution: ship the wave to the daemon as
-   one bulk request, collect streamed [cell-result] lines keyed by the
-   content fingerprint (so daemon-side dedup of identical boxes still
-   answers every cell), resubmit deferred cells after their
+   one bulk request, settle cells as streamed [cell-result] lines arrive,
+   keyed by the content fingerprint (so daemon-side dedup of identical
+   boxes still answers every cell), resubmit deferred cells after their
    [retry_after_s] hint, and survive daemon restarts by reconnecting
    with jittered exponential backoff. Cells still unanswered when the
-   retry budget exhausts come back as [Error] — the atlas quarantines
+   retry budget exhausts settle as [Error] — the atlas quarantines
    them; it never wedges. *)
 let exec_via_daemon ~sock ?(retries = 10) (job : job) : exec =
- fun cells ->
+ fun cells ~start ~settle ->
   let module C = Service.Client in
   let module J = Service.Json in
   let specs = List.map (fun c -> (c, cell_to_spec job c)) cells in
   let fp_of s = Service.Bulk.fingerprint s in
   let results : (string, Service.Bulk.probe) Hashtbl.t = Hashtbl.create 16 in
+  let answered fp p =
+    if not (Hashtbl.mem results fp) then begin
+      Hashtbl.replace results fp p;
+      List.iter (fun (c, s) -> if fp_of s = fp then settle c (Ok p)) specs
+    end
+  in
+  List.iter start cells;
   let fatal = ref None in
   let remaining () =
     let seen = Hashtbl.create 16 in
@@ -511,14 +541,7 @@ let exec_via_daemon ~sock ?(retries = 10) (job : job) : exec =
         end)
       specs
   in
-  let policy =
-    {
-      Resilient.Lease.default_policy with
-      Resilient.Lease.backoff_base_s = 0.5;
-      Resilient.Lease.backoff_max_s = 5.0;
-      Resilient.Lease.max_attempts = retries + 1;
-    }
-  in
+  let policy = { Resilient.Backoff.base_s = 0.5; max_s = 5.0 } in
   let recv_timeout_s =
     (* Generous: covers a full cell pipeline; a dead daemon surfaces as
        server-gone long before this. *)
@@ -557,7 +580,7 @@ let exec_via_daemon ~sock ?(retries = 10) (job : job) : exec =
                              Option.bind (J.member "probe" v) (fun p ->
                                  Result.to_option (Service.Bulk.probe_of_json p))
                            with
-                          | Some p -> Hashtbl.replace results fp p
+                          | Some p -> answered fp p
                           | None -> ());
                           waiting := List.filter (fun f -> f <> fp) !waiting
                       | None -> ())
@@ -610,29 +633,16 @@ let exec_via_daemon ~sock ?(retries = 10) (job : job) : exec =
       if remaining () <> [] && !attempt <= retries then
         Unix.sleepf
           (Float.max hint
-             (Resilient.Lease.backoff_s policy ~key:"bulk" ~attempt:!attempt))
+             (Resilient.Backoff.backoff_s policy ~key:"bulk" ~attempt:!attempt))
     end
   done;
-  List.map
-    (fun (_, s) ->
-      match Hashtbl.find_opt results (fp_of s) with
-      | Some p -> Ok p
-      | None ->
-          Error
-            (match !fatal with
-            | Some m -> m
-            | None -> "daemon unreachable: bulk retry budget exhausted"))
-    specs
+  let why = Option.value !fatal ~default:"daemon unreachable: bulk retry budget exhausted" in
+  List.iter (fun (c, s) -> if not (Hashtbl.mem results (fp_of s)) then settle c (Error why)) specs
 
 (* ----------------------------------------------------------------- *)
 (* Orchestration *)
 
-let rec take n = function
-  | [] -> ([], [])
-  | l when n = 0 -> ([], l)
-  | x :: rest ->
-      let a, b = take (n - 1) rest in
-      (x :: a, b)
+exception Killed
 
 let validate_grid (job : job) (grid : Grid.t) =
   let base = match job.order with Pll.Third -> Pll.table1_third | Pll.Fourth -> Pll.table1_fourth in
@@ -697,24 +707,62 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
                   :: List.tl !records)
           | _ -> ()
         in
-        (* Execution backend: the local fork pool by default, or an
-           injected one (the daemon client). A remote backend manages
-           its own concurrency, so it takes the whole wave at once. *)
-        let exec_chunk, jobs_n =
-          match exec with
-          | Some f -> (f, max_int)
-          | None ->
-              ( (fun chunk ->
-                  Supervise.Pool.map ctx
-                    ~f:(fun _ c ->
-                      if Fault.fail_cell faults c.id then
-                        Service.Bulk.probe_fail ~kind:"injected"
-                          ~detail:"fail-cell fault injected"
-                      else
-                        Service.Bulk.run ~ctx ~faults:(Fault.resilient_plan faults c.id)
-                          (cell_to_spec job c))
-                    chunk),
-                max 1 (Supervise.jobs ctx) )
+        let exec = match exec with Some f -> f | None -> exec_local ~ctx ~faults job in
+        (* A cell settles the moment it answers: ledger line, quarantine
+           file, subdivision, and the kill@CELL fault. *)
+        let settle next c r =
+          let p =
+            match r with
+            | Ok p -> p
+            | Error e ->
+                (* Stable diagnosis whether the worker died locally or
+                   was dead-lettered by the daemon, so atlas.json stays
+                   byte-identical across backends. *)
+                Log.warn (fun m -> m "cell %s: %s" c.id e);
+                Service.Bulk.crashed ~why:e
+          in
+          let result =
+            if p.ok then Certified { beta = p.beta }
+            else if c.depth < job.max_subdiv && p.kind <> "bad-cell" && split c <> None then
+              Subdivided
+            else Quarantined { kind = p.kind; detail = p.detail }
+          in
+          (match (run_dir, result) with
+          | Some d, Quarantined _ ->
+              let qdir = Filename.concat d "quarantine" in
+              Substrate.Fs.mkdir_p qdir;
+              Substrate.Fs.write_atomic
+                (Filename.concat qdir
+                   (Printf.sprintf "%s.json"
+                      (String.map (fun ch -> if ch = '/' then '_' else ch) c.id)))
+                (Printf.sprintf
+                   "{\"cell\":\"%s\",\"kind\":\"%s\",\"detail\":\"%s\",\"journal\":%s}\n"
+                   (Service.Json.escape c.id) (Service.Json.escape p.kind)
+                   (Service.Json.escape p.detail)
+                   (Option.value p.journal ~default:"null"))
+          | _ -> ());
+          let entry : Ledger.entry =
+            {
+              Ledger.id = c.id;
+              depth = c.depth;
+              result;
+              solves = p.solves;
+              attempts = p.attempts;
+              attempt_s = p.attempt_s;
+            }
+          in
+          Option.iter (fun d -> Ledger.append d entry) run_dir;
+          push c result ~replayed:false ~solves:p.solves ~attempts:p.attempts
+            ~attempt_s:p.attempt_s next;
+          Log.info (fun m -> m "cell %s: %s" c.id (Ledger.status_str result));
+          if Fault.kill_after faults c.id then begin
+            (* The chaos fault: die as if the process group were
+               SIGKILLed, right after this cell's completion hit the
+               ledger. Raising lets the executor kill its in-flight
+               children first. *)
+            Log.warn (fun m -> m "fault kill@%s: orchestrator exiting hard" c.id);
+            raise Killed
+          end
         in
         let rec waves frontier =
           if frontier <> [] then begin
@@ -732,80 +780,13 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
             if replayed_cells <> [] then
               Log.info (fun m ->
                   m "replayed %d cell(s) from the ledger" (List.length replayed_cells));
-            let rec chunks = function
-              | [] -> ()
-              | todo ->
-                  let chunk, rest = take jobs_n todo in
-                  Option.iter
-                    (fun d -> List.iter (fun c -> Ledger.mark_start d c.id) chunk)
-                    run_dir;
-                  let results = exec_chunk chunk in
-                  List.iter2
-                    (fun c r ->
-                      let p =
-                        match r with
-                        | Ok p -> p
-                        | Error e ->
-                            (* Stable diagnosis whether the worker died
-                               locally or was dead-lettered by the
-                               daemon: specifics go to the journal, so
-                               atlas.json stays byte-identical across
-                               backends. *)
-                            {
-                              (Service.Bulk.probe_fail ~kind:"crash" ~detail:e) with
-                              detail = "cell worker crashed";
-                            }
-                      in
-                      let result =
-                        if p.ok then Certified { beta = p.beta }
-                        else if c.depth < job.max_subdiv && p.kind <> "bad-cell" && split c <> None
-                        then Subdivided
-                        else Quarantined { kind = p.kind; detail = p.detail }
-                      in
-                      (match (run_dir, result) with
-                      | Some d, Quarantined _ ->
-                          let qdir = Filename.concat d "quarantine" in
-                          Substrate.Fs.mkdir_p qdir;
-                          Substrate.Fs.write_atomic
-                            (Filename.concat qdir
-                               (Printf.sprintf "%s.json"
-                                  (String.map (fun ch -> if ch = '/' then '_' else ch) c.id)))
-                            (Printf.sprintf
-                               "{\"cell\":\"%s\",\"kind\":\"%s\",\"detail\":\"%s\",\"journal\":%s}\n"
-                               (Service.Json.escape c.id) (Service.Json.escape p.kind)
-                               (Service.Json.escape p.detail)
-                               (Option.value p.journal ~default:"null"))
-                      | _ -> ());
-                      let entry : Ledger.entry =
-                        {
-                          Ledger.id = c.id;
-                          depth = c.depth;
-                          result;
-                          solves = p.solves;
-                          attempts = p.attempts;
-                          attempt_s = p.attempt_s;
-                        }
-                      in
-                      Option.iter (fun d -> Ledger.append d entry) run_dir;
-                      push c result ~replayed:false ~solves:p.solves
-                        ~attempts:p.attempts ~attempt_s:p.attempt_s next;
-                      Log.info (fun m ->
-                          m "cell %s: %s" c.id (Ledger.status_str result));
-                      if Fault.kill_after faults c.id then begin
-                        (* The chaos fault: die as if SIGKILLed, right after
-                           this cell's completion hit the ledger. *)
-                        Log.warn (fun m ->
-                            m "fault kill@%s: orchestrator exiting hard" c.id);
-                        Unix._exit 137
-                      end)
-                    chunk results;
-                  chunks rest
-            in
-            chunks fresh;
+            exec fresh
+              ~start:(fun c -> Option.iter (fun d -> Ledger.mark_start d c.id) run_dir)
+              ~settle:(settle next);
             waves !next
           end
         in
-        waves (grid_cells grid);
+        (try waves (grid_cells grid) with Killed -> Unix._exit 137);
         let records = List.sort (fun a b -> compare a.cell.id b.cell.id) !records in
         let count f = List.length (List.filter f records) in
         let report =

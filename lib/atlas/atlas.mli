@@ -18,14 +18,21 @@
     diagnosis — and the sweep continues; one pathological corner of
     parameter space never takes down the atlas.
 
+    The sweep runs in waves (the grid, then what the last wave
+    subdivided); each wave goes whole to the executor, by default a
+    {!Supervise.Pool} of [-j] children that kills a cell at its budget
+    plus {!Service.Bulk.deadline_grace_s}, as verifyd does. A cell
+    {e settles} (ledger, quarantine, subdivision) the moment it answers.
+
     Restartability is atlas-level, layered {e over} the per-solve cache:
     a write-ahead ledger ([ledger.log] in the run directory) records
-    each cell's outcome, fsync'd before the sweep moves on. A run killed
-    mid-sweep (kill -9 included) resumes with [--resume]: ledgered cells
-    replay instantly, in-flight cells re-run against the solve cache
-    (zero re-solves for anything that completed), and the final
-    [atlas.json] is byte-identical to an uninterrupted run's — which is
-    also independent of the job count, so [-j 1] and [-j N] agree. *)
+    each cell's start as it is sent off and its outcome as it settles,
+    fsync'd. A run killed mid-sweep (kill -9 included) resumes with
+    [--resume]: ledgered cells replay instantly, in-flight cells re-run
+    against the solve cache (zero re-solves for anything that
+    completed), and the final [atlas.json] is byte-identical to an
+    uninterrupted run's — which is also independent of the job count
+    and of the order cells answer in, so [-j 1] and [-j N] agree. *)
 
 (** The sweep grid: per-axis subdivided ranges in relative units. *)
 module Grid : sig
@@ -127,9 +134,10 @@ val fingerprint : job -> Grid.t -> string
 module Fault : sig
   type t =
     | Kill_at_cell of string
-        (** [kill@CELL]: the orchestrator [_exit]s (as if SIGKILLed)
-            immediately after ledgering CELL's completion — the resume
-            chaos fault. A [kill@S:I] solve trigger is refused, not
+        (** [kill@CELL]: right after ledgering CELL's completion the
+            orchestrator kills the wave's in-flight children and
+            [_exit]s 137, as if its process group were SIGKILLed — the
+            resume chaos fault. A [kill@S:I] solve trigger is refused, not
             read as a cell id. *)
     | Fail_cell of string
         (** [fail-cell@CELL]: CELL and its descendants fail without
@@ -219,19 +227,27 @@ module Ledger : sig
       cells were in flight). *)
 end
 
-type exec = cell list -> (Service.Bulk.probe, string) result list
-(** An execution backend for one wave of cells: same length and order
-    as its input; [Error] quarantines the cell (kind [crash]). Cells are
-    certified by {!Service.Bulk.run}, whichever backend runs them. *)
+type exec =
+  cell list ->
+  start:(cell -> unit) ->
+  settle:(cell -> (Service.Bulk.probe, string) result -> unit) ->
+  unit
+(** An execution backend for one wave of cells. It calls [start] for a
+    cell as it sends it off and [settle] exactly once per cell as its
+    answer arrives, in any order; [Error] quarantines the cell (kind
+    [crash]). An exception from [settle] (the [kill@CELL] fault) ends
+    the wave, after the backend has killed what it still runs. Cells
+    are certified by {!Service.Bulk.run}, whichever backend runs them. *)
 
 val exec_via_daemon : sock:string -> ?retries:int -> job -> exec
-(** Bulk execution over a running daemon: ships each wave as one [bulk]
-    request, collects streamed [cell-result] lines (keyed by content
-    fingerprint, so daemon-side dedup still answers every cell),
+(** Bulk execution over a running daemon: starts every cell of the
+    wave, ships it as one [bulk] request, settles cells as streamed
+    [cell-result] lines arrive (keyed by content fingerprint, so
+    daemon-side dedup still answers every cell),
     resubmits deferred cells after their [retry_after_s] hint, and
     survives daemon restarts by reconnecting with jittered exponential
     backoff ([retries] extra rounds, default 10, base 0.5 s). Cells
-    still unanswered when the budget exhausts return [Error] —
+    still unanswered when the budget exhausts settle as [Error] —
     quarantined by the sweep, never a wedge. *)
 
 val run :
@@ -248,7 +264,7 @@ val run :
     there on completion. With [resume:false] a run directory whose
     ledger already has entries is refused (use [--resume], or a fresh
     directory); with [resume:true] ledgered cells are replayed.
-    [exec] overrides the execution backend (default: the local
+    [exec] overrides the execution backend (default: a local
     {!Supervise.Pool} over the context's job count; pass
     {!exec_via_daemon} to run cells through a daemon — ledger, replay,
     subdivision and quarantine behave identically, and [atlas.json] is

@@ -24,56 +24,28 @@ let set_wall_clock_source = function
 let wall_now () = !wall_clock_source ()
 
 (* ------------------------------------------------------------------ *)
-(* Leases                                                             *)
+(* Backoff                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Lease/backoff policy for dispatched work: a holder must renew within
-   the TTL or the grantor may reclaim; re-dispatch waits out a jittered
-   exponential backoff and gives up after a bounded attempt budget. The
-   jitter is a hash of (key, attempt), so schedules are deterministic
-   per key yet decorrelated across keys — reproducible chaos tests,
-   no thundering herd. *)
+(* Re-dispatch and reconnect waits: a capped exponential (factor 2),
+   stretched by up to 25 % of jitter. The jitter is a hash of (key,
+   attempt), so schedules are deterministic per key yet decorrelated
+   across keys — reproducible chaos tests, no thundering herd. *)
 
-module Lease = struct
-  type policy = {
-    ttl_s : float;
-    max_attempts : int;
-    backoff_base_s : float;
-    backoff_factor : float;
-    backoff_max_s : float;
-    jitter_frac : float;
-  }
+module Backoff = struct
+  type policy = { base_s : float; max_s : float }
 
-  let default_policy =
-    {
-      ttl_s = 30.0;
-      max_attempts = 3;
-      backoff_base_s = 0.25;
-      backoff_factor = 2.0;
-      backoff_max_s = 10.0;
-      jitter_frac = 0.25;
-    }
-
-  type t = { holder : string; mutable expires_at : float }
-
-  let grant policy ~holder ~now = { holder; expires_at = now +. policy.ttl_s }
-  let renew policy l ~now = l.expires_at <- now +. policy.ttl_s
-  let expired l ~now = now > l.expires_at
-  let expires_at l = l.expires_at
-  let holder l = l.holder
+  let default_policy = { base_s = 0.25; max_s = 10.0 }
+  let factor = 2.0
+  let jitter_frac = 0.25
 
   let jitter ~key ~attempt =
     float_of_int (Hashtbl.hash (key, attempt) land 0xFFFF) /. 65536.0
 
   let backoff_s policy ~key ~attempt =
     let a = max 1 attempt in
-    let raw =
-      policy.backoff_base_s *. (policy.backoff_factor ** float_of_int (a - 1))
-    in
-    let capped = Float.min policy.backoff_max_s raw in
-    capped *. (1.0 +. (policy.jitter_frac *. jitter ~key ~attempt))
-
-  let exhausted policy ~attempt = attempt > policy.max_attempts
+    let capped = Float.min policy.max_s (policy.base_s *. (factor ** float_of_int (a - 1))) in
+    capped *. (1.0 +. (jitter_frac *. jitter ~key ~attempt))
 end
 
 (* ------------------------------------------------------------------ *)

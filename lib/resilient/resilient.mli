@@ -53,48 +53,26 @@ val set_wall_clock_source : (unit -> float) option -> unit
     ([Unix.gettimeofday]) — a test hook, so deadline behaviour is
     checkable without waiting. Global; affects every policy. *)
 
-val wall_now : unit -> float
-(** The current wall clock through the injectable source — the time
-    base for {!Lease} bookkeeping, so lease expiry is testable without
-    waiting. *)
-
-(** Lease/backoff policy for dispatched work (the verifyd daemon's
-    per-job leases): a holder must renew within the TTL or the grantor
-    reclaims; re-dispatch waits out a jittered exponential backoff and
-    gives up after a bounded attempt budget. Pure bookkeeping over a
-    caller-supplied [now] — deterministic under an injected clock. *)
-module Lease : sig
+(** Backoff for re-dispatched and reconnecting work (the verification
+    daemon's crashed jobs, the clients' retries): a capped exponential,
+    doubling per attempt and stretched by at most 25 % of jitter. *)
+module Backoff : sig
   type policy = {
-    ttl_s : float;  (** renewal deadline granted by {!grant}/{!renew} *)
-    max_attempts : int;  (** dispatch attempts before giving up *)
-    backoff_base_s : float;  (** backoff before re-dispatch attempt 1 *)
-    backoff_factor : float;  (** exponential growth per attempt *)
-    backoff_max_s : float;  (** backoff cap (before jitter) *)
-    jitter_frac : float;  (** max fractional jitter added on top *)
+    base_s : float;  (** wait before attempt 1 *)
+    max_s : float;  (** cap (before jitter) *)
   }
 
   val default_policy : policy
-  (** 30s TTL, 3 attempts, 0.25s base doubling to a 10s cap, 25% jitter. *)
-
-  type t
-
-  val grant : policy -> holder:string -> now:float -> t
-  val renew : policy -> t -> now:float -> unit
-  val expired : t -> now:float -> bool
-  val expires_at : t -> float
-  val holder : t -> string
+  (** 0.25 s doubling to a 10 s cap. *)
 
   val jitter : key:string -> attempt:int -> float
   (** Deterministic in [0,1): a hash of [(key, attempt)] — stable
       across runs, decorrelated across keys. *)
 
   val backoff_s : policy -> key:string -> attempt:int -> float
-  (** Seconds to wait before re-dispatch attempt [attempt] (1-based):
-      capped exponential, stretched by at most [jitter_frac] via
-      {!jitter}. *)
-
-  val exhausted : policy -> attempt:int -> bool
-  (** [attempt > max_attempts]: time to dead-letter, not re-dispatch. *)
+  (** Seconds to wait before attempt [attempt] (1-based):
+      [min max_s (base_s * 2^(attempt-1))], stretched by at most 25 %
+      via {!jitter}. *)
 end
 
 (** Deterministic fault injection. A plan is a set of (kind, logical

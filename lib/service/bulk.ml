@@ -215,6 +215,15 @@ let probe_fail ~kind ~detail =
     attempt_s = 0.0;
   }
 
+(* The answers the scheduler makes for a cell that gave none, the same
+   locally and on the daemon. *)
+let crashed ~why = { (probe_fail ~kind:"crash" ~detail:why) with detail = "cell worker crashed" }
+
+let budget_exhausted =
+  probe_fail ~kind:"budget-exhausted" ~detail:"worker exceeded the job deadline and was killed"
+
+let deadline_grace_s = 5.0
+
 (* The verdict a probe carries, by the one kind table. *)
 let verdict p =
   if p.ok then Job.Verified

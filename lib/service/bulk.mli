@@ -77,6 +77,16 @@ type probe = {
 val probe_fail : kind:string -> detail:string -> probe
 (** A not-ok probe with zero counters and journal [{"error":DETAIL}]. *)
 
+val crashed : why:string -> probe
+(** A cell whose worker died without an answer: kind [crash], detail
+    [cell worker crashed], journal [{"error":WHY}]. *)
+
+val budget_exhausted : probe
+(** A cell whose worker was killed at its budget plus {!deadline_grace_s}
+    (5 s): kind [budget-exhausted]. *)
+
+val deadline_grace_s : float
+
 val verdict : probe -> Job.verdict
 (** [Verified] when [ok], else the {!Job.kinds} verdict of [kind];
     kinds outside that table ([bad-cell], [injected]) are [Failed]. *)

@@ -138,13 +138,7 @@ let refusal_types = [ "overloaded"; "degraded"; "draining" ]
 let submit_with_retries ~sock ?wait ?timeout_s ?(retries = 0)
     ?(retry_base_s = 0.5) spec =
   let key = Bulk.fingerprint (Bulk.of_spec spec) in
-  let policy =
-    {
-      Resilient.Lease.default_policy with
-      Resilient.Lease.backoff_base_s = retry_base_s;
-      Resilient.Lease.max_attempts = retries + 1;
-    }
-  in
+  let policy = { Resilient.Backoff.default_policy with Resilient.Backoff.base_s = retry_base_s } in
   let rec go attempt =
     let r = submit ~sock ?wait ?timeout_s spec in
     let retry_hint =
@@ -162,7 +156,7 @@ let submit_with_retries ~sock ?wait ?timeout_s ?(retries = 0)
         if attempt > retries then r
         else begin
           let d =
-            Float.max hint (Resilient.Lease.backoff_s policy ~key ~attempt)
+            Float.max hint (Resilient.Backoff.backoff_s policy ~key ~attempt)
           in
           Unix.sleepf d;
           go (attempt + 1)

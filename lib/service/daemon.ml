@@ -106,19 +106,6 @@ type reply = Result | Cell_result
 
 type waiter = { wfd : Unix.file_descr; reply : reply }
 
-type worker = {
-  w_id : string;
-  child : Bulk.probe Supervise.Child.t;
-  kill_after : float option;  (* absolute wall deadline + grace *)
-  hb_r : Unix.file_descr;  (* heartbeat pipe, read end *)
-  mutable hb_open : bool;
-  mutable lease : Resilient.Lease.t;
-  mutable killed : bool;
-  mutable timed_out : bool;
-  mutable lease_expired : bool;
-  mutable cancelled : bool;
-}
-
 type counters = {
   mutable submits : int;
   mutable accepted : int;
@@ -143,7 +130,10 @@ type st = {
   listen : Unix.file_descr;
   mutable clients : client list;
   pending : string Queue.t;
-  mutable workers : worker list;
+  pool : (string, Bulk.probe) Supervise.Pool.t;
+      (* the running jobs' workers, keyed by job id: their processes,
+         leases and deadlines *)
+  pids : (string, int) Hashtbl.t;  (* worker pid per running job, for the log *)
   waiters : (string, waiter list ref) Hashtbl.t;
   detached : (string, unit) Hashtbl.t;
   by_fp : (string, string) Hashtbl.t;
@@ -151,7 +141,6 @@ type st = {
   not_before : (string, float) Hashtbl.t;
   history : (string, string list) Hashtbl.t;
       (* per-job attempt forensics (newest first) for the dead-letter diagnosis *)
-  lease_policy : Resilient.Lease.policy;
   breaker : Breaker.t;
   c : counters;
   mutable fired : Fault.t list;  (* one-shot faults already fired *)
@@ -242,18 +231,16 @@ and cancel_job st id =
           Hashtbl.remove st.by_fp e.Jobqueue.fp;
           st.c.cancelled <- st.c.cancelled + 1;
           Log.info (fun k -> k "job %s cancelled (client gone, still pending)" id)
-      | Jobqueue.Running -> (
-          match List.find_opt (fun w -> w.w_id = id) st.workers with
-          | Some w ->
-              w.cancelled <- true;
-              Supervise.Child.kill w.child;
-              Jobqueue.cancel st.q e;
-              Hashtbl.remove st.by_fp e.Jobqueue.fp;
-              st.c.cancelled <- st.c.cancelled + 1;
-              Log.info (fun k ->
-                  k "job %s cancelled (client gone, worker %d killed)" id
-                    (Supervise.Child.pid w.child))
-          | None -> ())
+      | Jobqueue.Running ->
+          (* The pool still settles the killed worker; [finish] sees the
+             job cancelled and only forgets it. *)
+          Supervise.Pool.kill st.pool id;
+          Jobqueue.cancel st.q e;
+          Hashtbl.remove st.by_fp e.Jobqueue.fp;
+          st.c.cancelled <- st.c.cancelled + 1;
+          Log.info (fun k ->
+              k "job %s cancelled (client gone, worker %d killed)" id
+                (Option.value (Hashtbl.find_opt st.pids id) ~default:0))
       | _ -> ())
 
 (* Answer every waiter of [id], each in its own command's terms. *)
@@ -327,8 +314,6 @@ let complete st (e : Jobqueue.entry) ?dead_letter probe =
 (* ----------------------------------------------------------------- *)
 (* Workers *)
 
-let deadline_grace_s = 5.0
-
 (* The worker body: certify the cell, store the probe when it is a fact
    about the problem, and answer it to the daemon. *)
 let run_job st (e : Jobqueue.entry) =
@@ -359,31 +344,19 @@ let spawn_worker st (e : Jobqueue.entry) =
     List.mem (Fault.Kill_cell key) st.cfg.faults
     || List.mem (Fault.Kill_cell id) st.cfg.faults
   in
-  let hb_r, hb_w = Unix.pipe () in
-  let child =
-    Supervise.Child.spawn (fun () ->
-        (* Worker. Shed every inherited daemon fd so client EOF
-           detection keeps working in the parent, then run the job over
-           the shared run-dir cache/journal. *)
+  let pid =
+    Supervise.Pool.submit st.pool ~key:id
+      ?deadline_s:
+        (Option.map (fun b -> b +. Bulk.deadline_grace_s) e.Jobqueue.cell.Bulk.budget_s)
+      (fun () ->
+        (* Worker. Shed the inherited daemon fds so client EOF detection
+           keeps working in the parent, then run the job over the shared
+           run-dir cache/journal. The pool has installed the heartbeat
+           that renews our lease. *)
         Sys.set_signal Sys.sigterm Sys.Signal_default;
         Sys.set_signal Sys.sigint Sys.Signal_default;
         close_fd st.listen;
-        close_fd hb_r;
         List.iter (fun c -> close_fd c.cfd) st.clients;
-        List.iter
-          (fun w ->
-            close_fd (Supervise.Child.fd w.child);
-            if w.hb_open then close_fd w.hb_r)
-          st.workers;
-        (* Liveness: every supervised solve (and each interior-point
-           iteration) writes a byte up the heartbeat pipe; the daemon
-           renews our lease on drain. A worker that stops beating past
-           the TTL is reclaimed with SIGKILL and re-dispatched. *)
-        let hb_byte = Bytes.make 1 'h' in
-        Supervise.Heartbeat.install ~min_interval_s:st.cfg.heartbeat_interval_s
-          (fun () ->
-            try ignore (Unix.write hb_w hb_byte 0 1) with Unix.Unix_error _ -> ());
-        Supervise.Heartbeat.beat ();
         if stall then
           (* Injected wedge: alive but silent — exactly the failure mode
              leases exist for. *)
@@ -392,34 +365,12 @@ let spawn_worker st (e : Jobqueue.entry) =
           done;
         run_job st e)
   in
-  close_fd hb_w;
-  Unix.set_nonblock hb_r;
-  let pid = Supervise.Child.pid child in
-  let kill_after =
-    Option.map
-      (fun d -> Unix.gettimeofday () +. d +. deadline_grace_s)
-      e.Jobqueue.cell.Bulk.budget_s
-  in
-  let lease = Resilient.Lease.grant st.lease_policy ~holder:id ~now:(Resilient.wall_now ()) in
-  st.workers <-
-    {
-      w_id = id;
-      child;
-      kill_after;
-      hb_r;
-      hb_open = true;
-      lease;
-      killed = false;
-      timed_out = false;
-      lease_expired = false;
-      cancelled = false;
-    }
-    :: st.workers;
+  Hashtbl.replace st.pids id pid;
   Log.info (fun k -> k "job %s started in worker %d" id pid);
   if fires_for st e (fun k -> Fault.Kill_worker k) || kill_always then begin
     Format.printf "verifyd: fault kill-worker@%s firing on pid %d@." key pid;
     Format.pp_print_flush Format.std_formatter ();
-    Supervise.Child.kill child
+    Supervise.Pool.kill st.pool id
   end
 
 let maybe_cache_gc st =
@@ -433,168 +384,105 @@ let maybe_cache_gc st =
               stats.Supervise.Cache.evicted stats.Supervise.Cache.evicted_bytes
               stats.Supervise.Cache.entries stats.Supervise.Cache.bytes)
 
-(* A worker answered or died: collect it and settle its job — done,
-   timed out, re-dispatched after a crash, or dead-lettered. *)
-let finish st w =
-  st.workers <- List.filter (fun x -> x != w) st.workers;
-  let answer = Supervise.Child.collect w.child in
-  if w.hb_open then begin
-    w.hb_open <- false;
-    close_fd w.hb_r
-  end;
-  match Jobqueue.find st.q w.w_id with
-  | None -> ()
-  | Some e -> (
-      let id = e.Jobqueue.id in
-      let cleanup () =
-        Hashtbl.remove st.by_fp e.Jobqueue.fp;
-        Hashtbl.remove st.detached id;
-        Hashtbl.remove st.retries id;
-        Hashtbl.remove st.not_before id;
-        Hashtbl.remove st.history id
-      in
-      match answer with
-      | _ when w.cancelled -> cleanup ()
-      | Ok probe ->
-          complete st e probe;
-          Format.printf "verifyd: job %s (cell %s) done: %s (%d solves)@." id
-            e.Jobqueue.cell.Bulk.cell_id
-            (Job.verdict_to_string (Bulk.verdict probe))
-            probe.Bulk.solves;
-          st.c.completed <- st.c.completed + 1;
-          Breaker.success st.breaker;
-          Format.pp_print_flush Format.std_formatter ();
-          maybe_cache_gc st;
-          cleanup ()
-      | Error _ when w.timed_out ->
-          st.c.timeouts <- st.c.timeouts + 1;
-          complete st e
-            (Bulk.probe_fail ~kind:"budget-exhausted"
-               ~detail:"worker exceeded the job deadline and was killed");
-          cleanup ()
-      | Error how ->
-          (* Crash: the worker died without an answer (killed, OOM'd,
-             raised, or SIGKILLed by us after its lease expired). *)
-          st.c.crashes <- st.c.crashes + 1;
-          Breaker.failure st.breaker;
-          let how = if w.lease_expired then how ^ " (lease expired; reclaimed)" else how in
-          let attempt = 1 + Option.value (Hashtbl.find_opt st.retries id) ~default:0 in
-          Hashtbl.replace st.history id
-            (Printf.sprintf "attempt %d: %s" attempt how
-            :: Option.value (Hashtbl.find_opt st.history id) ~default:[]);
-          if attempt <= st.cfg.job_retries then begin
-            Hashtbl.replace st.retries id attempt;
-            Hashtbl.replace st.not_before id
-              (Unix.gettimeofday ()
-              +. Resilient.Lease.backoff_s st.lease_policy ~key:id ~attempt);
-            e.Jobqueue.state <- Jobqueue.Pending;
-            Queue.add id st.pending;
-            st.c.redispatched <- st.c.redispatched + 1;
-            Format.printf
-              "verifyd: job %s worker crashed (%s); redispatch %d/%d with backoff@." id how
-              attempt st.cfg.job_retries;
-            Format.pp_print_flush Format.std_formatter ()
-          end
-          else begin
-            (* Re-dispatch budget exhausted: dead-letter with the full
-               attempt history. The diagnosis shape matches the atlas
-               quarantine record, so a remote cell and a locally
-               quarantined one read identically. *)
-            st.c.dead_lettered <- st.c.dead_lettered + 1;
-            let detail = "cell worker crashed" in
-            let dl =
-              Json.to_string
-                (Json.Obj
-                   [
-                     ("id", Json.Str id);
-                     ("fp", Json.Str e.Jobqueue.fp);
-                     ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
-                     ("kind", Json.Str "crash");
-                     ("detail", Json.Str detail);
-                     ( "attempts",
-                       Json.Arr
-                         (List.rev_map
-                            (fun s -> Json.Str s)
-                            (Option.value (Hashtbl.find_opt st.history id) ~default:[])) );
-                   ])
-            in
-            (try Fs.write_atomic (dead_letter_path st id) dl with _ -> ());
-            complete st e ~dead_letter:true
-              {
-                (Bulk.probe_fail ~kind:"crash" ~detail) with
-                Bulk.journal = Some dl;
-                Bulk.attempts = attempt;
-              };
-            Format.printf "verifyd: job %s dead-lettered after %d attempt(s)@." id attempt;
-            Format.pp_print_flush Format.std_formatter ();
-            cleanup ()
-          end)
+(* Forget a settled job's in-flight bookkeeping. *)
+let forget st (e : Jobqueue.entry) =
+  let id = e.Jobqueue.id in
+  Hashtbl.remove st.by_fp e.Jobqueue.fp;
+  Hashtbl.remove st.detached id;
+  Hashtbl.remove st.retries id;
+  Hashtbl.remove st.not_before id;
+  Hashtbl.remove st.history id
 
-let enforce_deadlines st =
-  let now = Unix.gettimeofday () in
-  List.iter
-    (fun w ->
-      match w.kill_after with
-      | Some t when now > t && not w.killed ->
-          w.killed <- true;
-          w.timed_out <- true;
-          Log.warn (fun k ->
-              k "job %s worker %d past deadline + grace; SIGKILL" w.w_id
-                (Supervise.Child.pid w.child));
-          Supervise.Child.kill w.child
-      | _ -> ())
-    st.workers
+(* A worker died without an answer (killed, OOM'd, raised, or reclaimed
+   after its lease expired): re-dispatch with backoff, or dead-letter
+   once the retry budget is spent. *)
+let crash st (e : Jobqueue.entry) how =
+  let id = e.Jobqueue.id in
+  st.c.crashes <- st.c.crashes + 1;
+  Breaker.failure st.breaker;
+  let attempt = 1 + Option.value (Hashtbl.find_opt st.retries id) ~default:0 in
+  Hashtbl.replace st.history id
+    (Printf.sprintf "attempt %d: %s" attempt how
+    :: Option.value (Hashtbl.find_opt st.history id) ~default:[]);
+  if attempt <= st.cfg.job_retries then begin
+    Hashtbl.replace st.retries id attempt;
+    Hashtbl.replace st.not_before id
+      (Unix.gettimeofday ()
+      +. Resilient.Backoff.backoff_s Resilient.Backoff.default_policy ~key:id ~attempt);
+    e.Jobqueue.state <- Jobqueue.Pending;
+    Queue.add id st.pending;
+    st.c.redispatched <- st.c.redispatched + 1;
+    Format.printf
+      "verifyd: job %s worker crashed (%s); redispatch %d/%d with backoff@." id how
+      attempt st.cfg.job_retries;
+    Format.pp_print_flush Format.std_formatter ()
+  end
+  else begin
+    (* Re-dispatch budget exhausted: dead-letter with the full
+       attempt history. The diagnosis shape matches the atlas
+       quarantine record, so a remote cell and a locally
+       quarantined one read identically. *)
+    st.c.dead_lettered <- st.c.dead_lettered + 1;
+    let probe = Bulk.crashed ~why:how in
+    let dl =
+      Json.to_string
+        (Json.Obj
+           [
+             ("id", Json.Str id);
+             ("fp", Json.Str e.Jobqueue.fp);
+             ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
+             ("kind", Json.Str probe.Bulk.kind);
+             ("detail", Json.Str probe.Bulk.detail);
+             ( "attempts",
+               Json.Arr
+                 (List.rev_map
+                    (fun s -> Json.Str s)
+                    (Option.value (Hashtbl.find_opt st.history id) ~default:[])) );
+           ])
+    in
+    (try Fs.write_atomic (dead_letter_path st id) dl with _ -> ());
+    complete st e ~dead_letter:true
+      { probe with Bulk.journal = Some dl; Bulk.attempts = attempt };
+    Format.printf "verifyd: job %s dead-lettered after %d attempt(s)@." id attempt;
+    Format.pp_print_flush Format.std_formatter ();
+    forget st e
+  end
 
-(* Drain each worker's heartbeat pipe (non-blocking); any byte renews
-   its lease. The worker's answer pipe, not this one, tells of its
-   death: processes it forked may hold the heartbeat pipe open. *)
-let drain_heartbeats st =
-  let now = Resilient.wall_now () in
-  let buf = Bytes.create 256 in
-  List.iter
-    (fun w ->
-      if w.hb_open then begin
-        let beat = ref false in
-        let rec drain () =
-          match Unix.read w.hb_r buf 0 (Bytes.length buf) with
-          | 0 ->
-              w.hb_open <- false;
-              close_fd w.hb_r
-          | _ ->
-              beat := true;
-              drain ()
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-          | exception Unix.Unix_error _ ->
-              w.hb_open <- false;
-              close_fd w.hb_r
-        in
-        drain ();
-        if !beat then Resilient.Lease.renew st.lease_policy w.lease ~now
-      end)
-    st.workers
-
-(* A worker whose lease expired (no heartbeat for a full TTL) is
-   presumed wedged: reclaim it with SIGKILL. [finish] then routes the death
-   through the ordinary crash path — bounded re-dispatch with backoff,
-   then dead-letter — so a silent wedge and a hard crash converge on
-   the same recovery machinery. *)
-let enforce_leases st =
-  let now = Resilient.wall_now () in
-  List.iter
-    (fun w ->
-      if (not w.killed) && Resilient.Lease.expired w.lease ~now then begin
-        w.killed <- true;
-        w.lease_expired <- true;
-        st.c.leases_reclaimed <- st.c.leases_reclaimed + 1;
-        Format.printf
-          "verifyd: job %s lease expired (no heartbeat within %.3gs); reclaiming \
-           worker %d@."
-          w.w_id st.lease_policy.Resilient.Lease.ttl_s (Supervise.Child.pid w.child);
-        Format.pp_print_flush Format.std_formatter ();
-        Supervise.Child.kill w.child
-      end)
-    st.workers
+(* The pool settled a worker: it answered, died, was killed at its
+   deadline or missed its lease. Settle its job: done, timed out,
+   re-dispatched after a crash, or dead-lettered. *)
+let finish st (id, outcome) =
+  let pid = Option.value (Hashtbl.find_opt st.pids id) ~default:0 in
+  Hashtbl.remove st.pids id;
+  match (Jobqueue.find st.q id, outcome) with
+  | None, _ -> ()
+  | Some e, _ when e.Jobqueue.state = Jobqueue.Cancelled -> forget st e
+  | Some e, Supervise.Pool.Answered probe ->
+      complete st e probe;
+      Format.printf "verifyd: job %s (cell %s) done: %s (%d solves)@." id
+        e.Jobqueue.cell.Bulk.cell_id
+        (Job.verdict_to_string (Bulk.verdict probe))
+        probe.Bulk.solves;
+      st.c.completed <- st.c.completed + 1;
+      Breaker.success st.breaker;
+      Format.pp_print_flush Format.std_formatter ();
+      maybe_cache_gc st;
+      forget st e
+  | Some e, Supervise.Pool.Timed_out ->
+      st.c.timeouts <- st.c.timeouts + 1;
+      complete st e Bulk.budget_exhausted;
+      forget st e
+  | Some e, Supervise.Pool.Died how -> crash st e how
+  | Some e, Supervise.Pool.Lease_expired how ->
+      (* No heartbeat for a full TTL: the pool presumed the worker wedged
+         and reclaimed it with SIGKILL. The death takes the crash path, so
+         a silent wedge and a hard crash converge on the same recovery. *)
+      st.c.leases_reclaimed <- st.c.leases_reclaimed + 1;
+      Format.printf
+        "verifyd: job %s lease expired (no heartbeat within %.3gs); reclaimed worker %d@." id
+        st.cfg.lease_ttl_s pid;
+      Format.pp_print_flush Format.std_formatter ();
+      crash st e (how ^ " (lease expired; reclaimed)")
 
 let dispatch st =
   if (not (wedged st)) && not !(st.draining) then begin
@@ -602,7 +490,7 @@ let dispatch st =
     let progress = ref true in
     while
       !progress
-      && List.length st.workers < st.cfg.workers
+      && Supervise.Pool.room st.pool > 0
       && not (Queue.is_empty st.pending)
     do
       progress := false;
@@ -657,7 +545,7 @@ let status_json st =
       ("breaker", Json.Str (Breaker.state_name st.breaker));
       ("breaker_trips", Json.Num (float_of_int (Breaker.trips st.breaker)));
       ("queue_depth", Json.Num (float_of_int (Queue.length st.pending)));
-      ("running", Json.Num (float_of_int (List.length st.workers)));
+      ("running", Json.Num (float_of_int (Supervise.Pool.running st.pool)));
       ("queue_cap", Json.Num (float_of_int st.cfg.queue_cap));
       ("workers", Json.Num (float_of_int st.cfg.workers));
       ("draining", Json.Bool !(st.draining));
@@ -953,6 +841,16 @@ let feed_client st cl n chunk =
 (* ----------------------------------------------------------------- *)
 (* The main loop *)
 
+(* Close the ledger, the clients and the socket, say why, and exit. *)
+let leave st code why =
+  Jobqueue.close st.q;
+  List.iter (fun c -> close_fd c.cfd) st.clients;
+  close_fd st.listen;
+  (try Unix.unlink st.sock with Unix.Unix_error _ -> ());
+  Format.printf "verifyd: %s@." why;
+  Format.pp_print_flush Format.std_formatter ();
+  code
+
 let drain_exit st =
   (* Pending jobs stay checkpointed in the fsync'd ledger; tell anyone
      still waiting on one, then flush and leave cleanly. *)
@@ -968,50 +866,31 @@ let drain_exit st =
                 Json.Str "job checkpointed in the queue ledger; resubmit after restart" );
             ]))
     st.pending;
-  Jobqueue.close st.q;
-  List.iter (fun c -> close_fd c.cfd) st.clients;
-  close_fd st.listen;
-  (try Unix.unlink st.sock with Unix.Unix_error _ -> ());
-  Format.printf
-    "verifyd: drained — 0 jobs in flight, %d pending checkpointed; exit 0@."
-    checkpointed;
-  Format.pp_print_flush Format.std_formatter ();
-  0
+  leave st 0
+    (Printf.sprintf "drained — 0 jobs in flight, %d pending checkpointed; exit 0" checkpointed)
 
 let interrupt_exit st =
-  List.iter (fun w -> Supervise.Child.kill w.child) st.workers;
-  List.iter (fun w -> ignore (Supervise.Child.collect w.child)) st.workers;
-  Jobqueue.close st.q;
-  List.iter (fun c -> close_fd c.cfd) st.clients;
-  close_fd st.listen;
-  (try Unix.unlink st.sock with Unix.Unix_error _ -> ());
-  Format.printf "verifyd: interrupted — checkpoint saved; resume with --resume@.";
-  Format.pp_print_flush Format.std_formatter ();
-  130
+  Supervise.Pool.shutdown st.pool;
+  leave st 130 "interrupted — checkpoint saved; resume with --resume"
 
 let loop st =
   let chunk = Bytes.create 4096 in
   let rec go () =
-    drain_heartbeats st;
-    enforce_leases st;
-    enforce_deadlines st;
+    List.iter (finish st) (Supervise.Pool.settle st.pool);
     dispatch st;
     if !(st.interrupted) then interrupt_exit st
-    else if !(st.draining) && st.workers = [] then drain_exit st
+    else if !(st.draining) && Supervise.Pool.running st.pool = 0 then drain_exit st
     else begin
-      let answers = List.map (fun w -> Supervise.Child.fd w.child) st.workers in
-      let fds = (st.listen :: answers) @ List.map (fun c -> c.cfd) st.clients in
+      let fds = (st.listen :: Supervise.Pool.fds st.pool) @ List.map (fun c -> c.cfd) st.clients in
       (match Unix.select fds [] [] 0.05 with
       | readable, _, _ ->
           List.iter
             (fun fd ->
-              match List.find_opt (fun w -> Supervise.Child.fd w.child == fd) st.workers with
-              | Some w -> finish st w
-              | None when fd == st.listen -> (
+              if fd == st.listen then (
                   match Unix.accept st.listen with
                   | cfd, _ -> st.clients <- { cfd; cbuf = Buffer.create 256 } :: st.clients
                   | exception Unix.Unix_error _ -> ())
-              | None -> (
+              else (
                   match List.find_opt (fun c -> c.cfd == fd) st.clients with
                   | None -> ()
                   | Some cl -> (
@@ -1078,19 +957,16 @@ let run cfg =
                     listen;
                     clients = [];
                     pending = Queue.create ();
-                    workers = [];
+                    pool =
+                      Supervise.Pool.create ~ttl_s:cfg.lease_ttl_s
+                        ~beat_s:cfg.heartbeat_interval_s ~cap:cfg.workers ();
+                    pids = Hashtbl.create 16;
                     waiters = Hashtbl.create 16;
                     detached = Hashtbl.create 16;
                     by_fp = Hashtbl.create 16;
                     retries = Hashtbl.create 16;
                     not_before = Hashtbl.create 16;
                     history = Hashtbl.create 16;
-                    lease_policy =
-                      {
-                        Resilient.Lease.default_policy with
-                        Resilient.Lease.ttl_s = cfg.lease_ttl_s;
-                        Resilient.Lease.max_attempts = cfg.job_retries + 1;
-                      };
                     breaker =
                       Breaker.create ~threshold:cfg.breaker_threshold
                         ~cooldown_s:cfg.breaker_cooldown_s ~now:Unix.gettimeofday ();

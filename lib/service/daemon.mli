@@ -1,11 +1,15 @@
 (** The verification daemon: a single-process [Unix.select] loop that
     accepts verify jobs over a Unix-domain socket (newline-delimited
     JSON), runs each job in a worker over the shared content-addressed
-    solve cache, and survives crashes of either side. A worker is a
-    {!Supervise.Child}: it answers its job's probe in one frame over a
-    pipe, and the loop selects on those pipes next to the clients, so
-    an answer, or a worker's death (end of file with no answer), wakes
-    it at once. The daemon forks nothing itself.
+    solve cache, and survives crashes of either side. Workers are the
+    items of one {!Supervise.Pool}: each answers its job's probe in one
+    frame over a pipe, the loop selects on the pool's pipes next to the
+    clients and lets the pool settle them, so an answer, or a worker's
+    death (end of file with no answer), wakes it at once. The pool owns
+    every worker's process, heartbeat lease ([lease_ttl_s]) and
+    deadline; the daemon keeps the policy — queue, admission, breaker,
+    re-dispatch with backoff, dead letters and the result store — and
+    forks nothing itself.
     The daemon has one job type, the {!Bulk.cell_spec}: a [submit]'s
     point becomes the one-cell job {!Bulk.of_spec} makes of it at
     admission (an axis absent at the order is an [error] reply), a
@@ -29,12 +33,14 @@
       (probes {!Bulk.storable} accepts) is answered immediately from
       disk;
     - {e per-job deadlines}: the cell budget (or [default_deadline_s])
-      rides into the worker's pipeline policy; a wedged worker is
-      SIGKILLed past deadline + grace and answered as
-      [budget-exhausted];
+      rides into the worker's pipeline policy; the pool SIGKILLs a
+      wedged worker at budget + {!Bulk.deadline_grace_s} and the job is
+      answered {!Bulk.budget_exhausted}, as a local atlas cell is;
     - {e cancellation}: a waiting client that disconnects cancels its
       job (pending jobs leave the queue; running workers are killed)
       unless another client shares it or it was submitted no-wait;
+    - {e leases}: a worker whose heartbeats stop for [lease_ttl_s] is
+      reclaimed by the pool and takes the crash path below;
     - {e supervision + circuit breaker}: a crashed worker is retried
       with exponential backoff, and dead-lettered and answered as a
       [crash] once [job_retries] run out (each attempt's line in the

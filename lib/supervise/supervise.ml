@@ -887,26 +887,22 @@ let status_string = function
 (* Heartbeats                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A process-global liveness sink: once installed (by a daemon worker
-   after fork, say), every supervised solve beats it at entry and at
-   each interior-point iteration, rate-limited. The sink itself decides
-   what a beat means — the verifyd worker writes a byte up a pipe so
-   the daemon can renew its lease. Beats never raise and never change
-   solver behaviour or cache keys (the iteration hook is excluded from
-   the canonical serialization). *)
+(* A process-global liveness sink: a {!Pool} given a lease TTL installs
+   one in each child it forks, writing a byte up the child's heartbeat
+   pipe so the pool can renew the lease. Every supervised solve then
+   beats it at entry and at each interior-point iteration, rate-limited.
+   Beats never raise and never change solver behaviour or cache keys
+   (the iteration hook is excluded from the canonical serialization). *)
 
 module Heartbeat = struct
   let sink : (unit -> unit) option ref = ref None
   let interval = ref 0.0
   let last = ref neg_infinity
 
-  let install ?(min_interval_s = 0.0) f =
+  let install ~min_interval_s f =
     sink := Some f;
     interval := min_interval_s;
     last := neg_infinity
-
-  let clear () = sink := None
-  let active () = Option.is_some !sink
 
   let beat () =
     match !sink with
@@ -921,7 +917,7 @@ module Heartbeat = struct
   (* Chain a beat in front of the caller's iteration hook, preserving
      its fault/deadline return value. *)
   let wrap_params (params : Sdp.params) =
-    if not (active ()) then params
+    if Option.is_none !sink then params
     else
       let inner = params.Sdp.on_iteration in
       {
@@ -1072,63 +1068,178 @@ let report_json ctx =
     s.crashes s.timeouts s.pool_tasks ctx.replayed
 
 (* ------------------------------------------------------------------ *)
-(* Bounded parallel fan-out                                           *)
+(* The one scheduler                                                  *)
 (* ------------------------------------------------------------------ *)
 
 module Pool = struct
-  let map ctx ~f items =
+  type 'a outcome = Answered of 'a | Died of string | Timed_out | Lease_expired of string
+
+  (* Why the pool killed an item, if it did. *)
+  type fate = Running | Killed | Deadline | Lease
+
+  type ('k, 'a) item = {
+    key : 'k;
+    child : 'a Child.t;
+    deadline : float;  (** absolute wall clock; infinity without one *)
+    mutable beats : Unix.file_descr option;  (** heartbeat read end, until end of file *)
+    mutable expires : float;  (** the lease: infinity without a TTL *)
+    mutable fate : fate;
+  }
+
+  type ('k, 'a) t = {
+    cap : int;
+    ttl_s : float option;
+    beat_s : float;
+    mutable items : ('k, 'a) item list;  (** newest first *)
+  }
+
+  let create ?ttl_s ?(beat_s = 1.0) ~cap () = { cap = max 1 cap; ttl_s; beat_s; items = [] }
+  let running p = List.length p.items
+  let room p = p.cap - running p
+  let fds p = List.map (fun it -> Child.fd it.child) p.items
+
+  let submit p ~key ?deadline_s body =
+    if room p <= 0 then invalid_arg "Supervise.Pool.submit: the pool is full";
+    let beats = Option.map (fun _ -> Unix.pipe ~cloexec:true ()) p.ttl_s in
+    let siblings =
+      List.concat_map (fun it -> Child.fd it.child :: Option.to_list it.beats) p.items
+    in
+    let child =
+      Child.spawn (fun () ->
+          List.iter close_quietly siblings;
+          Option.iter
+            (fun (r, w) ->
+              close_quietly r;
+              (* A full pipe drops the beat instead of wedging the child. *)
+              Unix.set_nonblock w;
+              let b = Bytes.make 1 'h' in
+              Heartbeat.install ~min_interval_s:p.beat_s (fun () ->
+                  ignore (Unix.write w b 0 1));
+              Heartbeat.beat ())
+            beats;
+          body ())
+    in
+    Option.iter
+      (fun (r, w) ->
+        Unix.close w;
+        Unix.set_nonblock r)
+      beats;
+    let now = Unix.gettimeofday () in
+    p.items <-
+      {
+        key;
+        child;
+        deadline = now +. Option.value deadline_s ~default:Float.infinity;
+        beats = Option.map fst beats;
+        expires = now +. Option.value p.ttl_s ~default:Float.infinity;
+        fate = Running;
+      }
+      :: p.items;
+    Child.pid child
+
+  let kill p key =
+    List.iter
+      (fun it ->
+        if it.key = key && it.fate = Running then begin
+          it.fate <- Killed;
+          Child.kill it.child
+        end)
+      p.items
+
+  (* Renew a lease on any byte from the item's heartbeat pipe (its
+     answer pipe, not this one, tells of its death: processes it forked
+     may hold the heartbeat pipe open), then kill an item past its lease
+     or its deadline; the death is settled from its answer pipe. *)
+  let police p now =
+    let buf = Bytes.create 256 in
+    List.iter
+      (fun it ->
+        (match (it.beats, p.ttl_s) with
+        | Some fd, Some ttl -> (
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 ->
+                close_quietly fd;
+                it.beats <- None
+            | _ -> it.expires <- now +. ttl
+            | exception Unix.Unix_error _ -> ())
+        | _ -> ());
+        if it.fate = Running && (now > it.expires || now > it.deadline) then begin
+          it.fate <- (if now > it.expires then Lease else Deadline);
+          Log.warn (fun k ->
+              k "pool child %d %s; SIGKILL" (Child.pid it.child)
+                (if it.fate = Lease then "missed its lease" else "outlived its deadline"));
+          Child.kill it.child
+        end)
+      p.items
+
+  (* An answer wins over the pool's kill: a child that answered before
+     its SIGKILL landed is answered. *)
+  let reap it =
+    Option.iter close_quietly it.beats;
+    it.beats <- None;
+    match (Child.collect it.child, it.fate) with
+    | Ok v, _ -> Answered v
+    | Error _, Deadline -> Timed_out
+    | Error why, Lease -> Lease_expired why
+    | Error why, (Running | Killed) -> Died why
+
+  let settle ?(wait_s = 0.0) p =
+    police p (Unix.gettimeofday ());
+    match Unix.select (fds p) [] [] wait_s with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    | ready, _, _ ->
+        let settled, still = List.partition (fun it -> List.mem (Child.fd it.child) ready) p.items in
+        p.items <- still;
+        List.rev_map (fun it -> (it.key, reap it)) settled
+
+  let shutdown p =
+    List.iter (fun it -> Child.kill it.child) p.items;
+    List.iter (fun it -> ignore (reap it)) p.items;
+    p.items <- []
+
+  let run ctx ?deadline_s ?(on_start = fun _ _ -> ()) ~f ~on_settle items =
     let items = Array.of_list items in
     let n = Array.length items in
-    if n = 0 then []
+    if n = 0 then ()
     else if ctx.in_worker then
       (* Already inside a worker: the isolation boundary exists, run
          inline (no nested forking). *)
-      Array.to_list
-        (Array.mapi
-           (fun i x -> try Ok (f i x) with e -> Error (Printexc.to_string e))
-           items)
+      Array.iteri
+        (fun i x ->
+          on_settle i x (match f i x with v -> Answered v | exception e -> Died (Printexc.to_string e)))
+        items
     else begin
       check_interrupt ctx;
       ctx.stats.pool_tasks <- ctx.stats.pool_tasks + n;
-      let results = Array.make n (Error "not run") in
-      let running = ref [] in
-      let launch i =
-        ctx.stats.forked <- ctx.stats.forked + 1;
-        let c =
-          Child.spawn (fun () ->
-              ctx.in_worker <- true;
-              f i items.(i))
-        in
-        running := (c, i) :: !running
-      in
-      let pump () =
-        match Unix.select (List.map (fun (c, _) -> Child.fd c) !running) [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | ready, _, _ ->
-            let finished, still =
-              List.partition (fun (c, _) -> List.mem (Child.fd c) ready) !running
-            in
-            running := still;
-            List.iter (fun (c, i) -> results.(i) <- Child.collect c) finished
-      in
+      let pool = create ~cap:ctx.jobs () in
       let next = ref 0 in
-      (try
-         while !next < n || !running <> [] do
-           check_interrupt ctx;
-           if !next < n && List.length !running < ctx.jobs then begin
-             launch !next;
-             incr next
-           end
-           else pump ()
-         done
-       with e ->
-         List.iter
-           (fun (c, _) ->
-             Child.kill c;
-             ignore (Child.collect c))
-           !running;
-         running := [];
-         raise e);
-      Array.to_list results
+      try
+        while !next < n || running pool > 0 do
+          check_interrupt ctx;
+          if !next < n && room pool > 0 then begin
+            let i = !next in
+            incr next;
+            on_start i items.(i);
+            ctx.stats.forked <- ctx.stats.forked + 1;
+            ignore
+              (submit pool ~key:i ?deadline_s (fun () ->
+                   ctx.in_worker <- true;
+                   f i items.(i)))
+          end
+          else List.iter (fun (i, o) -> on_settle i items.(i) o) (settle ~wait_s:0.05 pool)
+        done
+      with e ->
+        shutdown pool;
+        raise e
     end
+
+  let map ctx ~f items =
+    let results = Array.make (List.length items) (Error "not run") in
+    run ctx ~f items ~on_settle:(fun i _ o ->
+        results.(i) <-
+          (match o with
+          | Answered v -> Ok v
+          | Died why | Lease_expired why -> Error why
+          | Timed_out -> Error "killed at its deadline"));
+    Array.to_list results
 end

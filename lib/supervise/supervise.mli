@@ -16,10 +16,9 @@
       SIGKILL and reported as a failed attempt, which the retry ladder
       running in the parent can recover from; the next solve spawns a
       fresh worker;
-    - {e parallel fan-out}: independent work items (escape-certificate
-      searches, exact re-validation conditions, atlas cells) run across
-      a bounded pool of forked children ({!Pool.map}, [--jobs N]), each
-      a {!Child} that answers once;
+    - {e one scheduler}: independent work items (escape searches,
+      exact re-validation conditions, atlas cells, daemon jobs) run as
+      the items of a {!Pool}, which owns their deadlines and leases;
     - {e crash-safe restartability}: every solve request is canonically
       serialized and hashed ({!Sdp.fingerprint}); clean results are
       written atomically (tmp + rename, fsync'd) into a content-
@@ -44,9 +43,8 @@
     extern table. A {!Child} answers with the same framing.
 
     {b Two fork sites.} This module forks in exactly two places: the
-    solver worker and the one-answer {!Child}. {!Pool.map} items and
-    the verification daemon's job workers are children; nothing else
-    in the libraries or the command-line tools forks.
+    solver worker and the one-answer {!Child}, which the {!Pool} spawns;
+    nothing else in the libraries or the command-line tools forks.
 
     {b Lifetime.} {!release} closes the pipes and reaps the worker, so
     its CPU time lands in the caller's [cutime]; [Service.Job.certify]
@@ -236,7 +234,7 @@ type stats = {
   mutable cache_rejects : int;  (** corrupt/truncated entries rejected, then re-solved *)
   mutable crashes : int;  (** workers that died by signal or nonzero exit *)
   mutable timeouts : int;  (** workers reaped past the wall-clock budget *)
-  mutable pool_tasks : int;  (** items executed through {!Pool.map} *)
+  mutable pool_tasks : int;  (** items executed through {!Pool.run} *)
 }
 
 type ctx
@@ -293,22 +291,6 @@ val interrupt : ctx -> unit
 
 val install_signal_handlers : ctx -> unit
 (** Route SIGINT/SIGTERM to {!interrupt}. *)
-
-(** Process-global liveness beats. A daemon worker installs a sink
-    after fork (e.g. write a byte up a heartbeat pipe so the daemon
-    renews its lease); every supervised solve then beats at entry and
-    at each interior-point iteration, rate-limited to
-    [min_interval_s]. Beats never raise, never alter solver behaviour
-    and never reach the cache key (the iteration hook is excluded from
-    the canonical serialization). No sink installed — zero effect. *)
-module Heartbeat : sig
-  val install : ?min_interval_s:float -> (unit -> unit) -> unit
-  val clear : unit -> unit
-  val active : unit -> bool
-
-  val beat : unit -> unit
-  (** Fire the sink now (rate-limited); no-op without a sink. *)
-end
 
 val solve_sdp :
   ctx ->
@@ -381,16 +363,68 @@ module Child : sig
   (** SIGKILL the child. It still has to be {!collect}ed. *)
 end
 
-(** Bounded parallel fan-out over independent work items. *)
+(** The one scheduler: a bounded set of {!Child}ren, one per item. A
+    pool takes new items while others run and kills an item at its
+    wall-clock deadline. Given a lease TTL it also gives each child a
+    heartbeat pipe and beat sink (every supervised solve beats at entry
+    and at each interior-point iteration, at most once per [beat_s]) and
+    kills an item that stays silent past the TTL; without a TTL no pipe
+    is made. The caller [select]s on {!fds}, next to any descriptors of
+    its own, and calls {!settle}. *)
 module Pool : sig
+  type ('k, 'a) t
+  (** Items keyed by ['k] (compared with [=]), answering ['a]. *)
+
+  (** How an item ended; an answer that beat the pool's kill counts. *)
+  type 'a outcome =
+    | Answered of 'a
+    | Died of string  (** the exception text, or the exit reason (after {!kill} too) *)
+    | Timed_out  (** killed at its deadline *)
+    | Lease_expired of string  (** killed after missing its lease; the exit reason *)
+
+  val create : ?ttl_s:float -> ?beat_s:float -> cap:int -> unit -> ('k, 'a) t
+  (** [beat_s] defaults to 1 s. *)
+
+  val submit : ('k, 'a) t -> key:'k -> ?deadline_s:float -> (unit -> 'a) -> int
+  (** Fork a child running the closure, with a deadline [deadline_s]
+      from now, and return its pid. The child closes its siblings'
+      descriptors. Raises [Invalid_argument] without {!room}. *)
+
+  val room : ('k, 'a) t -> int
+  val running : ('k, 'a) t -> int
+
+  val kill : ('k, 'a) t -> 'k -> unit
+  (** SIGKILL the item; it is still settled. *)
+
+  val fds : ('k, 'a) t -> Unix.file_descr list
+  (** The running items' answer pipes: readable once one has ended. *)
+
+  val settle : ?wait_s:float -> ('k, 'a) t -> ('k * 'a outcome) list
+  (** Renew leases, kill items past their lease or deadline, wait up to
+      [wait_s] (default 0) for an answer pipe, and collect the items
+      that ended, oldest first. *)
+
+  val shutdown : ('k, 'a) t -> unit
+  (** Kill and collect every running item. *)
+
+  val run :
+    ctx ->
+    ?deadline_s:float ->
+    ?on_start:(int -> 'a -> unit) ->
+    f:(int -> 'a -> 'b) ->
+    on_settle:(int -> 'a -> 'b outcome -> unit) ->
+    'a list ->
+    unit
+  (** Run [f i item] for each item in a pool of {!jobs} children (inline
+      inside a pool worker), calling [on_start] just before an item is
+      forked and [on_settle] as soon as it ends. [f]'s result must be
+      marshal-safe. The fork is taken even for [jobs = 1], so [-j 1] and
+      [-j N] traverse the same code path. Counts each item in
+      [pool_tasks] and [forked]. Raises {!Interrupted} on an interrupt;
+      that and any exception of a callback kill and collect the running
+      children first. *)
+
   val map : ctx -> f:(int -> 'a -> 'b) -> 'a list -> ('b, string) result list
-  (** [map ctx ~f items] runs [f i item] for each item across at most
-      {!jobs} {!Child}ren and returns the results in item order.
-      [f]'s result must be marshal-safe (plain data, no closures). A
-      worker that raises, crashes or is killed yields [Error] for its
-      item only. Called from inside a pool worker it degrades to an
-      inline sequential map (no nested forking). The fork is taken even
-      for [jobs = 1], so [-j 1] and [-j N] traverse the same code path
-      and produce identical reports. Raises {!Interrupted} (after
-      killing outstanding workers) if an interrupt arrives mid-run. *)
+  (** {!run} with the results in item order. A worker that raises,
+      crashes or is killed yields [Error] for its item only. *)
 end

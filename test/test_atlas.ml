@@ -261,6 +261,22 @@ let test_run_validation () =
       check "no solving happened" true
         (List.for_all (fun rc -> rc.Atlas.solves = 0) r.Atlas.records)
 
+(* At -j 2 a cell settles the moment it answers: an injected failure
+   is ledgered before its slow sibling of the same wave is done. *)
+let test_cells_settle_as_they_answer () =
+  let dir = tmpdir () in
+  let ctx = Supervise.create ~run_dir:dir ~jobs:2 () in
+  let job = { (Atlas.default_job Pll.Third) with Atlas.degree = 4; max_subdiv = 0 } in
+  (match
+     Atlas.run ~ctx ~faults:[ Atlas.Fault.Fail_cell "c1" ] ~resume:false job
+       (grid "ip=0.9:1.1:2")
+   with
+  | Error e -> Alcotest.failf "sweep refused: %s" e
+  | Ok r -> Alcotest.(check int) "the failed cell is quarantined" 1 r.Atlas.quarantined);
+  let ledgered, _ = Atlas.Ledger.read dir in
+  Alcotest.(check (list string)) "done lines in answer order" [ "c1"; "c0" ]
+    (List.map (fun (e : Atlas.Ledger.entry) -> e.Atlas.Ledger.id) ledgered)
+
 let suite =
   [
     Alcotest.test_case "grid parsing" `Quick test_grid_parse;
@@ -272,4 +288,5 @@ let suite =
     Alcotest.test_case "config fingerprint" `Quick test_fingerprint;
     Alcotest.test_case "report and exit codes" `Quick test_report;
     Alcotest.test_case "run validation" `Quick test_run_validation;
+    Alcotest.test_case "cells settle as they answer" `Quick test_cells_settle_as_they_answer;
   ]

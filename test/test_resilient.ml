@@ -159,67 +159,37 @@ let test_consumed_budget () =
   Alcotest.(check int) "reset" 0 (Resilient.consumed pol).Resilient.attempts
 
 (* ----------------------------------------------------------------- *)
-(* Lease bookkeeping: pure over a caller-supplied clock, so expiry,
-   renewal, backoff and exhaustion are all checkable instantly. *)
+(* Backoff: a pure function of (policy, key, attempt), so the ladder,
+   the cap and the jitter are all checkable instantly. *)
 
-let lease_policy =
-  {
-    Resilient.Lease.ttl_s = 10.0;
-    max_attempts = 3;
-    backoff_base_s = 0.25;
-    backoff_factor = 2.0;
-    backoff_max_s = 1.0;
-    jitter_frac = 0.25;
-  }
-
-let test_lease_expiry_and_renewal () =
-  let open Resilient.Lease in
-  let l = grant lease_policy ~holder:"j1" ~now:100.0 in
-  Alcotest.(check string) "holder recorded" "j1" (holder l);
-  Alcotest.(check (float 1e-9)) "deadline = now + ttl" 110.0 (expires_at l);
-  Alcotest.(check bool) "fresh lease live" false (expired l ~now:109.9);
-  Alcotest.(check bool) "past-deadline lease expired" true (expired l ~now:110.1);
-  (* A heartbeat pushes the deadline out from the renewal instant. *)
-  renew lease_policy l ~now:109.0;
-  Alcotest.(check (float 1e-9)) "renewed deadline" 119.0 (expires_at l);
-  Alcotest.(check bool) "renewed lease live" false (expired l ~now:110.1);
-  Alcotest.(check bool) "renewed lease still expires" true (expired l ~now:119.5)
+let backoff_policy = { Resilient.Backoff.base_s = 0.25; max_s = 1.0 }
 
 let test_lease_backoff () =
-  let open Resilient.Lease in
+  let open Resilient.Backoff in
   (* Deterministic: the same (key, attempt) always waits the same time,
      and distinct keys decorrelate. *)
-  let b1 = backoff_s lease_policy ~key:"j1" ~attempt:1 in
+  let b1 = backoff_s backoff_policy ~key:"j1" ~attempt:1 in
   Alcotest.(check (float 1e-12)) "backoff is a pure function" b1
-    (backoff_s lease_policy ~key:"j1" ~attempt:1);
-  (* Every attempt's wait lies in [ladder, ladder * (1 + jitter)]. *)
+    (backoff_s backoff_policy ~key:"j1" ~attempt:1);
+  (* Every attempt's wait lies in [ladder, ladder * 1.25]: doubling from
+     the base, capped. *)
   List.iter
     (fun attempt ->
       let ladder =
-        min lease_policy.backoff_max_s
-          (lease_policy.backoff_base_s
-          *. (lease_policy.backoff_factor ** float_of_int (attempt - 1)))
+        min backoff_policy.max_s (backoff_policy.base_s *. (2.0 ** float_of_int (attempt - 1)))
       in
-      let b = backoff_s lease_policy ~key:"j1" ~attempt in
-      if b < ladder || b > ladder *. (1.0 +. lease_policy.jitter_frac) then
+      let b = backoff_s backoff_policy ~key:"j1" ~attempt in
+      if b < ladder || b > ladder *. 1.25 then
         Alcotest.failf "attempt %d backoff %g outside [%g, %g]" attempt b ladder
-          (ladder *. (1.0 +. lease_policy.jitter_frac)))
+          (ladder *. 1.25))
     [ 1; 2; 3; 4; 5; 6 ];
   (* The cap holds even when the exponential has overflowed it. *)
-  let b9 = backoff_s lease_policy ~key:"j1" ~attempt:9 in
-  Alcotest.(check bool) "cap holds" true
-    (b9 <= lease_policy.backoff_max_s *. (1.0 +. lease_policy.jitter_frac));
+  let b9 = backoff_s backoff_policy ~key:"j1" ~attempt:9 in
+  Alcotest.(check bool) "cap holds" true (b9 <= backoff_policy.max_s *. 1.25);
   (* Jitter is in [0,1) and stable. *)
   let j = jitter ~key:"k" ~attempt:2 in
   Alcotest.(check bool) "jitter in range" true (j >= 0.0 && j < 1.0);
   Alcotest.(check (float 1e-12)) "jitter stable" j (jitter ~key:"k" ~attempt:2)
-
-let test_lease_exhaustion () =
-  let open Resilient.Lease in
-  Alcotest.(check bool) "attempt 3 of 3 still dispatchable" false
-    (exhausted lease_policy ~attempt:3);
-  Alcotest.(check bool) "attempt 4 dead-letters" true
-    (exhausted lease_policy ~attempt:4)
 
 (* The iteration hook is marshalled into every supervised request, so it
    must not capture the policy: a warm session alone outweighs the
@@ -254,9 +224,7 @@ let test_hook_captures_little () =
 let suite =
   [
     Alcotest.test_case "fault plan parsing" `Quick test_fault_plan_parsing;
-    Alcotest.test_case "lease expiry and renewal" `Quick test_lease_expiry_and_renewal;
     Alcotest.test_case "lease backoff ladder" `Quick test_lease_backoff;
-    Alcotest.test_case "lease exhaustion" `Quick test_lease_exhaustion;
     Alcotest.test_case "consumed budget" `Quick test_consumed_budget;
     Alcotest.test_case "ladder parsing" `Quick test_ladder_parsing;
     Alcotest.test_case "ladder recovers injected failure" `Quick

@@ -570,6 +570,81 @@ let test_interrupt_raises () =
     Alcotest.fail "interrupted context still pooled"
   with Supervise.Interrupted -> ()
 
+(* ---- the one scheduler ---- *)
+
+(* Settle [pool] until it runs nothing or [within_s] passes; the
+   outcomes with the seconds at which each was reported. *)
+let settle_all ?(within_s = 20.0) pool =
+  let t0 = Unix.gettimeofday () in
+  let got = ref [] in
+  while Supervise.Pool.running pool > 0 && Unix.gettimeofday () -. t0 < within_s do
+    List.iter
+      (fun (k, o) -> got := (k, o, Unix.gettimeofday () -. t0) :: !got)
+      (Supervise.Pool.settle ~wait_s:0.05 pool)
+  done;
+  Supervise.Pool.shutdown pool;
+  !got
+
+let test_pool_deadline_kills () =
+  let pool = Supervise.Pool.create ~cap:1 () in
+  ignore (Supervise.Pool.submit pool ~key:"sleeper" ~deadline_s:0.5 (fun () -> Unix.sleepf 30.0));
+  match settle_all pool with
+  | [ ("sleeper", Supervise.Pool.Timed_out, t) ] ->
+      Alcotest.(check bool) (Printf.sprintf "reported at %.2f s, within deadline + 2 s" t) true
+        (t < 2.5)
+  | _ -> Alcotest.fail "the sleeper was not reported timed out, alone"
+
+let test_pool_lease () =
+  let pool = Supervise.Pool.create ~ttl_s:1.0 ~beat_s:0.1 ~cap:2 () in
+  ignore (Supervise.Pool.submit pool ~key:"silent" (fun () -> Unix.sleepf 30.0; 0));
+  (* Every supervised solve beats at entry. *)
+  ignore
+    (Supervise.Pool.submit pool ~key:"beating" (fun () ->
+         let ctx = Supervise.create ~isolate:false ~jobs:1 () in
+         let t0 = Unix.gettimeofday () in
+         while Unix.gettimeofday () -. t0 < 3.0 do
+           ignore (Supervise.solve_sdp ctx ~label:"beat" (small_problem ()));
+           Unix.sleepf 0.2
+         done;
+         42));
+  let got = settle_all pool in
+  (match List.find_opt (fun (k, _, _) -> k = "silent") got with
+  | Some (_, Supervise.Pool.Lease_expired why, t) ->
+      Alcotest.(check bool) "the silent item was SIGKILLed" true (contains why "SIGKILL");
+      Alcotest.(check bool) (Printf.sprintf "reclaimed at %.2f s, within TTL + 2 s" t) true
+        (t < 3.0)
+  | _ -> Alcotest.fail "the silent item's lease did not expire");
+  match List.find_opt (fun (k, _, _) -> k = "beating") got with
+  | Some (_, Supervise.Pool.Answered 42, _) -> ()
+  | _ -> Alcotest.fail "the beating item did not answer"
+
+(* Items start as others finish; their bodies never overlap more than
+   the cap, and a full pool refuses a submit. *)
+let test_pool_cap_holds () =
+  let ctx = Supervise.create ~jobs:2 () in
+  let spans = ref [] in
+  Supervise.Pool.run ctx
+    ~f:(fun _ d ->
+      let t0 = Unix.gettimeofday () in
+      Unix.sleepf d;
+      (t0, Unix.gettimeofday ()))
+    ~on_settle:(fun _ _ -> function
+      | Supervise.Pool.Answered span -> spans := span :: !spans
+      | _ -> Alcotest.fail "an item did not answer")
+    [ 0.3; 0.1; 0.2; 0.1; 0.3; 0.1 ];
+  Alcotest.(check int) "every item answered" 6 (List.length !spans);
+  let overlap t = List.length (List.filter (fun (a, b) -> a <= t && t < b) !spans) in
+  let peak = List.fold_left (fun m (a, _) -> max m (overlap a)) 0 !spans in
+  Alcotest.(check int) "two items at once, never more" 2 peak;
+  let pool = Supervise.Pool.create ~cap:1 () in
+  ignore (Supervise.Pool.submit pool ~key:1 (fun () -> Unix.sleepf 30.0));
+  (match Supervise.Pool.submit pool ~key:2 (fun () -> ()) with
+  | _ -> Alcotest.fail "a full pool forked past its cap"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "one item running" 1 (Supervise.Pool.running pool);
+  Supervise.Pool.shutdown pool;
+  Alcotest.(check int) "shutdown collects it" 0 (Supervise.Pool.running pool)
+
 (* Advisory run-dir lock: fresh acquire, reentrancy, stale-holder steal,
    and the structured refusal when a live process holds it. *)
 
@@ -766,4 +841,7 @@ let suite =
     Alcotest.test_case "child-large-answer-intact" `Quick test_child_large_answer_intact;
     Alcotest.test_case "child-exception-collected" `Quick test_child_exception_collected;
     Alcotest.test_case "child-death-seen-at-once" `Quick test_child_death_seen_at_once;
+    Alcotest.test_case "pool-deadline-kills" `Quick test_pool_deadline_kills;
+    Alcotest.test_case "pool-lease" `Quick test_pool_lease;
+    Alcotest.test_case "pool-cap-holds" `Quick test_pool_cap_holds;
   ]

@@ -38,6 +38,20 @@ let run order degree grid_spec robust full exact bisect_steps max_subdiv cell_bu
     let ( let* ) = Result.bind in
     let* grid = Atlas.Grid.parse grid_spec in
     let* faults = Atlas.Fault.of_string fault_plan in
+    (* A daemon run ships only cell lines: the orchestrator kill is the
+       one fault that still acts. *)
+    let* () =
+      match
+        List.filter (function Atlas.Fault.Kill_at_cell _ -> false | _ -> true) faults
+      with
+      | stray :: _ when via_daemon <> None ->
+          Error
+            (Printf.sprintf
+               "fault plan %S: with --via-daemon only kill@CELL acts (cells run in the \
+                daemon's workers)"
+               (Atlas.Fault.to_string [ stray ]))
+      | _ -> Ok ()
+    in
     Ok (grid, faults)
   with
   | Error e ->
@@ -172,7 +186,9 @@ let fault_plan =
                (exit 124). Atlas-level: $(b,kill@CELL) makes the orchestrator die \
                (as if SIGKILLed) right after CELL completes — resume with \
                $(b,--resume); $(b,fail-cell@CELL) makes CELL and its subdivision \
-               descendants fail without solving.")
+               descendants fail without solving. With $(b,--via-daemon) the cells \
+               run in the daemon's workers, so every token but $(b,kill@CELL) is \
+               refused (exit 124).")
 
 let jobs =
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N"

@@ -294,6 +294,78 @@ let chol_solve_mat l b =
   done;
   x
 
+let reg_ladder ~norm factor =
+  let rec go reg tries =
+    if tries = 0 then None
+    else
+      match factor reg with
+      | Some l -> Some l
+      | None -> go (if reg = 0.0 then 1e-12 *. (1.0 +. norm ()) else reg *. 100.0) (tries - 1)
+  in
+  go 0.0 8
+
+type components = { parts : int array array; factors : t array }
+
+let check_order name f n =
+  if Array.fold_left (fun acc rows -> acc + Array.length rows) 0 f.parts <> n then
+    invalid_arg ("Mat." ^ name ^ ": dimension mismatch")
+
+let cholesky_components ?reg parts mats =
+  if Array.length parts <> Array.length mats then
+    invalid_arg "Mat.cholesky_components: one matrix per part";
+  match Array.map (fun a -> match cholesky ?reg a with Some l -> l | None -> raise Exit) mats with
+  | factors -> Some { parts; factors }
+  | exception Exit -> None
+
+(* Off-part entries of the dense factor are exact +0s, and within a part
+   the nonzero terms of every sum come in the same order, so gathering a
+   part's rows and solving with its own factor reproduces the dense
+   solve bit for bit. One part spans every row in order: no gather. *)
+let chol_solve_components f b =
+  match f.parts with
+  | [| _ |] -> chol_solve f.factors.(0) b
+  | parts ->
+      check_order "chol_solve_components" f (Array.length b);
+      let x = Array.make (Array.length b) 0.0 in
+      Array.iteri
+        (fun c rows ->
+          let xc = chol_solve f.factors.(c) (Array.map (fun i -> b.(i)) rows) in
+          Array.iteri (fun k i -> x.(i) <- xc.(k)) rows)
+        parts;
+      x
+
+(* Per part, only the columns of B that are not +0 on the part's rows are
+   solved: the dense sweep leaves such a column +0 there too. *)
+let chol_solve_mat_components f b =
+  match f.parts with
+  | [| _ |] -> chol_solve_mat f.factors.(0) b
+  | parts ->
+      check_order "chol_solve_mat_components" f b.rows;
+      let w = b.cols in
+      let x = create b.rows w in
+      let bd = b.data and xd = x.data in
+      Array.iteri
+        (fun c rows ->
+          let live j =
+            Array.exists
+              (fun i ->
+                let v = Array.unsafe_get bd ((i * w) + j) in
+                v <> 0.0 || Float.sign_bit v)
+              rows
+          in
+          let cols = List.filter live (List.init w Fun.id) |> Array.of_list in
+          let nc = Array.length rows and nw = Array.length cols in
+          if nw > 0 then begin
+            let sub = init nc nw (fun k q -> bd.((rows.(k) * w) + cols.(q))) in
+            let xs = chol_solve_mat f.factors.(c) sub in
+            Array.iteri
+              (fun k i ->
+                Array.iteri (fun q j -> xd.((i * w) + j) <- xs.data.((k * nw) + q)) cols)
+              rows
+          end)
+        parts;
+      x
+
 (* (L Lᵀ)⁻¹ from the Cholesky factor: T = L⁻¹ by triangular forward
    substitution (skipping the structural zeros above each unit column),
    then A⁻¹ = Tᵀ T filled symmetrically. Cheaper and allocation-free

@@ -101,6 +101,38 @@ val chol_solve_mat : t -> t -> t
 (** [chol_solve_mat l b] solves [L Lᵀ X = B] by blocked forward/backward
     sweeps over the whole right-hand-side panel. *)
 
+val reg_ladder : norm:(unit -> float) -> (float -> 'a option) -> 'a option
+(** [reg_ladder ~norm factor] tries [factor reg] for at most 8 values of
+    [reg]: first [0.], then [1e-12 *. (1. +. norm ())], then 100 times the
+    previous one. It returns the first [Some], or [None] when all 8 tries
+    fail. [norm] is evaluated only after a failure. *)
+
+type components = { parts : int array array; factors : t array }
+(** Cholesky factor of a symmetric matrix that is block diagonal up to a
+    permutation. [parts] partitions the rows [0 .. n-1]; each part lists
+    its rows in increasing order. [factors.(c)] is the lower factor of
+    the principal submatrix on [parts.(c)]. *)
+
+val cholesky_components : ?reg:float -> int array array -> t array -> components option
+(** [cholesky_components parts mats] factors each part's principal
+    submatrix [mats.(c)] with {!cholesky} at the same [reg]. It is [None]
+    when any part fails. When the off-part entries of the assembled
+    matrix are zero, this fails exactly when {!cholesky} of the assembled
+    matrix fails. Each factor is then bit for bit that dense factor's
+    submatrix on the part's rows. *)
+
+val chol_solve_components : components -> Vec.t -> Vec.t
+(** {!chol_solve} one part at a time. For a finite right-hand side with
+    no negative zeros, the result is bit for bit that of {!chol_solve}
+    with the dense factor. One part spanning all rows is solved in
+    place, with no gather. *)
+
+val chol_solve_mat_components : components -> t -> t
+(** {!chol_solve_mat} one part at a time. For each part, only the
+    columns that are not [+0.] on the part's rows are gathered and
+    solved; the others stay [+0.], as in the dense sweep. The result is
+    bit for bit that of {!chol_solve_mat} with the dense factor. *)
+
 val chol_inverse : t -> t
 (** [chol_inverse l] is [(L Lᵀ)⁻¹] given the Cholesky factor [L],
     computed via the triangular inverse [T = L⁻¹] and the symmetric

@@ -258,14 +258,51 @@ let dense_c it =
 
 (* Cholesky with escalating regularization. *)
 let robust_chol a =
-  let rec go reg tries =
-    if tries = 0 then None
-    else
-      match Mat.cholesky ~reg a with
-      | Some l -> Some l
-      | None -> go (if reg = 0.0 then 1e-12 *. (1.0 +. Mat.norm_inf a) else reg *. 100.0) (tries - 1)
+  Mat.reg_ladder ~norm:(fun () -> Mat.norm_inf a) (fun reg -> Mat.cholesky ~reg a)
+
+(* Connected components of the constraint graph, in which constraints
+   touching a common block are adjacent. The Schur complement couples
+   constraints only through shared blocks, so it is block diagonal over
+   these components. [parts] lists each component's rows in increasing
+   order (components ordered by their first row); row [i] is entry
+   [local.(i)] of component [part_of.(i)]. *)
+type components = { parts : int array array; part_of : int array; local : int array }
+
+let constraint_components it =
+  (* Union-find whose root is always the smallest row of its set. *)
+  let parent = Array.init it.m Fun.id in
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      parent.(i) <- parent.(p);
+      find parent.(i)
+    end
   in
-  go 0.0 8
+  let union i j =
+    let ri = find i and rj = find j in
+    if ri < rj then parent.(rj) <- ri else if rj < ri then parent.(ri) <- rj
+  in
+  Array.iter (fun idx -> Array.iter (fun i -> union idx.(0) i) idx) it.block_cons;
+  let part_of = Array.make it.m 0 and local = Array.make it.m 0 in
+  let n_parts = ref 0 in
+  for i = 0 to it.m - 1 do
+    let r = find i in
+    if r = i then begin
+      part_of.(i) <- !n_parts;
+      incr n_parts
+    end
+    else part_of.(i) <- part_of.(r)
+  done;
+  let counts = Array.make !n_parts 0 in
+  Array.iteri
+    (fun i c ->
+      local.(i) <- counts.(c);
+      counts.(c) <- counts.(c) + 1)
+    part_of;
+  let parts = Array.map (fun n -> Array.make n 0) counts in
+  Array.iteri (fun i c -> parts.(c).(local.(i)) <- i) part_of;
+  { parts; part_of; local }
 
 (* L^{-1} W L^{-T} for lower-triangular Cholesky factor L, as two
    forward-substitution sweeps over whole row panels (the second on the
@@ -301,9 +338,9 @@ let chol_congruence (l : Mat.t) (w : Mat.t) =
   forward_panel ut;
   Mat.transpose ut
 
-(* Largest alpha in (0, 1] with X + alpha * dX >= 0 (to a fraction). *)
-let max_step ~frac (x : Mat.t) (l : Mat.t) (dx : Mat.t) =
-  ignore x;
+(* Largest alpha in (0, 1] with X + alpha * dX >= 0 (to a fraction),
+   given the Cholesky factor L of X. *)
+let max_step ~frac (l : Mat.t) (dx : Mat.t) =
   let t = Mat.symmetrize (chol_congruence l dx) in
   let lam_min = Mat.min_eig t in
   if lam_min >= 0.0 then 1.0 else Float.min 1.0 (-.frac /. lam_min)
@@ -424,6 +461,7 @@ let pseudo_noise iter b i j =
 
 let solve_core ?(params = default_params) ?warm p =
   let it = build_internal p in
+  let comps = constraint_components it in
   let m = it.m and nb = it.nb and nf = p.n_free in
   let dims = p.block_dims in
   let n_total = Float.max 1.0 (float_of_int it.n_total) in
@@ -623,15 +661,21 @@ let solve_core ?(params = default_params) ?warm p =
           P_i = A_i Sinv restricted to touched rows — W_i = X P_i is
           never materialized, so the n^2 gather per constraint
           disappears. Dense blocks fall back to the sandwich-and-dot
-          path. *)
-       let mmat = Mat.create m m in
-       let md = mmat.Mat.data in
+          path. M is block diagonal over the constraint graph's
+          components, so each component's entries go into its own dense
+          matrix (one component: the whole M, rows in place). *)
+       let mmats =
+         Array.map (fun rows -> Mat.create (Array.length rows) (Array.length rows)) comps.parts
+       in
        let w_cache = Array.make m None in
        for b = 0 to nb - 1 do
          let idx = it.block_cons.(b) in
          let ni = Array.length idx in
          if ni > 0 then begin
            let n = dims.(b) in
+           (* Every constraint on block b is in one component. *)
+           let mc = mmats.(comps.part_of.(idx.(0))) and loc = comps.local in
+           let md = mc.Mat.data and nc = mc.Mat.rows in
            let tot_nnz = ref 0 in
            Array.iter
              (fun i ->
@@ -702,7 +746,7 @@ let solve_core ?(params = default_params) ?warm p =
                      if r = c then acc := !acc +. (v *. w_entry r r)
                      else acc := !acc +. (v *. (w_entry r c +. w_entry c r)))
                    it.cons_blocks.(j).(b).entries;
-                 let o = (i * m) + j in
+                 let o = (loc.(i) * nc) + loc.(j) in
                  Array.unsafe_set md o (Array.unsafe_get md o +. !acc)
                done
              done
@@ -722,7 +766,8 @@ let solve_core ?(params = default_params) ?warm p =
                        (fun j ->
                          if j >= i then begin
                            let v = sb_dot it.cons_blocks.(j).(b) wi in
-                           Mat.set mmat i j (Mat.get mmat i j +. v)
+                           let o = (loc.(i) * nc) + loc.(j) in
+                           md.(o) <- md.(o) +. v
                          end)
                        idx)
                idx;
@@ -730,13 +775,23 @@ let solve_core ?(params = default_params) ?warm p =
            end
          end
        done;
-       for i = 0 to m - 1 do
-         for j = 0 to i - 1 do
-           Mat.set mmat i j (Mat.get mmat j i)
-         done
-       done;
+       Array.iter
+         (fun (mc : Mat.t) ->
+           for i = 0 to mc.Mat.rows - 1 do
+             for j = 0 to i - 1 do
+               Mat.set mc i j (Mat.get mc j i)
+             done
+           done)
+         mmats;
+       (* Factor component by component: every component at the same
+          regularization, so the ladder succeeds (and at which reg) exactly
+          when a dense factor of the whole block-diagonal matrix would. *)
        let m_chol =
-         match robust_chol mmat with
+         match
+           Mat.reg_ladder
+             ~norm:(fun () -> Array.fold_left (fun a mc -> Float.max a (Mat.norm_inf mc)) 0.0 mmats)
+             (fun reg -> Mat.cholesky_components ~reg comps.parts mmats)
+         with
          | Some l -> l
          | None -> raise (Done (if !best_score < 1e-4 then classify_best iter else result Numerical_failure iter))
        in
@@ -747,7 +802,7 @@ let solve_core ?(params = default_params) ?warm p =
        let k_solve =
          if nf = 0 then fun _ -> [||]
          else begin
-           let minv_b = Mat.chol_solve_mat m_chol it.b_mat in
+           let minv_b = Mat.chol_solve_mat_components m_chol it.b_mat in
            let k = Mat.mul (Mat.transpose it.b_mat) minv_b in
            let kreg = 1e-12 *. (1.0 +. Mat.norm_inf k) in
            for d = 0 to nf - 1 do
@@ -759,12 +814,12 @@ let solve_core ?(params = default_params) ?warm p =
          end
        in
        let solve_direction rhs_g =
-         if nf = 0 then (Mat.chol_solve m_chol rhs_g, [||])
+         if nf = 0 then (Mat.chol_solve_components m_chol rhs_g, [||])
          else begin
-           let minv_g = Mat.chol_solve m_chol rhs_g in
+           let minv_g = Mat.chol_solve_components m_chol rhs_g in
            let rhs_f = Vec.sub (Mat.tmul_vec it.b_mat minv_g) r_f in
            let df = k_solve rhs_f in
-           let dy = Mat.chol_solve m_chol (Vec.sub rhs_g (Mat.mul_vec it.b_mat df)) in
+           let dy = Mat.chol_solve_components m_chol (Vec.sub rhs_g (Mat.mul_vec it.b_mat df)) in
            (dy, df)
          end
        in
@@ -789,11 +844,11 @@ let solve_core ?(params = default_params) ?warm p =
        let e_aff = Array.map Mat.neg x in
        let dx_a, ds_a, _, _ = direction e_aff in
        let alpha_p_aff =
-         Array.init nb (fun b -> max_step ~frac:1.0 x.(b) x_chol.(b) dx_a.(b))
+         Array.init nb (fun b -> max_step ~frac:1.0 x_chol.(b) dx_a.(b))
          |> Array.fold_left Float.min 1.0
        in
        let alpha_d_aff =
-         Array.init nb (fun b -> max_step ~frac:1.0 s.(b) s_chol.(b) ds_a.(b))
+         Array.init nb (fun b -> max_step ~frac:1.0 s_chol.(b) ds_a.(b))
          |> Array.fold_left Float.min 1.0
        in
        let mu_aff =
@@ -816,11 +871,11 @@ let solve_core ?(params = default_params) ?warm p =
        in
        let dx, ds, dy, df = direction e_corr in
        let alpha_p =
-         Array.init nb (fun b -> max_step ~frac:params.step_frac x.(b) x_chol.(b) dx.(b))
+         Array.init nb (fun b -> max_step ~frac:params.step_frac x_chol.(b) dx.(b))
          |> Array.fold_left Float.min 1.0
        in
        let alpha_d =
-         Array.init nb (fun b -> max_step ~frac:params.step_frac s.(b) s_chol.(b) ds.(b))
+         Array.init nb (fun b -> max_step ~frac:params.step_frac s_chol.(b) ds.(b))
          |> Array.fold_left Float.min 1.0
        in
        if alpha_p < 1e-10 && alpha_d < 1e-10 then

@@ -16,7 +16,8 @@
      1), reusing a populated run dir without --resume is refused (exit
      1), malformed fault plans are usage errors (exit 124) in both
      atlas_pll and verify_pll, and so are the per-solve worker knobs
-     atlas cells never use (--solve-timeout, kill@S:I). *)
+     atlas cells never use (--solve-timeout, kill@S:I) and, with
+     --via-daemon, every fault token but kill@CELL. *)
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("atlas_smoke: " ^ m); exit 1) fmt
 
@@ -169,6 +170,12 @@ let () =
      never act on them: they are usage errors, not silent no-ops. *)
   ignore (run ~expect:124 ~what:"atlas --solve-timeout" (base ^ " --solve-timeout 1"));
   ignore (run ~expect:124 ~what:"atlas worker-kill fault" (base ^ " --fault-plan kill@1:2"));
+  (* A daemon run ships only cell lines, so a cell fault cannot reach
+     its cell: refused before any connection is tried. *)
+  ignore
+    (run ~expect:124 ~what:"atlas cell fault via daemon"
+       (base ^ " --via-daemon " ^ Filename.quote (Filename.concat root "no.sock")
+      ^ " --client-retries 0 --fault-plan fail-cell@c0-0"));
   ignore
     (run ~expect:124 ~what:"verify_pll bad fault plan"
        (verify_exe ^ " -o third --fault-plan melt@1"));

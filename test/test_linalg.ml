@@ -229,6 +229,135 @@ let prop_solve_residual =
           let r = Vec.sub (Mat.mul_vec a x) b in
           Vec.norm2 r <= 1e-6 *. (1.0 +. Vec.norm2 b) *. (1.0 +. Mat.norm_inf a) *. 100.0)
 
+(* --- Component Cholesky against the dense factor -------------------- *)
+
+(* A symmetric matrix that is block diagonal up to an interleaving
+   permutation: random components of sizes 1-12 scattered over m <= 60
+   rows. [`Zero] is a 1x1 zero component (a row no block touches), which
+   only a regularized factor accepts; [`Indefinite] is -c J with c
+   above every other component's scale, so no rung of the ladder
+   rescues it. *)
+type scattered = {
+  parts : int array array;
+  comps : Mat.t array;
+  dense : Mat.t;
+  rhs : Vec.t;
+  rhs_mat : Mat.t;
+}
+
+let scattered_gen : scattered QCheck.Gen.t =
+ fun rng ->
+  let kinds = ref [] and m = ref 0 in
+  let add kind n =
+    if !m + n <= 60 then begin
+      kinds := (kind, n) :: !kinds;
+      m := !m + n
+    end
+  in
+  for _ = 1 to 1 + Random.State.int rng 8 do
+    add `Spd (1 + Random.State.int rng 12)
+  done;
+  if Random.State.int rng 3 = 0 then add `Zero 1;
+  if Random.State.int rng 4 = 0 then add `Indefinite (2 + Random.State.int rng 11);
+  let kinds = Array.of_list (List.rev !kinds) and m = !m in
+  let perm = Array.init m Fun.id in
+  for i = m - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let next = ref 0 in
+  let parts =
+    Array.map
+      (fun (_, n) ->
+        let rows = Array.sub perm !next n in
+        next := !next + n;
+        Array.sort compare rows;
+        rows)
+      kinds
+  in
+  let spd n =
+    let b =
+      Mat.init n n (fun _ _ ->
+          if Random.State.bool rng then 0.0 else Random.State.float rng 2.0 -. 1.0)
+    in
+    Mat.add (Mat.mul b (Mat.transpose b)) (Mat.scale 0.1 (Mat.identity n))
+  in
+  let comps =
+    Array.map (fun (kind, n) -> match kind with `Spd -> spd n | _ -> Mat.create n n) kinds
+  in
+  let scale = Array.fold_left (fun a c -> Float.max a (Mat.norm_inf c)) 0.0 comps in
+  Array.iteri
+    (fun c (kind, n) ->
+      if kind = `Indefinite then comps.(c) <- Mat.init n n (fun _ _ -> -2.0 *. (1.0 +. scale)))
+    kinds;
+  let dense = Mat.create m m in
+  Array.iteri
+    (fun c rows ->
+      Array.iteri
+        (fun k i -> Array.iteri (fun l j -> Mat.set dense i j (Mat.get comps.(c) k l)) rows)
+        rows)
+    parts;
+  (* Right-hand sides that are +0 on a random subset of components. *)
+  let w = 1 + Random.State.int rng 6 in
+  let rhs = Array.make m 0.0 and rhs_mat = Mat.create m w in
+  Array.iter
+    (fun rows ->
+      if Random.State.bool rng then
+        Array.iter (fun i -> rhs.(i) <- Random.State.float rng 2.0 -. 1.0) rows;
+      for j = 0 to w - 1 do
+        if Random.State.bool rng then
+          Array.iter (fun i -> Mat.set rhs_mat i j (Random.State.float rng 2.0 -. 1.0)) rows
+      done)
+    parts;
+  { parts; comps; dense; rhs; rhs_mat }
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* Both sides climb the regularization ladder; they must stop at the
+   same rung (or both give up), and then agree bit for bit. *)
+let prop_components_match_dense =
+  QCheck.Test.make ~name:"component Cholesky and solves = dense, bit for bit" ~count:300
+    (QCheck.make scattered_gen)
+    (fun t ->
+      let climb norm factor =
+        let tries = ref 0 in
+        let r =
+          Mat.reg_ladder ~norm (fun reg ->
+              incr tries;
+              Option.map (fun l -> (reg, l)) (factor reg))
+        in
+        (r, !tries)
+      in
+      let dense, dense_tries =
+        climb (fun () -> Mat.norm_inf t.dense) (fun reg -> Mat.cholesky ~reg t.dense)
+      in
+      let comp, comp_tries =
+        climb
+          (fun () -> Array.fold_left (fun a c -> Float.max a (Mat.norm_inf c)) 0.0 t.comps)
+          (fun reg -> Mat.cholesky_components ~reg t.parts t.comps)
+      in
+      dense_tries = comp_tries
+      &&
+      match (dense, comp) with
+      | None, None -> true
+      | Some (rd, l), Some (rc, f) ->
+          same_bits [| rd |] [| rc |]
+          && Array.for_all2
+               (fun rows (lc : Mat.t) ->
+                 same_bits lc.Mat.data
+                   (Array.concat
+                      (Array.to_list
+                         (Array.map (fun i -> Array.map (fun j -> Mat.get l i j) rows) rows))))
+               t.parts f.Mat.factors
+          && same_bits (Mat.chol_solve l t.rhs) (Mat.chol_solve_components f t.rhs)
+          && same_bits (Mat.chol_solve_mat l t.rhs_mat).Mat.data
+               (Mat.chol_solve_mat_components f t.rhs_mat).Mat.data
+      | _ -> false)
+
 let suite =
   [
     Alcotest.test_case "vec ops" `Quick test_vec_ops;
@@ -258,4 +387,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_expm_inverse;
     QCheck_alcotest.to_alcotest prop_qr_orthonormal;
     QCheck_alcotest.to_alcotest prop_eig_trace;
+    QCheck_alcotest.to_alcotest prop_components_match_dense;
   ]

@@ -436,34 +436,35 @@ let level_programs (s : Pll.scaled) =
 let level_margin = 1e-3
 
 (* Cheap numeric prefilter: a sampled counterexample refutes the level
-   without touching the SDP. *)
-let level_prefilter (s : Pll.scaled) cert beta =
+   without touching the SDP. A sample refutes [beta] in mode [m] when it
+   lies in the θ-slab, within [level_margin] of some containment face,
+   and has [V_m <= beta]; only that last test depends on [beta], so the
+   4000 samples are drawn and evaluated once, and the returned check
+   compares [beta] with the smallest such [V_m]. *)
+let level_prefilter (s : Pll.scaled) cert =
   let n = s.Pll.nvars in
   let rng = Random.State.make [| 31 |] in
-  let ok = ref true in
+  let slab m = match Pll.mode_domain s m with theta_slab :: _ -> [ theta_slab ] | [] -> [] in
+  let slabs = Array.init Pll.n_modes slab
+  and faces = Array.init Pll.n_modes (Pll.containment_constraints s) in
+  let lowest = ref None in
   for _ = 1 to 4000 do
-    if !ok then begin
-      let x =
-        Array.init n (fun i ->
-            let b =
-              if i = Pll.theta_index s then s.Pll.theta_max else 1.3 *. s.Pll.w_max
-            in
-            (Random.State.float rng 2.0 -. 1.0) *. b)
-      in
-      for m = 0 to Pll.n_modes - 1 do
-        if
-          Poly.eval cert.vs.(m) x <= beta
-          && List.for_all (fun g -> Poly.eval g x >= 0.0)
-               (match Pll.mode_domain s m with
-               | theta_slab :: _ -> [ theta_slab ]
-               | [] -> [])
-          && List.exists (fun g -> Poly.eval g x < level_margin)
-               (Pll.containment_constraints s m)
-        then ok := false
-      done
-    end
+    let x =
+      Array.init n (fun i ->
+          let b = if i = Pll.theta_index s then s.Pll.theta_max else 1.3 *. s.Pll.w_max in
+          (Random.State.float rng 2.0 -. 1.0) *. b)
+    in
+    for m = 0 to Pll.n_modes - 1 do
+      let v = Poly.eval cert.vs.(m) x in
+      if
+        List.for_all (fun g -> Poly.eval g x >= 0.0) slabs.(m)
+        && List.exists (fun g -> Poly.eval g x < level_margin) faces.(m)
+        && not (Float.is_nan v)
+      then lowest := Some (match !lowest with Some w -> Float.min w v | None -> v)
+    done
   done;
-  !ok
+  let lowest = !lowest in
+  fun beta -> match lowest with None -> true | Some v -> not (v <= beta)
 
 (* One Lemma-1 program, solved under [pol]. *)
 let level_program ~mult_deg pol (s : Pll.scaled) cert (m, g) beta =
@@ -506,6 +507,7 @@ let maximize_level ?(bisect_steps = 20) ?(beta_hi = 2000.0) (s : Pll.scaled) cer
   let pol = level_policy cert in
   let programs = level_programs s in
   let memo = Hashtbl.create 64 and prefilter_memo = Hashtbl.create 32 in
+  let prefilter = lazy (level_prefilter s cert) in
   let memoized tbl key f =
     match Hashtbl.find_opt tbl key with
     | Some r -> r
@@ -537,7 +539,7 @@ let maximize_level ?(bisect_steps = 20) ?(beta_hi = 2000.0) (s : Pll.scaled) cer
   let certified = ref 0.0 in
   let check beta =
     (not (Resilient.out_of_time pol))
-    && memoized prefilter_memo beta (fun () -> level_prefilter s cert beta)
+    && memoized prefilter_memo beta (fun () -> Lazy.force prefilter beta)
     &&
     if !certified > 0.0 then List.for_all (passes beta) !active
     else begin

@@ -189,34 +189,57 @@ let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= tol) a.data b.data
 
+(* Rows are computed two at a time: for each earlier row j, rows i and
+   i + 1 share one pass over L's row j. Every entry keeps its own sum,
+   taken in increasing k exactly as the one-row loop does, so the factor
+   is the same bit for bit, and a failing pivot is met in the same row. *)
 let cholesky ?(reg = 0.0) a =
   if a.rows <> a.cols then invalid_arg "Mat.cholesky: not square";
   let n = a.rows in
   let l = create n n in
   let ad = a.data and ld = l.data in
-  let ok = ref true in
-  (try
-     for i = 0 to n - 1 do
-       let ri = i * n in
-       for j = 0 to i do
-         let rj = j * n in
-         let s = ref (Array.unsafe_get ad (ri + j)) in
-         if i = j then s := !s +. reg;
-         for k = 0 to j - 1 do
-           s := !s -. (Array.unsafe_get ld (ri + k) *. Array.unsafe_get ld (rj + k))
-         done;
-         if i = j then begin
-           if !s <= 0.0 || not (Float.is_finite !s) then begin
-             ok := false;
-             raise Exit
-           end;
-           Array.unsafe_set ld (ri + i) (sqrt !s)
-         end
-         else Array.unsafe_set ld (ri + j) (!s /. Array.unsafe_get ld (rj + j))
-       done
-     done
-   with Exit -> ());
-  if !ok then Some l else None
+  (* L[i,i] from row i's first i entries; [false] on a failing pivot. *)
+  let pivot ri i =
+    let s = ref (Array.unsafe_get ad (ri + i) +. reg) in
+    for k = 0 to i - 1 do
+      s := !s -. (Array.unsafe_get ld (ri + k) *. Array.unsafe_get ld (ri + k))
+    done;
+    if !s <= 0.0 || not (Float.is_finite !s) then false
+    else begin
+      Array.unsafe_set ld (ri + i) (sqrt !s);
+      true
+    end
+  in
+  (* Rows i and i + 1; on the last row of an odd order, row i twice. *)
+  let rec rows i =
+    if i >= n then true
+    else begin
+      let ri = i * n and ri1 = if i + 1 < n then (i + 1) * n else i * n in
+      for j = 0 to i - 1 do
+        let rj = j * n in
+        let s0 = ref (Array.unsafe_get ad (ri + j)) and s1 = ref (Array.unsafe_get ad (ri1 + j)) in
+        for k = 0 to j - 1 do
+          let ljk = Array.unsafe_get ld (rj + k) in
+          s0 := !s0 -. (Array.unsafe_get ld (ri + k) *. ljk);
+          s1 := !s1 -. (Array.unsafe_get ld (ri1 + k) *. ljk)
+        done;
+        let d = Array.unsafe_get ld (rj + j) in
+        Array.unsafe_set ld (ri + j) (!s0 /. d);
+        Array.unsafe_set ld (ri1 + j) (!s1 /. d)
+      done;
+      pivot ri i
+      && (i + 1 = n
+         || begin
+              let s = ref (Array.unsafe_get ad (ri1 + i)) in
+              for k = 0 to i - 1 do
+                s := !s -. (Array.unsafe_get ld (ri1 + k) *. Array.unsafe_get ld (ri + k))
+              done;
+              Array.unsafe_set ld (ri1 + i) (!s /. Array.unsafe_get ld (ri + i));
+              pivot ri1 (i + 1) && rows (i + 2)
+            end)
+    end
+  in
+  if rows 0 then Some l else None
 
 let forward_subst l b =
   let n = l.rows in

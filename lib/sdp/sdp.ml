@@ -79,40 +79,67 @@ let default_params =
 (* ------------------------------------------------------------------ *)
 (* Internal representation: per-constraint, per-block sparse entries.  *)
 
-type sparse_block = { entries : (int * int * float) array; touched : int array }
-(* [entries] are upper-triangular (row <= col); [touched] is the sorted
-   set of row/col indices occurring, used to bound dense products. *)
+type sparse_block = { er : int array; ec : int array; ev : float array; touched : int array }
+(* Entry k is A[er.(k), ec.(k)] = ev.(k), upper-triangular (er <= ec);
+   [touched] is the sorted set of row/col indices occurring, used to
+   bound dense products. *)
 
-let sparse_block_of_entries dim entries =
-  let touched = Hashtbl.create 8 in
-  List.iter
-    (fun (r, c, _) ->
-      if r < 0 || c >= dim || r > c then invalid_arg "Sdp: bad block entry";
-      Hashtbl.replace touched r ();
-      Hashtbl.replace touched c ())
-    entries;
-  let t = Hashtbl.fold (fun k () acc -> k :: acc) touched [] in
-  { entries = Array.of_list entries; touched = Array.of_list (List.sort compare t) }
+(* Most (constraint, block) pairs have no entry: they share this one. *)
+let empty_block = { er = [||]; ec = [||]; ev = [||]; touched = [||] }
+
+(* [entries] in the order given, each valued [value e]. *)
+let sparse_block_of_entries dim value = function
+  | [] -> empty_block
+  | entries ->
+      let touched = Hashtbl.create 8 in
+      List.iter
+        (fun e ->
+          if e.row < 0 || e.col >= dim || e.row > e.col then invalid_arg "Sdp: bad block entry";
+          Hashtbl.replace touched e.row ();
+          Hashtbl.replace touched e.col ())
+        entries;
+      let t = Hashtbl.fold (fun k () acc -> k :: acc) touched [] in
+      let nnz = List.length entries in
+      let er = Array.make nnz 0 and ec = Array.make nnz 0 and ev = Array.make nnz 0.0 in
+      List.iteri
+        (fun k e ->
+          er.(k) <- e.row;
+          ec.(k) <- e.col;
+          ev.(k) <- value e)
+        entries;
+      { er; ec; ev; touched = Array.of_list (List.sort compare t) }
+
+let sb_nnz sb = Array.length sb.ev
 
 (* <A, W> for symmetric sparse A and a dense (not necessarily symmetric) W. *)
 let sb_dot sb (w : Mat.t) =
   let wd = w.Mat.data and n = w.Mat.cols in
-  Array.fold_left
-    (fun acc (r, c, v) ->
-      if r = c then acc +. (v *. Array.unsafe_get wd ((r * n) + r))
-      else
-        acc
-        +. (v
-           *. (Array.unsafe_get wd ((r * n) + c) +. Array.unsafe_get wd ((c * n) + r))))
-    0.0 sb.entries
+  let er = sb.er and ec = sb.ec and ev = sb.ev in
+  let acc = ref 0.0 in
+  for k = 0 to Array.length ev - 1 do
+    let r = Array.unsafe_get er k and c = Array.unsafe_get ec k and v = Array.unsafe_get ev k in
+    if r = c then acc := !acc +. (v *. Array.unsafe_get wd ((r * n) + r))
+    else
+      acc :=
+        !acc
+        +. (v *. (Array.unsafe_get wd ((r * n) + c) +. Array.unsafe_get wd ((c * n) + r)))
+  done;
+  !acc
 
 (* W <- W + scale * A for symmetric sparse A, dense W. *)
 let sb_add_to sb scale (w : Mat.t) =
-  Array.iter
-    (fun (r, c, v) ->
-      Mat.set w r c (Mat.get w r c +. (scale *. v));
-      if r <> c then Mat.set w c r (Mat.get w c r +. (scale *. v)))
-    sb.entries
+  let wd = w.Mat.data and n = w.Mat.cols in
+  let er = sb.er and ec = sb.ec and ev = sb.ev in
+  for k = 0 to Array.length ev - 1 do
+    let r = Array.unsafe_get er k and c = Array.unsafe_get ec k in
+    let sv = scale *. Array.unsafe_get ev k in
+    let o = (r * n) + c in
+    Array.unsafe_set wd o (Array.unsafe_get wd o +. sv);
+    if r <> c then begin
+      let o = (c * n) + r in
+      Array.unsafe_set wd o (Array.unsafe_get wd o +. sv)
+    end
+  done
 
 (* X * (A * Sinv) for sparse symmetric A: cost O(|touched| * n^2). The
    nonzero rows of P = A * Sinv are packed into one dense panel indexed
@@ -123,24 +150,27 @@ let sb_sandwich sb (x : Mat.t) (sinv : Mat.t) =
   let touched = sb.touched in
   let nt = Array.length touched in
   let slot = Array.make n (-1) in
-  Array.iteri (fun k t -> slot.(t) <- k) touched;
+  for k = 0 to nt - 1 do
+    slot.(touched.(k)) <- k
+  done;
   let p = Array.make (nt * n) 0.0 in
   let sd = sinv.Mat.data in
-  Array.iter
-    (fun (r, c, v) ->
-      let pr = slot.(r) * n and rc = c * n in
+  let er = sb.er and ec = sb.ec and ev = sb.ev in
+  for q = 0 to Array.length ev - 1 do
+    let r = er.(q) and c = ec.(q) and v = ev.(q) in
+    let pr = slot.(r) * n and rc = c * n in
+    for j = 0 to n - 1 do
+      Array.unsafe_set p (pr + j)
+        (Array.unsafe_get p (pr + j) +. (v *. Array.unsafe_get sd (rc + j)))
+    done;
+    if r <> c then begin
+      let pc = slot.(c) * n and rr = r * n in
       for j = 0 to n - 1 do
-        Array.unsafe_set p (pr + j)
-          (Array.unsafe_get p (pr + j) +. (v *. Array.unsafe_get sd (rc + j)))
-      done;
-      if r <> c then begin
-        let pc = slot.(c) * n and rr = r * n in
-        for j = 0 to n - 1 do
-          Array.unsafe_set p (pc + j)
-            (Array.unsafe_get p (pc + j) +. (v *. Array.unsafe_get sd (rr + j)))
-        done
-      end)
-    sb.entries;
+        Array.unsafe_set p (pc + j)
+          (Array.unsafe_get p (pc + j) +. (v *. Array.unsafe_get sd (rr + j)))
+      done
+    end
+  done;
   let w = Mat.create n n in
   let wd = w.Mat.data and xd = x.Mat.data in
   for i = 0 to n - 1 do
@@ -198,16 +228,19 @@ let build_internal p =
         List.iter
           (fun e ->
             if e.blk < 0 || e.blk >= nb then invalid_arg "Sdp: block index out of range";
-            per_block.(e.blk) <- (e.row, e.col, e.value /. scales.(i)) :: per_block.(e.blk))
+            per_block.(e.blk) <- e :: per_block.(e.blk))
           c.lhs;
-        Array.mapi (fun b l -> sparse_block_of_entries p.block_dims.(b) l) per_block)
+        let si = scales.(i) in
+        Array.mapi
+          (fun b l -> sparse_block_of_entries p.block_dims.(b) (fun e -> e.value /. si) l)
+          per_block)
       p.constraints
   in
   let block_cons =
     Array.init nb (fun b ->
         let l = ref [] in
         for i = m - 1 downto 0 do
-          if Array.length cons_blocks.(i).(b).entries > 0 then l := i :: !l
+          if sb_nnz cons_blocks.(i).(b) > 0 then l := i :: !l
         done;
         Array.of_list !l)
   in
@@ -222,10 +255,12 @@ let build_internal p =
         c.free)
     p.constraints;
   let c_per_block = Array.make nb [] in
-  List.iter
-    (fun e -> c_per_block.(e.blk) <- (e.row, e.col, e.value) :: c_per_block.(e.blk))
-    p.obj_blocks;
-  let c_blocks = Array.mapi (fun b l -> sparse_block_of_entries p.block_dims.(b) l) c_per_block in
+  List.iter (fun e -> c_per_block.(e.blk) <- e :: c_per_block.(e.blk)) p.obj_blocks;
+  let c_blocks =
+    Array.mapi
+      (fun b l -> sparse_block_of_entries p.block_dims.(b) (fun e -> e.value) l)
+      c_per_block
+  in
   let c_free = Array.make p.n_free 0.0 in
   List.iter (fun (k, v) -> c_free.(k) <- c_free.(k) +. v) p.obj_free;
   { p; m; nb; n_total; cons_blocks; block_cons; b_vec; b_mat; c_blocks; c_free; scales }
@@ -236,7 +271,7 @@ let op_a it x_blocks =
       let s = ref 0.0 in
       for b = 0 to it.nb - 1 do
         let sb = it.cons_blocks.(i).(b) in
-        if Array.length sb.entries > 0 then s := !s +. sb_dot sb x_blocks.(b)
+        if sb_nnz sb > 0 then s := !s +. sb_dot sb x_blocks.(b)
       done;
       !s)
 
@@ -538,8 +573,13 @@ let solve_core ?(params = default_params) ?warm p =
   in
   let exception Done of solution in
   (* Best-iterate tracking: interior-point iterations can overshoot the
-     numerically attainable accuracy floor and then diverge; we keep the
-     best iterate seen and fall back to it. *)
+     numerically attainable accuracy floor, or stall on a program with no
+     solution, and then diverge; we keep the best iterate seen and fall
+     back to it. A solve stops once its score spikes past 1e4 x its best,
+     converged or not: on the PLL programs no solve was seen to improve
+     its best after such a spike, so the iterate returned is the one
+     running on to [max_iter] would return, and an infeasible "no" costs
+     its spike, not the whole budget. *)
   let best_state = ref None in
   let maybe_snapshot score =
     if score < !best_score then begin
@@ -646,9 +686,8 @@ let solve_core ?(params = default_params) ?warm p =
          raise (Done (result Optimal iter));
        let score = Float.max gap (Float.max pres dres) in
        maybe_snapshot score;
-       (* Diverging past a converged iterate: fall back to the best one. *)
-       if score > 1e4 *. !best_score && !best_score < 1e-4 then
-         raise (Done (classify_best iter));
+       (* Diverging past the best iterate: fall back to it. *)
+       if score > 1e4 *. !best_score then raise (Done (classify_best iter));
        (* Crude infeasibility detection. *)
        if Float.abs dobj > 1e9 *. (1.0 +. norm_b) && dres <= 1e-6 then
          raise (Done (result Primal_infeasible iter));
@@ -667,7 +706,6 @@ let solve_core ?(params = default_params) ?warm p =
        let mmats =
          Array.map (fun rows -> Mat.create (Array.length rows) (Array.length rows)) comps.parts
        in
-       let w_cache = Array.make m None in
        for b = 0 to nb - 1 do
          let idx = it.block_cons.(b) in
          let ni = Array.length idx in
@@ -677,10 +715,9 @@ let solve_core ?(params = default_params) ?warm p =
            let mc = mmats.(comps.part_of.(idx.(0))) and loc = comps.local in
            let md = mc.Mat.data and nc = mc.Mat.rows in
            let tot_nnz = ref 0 in
-           Array.iter
-             (fun i ->
-               tot_nnz := !tot_nnz + Array.length it.cons_blocks.(i).(b).entries)
-             idx;
+           for ii = 0 to ni - 1 do
+             tot_nnz := !tot_nnz + sb_nnz it.cons_blocks.(idx.(ii)).(b)
+           done;
            if !tot_nnz < 2 * n * n then begin
              let xd = x.(b).Mat.data and sd = s_inv.(b).Mat.data in
              (* slot.(t) is only ever read for t in the *current*
@@ -690,88 +727,88 @@ let solve_core ?(params = default_params) ?warm p =
              (* Transposed panel per constraint: pt.((j*nt)+k) is
                 (A_i Sinv)[touched_i.(k), j], so the on-demand dots
                 stream it contiguously. *)
-             let panels =
-               Array.map
-                 (fun i ->
-                   let sb = it.cons_blocks.(i).(b) in
-                   let nt = Array.length sb.touched in
-                   Array.iteri (fun k t -> slot.(t) <- k) sb.touched;
-                   let p = Array.make (n * nt) 0.0 in
-                   Array.iter
-                     (fun (r, c, v) ->
-                       let sr = slot.(r) in
-                       let rc = c * n in
-                       for j = 0 to n - 1 do
-                         let o = (j * nt) + sr in
-                         Array.unsafe_set p o
-                           (Array.unsafe_get p o
-                           +. (v *. Array.unsafe_get sd (rc + j)))
-                       done;
-                       if r <> c then begin
-                         let sc = slot.(c) in
-                         let rr = r * n in
-                         for j = 0 to n - 1 do
-                           let o = (j * nt) + sc in
-                           Array.unsafe_set p o
-                             (Array.unsafe_get p o
-                             +. (v *. Array.unsafe_get sd (rr + j)))
-                         done
-                       end)
-                     sb.entries;
-                   p)
-                 idx
-             in
-             (* W_i[r,c] = sum_k X[r, touched_i.(k)] * pt_i[(c*nt)+k]. *)
+             let panels = Array.make ni [||] in
+             for ii = 0 to ni - 1 do
+               let sb = it.cons_blocks.(idx.(ii)).(b) in
+               let tch = sb.touched in
+               let nt = Array.length tch in
+               for k = 0 to nt - 1 do
+                 slot.(tch.(k)) <- k
+               done;
+               let p = Array.make (n * nt) 0.0 in
+               let er = sb.er and ec = sb.ec and ev = sb.ev in
+               for q = 0 to Array.length ev - 1 do
+                 let r = er.(q) and c = ec.(q) and v = ev.(q) in
+                 let sr = slot.(r) in
+                 let rc = c * n in
+                 for j = 0 to n - 1 do
+                   let o = (j * nt) + sr in
+                   Array.unsafe_set p o
+                     (Array.unsafe_get p o +. (v *. Array.unsafe_get sd (rc + j)))
+                 done;
+                 if r <> c then begin
+                   let sc = slot.(c) in
+                   let rr = r * n in
+                   for j = 0 to n - 1 do
+                     let o = (j * nt) + sc in
+                     Array.unsafe_set p o
+                       (Array.unsafe_get p o +. (v *. Array.unsafe_get sd (rr + j)))
+                   done
+                 end
+               done;
+               panels.(ii) <- p
+             done;
+             (* M_ij += sum over A_j's entries (r, c, v) of v * W_i[r,c]
+                (doubled off the diagonal: v * (W_i[r,c] + W_i[c,r])),
+                with W_i[r,c] = sum_k X[r, touched_i.(k)] * pt_i[(c*nt)+k]. *)
              for ii = 0 to ni - 1 do
                let i = idx.(ii) in
-               let sbi = it.cons_blocks.(i).(b) in
-               let nt = Array.length sbi.touched in
-               let tch = sbi.touched and pt = panels.(ii) in
-               let w_entry r c =
-                 let rr = r * n and cnt = c * nt in
-                 let acc = ref 0.0 in
-                 for k = 0 to nt - 1 do
-                   acc :=
-                     !acc
-                     +. Array.unsafe_get xd (rr + Array.unsafe_get tch k)
-                        *. Array.unsafe_get pt (cnt + k)
-                 done;
-                 !acc
-               in
+               let tch = it.cons_blocks.(i).(b).touched and pt = panels.(ii) in
+               let nt = Array.length tch in
                for jj = ii to ni - 1 do
                  let j = idx.(jj) in
+                 let sbj = it.cons_blocks.(j).(b) in
+                 let er = sbj.er and ec = sbj.ec and ev = sbj.ev in
                  let acc = ref 0.0 in
-                 Array.iter
-                   (fun (r, c, v) ->
-                     if r = c then acc := !acc +. (v *. w_entry r r)
-                     else acc := !acc +. (v *. (w_entry r c +. w_entry c r)))
-                   it.cons_blocks.(j).(b).entries;
+                 for q = 0 to Array.length ev - 1 do
+                   let r = er.(q) and c = ec.(q) and v = ev.(q) in
+                   let rr = r * n and cnt = c * nt in
+                   let wrc = ref 0.0 in
+                   for k = 0 to nt - 1 do
+                     wrc :=
+                       !wrc
+                       +. Array.unsafe_get xd (rr + Array.unsafe_get tch k)
+                          *. Array.unsafe_get pt (cnt + k)
+                   done;
+                   if r = c then acc := !acc +. (v *. !wrc)
+                   else begin
+                     let cr = c * n and rnt = r * nt in
+                     let wcr = ref 0.0 in
+                     for k = 0 to nt - 1 do
+                       wcr :=
+                         !wcr
+                         +. Array.unsafe_get xd (cr + Array.unsafe_get tch k)
+                            *. Array.unsafe_get pt (rnt + k)
+                     done;
+                     acc := !acc +. (v *. (!wrc +. !wcr))
+                   end
+                 done;
                  let o = (loc.(i) * nc) + loc.(j) in
                  Array.unsafe_set md o (Array.unsafe_get md o +. !acc)
                done
              done
            end
            else begin
-             Array.iter
-               (fun i ->
-                 let w = sb_sandwich it.cons_blocks.(i).(b) x.(b) s_inv.(b) in
-                 w_cache.(i) <- Some w)
-               idx;
-             Array.iter
-               (fun i ->
-                 match w_cache.(i) with
-                 | None -> ()
-                 | Some wi ->
-                     Array.iter
-                       (fun j ->
-                         if j >= i then begin
-                           let v = sb_dot it.cons_blocks.(j).(b) wi in
-                           let o = (loc.(i) * nc) + loc.(j) in
-                           md.(o) <- md.(o) +. v
-                         end)
-                       idx)
-               idx;
-             Array.iter (fun i -> w_cache.(i) <- None) idx
+             let ws = Array.map (fun i -> sb_sandwich it.cons_blocks.(i).(b) x.(b) s_inv.(b)) idx in
+             for ii = 0 to ni - 1 do
+               let i = idx.(ii) in
+               for jj = ii to ni - 1 do
+                 let j = idx.(jj) in
+                 let v = sb_dot it.cons_blocks.(j).(b) ws.(ii) in
+                 let o = (loc.(i) * nc) + loc.(j) in
+                 md.(o) <- md.(o) +. v
+               done
+             done
            end
          end
        done;

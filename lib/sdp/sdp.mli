@@ -56,7 +56,10 @@ type status =
   | Near_optimal  (** converged to a relaxed tolerance *)
   | Primal_infeasible  (** heuristic certificate of primal infeasibility *)
   | Dual_infeasible  (** heuristic certificate of dual infeasibility *)
-  | Max_iterations  (** iteration limit hit before convergence *)
+  | Max_iterations
+      (** not converged: the iteration limit was hit, or the iterate
+          diverged past its best (its score rose above 1e4 x its best
+          score) — either way the best iterate seen is returned *)
   | Numerical_failure  (** search direction computation broke down *)
 
 type solution = {

@@ -280,6 +280,54 @@ let test_time_to_lock_bound () =
   Alcotest.(check (float 1e-9)) "zero below beta" 0.0
     (Certificates.time_to_lock_bound s ai ~from_level:(0.5 *. beta))
 
+(* MD5 over the [%h] coefficients of every V_m, in [Poly.terms] order. *)
+let cert_digest (cert : Certificates.t) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun v -> List.iter (fun (_, c) -> Buffer.add_string b (Printf.sprintf "%h;" c)) (Poly.terms v))
+    cert.Certificates.vs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The nominal models' degree-4 Lyapunov certificates and the
+   third-order level, pinned bit for bit: interior-point rewrites that
+   claim the same iterates must leave these unchanged. *)
+let test_pinned_answers () =
+  let ai = Lazy.force ai3 in
+  Alcotest.(check string) "third-order degree-4 certificate" "3673564a67e3d0cf2a4b7bc8c28aea71"
+    (cert_digest ai.Certificates.cert);
+  Alcotest.(check string) "third-order level" "0x1.8d8d7p+7"
+    (Printf.sprintf "%h" ai.Certificates.beta);
+  let cfg = { (Certificates.default_config Pll.Fourth) with Certificates.degree = 4 } in
+  match Certificates.find_multi_lyapunov ~config:cfg (Pll.scale Pll.table1_fourth) with
+  | Error e -> Alcotest.fail ("fourth-order Lyapunov search failed: " ^ e)
+  | Ok cert ->
+      Alcotest.(check string) "fourth-order degree-4 certificate"
+        "ad0ceb02d7be104d96e4efbdef472cb8" (cert_digest cert)
+
+(* Mode 0's first Lemma-1 program at [beta], as the bisection poses it. *)
+let level_problem s (cert : Certificates.t) beta =
+  let v = cert.Certificates.vs.(0) in
+  let n = Poly.nvars v in
+  let prob = Sos.create ~nvars:n in
+  let g = List.hd (Pll.containment_constraints s 0) in
+  Sos.add_nonneg_on ~mult_deg:2 prob
+    ~domain:(Poly.sub (Poly.const n beta) v :: Pll.mode_domain s 0)
+    (Sos.Ppoly.of_poly (Poly.sub g (Poly.const n 1e-3)));
+  Sos.sdp_problem prob
+
+(* The nominal third-order bisection rejects β = 203.125 (0x1.964p+7):
+   its cold solve spikes past 1e4 x its best score by iteration 30 and
+   never recovers. It must stop there, uncertified, not run on to the
+   150-iteration limit. *)
+let test_diverged_level_stops () =
+  let s = Lazy.force s3 and ai = Lazy.force ai3 in
+  let sol = Sdp.solve (level_problem s ai.Certificates.cert 0x1.964p+7) in
+  Alcotest.(check bool) "uncertified" true
+    (sol.Sdp.status <> Sdp.Optimal && sol.Sdp.status <> Sdp.Near_optimal);
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped at its spike (%d iterations)" sol.Sdp.iterations)
+    true (sol.Sdp.iterations < 60)
+
 let suite =
   [
     Alcotest.test_case "default config degrees" `Quick test_default_config;
@@ -298,4 +346,6 @@ let suite =
     Alcotest.test_case "membership" `Slow test_member;
     Alcotest.test_case "simulation validation" `Slow test_validate_by_simulation;
     Alcotest.test_case "invariant boundary in box" `Slow test_invariant_boundary_inside_box;
+    Alcotest.test_case "pinned certificates and level" `Slow test_pinned_answers;
+    Alcotest.test_case "diverged level program stops" `Slow test_diverged_level_stops;
   ]

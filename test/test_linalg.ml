@@ -358,6 +358,69 @@ let prop_components_match_dense =
                (Mat.chol_solve_mat_components f t.rhs_mat).Mat.data
       | _ -> false)
 
+(* --- Two-row Cholesky against the one-row loop ----------------------- *)
+
+(* The one-row factorization [Mat.cholesky] ran before it took rows two
+   at a time: the reference it must match bit for bit. *)
+let cholesky_one_row ?(reg = 0.0) (a : Mat.t) =
+  let n = a.Mat.rows in
+  let l = Mat.create n n in
+  let ad = a.Mat.data and ld = l.Mat.data in
+  let ok = ref true in
+  (try
+     for i = 0 to n - 1 do
+       let ri = i * n in
+       for j = 0 to i do
+         let rj = j * n in
+         let s = ref ad.(ri + j) in
+         if i = j then s := !s +. reg;
+         for k = 0 to j - 1 do
+           s := !s -. (ld.(ri + k) *. ld.(rj + k))
+         done;
+         if i = j then begin
+           if !s <= 0.0 || not (Float.is_finite !s) then begin
+             ok := false;
+             raise Exit
+           end;
+           ld.(ri + i) <- sqrt !s
+         end
+         else ld.(ri + j) <- !s /. ld.(rj + j)
+       done
+     done
+   with Exit -> ());
+  if !ok then Some l else None
+
+(* A random SPD matrix of order 0-40; sometimes with one row and column
+   zeroed (only a regularized factor accepts it) or one diagonal entry
+   negated (no factor exists); half the time a positive [reg]. *)
+let chol_case_gen : (Mat.t * float) QCheck.Gen.t =
+ fun rng ->
+  let n = Random.State.int rng 41 in
+  let b = Mat.init n n (fun _ _ -> Random.State.float rng 2.0 -. 1.0) in
+  let a = Mat.add (Mat.mul b (Mat.transpose b)) (Mat.scale 1e-3 (Mat.identity n)) in
+  (if n > 0 then
+     let i = Random.State.int rng n in
+     match Random.State.int rng 4 with
+     | 0 ->
+         for j = 0 to n - 1 do
+           Mat.set a i j 0.0;
+           Mat.set a j i 0.0
+         done
+     | 1 -> Mat.set a i i (-.Mat.get a i i)
+     | _ -> ());
+  (a, if Random.State.bool rng then 0.0 else Random.State.float rng 1e-2)
+
+let prop_cholesky_two_row =
+  QCheck.Test.make ~name:"two-row Cholesky = one-row loop, bit for bit" ~count:300
+    (QCheck.make
+       ~print:(fun ((a : Mat.t), reg) -> Printf.sprintf "order %d, reg %h" a.Mat.rows reg)
+       chol_case_gen)
+    (fun (a, reg) ->
+      match (Mat.cholesky ~reg a, cholesky_one_row ~reg a) with
+      | None, None -> true
+      | Some l, Some r -> same_bits l.Mat.data r.Mat.data
+      | _ -> false)
+
 let suite =
   [
     Alcotest.test_case "vec ops" `Quick test_vec_ops;
@@ -388,4 +451,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_qr_orthonormal;
     QCheck_alcotest.to_alcotest prop_eig_trace;
     QCheck_alcotest.to_alcotest prop_components_match_dense;
+    QCheck_alcotest.to_alcotest prop_cholesky_two_row;
   ]

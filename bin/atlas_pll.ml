@@ -18,7 +18,7 @@ let setup_logs verbose =
 let cli_error = 124
 
 let run order degree grid_spec robust full exact bisect_steps max_subdiv cell_budget
-    fault_plan jobs run_dir resume via_daemon client_retries lock_wait verbose =
+    fault_plan jobs run_dir resume via_daemon client_retries verbose =
   setup_logs verbose;
   let order = match order with `Third -> Pll.Third | `Fourth -> Pll.Fourth in
   let base_job = Atlas.default_job order in
@@ -58,39 +58,16 @@ let run order degree grid_spec robust full exact bisect_steps max_subdiv cell_bu
       Format.eprintf "atlas_pll: %s@." e;
       cli_error
   | Ok (grid, faults) -> (
-      let resuming = resume <> None in
-      let run_dir =
-        match (resume, run_dir) with Some d, _ -> Some d | None, d -> d
-      in
-      let ctx = Supervise.create ?run_dir ?jobs () in
-      Supervise.install_signal_handlers ctx;
-      let guarded =
-        match Supervise.run_dir ctx with
-        | None -> Ok ()
-        | Some dir -> (
-            match Supervise.Lock.acquire ~dir ~wait_s:lock_wait () with
-            | Error diag ->
-                Format.eprintf "atlas_pll: %s@." diag;
-                Error ()
-            | Ok acq -> (
-                (match acq with
-                | Supervise.Lock.Stolen_stale pid ->
-                    Logs.warn (fun m ->
-                        m "stole stale run-dir lock left by dead pid %d" pid)
-                | _ -> ());
-                match
-                  Supervise.Config_guard.check ~run_dir:dir
-                    ~fingerprint:(Atlas.fingerprint job grid)
-                    ~summary:(Atlas.fingerprint job grid)
-                with
-                | Error diag ->
-                    Format.eprintf "atlas_pll: %s@." diag;
-                    Error ()
-                | Ok _ -> Ok ()))
-      in
-      match guarded with
-      | Error () -> 1
-      | Ok () -> (
+      match
+        Supervise.open_run ?run_dir ?resume ?jobs ~ledger:Atlas.ledger
+          ~fingerprint:(Atlas.fingerprint job grid) ()
+      with
+      | Error diag ->
+          Format.eprintf "atlas_pll: %s@." diag;
+          1
+      | Ok ctx -> (
+          Supervise.install_signal_handlers ctx;
+          let resuming = resume <> None in
           Format.printf "atlas: %s order, degree %d, grid %s (%d cells), %d job(s)%s@."
             (match order with Pll.Third -> "third" | Pll.Fourth -> "fourth")
             job.Atlas.degree
@@ -208,7 +185,8 @@ let resume =
          ~doc:"Resume a killed or interrupted sweep from its run directory: ledgered \
                cells replay instantly, in-flight cells re-run against the solve cache. \
                Refused (exit 1) if the configuration differs from the one the \
-               directory was created with. Implies $(b,--run-dir) DIR.")
+               directory was created with. Implies $(b,--run-dir) DIR; a directory \
+               whose ledger holds cells is continued only with $(b,--resume).")
 
 let via_daemon =
   Arg.(value & opt (some string) None & info [ "via-daemon" ] ~docv:"SOCK"
@@ -226,12 +204,6 @@ let client_retries =
          ~doc:"With $(b,--via-daemon): extra request rounds per wave before \
                unanswered cells are quarantined as crashed.")
 
-let lock_wait =
-  Arg.(value & opt float 0.0 & info [ "lock-wait" ] ~docv:"SEC"
-         ~doc:"How long to wait for another live process's lock on the run directory \
-               before failing (default 0: fail fast with a structured diagnosis). \
-               Stale locks left by dead processes are stolen immediately.")
-
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log per-cell progress.")
 
 let cmd =
@@ -241,6 +213,6 @@ let cmd =
     Term.(
       const run $ order $ degree $ grid $ robust $ full $ exact $ bisect_steps
       $ max_subdiv $ cell_budget $ fault_plan $ jobs $ run_dir_arg $ resume
-      $ via_daemon $ client_retries $ lock_wait $ verbose)
+      $ via_daemon $ client_retries $ verbose)
 
 let () = exit (Cmd.eval' cmd)

@@ -60,7 +60,12 @@
 #     or `Bulk.cell_spec`), lib/service/daemon.ml neither calls
 #     `Job.run` nor names `Job.storable`, and at most one storability
 #     predicate (`let …storable`) is defined under lib/service: a point
-#     is a one-cell job, stored by `Bulk.storable`.
+#     is a one-cell job, stored by `Bulk.storable`;
+# 14. one run-directory front door — outside lib/supervise no lib/ or
+#     bin/ .ml file calls `Lock.acquire` or `Config_guard.check` or
+#     contains a `not-resumed` literal: the tools open their run dir with
+#     `Supervise.open_run`/`claim`, and refuse through
+#     `Supervise.check_resume`.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -207,6 +212,12 @@ if [ -d "$service" ]; then
   [ "$(printf '%s' "$preds" | grep -c .)" -le 1 ] || \
     fail "more than one storability predicate under lib/service:$(echo " $preds" | sed "s|$repo/||g")"
 fi
+
+# One run-directory front door (check 14).
+strays="$(grep -nE 'Lock\.acquire|Config_guard\.check|not-resumed' "$repo"/lib/*/*.ml \
+  "$repo"/bin/*.ml 2>/dev/null | grep -v "^$repo/lib/supervise/" || true)"
+[ -z "$strays" ] || \
+  fail "a run dir opened outside Supervise.open_run/claim:$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

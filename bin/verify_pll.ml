@@ -8,7 +8,12 @@
    The pipeline itself lives in Service.Job and is shared verbatim with
    the verifyd daemon, so a CLI run and a daemon job with the same spec
    produce the same verdict through the same code path; this driver
-   owns only argument parsing, supervision/run-dir wiring and reports.
+   owns only argument parsing and reports. Every run is supervised:
+   solves run in a forked solver worker and independent work fans out
+   over a pool of --jobs workers. The run directory, when given, is
+   opened through Supervise.open_run: locked, checked against the
+   problem it was created for, and continued only with --resume once
+   its journal holds solves.
 
    Exit codes: 0 = inevitability verified; 2 = the property was not
    established (conclusively infeasible, no positive level certifies,
@@ -25,15 +30,13 @@ let setup_logs verbose =
 
 let cli_error = 124
 
-let run order degree robust advect_iters sim_validate psd_tol eq_tol point
-    retry_ladder deadline fault_plan jobs run_dir resume lock_wait solve_timeout
-    mem_limit verbose =
+let run order degree robust advect_iters sim_validate psd_tol eq_tol point deadline
+    fault_plan jobs run_dir resume solve_timeout mem_limit verbose =
   setup_logs verbose;
   match
-    (* Parse the job spec and resilience options up front so a bad spec
-       is a usage error (exit 124), not a late failure. *)
+    (* Parse the job spec and fault plan up front so a bad spec is a
+       usage error (exit 124), not a late failure. *)
     let ( let* ) = Result.bind in
-    let* ladder = Resilient.ladder_of_string retry_ladder in
     let* faults = Resilient.Faults.of_string fault_plan in
     let* point = Service.Job.point_of_string point in
     let d = Service.Job.default_spec order in
@@ -51,96 +54,52 @@ let run order degree robust advect_iters sim_validate psd_tol eq_tol point
       }
     in
     let* () = Service.Job.validate spec in
-    (* Supervision (worker isolation, pool, cache/journal) switches on
-       when any of its knobs is set — or when the fault plan contains
-       process-level faults, which only a supervisor can act on. *)
-    let run_dir =
-      match (resume, run_dir) with
-      | Some d, _ -> Some d
-      | None, d -> d
-    in
-    let supervised =
-      run_dir <> None || jobs <> None || solve_timeout <> None || mem_limit <> None
-      || Resilient.Faults.proc_specs faults <> []
-    in
-    let supervise =
-      if supervised then
-        Some
-          (Supervise.create ?run_dir ?jobs ?solve_timeout_s:solve_timeout
-             ?mem_limit_mb:mem_limit ())
-      else None
-    in
-    Ok
-      ( spec,
-        Resilient.make ~ladder ~retries:(ladder <> []) ?pipeline_deadline_s:deadline
-          ~faults ?supervise (),
-        supervise )
+    Ok (spec, faults)
   with
   | Error e ->
       Format.eprintf "verify_pll: %s@." e;
       cli_error
-  | Ok (spec, resilience, supervise) -> (
-      (* Run-dir hygiene: an advisory lock so two processes sharing the
-         directory cannot interleave cache writes, and a configuration
-         fingerprint so --resume with problem-changing arguments is
-         refused instead of silently mixing cache entries. The job's
-         canonical line covers every problem-determining field,
-         including the parameter point. *)
-      let guarded =
-        match Option.bind supervise Supervise.run_dir with
-        | None -> Ok ()
-        | Some dir -> (
-            match Supervise.Lock.acquire ~dir ~wait_s:lock_wait () with
-            | Error diag ->
-                Format.eprintf "verify_pll: %s@." diag;
-                Error ()
-            | Ok _ -> (
-                let fingerprint = "pll-verify v2 " ^ Service.Job.to_line spec in
-                match
-                  Supervise.Config_guard.check ~run_dir:dir ~fingerprint
-                    ~summary:fingerprint
-                with
-                | Error diag ->
-                    Format.eprintf "verify_pll: %s@." diag;
-                    Error ()
-                | Ok _ -> Ok ()))
-      in
-      match guarded with
-      | Error () -> 1
-      | Ok () -> (
-          (match supervise with
-          | Some ctx ->
-              Supervise.install_signal_handlers ctx;
-              (match Supervise.run_dir ctx with
-              | Some dir ->
-                  Format.printf "supervision: %d jobs, run dir %s%s@."
-                    (Supervise.jobs ctx) dir
-                    (if resume <> None then
-                       Printf.sprintf " (resuming; %d solve(s) on record)"
-                         (Supervise.replayed ctx)
-                     else "")
-              | None ->
-                  Format.printf "supervision: %d jobs (no run dir)@."
-                    (Supervise.jobs ctx))
-          | None -> ());
+  | Ok (spec, faults) -> (
+      (* The job's canonical line covers every problem-determining
+         field, including the parameter point: the run dir's config
+         fingerprint. *)
+      match
+        Supervise.open_run ?run_dir ?resume ?jobs ?solve_timeout_s:solve_timeout
+          ?mem_limit_mb:mem_limit ~ledger:Supervise.journal
+          ~fingerprint:("pll-verify v2 " ^ Service.Job.to_line spec)
+          ()
+      with
+      | Error diag ->
+          Format.eprintf "verify_pll: %s@." diag;
+          1
+      | Ok ctx -> (
+          Supervise.install_signal_handlers ctx;
+          (match Supervise.run_dir ctx with
+          | Some dir ->
+              Format.printf "supervision: %d jobs, run dir %s%s@." (Supervise.jobs ctx) dir
+                (if resume <> None then
+                   Printf.sprintf " (resuming; %d solve(s) on record)"
+                     (Supervise.replayed ctx)
+                 else "")
+          | None -> Format.printf "supervision: %d jobs (no run dir)@." (Supervise.jobs ctx));
+          let resilience =
+            Resilient.make ?pipeline_deadline_s:deadline ~faults ~supervise:ctx ()
+          in
           let finish_reports () =
             (if Resilient.failures resilience <> [] || verbose then
                Format.printf "resilience report: %s@."
                  (Resilient.report_json resilience));
-            match supervise with
+            let report = Supervise.report_json ctx in
+            let st = Supervise.stats ctx in
+            if verbose || st.Supervise.crashes > 0 || st.Supervise.timeouts > 0
+               || st.Supervise.cache_rejects > 0
+            then Format.printf "supervision report: %s@." report;
+            match Supervise.run_dir ctx with
+            | Some dir ->
+                Substrate.Fs.write_atomic (Filename.concat dir "report.json")
+                  (Printf.sprintf "{\"supervise\":%s,\"resilient\":%s}\n" report
+                     (Resilient.report_json resilience))
             | None -> ()
-            | Some ctx ->
-                let report = Supervise.report_json ctx in
-                let st = Supervise.stats ctx in
-                if verbose || st.Supervise.crashes > 0 || st.Supervise.timeouts > 0
-                   || st.Supervise.cache_rejects > 0
-                then Format.printf "supervision report: %s@." report;
-                (match Supervise.run_dir ctx with
-                | Some dir ->
-                    Substrate.Fs.write_atomic (Filename.concat dir "report.json")
-                      (Printf.sprintf "{\"supervise\":%s,\"resilient\":%s}\n" report
-                         (Resilient.report_json resilience))
-                | None -> ())
           in
           (* The (point-adjusted) scaled model the job will verify; also
              what the Monte-Carlo cross-check simulates. *)
@@ -174,7 +133,7 @@ let run order degree robust advect_iters sim_validate psd_tol eq_tol point
               Format.printf
                 "interrupted — checkpoint saved%s; rerun with --resume to \
                  continue@."
-                (match Option.bind supervise Supervise.run_dir with
+                (match Supervise.run_dir ctx with
                 | Some dir -> " in " ^ dir
                 | None -> "");
               130
@@ -234,14 +193,6 @@ let point =
                interval with the degenerate point FACTOR * nominal. Empty = the \
                nominal model.")
 
-let retry_ladder =
-  Arg.(value & opt string "default" & info [ "retry-ladder" ] ~docv:"SPEC"
-         ~doc:"Retry ladder for failed SDP solves: $(b,default) \
-               (equilibrate,jitter,relax:10,bump:3), $(b,none) (retries disabled — a \
-               failed solve yields a structured failure report immediately), or a \
-               comma-separated list of rungs $(b,equilibrate), $(b,jitter[:K]), \
-               $(b,relax[:F]), $(b,bump[:F]) applied cumulatively in order.")
-
 let deadline =
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC"
          ~doc:"Pipeline deadline in wall-clock seconds. When exceeded, in-flight solves salvage \
@@ -257,43 +208,38 @@ let fault_plan =
                iteration I of logical solve S (1-based; $(b,*) = every solve), on its \
                first attempt only. Process-level faults $(b,kill@S:I) (worker SIGKILLs \
                itself), $(b,stall@S:I) (worker wedges until the timeout reaper acts) \
-               and $(b,corrupt-cache@S) (stored cache entry is truncated) enable \
-               supervision and exercise the worker recovery paths.")
+               and $(b,corrupt-cache@S) (stored cache entry is truncated) exercise the \
+               worker recovery paths.")
 
 let jobs =
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Enable process supervision with a pool of N forked solve workers for \
-               independent work items (default: number of cores).")
+         ~doc:"Pool of N forked workers for independent work items (default: number \
+               of cores).")
 
 let run_dir_arg =
   Arg.(value & opt (some string) None & info [ "run-dir" ] ~docv:"DIR"
-         ~doc:"Enable crash-safe supervision state under DIR: a content-addressed \
-               solve cache, a write-ahead journal and persisted proof artifacts. A \
-               killed run restarts from its checkpoint via $(b,--resume).")
+         ~doc:"Keep crash-safe run state under DIR: a content-addressed solve cache, a \
+               write-ahead journal and persisted proof artifacts. A killed run \
+               restarts from its checkpoint via $(b,--resume); a directory whose \
+               journal holds solves is continued only with $(b,--resume).")
 
 let resume =
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR"
          ~doc:"Resume a killed or interrupted run from its run directory: solves whose \
                requests hash to cached results are replayed from the cache instead of \
-               re-solved. Implies $(b,--run-dir) DIR.")
-
-let lock_wait =
-  Arg.(value & opt float 0.0 & info [ "lock-wait" ] ~docv:"SEC"
-         ~doc:"How long to wait for another live process's lock on the run directory \
-               before failing (default 0: fail fast with a structured diagnosis). \
-               Stale locks left by dead processes are stolen immediately.")
+               re-solved. Refused (exit 1) if the problem differs from the one the \
+               directory was created with. Implies $(b,--run-dir) DIR.")
 
 let solve_timeout =
   Arg.(value & opt (some float) None & info [ "solve-timeout" ] ~docv:"SEC"
          ~doc:"Wall-clock budget per supervised solve worker; a worker past it is \
                reaped with SIGKILL and reported as a failed attempt the retry ladder \
-               recovers from. Enables supervision.")
+               recovers from.")
 
 let mem_limit =
   Arg.(value & opt (some int) None & info [ "mem-limit-mb" ] ~docv:"MB"
          ~doc:"Address-space rlimit per supervised solve worker, in MiB; a worker \
-               exceeding it dies and is reported as a crashed attempt. Enables \
-               supervision.")
+               exceeding it dies and is reported as a crashed attempt.")
 
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log solver progress.")
 
@@ -303,7 +249,7 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ order $ degree $ robust $ advect_iters $ sim_validate $ psd_tol
-      $ eq_tol $ point $ retry_ladder $ deadline $ fault_plan $ jobs $ run_dir_arg
-      $ resume $ lock_wait $ solve_timeout $ mem_limit $ verbose)
+      $ eq_tol $ point $ deadline $ fault_plan $ jobs $ run_dir_arg $ resume
+      $ solve_timeout $ mem_limit $ verbose)
 
 let () = exit (Cmd.eval' cmd)

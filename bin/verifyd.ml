@@ -22,7 +22,7 @@ let cli_error = 124
 
 let run run_dir resume sock workers queue_cap cache_max_mb breaker_threshold
     breaker_cooldown default_deadline job_retries lease_ttl heartbeat_interval
-    fault_plan lock_wait verbose =
+    fault_plan verbose =
   setup_logs verbose;
   match
     let ( let* ) = Result.bind in
@@ -72,7 +72,6 @@ let run run_dir resume sock workers queue_cap cache_max_mb breaker_threshold
           job_retries;
           lease_ttl_s = lease_ttl;
           heartbeat_interval_s = heartbeat_interval;
-          lock_wait_s = lock_wait;
           faults;
           resume;
         }
@@ -160,12 +159,6 @@ let fault_plan =
                is ledgered). KEY is a job id, or a cell id for bulk cells. All \
                fire once except $(b,kill-cell@KEY).")
 
-let lock_wait =
-  Arg.(value & opt float 0.0 & info [ "lock-wait" ] ~docv:"SEC"
-         ~doc:"How long to wait for another live process's lock on the run \
-               directory before failing (default 0: fail fast). Stale locks left \
-               by dead processes are stolen immediately.")
-
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log daemon internals.")
 
 let cmd =
@@ -175,7 +168,6 @@ let cmd =
     Term.(
       const run $ run_dir_arg $ resume_arg $ sock $ workers $ queue_cap
       $ cache_max_mb $ breaker_threshold $ breaker_cooldown $ default_deadline
-      $ job_retries $ lease_ttl $ heartbeat_interval $ fault_plan $ lock_wait
-      $ verbose)
+      $ job_retries $ lease_ttl $ heartbeat_interval $ fault_plan $ verbose)
 
 let () = exit (Cmd.eval' cmd)

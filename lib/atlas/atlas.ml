@@ -457,6 +457,8 @@ module Ledger = struct
     (List.rev_map (Hashtbl.find entries) order, List.rev diags @ r.Wal.diags)
 end
 
+let ledger = { Supervise.name = "atlas"; entries = (fun dir -> List.length (fst (Ledger.read dir))) }
+
 (* ----------------------------------------------------------------- *)
 (* Service bridge: run cells through the verification daemon *)
 
@@ -662,153 +664,150 @@ let validate_grid (job : job) (grid : Grid.t) =
   else Ok ()
 
 let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
-  match validate_grid job grid with
+  let run_dir = Supervise.run_dir ctx in
+  match
+    Result.bind (validate_grid job grid) (fun () ->
+        match run_dir with
+        | Some d -> Supervise.check_resume ledger ~run_dir:d ~resume
+        | None -> Ok ())
+  with
   | Error e -> Error e
   | Ok () -> (
       let t0 = Unix.gettimeofday () in
-      let run_dir = Supervise.run_dir ctx in
-      let ledger, ledger_diags =
+      let ledgered, ledger_diags =
         match run_dir with Some d -> Ledger.read d | None -> ([], [])
       in
       List.iter (fun d -> Log.warn (fun m -> m "%s" d)) ledger_diags;
-      if (not resume) && ledger <> [] then
-        Error
-          (Printf.sprintf
-             "run directory already holds an atlas ledger with %d cell(s); pass \
-              --resume to continue it, or use a fresh --run-dir"
-             (List.length ledger))
-      else begin
-        let on_record = Hashtbl.create 64 in
-        List.iter (fun (e : Ledger.entry) -> Hashtbl.replace on_record e.Ledger.id e) ledger;
-        let records = ref [] in
-        let push cell result ~replayed ~solves ~attempts ~attempt_s next =
-          records := { cell; result; replayed; solves; attempts; attempt_s } :: !records;
-          match result with
-          | Subdivided -> (
-              match split cell with
-              | Some (a, b) -> next := b :: a :: !next
-              | None ->
-                  (* A ledger claims a subdivision this geometry cannot
-                     perform — record the inconsistency, keep sweeping. *)
-                  records :=
-                    {
-                      cell;
-                      result =
-                        Quarantined
-                          {
-                            kind = "ledger-inconsistent";
-                            detail = "ledgered as subdivided but cell is a point";
-                          };
-                      replayed;
-                      solves;
-                      attempts;
-                      attempt_s;
-                    }
-                  :: List.tl !records)
-          | _ -> ()
+      let on_record = Hashtbl.create 64 in
+      List.iter (fun (e : Ledger.entry) -> Hashtbl.replace on_record e.Ledger.id e) ledgered;
+      let records = ref [] in
+      let push cell result ~replayed ~solves ~attempts ~attempt_s next =
+        records := { cell; result; replayed; solves; attempts; attempt_s } :: !records;
+        match result with
+        | Subdivided -> (
+            match split cell with
+            | Some (a, b) -> next := b :: a :: !next
+            | None ->
+                (* A ledger claims a subdivision this geometry cannot
+                   perform — record the inconsistency, keep sweeping. *)
+                records :=
+                  {
+                    cell;
+                    result =
+                      Quarantined
+                        {
+                          kind = "ledger-inconsistent";
+                          detail = "ledgered as subdivided but cell is a point";
+                        };
+                    replayed;
+                    solves;
+                    attempts;
+                    attempt_s;
+                  }
+                :: List.tl !records)
+        | _ -> ()
+      in
+      let exec = match exec with Some f -> f | None -> exec_local ~ctx ~faults job in
+      (* A cell settles the moment it answers: ledger line, quarantine
+         file, subdivision, and the kill@CELL fault. *)
+      let settle next c r =
+        let p =
+          match r with
+          | Ok p -> p
+          | Error e ->
+              (* Stable diagnosis whether the worker died locally or
+                 was dead-lettered by the daemon, so atlas.json stays
+                 byte-identical across backends. *)
+              Log.warn (fun m -> m "cell %s: %s" c.id e);
+              Service.Bulk.crashed ~why:e
         in
-        let exec = match exec with Some f -> f | None -> exec_local ~ctx ~faults job in
-        (* A cell settles the moment it answers: ledger line, quarantine
-           file, subdivision, and the kill@CELL fault. *)
-        let settle next c r =
-          let p =
-            match r with
-            | Ok p -> p
-            | Error e ->
-                (* Stable diagnosis whether the worker died locally or
-                   was dead-lettered by the daemon, so atlas.json stays
-                   byte-identical across backends. *)
-                Log.warn (fun m -> m "cell %s: %s" c.id e);
-                Service.Bulk.crashed ~why:e
-          in
-          let result =
-            if p.ok then Certified { beta = p.beta }
-            else if c.depth < job.max_subdiv && p.kind <> "bad-cell" && split c <> None then
-              Subdivided
-            else Quarantined { kind = p.kind; detail = p.detail }
-          in
-          (match (run_dir, result) with
-          | Some d, Quarantined _ ->
-              let qdir = Filename.concat d "quarantine" in
-              Substrate.Fs.mkdir_p qdir;
-              Substrate.Fs.write_atomic
-                (Filename.concat qdir
-                   (Printf.sprintf "%s.json"
-                      (String.map (fun ch -> if ch = '/' then '_' else ch) c.id)))
-                (Printf.sprintf
-                   "{\"cell\":\"%s\",\"kind\":\"%s\",\"detail\":\"%s\",\"journal\":%s}\n"
-                   (Service.Json.escape c.id) (Service.Json.escape p.kind)
-                   (Service.Json.escape p.detail)
-                   (Option.value p.journal ~default:"null"))
-          | _ -> ());
-          let entry : Ledger.entry =
-            {
-              Ledger.id = c.id;
-              depth = c.depth;
-              result;
-              solves = p.solves;
-              attempts = p.attempts;
-              attempt_s = p.attempt_s;
-            }
-          in
-          Option.iter (fun d -> Ledger.append d entry) run_dir;
-          push c result ~replayed:false ~solves:p.solves ~attempts:p.attempts
-            ~attempt_s:p.attempt_s next;
-          Log.info (fun m -> m "cell %s: %s" c.id (Ledger.status_str result));
-          if Fault.kill_after faults c.id then begin
-            (* The chaos fault: die as if the process group were
-               SIGKILLed, right after this cell's completion hit the
-               ledger. Raising lets the executor kill its in-flight
-               children first. *)
-            Log.warn (fun m -> m "fault kill@%s: orchestrator exiting hard" c.id);
-            raise Killed
-          end
+        let result =
+          if p.ok then Certified { beta = p.beta }
+          else if c.depth < job.max_subdiv && p.kind <> "bad-cell" && split c <> None then
+            Subdivided
+          else Quarantined { kind = p.kind; detail = p.detail }
         in
-        let rec waves frontier =
-          if frontier <> [] then begin
-            let frontier = List.sort (fun a b -> compare a.id b.id) frontier in
-            let next = ref [] in
-            let replayed_cells, fresh =
-              List.partition (fun c -> Hashtbl.mem on_record c.id) frontier
-            in
-            List.iter
-              (fun c ->
-                let e : Ledger.entry = Hashtbl.find on_record c.id in
-                push c e.Ledger.result ~replayed:true ~solves:e.Ledger.solves
-                  ~attempts:e.Ledger.attempts ~attempt_s:e.Ledger.attempt_s next)
-              replayed_cells;
-            if replayed_cells <> [] then
-              Log.info (fun m ->
-                  m "replayed %d cell(s) from the ledger" (List.length replayed_cells));
-            exec fresh
-              ~start:(fun c -> Option.iter (fun d -> Ledger.mark_start d c.id) run_dir)
-              ~settle:(settle next);
-            waves !next
-          end
-        in
-        (try waves (grid_cells grid) with Killed -> Unix._exit 137);
-        let records = List.sort (fun a b -> compare a.cell.id b.cell.id) !records in
-        let count f = List.length (List.filter f records) in
-        let report =
+        (match (run_dir, result) with
+        | Some d, Quarantined _ ->
+            let qdir = Filename.concat d "quarantine" in
+            Substrate.Fs.mkdir_p qdir;
+            Substrate.Fs.write_atomic
+              (Filename.concat qdir
+                 (Printf.sprintf "%s.json"
+                    (String.map (fun ch -> if ch = '/' then '_' else ch) c.id)))
+              (Printf.sprintf
+                 "{\"cell\":\"%s\",\"kind\":\"%s\",\"detail\":\"%s\",\"journal\":%s}\n"
+                 (Service.Json.escape c.id) (Service.Json.escape p.kind)
+                 (Service.Json.escape p.detail)
+                 (Option.value p.journal ~default:"null"))
+        | _ -> ());
+        let entry : Ledger.entry =
           {
-            job;
-            grid;
-            records;
-            certified = count (fun r -> match r.result with Certified _ -> true | _ -> false);
-            subdivided = count (fun r -> r.result = Subdivided);
-            quarantined =
-              count (fun r -> match r.result with Quarantined _ -> true | _ -> false);
-            replayed_cells = count (fun r -> r.replayed);
-            wall_s = Unix.gettimeofday () -. t0;
+            Ledger.id = c.id;
+            depth = c.depth;
+            result;
+            solves = p.solves;
+            attempts = p.attempts;
+            attempt_s = p.attempt_s;
           }
         in
-        Option.iter
-          (fun d ->
-            Substrate.Fs.write_atomic (Filename.concat d "atlas.json")
-              (report_json report ^ "\n");
-            Substrate.Fs.write_atomic
-              (Filename.concat d "summary.txt")
-              (Format.asprintf "%a@." pp_summary report))
-          run_dir;
-        Ok report
-      end)
+        Option.iter (fun d -> Ledger.append d entry) run_dir;
+        push c result ~replayed:false ~solves:p.solves ~attempts:p.attempts
+          ~attempt_s:p.attempt_s next;
+        Log.info (fun m -> m "cell %s: %s" c.id (Ledger.status_str result));
+        if Fault.kill_after faults c.id then begin
+          (* The chaos fault: die as if the process group were
+             SIGKILLed, right after this cell's completion hit the
+             ledger. Raising lets the executor kill its in-flight
+             children first. *)
+          Log.warn (fun m -> m "fault kill@%s: orchestrator exiting hard" c.id);
+          raise Killed
+        end
+      in
+      let rec waves frontier =
+        if frontier <> [] then begin
+          let frontier = List.sort (fun a b -> compare a.id b.id) frontier in
+          let next = ref [] in
+          let replayed_cells, fresh =
+            List.partition (fun c -> Hashtbl.mem on_record c.id) frontier
+          in
+          List.iter
+            (fun c ->
+              let e : Ledger.entry = Hashtbl.find on_record c.id in
+              push c e.Ledger.result ~replayed:true ~solves:e.Ledger.solves
+                ~attempts:e.Ledger.attempts ~attempt_s:e.Ledger.attempt_s next)
+            replayed_cells;
+          if replayed_cells <> [] then
+            Log.info (fun m ->
+                m "replayed %d cell(s) from the ledger" (List.length replayed_cells));
+          exec fresh
+            ~start:(fun c -> Option.iter (fun d -> Ledger.mark_start d c.id) run_dir)
+            ~settle:(settle next);
+          waves !next
+        end
+      in
+      (try waves (grid_cells grid) with Killed -> Unix._exit 137);
+      let records = List.sort (fun a b -> compare a.cell.id b.cell.id) !records in
+      let count f = List.length (List.filter f records) in
+      let report =
+        {
+          job;
+          grid;
+          records;
+          certified = count (fun r -> match r.result with Certified _ -> true | _ -> false);
+          subdivided = count (fun r -> r.result = Subdivided);
+          quarantined =
+            count (fun r -> match r.result with Quarantined _ -> true | _ -> false);
+          replayed_cells = count (fun r -> r.replayed);
+          wall_s = Unix.gettimeofday () -. t0;
+        }
+      in
+      Option.iter
+        (fun d ->
+          Substrate.Fs.write_atomic (Filename.concat d "atlas.json")
+            (report_json report ^ "\n");
+          Substrate.Fs.write_atomic
+            (Filename.concat d "summary.txt")
+            (Format.asprintf "%a@." pp_summary report))
+        run_dir;
+      Ok report)

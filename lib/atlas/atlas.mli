@@ -227,6 +227,12 @@ module Ledger : sig
       cells were in flight). *)
 end
 
+val ledger : Supervise.ledger
+(** The atlas ledger as the sweep's record of work: its completed
+    cells. [atlas_pll] opens its run directory with it
+    ({!Supervise.open_run}), and {!run} makes the same [--resume]
+    decision for library callers. *)
+
 type exec =
   cell list ->
   start:(cell -> unit) ->
@@ -262,8 +268,10 @@ val run :
     the ledger, the per-solve cache/journal, quarantine diagnoses and
     proof artifacts; [run] also writes [atlas.json] and [summary.txt]
     there on completion. With [resume:false] a run directory whose
-    ledger already has entries is refused (use [--resume], or a fresh
-    directory); with [resume:true] ledgered cells are replayed.
+    {!ledger} already has entries is refused through
+    {!Supervise.check_resume} ([atlas-not-resumed]; use [--resume], or
+    a fresh directory); with [resume:true] ledgered cells are
+    replayed.
     [exec] overrides the execution backend (default: a local
     {!Supervise.Pool} over the context's job count; pass
     {!exec_via_daemon} to run cells through a daemon — ledger, replay,

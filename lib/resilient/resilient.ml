@@ -180,41 +180,8 @@ let rung_name = function
   | Relax_tol f -> Printf.sprintf "relax:%g" f
   | Bump_iters f -> Printf.sprintf "bump:%g" f
 
-let default_ladder = [ Equilibrate; Jitter 1; Relax_tol 10.0; Bump_iters 3.0 ]
-let ladder_to_string l = String.concat "," (List.map rung_name l)
-
-let ladder_of_string str =
-  let str = String.trim str in
-  if str = "default" then Ok default_ladder
-  else if str = "none" || str = "" then Ok []
-  else
-    let parse_tok tok =
-      let name, arg =
-        match String.index_opt tok ':' with
-        | None -> (tok, None)
-        | Some i ->
-            (String.sub tok 0 i, Some (String.sub tok (i + 1) (String.length tok - i - 1)))
-      in
-      let bad () = Error (Printf.sprintf "bad ladder rung %S" tok) in
-      match (name, arg) with
-      | "equilibrate", None -> Ok Equilibrate
-      | "jitter", None -> Ok (Jitter 1)
-      | "jitter", Some a -> (
-          match int_of_string_opt a with Some k when k >= 1 -> Ok (Jitter k) | _ -> bad ())
-      | "relax", None -> Ok (Relax_tol 10.0)
-      | "relax", Some a -> (
-          match float_of_string_opt a with Some f when f > 1.0 -> Ok (Relax_tol f) | _ -> bad ())
-      | "bump", None -> Ok (Bump_iters 3.0)
-      | "bump", Some a -> (
-          match float_of_string_opt a with Some f when f > 1.0 -> Ok (Bump_iters f) | _ -> bad ())
-      | _ -> bad ()
-    in
-    let toks = List.map String.trim (String.split_on_char ',' str) in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | t :: rest -> ( match parse_tok t with Ok r -> go (r :: acc) rest | Error e -> Error e)
-    in
-    go [] toks
+(* The one retry ladder: every retried solve climbs these rungs. *)
+let ladder = [ Equilibrate; Jitter 1; Relax_tol 10.0; Bump_iters 3.0 ]
 
 (* Rungs escalate cumulatively: each attempt's parameters build on the
    previous attempt's, so e.g. the Relax_tol attempt is still
@@ -258,7 +225,6 @@ type diagnosis = {
 }
 
 type policy = {
-  ladder : rung list;
   retries_enabled : bool;
   quiet : bool;
   pipeline_deadline_s : float option;
@@ -282,10 +248,8 @@ and clock = {
 let fresh_clock () =
   { started = None; solve_count = 0; journal_rev = []; attempt_count = 0; attempt_s = 0.0 }
 
-let make ?(ladder = default_ladder) ?(retries = true) ?pipeline_deadline_s
-    ?(faults = Faults.none ()) ?supervise () =
+let make ?(retries = true) ?pipeline_deadline_s ?(faults = Faults.none ()) ?supervise () =
   {
-    ladder;
     retries_enabled = retries;
     quiet = false;
     pipeline_deadline_s;
@@ -464,7 +428,7 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
   let solve_index = policy.clock.solve_count in
   let deadline_hit = ref false in
   let wrap ~attempt params = iteration_hook policy ~solve_index ~attempt ~deadline_hit params in
-  let rungs = Baseline :: (if policy.retries_enabled then policy.ladder else []) in
+  let rungs = Baseline :: (if policy.retries_enabled then ladder else []) in
   let finish ~attempts_rev ~outcome ~accepted_rung payload =
     let d =
       {

@@ -8,7 +8,7 @@
     single fragile [Sos.solve] / [Sdp.solve] call into an orchestrated
     one:
 
-    - a configurable {e retry ladder}: on a non-certified outcome,
+    - a fixed {e retry ladder}: on a non-certified outcome,
       re-solve with escalating interventions — Jacobi equilibration of
       the problem data, deterministic jittered restarts, relaxed
       tolerances, bumped iteration limits (margin/degree adjustment for
@@ -130,9 +130,10 @@ module Faults : sig
       and are counted by {!Supervise.stats} instead. *)
 end
 
-(** One rung of the retry ladder. Rungs are applied {e cumulatively} in
-    ladder order — each attempt escalates on top of the previous
-    parameter set. *)
+(** One rung of the retry ladder. Every retried solve climbs the same
+    ladder, [Equilibrate; Jitter 1; Relax_tol 10; Bump_iters 3], and
+    rungs apply {e cumulatively} — each attempt escalates on top of the
+    previous parameter set. *)
 type rung =
   | Baseline  (** the caller's own parameters (always attempt 0) *)
   | Equilibrate  (** Jacobi preconditioning of the SDP data *)
@@ -142,15 +143,7 @@ type rung =
   | Bump_iters of float  (** multiply [max_iter] *)
 
 val rung_name : rung -> string
-
-val default_ladder : rung list
-(** [Equilibrate; Jitter 1; Relax_tol 10; Bump_iters 3]. *)
-
-val ladder_of_string : string -> (rung list, string) result
-(** ["default"], ["none"], or a comma list of [equilibrate], [jitter:K],
-    [relax:F], [bump:F] (suffixes optional). *)
-
-val ladder_to_string : rung list -> string
+(** [baseline], [equilibrate], [jitter:K], [relax:F], [bump:F]. *)
 
 (** Everything recorded about one solve attempt. *)
 type attempt = {
@@ -190,7 +183,6 @@ val diagnosis_to_json : diagnosis -> string
     [Degraded] rather than [Failed]; acceptance must then be gated by
     exact validation. *)
 type policy = {
-  ladder : rung list;
   retries_enabled : bool;
   quiet : bool;
       (** probe mode: non-certified outcomes are expected answers — they
@@ -213,7 +205,6 @@ type policy = {
 and clock
 
 val make :
-  ?ladder:rung list ->
   ?retries:bool ->
   ?pipeline_deadline_s:float ->
   ?faults:Faults.plan ->
@@ -221,7 +212,7 @@ val make :
   unit ->
   policy
 (** Fresh policy (fresh clock/journal, fresh warm-start session).
-    Defaults: {!default_ladder}, retries on, no deadline, no faults, no
+    Defaults: retries on (the one ladder), no deadline, no faults, no
     supervisor. *)
 
 val session_of : policy -> Sdp.Session.t option

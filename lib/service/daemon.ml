@@ -67,7 +67,6 @@ type config = {
   job_retries : int;
   lease_ttl_s : float;
   heartbeat_interval_s : float;
-  lock_wait_s : float;
   faults : Fault.plan;
   resume : bool;
 }
@@ -85,7 +84,6 @@ let default_config ~run_dir =
     job_retries = 2;
     lease_ttl_s = 30.0;
     heartbeat_interval_s = 1.0;
-    lock_wait_s = 0.0;
     faults = Fault.none;
     resume = false;
   }
@@ -911,103 +909,95 @@ let loop st =
 
 let run cfg =
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("verifyd: " ^ m); 1) fmt in
-  Fs.mkdir_p cfg.run_dir;
-  match Supervise.Lock.acquire ~dir:cfg.run_dir ~wait_s:cfg.lock_wait_s () with
+  match Supervise.claim ~run_dir:cfg.run_dir ~ledger:Jobqueue.ledger ~resume:cfg.resume () with
   | Error diag -> fail "%s" diag
-  | Ok _ -> (
+  | Ok () -> (
       match Jobqueue.open_ ~dir:cfg.run_dir with
       | Error why -> fail "%s" why
-      | Ok (q, recovered, diags) ->
+      | Ok (q, recovered, diags) -> (
           List.iter (fun d -> Log.warn (fun k -> k "%s" d)) diags;
-          if Jobqueue.had_entries q && not cfg.resume then
-            fail
-              "{\"error\":\"queue-not-resumed\",\"message\":\"run directory %s has a \
-               job-queue ledger; restart with --resume (or use a fresh directory)\"}"
-              (Json.escape cfg.run_dir)
-          else begin
-            let sock = socket_path cfg in
-            (try Unix.unlink sock with Unix.Unix_error _ -> ());
-            let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            match
-              Unix.bind listen (Unix.ADDR_UNIX sock);
-              Unix.listen listen 64
-            with
-            | exception Unix.Unix_error (err, _, _) ->
-                close_fd listen;
-                fail "cannot listen on %s: %s" sock (Unix.error_message err)
-            | () ->
-                Fs.mkdir_p (Filename.concat cfg.run_dir "results");
-                Fs.mkdir_p (Filename.concat cfg.run_dir "dead-letter");
-                let cache =
-                  Supervise.Cache.create ~dir:(Filename.concat cfg.run_dir "cache")
-                in
-                let draining = ref false and interrupted = ref false in
-                Sys.set_signal Sys.sigterm
-                  (Sys.Signal_handle (fun _ -> draining := true));
-                Sys.set_signal Sys.sigint
-                  (Sys.Signal_handle (fun _ -> interrupted := true));
-                (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-                 with Invalid_argument _ -> ());
-                let st =
-                  {
-                    cfg;
-                    sock;
-                    q;
-                    cache;
-                    listen;
-                    clients = [];
-                    pending = Queue.create ();
-                    pool =
-                      Supervise.Pool.create ~ttl_s:cfg.lease_ttl_s
-                        ~beat_s:cfg.heartbeat_interval_s ~cap:cfg.workers ();
-                    pids = Hashtbl.create 16;
-                    waiters = Hashtbl.create 16;
-                    detached = Hashtbl.create 16;
-                    by_fp = Hashtbl.create 16;
-                    retries = Hashtbl.create 16;
-                    not_before = Hashtbl.create 16;
-                    history = Hashtbl.create 16;
-                    breaker =
-                      Breaker.create ~threshold:cfg.breaker_threshold
-                        ~cooldown_s:cfg.breaker_cooldown_s ~now:Unix.gettimeofday ();
-                    c =
-                      {
-                        submits = 0;
-                        accepted = 0;
-                        shed = 0;
-                        deduped = 0;
-                        cache_served = 0;
-                        breaker_rejects = 0;
-                        completed = 0;
-                        crashes = 0;
-                        timeouts = 0;
-                        cancelled = 0;
-                        leases_reclaimed = 0;
-                        redispatched = 0;
-                        dead_lettered = 0;
-                      };
-                    fired = [];
-                    draining;
-                    interrupted;
-                  }
-                in
-                (* Recovered jobs re-dispatch detached: their original
-                   clients are gone; completed solves replay from the
-                   cache, so recovery costs zero re-solves. *)
-                List.iter
-                  (fun (e : Jobqueue.entry) ->
-                    Queue.add e.Jobqueue.id st.pending;
-                    Hashtbl.replace st.by_fp e.Jobqueue.fp e.Jobqueue.id;
-                    Hashtbl.replace st.detached e.Jobqueue.id ())
-                  recovered;
-                maybe_cache_gc st;
-                Format.printf
-                  "verifyd: listening on %s (run dir %s, %d workers, queue cap %d%s)@."
-                  sock cfg.run_dir cfg.workers cfg.queue_cap
-                  (if recovered <> [] then
-                     Printf.sprintf "; recovered %d in-flight job(s)"
-                       (List.length recovered)
-                   else "");
-                Format.pp_print_flush Format.std_formatter ();
-                loop st
-          end)
+          let sock = socket_path cfg in
+          (try Unix.unlink sock with Unix.Unix_error _ -> ());
+          let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match
+            Unix.bind listen (Unix.ADDR_UNIX sock);
+            Unix.listen listen 64
+          with
+          | exception Unix.Unix_error (err, _, _) ->
+              close_fd listen;
+              fail "cannot listen on %s: %s" sock (Unix.error_message err)
+          | () ->
+              Fs.mkdir_p (Filename.concat cfg.run_dir "results");
+              Fs.mkdir_p (Filename.concat cfg.run_dir "dead-letter");
+              let cache =
+                Supervise.Cache.create ~dir:(Filename.concat cfg.run_dir "cache")
+              in
+              let draining = ref false and interrupted = ref false in
+              Sys.set_signal Sys.sigterm
+                (Sys.Signal_handle (fun _ -> draining := true));
+              Sys.set_signal Sys.sigint
+                (Sys.Signal_handle (fun _ -> interrupted := true));
+              (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+               with Invalid_argument _ -> ());
+              let st =
+                {
+                  cfg;
+                  sock;
+                  q;
+                  cache;
+                  listen;
+                  clients = [];
+                  pending = Queue.create ();
+                  pool =
+                    Supervise.Pool.create ~ttl_s:cfg.lease_ttl_s
+                      ~beat_s:cfg.heartbeat_interval_s ~cap:cfg.workers ();
+                  pids = Hashtbl.create 16;
+                  waiters = Hashtbl.create 16;
+                  detached = Hashtbl.create 16;
+                  by_fp = Hashtbl.create 16;
+                  retries = Hashtbl.create 16;
+                  not_before = Hashtbl.create 16;
+                  history = Hashtbl.create 16;
+                  breaker =
+                    Breaker.create ~threshold:cfg.breaker_threshold
+                      ~cooldown_s:cfg.breaker_cooldown_s ~now:Unix.gettimeofday ();
+                  c =
+                    {
+                      submits = 0;
+                      accepted = 0;
+                      shed = 0;
+                      deduped = 0;
+                      cache_served = 0;
+                      breaker_rejects = 0;
+                      completed = 0;
+                      crashes = 0;
+                      timeouts = 0;
+                      cancelled = 0;
+                      leases_reclaimed = 0;
+                      redispatched = 0;
+                      dead_lettered = 0;
+                    };
+                  fired = [];
+                  draining;
+                  interrupted;
+                }
+              in
+              (* Recovered jobs re-dispatch detached: their original
+                 clients are gone; completed solves replay from the
+                 cache, so recovery costs zero re-solves. *)
+              List.iter
+                (fun (e : Jobqueue.entry) ->
+                  Queue.add e.Jobqueue.id st.pending;
+                  Hashtbl.replace st.by_fp e.Jobqueue.fp e.Jobqueue.id;
+                  Hashtbl.replace st.detached e.Jobqueue.id ())
+                recovered;
+              maybe_cache_gc st;
+              Format.printf
+                "verifyd: listening on %s (run dir %s, %d workers, queue cap %d%s)@."
+                sock cfg.run_dir cfg.workers cfg.queue_cap
+                (if recovered <> [] then
+                   Printf.sprintf "; recovered %d in-flight job(s)"
+                     (List.length recovered)
+                 else "");
+              Format.pp_print_flush Format.std_formatter ();
+              loop st))

@@ -112,7 +112,6 @@ type config = {
   heartbeat_interval_s : float;
       (** minimum spacing of worker heartbeats (rate limit, not period:
           workers beat at solve entry and every solver iteration) *)
-  lock_wait_s : float;
   faults : Fault.plan;
   resume : bool;
 }
@@ -124,6 +123,7 @@ val default_config : run_dir:string -> config
 
 val run : config -> int
 (** Run the daemon until drained (exit 0), interrupted (130), or a
-    setup failure (1: lock held, un-resumed non-empty queue ledger,
-    unusable socket). Structured diagnoses go to stderr; operational
+    setup failure (1: lock held, a non-empty queue ledger without
+    [resume] — both refused by {!Supervise.claim} — or an unusable
+    socket). Structured diagnoses go to stderr; operational
     lines to stdout. *)

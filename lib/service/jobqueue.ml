@@ -26,7 +26,6 @@ type t = {
   mutable next_seq : int;
   tbl : (string, entry) Hashtbl.t;
   mutable order : string list;  (* reverse submit order *)
-  existing : bool;
 }
 
 let magic = "pll-queue v1"
@@ -94,7 +93,7 @@ let replay file =
       | _ -> diag "unknown ledger verb")
     r.Wal.records;
   let in_order = List.rev_map (fun id -> Hashtbl.find entries id) !order in
-  (in_order, !seq_hw, List.rev !diags @ r.Wal.diags, r.Wal.records <> [] || r.Wal.diags <> [])
+  (in_order, !seq_hw, List.rev !diags @ r.Wal.diags)
 
 (* ----------------------------------------------------------------- *)
 (* Appends *)
@@ -105,7 +104,7 @@ let submit_line e =
 let open_ ~dir =
   Substrate.Fs.mkdir_p dir;
   let file = path dir in
-  let all, seq_hw, diags, existing = replay file in
+  let all, seq_hw, diags = replay file in
   let recovered = List.filter (fun e -> e.state = Pending || e.state = Running) all in
   List.iter (fun e -> e.state <- Pending) recovered;
   (* Compact: survivors only, re-submitted, under a fresh seq high-water
@@ -118,9 +117,18 @@ let open_ ~dir =
       let tbl = Hashtbl.create 64 in
       List.iter (fun e -> Hashtbl.replace tbl e.id e) recovered;
       let order = List.rev_map (fun e -> e.id) recovered in
-      Ok ({ wal; next_seq = seq_hw + 1; tbl; order; existing }, recovered, diags)
+      Ok ({ wal; next_seq = seq_hw + 1; tbl; order }, recovered, diags)
 
-let had_entries t = t.existing
+(* Every line on record counts, terminal or not, torn or not: a ledger
+   that ever held anything is never silently discarded. *)
+let ledger =
+  {
+    Supervise.name = "queue";
+    entries =
+      (fun dir ->
+        let r = Wal.replay ~magic (path dir) in
+        List.length r.Wal.records + List.length r.Wal.diags);
+  }
 
 let submit t cell =
   let id = Printf.sprintf "j%d" t.next_seq in

@@ -57,9 +57,10 @@ val open_ :
     the recovered non-terminal entries (now pending, in original submit
     order) and one diagnosis per malformed line. *)
 
-val had_entries : t -> bool
-(** Whether the ledger already had any entries (terminal or not) when
-    opened — the daemon refuses such a directory without [--resume]. *)
+val ledger : Supervise.ledger
+(** The queue ledger as the daemon's record of work: its lines on
+    record, terminal or not. The daemon refuses a directory whose
+    ledger holds any without [--resume] ([queue-not-resumed]). *)
 
 val submit : t -> Bulk.cell_spec -> entry
 (** Admit a job: assign the next id, ledger the [submit] line (fsync'd)

@@ -279,15 +279,14 @@ module Lock = struct
     | _ -> ());
     Hashtbl.remove held file
 
-  let diagnosis ~dir ~pid ~waited_s =
+  let diagnosis ~dir ~pid =
     Printf.sprintf
-      "{\"error\":\"run-dir-locked\",\"dir\":\"%s\",\"lock\":\"%s\",\"holder_pid\":%d,\"waited_s\":%.1f,\"hint\":\"another process is using this run directory's solve cache; wait for it, pick a fresh --run-dir, or remove the lock file if the holder is gone\"}"
-      (Json.escape dir) (Json.escape (path dir)) pid waited_s
+      "{\"error\":\"run-dir-locked\",\"dir\":\"%s\",\"lock\":\"%s\",\"holder_pid\":%d,\"waited_s\":0.0,\"hint\":\"another process is using this run directory's solve cache; wait for it, pick a fresh --run-dir, or remove the lock file if the holder is gone\"}"
+      (Json.escape dir) (Json.escape (path dir)) pid
 
-  let acquire ~dir ?(wait_s = 0.0) () =
+  let acquire ~dir () =
     Fs.mkdir_p dir;
     let file = path dir in
-    let deadline = Unix.gettimeofday () +. wait_s in
     let rec go ~stole =
       match Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
       | fd ->
@@ -340,12 +339,7 @@ module Lock = struct
                       (try Unix.link claim file with Unix.Unix_error _ -> ());
                       (try Sys.remove claim with Sys_error _ -> ());
                       go ~stole))
-          | Some pid ->
-              if Unix.gettimeofday () < deadline then begin
-                Unix.sleepf 0.05;
-                go ~stole
-              end
-              else Error (diagnosis ~dir ~pid ~waited_s:wait_s)
+          | Some pid -> Error (diagnosis ~dir ~pid)
           | None ->
               (* Lock vanished between EEXIST and the read: retry. *)
               go ~stole)
@@ -473,6 +467,11 @@ let sweep_legacy_tmp dir =
         names;
       (try Unix.rmdir tmp with Unix.Unix_error _ -> ())
 
+(* Completed solves on record: what a resumed run replays from cache. *)
+let completed_solves entries =
+  List.length
+    (List.filter (fun (e : Journal.entry) -> e.source = "solved" || e.source = "cache") entries)
+
 let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
   let jobs = match jobs with Some j -> max 1 j | None -> ncpus () in
   let cache_, journal, replayed =
@@ -484,15 +483,9 @@ let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
         sweep_legacy_tmp dir;
         let completed, diags = Journal.read dir in
         List.iter (fun d -> Log.warn (fun k -> k "%s" d)) diags;
-        let replayed =
-          List.length
-            (List.filter
-               (fun (e : Journal.entry) -> e.source = "solved" || e.source = "cache")
-               completed)
-        in
         ( Some (Cache.create ~dir:(Filename.concat dir "cache")),
           Some (Journal.open_ dir),
-          replayed )
+          completed_solves completed )
   in
   {
     jobs;
@@ -509,6 +502,43 @@ let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
     interrupted = false;
     worker = None;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Opening a run directory                                            *)
+(* ------------------------------------------------------------------ *)
+
+type ledger = { name : string; entries : string -> int }
+
+let journal = { name = "journal"; entries = (fun dir -> completed_solves (fst (Journal.read dir))) }
+
+let check_resume ledger ~run_dir ~resume =
+  match ledger.entries run_dir with
+  | n when n > 0 && not resume ->
+      Error
+        (Printf.sprintf
+           "{\"error\":\"%s-not-resumed\",\"run_dir\":\"%s\",\"entries\":%d,\"hint\":\"this run directory's %s ledger already holds %d entr%s; rerun with --resume to continue it, or use a fresh run directory\"}"
+           ledger.name (Json.escape run_dir) n ledger.name n
+           (if n = 1 then "y" else "ies"))
+  | _ -> Ok ()
+
+let claim ~run_dir ?fingerprint ~ledger ~resume () =
+  let ( let* ) = Result.bind in
+  let* _ = Lock.acquire ~dir:run_dir () in
+  let* _ =
+    match fingerprint with
+    | Some fingerprint -> Config_guard.check ~run_dir ~fingerprint ~summary:fingerprint
+    | None -> Ok Config_guard.Matched
+  in
+  check_resume ledger ~run_dir ~resume
+
+let open_run ?run_dir ?resume ?jobs ?solve_timeout_s ?mem_limit_mb ~ledger ~fingerprint () =
+  let run_dir = if resume <> None then resume else run_dir in
+  let claimed =
+    match run_dir with
+    | None -> Ok ()
+    | Some dir -> claim ~run_dir:dir ~fingerprint ~ledger ~resume:(resume <> None) ()
+  in
+  Result.map (fun () -> create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ()) claimed
 
 let jobs ctx = ctx.jobs
 let run_dir ctx = ctx.run_dir

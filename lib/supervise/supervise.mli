@@ -174,8 +174,8 @@ end
 
 (** Advisory lock on a run directory, guarding its solve cache. Two
     processes sharing a [--run-dir] would interleave tmp+rename writes
-    and journal appends; the lock makes the second either wait (bounded)
-    or fail with a structured JSON diagnosis. The lock file
+    and journal appends; the lock makes the second fail fast with a
+    structured JSON diagnosis. The lock file
     ([cache.lock]) carries the holder's pid; a lock whose holder is dead
     (kill -9, OOM) is detected as stale and stolen, so a crashed run
     never wedges its successors. Purely advisory: only cooperating
@@ -191,10 +191,10 @@ module Lock : sig
   val path : string -> string
   (** Lock-file path for a run directory. *)
 
-  val acquire : dir:string -> ?wait_s:float -> unit -> (acquisition, string) result
-  (** Try to take the lock, polling for up to [wait_s] (default 0:
-      fail fast) while a live holder exists. [Error] carries a
-      machine-readable JSON diagnosis naming the holder pid. *)
+  val acquire : dir:string -> unit -> (acquisition, string) result
+  (** Take the lock, or fail at once while a live holder exists:
+      [Error] carries a machine-readable JSON diagnosis naming the
+      holder pid. *)
 
   val release : dir:string -> unit
   (** Remove the lock if this process holds it; no-op otherwise. *)
@@ -267,6 +267,51 @@ val create :
     directory, result files left in [tmp/] by runs of the earlier
     file-based worker protocol are deleted, and [tmp/] with them once
     empty. *)
+
+(** {2 Opening a run directory}
+
+    The one front door of [verify_pll], [atlas_pll] and [verifyd]: the
+    {!Lock}, the {!Config_guard} fingerprint, then the [--resume]
+    decision. *)
+
+(** A tool's record of completed work in a run directory: [name] names
+    the refusal ([<name>-not-resumed]), [entries dir] counts the work. *)
+type ledger = { name : string; entries : string -> int }
+
+val journal : ledger
+(** The {!Journal}'s completed solves (solved or answered from cache):
+    [verify_pll]'s work. *)
+
+val check_resume : ledger -> run_dir:string -> resume:bool -> (unit, string) result
+(** The one [--resume] decision: [Error] with the JSON diagnosis
+    [{"error":"<name>-not-resumed","run_dir":…,"entries":N,"hint":…}]
+    when the ledger holds [N > 0] entries and [resume] is [false].
+    [--resume] on a fresh directory starts a run. *)
+
+val claim :
+  run_dir:string ->
+  ?fingerprint:string ->
+  ledger:ledger ->
+  resume:bool ->
+  unit ->
+  (unit, string) result
+(** Lock the directory, check [fingerprint] (when given) against the
+    one stored there, then {!check_resume}. The first refusal's JSON
+    diagnosis is the [Error]. *)
+
+val open_run :
+  ?run_dir:string ->
+  ?resume:string ->
+  ?jobs:int ->
+  ?solve_timeout_s:float ->
+  ?mem_limit_mb:int ->
+  ledger:ledger ->
+  fingerprint:string ->
+  unit ->
+  (ctx, string) result
+(** {!claim} the run directory — [resume], the [--resume DIR] value,
+    names it in place of [run_dir] and continues it — then {!create}
+    the context. Without a directory there is nothing to claim. *)
 
 val jobs : ctx -> int
 val run_dir : ctx -> string option

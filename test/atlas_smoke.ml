@@ -17,7 +17,10 @@
      1), malformed fault plans are usage errors (exit 124) in both
      atlas_pll and verify_pll, and so are the per-solve worker knobs
      atlas cells never use (--solve-timeout, kill@S:I) and, with
-     --via-daemon, every fault token but kill@CELL. *)
+     --via-daemon, every fault token but kill@CELL;
+   - verify_pll's run dir: a verdict, a refused re-run without
+     --resume, a resume with zero re-solves and the same level, and a
+     config-drift refusal. *)
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("atlas_smoke: " ^ m); exit 1) fmt
 
@@ -179,4 +182,45 @@ let () =
   ignore
     (run ~expect:124 ~what:"verify_pll bad fault plan"
        (verify_exe ^ " -o third --fault-plan melt@1"));
+
+  (* verify_pll's run dir: a verdict, a refused re-run without
+     --resume, a resume that replays every solve from the cache (the
+     journal gains no solved line, the verdict and level are the same)
+     and a refused resume under another degree. *)
+  let verify degree args =
+    verify_exe ^ " -o third -d " ^ degree ^ " --advect-iters 4 " ^ args
+  in
+  let vdir = dir "V" in
+  let journal = Filename.concat root "V/journal.log" in
+  let beta_line log =
+    match
+      List.find_opt
+        (fun l -> contains l "beta =")
+        (String.split_on_char '\n' (read_file log))
+    with
+    | Some l -> l
+    | None -> die "no beta line in %s:\n%s" log (read_file log)
+  in
+  let first = run ~expect:0 ~what:"verify_pll run dir" (verify "4" ("--run-dir " ^ vdir)) in
+  if not (contains (read_file first) "VERIFIED") then
+    die "verify_pll did not verify:\n%s" (read_file first);
+  let solved = count_lines_with journal " solved " in
+  if solved = 0 then die "verify_pll journaled no solves";
+  let refused =
+    run ~expect:1 ~what:"verify_pll populated dir without --resume"
+      (verify "4" ("--run-dir " ^ vdir))
+  in
+  if not (contains (read_file refused) "not-resumed") then
+    die "verify_pll refusal lacks the not-resumed diagnosis:\n%s" (read_file refused);
+  let resumed = run ~expect:0 ~what:"verify_pll --resume" (verify "4" ("--resume " ^ vdir)) in
+  if beta_line resumed <> beta_line first then
+    die "resumed level differs: %S vs %S" (beta_line resumed) (beta_line first);
+  if count_lines_with journal " solved " <> solved then
+    die "verify_pll --resume re-solved (journal: %d solved lines, was %d)"
+      (count_lines_with journal " solved ") solved;
+  let drift =
+    run ~expect:1 ~what:"verify_pll drifted resume" (verify "6" ("--resume " ^ vdir))
+  in
+  if not (contains (read_file drift) "config-drift") then
+    die "verify_pll drifted resume lacks the config-drift diagnosis";
   print_endline "atlas_smoke: OK"

@@ -1,5 +1,5 @@
-(* Tests of the resilient solve orchestration layer: fault-plan and
-   ladder parsing, ladder recovery from injected failures, structured
+(* Tests of the resilient solve orchestration layer: fault-plan
+   parsing, ladder recovery from injected failures, structured
    failure diagnoses when retries are off, deadlines, and probe mode. *)
 
 module Ppoly = Sos.Ppoly
@@ -38,23 +38,6 @@ let test_fault_plan_parsing () =
   (* Token-level claims and refusals live in the shared fault table. *)
   Alcotest.(check string) "round trip" "fail@1:2,trunc@*:3,noise@2:1:0.5"
     (Resilient.Faults.to_string (plan "fail@1:2, trunc@*:3, noise@2:1:0.5"))
-
-let test_ladder_parsing () =
-  (match Resilient.ladder_of_string "default" with
-  | Ok l -> Alcotest.(check bool) "default ladder" true (l = Resilient.default_ladder)
-  | Error e -> Alcotest.failf "default rejected: %s" e);
-  (match Resilient.ladder_of_string "none" with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "none must be the empty ladder"
-  | Error e -> Alcotest.failf "none rejected: %s" e);
-  (match Resilient.ladder_of_string "equilibrate,jitter:2,relax:5,bump:2" with
-  | Ok l ->
-      Alcotest.(check string) "round trip" "equilibrate,jitter:2,relax:5,bump:2"
-        (Resilient.ladder_to_string l)
-  | Error e -> Alcotest.failf "custom ladder rejected: %s" e);
-  match Resilient.ladder_of_string "warp:9" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown rung accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Ladder recovery: a forced Numerical_failure on the baseline attempt
@@ -135,9 +118,10 @@ let test_probe_is_quiet () =
    sweep cell's true cost is visible to its orchestrator. *)
 
 let test_consumed_budget () =
-  (* An injected baseline failure forces one ladder retry, so the meter
-     must show two attempts for one logical solve. *)
-  let pol = Resilient.make ~ladder:[ Resilient.Equilibrate ] ~faults:(plan "fail@1:1") () in
+  (* An injected baseline failure forces one ladder retry (its first
+     rung, equilibration, recovers), so the meter must show two attempts
+     for one logical solve. *)
+  let pol = Resilient.make ~faults:(plan "fail@1:1") () in
   let zero = Resilient.consumed pol in
   Alcotest.(check int) "fresh: no attempts" 0 zero.Resilient.attempts;
   Alcotest.(check int) "fresh: no solves" 0 zero.Resilient.solves;
@@ -226,7 +210,6 @@ let suite =
     Alcotest.test_case "fault plan parsing" `Quick test_fault_plan_parsing;
     Alcotest.test_case "lease backoff ladder" `Quick test_lease_backoff;
     Alcotest.test_case "consumed budget" `Quick test_consumed_budget;
-    Alcotest.test_case "ladder parsing" `Quick test_ladder_parsing;
     Alcotest.test_case "ladder recovers injected failure" `Quick
       test_ladder_recovers_injected_failure;
     Alcotest.test_case "fault targets logical solve" `Quick test_fault_targets_logical_solve;

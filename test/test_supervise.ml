@@ -715,7 +715,7 @@ let test_lock_stale_steal_contention () =
         ignore (Unix.read go_r (Bytes.create 1) 0 1);
         Unix.close go_r;
         let outcome =
-          match Supervise.Lock.acquire ~dir ~wait_s:0.0 () with
+          match Supervise.Lock.acquire ~dir () with
           | Ok _ -> 0 (* winner *)
           | Error diag when contains diag "run-dir-locked" -> 1 (* loser *)
           | Error _ -> 2
@@ -747,7 +747,7 @@ let test_lock_stale_steal_contention () =
   (* The winner has exited by now, so its lock is stale in turn and a
      third contender steals it cleanly — the protocol leaves no debris
      (claim files) that would wedge future acquisitions. *)
-  (match Supervise.Lock.acquire ~dir ~wait_s:0.0 () with
+  (match Supervise.Lock.acquire ~dir () with
   | Ok (Supervise.Lock.Stolen_stale pid) ->
       Alcotest.(check bool) "third contender steals the dead winner's lock" true
         (pid = a || pid = b)
@@ -761,7 +761,7 @@ let test_lock_refuses_live_holder () =
   let oc = open_out (Supervise.Lock.path dir) in
   output_string oc "1";
   close_out oc;
-  match Supervise.Lock.acquire ~dir ~wait_s:0.0 () with
+  match Supervise.Lock.acquire ~dir () with
   | Ok _ -> Alcotest.fail "live holder must refuse"
   | Error diag ->
       Alcotest.(check bool) "structured diagnosis" true
@@ -775,7 +775,7 @@ let test_lock_diagnosis_escapes_dir () =
   let oc = open_out (Supervise.Lock.path dir) in
   output_string oc "1";
   close_out oc;
-  match Supervise.Lock.acquire ~dir ~wait_s:0.0 () with
+  match Supervise.Lock.acquire ~dir () with
   | Ok _ -> Alcotest.fail "live holder must refuse"
   | Error diag -> (
       match Service.Json.parse diag with
@@ -801,9 +801,42 @@ let test_config_guard () =
         (contains diag "config-drift" && contains diag "s1" && contains diag "s2")
   | Ok _ -> Alcotest.fail "drifted config must refuse"
 
+(* The run-directory front door: a ledger that records work is
+   continued only with --resume (one JSON refusal naming the ledger),
+   --resume on a fresh directory starts a run, and the fingerprint is
+   checked before the decision. *)
+
+let test_open_run_resume () =
+  let dir = lock_tmpdir () in
+  let held = ref 0 in
+  let ledger = { Supervise.name = "toy"; entries = (fun _ -> !held) } in
+  let open_ ?resume ?(fingerprint = "cfg v1") () =
+    let run_dir = if resume = None then Some dir else None in
+    Result.map ignore (Supervise.open_run ?run_dir ?resume ~ledger ~fingerprint ())
+  in
+  Alcotest.(check int) "fresh journal holds no solves" 0 (Supervise.journal.Supervise.entries dir);
+  Alcotest.(check bool) "--resume on a fresh dir starts a run" true
+    (open_ ~resume:dir () = Ok ());
+  Alcotest.(check bool) "a fresh dir opens without --resume" true (open_ () = Ok ());
+  held := 3;
+  (match open_ () with
+  | Ok () -> Alcotest.fail "a populated dir without --resume must refuse"
+  | Error diag -> (
+      match Service.Json.parse diag with
+      | Ok j ->
+          Alcotest.(check (option string)) "refusal kind" (Some "toy-not-resumed")
+            (Service.Json.mem_str "error" j)
+      | Error e -> Alcotest.failf "refusal is not JSON (%s): %s" e diag));
+  Alcotest.(check bool) "--resume continues it" true (open_ ~resume:dir () = Ok ());
+  (match open_ ~resume:dir ~fingerprint:"cfg v2" () with
+  | Error diag -> Alcotest.(check bool) "drift refused" true (contains diag "config-drift")
+  | Ok () -> Alcotest.fail "a drifted resume must refuse");
+  Supervise.Lock.release ~dir
+
 let suite =
   [
     Alcotest.test_case "fingerprint-stable" `Quick test_fingerprint_stable;
+    Alcotest.test_case "open-run-resume" `Quick test_open_run_resume;
     Alcotest.test_case "lock-acquire-reenter" `Quick test_lock_acquire_and_reenter;
     Alcotest.test_case "lock-steals-stale" `Quick test_lock_steals_stale;
     Alcotest.test_case "lock-stale-steal-contention" `Quick test_lock_stale_steal_contention;

@@ -65,7 +65,11 @@
 #     bin/ .ml file calls `Lock.acquire` or `Config_guard.check` or
 #     contains a `not-resumed` literal: the tools open their run dir with
 #     `Supervise.open_run`/`claim`, and refuse through
-#     `Supervise.check_resume`.
+#     `Supervise.check_resume`;
+# 15. one owner for the daemon protocol — outside lib/service no lib/ or
+#     bin/ .ml file contains the quoted literals "cmd", "bulk-accepted",
+#     "cell-result" or "retry_after_s": requests are built and replies
+#     read by `Service.Client` alone.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -218,6 +222,12 @@ strays="$(grep -nE 'Lock\.acquire|Config_guard\.check|not-resumed' "$repo"/lib/*
   "$repo"/bin/*.ml 2>/dev/null | grep -v "^$repo/lib/supervise/" || true)"
 [ -z "$strays" ] || \
   fail "a run dir opened outside Supervise.open_run/claim:$(echo " $strays" | sed "s|$repo/||g")"
+
+# One owner for the daemon protocol (check 15).
+strays="$(grep -nE '"(cmd|bulk-accepted|cell-result|retry_after_s)"' "$repo"/lib/*/*.ml \
+  "$repo"/bin/*.ml 2>/dev/null | grep -v "^$repo/lib/service/" || true)"
+[ -z "$strays" ] || \
+  fail "daemon protocol messages outside lib/service (call Service.Client):$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

@@ -65,7 +65,7 @@ let submit sock timeout order property degree robust point bisect_steps advect_i
       cli_error
   | Ok spec -> (
       match
-        Service.Client.submit_with_retries ~sock ~wait:(not no_wait)
+        Service.Client.submit ~sock ~wait:(not no_wait)
           ~timeout_s:timeout ~retries ~retry_base_s:retry_base spec
       with
       | Error diag -> refuse diag

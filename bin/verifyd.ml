@@ -20,9 +20,8 @@ let setup_logs verbose =
 
 let cli_error = 124
 
-let run run_dir resume sock workers queue_cap cache_max_mb breaker_threshold
-    breaker_cooldown default_deadline job_retries lease_ttl heartbeat_interval
-    fault_plan verbose =
+let run run_dir resume sock workers queue_cap cache_max_mb default_deadline job_retries
+    lease_ttl fault_plan verbose =
   setup_logs verbose;
   match
     let ( let* ) = Result.bind in
@@ -30,18 +29,10 @@ let run run_dir resume sock workers queue_cap cache_max_mb breaker_threshold
     let* () = if workers >= 1 then Ok () else Error "--workers must be >= 1" in
     let* () = if queue_cap >= 1 then Ok () else Error "--queue-cap must be >= 1" in
     let* () =
-      if breaker_threshold >= 1 then Ok ()
-      else Error "--breaker-threshold must be >= 1"
-    in
-    let* () =
       if job_retries >= 0 then Ok () else Error "--job-retries must be >= 0"
     in
     let* () =
       if lease_ttl > 0.0 then Ok () else Error "--lease-ttl must be positive"
-    in
-    let* () =
-      if heartbeat_interval >= 0.0 then Ok ()
-      else Error "--heartbeat-interval must be >= 0"
     in
     let* () =
       match cache_max_mb with
@@ -66,12 +57,9 @@ let run run_dir resume sock workers queue_cap cache_max_mb breaker_threshold
           workers;
           queue_cap;
           cache_max_mb;
-          breaker_threshold;
-          breaker_cooldown_s = breaker_cooldown;
           default_deadline_s = default_deadline;
           job_retries;
           lease_ttl_s = lease_ttl;
-          heartbeat_interval_s = heartbeat_interval;
           faults;
           resume;
         }
@@ -111,16 +99,6 @@ let cache_max_mb =
                startup) least-recently-used entries are evicted until the cache \
                fits. Default: unbounded.")
 
-let breaker_threshold =
-  Arg.(value & opt int 3 & info [ "breaker-threshold" ] ~docv:"N"
-         ~doc:"Consecutive worker crashes that open the circuit breaker, degrading \
-               the daemon to cache-only serving until a cooldown and a successful \
-               probe close it again.")
-
-let breaker_cooldown =
-  Arg.(value & opt float 30.0 & info [ "breaker-cooldown" ] ~docv:"SEC"
-         ~doc:"Seconds an open breaker waits before admitting a single probe job.")
-
 let default_deadline =
   Arg.(value & opt (some float) None & info [ "default-deadline" ] ~docv:"SEC"
          ~doc:"Per-job pipeline deadline applied to every job (point or cell) \
@@ -139,11 +117,6 @@ let lease_ttl =
                heartbeat (workers beat at solve entry and every solver \
                iteration) is presumed wedged, SIGKILLed, and its job \
                re-dispatched under the $(b,--job-retries) budget.")
-
-let heartbeat_interval =
-  Arg.(value & opt float 1.0 & info [ "heartbeat-interval" ] ~docv:"SEC"
-         ~doc:"Minimum spacing between worker heartbeats (a rate limit, not a \
-               period).")
 
 let fault_plan =
   Arg.(value & opt string "none" & info [ "fault-plan" ] ~docv:"SPEC"
@@ -167,7 +140,6 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ run_dir_arg $ resume_arg $ sock $ workers $ queue_cap
-      $ cache_max_mb $ breaker_threshold $ breaker_cooldown $ default_deadline
-      $ job_retries $ lease_ttl $ heartbeat_interval $ fault_plan $ verbose)
+      $ cache_max_mb $ default_deadline $ job_retries $ lease_ttl $ fault_plan $ verbose)
 
 let () = exit (Cmd.eval' cmd)

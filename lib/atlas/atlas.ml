@@ -508,138 +508,21 @@ let exec_local ~ctx ~faults (job : job) : exec =
       | Supervise.Pool.Died why | Supervise.Pool.Lease_expired why -> settle c (Error why))
     cells
 
-(* The client side of bulk execution: ship the wave to the daemon as
-   one bulk request, settle cells as streamed [cell-result] lines arrive,
-   keyed by the content fingerprint (so daemon-side dedup of identical
-   boxes still answers every cell), resubmit deferred cells after their
-   [retry_after_s] hint, and survive daemon restarts by reconnecting
-   with jittered exponential backoff. Cells still unanswered when the
-   retry budget exhausts settle as [Error] — the atlas quarantines
-   them; it never wedges. *)
-let exec_via_daemon ~sock ?(retries = 10) (job : job) : exec =
+(* The daemon backend: the wave goes out through the one protocol
+   client, and each answered fingerprint settles every cell with that
+   box (the daemon dedups identical boxes onto one job). *)
+let exec_via_daemon ~sock ?retries (job : job) : exec =
  fun cells ~start ~settle ->
-  let module C = Service.Client in
-  let module J = Service.Json in
   let specs = List.map (fun c -> (c, cell_to_spec job c)) cells in
-  let fp_of s = Service.Bulk.fingerprint s in
-  let results : (string, Service.Bulk.probe) Hashtbl.t = Hashtbl.create 16 in
-  let answered fp p =
-    if not (Hashtbl.mem results fp) then begin
-      Hashtbl.replace results fp p;
-      List.iter (fun (c, s) -> if fp_of s = fp then settle c (Ok p)) specs
-    end
-  in
   List.iter start cells;
-  let fatal = ref None in
-  let remaining () =
-    let seen = Hashtbl.create 16 in
-    List.filter_map
-      (fun (_, s) ->
-        let fp = fp_of s in
-        if Hashtbl.mem results fp || Hashtbl.mem seen fp then None
-        else begin
-          Hashtbl.replace seen fp ();
-          Some s
-        end)
-      specs
-  in
-  let policy = { Resilient.Backoff.base_s = 0.5; max_s = 5.0 } in
-  let recv_timeout_s =
+  let timeout_s =
     (* Generous: covers a full cell pipeline; a dead daemon surfaces as
        server-gone long before this. *)
     match job.cell_budget_s with Some b -> (4.0 *. b) +. 60.0 | None -> 600.0
   in
-  let round todo =
-    (* One connection: submit [todo], drain answers until everything
-       not deferred is in. Returns the largest deferral hint seen. *)
-    match C.connect ~sock with
-    | Error _ -> 0.0
-    | Ok conn ->
-        let hint = ref 0.0 in
-        let req =
-          J.Obj
-            [
-              ("cmd", J.Str "bulk");
-              ( "cells",
-                J.Arr
-                  (List.map (fun s -> J.Str (Service.Bulk.to_line s)) todo) );
-            ]
-        in
-        (match C.send conn req with
-        | Error _ -> ()
-        | Ok () ->
-            let waiting = ref (List.map fp_of todo) in
-            let stop = ref false in
-            while (not !stop) && !waiting <> [] do
-              match C.recv ~timeout_s:recv_timeout_s conn with
-              | Error _ -> stop := true
-              | Ok v -> (
-                  match J.mem_str "type" v with
-                  | Some "cell-result" -> (
-                      match J.mem_str "fp" v with
-                      | Some fp ->
-                          (match
-                             Option.bind (J.member "probe" v) (fun p ->
-                                 Result.to_option (Service.Bulk.probe_of_json p))
-                           with
-                          | Some p -> answered fp p
-                          | None -> ());
-                          waiting := List.filter (fun f -> f <> fp) !waiting
-                      | None -> ())
-                  | Some "bulk-accepted" ->
-                      let deferred =
-                        match J.member "deferred" v with
-                        | Some (J.Arr l) -> l
-                        | _ -> []
-                      in
-                      let deferred_ids =
-                        List.filter_map (fun d -> J.mem_str "cell_id" d) deferred
-                      in
-                      List.iter
-                        (fun d ->
-                          match J.mem_num "retry_after_s" d with
-                          | Some r -> hint := Float.max !hint r
-                          | None -> ())
-                        deferred;
-                      if deferred_ids <> [] then begin
-                        let dfps =
-                          List.filter_map
-                            (fun s ->
-                              if
-                                List.mem s.Service.Bulk.cell_id deferred_ids
-                              then Some (fp_of s)
-                              else None)
-                            todo
-                        in
-                        waiting :=
-                          List.filter (fun f -> not (List.mem f dfps)) !waiting
-                      end
-                  | Some "error" ->
-                      fatal :=
-                        Some
-                          (Option.value (J.mem_str "message" v)
-                             ~default:"daemon rejected the bulk request");
-                      stop := true
-                  | _ -> ())
-            done);
-        C.close conn;
-        !hint
-  in
-  let attempt = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !fatal = None && remaining () <> [] do
-    incr attempt;
-    if !attempt > retries + 1 then stop := true
-    else begin
-      let hint = round (remaining ()) in
-      if remaining () <> [] && !attempt <= retries then
-        Unix.sleepf
-          (Float.max hint
-             (Resilient.Backoff.backoff_s policy ~key:"bulk" ~attempt:!attempt))
-    end
-  done;
-  let why = Option.value !fatal ~default:"daemon unreachable: bulk retry budget exhausted" in
-  List.iter (fun (c, s) -> if not (Hashtbl.mem results (fp_of s)) then settle c (Error why)) specs
+  Service.Client.bulk ~sock ?retries ~timeout_s (List.map snd specs)
+    ~answer:(fun fp r ->
+      List.iter (fun (c, s) -> if Service.Bulk.fingerprint s = fp then settle c r) specs)
 
 (* ----------------------------------------------------------------- *)
 (* Orchestration *)

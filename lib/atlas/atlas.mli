@@ -247,12 +247,9 @@ type exec =
 
 val exec_via_daemon : sock:string -> ?retries:int -> job -> exec
 (** Bulk execution over a running daemon: starts every cell of the
-    wave, ships it as one [bulk] request, settles cells as streamed
-    [cell-result] lines arrive (keyed by content fingerprint, so
-    daemon-side dedup still answers every cell),
-    resubmits deferred cells after their [retry_after_s] hint, and
-    survives daemon restarts by reconnecting with jittered exponential
-    backoff ([retries] extra rounds, default 10, base 0.5 s). Cells
+    wave and runs it through {!Service.Client.bulk} ([retries] extra
+    rounds, default 10), settling every cell whose fingerprint an
+    answer names, so daemon-side dedup still answers every cell. Cells
     still unanswered when the budget exhausts settle as [Error] —
     quarantined by the sweep, never a wedge. *)
 

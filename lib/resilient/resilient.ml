@@ -304,14 +304,6 @@ let failures p = List.filter (fun d -> d.outcome = Failed) (journal p)
 (* Reporting                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let status_string = function
-  | Sdp.Optimal -> "optimal"
-  | Sdp.Near_optimal -> "near_optimal"
-  | Sdp.Primal_infeasible -> "primal_infeasible"
-  | Sdp.Dual_infeasible -> "dual_infeasible"
-  | Sdp.Max_iterations -> "max_iterations"
-  | Sdp.Numerical_failure -> "numerical_failure"
-
 let outcome_string = function
   | Certified -> "certified"
   | Degraded -> "degraded"
@@ -327,8 +319,8 @@ let attempt_to_json a =
   Printf.sprintf
     "{\"rung\":\"%s\",\"status\":\"%s\",\"iterations\":%d,\"gap\":%s,\"primal_res\":%s,\"dual_res\":%s,\"best_score\":%s,\"faults_fired\":%d,\"time_s\":%s}"
     (Substrate.Json.escape (rung_name a.rung))
-    (status_string a.status) a.iterations (json_float a.gap) (json_float a.primal_res)
-    (json_float a.dual_res) (json_float a.best_score) a.faults_fired (json_float a.time_s)
+    (Supervise.status_string a.status) a.iterations (json_float a.gap)
+    (json_float a.primal_res) (json_float a.dual_res) (json_float a.best_score) a.faults_fired (json_float a.time_s)
 
 let diagnosis_to_json d =
   Printf.sprintf
@@ -342,7 +334,8 @@ let diagnosis_to_json d =
 
 let pp_attempt fmt a =
   Format.fprintf fmt "%s: %s after %d iters (gap %.2e, pres %.2e, dres %.2e%s)"
-    (rung_name a.rung) (status_string a.status) a.iterations a.gap a.primal_res a.dual_res
+    (rung_name a.rung) (Supervise.status_string a.status) a.iterations a.gap a.primal_res
+    a.dual_res
     (if a.faults_fired > 0 then Printf.sprintf ", %d fault(s) fired" a.faults_fired else "")
 
 let pp_diagnosis fmt d =

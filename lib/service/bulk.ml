@@ -176,6 +176,20 @@ let validate c =
   in
   let* () = if c.cell_id <> "" then Ok () else Error "cell id must be non-empty" in
   let* () =
+    match c.budget_s with
+    | Some b when not (Float.is_finite b && b > 0.0) ->
+        Error "budget must be positive and finite"
+    | _ -> Ok ()
+  in
+  let rec no_dup = function
+    | [] -> Ok ()
+    | (a, _, _) :: tl ->
+        if List.exists (fun (b, _, _) -> b = a) tl then
+          Error (Printf.sprintf "duplicate box axis %s" (Pll.axis_name a))
+        else no_dup tl
+  in
+  let* () = no_dup c.box in
+  let* () =
     List.fold_left
       (fun acc (a, lo, hi) ->
         let* () = acc in

@@ -100,69 +100,154 @@ let request ~sock ?timeout_s v =
       close c;
       r
 
+(* The one client retry loop: an attempt returns its result and, when
+   it should be retried, the server's [retry_after_s] hint. Between
+   attempts the client sleeps the larger of the hint and the jittered
+   backoff step, at most [retries] times. *)
+let with_retries ~retries ~policy ~key attempt =
+  let rec go n =
+    match attempt () with
+    | _, Some hint when n <= retries ->
+        Unix.sleepf (Float.max hint (Resilient.Backoff.backoff_s policy ~key ~attempt:n));
+        go (n + 1)
+    | r, _ -> r
+  in
+  go 1
+
 let terminal_types = [ "result"; "overloaded"; "degraded"; "draining"; "error" ]
-
-let submit ~sock ?(wait = true) ?timeout_s spec =
-  match connect ~sock with
-  | Error e -> Error e
-  | Ok c ->
-      let req =
-        Json.Obj
-          [
-            ("cmd", Json.Str "submit");
-            ("wait", Json.Bool wait);
-            ("job", Job.spec_to_json spec);
-          ]
-      in
-      let rec await () =
-        match recv ?timeout_s c with
-        | Error e -> Error e
-        | Ok v -> (
-            match Json.mem_str "type" v with
-            | Some t when List.mem t terminal_types -> Ok v
-            | Some "accepted" when not wait -> Ok v
-            | Some _ -> await ()
-            | None -> Error (diag ~kind:"bad-response" "response without a type"))
-      in
-      let r = Result.bind (send c req) (fun () -> await ()) in
-      close c;
-      r
-
-(* Client-side resilience: bounded retries with jittered exponential
-   backoff. Structured refusals carry a [retry_after_s] hint, which we
-   honour (sleeping the larger of the hint and the backoff step);
-   connection-level failures (daemon restarting, socket not yet bound)
-   back off on the ladder alone. *)
 let refusal_types = [ "overloaded"; "degraded"; "draining" ]
 
-let submit_with_retries ~sock ?wait ?timeout_s ?(retries = 0)
-    ?(retry_base_s = 0.5) spec =
-  let key = Bulk.fingerprint (Bulk.of_spec spec) in
+let submit ~sock ?(wait = true) ?timeout_s ?(retries = 0) ?(retry_base_s = 0.5) spec =
+  let cell = Bulk.of_spec spec in
+  let req =
+    Json.Obj
+      [
+        ("cmd", Json.Str "submit");
+        ("wait", Json.Bool wait);
+        ("cell", Json.Str (Bulk.to_line cell));
+      ]
+  in
+  let once () =
+    match connect ~sock with
+    | Error e -> Error e
+    | Ok c ->
+        let rec await () =
+          match recv ?timeout_s c with
+          | Error e -> Error e
+          | Ok v -> (
+              match Json.mem_str "type" v with
+              | Some t when List.mem t terminal_types -> Ok v
+              | Some "accepted" when not wait -> Ok v
+              | Some _ -> await ()
+              | None -> Error (diag ~kind:"bad-response" "response without a type"))
+        in
+        let r = Result.bind (send c req) await in
+        close c;
+        r
+  in
+  (* Structured refusals are retried after their hint; connection-level
+     failures (daemon restarting, socket not yet bound) on the backoff
+     ladder alone. *)
   let policy = { Resilient.Backoff.default_policy with Resilient.Backoff.base_s = retry_base_s } in
-  let rec go attempt =
-    let r = submit ~sock ?wait ?timeout_s spec in
-    let retry_hint =
+  with_retries ~retries ~policy ~key:(Bulk.fingerprint cell) (fun () ->
+      let r = once () in
       match r with
       | Ok v -> (
           match Json.mem_str "type" v with
           | Some t when List.mem t refusal_types ->
-              Some (Option.value (Json.mem_num "retry_after_s" v) ~default:0.0)
-          | _ -> None)
-      | Error _ -> Some 0.0
-    in
-    match retry_hint with
-    | None -> r
-    | Some hint ->
-        if attempt > retries then r
-        else begin
-          let d =
-            Float.max hint (Resilient.Backoff.backoff_s policy ~key ~attempt)
-          in
-          Unix.sleepf d;
-          go (attempt + 1)
-        end
+              (r, Some (Option.value (Json.mem_num "retry_after_s" v) ~default:0.0))
+          | _ -> (r, None))
+      | Error _ -> (r, Some 0.0))
+
+let bulk ~sock ?(retries = 10) ?(timeout_s = 600.0) cells ~answer =
+  (* One cell per fingerprint, in first-seen order. *)
+  let answered = Hashtbl.create 16 in
+  let cells =
+    List.filter_map
+      (fun c ->
+        let fp = Bulk.fingerprint c in
+        if Hashtbl.mem answered fp then None
+        else (
+          Hashtbl.replace answered fp false;
+          Some (fp, c)))
+      cells
   in
-  go 1
+  let remaining () = List.filter (fun (fp, _) -> not (Hashtbl.find answered fp)) cells in
+  let fatal = ref None in
+  (* One connection: send [todo], drain answers until every cell not
+     deferred is in. Returns the largest deferral hint seen. *)
+  let round todo =
+    match connect ~sock with
+    | Error _ -> 0.0
+    | Ok conn ->
+        let hint = ref 0.0 in
+        let waiting = ref (List.map fst todo) in
+        let rec drain () =
+          if !waiting <> [] then
+            match recv ~timeout_s conn with
+            | Error _ -> ()
+            | Ok v -> (
+                match Json.mem_str "type" v with
+                | Some "cell-result" ->
+                    Option.iter
+                      (fun fp ->
+                        (match
+                           Option.bind (Json.member "probe" v) (fun p ->
+                               Result.to_option (Bulk.probe_of_json p))
+                         with
+                        | Some p when Hashtbl.find_opt answered fp = Some false ->
+                            Hashtbl.replace answered fp true;
+                            answer fp (Ok p)
+                        | _ -> ());
+                        waiting := List.filter (fun f -> f <> fp) !waiting)
+                      (Json.mem_str "fp" v);
+                    drain ()
+                | Some "bulk-accepted" ->
+                    let deferred =
+                      match Json.member "deferred" v with Some (Json.Arr l) -> l | _ -> []
+                    in
+                    List.iter
+                      (fun d ->
+                        Option.iter (fun r -> hint := Float.max !hint r)
+                          (Json.mem_num "retry_after_s" d))
+                      deferred;
+                    let ids = List.filter_map (Json.mem_str "cell_id") deferred in
+                    waiting :=
+                      List.filter
+                        (fun f ->
+                          not
+                            (List.exists
+                               (fun (fp, c) -> fp = f && List.mem c.Bulk.cell_id ids)
+                               todo))
+                        !waiting;
+                    drain ()
+                | Some "error" ->
+                    fatal :=
+                      Some
+                        (Option.value (Json.mem_str "message" v)
+                           ~default:"daemon rejected the bulk request")
+                | _ -> drain ())
+        in
+        let req =
+          Json.Obj
+            [
+              ("cmd", Json.Str "bulk");
+              ("cells", Json.Arr (List.map (fun (_, c) -> Json.Str (Bulk.to_line c)) todo));
+            ]
+        in
+        Fun.protect ~finally:(fun () -> close conn) (fun () ->
+            Result.iter drain (send conn req));
+        !hint
+  in
+  let policy = { Resilient.Backoff.base_s = 0.5; max_s = 5.0 } in
+  with_retries ~retries ~policy ~key:"bulk" (fun () ->
+      match remaining () with
+      | [] -> ((), None)
+      | todo ->
+          let hint = round todo in
+          ((), if !fatal = None && remaining () <> [] then Some hint else None));
+  let why = Option.value !fatal ~default:"daemon unreachable: bulk retry budget exhausted" in
+  List.iter (fun (fp, _) -> answer fp (Error why)) (remaining ())
 
 let simple ~sock ?timeout_s fields =
   request ~sock ?timeout_s (Json.Obj fields)

@@ -61,12 +61,9 @@ type config = {
   workers : int;
   queue_cap : int;
   cache_max_mb : int option;
-  breaker_threshold : int;
-  breaker_cooldown_s : float;
   default_deadline_s : float option;
   job_retries : int;
   lease_ttl_s : float;
-  heartbeat_interval_s : float;
   faults : Fault.plan;
   resume : bool;
 }
@@ -78,12 +75,9 @@ let default_config ~run_dir =
     workers = 2;
     queue_cap = 16;
     cache_max_mb = None;
-    breaker_threshold = 3;
-    breaker_cooldown_s = 30.0;
     default_deadline_s = None;
     job_retries = 2;
     lease_ttl_s = 30.0;
-    heartbeat_interval_s = 1.0;
     faults = Fault.none;
     resume = false;
   }
@@ -103,6 +97,19 @@ type client = { cfd : Unix.file_descr; cbuf : Buffer.t }
 type reply = Result | Cell_result
 
 type waiter = { wfd : Unix.file_descr; reply : reply }
+
+(* Everything the daemon holds for one admitted, unsettled job. *)
+type job = {
+  e : Jobqueue.entry;
+  mutable pid : int;  (* its latest worker, for the log *)
+  mutable waiters : waiter list;
+  mutable detached : bool;
+      (* runs to completion without waiters: submitted no-wait, or recovered *)
+  mutable attempts : int;  (* worker crashes so far *)
+  mutable not_before : float;  (* no re-dispatch before this time *)
+  mutable history : string list;
+      (* attempt forensics (newest first) for the dead-letter diagnosis *)
+}
 
 type counters = {
   mutable submits : int;
@@ -127,18 +134,12 @@ type st = {
   cache : Supervise.Cache.t;
   listen : Unix.file_descr;
   mutable clients : client list;
-  pending : string Queue.t;
+  pending : job Queue.t;
   pool : (string, Bulk.probe) Supervise.Pool.t;
       (* the running jobs' workers, keyed by job id: their processes,
          leases and deadlines *)
-  pids : (string, int) Hashtbl.t;  (* worker pid per running job, for the log *)
-  waiters : (string, waiter list ref) Hashtbl.t;
-  detached : (string, unit) Hashtbl.t;
-  by_fp : (string, string) Hashtbl.t;
-  retries : (string, int) Hashtbl.t;
-  not_before : (string, float) Hashtbl.t;
-  history : (string, string list) Hashtbl.t;
-      (* per-job attempt forensics (newest first) for the dead-letter diagnosis *)
+  jobs : (string, job) Hashtbl.t;  (* every unsettled job, by id *)
+  by_fp : (string, job) Hashtbl.t;  (* the same jobs by fingerprint, for dedup *)
   breaker : Breaker.t;
   c : counters;
   mutable fired : Fault.t list;  (* one-shot faults already fired *)
@@ -193,66 +194,77 @@ let send cl v = send_raw cl (Json.to_string v)
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* Admit [e] to the in-flight tables and the dispatch queue. *)
+let track st (e : Jobqueue.entry) ~detached =
+  let j =
+    { e; pid = 0; waiters = []; detached; attempts = 0; not_before = 0.0; history = [] }
+  in
+  Queue.add j st.pending;
+  Hashtbl.replace st.jobs e.Jobqueue.id j;
+  Hashtbl.replace st.by_fp e.Jobqueue.fp j;
+  j
+
+(* A cancelled job stops answering for its fingerprint; a newer job with
+   the same fingerprint keeps its dedup entry. *)
+let release_fp st j =
+  match Hashtbl.find_opt st.by_fp j.e.Jobqueue.fp with
+  | Some j' when j' == j -> Hashtbl.remove st.by_fp j.e.Jobqueue.fp
+  | _ -> ()
+
+(* Settle a job: it leaves both tables. *)
+let forget st j =
+  Hashtbl.remove st.jobs j.e.Jobqueue.id;
+  release_fp st j
+
 (* Forget a client everywhere. Jobs it was the last waiter of are
-   cancelled — unless detached (submitted no-wait, or recovered from the
-   ledger), which run to completion regardless. *)
+   cancelled — unless detached, which run to completion regardless. *)
 let rec drop_client st fd =
   st.clients <- List.filter (fun c -> c.cfd != fd) st.clients;
   close_fd fd;
   let orphaned = ref [] in
   Hashtbl.iter
-    (fun id ws ->
-      if List.exists (fun w -> w.wfd == fd) !ws then begin
-        ws := List.filter (fun w -> w.wfd != fd) !ws;
-        if !ws = [] then orphaned := id :: !orphaned
+    (fun _ j ->
+      if List.exists (fun w -> w.wfd == fd) j.waiters then begin
+        j.waiters <- List.filter (fun w -> w.wfd != fd) j.waiters;
+        if j.waiters = [] && not j.detached then orphaned := j :: !orphaned
       end)
-    st.waiters;
+    st.jobs;
+  List.iter (cancel_job st) !orphaned
+
+and cancel_job st j =
+  let id = j.e.Jobqueue.id in
+  match j.e.Jobqueue.state with
+  | Jobqueue.Pending ->
+      (* Remove from the in-memory queue; the ledger gets a cancel
+         line so a crash right now does not resurrect the job. *)
+      let keep = Queue.create () in
+      Queue.iter (fun x -> if x != j then Queue.add x keep) st.pending;
+      Queue.clear st.pending;
+      Queue.transfer keep st.pending;
+      Jobqueue.cancel st.q j.e;
+      forget st j;
+      st.c.cancelled <- st.c.cancelled + 1;
+      Log.info (fun k -> k "job %s cancelled (client gone, still pending)" id)
+  | Jobqueue.Running ->
+      (* The pool still settles the killed worker; [finish] sees the
+         job cancelled and only forgets it. *)
+      Supervise.Pool.kill st.pool id;
+      Jobqueue.cancel st.q j.e;
+      release_fp st j;
+      st.c.cancelled <- st.c.cancelled + 1;
+      Log.info (fun k -> k "job %s cancelled (client gone, worker %d killed)" id j.pid)
+  | _ -> ()
+
+(* Answer every waiter of [j], each in its own command's terms. *)
+let notify st j render =
+  let ws = j.waiters in
+  j.waiters <- [];
   List.iter
-    (fun id ->
-      Hashtbl.remove st.waiters id;
-      if not (Hashtbl.mem st.detached id) then cancel_job st id)
-    !orphaned
-
-and cancel_job st id =
-  match Jobqueue.find st.q id with
-  | None -> ()
-  | Some e -> (
-      match e.Jobqueue.state with
-      | Jobqueue.Pending ->
-          (* Remove from the in-memory queue; the ledger gets a cancel
-             line so a crash right now does not resurrect the job. *)
-          let keep = Queue.create () in
-          Queue.iter (fun i -> if i <> id then Queue.add i keep) st.pending;
-          Queue.clear st.pending;
-          Queue.transfer keep st.pending;
-          Jobqueue.cancel st.q e;
-          Hashtbl.remove st.by_fp e.Jobqueue.fp;
-          st.c.cancelled <- st.c.cancelled + 1;
-          Log.info (fun k -> k "job %s cancelled (client gone, still pending)" id)
-      | Jobqueue.Running ->
-          (* The pool still settles the killed worker; [finish] sees the
-             job cancelled and only forgets it. *)
-          Supervise.Pool.kill st.pool id;
-          Jobqueue.cancel st.q e;
-          Hashtbl.remove st.by_fp e.Jobqueue.fp;
-          st.c.cancelled <- st.c.cancelled + 1;
-          Log.info (fun k ->
-              k "job %s cancelled (client gone, worker %d killed)" id
-                (Option.value (Hashtbl.find_opt st.pids id) ~default:0))
-      | _ -> ())
-
-(* Answer every waiter of [id], each in its own command's terms. *)
-let notify st id render =
-  (match Hashtbl.find_opt st.waiters id with
-  | Some ws ->
-      List.iter
-        (fun w ->
-          match List.find_opt (fun c -> c.cfd == w.wfd) st.clients with
-          | Some cl -> if not (send cl (render w.reply)) then drop_client st w.wfd
-          | None -> ())
-        !ws
-  | None -> ());
-  Hashtbl.remove st.waiters id
+    (fun w ->
+      match List.find_opt (fun c -> c.cfd == w.wfd) st.clients with
+      | Some cl -> if not (send cl (render w.reply)) then drop_client st w.wfd
+      | None -> ())
+    ws
 
 (* ----------------------------------------------------------------- *)
 (* Result store and answers *)
@@ -303,9 +315,10 @@ let answer ~id ~fp ~cell_id ~cached ?(degraded = false) ?(dead_letter = false)
         ]
 
 (* The one completion path: ledger the verdict and answer the waiters. *)
-let complete st (e : Jobqueue.entry) ?dead_letter probe =
+let complete st j ?dead_letter probe =
+  let e = j.e in
   Jobqueue.finish st.q e (Bulk.verdict probe);
-  notify st e.Jobqueue.id
+  notify st j
     (answer ~id:e.Jobqueue.id ~fp:e.Jobqueue.fp ~cell_id:e.Jobqueue.cell.Bulk.cell_id
        ~cached:false ?dead_letter probe)
 
@@ -322,7 +335,8 @@ let run_job st (e : Jobqueue.entry) =
       (Json.to_string (Bulk.probe_to_json probe));
   probe
 
-let spawn_worker st (e : Jobqueue.entry) =
+let spawn_worker st j =
+  let e = j.e in
   let id = e.Jobqueue.id in
   let key = e.Jobqueue.cell.Bulk.cell_id in
   Jobqueue.start st.q e;
@@ -363,7 +377,7 @@ let spawn_worker st (e : Jobqueue.entry) =
           done;
         run_job st e)
   in
-  Hashtbl.replace st.pids id pid;
+  j.pid <- pid;
   Log.info (fun k -> k "job %s started in worker %d" id pid);
   if fires_for st e (fun k -> Fault.Kill_worker k) || kill_always then begin
     Format.printf "verifyd: fault kill-worker@%s firing on pid %d@." key pid;
@@ -382,33 +396,23 @@ let maybe_cache_gc st =
               stats.Supervise.Cache.evicted stats.Supervise.Cache.evicted_bytes
               stats.Supervise.Cache.entries stats.Supervise.Cache.bytes)
 
-(* Forget a settled job's in-flight bookkeeping. *)
-let forget st (e : Jobqueue.entry) =
-  let id = e.Jobqueue.id in
-  Hashtbl.remove st.by_fp e.Jobqueue.fp;
-  Hashtbl.remove st.detached id;
-  Hashtbl.remove st.retries id;
-  Hashtbl.remove st.not_before id;
-  Hashtbl.remove st.history id
-
 (* A worker died without an answer (killed, OOM'd, raised, or reclaimed
    after its lease expired): re-dispatch with backoff, or dead-letter
    once the retry budget is spent. *)
-let crash st (e : Jobqueue.entry) how =
+let crash st j how =
+  let e = j.e in
   let id = e.Jobqueue.id in
   st.c.crashes <- st.c.crashes + 1;
   Breaker.failure st.breaker;
-  let attempt = 1 + Option.value (Hashtbl.find_opt st.retries id) ~default:0 in
-  Hashtbl.replace st.history id
-    (Printf.sprintf "attempt %d: %s" attempt how
-    :: Option.value (Hashtbl.find_opt st.history id) ~default:[]);
+  j.attempts <- j.attempts + 1;
+  let attempt = j.attempts in
+  j.history <- Printf.sprintf "attempt %d: %s" attempt how :: j.history;
   if attempt <= st.cfg.job_retries then begin
-    Hashtbl.replace st.retries id attempt;
-    Hashtbl.replace st.not_before id
-      (Unix.gettimeofday ()
-      +. Resilient.Backoff.backoff_s Resilient.Backoff.default_policy ~key:id ~attempt);
+    j.not_before <-
+      Unix.gettimeofday ()
+      +. Resilient.Backoff.backoff_s Resilient.Backoff.default_policy ~key:id ~attempt;
     e.Jobqueue.state <- Jobqueue.Pending;
-    Queue.add id st.pending;
+    Queue.add j st.pending;
     st.c.redispatched <- st.c.redispatched + 1;
     Format.printf
       "verifyd: job %s worker crashed (%s); redispatch %d/%d with backoff@." id how
@@ -431,56 +435,50 @@ let crash st (e : Jobqueue.entry) how =
              ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
              ("kind", Json.Str probe.Bulk.kind);
              ("detail", Json.Str probe.Bulk.detail);
-             ( "attempts",
-               Json.Arr
-                 (List.rev_map
-                    (fun s -> Json.Str s)
-                    (Option.value (Hashtbl.find_opt st.history id) ~default:[])) );
+             ("attempts", Json.Arr (List.rev_map (fun s -> Json.Str s) j.history));
            ])
     in
     (try Fs.write_atomic (dead_letter_path st id) dl with _ -> ());
-    complete st e ~dead_letter:true
+    complete st j ~dead_letter:true
       { probe with Bulk.journal = Some dl; Bulk.attempts = attempt };
     Format.printf "verifyd: job %s dead-lettered after %d attempt(s)@." id attempt;
     Format.pp_print_flush Format.std_formatter ();
-    forget st e
+    forget st j
   end
 
 (* The pool settled a worker: it answered, died, was killed at its
    deadline or missed its lease. Settle its job: done, timed out,
    re-dispatched after a crash, or dead-lettered. *)
 let finish st (id, outcome) =
-  let pid = Option.value (Hashtbl.find_opt st.pids id) ~default:0 in
-  Hashtbl.remove st.pids id;
-  match (Jobqueue.find st.q id, outcome) with
+  match (Hashtbl.find_opt st.jobs id, outcome) with
   | None, _ -> ()
-  | Some e, _ when e.Jobqueue.state = Jobqueue.Cancelled -> forget st e
-  | Some e, Supervise.Pool.Answered probe ->
-      complete st e probe;
+  | Some j, _ when j.e.Jobqueue.state = Jobqueue.Cancelled -> forget st j
+  | Some j, Supervise.Pool.Answered probe ->
+      complete st j probe;
       Format.printf "verifyd: job %s (cell %s) done: %s (%d solves)@." id
-        e.Jobqueue.cell.Bulk.cell_id
+        j.e.Jobqueue.cell.Bulk.cell_id
         (Job.verdict_to_string (Bulk.verdict probe))
         probe.Bulk.solves;
       st.c.completed <- st.c.completed + 1;
       Breaker.success st.breaker;
       Format.pp_print_flush Format.std_formatter ();
       maybe_cache_gc st;
-      forget st e
-  | Some e, Supervise.Pool.Timed_out ->
+      forget st j
+  | Some j, Supervise.Pool.Timed_out ->
       st.c.timeouts <- st.c.timeouts + 1;
-      complete st e Bulk.budget_exhausted;
-      forget st e
-  | Some e, Supervise.Pool.Died how -> crash st e how
-  | Some e, Supervise.Pool.Lease_expired how ->
+      complete st j Bulk.budget_exhausted;
+      forget st j
+  | Some j, Supervise.Pool.Died how -> crash st j how
+  | Some j, Supervise.Pool.Lease_expired how ->
       (* No heartbeat for a full TTL: the pool presumed the worker wedged
          and reclaimed it with SIGKILL. The death takes the crash path, so
          a silent wedge and a hard crash converge on the same recovery. *)
       st.c.leases_reclaimed <- st.c.leases_reclaimed + 1;
       Format.printf
         "verifyd: job %s lease expired (no heartbeat within %.3gs); reclaimed worker %d@." id
-        st.cfg.lease_ttl_s pid;
+        st.cfg.lease_ttl_s j.pid;
       Format.pp_print_flush Format.std_formatter ();
-      crash st e (how ^ " (lease expired; reclaimed)")
+      crash st j (how ^ " (lease expired; reclaimed)")
 
 let dispatch st =
   if (not (wedged st)) && not !(st.draining) then begin
@@ -492,25 +490,16 @@ let dispatch st =
       && not (Queue.is_empty st.pending)
     do
       progress := false;
-      let id = Queue.peek st.pending in
-      let due =
-        match Hashtbl.find_opt st.not_before id with
-        | Some t -> now >= t
-        | None -> true
-      in
-      match Jobqueue.find st.q id with
-      | None ->
-          ignore (Queue.pop st.pending);
-          progress := true
-      | Some e when e.Jobqueue.state <> Jobqueue.Pending ->
-          ignore (Queue.pop st.pending);
-          progress := true
-      | Some e ->
-          if due && Breaker.allow st.breaker then begin
-            ignore (Queue.pop st.pending);
-            spawn_worker st e;
-            progress := true
-          end
+      let j = Queue.peek st.pending in
+      if j.e.Jobqueue.state <> Jobqueue.Pending then begin
+        ignore (Queue.pop st.pending);
+        progress := true
+      end
+      else if now >= j.not_before && Breaker.allow st.breaker then begin
+        ignore (Queue.pop st.pending);
+        spawn_worker st j;
+        progress := true
+      end
     done
   end
 
@@ -578,18 +567,9 @@ let admit st cl ~reply ~wait (cell : Bulk.cell_spec) =
     | _ -> cell
   in
   let fp = Bulk.fingerprint cell in
-  let attach id =
-    let ws =
-      match Hashtbl.find_opt st.waiters id with
-      | Some ws -> ws
-      | None ->
-          let ws = ref [] in
-          Hashtbl.replace st.waiters id ws;
-          ws
-    in
-    let w = { wfd = cl.cfd; reply } in
-    if not (List.exists (fun x -> x.wfd == w.wfd && x.reply = reply) !ws) then
-      ws := w :: !ws
+  let attach j =
+    if not (List.exists (fun w -> w.wfd == cl.cfd && w.reply = reply) j.waiters) then
+      j.waiters <- { wfd = cl.cfd; reply } :: j.waiters
   in
   let pending = Queue.length st.pending in
   let admission =
@@ -601,12 +581,12 @@ let admit st cl ~reply ~wait (cell : Bulk.cell_spec) =
         Stored p
     | None -> (
         match Hashtbl.find_opt st.by_fp fp with
-        | Some id ->
+        | Some j ->
             (* In-flight dedup: N clients asking the same cell share one
                worker. *)
             st.c.deduped <- st.c.deduped + 1;
-            if wait then attach id;
-            Joined id
+            if wait then attach j;
+            Joined j.e.Jobqueue.id
         | None ->
             if !(st.draining) then Refused (Draining, 1.0)
             else if Breaker.state st.breaker = Breaker.Open then begin
@@ -624,10 +604,9 @@ let admit st cl ~reply ~wait (cell : Bulk.cell_spec) =
             else begin
               let e = Jobqueue.submit st.q cell in
               let id = e.Jobqueue.id in
-              Queue.add id st.pending;
-              Hashtbl.replace st.by_fp fp id;
+              let j = track st e ~detached:(not wait) in
               st.c.accepted <- st.c.accepted + 1;
-              if wait then attach id else Hashtbl.replace st.detached id ();
+              if wait then attach j;
               let drop = fires_for st e (fun k -> Fault.Drop_client k) in
               if drop then begin
                 Format.printf "verifyd: fault drop-client@%s firing@." id;
@@ -638,17 +617,19 @@ let admit st cl ~reply ~wait (cell : Bulk.cell_spec) =
   in
   (fp, admission)
 
-(* A [submit]: one point, as the one-cell job it converts to. *)
+(* The one way a job arrives: its canonical cell line, parsed and
+   validated. *)
+let cell_of_json = function
+  | Json.Str line ->
+      Result.bind (Bulk.of_line line) (fun c -> Result.map (fun () -> c) (Bulk.validate c))
+  | _ -> Error "cells travel as canonical cell lines (strings)"
+
+(* A [submit]: one point, as the line of the one-cell job it converts to. *)
 let handle_submit st cl req =
-  let parsed =
-    let ( let* ) = Result.bind in
-    let* j = Option.to_result ~none:"submit request missing \"job\"" (Json.member "job" req) in
-    let* spec = Job.spec_of_json j in
-    let cell = Bulk.of_spec spec in
-    let* () = Bulk.validate cell in
-    Ok cell
-  in
-  match parsed with
+  match
+    Option.fold ~none:(Error "submit request missing \"cell\"") ~some:cell_of_json
+      (Json.member "cell" req)
+  with
   | Error why -> ignore (send cl (error_response "%s" why))
   | Ok cell -> (
       let wait = Json.mem_bool "wait" req <> Some false in
@@ -714,12 +695,7 @@ let handle_bulk st cl req =
     | Some (Json.Arr lines) ->
         List.fold_left
           (fun acc v ->
-            Result.bind acc (fun cs ->
-                match v with
-                | Json.Str line ->
-                    Result.bind (Bulk.of_line line) (fun c ->
-                        Result.map (fun () -> c :: cs) (Bulk.validate c))
-                | _ -> Error "bulk cells must be canonical cell lines (strings)"))
+            Result.bind acc (fun cs -> Result.map (fun c -> c :: cs) (cell_of_json v)))
           (Ok []) lines
         |> Result.map List.rev
     | _ -> Error "bulk request missing \"cells\" array"
@@ -854,12 +830,12 @@ let drain_exit st =
      still waiting on one, then flush and leave cleanly. *)
   let checkpointed = Queue.length st.pending in
   Queue.iter
-    (fun id ->
-      notify st id (fun _ ->
+    (fun j ->
+      notify st j (fun _ ->
           Json.Obj
             [
               ("type", Json.Str "draining");
-              ("id", Json.Str id);
+              ("id", Json.Str j.e.Jobqueue.id);
               ( "message",
                 Json.Str "job checkpointed in the queue ledger; resubmit after restart" );
             ]))
@@ -948,19 +924,13 @@ let run cfg =
                   listen;
                   clients = [];
                   pending = Queue.create ();
-                  pool =
-                    Supervise.Pool.create ~ttl_s:cfg.lease_ttl_s
-                      ~beat_s:cfg.heartbeat_interval_s ~cap:cfg.workers ();
-                  pids = Hashtbl.create 16;
-                  waiters = Hashtbl.create 16;
-                  detached = Hashtbl.create 16;
+                  (* Heartbeats at most once a second; the breaker opens
+                     after 3 consecutive crashes and probes again after
+                     30 s (the [Pool] and [Breaker] defaults). *)
+                  pool = Supervise.Pool.create ~ttl_s:cfg.lease_ttl_s ~cap:cfg.workers ();
+                  jobs = Hashtbl.create 16;
                   by_fp = Hashtbl.create 16;
-                  retries = Hashtbl.create 16;
-                  not_before = Hashtbl.create 16;
-                  history = Hashtbl.create 16;
-                  breaker =
-                    Breaker.create ~threshold:cfg.breaker_threshold
-                      ~cooldown_s:cfg.breaker_cooldown_s ~now:Unix.gettimeofday ();
+                  breaker = Breaker.create ~now:Unix.gettimeofday ();
                   c =
                     {
                       submits = 0;
@@ -985,12 +955,7 @@ let run cfg =
               (* Recovered jobs re-dispatch detached: their original
                  clients are gone; completed solves replay from the
                  cache, so recovery costs zero re-solves. *)
-              List.iter
-                (fun (e : Jobqueue.entry) ->
-                  Queue.add e.Jobqueue.id st.pending;
-                  Hashtbl.replace st.by_fp e.Jobqueue.fp e.Jobqueue.id;
-                  Hashtbl.replace st.detached e.Jobqueue.id ())
-                recovered;
+              List.iter (fun e -> ignore (track st e ~detached:true)) recovered;
               maybe_cache_gc st;
               Format.printf
                 "verifyd: listening on %s (run dir %s, %d workers, queue cap %d%s)@."

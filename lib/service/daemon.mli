@@ -9,13 +9,18 @@
     every worker's process, heartbeat lease ([lease_ttl_s]) and
     deadline; the daemon keeps the policy — queue, admission, breaker,
     re-dispatch with backoff, dead letters and the result store — and
-    forks nothing itself.
-    The daemon has one job type, the {!Bulk.cell_spec}: a [submit]'s
-    point becomes the one-cell job {!Bulk.of_spec} makes of it at
-    admission (an axis absent at the order is an [error] reply), a
-    [bulk] request's lines are cells already, and workers certify every
-    job with {!Bulk.run}. Each waiter is answered in its command's
-    terms: a [result] for a submit, a [cell-result] for a bulk cell.
+    forks nothing itself. Each admitted, unsettled job is one in-flight
+    record (queue entry, worker pid, waiters, detached flag, attempt
+    count, backoff time, attempt history), held by id and by
+    fingerprint; settling the job drops it from both.
+    The daemon has one job type, the {!Bulk.cell_spec}, and one wire
+    encoding for it, the canonical cell line: a [submit] carries the
+    line of the one-cell job {!Bulk.of_spec} makes of a point, a [bulk]
+    request a list of such lines, and both are parsed by {!Bulk.of_line}
+    and checked by {!Bulk.validate} (an axis absent at the order is an
+    [error] reply). Workers certify every job with {!Bulk.run}. Each
+    waiter is answered in its command's terms: a [result] for a submit,
+    a [cell-result] for a bulk cell.
 
     Robustness surface (see DESIGN.md §6g):
 
@@ -102,24 +107,20 @@ type config = {
   cache_max_mb : int option;
       (** size-capped LRU eviction of the solve cache after each
           completed job (and once at startup) *)
-  breaker_threshold : int;  (** consecutive crashes that open the breaker *)
-  breaker_cooldown_s : float;
   default_deadline_s : float option;  (** budget of every job that carries none *)
   job_retries : int;  (** worker re-dispatches per job before dead-lettering *)
   lease_ttl_s : float;
       (** a worker that goes this long without a heartbeat is presumed
           wedged: SIGKILLed and its job re-dispatched *)
-  heartbeat_interval_s : float;
-      (** minimum spacing of worker heartbeats (rate limit, not period:
-          workers beat at solve entry and every solver iteration) *)
   faults : Fault.plan;
   resume : bool;
 }
 
 val default_config : run_dir:string -> config
-(** 2 workers, queue cap 16, no cache cap, breaker 3 crashes / 30 s
-    cooldown, no default deadline, 2 retries, 30 s lease TTL, 1 s
-    heartbeat spacing, no faults, fresh start. *)
+(** 2 workers, queue cap 16, no cache cap, no default deadline, 2
+    retries, 30 s lease TTL, no faults, fresh start. The breaker (3
+    consecutive crashes, 30 s cooldown) and the heartbeat spacing (at
+    most one a second) are constants. *)
 
 val run : config -> int
 (** Run the daemon until drained (exit 0), interrupted (130), or a

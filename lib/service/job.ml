@@ -216,85 +216,6 @@ let of_line line =
       }
 
 (* ----------------------------------------------------------------- *)
-(* Wire encoding *)
-
-let spec_to_json spec =
-  let base =
-    [
-      ("order", Json.Str (order_name spec.order));
-      ("property", Json.Str (property_name spec.property));
-      ("degree", Json.Num (float_of_int spec.degree));
-      ("robust", Json.Bool spec.robust);
-      ( "point",
-        Json.Obj
-          (List.map
-             (fun (a, v) -> (Pll.axis_name a, Json.Num v))
-             (sort_point spec.point)) );
-      ("bisect_steps", Json.Num (float_of_int spec.bisect_steps));
-      ("advect_iters", Json.Num (float_of_int spec.advect_iters));
-    ]
-  in
-  let opt k = function Some v -> [ (k, Json.Num v) ] | None -> [] in
-  Json.Obj
-    (base @ opt "psd_tol" spec.psd_tol @ opt "eq_tol" spec.eq_tol
-    @ opt "deadline_s" spec.deadline_s)
-
-let spec_of_json j =
-  let ( let* ) = Result.bind in
-  let* order =
-    match Json.mem_str "order" j with
-    | Some o -> order_of_name o
-    | None -> Error "job object missing \"order\""
-  in
-  let d = default_spec order in
-  let* property =
-    match Json.mem_str "property" j with
-    | Some p -> property_of_name p
-    | None -> Ok d.property
-  in
-  let int_field k dflt =
-    match Json.member k j with
-    | None -> Ok dflt
-    | Some (Json.Num f) when Float.is_integer f -> Ok (int_of_float f)
-    | Some _ -> Error (Printf.sprintf "job field %S must be an integer" k)
-  in
-  let* degree = int_field "degree" d.degree in
-  let* bisect_steps = int_field "bisect_steps" d.bisect_steps in
-  let* advect_iters = int_field "advect_iters" d.advect_iters in
-  let robust = Json.mem_bool "robust" j = Some true in
-  let* point =
-    match Json.member "point" j with
-    | None | Some Json.Null -> Ok []
-    | Some (Json.Obj kvs) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            let* pt = acc in
-            let* a = Pll.axis_of_string k in
-            match Json.num v with
-            | Some f -> Ok ((a, f) :: pt)
-            | None -> Error (Printf.sprintf "point value for %S must be a number" k))
-          (Ok []) kvs
-        |> Result.map List.rev
-    | Some _ -> Error "job field \"point\" must be an object of axis factors"
-  in
-  let spec =
-    {
-      order;
-      property;
-      degree;
-      robust;
-      point;
-      bisect_steps;
-      advect_iters;
-      psd_tol = Json.mem_num "psd_tol" j;
-      eq_tol = Json.mem_num "eq_tol" j;
-      deadline_s = Json.mem_num "deadline_s" j;
-    }
-  in
-  let* () = validate spec in
-  Ok spec
-
-(* ----------------------------------------------------------------- *)
 (* Verdicts and results *)
 
 type verdict = Verified | Not_established | Failed

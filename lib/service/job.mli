@@ -7,8 +7,9 @@
     nominals, empty = nominal model), the property (P1 attractive
     invariant only, or the full P1+P2 inevitability pipeline), the
     certificate degree and search knobs, plus a per-job pipeline
-    deadline. The daemon runs a spec as a one-cell job
-    ({!Bulk.of_spec}), keyed by the cell's fingerprint.
+    deadline. A client sends a spec to the daemon as the line of the
+    one-cell job {!Bulk.of_spec} makes of it, keyed by the cell's
+    fingerprint.
 
     {!run} executes the job under a caller-supplied {!Resilient.policy}
     (so the CLI can wire its own retry ladder and the daemon can attach
@@ -71,13 +72,6 @@ val of_line : string -> (spec, string) result
 val point_of_string : string -> ((Pll.axis * float) list, string) result
 (** Parse a CLI point spec like ["ip=1.05,kv=0.9"]. Empty string is the
     nominal point. *)
-
-val spec_to_json : spec -> Json.t
-(** Wire encoding (the [job] object of a submit request). *)
-
-val spec_of_json : Json.t -> (spec, string) result
-(** Decode a wire job object; omitted fields take {!default_spec}
-    values for the given (required) [order]. *)
 
 (** The three verdicts of the established exit-code convention. *)
 type verdict = Verified | Not_established | Failed

@@ -21,12 +21,7 @@ type entry = {
 
 module Wal = Substrate.Wal
 
-type t = {
-  wal : Wal.t;
-  mutable next_seq : int;
-  tbl : (string, entry) Hashtbl.t;
-  mutable order : string list;  (* reverse submit order *)
-}
+type t = { wal : Wal.t; mutable next_seq : int }
 
 let magic = "pll-queue v1"
 let path dir = Filename.concat dir "queue.log"
@@ -113,29 +108,25 @@ let open_ ~dir =
    with e -> Log.warn (fun k -> k "queue compaction failed: %s" (Printexc.to_string e)));
   match Wal.open_ ~magic file with
   | exception e -> Error ("cannot open queue ledger: " ^ Printexc.to_string e)
-  | wal ->
-      let tbl = Hashtbl.create 64 in
-      List.iter (fun e -> Hashtbl.replace tbl e.id e) recovered;
-      let order = List.rev_map (fun e -> e.id) recovered in
-      Ok ({ wal; next_seq = seq_hw + 1; tbl; order }, recovered, diags)
+  | wal -> Ok ({ wal; next_seq = seq_hw + 1 }, recovered, diags)
 
-(* Every line on record counts, terminal or not, torn or not: a ledger
-   that ever held anything is never silently discarded. *)
+(* Every job line on record counts, terminal or not, torn or not: a
+   ledger that ever held a job is never silently discarded. The [seq]
+   high-water line every open writes is not a job. *)
 let ledger =
   {
     Supervise.name = "queue";
     entries =
       (fun dir ->
         let r = Wal.replay ~magic (path dir) in
-        List.length r.Wal.records + List.length r.Wal.diags);
+        List.length (List.filter (fun (_, l) -> fst (split_word l) <> "seq") r.Wal.records)
+        + List.length r.Wal.diags);
   }
 
 let submit t cell =
   let id = Printf.sprintf "j%d" t.next_seq in
   t.next_seq <- t.next_seq + 1;
   let e = { id; fp = Bulk.fingerprint cell; cell; state = Pending } in
-  Hashtbl.replace t.tbl id e;
-  t.order <- id :: t.order;
   Wal.append t.wal (submit_line e);
   e
 
@@ -151,6 +142,4 @@ let cancel t e =
   e.state <- Cancelled;
   Wal.append t.wal ("cancel " ^ e.id)
 
-let find t id = Hashtbl.find_opt t.tbl id
-let entries t = List.rev_map (fun id -> Hashtbl.find t.tbl id) t.order
 let close t = Wal.close t.wal

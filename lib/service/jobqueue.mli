@@ -58,8 +58,10 @@ val open_ :
     order) and one diagnosis per malformed line. *)
 
 val ledger : Supervise.ledger
-(** The queue ledger as the daemon's record of work: its lines on
-    record, terminal or not. The daemon refuses a directory whose
+(** The queue ledger as the daemon's record of work: its job lines on
+    record, terminal or not, and its unreadable lines (the [seq]
+    high-water line is not counted, so a lifetime that admitted no job
+    leaves nothing on record). The daemon refuses a directory whose
     ledger holds any without [--resume] ([queue-not-resumed]). *)
 
 val submit : t -> Bulk.cell_spec -> entry
@@ -69,11 +71,5 @@ val submit : t -> Bulk.cell_spec -> entry
 val start : t -> entry -> unit
 val finish : t -> entry -> Job.verdict -> unit
 val cancel : t -> entry -> unit
-
-val find : t -> string -> entry option
-(** Entry by job id. *)
-
-val entries : t -> entry list
-(** All entries known to this handle, in submit order. *)
 
 val close : t -> unit

@@ -281,7 +281,7 @@ module Lock = struct
 
   let diagnosis ~dir ~pid =
     Printf.sprintf
-      "{\"error\":\"run-dir-locked\",\"dir\":\"%s\",\"lock\":\"%s\",\"holder_pid\":%d,\"waited_s\":0.0,\"hint\":\"another process is using this run directory's solve cache; wait for it, pick a fresh --run-dir, or remove the lock file if the holder is gone\"}"
+      "{\"error\":\"run-dir-locked\",\"dir\":\"%s\",\"lock\":\"%s\",\"holder_pid\":%d,\"hint\":\"another process is using this run directory's solve cache; wait for it, pick a fresh --run-dir, or remove the lock file if the holder is gone\"}"
       (Json.escape dir) (Json.escape (path dir)) pid
 
   let acquire ~dir () =

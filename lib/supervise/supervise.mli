@@ -368,6 +368,11 @@ val solve_sdp :
     discipline, and the parent feeds clean results (including cache
     replays) back into [session]'s memory. *)
 
+val status_string : Sdp.status -> string
+(** The one printed name of a solve status ([optimal], [near_optimal],
+    [primal_infeasible], …), as the journal and the resilience reports
+    write it. *)
+
 val save_artifact : ctx -> name:string -> string -> string option
 (** Atomically persist serialized proof-artifact text under
     [artifacts/<name>] in the run directory (the {!Exact.Artifact}

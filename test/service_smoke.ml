@@ -20,6 +20,8 @@
    - cancellation: a waiting client dropped server-side (--fault-plan
      drop-client@j1) gets a structured server-gone diagnosis, and the
      daemon cancels the orphaned job, leaving the queue consistent;
+   - admission: a point naming an axis the order lacks (c3 at third
+     order) is answered with an error reply, exit 1;
    - exit-code discipline, end to end: 0 verified / 2 not-established
      (served from a pre-seeded result store) / 1 failure or refusal /
      124 usage / 130 interrupted / 137 simulated kill -9 / 0 drain. *)
@@ -276,6 +278,14 @@ let () =
   in
   if not (contains ne "\"verdict\":\"not-established\"" && contains ne "\"cached\":true")
   then die "pre-seeded store entry not served:\n%s" ne;
+  (* A point naming an axis the order lacks is refused at admission. *)
+  let absent =
+    read_file
+      (run ~expect:1 ~what:"axis absent at the order refused"
+         (client ^ " submit --sock " ^ qsock ^ " -o third --point c3=1.1"))
+  in
+  if not (contains absent "\"type\":\"error\"") then
+    die "an axis absent at the order lacks the error reply:\n%s" absent;
   Unix.kill d.pid Sys.sigterm;
   ignore (wait_daemon ~what:"verdict phase drain" ~expect:0 d);
 

@@ -143,14 +143,16 @@ let test_validate_refuses () =
     { d with Service.Job.point = [ (Pll.Ip, 1.0); (Pll.Ip, 2.0) ] }
     "duplicate axis"
 
-let test_spec_json_roundtrip () =
+(* A submitted point travels as the line of the cell it converts to. *)
+let test_spec_cell_line_roundtrip () =
   let spec = spec_with_point () in
-  match Service.Job.spec_of_json (Service.Job.spec_to_json spec) with
+  let c = Service.Bulk.of_spec spec in
+  match Service.Bulk.of_line (Service.Bulk.to_line c) with
   | Error e -> Alcotest.fail e
-  | Ok spec' ->
-      Alcotest.(check bool) "wire encoding round-trips" true (spec' = spec);
+  | Ok c' ->
+      Alcotest.(check bool) "wire encoding round-trips" true (c' = c);
       Alcotest.(check string) "same fingerprint across the wire"
-        (point_fp spec) (point_fp spec')
+        (point_fp spec) (Service.Bulk.fingerprint c')
 
 let test_result_json_roundtrip () =
   let r =
@@ -208,6 +210,10 @@ let test_queue_replay_and_compaction () =
   let dir = tmp_dir () in
   let on_record () = Service.Jobqueue.ledger.Supervise.entries dir in
   Alcotest.(check int) "fresh ledger" 0 (on_record ());
+  let q0, _, _ = open_q dir in
+  Service.Jobqueue.close q0;
+  Alcotest.(check int) "a lifetime that admits no job leaves none on record" 0
+    (on_record ());
   let q, recovered, diags = open_q dir in
   Alcotest.(check int) "fresh queue is empty" 0 (List.length recovered);
   Alcotest.(check int) "no diagnoses" 0 (List.length diags);
@@ -447,6 +453,16 @@ let test_point_as_cell () =
   (match Service.Bulk.validate absent with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "an axis absent at third order was admitted");
+  let dup = { c with Service.Bulk.box = (Pll.Ip, 1.0, 1.0) :: c.Service.Bulk.box } in
+  (match Service.Bulk.validate dup with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "a duplicate box axis was admitted");
+  List.iter
+    (fun b ->
+      match Service.Bulk.validate { c with Service.Bulk.budget_s = Some b } with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "budget %g was admitted" b)
+    [ 0.0; -1.0; Float.nan; Float.infinity ];
   Alcotest.(check bool) "the point line names its non-default fields" true
     (contains (Service.Bulk.to_line c) " advect=25 psd-tol=")
 
@@ -638,7 +654,7 @@ let suite =
       test_fingerprint_point_order_canonical;
     Alcotest.test_case "point-parse" `Quick test_point_parse;
     Alcotest.test_case "validate-refuses" `Quick test_validate_refuses;
-    Alcotest.test_case "spec-json-roundtrip" `Quick test_spec_json_roundtrip;
+    Alcotest.test_case "spec-cell-line-roundtrip" `Quick test_spec_cell_line_roundtrip;
     Alcotest.test_case "result-json-roundtrip" `Quick test_result_json_roundtrip;
     Alcotest.test_case "queue-replay-compaction" `Quick
       test_queue_replay_and_compaction;

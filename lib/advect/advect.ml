@@ -106,26 +106,29 @@ let caps_of ai vmax =
   Array.map (fun v -> Poly.sub (Poly.const (Poly.nvars v) vmax) v)
     ai.Certificates.cert.Certificates.vs
 
+(* Rejection sampling of {q_cur <= 0} ∩ {cap >= 0} ∩ D_m over the
+   region box. The polynomials are staged once and every draw fills one
+   buffer, copied only when accepted: the draws, their order and the
+   accepted points are those of evaluating each test afresh. *)
 let sample_piece ?caps (s : Pll.scaled) q_cur m rng count =
   let n = s.Pll.nvars in
-  let cap_ok x =
-    match caps with None -> true | Some c -> Poly.eval c.(m) x >= 0.0
+  let bound =
+    Array.init n (fun i -> if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max)
   in
+  let q_cur = Poly.evaluator q_cur
+  and cap = Option.map (fun c -> Poly.evaluator c.(m)) caps
+  and domain = List.map Poly.evaluator (Pll.mode_domain s m) in
+  let cap_ok x = match cap with None -> true | Some c -> c x >= 0.0 in
+  let x = Array.make n 0.0 in
   let pts = ref [] and found = ref 0 and attempts = ref 0 in
   while !found < count && !attempts < count * 300 do
     incr attempts;
-    let x =
-      Array.init n (fun i ->
-          let b = if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max in
-          (Random.State.float rng 2.0 -. 1.0) *. b)
-    in
-    if
-      Poly.eval q_cur x <= 0.0
-      && cap_ok x
-      && List.for_all (fun g -> Poly.eval g x >= 0.0) (Pll.mode_domain s m)
-    then begin
+    for i = 0 to n - 1 do
+      x.(i) <- (Random.State.float rng 2.0 -. 1.0) *. bound.(i)
+    done;
+    if q_cur x <= 0.0 && cap_ok x && List.for_all (fun g -> g x >= 0.0) domain then begin
       incr found;
-      pts := x :: !pts
+      pts := Array.copy x :: !pts
     end
   done;
   !pts
@@ -363,10 +366,9 @@ let advect_step ?(config = default_config) ?caps (s : Pll.scaled) pt q_cur =
   for m = 0 to Pll.n_modes - 1 do
     let f = Pll.flow s pt m in
     let map_polys = exact_flow_map n f config.h in
+    let map = Array.map Poly.evaluator map_polys in
     let pts = sample_piece ?caps s q_cur m rng 300 in
-    List.iter
-      (fun x -> images := Array.map (fun p -> Poly.eval p x) map_polys :: !images)
-      pts
+    List.iter (fun x -> images := Array.map (fun p -> p x) map :: !images) pts
   done;
   if List.length !images < n + 1 then
     Error "advection step: current front has (numerically) empty intersection with the domain"

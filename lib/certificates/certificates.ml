@@ -440,25 +440,34 @@ let level_margin = 1e-3
    lies in the θ-slab, within [level_margin] of some containment face,
    and has [V_m <= beta]; only that last test depends on [beta], so the
    4000 samples are drawn and evaluated once, and the returned check
-   compares [beta] with the smallest such [V_m]. *)
+   compares [beta] with the smallest such [V_m]. [V_m], the slabs and the
+   faces are staged once (Poly.evaluator), and every sample is drawn into
+   one buffer. *)
 let level_prefilter (s : Pll.scaled) cert =
   let n = s.Pll.nvars in
   let rng = Random.State.make [| 31 |] in
+  let bound =
+    Array.init n (fun i ->
+        if i = Pll.theta_index s then s.Pll.theta_max else 1.3 *. s.Pll.w_max)
+  in
   let slab m = match Pll.mode_domain s m with theta_slab :: _ -> [ theta_slab ] | [] -> [] in
-  let slabs = Array.init Pll.n_modes slab
-  and faces = Array.init Pll.n_modes (Pll.containment_constraints s) in
+  let vs = Array.map Poly.evaluator cert.vs
+  and slabs = Array.init Pll.n_modes (fun m -> List.map Poly.evaluator (slab m))
+  and faces =
+    Array.init Pll.n_modes (fun m ->
+        List.map Poly.evaluator (Pll.containment_constraints s m))
+  in
+  let x = Array.make n 0.0 in
   let lowest = ref None in
   for _ = 1 to 4000 do
-    let x =
-      Array.init n (fun i ->
-          let b = if i = Pll.theta_index s then s.Pll.theta_max else 1.3 *. s.Pll.w_max in
-          (Random.State.float rng 2.0 -. 1.0) *. b)
-    in
+    for i = 0 to n - 1 do
+      x.(i) <- (Random.State.float rng 2.0 -. 1.0) *. bound.(i)
+    done;
     for m = 0 to Pll.n_modes - 1 do
-      let v = Poly.eval cert.vs.(m) x in
+      let v = vs.(m) x in
       if
-        List.for_all (fun g -> Poly.eval g x >= 0.0) slabs.(m)
-        && List.exists (fun g -> Poly.eval g x < level_margin) faces.(m)
+        List.for_all (fun g -> g x >= 0.0) slabs.(m)
+        && List.exists (fun g -> g x < level_margin) faces.(m)
         && not (Float.is_nan v)
       then lowest := Some (match !lowest with Some w -> Float.min w v | None -> v)
     done

@@ -67,39 +67,62 @@ type arc = step list
 
 type sim_result = { arc : arc; final : step; jumps : int; blocked : bool }
 
-let eval_field f x = Array.map (fun p -> Poly.eval p x) f
+(* A vector field staged for repeated evaluation (see Poly.evaluator). *)
+let staged_field f =
+  let f = Array.map Poly.evaluator f in
+  fun x -> Array.map (fun p -> p x) f
 
-let rk4_step f h x =
+let rk4_with field h x =
   let add a b s = Array.init (Array.length a) (fun i -> a.(i) +. (s *. b.(i))) in
-  let k1 = eval_field f x in
-  let k2 = eval_field f (add x k1 (h /. 2.0)) in
-  let k3 = eval_field f (add x k2 (h /. 2.0)) in
-  let k4 = eval_field f (add x k3 h) in
+  let k1 = field x in
+  let k2 = field (add x k1 (h /. 2.0)) in
+  let k3 = field (add x k2 (h /. 2.0)) in
+  let k4 = field (add x k3 h) in
   Array.init (Array.length x) (fun i ->
       x.(i) +. (h /. 6.0 *. (k1.(i) +. (2.0 *. k2.(i)) +. (2.0 *. k3.(i)) +. k4.(i))))
+
+let rk4_step f h x = rk4_with (staged_field f) h x
 
 let crossing_fn tr =
   match tr.urgent_when with
   | Some p -> Some p
   | None -> ( match tr.guard with g :: _ -> Some g | [] -> None)
 
-let guard_holds ?(tol = 1e-9) tr x = List.for_all (fun g -> Poly.eval g x >= -.tol) tr.guard
+(* A transition with its crossing function, guard and reset staged. *)
+type staged_transition = {
+  tr : transition;
+  crossing : (float array -> float) option;
+  guard_holds : tol:float -> float array -> bool;
+  apply_reset : float array -> float array;
+}
 
-let apply_reset tr x = Array.map (fun p -> Poly.eval p x) tr.reset
+let stage_transition tr =
+  let guard = List.map Poly.evaluator tr.guard in
+  {
+    tr;
+    crossing = Option.map Poly.evaluator (crossing_fn tr);
+    guard_holds = (fun ~tol x -> List.for_all (fun g -> g x >= -.tol) guard);
+    apply_reset = staged_field tr.reset;
+  }
 
 (* Bisect the RK4 step [x -> x1] over [0, h] for the first zero upcrossing
    of [c]. Assumes c(x) < 0 <= c(x1). *)
-let bisect_crossing f c h x =
+let bisect_crossing field c h x =
   let lo = ref 0.0 and hi = ref h in
   for _ = 1 to 40 do
     let mid = 0.5 *. (!lo +. !hi) in
-    let xm = rk4_step f mid x in
-    if Poly.eval c xm >= 0.0 then hi := mid else lo := mid
+    let xm = rk4_with field mid x in
+    if c xm >= 0.0 then hi := mid else lo := mid
   done;
-  (!hi, rk4_step f !hi x)
+  (!hi, rk4_with field !hi x)
 
 let simulate ?(dt = 1e-3) ?(max_jumps = 10_000) sys ~mode0 ~x0 ~t_max =
   if Array.length x0 <> sys.nvars then invalid_arg "Hybrid.simulate: state arity";
+  (* Every polynomial a step evaluates, staged once per simulation. *)
+  let fields = Array.map (fun md -> staged_field md.flow) sys.modes
+  and invariants = Array.map (fun md -> List.map Poly.evaluator md.invariant) sys.modes
+  and transitions = List.map stage_transition sys.transitions in
+  let in_flow_set m x = List.for_all (fun g -> g x >= -1e-6) invariants.(m) in
   let acc = ref [] in
   let t = ref 0.0 and j = ref 0 and m = ref mode0 and x = ref (Array.copy x0) in
   let blocked = ref false in
@@ -108,47 +131,49 @@ let simulate ?(dt = 1e-3) ?(max_jumps = 10_000) sys ~mode0 ~x0 ~t_max =
   (try
      while !t < t_max do
        if !j >= max_jumps then raise Exit;
-       let md = sys.modes.(!m) in
+       let field = fields.(!m) in
        let h = Float.min dt (t_max -. !t) in
-       let x1 = rk4_step md.flow h !x in
+       let x1 = rk4_with field h !x in
        (* Find the transition whose crossing function fires first. *)
        let fired = ref None in
        List.iter
-         (fun tr ->
-           if tr.src = !m then
-             match crossing_fn tr with
+         (fun st ->
+           if st.tr.src = !m then
+             match st.crossing with
              | None -> ()
              | Some c ->
-                 let c0 = Poly.eval c !x and c1 = Poly.eval c x1 in
+                 let c0 = c !x and c1 = c x1 in
                  if c0 < 0.0 && c1 >= 0.0 then begin
-                   let tau, xc = bisect_crossing md.flow c h !x in
+                   let tau, xc = bisect_crossing field c h !x in
                    match !fired with
                    | Some (tau', _, _) when tau' <= tau -> ()
-                   | _ -> if guard_holds tr xc then fired := Some (tau, xc, tr)
+                   | _ -> if st.guard_holds ~tol:1e-9 xc then fired := Some (tau, xc, st)
                  end)
-         sys.transitions;
+         transitions;
        (match !fired with
-       | Some (tau, xc, tr) ->
+       | Some (tau, xc, st) ->
            t := !t +. tau;
            x := xc;
            record ();
-           x := apply_reset tr xc;
-           m := tr.dst;
+           x := st.apply_reset xc;
+           m := st.tr.dst;
            incr j;
            record ()
        | None ->
-           if not (in_flow_set ~tol:1e-6 sys !m x1) then begin
+           if not (in_flow_set !m x1) then begin
              (* Left the flow set without a crossing: take any enabled jump,
                 otherwise the solution is blocked. *)
              match
-               List.find_opt (fun tr -> tr.src = !m && guard_holds ~tol:1e-6 tr x1) sys.transitions
+               List.find_opt
+                 (fun st -> st.tr.src = !m && st.guard_holds ~tol:1e-6 x1)
+                 transitions
              with
-             | Some tr ->
+             | Some st ->
                  t := !t +. h;
                  x := x1;
                  record ();
-                 x := apply_reset tr x1;
-                 m := tr.dst;
+                 x := st.apply_reset x1;
+                 m := st.tr.dst;
                  incr j;
                  record ()
              | None ->

@@ -38,16 +38,6 @@ let compare a b =
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
-let eval m x =
-  if Array.length x <> Array.length m then invalid_arg "Monomial.eval: arity mismatch";
-  let v = ref 1.0 in
-  for i = 0 to Array.length m - 1 do
-    for _ = 1 to m.(i) do
-      v := !v *. x.(i)
-    done
-  done;
-  !v
-
 let is_even m = Array.for_all (fun e -> e mod 2 = 0) m
 
 let all_of_degree n d =

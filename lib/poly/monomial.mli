@@ -40,9 +40,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 (** Structural equality. *)
 
-val eval : t -> float array -> float
-(** [eval m x] is the monomial's value at the point [x]. *)
-
 val is_even : t -> bool
 (** Whether every exponent is even (such monomials are squares). *)
 

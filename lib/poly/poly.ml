@@ -89,9 +89,54 @@ let rec pow p k =
 
 let sum n l = List.fold_left add (zero n) l
 
-let eval p x =
-  if Array.length x <> p.nvars then invalid_arg "Poly.eval: arity mismatch";
-  MonoMap.fold (fun m c acc -> acc +. (c *. Monomial.eval m x)) p.terms 0.0
+(* The terms flattened once, in map order: coefficient [t], and the
+   variable index of each factor of term [t] — variables in order, each
+   repeated its exponent times — at [factors.(starts.(t)) ..
+   factors.(starts.(t + 1) - 1)]. Each call sums [acc +. c *. v] over
+   the terms in that order, [v] the product of [1.0] and the factors
+   left to right: the float operations of a fold over the map with
+   monomials built by repeated multiplication, so the value is bit for
+   bit the same, without allocating per term. *)
+let evaluator p =
+  let n = p.nvars in
+  let k = ref 0 and degrees = ref 0 in
+  MonoMap.iter
+    (fun m _ ->
+      incr k;
+      for i = 0 to n - 1 do
+        degrees := !degrees + m.(i)
+      done)
+    p.terms;
+  let k = !k in
+  let coeffs = Array.create_float k
+  and starts = Array.make (k + 1) 0
+  and factors = Array.make !degrees 0 in
+  let t = ref 0 and f = ref 0 in
+  MonoMap.iter
+    (fun m c ->
+      coeffs.(!t) <- c;
+      for i = 0 to n - 1 do
+        for _ = 1 to m.(i) do
+          factors.(!f) <- i;
+          incr f
+        done
+      done;
+      incr t;
+      starts.(!t) <- !f)
+    p.terms;
+  fun x ->
+    if Array.length x <> n then invalid_arg "Poly.eval: arity mismatch";
+    let acc = ref 0.0 in
+    for t = 0 to k - 1 do
+      let v = ref 1.0 in
+      for j = starts.(t) to starts.(t + 1) - 1 do
+        v := !v *. x.(factors.(j))
+      done;
+      acc := !acc +. (coeffs.(t) *. !v)
+    done;
+    !acc
+
+let eval p x = evaluator p x
 
 let partial i p =
   if i < 0 || i >= p.nvars then invalid_arg "Poly.partial: index out of range";

@@ -60,7 +60,13 @@ val sum : int -> t list -> t
 (** Sum of a list of polynomials of the given arity. *)
 
 val eval : t -> float array -> float
-(** Value at a point. *)
+(** Value at a point: [eval p x] is [evaluator p x]. *)
+
+val evaluator : t -> float array -> float
+(** [evaluator p] stages [p] once for repeated evaluation: the returned
+    function gives {!eval}'s value, bit for bit, without allocating per
+    term. Partially apply it when evaluating one polynomial at many
+    points. Raises [Invalid_argument] on a point of the wrong arity. *)
 
 val partial : int -> t -> t
 (** [partial i p] is [∂p/∂x_i]. *)

@@ -385,6 +385,52 @@ let max_step ~frac (l : Mat.t) (dx : Mat.t) =
    solve, keyed by a structure fingerprint so it is only ever applied to
    a problem with the same block dimensions and sparsity pattern.       *)
 
+(* Serialization writers for the two fingerprints, straight into the
+   buffer. [add_hex_float] emits exactly the bytes of [Printf "%h"]
+   (OCaml's runtime hexstring_of_float without a precision): sign,
+   ["0x"], the leading digit ([1] normal, [0] zero or subnormal), the
+   mantissa's hex digits with trailing zeros dropped, and the binary
+   exponent with its sign, [-1022] for a subnormal; ["infinity"] or
+   ["nan"] after the sign bit's ['-']. *)
+let rec add_int buf k =
+  if k < 0 then Buffer.add_string buf (string_of_int k)
+  else begin
+    if k >= 10 then add_int buf (k / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (k mod 10)))
+  end
+
+let add_hex_float buf x =
+  let bits = Int64.bits_of_float x in
+  if Int64.compare bits 0L < 0 then Buffer.add_char buf '-';
+  let exp = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff
+  and man = Int64.to_int bits land 0xf_ffff_ffff_ffff in
+  if exp = 0x7ff then Buffer.add_string buf (if man = 0 then "infinity" else "nan")
+  else begin
+    Buffer.add_string buf (if exp = 0 then "0x0" else "0x1");
+    if man <> 0 then begin
+      Buffer.add_char buf '.';
+      let rest = ref man and shift = ref 48 in
+      while !rest <> 0 do
+        Buffer.add_char buf "0123456789abcdef".[(!rest lsr !shift) land 0xf];
+        rest := !rest land ((1 lsl !shift) - 1);
+        shift := !shift - 4
+      done
+    end;
+    let e = if exp > 0 then exp - 1023 else if man = 0 then 0 else -1022 in
+    Buffer.add_char buf 'p';
+    if e >= 0 then Buffer.add_char buf '+';
+    add_int buf e
+  end
+
+(* " blk:row:col": where a block entry sits, in both fingerprints. *)
+let add_position buf e =
+  Buffer.add_char buf ' ';
+  add_int buf e.blk;
+  Buffer.add_char buf ':';
+  add_int buf e.row;
+  Buffer.add_char buf ':';
+  add_int buf e.col
+
 (* Digest of the problem's *shape* only — block dims, free-variable
    count, and the (blk,row,col) sparsity pattern of every constraint and
    of the objective. Entry values are deliberately excluded: two
@@ -392,23 +438,29 @@ let max_step ~frac (l : Mat.t) (dx : Mat.t) =
    must share a fingerprint so one's iterate can seed the other. *)
 let structure_fingerprint p =
   let buf = Buffer.create 2048 in
-  let adds = Buffer.add_string buf in
+  let adds = Buffer.add_string buf and addc = Buffer.add_char buf and addi = add_int buf in
+  let add_index (k, _) =
+    addc ' ';
+    addi k
+  in
   adds "pll-sdp-structure v1\nblocks";
-  Array.iter (fun d -> adds (Printf.sprintf " %d" d)) p.block_dims;
-  adds (Printf.sprintf "\nfree %d\n" p.n_free);
+  Array.iter (fun d -> addc ' '; addi d) p.block_dims;
+  adds "\nfree ";
+  addi p.n_free;
+  addc '\n';
   Array.iter
     (fun c ->
       adds "A";
-      List.iter (fun e -> adds (Printf.sprintf " %d:%d:%d" e.blk e.row e.col)) c.lhs;
+      List.iter (add_position buf) c.lhs;
       adds "\nB";
-      List.iter (fun (k, _) -> adds (Printf.sprintf " %d" k)) c.free;
-      Buffer.add_char buf '\n')
+      List.iter add_index c.free;
+      addc '\n')
     p.constraints;
   adds "C";
-  List.iter (fun e -> adds (Printf.sprintf " %d:%d:%d" e.blk e.row e.col)) p.obj_blocks;
+  List.iter (add_position buf) p.obj_blocks;
   adds "\ncf";
-  List.iter (fun (k, _) -> adds (Printf.sprintf " %d" k)) p.obj_free;
-  Buffer.add_char buf '\n';
+  List.iter add_index p.obj_free;
+  addc '\n';
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 type warm_start = {
@@ -1017,38 +1069,60 @@ let solve ?(params = default_params) ?warm p =
 
 (* Canonical, byte-deterministic serialization of (problem, solve-relevant
    params) — the content-addressed identity of a solve request. Floats are
-   printed in hexadecimal notation (%h), which round-trips exactly, so two
-   requests share a fingerprint iff the solver would see bit-identical
-   inputs. [on_iteration] and [verbose] are deliberately excluded: hooks
-   (deadlines, fault injection) and logging do not change what a clean,
-   uninterrupted solve returns. *)
+   written in hexadecimal notation, exactly the bytes of %h (so cache
+   entries keep their keys across versions), which round-trips exactly,
+   so two requests share a fingerprint iff the solver would see
+   bit-identical inputs. [on_iteration] and [verbose] are deliberately
+   excluded: hooks (deadlines, fault injection) and logging do not change
+   what a clean, uninterrupted solve returns. *)
 let canonical_serialization ?(params = default_params) p =
   let buf = Buffer.create 4096 in
-  let adds = Buffer.add_string buf in
-  adds "pll-sdp-problem v1\nblocks";
-  Array.iter (fun d -> adds (Printf.sprintf " %d" d)) p.block_dims;
-  adds (Printf.sprintf "\nfree %d\n" p.n_free);
+  let adds = Buffer.add_string buf and addc = Buffer.add_char buf and addi = add_int buf in
+  let addh = add_hex_float buf in
   let add_entries tag entries =
     adds tag;
     List.iter
-      (fun e -> adds (Printf.sprintf " %d:%d:%d:%h" e.blk e.row e.col e.value))
+      (fun e ->
+        add_position buf e;
+        addc ':';
+        addh e.value)
       entries;
-    Buffer.add_char buf '\n'
+    addc '\n'
   in
+  let add_free row =
+    List.iter
+      (fun (k, v) ->
+        addc ' ';
+        addi k;
+        addc ':';
+        addh v)
+      row
+  in
+  adds "pll-sdp-problem v1\nblocks";
+  Array.iter (fun d -> addc ' '; addi d) p.block_dims;
+  adds "\nfree ";
+  addi p.n_free;
+  addc '\n';
   Array.iter
     (fun c ->
       add_entries "A" c.lhs;
       adds "B";
-      List.iter (fun (k, v) -> adds (Printf.sprintf " %d:%h" k v)) c.free;
-      adds (Printf.sprintf "\nb %h\n" c.rhs))
+      add_free c.free;
+      adds "\nb ";
+      addh c.rhs;
+      addc '\n')
     p.constraints;
   add_entries "C" p.obj_blocks;
   adds "cf";
-  List.iter (fun (k, v) -> adds (Printf.sprintf " %d:%h" k v)) p.obj_free;
-  adds
-    (Printf.sprintf "\nparams %d %h %h %h %h %h %b\n" params.max_iter params.tol_gap
-       params.tol_res params.near_factor params.step_frac params.init_scale
-       params.equilibrate);
+  add_free p.obj_free;
+  adds "\nparams ";
+  addi params.max_iter;
+  List.iter
+    (fun v -> addc ' '; addh v)
+    [ params.tol_gap; params.tol_res; params.near_factor; params.step_frac; params.init_scale ];
+  addc ' ';
+  adds (string_of_bool params.equilibrate);
+  addc '\n';
   Buffer.contents buf
 
 let fingerprint ?params p = Digest.to_hex (Digest.string (canonical_serialization ?params p))

@@ -212,15 +212,22 @@ val canonical_serialization : ?params:params -> problem -> string
 (** Canonical, byte-deterministic text form of a solve request: the
     problem data plus every result-relevant solver parameter ([max_iter],
     tolerances, [near_factor], [step_frac], [init_scale], [equilibrate]),
-    with floats in exact hexadecimal notation. [on_iteration] and
-    [verbose] are excluded — they do not affect what a clean solve
-    returns. Two requests serialize identically iff the solver sees
+    with floats in exact hexadecimal notation (the bytes of [%h], written
+    by {!add_hex_float}). [on_iteration] and [verbose] are excluded —
+    they do not affect what a clean solve returns. Two requests serialize identically iff the solver sees
     bit-identical inputs, which makes this the cache key of the
     {!Supervise} content-addressed solve cache. *)
 
 val fingerprint : ?params:params -> problem -> string
 (** Hex digest of {!canonical_serialization} — the content address of a
     solve request. *)
+
+val add_hex_float : Buffer.t -> float -> unit
+(** [add_hex_float buf x] appends the bytes of [Printf.sprintf "%h" x]:
+    the float writer of {!canonical_serialization}, which pins the cache
+    key format to [%h] (signed zeros, subnormals, [infinity],
+    [-infinity], [nan] and [-nan] included) without going through
+    [Printf]. *)
 
 val solve_count : unit -> int
 (** Process-wide number of {!solve} calls so far in this process; the

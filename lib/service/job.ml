@@ -69,7 +69,8 @@ let validate spec =
   in
   let* () =
     match spec.deadline_s with
-    | Some d when not (d > 0.0) -> Error "deadline must be positive"
+    | Some d when not (Float.is_finite d && d > 0.0) ->
+        Error "deadline must be positive and finite"
     | _ -> Ok ()
   in
   let rec dup = function

@@ -87,6 +87,37 @@ let test_run_verifies () =
   Alcotest.(check bool) "P2 verified (advection or escape)" true r.Advect.verified;
   Alcotest.(check bool) "made progress" true (r.Advect.iterations >= 1)
 
+(* MD5 over the [%h] coefficients of a front, in [Poly.terms] order. *)
+let front_digest front =
+  let b = Buffer.create 1024 in
+  List.iter (fun (_, c) -> Buffer.add_string b (Printf.sprintf "%h;" c)) (Poly.terms front);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The first advection front on the nominal third order, uncapped and
+   capped at 1.02 beta, pinned bit for bit: the covering ellipsoid is
+   fitted to the accepted samples, so a sampler that draws or accepts
+   one point differently moves these digests. *)
+let test_pinned_step () =
+  let s = Lazy.force s3 and ai = Lazy.force ai3 in
+  let pt = Pll.nominal s in
+  let init = Advect.ellipsoid_front s ~radii:[| 2.0; 2.0; 1.6 |] in
+  let vmax = 1.02 *. ai.Certificates.beta in
+  let caps =
+    Array.map (fun v -> Poly.sub (Poly.const 3 vmax) v) ai.Certificates.cert.Certificates.vs
+  in
+  List.iter
+    (fun (what, caps, expected) ->
+      match Advect.advect_step ?caps s pt init with
+      | Error e -> Alcotest.fail (what ^ ": " ^ e)
+      | Ok st ->
+          Alcotest.(check string) (what ^ " front") expected (front_digest st.Advect.front);
+          Alcotest.(check string) (what ^ " gamma") "0x1.3333333333333p-7"
+            (Printf.sprintf "%h" st.Advect.gamma))
+    [
+      ("uncapped", None, "e05baf341c6f4882df4675b0fd470b35");
+      ("capped", Some caps, "b04e6b571bbace598b4ba8c6e1a0904d");
+    ]
+
 let suite =
   [
     Alcotest.test_case "ellipsoid front" `Quick test_ellipsoid_front;
@@ -95,4 +126,5 @@ let suite =
     Alcotest.test_case "taylor vs exact maps" `Slow test_taylor_map_agrees_for_small_h;
     Alcotest.test_case "caps never harden containment" `Slow test_caps_tighten_containment;
     Alcotest.test_case "algorithm 1 verifies P2" `Slow test_run_verifies;
+    Alcotest.test_case "pinned first step" `Slow test_pinned_step;
   ]

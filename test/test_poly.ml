@@ -16,7 +16,7 @@ let test_monomial_basics () =
   Alcotest.(check bool) "mul" true (M.equal (M.mul m (mono [ 0; 2 ])) (mono [ 2; 3 ]));
   Alcotest.(check bool) "divide ok" true (M.divide m (mono [ 1; 1 ]) = Some (mono [ 1; 0 ]));
   Alcotest.(check bool) "divide fail" true (M.divide (mono [ 1; 0 ]) (mono [ 0; 1 ]) = None);
-  Alcotest.(check (float 1e-12)) "eval" 12.0 (M.eval m [| 2.0; 3.0 |]);
+  Alcotest.(check (float 1e-12)) "eval" 12.0 (Poly.eval (p2 [ ([ 2; 1 ], 1.0) ]) [| 2.0; 3.0 |]);
   Alcotest.(check string) "to_string" "x0^2*x1" (M.to_string m)
 
 let test_monomial_enumeration () =
@@ -194,6 +194,68 @@ let prop_shift_inverse =
     (fun (p, (cx, cy)) ->
       Poly.approx_equal ~tol:1e-5 (Poly.shift (Poly.shift p [| cx; cy |]) [| -.cx; -.cy |]) p)
 
+(* The evaluation [Poly.eval] replaced: a fold over the terms in map
+   order, each monomial built by repeated multiplication in variable
+   order. Kept here as the oracle the staged evaluator must match bit
+   for bit. *)
+let fold_eval p x =
+  let mono_eval m =
+    let v = ref 1.0 in
+    Array.iteri
+      (fun i e ->
+        for _ = 1 to e do
+          v := !v *. x.(i)
+        done)
+      m;
+    !v
+  in
+  List.fold_left (fun acc (m, c) -> acc +. (c *. mono_eval m)) 0.0 (Poly.terms p)
+
+(* Awkward floats: signed zeros, subnormals, and ordinary magnitudes. *)
+let awkward_float =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return 0.0);
+      (1, return (-0.0));
+      (1, map (fun k -> float_of_int (k - 8) *. 4.9e-324) (int_bound 16));
+      (1, map (fun f -> f *. 1e-310) (float_bound_inclusive 5.0));
+      (6, float_range (-8.0) 8.0);
+    ]
+
+(* A polynomial in 1-4 variables of degree <= 6 (possibly zero or
+   constant) and a point of its arity. *)
+let poly_point_gen =
+  let open QCheck.Gen in
+  let* n = int_range 1 4 in
+  (* Exponents of total degree <= 6, drawn variable by variable. *)
+  let mono_gen =
+    let rec go i left acc =
+      if i = n then return (Array.of_list (List.rev acc))
+      else
+        let* e = int_bound left in
+        go (i + 1) (left - e) (e :: acc)
+    in
+    go 0 6 []
+  in
+  let* terms = list_size (int_bound 8) (pair mono_gen awkward_float) in
+  let* x =
+    array_repeat n
+      (frequency
+         [ (1, return 0.0); (1, return (-0.0)); (6, float_range (-3.0) 3.0) ])
+  in
+  return (Poly.of_terms n terms, x)
+
+let prop_eval_matches_fold =
+  QCheck.Test.make ~name:"eval equals the map fold bit for bit" ~count:500
+    (QCheck.make
+       ~print:(fun (p, x) ->
+         Printf.sprintf "%s at [%s]" (Poly.to_string p)
+           (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") x))))
+       poly_point_gen)
+    (fun (p, x) ->
+      Int64.equal (Int64.bits_of_float (Poly.eval p x)) (Int64.bits_of_float (fold_eval p x)))
+
 let suite =
   [
     Alcotest.test_case "monomial basics" `Quick test_monomial_basics;
@@ -218,4 +280,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mono_divide_mul;
     QCheck_alcotest.to_alcotest prop_parse_roundtrip;
     QCheck_alcotest.to_alcotest prop_shift_inverse;
+    QCheck_alcotest.to_alcotest prop_eval_matches_fold;
   ]

@@ -506,6 +506,181 @@ let test_session_remember () =
   Alcotest.(check int) "remembered solution warmed the solve" 1 c.Sdp.Session.warm_accepted;
   Alcotest.(check int) "no cold solve needed" 0 c.Sdp.Session.cold_solves
 
+(* --- Cache keys ------------------------------------------------------ *)
+
+(* The serializers as they were written with Printf, kept as oracles:
+   the direct writers in Sdp must produce these bytes, so cache entries
+   and structure keys made by either stay interchangeable. *)
+let printf_serialization ?(params = Sdp.default_params) (p : Sdp.problem) =
+  let buf = Buffer.create 4096 in
+  let adds = Buffer.add_string buf in
+  adds "pll-sdp-problem v1\nblocks";
+  Array.iter (fun d -> adds (Printf.sprintf " %d" d)) p.Sdp.block_dims;
+  adds (Printf.sprintf "\nfree %d\n" p.Sdp.n_free);
+  let add_entries tag entries =
+    adds tag;
+    List.iter
+      (fun e ->
+        adds (Printf.sprintf " %d:%d:%d:%h" e.Sdp.blk e.Sdp.row e.Sdp.col e.Sdp.value))
+      entries;
+    Buffer.add_char buf '\n'
+  in
+  Array.iter
+    (fun c ->
+      add_entries "A" c.Sdp.lhs;
+      adds "B";
+      List.iter (fun (k, v) -> adds (Printf.sprintf " %d:%h" k v)) c.Sdp.free;
+      adds (Printf.sprintf "\nb %h\n" c.Sdp.rhs))
+    p.Sdp.constraints;
+  add_entries "C" p.Sdp.obj_blocks;
+  adds "cf";
+  List.iter (fun (k, v) -> adds (Printf.sprintf " %d:%h" k v)) p.Sdp.obj_free;
+  adds
+    (Printf.sprintf "\nparams %d %h %h %h %h %h %b\n" params.Sdp.max_iter params.Sdp.tol_gap
+       params.Sdp.tol_res params.Sdp.near_factor params.Sdp.step_frac params.Sdp.init_scale
+       params.Sdp.equilibrate);
+  Buffer.contents buf
+
+let printf_structure_fingerprint (p : Sdp.problem) =
+  let buf = Buffer.create 2048 in
+  let adds = Buffer.add_string buf in
+  adds "pll-sdp-structure v1\nblocks";
+  Array.iter (fun d -> adds (Printf.sprintf " %d" d)) p.Sdp.block_dims;
+  adds (Printf.sprintf "\nfree %d\n" p.Sdp.n_free);
+  Array.iter
+    (fun c ->
+      adds "A";
+      List.iter
+        (fun e -> adds (Printf.sprintf " %d:%d:%d" e.Sdp.blk e.Sdp.row e.Sdp.col))
+        c.Sdp.lhs;
+      adds "\nB";
+      List.iter (fun (k, _) -> adds (Printf.sprintf " %d" k)) c.Sdp.free;
+      Buffer.add_char buf '\n')
+    p.Sdp.constraints;
+  adds "C";
+  List.iter
+    (fun e -> adds (Printf.sprintf " %d:%d:%d" e.Sdp.blk e.Sdp.row e.Sdp.col))
+    p.Sdp.obj_blocks;
+  adds "\ncf";
+  List.iter (fun (k, _) -> adds (Printf.sprintf " %d" k)) p.Sdp.obj_free;
+  Buffer.add_char buf '\n';
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let hex_of x =
+  let b = Buffer.create 32 in
+  Sdp.add_hex_float b x;
+  Buffer.contents b
+
+(* Random bit patterns, weighted towards the exponent fields where %h
+   has special cases: zero/subnormal (exponent 0) and inf/nan (0x7ff),
+   both signs. *)
+let float_bits_gen =
+  let open QCheck.Gen in
+  let word = map2 (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+      (int_bound 0xffff_ffff) (int_bound 0xffff_ffff)
+  in
+  let with_exponent e =
+    map
+      (fun w -> Int64.(logor (logand w 0x800f_ffff_ffff_ffffL) (shift_left (of_int e) 52)))
+      word
+  in
+  let keep_sign mask = map (fun w -> Int64.logand w mask) word in
+  frequency
+    [
+      (6, word);
+      (2, with_exponent 0);
+      (2, with_exponent 0x7ff);
+      (1, keep_sign 0x8000_0000_0000_0000L);
+      (1, keep_sign 0x8000_0000_0000_000fL);
+      (1, map (fun w -> Int64.logand w 0xfff0_0000_0000_0000L) word);
+    ]
+  |> map Int64.float_of_bits
+
+let test_hex_float_specials () =
+  List.iter
+    (fun x -> Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%h" x) (hex_of x))
+    [
+      0.0; -0.0; 1.0; -1.0; 0.1; 1e300; -3.5e-7; 4.9e-324; -4.9e-324; Float.min_float;
+      Float.max_float; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+      Int64.float_of_bits 0x7ff0_0000_0000_0001L; Int64.float_of_bits 0xfff8_0000_0000_0000L;
+    ]
+
+let prop_hex_float_is_printf =
+  QCheck.Test.make ~name:"add_hex_float writes the bytes of %h" ~count:5000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "bits %Lx" (Int64.bits_of_float x))
+       float_bits_gen)
+    (fun x -> String.equal (hex_of x) (Printf.sprintf "%h" x))
+
+(* Small problems with awkward values: indices and shapes are random but
+   well formed, values are random bit patterns. *)
+let problem_gen =
+  let open QCheck.Gen in
+  let* dims = array_size (int_range 1 3) (int_range 1 3) in
+  let* n_free = int_bound 2 in
+  let entry_gen =
+    let* blk = int_bound (Array.length dims - 1) in
+    let* row = int_bound (dims.(blk) - 1) in
+    let* col = int_range row (dims.(blk) - 1) in
+    let* value = float_bits_gen in
+    return { Sdp.blk; row; col; value }
+  in
+  let free_gen =
+    if n_free = 0 then return []
+    else list_size (int_bound 2) (pair (int_bound (n_free - 1)) float_bits_gen)
+  in
+  let constr_gen =
+    let* lhs = list_size (int_bound 3) entry_gen in
+    let* free = free_gen in
+    let* rhs = float_bits_gen in
+    return { Sdp.lhs; free; rhs }
+  in
+  let* constraints = array_size (int_bound 3) constr_gen in
+  let* obj_blocks = list_size (int_bound 3) entry_gen in
+  let* obj_free = free_gen in
+  let* max_iter = int_bound 300 in
+  let* tol_gap = float_bits_gen in
+  let* equilibrate = bool in
+  return
+    ( { Sdp.block_dims = dims; n_free; constraints; obj_blocks; obj_free },
+      { Sdp.default_params with Sdp.max_iter; tol_gap; equilibrate } )
+
+let prop_serialization_is_printf =
+  QCheck.Test.make ~name:"cache and structure keys match the Printf serializers" ~count:500
+    (QCheck.make ~print:(fun (p, params) -> printf_serialization ~params p) problem_gen)
+    (fun (p, params) ->
+      String.equal (Sdp.canonical_serialization ~params p) (printf_serialization ~params p)
+      && String.equal (Sdp.fingerprint ~params p)
+           (Digest.to_hex (Digest.string (printf_serialization ~params p)))
+      && String.equal (Sdp.structure_fingerprint p) (printf_structure_fingerprint p))
+
+(* A literal cache key: any change to the key format — and so to which
+   run dirs and result stores resume — fails here. *)
+let test_fingerprint_pinned () =
+  let subnormal = Int64.float_of_bits 0x000f_0000_0000_00a5L in
+  let p =
+    {
+      Sdp.block_dims = [| 2; 1 |];
+      n_free = 2;
+      constraints =
+        [|
+          {
+            Sdp.lhs = [ entry 0 0 0 (-0.0); entry 0 0 1 subnormal; entry 1 0 0 1e300 ];
+            free = [ (0, -3.5e-7); (1, 1.0) ];
+            rhs = 1.0;
+          };
+          { Sdp.lhs = [ entry 0 1 1 (-3.5e-7) ]; free = [ (1, -0.0) ]; rhs = -1e300 };
+        |];
+      obj_blocks = [ entry 0 0 0 1.0; entry 1 0 0 (-.subnormal) ];
+      obj_free = [ (0, 0.1); (1, 4.9e-324) ];
+    }
+  in
+  Alcotest.(check string) "default params" "e09579c502826409399ed84b511048d7"
+    (Sdp.fingerprint p);
+  Alcotest.(check string) "non-default params" "b90aeb9024d508674734c7b656578e3f"
+    (Sdp.fingerprint
+       ~params:{ Sdp.default_params with Sdp.max_iter = 7; equilibrate = false; tol_gap = -0.0 }
+       p)
+
 let suite =
   [
     Alcotest.test_case "sdpa export" `Quick test_to_sdpa;
@@ -532,4 +707,8 @@ let suite =
     Alcotest.test_case "session: mismatched hint falls back cold" `Quick
       test_session_structure_mismatch_cold;
     Alcotest.test_case "session: remember warms" `Quick test_session_remember;
+    Alcotest.test_case "cache key: %h special values" `Quick test_hex_float_specials;
+    QCheck_alcotest.to_alcotest prop_hex_float_is_printf;
+    QCheck_alcotest.to_alcotest prop_serialization_is_printf;
+    Alcotest.test_case "cache key: pinned fingerprint" `Quick test_fingerprint_pinned;
   ]

@@ -138,6 +138,10 @@ let test_validate_refuses () =
   in
   bad { d with Service.Job.degree = 0 } "degree 0";
   bad { d with Service.Job.deadline_s = Some 0.0 } "zero deadline";
+  (* The daemon's Bulk.validate refuses a budget that is not finite, so
+     the client must refuse it first, as a usage error. *)
+  bad { d with Service.Job.deadline_s = Some Float.infinity } "infinite deadline";
+  bad { d with Service.Job.deadline_s = Some Float.nan } "nan deadline";
   bad { d with Service.Job.point = [ (Pll.Ip, -1.0) ] } "negative factor";
   bad
     { d with Service.Job.point = [ (Pll.Ip, 1.0); (Pll.Ip, 2.0) ] }

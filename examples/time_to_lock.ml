@@ -31,6 +31,7 @@ let () =
          measure time until the state enters X1. *)
       let sys = Pll.hybrid_system s (Pll.nominal s) in
       let rng = Random.State.make [| 3 |] in
+      let in_x1 = Certificates.member s ai in
       let worst = ref 0.0 and count = ref 0 in
       while !count < 30 do
         let x0 =
@@ -50,7 +51,7 @@ let () =
           let r = Hybrid.simulate ~dt:1e-3 sys ~mode0:m ~x0 ~t_max:100.0 in
           let entry =
             List.find_opt
-              (fun (st : Hybrid.step) -> Certificates.member s ai st.Hybrid.state)
+              (fun (st : Hybrid.step) -> in_x1 st.Hybrid.state)
               r.Hybrid.arc
           in
           match entry with

@@ -417,6 +417,7 @@ let validate_step_by_simulation ?(samples = 200) ?(seed = 7) (s : Pll.scaled) pt
   let rng = Random.State.make [| seed |] in
   let n = s.Pll.nvars in
   let sys = Pll.hybrid_system s pt in
+  let old_front = Poly.evaluator old_front and front = Poly.evaluator front in
   let ok = ref true in
   let found = ref 0 and attempts = ref 0 in
   while !found < samples && !attempts < samples * 100 do
@@ -426,7 +427,7 @@ let validate_step_by_simulation ?(samples = 200) ?(seed = 7) (s : Pll.scaled) pt
           let b = if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max in
           (Random.State.float rng 2.0 -. 1.0) *. b)
     in
-    if Poly.eval old_front x <= 0.0 then begin
+    if old_front x <= 0.0 then begin
       incr found;
       (* Integrate the true hybrid dynamics (including mode switches
          mid-step) from whichever mode's slab contains x. *)
@@ -438,7 +439,7 @@ let validate_step_by_simulation ?(samples = 200) ?(seed = 7) (s : Pll.scaled) pt
       in
       let r = Hybrid.simulate ~dt:(h /. 50.0) sys ~mode0:m ~x0:x ~t_max:h in
       (* Allow a small numerical tolerance at the front boundary. *)
-      if Poly.eval front r.Hybrid.final.Hybrid.state > 1e-6 then ok := false
+      if front r.Hybrid.final.Hybrid.state > 1e-6 then ok := false
     end
   done;
   !ok && !found > 0

@@ -155,14 +155,17 @@ let validate_barrier_by_simulation ?(trials = 30) ?(t_max = 60.0) ?(seed = 5) ?i
   let n = s.Pll.nvars in
   let sys = Pll.hybrid_system s (Pll.nominal s) in
   let theta = Pll.theta_index s in
-  (* What must hold along every arc from the initial set. *)
-  let holds (st : Hybrid.step) =
+  (* What must hold along every arc from the initial set, its
+     polynomials staged once. *)
+  let holds : Hybrid.step -> bool =
     match (cert.via, invariant) with
-    | Barrier_function, _ -> Poly.eval cert.b st.Hybrid.state <= 1e-6
+    | Barrier_function, _ ->
+        let b = Poly.evaluator cert.b in
+        fun st -> b st.Hybrid.state <= 1e-6
     | Reach_cap vmax, Some ai ->
-        Poly.eval ai.Certificates.cert.Certificates.vs.(st.Hybrid.mode_at) st.Hybrid.state
-        <= vmax +. 1e-6
-    | Reach_cap _, None -> true (* nothing checkable without the certificates *)
+        let vs = Array.map Poly.evaluator ai.Certificates.cert.Certificates.vs in
+        fun st -> vs.(st.Hybrid.mode_at) st.Hybrid.state <= vmax +. 1e-6
+    | Reach_cap _, None -> fun _ -> true (* nothing checkable without the certificates *)
   in
   let sound = ref true and found = ref 0 and attempts = ref 0 in
   while !found < trials && !attempts < trials * 300 do

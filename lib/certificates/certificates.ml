@@ -436,14 +436,15 @@ let level_programs (s : Pll.scaled) =
 let level_margin = 1e-3
 
 (* Cheap numeric prefilter: a sampled counterexample refutes the level
-   without touching the SDP. A sample refutes [beta] in mode [m] when it
-   lies in the θ-slab, within [level_margin] of some containment face,
-   and has [V_m <= beta]; only that last test depends on [beta], so the
-   4000 samples are drawn and evaluated once, and the returned check
-   compares [beta] with the smallest such [V_m]. [V_m], the slabs and the
-   faces are staged once (Poly.evaluator), and every sample is drawn into
-   one buffer. *)
-let level_prefilter (s : Pll.scaled) cert =
+   without touching the SDP. A sample refutes [beta] for program [(m, g)]
+   when it lies in the θ-slab, within [level_margin] of the face [g], and
+   has [V_m <= beta]; only that last test depends on [beta], so the 4000
+   samples are drawn and evaluated once, and the pass keeps the smallest
+   such [V_m] with the first program (by index) it refutes at that
+   value; [None] when no sample counts. [V_m], the slabs and the faces
+   are staged once (Poly.evaluator), and every sample is drawn into one
+   buffer. *)
+let level_samples (s : Pll.scaled) cert =
   let n = s.Pll.nvars in
   let rng = Random.State.make [| 31 |] in
   let bound =
@@ -452,11 +453,10 @@ let level_prefilter (s : Pll.scaled) cert =
   in
   let slab m = match Pll.mode_domain s m with theta_slab :: _ -> [ theta_slab ] | [] -> [] in
   let vs = Array.map Poly.evaluator cert.vs
-  and slabs = Array.init Pll.n_modes (fun m -> List.map Poly.evaluator (slab m))
-  and faces =
-    Array.init Pll.n_modes (fun m ->
-        List.map Poly.evaluator (Pll.containment_constraints s m))
-  in
+  and slabs = Array.init Pll.n_modes (fun m -> List.map Poly.evaluator (slab m)) in
+  (* Per mode, its programs' indices and faces. *)
+  let faces = Array.make Pll.n_modes [] in
+  Array.iteri (fun p (m, g) -> faces.(m) <- faces.(m) @ [ (p, Poly.evaluator g) ]) (level_programs s);
   let x = Array.make n 0.0 in
   let lowest = ref None in
   for _ = 1 to 4000 do
@@ -464,16 +464,25 @@ let level_prefilter (s : Pll.scaled) cert =
       x.(i) <- (Random.State.float rng 2.0 -. 1.0) *. bound.(i)
     done;
     for m = 0 to Pll.n_modes - 1 do
-      let v = vs.(m) x in
-      if
-        List.for_all (fun g -> g x >= 0.0) slabs.(m)
-        && List.exists (fun g -> g x < level_margin) faces.(m)
-        && not (Float.is_nan v)
-      then lowest := Some (match !lowest with Some w -> Float.min w v | None -> v)
+      if List.for_all (fun g -> g x >= 0.0) slabs.(m) then begin
+        let v = vs.(m) x in
+        if not (Float.is_nan v) then
+          List.iter
+            (fun (p, g) ->
+              if g x < level_margin then
+                match !lowest with
+                | Some (w, q) when not (v < w || (v = w && p < q)) -> ()
+                | _ -> lowest := Some (v, p))
+            faces.(m)
+      end
     done
   done;
-  let lowest = !lowest in
-  fun beta -> match lowest with None -> true | Some v -> not (v <= beta)
+  !lowest
+
+(* The prefilter's verdict on [beta]: no sample refutes it. *)
+let sampled_check lowest beta = match lowest with None -> true | Some (v, _) -> not (v <= beta)
+
+let level_prefilter s cert = sampled_check (level_samples s cert)
 
 (* One Lemma-1 program, solved under [pol]. *)
 let level_program ~mult_deg pol (s : Pll.scaled) cert (m, g) beta =
@@ -508,54 +517,64 @@ let check_level ?(mult_deg = 2) (s : Pll.scaled) cert beta =
    then activates it and the bisection is replayed from the start, the
    memo making every step already solved free. The active set only
    grows, so this ends, on the path and β of the plain bisection.
-   Until some level has passed every program (the floor), a check runs
-   them all, active ones first, so a deadline hit past the floor leaves
-   a level certified by every program to degrade to. *)
+   The active set starts with the program whose face the prefilter's
+   samples reach at the smallest [V_m] (ties by index): the lowest
+   sampled face is likely the binding one. It is picked with the
+   prefilter, in the first check the deadline lets through.
+   Under a pipeline deadline, until some level has passed every program
+   (the floor), a check runs them all, active ones first, so a deadline
+   hit past the floor leaves a level certified by every program to
+   degrade to. Without a deadline the walk always finishes, so the floor
+   is never read and not bought. *)
 let maximize_level ?(bisect_steps = 20) ?(beta_hi = 2000.0) (s : Pll.scaled) cert =
   let t_start = Unix.gettimeofday () in
   let pol = level_policy cert in
   let programs = level_programs s in
-  let memo = Hashtbl.create 64 and prefilter_memo = Hashtbl.create 32 in
-  let prefilter = lazy (level_prefilter s cert) in
-  let memoized tbl key f =
-    match Hashtbl.find_opt tbl key with
+  let memo = Hashtbl.create 64 in
+  let indices = List.init (Array.length programs) Fun.id in
+  let sampled = lazy (level_samples s cert) in
+  let passes beta i =
+    match Hashtbl.find_opt memo (i, beta) with
     | Some r -> r
     | None ->
-        let r = f () in
-        Hashtbl.add tbl key r;
+        let r = level_program ~mult_deg:2 pol s cert programs.(i) beta in
+        Hashtbl.add memo (i, beta) r;
         r
-  in
-  let passes beta i =
-    memoized memo (i, beta) (fun () ->
-        level_program ~mult_deg:2 pol s cert programs.(i) beta)
   in
   (* Active programs in the order they were activated, so a replayed
      step reaches the program that failed it before any activated
-     later. *)
-  let active = ref [ 0 ] in
-  let indices = List.init (Array.length programs) Fun.id in
-  (* Every program, active ones first; the first one failing at [beta]
-     is activated. *)
+     later; the lowest sampled one until then. *)
+  let active = ref [] in
+  let active_programs () =
+    if !active = [] then
+      active := [ (match Lazy.force sampled with Some (_, p) -> p | None -> 0) ];
+    !active
+  in
+  (* Every program, active ones first, then in index (mode-major)
+     order; the first one failing at [beta] is activated. *)
   let all_pass beta =
-    let rest = List.filter (fun i -> not (List.mem i !active)) indices in
-    match List.find_opt (fun i -> not (passes beta i)) (!active @ rest) with
+    let act = active_programs () in
+    let rest = List.filter (fun i -> not (List.mem i act)) indices in
+    match List.find_opt (fun i -> not (passes beta i)) (act @ rest) with
     | Some i ->
-        if not (List.mem i !active) then active := !active @ [ i ];
+        if not (List.mem i act) then active := act @ [ i ];
         false
     | None -> true
   in
-  (* The floor: the level every program passed at; [0.] until one has. *)
+  (* The floor: the level every program passed at; [0.] until one has.
+     Bought only under a deadline. *)
+  let buy_floor = pol.Resilient.pipeline_deadline_s <> None in
   let certified = ref 0.0 in
   let check beta =
     (not (Resilient.out_of_time pol))
-    && memoized prefilter_memo beta (fun () -> Lazy.force prefilter beta)
+    && sampled_check (Lazy.force sampled) beta
     &&
-    if !certified > 0.0 then List.for_all (passes beta) !active
-    else begin
+    if buy_floor && !certified = 0.0 then begin
       let ok = all_pass beta in
       if ok then certified := beta;
       ok
     end
+    else List.for_all (passes beta) (active_programs ())
   in
   (* One walk of the bisection; [None] when the pipeline deadline
      stopped it. *)
@@ -610,15 +629,17 @@ let attractive_invariant ?config ?bisect_steps (s : Pll.scaled) =
       if beta <= 0.0 then Error "level maximization failed: no positive certified level"
       else Ok { cert; beta; level_stats }
 
-let member (s : Pll.scaled) ai x =
-  let in_slab m =
-    List.for_all (fun g -> Poly.eval g x >= 0.0) (Pll.mode_domain s m)
-  in
-  let ok = ref false in
-  for m = 0 to Pll.n_modes - 1 do
-    if in_slab m && Poly.eval ai.cert.vs.(m) x <= ai.beta then ok := true
-  done;
-  !ok
+(* The slabs and certificates are staged once, so a partial application
+   [member s ai] tests many points at staged cost. *)
+let member (s : Pll.scaled) ai =
+  let domains = Array.init Pll.n_modes (fun m -> List.map Poly.evaluator (Pll.mode_domain s m))
+  and vs = Array.map Poly.evaluator ai.cert.vs in
+  fun x ->
+    let ok = ref false in
+    for m = 0 to Pll.n_modes - 1 do
+      if List.for_all (fun g -> g x >= 0.0) domains.(m) && vs.(m) x <= ai.beta then ok := true
+    done;
+    !ok
 
 let upper_bound_on_set ?(extra_domain = []) (s : Pll.scaled) cert ~set =
   let n = s.Pll.nvars in
@@ -679,6 +700,7 @@ let time_to_lock_bound ?(samples = 200) (s : Pll.scaled) ai ~from_level =
        directions, bisect the radius where the active certificate
        crosses β. *)
     let rng = Random.State.make [| 17 |] in
+    let vs = Array.map Poly.evaluator ai.cert.vs in
     let r_min = ref infinity in
     for _ = 1 to samples do
       let dir = Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0) in
@@ -693,7 +715,7 @@ let time_to_lock_bound ?(samples = 200) (s : Pll.scaled) ai ~from_level =
             else if th > 0.0 then Pll.up
             else Pll.down
           in
-          Poly.eval ai.cert.vs.(m) x
+          vs.(m) x
         in
         let r_hi = 2.0 *. Float.max s.Pll.w_max s.Pll.theta_max in
         if active_v r_hi >= beta then begin
@@ -750,6 +772,7 @@ let validate_by_simulation ?(trials = 50) ?(t_max = 120.0) ?(seed = 42) (s : Pll
   let rng = Random.State.make [| seed |] in
   let n = s.Pll.nvars in
   let sys = Pll.hybrid_system s (Pll.nominal s) in
+  let inside = member s ai and vs = Array.map Poly.evaluator ai.cert.vs in
   let sound = ref true in
   let found = ref 0 in
   let attempts = ref 0 in
@@ -767,7 +790,7 @@ let validate_by_simulation ?(trials = 50) ?(t_max = 120.0) ?(seed = 42) (s : Pll
       else if th > 0.0 then Pll.up
       else Pll.down
     in
-    if member s ai x0 then begin
+    if inside x0 then begin
       incr found;
       let r = Hybrid.simulate ~dt:1e-3 sys ~mode0:m ~x0 ~t_max in
       if r.Hybrid.blocked then sound := false;
@@ -777,7 +800,7 @@ let validate_by_simulation ?(trials = 50) ?(t_max = 120.0) ?(seed = 42) (s : Pll
       let prev = ref infinity in
       List.iter
         (fun (st : Hybrid.step) ->
-          let v = Poly.eval ai.cert.vs.(st.Hybrid.mode_at) st.Hybrid.state in
+          let v = vs.(st.Hybrid.mode_at) st.Hybrid.state in
           if v > !prev +. 1e-6 then sound := false;
           prev := v)
         r.Hybrid.arc
@@ -788,6 +811,7 @@ let validate_by_simulation ?(trials = 50) ?(t_max = 120.0) ?(seed = 42) (s : Pll
 let invariant_boundary (s : Pll.scaled) ai ~plane:(i, j) ~n =
   let nvars = s.Pll.nvars in
   let r_max = 2.0 *. Float.max s.Pll.w_max s.Pll.theta_max in
+  let member = member s ai in
   let pts = ref [] in
   for k = 0 to n - 1 do
     let angle = 2.0 *. Float.pi *. float_of_int k /. float_of_int n in
@@ -798,11 +822,11 @@ let invariant_boundary (s : Pll.scaled) ai ~plane:(i, j) ~n =
       x.(j) <- r *. dir_j;
       x
     in
-    if member s ai (at 0.0) && not (member s ai (at r_max)) then begin
+    if member (at 0.0) && not (member (at r_max)) then begin
       let lo = ref 0.0 and hi = ref r_max in
       for _ = 1 to 50 do
         let mid = 0.5 *. (!lo +. !hi) in
-        if member s ai (at mid) then lo := mid else hi := mid
+        if member (at mid) then lo := mid else hi := mid
       done;
       pts := (!lo *. dir_i, !lo *. dir_j) :: !pts
     end
@@ -811,6 +835,7 @@ let invariant_boundary (s : Pll.scaled) ai ~plane:(i, j) ~n =
 
 let level_curve v ~beta ~plane:(i, j) ~nvars ~n =
   let r_max = 1e3 in
+  let v = Poly.evaluator v in
   let pts = ref [] in
   for k = 0 to n - 1 do
     let angle = 2.0 *. Float.pi *. float_of_int k /. float_of_int n in
@@ -819,7 +844,7 @@ let level_curve v ~beta ~plane:(i, j) ~nvars ~n =
       let x = Array.make nvars 0.0 in
       x.(i) <- r *. dir_i;
       x.(j) <- r *. dir_j;
-      Poly.eval v x
+      v x
     in
     (* V(0) = 0 <= beta; find r with V(r·dir) = beta by bisection if the
        ray reaches beta. *)

@@ -126,14 +126,17 @@ val maximize_level :
     over [[0, beta_hi]] (the product [σ·β] is bilinear, so each step is
     a linear SOS feasibility problem). Each step solves the prefilter
     and only the {e active} Lemma-1 programs of {!check_level} — those
-    that have failed at some level — once some level has passed every
-    program; the final level is then confirmed against all of them,
-    and a program failing there is activated and the bisection
-    replayed (memoized, so only new solves cost). Since each program is
-    monotone in [β], the result is the plain bisection's over
-    {!check_level}, bit for bit. The returned [β] always passed every
-    program; under a pipeline deadline it is the largest such level
-    reached. Returns [0.] if even tiny levels fail. *)
+    that have failed at some level, starting with the program whose
+    face the prefilter's samples reach at the lowest [V]. The final
+    level is then confirmed against all of them, and a program failing
+    there is activated and the bisection replayed (memoized, so only
+    new solves cost). Since
+    each program is monotone in [β], the result is the plain
+    bisection's over {!check_level}, bit for bit. The returned [β]
+    always passed every program. Under a pipeline deadline, steps run
+    every program until some level has passed them all (the floor),
+    and a stopped walk returns the largest such level reached. Returns
+    [0.] if even tiny levels fail. *)
 
 (** An attractive invariant [X1] (Theorem 2): certificate plus maximized
     common level. *)
@@ -144,7 +147,9 @@ val attractive_invariant :
 (** [find_multi_lyapunov] followed by [maximize_level]. *)
 
 val member : Pll.scaled -> attractive_invariant -> float array -> bool
-(** Whether a state lies in [X1] (in some mode slice). *)
+(** Whether a state lies in [X1] (in some mode slice). The partial
+    application [member s ai] stages the slabs and certificates once
+    ({!Poly.evaluator}); apply it to many states. *)
 
 val upper_bound_on_set :
   ?extra_domain:Poly.t list -> Pll.scaled -> t -> set:Poly.t -> (float, string) result

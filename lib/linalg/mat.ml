@@ -357,38 +357,6 @@ let chol_solve_components f b =
         parts;
       x
 
-(* Per part, only the columns of B that are not +0 on the part's rows are
-   solved: the dense sweep leaves such a column +0 there too. *)
-let chol_solve_mat_components f b =
-  match f.parts with
-  | [| _ |] -> chol_solve_mat f.factors.(0) b
-  | parts ->
-      check_order "chol_solve_mat_components" f b.rows;
-      let w = b.cols in
-      let x = create b.rows w in
-      let bd = b.data and xd = x.data in
-      Array.iteri
-        (fun c rows ->
-          let live j =
-            Array.exists
-              (fun i ->
-                let v = Array.unsafe_get bd ((i * w) + j) in
-                v <> 0.0 || Float.sign_bit v)
-              rows
-          in
-          let cols = List.filter live (List.init w Fun.id) |> Array.of_list in
-          let nc = Array.length rows and nw = Array.length cols in
-          if nw > 0 then begin
-            let sub = init nc nw (fun k q -> bd.((rows.(k) * w) + cols.(q))) in
-            let xs = chol_solve_mat f.factors.(c) sub in
-            Array.iteri
-              (fun k i ->
-                Array.iteri (fun q j -> xd.((i * w) + j) <- xs.data.((k * nw) + q)) cols)
-              rows
-          end)
-        parts;
-      x
-
 (* (L Lᵀ)⁻¹ from the Cholesky factor: T = L⁻¹ by triangular forward
    substitution (skipping the structural zeros above each unit column),
    then A⁻¹ = Tᵀ T filled symmetrically. Cheaper and allocation-free

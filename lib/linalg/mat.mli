@@ -127,12 +127,6 @@ val chol_solve_components : components -> Vec.t -> Vec.t
     with the dense factor. One part spanning all rows is solved in
     place, with no gather. *)
 
-val chol_solve_mat_components : components -> t -> t
-(** {!chol_solve_mat} one part at a time. For each part, only the
-    columns that are not [+0.] on the part's rows are gathered and
-    solved; the others stay [+0.], as in the dense sweep. The result is
-    bit for bit that of {!chol_solve_mat} with the dense factor. *)
-
 val chol_inverse : t -> t
 (** [chol_inverse l] is [(L Lᵀ)⁻¹] given the Cholesky factor [L],
     computed via the triangular inverse [T = L⁻¹] and the symmetric

@@ -198,7 +198,11 @@ type internal = {
   (* per block: indices of constraints touching it *)
   block_cons : int array array;
   b_vec : Vec.t; (* scaled rhs *)
-  b_mat : Mat.t; (* m x nf dense free-variable matrix, scaled *)
+  (* The scaled m x nf free-variable matrix B, sparse: per constraint,
+     its columns ascending with their values; per free variable, its
+     rows ascending with their values. *)
+  b_rows : (int array * float array) array;
+  b_cols : (int array * float array) array;
   c_blocks : sparse_block array;
   c_free : Vec.t;
   scales : Vec.t; (* per-constraint normalization *)
@@ -245,15 +249,28 @@ let build_internal p =
         Array.of_list !l)
   in
   let b_vec = Array.init m (fun i -> p.constraints.(i).rhs /. scales.(i)) in
-  let b_mat = Mat.create m p.n_free in
-  Array.iteri
-    (fun i c ->
-      List.iter
-        (fun (k, v) ->
-          if k < 0 || k >= p.n_free then invalid_arg "Sdp: free index out of range";
-          Mat.set b_mat i k (v /. scales.(i)))
-        c.free)
-    p.constraints;
+  (* A repeated free index keeps its last value, as a dense write would. *)
+  let b_rows =
+    Array.mapi
+      (fun i c ->
+        let row = Hashtbl.create 8 in
+        List.iter
+          (fun (k, v) ->
+            if k < 0 || k >= p.n_free then invalid_arg "Sdp: free index out of range";
+            Hashtbl.replace row k (v /. scales.(i)))
+          c.free;
+        let idx = Array.of_list (List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) row [])) in
+        (idx, Array.map (Hashtbl.find row) idx))
+      p.constraints
+  in
+  let b_cols =
+    let cols = Array.make p.n_free [] in
+    for i = m - 1 downto 0 do
+      let idx, vals = b_rows.(i) in
+      Array.iteri (fun q k -> cols.(k) <- (i, vals.(q)) :: cols.(k)) idx
+    done;
+    Array.map (fun l -> (Array.of_list (List.map fst l), Array.of_list (List.map snd l))) cols
+  in
   let c_per_block = Array.make nb [] in
   List.iter (fun e -> c_per_block.(e.blk) <- e :: c_per_block.(e.blk)) p.obj_blocks;
   let c_blocks =
@@ -263,7 +280,7 @@ let build_internal p =
   in
   let c_free = Array.make p.n_free 0.0 in
   List.iter (fun (k, v) -> c_free.(k) <- c_free.(k) +. v) p.obj_free;
-  { p; m; nb; n_total; cons_blocks; block_cons; b_vec; b_mat; c_blocks; c_free; scales }
+  { p; m; nb; n_total; cons_blocks; block_cons; b_vec; b_rows; b_cols; c_blocks; c_free; scales }
 
 (* A(X): vector of <A_i, X> over all blocks. *)
 let op_a it x_blocks =
@@ -284,6 +301,37 @@ let op_a_star it y =
           if y.(i) <> 0.0 then sb_add_to it.cons_blocks.(i).(b) y.(i) w)
         it.block_cons.(b);
       w)
+
+(* Sparse rows (ascending indices, values) times a dense vector, each
+   row bit for bit the dense fold over every index ([Mat.mul_vec]). That
+   sum starts at +0, so it is never -0, and with [v] finite a structural
+   zero's term is ±0, which leaves it unchanged. A non-finite [v] makes
+   those terms NaN, so then every index is folded, zeros included (which
+   NaN payload a sum carries is the compiler's choice, in both). *)
+let sparse_mul rows v =
+  let finite = Array.for_all Float.is_finite v in
+  Array.map
+    (fun (idx, vals) ->
+      let s = ref 0.0 in
+      if finite then
+        for q = 0 to Array.length idx - 1 do
+          s := !s +. (Array.unsafe_get vals q *. v.(Array.unsafe_get idx q))
+        done
+      else begin
+        let q = ref 0 in
+        for j = 0 to Array.length v - 1 do
+          let a =
+            if !q < Array.length idx && idx.(!q) = j then begin
+              incr q;
+              vals.(!q - 1)
+            end
+            else 0.0
+          in
+          s := !s +. (a *. v.(j))
+        done
+      end;
+      !s)
+    rows
 
 let dense_c it =
   Array.init it.nb (fun b ->
@@ -553,6 +601,32 @@ let solve_core ?(params = default_params) ?warm p =
   let dims = p.block_dims in
   let n_total = Float.max 1.0 (float_of_int it.n_total) in
   let c_dense = dense_c it in
+  (* Per Schur component: the columns of B that are not +0 on its rows,
+     ascending, and B gathered on those rows and columns — the panel the
+     reduced system K = B' M^-1 B solves against every iteration. *)
+  let free_blocks =
+    Array.map
+      (fun rows ->
+        (* slot.(j): column j's place in the block, -1 when it is not live. *)
+        let slot = Array.make nf (-1) in
+        Array.iter
+          (fun i ->
+            let idx, vals = it.b_rows.(i) in
+            Array.iteri
+              (fun q k -> if vals.(q) <> 0.0 || Float.sign_bit vals.(q) then slot.(k) <- 0)
+              idx)
+          rows;
+        let cols = List.filter (fun j -> slot.(j) = 0) (List.init nf Fun.id) |> Array.of_list in
+        Array.iteri (fun w j -> slot.(j) <- w) cols;
+        let g = Mat.create (Array.length rows) (Array.length cols) in
+        Array.iteri
+          (fun r i ->
+            let idx, vals = it.b_rows.(i) in
+            Array.iteri (fun q k -> if slot.(k) >= 0 then Mat.set g r slot.(k) vals.(q)) idx)
+          rows;
+        (cols, g))
+      comps.parts
+  in
   (* Initial point: either the cold scaled-identity pair, or a prior
      iterate shifted strictly inside the cone. The capsule carries
      multipliers in the original scaling; internally constraints are
@@ -585,7 +659,7 @@ let solve_core ?(params = default_params) ?warm p =
     (* Rescale multipliers back to the original constraint scaling. *)
     let y_orig = Array.init m (fun i -> y.(i) /. it.scales.(i)) in
     let ax = op_a it x in
-    let bf = Mat.mul_vec it.b_mat f in
+    let bf = sparse_mul it.b_rows f in
     let pres =
       let r = Array.init m (fun i -> it.b_vec.(i) -. ax.(i) -. bf.(i)) in
       Vec.norm2 r /. (1.0 +. Vec.norm2 it.b_vec)
@@ -597,7 +671,7 @@ let solve_core ?(params = default_params) ?warm p =
             Mat.norm_fro (Mat.sub (Mat.sub c_dense.(b) s.(b)) asy.(b)))
         |> Array.fold_left Float.max 0.0
       in
-      let free_part = Vec.norm2 (Vec.sub it.c_free (Mat.tmul_vec it.b_mat y)) in
+      let free_part = Vec.norm2 (Vec.sub it.c_free (sparse_mul it.b_cols y)) in
       Float.max block_part free_part /. (1.0 +. norm_c)
     in
     let pobj =
@@ -708,11 +782,11 @@ let solve_core ?(params = default_params) ?warm p =
        in
        (* Residuals. *)
        let ax = op_a it x in
-       let bf = Mat.mul_vec it.b_mat f in
+       let bf = sparse_mul it.b_rows f in
        let r_p = Array.init m (fun i -> it.b_vec.(i) -. ax.(i) -. bf.(i)) in
        let asy = op_a_star it y in
        let r_d = Array.init nb (fun b -> Mat.sub (Mat.sub c_dense.(b) s.(b)) asy.(b)) in
-       let r_f = Vec.sub it.c_free (Mat.tmul_vec it.b_mat y) in
+       let r_f = Vec.sub it.c_free (sparse_mul it.b_cols y) in
        let mu =
          Array.init nb (fun b -> Mat.frob_dot x.(b) s.(b))
          |> Array.fold_left ( +. ) 0.0
@@ -891,8 +965,37 @@ let solve_core ?(params = default_params) ?warm p =
        let k_solve =
          if nf = 0 then fun _ -> [||]
          else begin
-           let minv_b = Mat.chol_solve_mat_components m_chol it.b_mat in
-           let k = Mat.mul (Mat.transpose it.b_mat) minv_b in
+           (* K[i, j] sums B[r, i] (M^-1 B)[r, j] over ascending rows r, as
+              the dense product does. Per component only its live columns
+              are solved; (M^-1 B)[r, j] is +0 at the others, and the
+              term it would add is ±0, which leaves the sum unchanged. *)
+           let sols =
+             Array.mapi
+               (fun c (cols, g) ->
+                 if Array.length cols = 0 then [||]
+                 else (Mat.chol_solve_mat m_chol.Mat.factors.(c) g).Mat.data)
+               free_blocks
+           in
+           let k = Mat.create nf nf in
+           let kd = k.Mat.data in
+           Array.iteri
+             (fun i (rows, vals) ->
+               for q = 0 to Array.length rows - 1 do
+                 let v = vals.(q) in
+                 if v <> 0.0 then begin
+                   let r = rows.(q) in
+                   let c = comps.part_of.(r) in
+                   let cols = fst free_blocks.(c) and xs = sols.(c) in
+                   let nw = Array.length cols in
+                   let o = comps.local.(r) * nw and ki = i * nf in
+                   for w = 0 to nw - 1 do
+                     let d = ki + Array.unsafe_get cols w in
+                     Array.unsafe_set kd d
+                       (Array.unsafe_get kd d +. (v *. Array.unsafe_get xs (o + w)))
+                   done
+                 end
+               done)
+             it.b_cols;
            let kreg = 1e-12 *. (1.0 +. Mat.norm_inf k) in
            for d = 0 to nf - 1 do
              Mat.set k d d (Mat.get k d d +. kreg)
@@ -906,9 +1009,9 @@ let solve_core ?(params = default_params) ?warm p =
          if nf = 0 then (Mat.chol_solve_components m_chol rhs_g, [||])
          else begin
            let minv_g = Mat.chol_solve_components m_chol rhs_g in
-           let rhs_f = Vec.sub (Mat.tmul_vec it.b_mat minv_g) r_f in
+           let rhs_f = Vec.sub (sparse_mul it.b_cols minv_g) r_f in
            let df = k_solve rhs_f in
-           let dy = Mat.chol_solve_components m_chol (Vec.sub rhs_g (Mat.mul_vec it.b_mat df)) in
+           let dy = Mat.chol_solve_components m_chol (Vec.sub rhs_g (sparse_mul it.b_rows df)) in
            (dy, df)
          end
        in

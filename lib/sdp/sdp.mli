@@ -30,7 +30,8 @@
     is block diagonal over the connected components of that constraint
     graph. It is assembled, factored and solved one component at a time;
     the iterates are bit for bit those of a dense factor of the whole
-    matrix. *)
+    matrix. The free-variable matrix [B] is held sparse too, and every
+    product with it adds its terms in the dense product's order. *)
 
 type block_entry = { blk : int; row : int; col : int; value : float }
 (** One entry of a symmetric block matrix. [row <= col] is required; an
@@ -228,6 +229,13 @@ val add_hex_float : Buffer.t -> float -> unit
     key format to [%h] (signed zeros, subnormals, [infinity],
     [-infinity], [nan] and [-nan] included) without going through
     [Printf]. *)
+
+val sparse_mul : (int array * float array) array -> Linalg.Vec.t -> Linalg.Vec.t
+(** [sparse_mul rows v] is [A v] for the sparse matrix whose row [i] is
+    [rows.(i)]: its column indices, strictly ascending, and their values.
+    Each entry is bit for bit the dense fold [Σ_j A_ij v_j] over every
+    [j] in ascending order (a NaN's payload aside), so the solver's [B f]
+    and [B' y] (rows of [B], or of [B']) equal their dense products. *)
 
 val solve_count : unit -> int
 (** Process-wide number of {!solve} calls so far in this process; the

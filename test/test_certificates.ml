@@ -15,6 +15,16 @@ let ai3 =
     | Ok ai -> ai
     | Error e -> failwith ("attractive_invariant failed: " ^ e))
 
+let s4 = lazy (Pll.scale Pll.table1_fourth)
+
+(* The nominal fourth-order degree-4 certificate. *)
+let cert4 =
+  lazy
+    (let cfg = { (Certificates.default_config Pll.Fourth) with Certificates.degree = 4 } in
+     match Certificates.find_multi_lyapunov ~config:cfg (Lazy.force s4) with
+     | Ok cert -> cert
+     | Error e -> failwith ("fourth-order Lyapunov search failed: " ^ e))
+
 let test_default_config () =
   Alcotest.(check int) "3rd order degree" 6 (Certificates.default_config Pll.Third).Certificates.degree;
   Alcotest.(check int) "4th order degree" 4 (Certificates.default_config Pll.Fourth).Certificates.degree
@@ -115,32 +125,34 @@ let plain_bisection ~steps s cert =
 let with_policy cert pol =
   { cert with Certificates.cfg = { cert.Certificates.cfg with Certificates.resilience = pol } }
 
-(* Scaling V_0 by 2 shrinks mode 0's slices, so the first program no
-   longer binds: a program that never failed before the floor fails at
-   the lazily reached level, and only the final confirmation and replay
-   recover the plain bisection's answer. *)
+(* Scaling V_0 by 2 shrinks mode 0's slices, so the programs that bind
+   change: a program that never failed before fails at the lazily
+   reached level, and only the final confirmation and replay recover the
+   plain bisection's answer. On the fourth order the prefilter's samples
+   rank program 2 first (its face's lowest sampled V is about 10, program
+   0's about 160), so the walk does not start from program 0. *)
 let test_level_matches_plain_bisection () =
-  let s = Lazy.force s3 and ai = Lazy.force ai3 in
-  let steps = 12 in
-  List.iter
-    (fun c ->
-      let cert = ai.Certificates.cert in
-      let vs = Array.mapi (fun m v -> if m = 0 then Poly.scale c v else v) cert.Certificates.vs in
-      let cert () = with_policy { cert with Certificates.vs } (Resilient.default ()) in
-      let plain = plain_bisection ~steps s (cert ()) in
-      let beta, _ = Certificates.maximize_level ~bisect_steps:steps s (cert ()) in
-      Alcotest.(check bool)
-        (Printf.sprintf "V_0 x %g: same level as plain bisection (%h vs %h)" c beta plain)
-        true (beta = plain);
-      Alcotest.(check bool) "positive level" true (beta > 0.0);
-      Alcotest.(check bool) "check_level passes at the returned level" true
-        (Certificates.check_level s (cert ()) beta))
-    [ 1.0; 2.0 ]
+  let same_level ~steps s (cert : Certificates.t) c =
+    let vs = Array.mapi (fun m v -> if m = 0 then Poly.scale c v else v) cert.Certificates.vs in
+    let cert () = with_policy { cert with Certificates.vs } (Resilient.default ()) in
+    let plain = plain_bisection ~steps s (cert ()) in
+    let beta, _ = Certificates.maximize_level ~bisect_steps:steps s (cert ()) in
+    Alcotest.(check bool)
+      (Printf.sprintf "V_0 x %g: same level as plain bisection (%h vs %h)" c beta plain)
+      true (beta = plain);
+    Alcotest.(check bool) "positive level" true (beta > 0.0);
+    Alcotest.(check bool) "check_level passes at the returned level" true
+      (Certificates.check_level s (cert ()) beta)
+  in
+  let ai = Lazy.force ai3 in
+  List.iter (same_level ~steps:12 (Lazy.force s3) ai.Certificates.cert) [ 1.0; 2.0 ];
+  same_level ~steps:10 (Lazy.force s4) (Lazy.force cert4) 1.0
 
 let is_level_label l = String.length l >= 6 && String.sub l 0 6 = "level:"
 
-let test_level_solve_count () =
-  let s = Lazy.force s3 and ai = Lazy.force ai3 in
+(* [maximize_level] under a supervisor with no deadline: the level and
+   the number of level solves the journal records. *)
+let supervised_level ~bisect_steps s cert =
   let run_dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "pll-test-level-%d-%.0f" (Unix.getpid ()) (Unix.gettimeofday () *. 1e6))
@@ -150,19 +162,31 @@ let test_level_solve_count () =
     Fun.protect
       ~finally:(fun () -> Supervise.release ctx)
       (fun () ->
-        Certificates.maximize_level ~bisect_steps:20 s
-          (with_policy ai.Certificates.cert (Resilient.make ~supervise:ctx ())))
+        Certificates.maximize_level ~bisect_steps s
+          (with_policy cert (Resilient.make ~supervise:ctx ())))
   in
   let entries, _ = Supervise.Journal.read run_dir in
-  let levels =
-    List.length (List.filter (fun e -> is_level_label e.Supervise.Journal.label) entries)
-  in
+  (beta, List.length (List.filter (fun e -> is_level_label e.Supervise.Journal.label) entries))
+
+let test_level_solve_count () =
+  let s = Lazy.force s3 and ai = Lazy.force ai3 in
+  let beta, levels = supervised_level ~bisect_steps:20 s ai.Certificates.cert in
   Alcotest.(check bool) "supervised level equals the shared invariant's" true
     (beta = ai.Certificates.beta);
   Alcotest.(check bool)
-    (Printf.sprintf "at most 32 level solves journaled (%d)" levels)
+    (Printf.sprintf "at most 24 level solves journaled (%d)" levels)
     true
-    (levels > 0 && levels <= 32)
+    (levels > 0 && levels <= 24)
+
+(* Without a deadline no floor is bought, and the walk starts from the
+   sample-ranked program, which binds: 13 level solves instead of 25. *)
+let test_fourth_level_solve_count () =
+  let beta, levels = supervised_level ~bisect_steps:10 (Lazy.force s4) (Lazy.force cert4) in
+  Alcotest.(check string) "fourth-order level" "0x1.77p+2" (Printf.sprintf "%h" beta);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 13 level solves journaled (%d)" levels)
+    true
+    (levels > 0 && levels <= 13)
 
 (* The pipeline deadline fires once 20 solves have run: past the first
    level every program passed, before the bisection ends. *)
@@ -297,12 +321,8 @@ let test_pinned_answers () =
     (cert_digest ai.Certificates.cert);
   Alcotest.(check string) "third-order level" "0x1.8d8d7p+7"
     (Printf.sprintf "%h" ai.Certificates.beta);
-  let cfg = { (Certificates.default_config Pll.Fourth) with Certificates.degree = 4 } in
-  match Certificates.find_multi_lyapunov ~config:cfg (Pll.scale Pll.table1_fourth) with
-  | Error e -> Alcotest.fail ("fourth-order Lyapunov search failed: " ^ e)
-  | Ok cert ->
-      Alcotest.(check string) "fourth-order degree-4 certificate"
-        "ad0ceb02d7be104d96e4efbdef472cb8" (cert_digest cert)
+  Alcotest.(check string) "fourth-order degree-4 certificate" "ad0ceb02d7be104d96e4efbdef472cb8"
+    (cert_digest (Lazy.force cert4))
 
 (* Mode 0's first Lemma-1 program at [beta], as the bisection poses it. *)
 let level_problem s (cert : Certificates.t) beta =
@@ -342,6 +362,7 @@ let suite =
     Alcotest.test_case "level check monotone" `Slow test_level_monotone;
     Alcotest.test_case "level matches plain bisection" `Slow test_level_matches_plain_bisection;
     Alcotest.test_case "level solve count" `Slow test_level_solve_count;
+    Alcotest.test_case "fourth-order level solve count" `Slow test_fourth_level_solve_count;
     Alcotest.test_case "level deadline degrades" `Slow test_level_deadline_degrades;
     Alcotest.test_case "membership" `Slow test_member;
     Alcotest.test_case "simulation validation" `Slow test_validate_by_simulation;

@@ -242,7 +242,6 @@ type scattered = {
   comps : Mat.t array;
   dense : Mat.t;
   rhs : Vec.t;
-  rhs_mat : Mat.t;
 }
 
 let scattered_gen : scattered QCheck.Gen.t =
@@ -299,19 +298,14 @@ let scattered_gen : scattered QCheck.Gen.t =
         (fun k i -> Array.iteri (fun l j -> Mat.set dense i j (Mat.get comps.(c) k l)) rows)
         rows)
     parts;
-  (* Right-hand sides that are +0 on a random subset of components. *)
-  let w = 1 + Random.State.int rng 6 in
-  let rhs = Array.make m 0.0 and rhs_mat = Mat.create m w in
+  (* A right-hand side that is +0 on a random subset of components. *)
+  let rhs = Array.make m 0.0 in
   Array.iter
     (fun rows ->
       if Random.State.bool rng then
-        Array.iter (fun i -> rhs.(i) <- Random.State.float rng 2.0 -. 1.0) rows;
-      for j = 0 to w - 1 do
-        if Random.State.bool rng then
-          Array.iter (fun i -> Mat.set rhs_mat i j (Random.State.float rng 2.0 -. 1.0)) rows
-      done)
+        Array.iter (fun i -> rhs.(i) <- Random.State.float rng 2.0 -. 1.0) rows)
     parts;
-  { parts; comps; dense; rhs; rhs_mat }
+  { parts; comps; dense; rhs }
 
 let same_bits a b =
   Array.length a = Array.length b
@@ -354,8 +348,6 @@ let prop_components_match_dense =
                          (Array.map (fun i -> Array.map (fun j -> Mat.get l i j) rows) rows))))
                t.parts f.Mat.factors
           && same_bits (Mat.chol_solve l t.rhs) (Mat.chol_solve_components f t.rhs)
-          && same_bits (Mat.chol_solve_mat l t.rhs_mat).Mat.data
-               (Mat.chol_solve_mat_components f t.rhs_mat).Mat.data
       | _ -> false)
 
 (* --- Two-row Cholesky against the one-row loop ----------------------- *)

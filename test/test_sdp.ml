@@ -681,6 +681,139 @@ let test_fingerprint_pinned () =
        ~params:{ Sdp.default_params with Sdp.max_iter = 7; equilibrate = false; tol_gap = -0.0 }
        p)
 
+(* Five one-block components (every constraint touches one block) whose
+   free variables span several of them: t0 blocks 0-1, t1 blocks 1-3 (a
+   -0 coefficient on block 3), t2 blocks 2-3 (a repeated index there, the
+   last value standing), t3 block 2; block 4 has none. *)
+let multi_component_free () =
+  let pin b (a : float array array) free_of =
+    let n = Array.length a in
+    List.concat
+      (List.init n (fun i ->
+           List.init (n - i) (fun d ->
+               let j = i + d in
+               {
+                 Sdp.lhs = [ entry b i j (if i = j then 1.0 else 0.5) ];
+                 free = free_of i j;
+                 rhs = a.(i).(j);
+               })))
+  in
+  let diag f i j = if i = j then f else [] in
+  let constraints =
+    pin 0 [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] (diag [ (0, 1.0) ])
+    @ pin 1 [| [| 4.0; 0.5 |]; [| 0.5; 2.0 |] |] (diag [ (0, 0.5); (1, 1.0) ])
+    @ pin 2
+        [| [| 3.0; 0.2; 0.1 |]; [| 0.2; 2.5; 0.3 |]; [| 0.1; 0.3; 2.0 |] |]
+        (fun i j ->
+          if i = j then [ (1, 1.0); (2, -1.0) ] else if (i, j) = (0, 1) then [ (3, 0.25) ] else [])
+    @ pin 3 [| [| 1.5; -0.4 |]; [| -0.4; 2.0 |] |]
+        (fun i j ->
+          match (i, j) with
+          | 0, 0 -> [ (2, 1.0) ]
+          | 0, 1 -> [ (1, -0.0) ]
+          | _ -> [ (2, 5.0); (2, 1.0) ])
+    @ pin 4 [| [| 1.0 |] |] (fun _ _ -> [])
+  in
+  {
+    Sdp.block_dims = [| 2; 2; 3; 2; 1 |];
+    n_free = 4;
+    constraints = Array.of_list constraints;
+    obj_blocks = [ entry 4 0 0 1.0 ];
+    obj_free = [ (0, -1.0); (1, -1.0); (2, -1.0); (3, 0.1) ];
+  }
+
+(* MD5 over the [%h] bits of X, y and f. *)
+let solution_digest (sol : Sdp.solution) =
+  let b = Buffer.create 4096 in
+  let add x = Buffer.add_string b (Printf.sprintf "%h;" x) in
+  Array.iter (fun (m : Mat.t) -> Array.iter add m.Mat.data) sol.Sdp.x_blocks;
+  Array.iter add sol.Sdp.y;
+  Array.iter add sol.Sdp.f;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The solution bits, pinned from the dense free-variable block: the
+   sparse one must add every term in the same order. *)
+let test_free_block_pinned () =
+  let sol = Sdp.solve (multi_component_free ()) in
+  Alcotest.(check bool) "optimal" true (sol.Sdp.status = Sdp.Optimal);
+  Alcotest.(check int) "iterations" 11 sol.Sdp.iterations;
+  Alcotest.(check string) "solution bits" "6c404fdd49ba322f37fd9a363a86e08e" (solution_digest sol)
+
+(* The dense fold the free-variable products used before they went
+   sparse ([Mat.mul_vec] over a dense B), kept as the oracle. *)
+let dense_fold (a : float array array) v =
+  Array.map
+    (fun row ->
+      let s = ref 0.0 in
+      Array.iteri (fun j aij -> s := !s +. (aij *. v.(j))) row;
+      !s)
+    a
+
+(* A random sparse matrix, dense (structural zeros are +0) and as sparse
+   rows and columns: each listed entry is a random value, +0 or -0. *)
+let sparse_gen =
+  let open QCheck.Gen in
+  let* rows = int_range 1 6 and* cols = int_range 1 6 in
+  let value =
+    frequency [ (4, float_range (-4.0) 4.0); (1, return 0.0); (1, return (-0.0)) ]
+  in
+  let* cells = array_repeat (rows * cols) (opt ~ratio:0.4 value) in
+  let cell i j = cells.((i * cols) + j) in
+  let dense = Array.init rows (fun i -> Array.init cols (fun j -> Option.value (cell i j) ~default:0.0)) in
+  let line n at =
+    let idx = List.filter (fun k -> at k <> None) (List.init n Fun.id) |> Array.of_list in
+    (idx, Array.map (fun k -> Option.get (at k)) idx)
+  in
+  return
+    ( dense,
+      Array.init rows (fun i -> line cols (cell i)),
+      Array.init cols (fun j -> line rows (fun i -> cell i j)) )
+
+(* Mostly finite vectors; now and then an infinity or a NaN, where the
+   dense fold's structural zeros turn into NaN terms. *)
+let vector_gen n =
+  let open QCheck.Gen in
+  array_repeat n
+    (frequency
+       [
+         (20, float_range (-10.0) 10.0);
+         (2, return 0.0);
+         (2, return (-0.0));
+         (1, oneofl [ Float.infinity; Float.neg_infinity; Float.nan ]);
+       ])
+
+(* Equal bits, any NaN matching any NaN: which operand's payload a NaN
+   sum carries depends on how the compiler orders a commutative
+   instruction's registers, not on the source. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         (Float.is_nan x && Float.is_nan y)
+         || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let prop_sparse_products_dense =
+  let open QCheck.Gen in
+  let gen =
+    let* dense, rows, cols = sparse_gen in
+    let* f = vector_gen (Array.length cols) and* y = vector_gen (Array.length rows) in
+    return (dense, rows, cols, f, y)
+  in
+  QCheck.Test.make ~name:"sparse B f and B' y equal the dense fold bit for bit" ~count:2000
+    (QCheck.make
+       ~print:(fun (dense, _, _, f, y) ->
+         let vec v = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v)) in
+         Printf.sprintf "B = [%s]\nf = %s\ny = %s"
+           (String.concat "; " (Array.to_list (Array.map vec dense)))
+           (vec f) (vec y))
+       gen) (fun (dense, rows, cols, f, y) ->
+      let transpose =
+        Array.init (Array.length cols) (fun j -> Array.map (fun row -> row.(j)) dense)
+      in
+      same_bits (Sdp.sparse_mul rows f) (dense_fold dense f)
+      && same_bits (Sdp.sparse_mul cols y) (dense_fold transpose y))
+
 let suite =
   [
     Alcotest.test_case "sdpa export" `Quick test_to_sdpa;
@@ -711,4 +844,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hex_float_is_printf;
     QCheck_alcotest.to_alcotest prop_serialization_is_printf;
     Alcotest.test_case "cache key: pinned fingerprint" `Quick test_fingerprint_pinned;
+    Alcotest.test_case "free-variable block: pinned solution" `Quick test_free_block_pinned;
+    QCheck_alcotest.to_alcotest prop_sparse_products_dense;
   ]

@@ -72,7 +72,14 @@
 # 15. one owner for the daemon protocol — outside lib/service no lib/ or
 #     bin/ .ml file contains the quoted literals "cmd", "bulk-accepted",
 #     "cell-result" or "retry_after_s": requests are built and replies
-#     read by `Service.Client` alone.
+#     read by `Service.Client` alone;
+# 16. one solve path — outside lib/sdp, lib/sos and lib/supervise no
+#     lib/ .ml file calls `Sdp.solve` or `Sdp.Session.solve`, outside
+#     lib/resilient none calls `Sos.solve`, and no lib/certificates or
+#     lib/advect source names `Supervise.Pool`: every solve goes
+#     `Resilient` → `Supervise.solve_sdp`, which chooses its warm start,
+#     and independent items fan out through `Resilient.fan_out`, which
+#     counts their work (bin/ and examples/ are exempt).
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -231,6 +238,14 @@ strays="$(grep -nE '"(cmd|bulk-accepted|cell-result|retry_after_s)"' "$repo"/lib
   "$repo"/bin/*.ml 2>/dev/null | grep -v "^$repo/lib/service/" || true)"
 [ -z "$strays" ] || \
   fail "daemon protocol messages outside lib/service (call Service.Client):$(echo " $strays" | sed "s|$repo/||g")"
+
+# One solve path (check 16).
+strays="$( (grep -nE 'Sdp\.(Session\.)?solve\b' "$repo"/lib/*/*.ml \
+    | grep -vE "^$repo/lib/(sdp|sos|supervise)/"; \
+  grep -nE 'Sos\.solve\b' "$repo"/lib/*/*.ml | grep -v "^$repo/lib/resilient/"; \
+  grep -nE 'Supervise\.Pool' "$repo"/lib/certificates/* "$repo"/lib/advect/*) 2>/dev/null || true)"
+[ -z "$strays" ] || \
+  fail "a second solve path (solve through Resilient, fan out with Resilient.fan_out):$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

@@ -9,7 +9,8 @@
    Exit codes follow the shared discipline: 0 = verified (or request
    acknowledged), 2 = not established, 1 = failure or a structured
    refusal (overloaded / degraded / draining / daemon unreachable),
-   124 = usage error. *)
+   124 = usage error, a spec the daemon would refuse at admission
+   included (e.g. a --point axis the order does not have). *)
 
 open Cmdliner
 
@@ -53,7 +54,7 @@ let submit sock timeout order property degree robust point bisect_steps advect_i
         deadline_s = deadline;
       }
     in
-    let* () = Service.Job.validate spec in
+    let* () = Service.Bulk.validate (Service.Bulk.of_spec spec) in
     let* () = if retries >= 0 then Ok () else Error "--retries must be >= 0" in
     let* () =
       if retry_base > 0.0 then Ok () else Error "--retry-base must be positive"

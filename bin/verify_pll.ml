@@ -20,7 +20,8 @@
    P1/P2 not both established, or --validate refused); 1 = solver,
    deadline or setup failure;
    130 = interrupted (checkpoint saved — resume with --resume);
-   124 = usage error. *)
+   124 = usage error, a spec the daemon would refuse at admission
+   included (e.g. a --point axis the order does not have). *)
 
 open Cmdliner
 
@@ -53,7 +54,7 @@ let run order degree robust advect_iters sim_validate psd_tol eq_tol point deadl
         deadline_s = deadline;
       }
     in
-    let* () = Service.Job.validate spec in
+    let* () = Service.Bulk.validate (Service.Bulk.of_spec spec) in
     Ok (spec, faults)
   with
   | Error e ->

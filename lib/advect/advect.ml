@@ -592,28 +592,20 @@ let run ?(config = default_config) ?(max_iter = 20) ?(escape_deg = 4) (s : Pll.s
           | Ok (e, _) -> Some e
           | Error _ -> None)
     in
-    match Resilient.supervisor config.resilience with
-    | Some ctx when not (Supervise.in_worker ctx) ->
-        (* Per-mode escape searches are independent and return plain
-           polynomials — fan out across the worker pool. *)
-        let results =
-          timed escape_time (fun () ->
-              Supervise.Pool.map ctx
-                ~f:(fun _ m -> escape_for m)
-                (List.init Pll.n_modes Fun.id))
-        in
-        List.iteri
-          (fun m r ->
-            match r with
-            | Ok (Some e) -> escapes := (m, e) :: !escapes
-            | Ok None | Error _ -> escapes_ok := false)
-          results
-    | _ ->
-        for m = 0 to Pll.n_modes - 1 do
-          match timed escape_time (fun () -> escape_for m) with
-          | Some e -> escapes := (m, e) :: !escapes
-          | None -> escapes_ok := false
-        done
+    (* Per-mode escape searches are independent and return plain
+       polynomials — fan out across the policy's worker pool. *)
+    let results =
+      timed escape_time (fun () ->
+          Resilient.fan_out config.resilience
+            ~f:(fun _ m -> escape_for m)
+            (List.init Pll.n_modes Fun.id))
+    in
+    List.iteri
+      (fun m r ->
+        match r with
+        | Ok (Some e) -> escapes := (m, e) :: !escapes
+        | Ok None | Error _ -> escapes_ok := false)
+      results
   end;
   {
     fronts = List.rev !fronts;

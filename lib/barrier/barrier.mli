@@ -34,9 +34,8 @@ type config = {
           to the barrier search). Process isolation, the solve cache
           and crash-safe journaling are inherited through this policy —
           attach a {!Supervise.ctx} with [Resilient.make ~supervise]
-          (or {!Resilient.with_supervisor}) and every barrier solve
-          runs in a supervised worker; no barrier-specific wiring is
-          needed. *)
+          and every barrier solve runs in a supervised worker; no
+          barrier-specific wiring is needed. *)
 }
 
 val default_config : config

@@ -318,17 +318,13 @@ let validate_exactly ?mult_deg ?denom_bits ?(slack = 0.5) (s : Pll.scaled) cert 
     | Ok (c, v) -> Ok (name, c, v)
   in
   (* The conditions are independent, and a condition's result — rational
-     certificate plus verdict — is plain data, so with a supervisor the
-     checks fan out across the worker pool. Journal/diagnosis mutations
-     made inside pool workers die with the worker; the certificates are
-     what crosses back. *)
+     certificate plus verdict — is plain data, so the checks fan out
+     across the policy's worker pool; their solves and diagnoses are
+     counted in the policy. *)
   let checked =
-    match Resilient.supervisor cert.cfg.resilience with
-    | Some ctx when not (Supervise.in_worker ctx) ->
-        List.map
-          (function Ok r -> r | Error e -> Error ("exact-check worker: " ^ e))
-          (Supervise.Pool.map ctx ~f:(fun _ cond -> check cond) conds)
-    | _ -> List.map check conds
+    List.map
+      (function Ok r -> r | Error e -> Error ("exact-check worker: " ^ e))
+      (Resilient.fan_out cert.cfg.resilience ~f:(fun _ cond -> check cond) conds)
   in
   let rec collect acc = function
     | [] -> Ok (List.rev acc)
@@ -350,15 +346,6 @@ let validate_exactly ?mult_deg ?denom_bits ?(slack = 0.5) (s : Pll.scaled) cert 
             ]
           (List.map (fun (name, c, _) -> (name, c)) results)
       in
-      (match Resilient.supervisor cert.cfg.resilience with
-      | Some ctx -> (
-          match
-            Supervise.save_artifact ctx ~name:"exact-validation.artifact"
-              (Exact.Artifact.write artifact)
-          with
-          | Some path -> Log.info (fun k -> k "exact proof artifact persisted to %s" path)
-          | None -> ())
-      | None -> ());
       let verdicts = List.map (fun (name, _, v) -> (name, v)) results in
       let margins =
         List.filter_map
@@ -414,13 +401,20 @@ let find_multi_lyapunov ?config (s : Pll.scaled) =
                 k "multi-Lyapunov: degraded float solve — gating acceptance on exact \
                    validation");
             match validate_exactly s cand with
-            | Ok v when v.all_proven ->
-                Log.warn (fun k ->
-                    k "multi-Lyapunov: degraded solve ACCEPTED — exact kernel re-proved \
-                       all %d conditions"
-                      (List.length v.verdicts));
-                Ok cand
-            | Ok _ | Error _ -> go (Some (describe diag)) rest)
+            | Ok v ->
+                Option.iter
+                  (fun path -> Log.info (fun k -> k "exact proof artifact persisted to %s" path))
+                  (Supervise.save_artifact (Resilient.supervisor cfg.resilience)
+                     ~name:"exact-validation.artifact" (Exact.Artifact.write v.artifact));
+                if v.all_proven then begin
+                  Log.warn (fun k ->
+                      k "multi-Lyapunov: degraded solve ACCEPTED — exact kernel re-proved \
+                         all %d conditions"
+                        (List.length v.verdicts));
+                  Ok cand
+                end
+                else go (Some (describe diag)) rest
+            | Error _ -> go (Some (describe diag)) rest)
         | Resilient.Failed -> go (Some (describe diag)) rest)
   in
   go None fracs
@@ -732,8 +726,8 @@ let time_to_lock_bound ?(samples = 200) (s : Pll.scaled) ai ~from_level =
     else (from_level -. beta) /. (eps *. !r_min *. !r_min)
   end
 
-let check_escape ?(mult_deg = 2) ?(eps = 1e-2) ?policy ~nvars ~flow ~domain ~certificate
-    () =
+let check_escape ?(mult_deg = 2) ?(eps = 1e-2) ?(policy = Resilient.default ()) ~nvars ~flow
+    ~domain ~certificate () =
   let prob = Sos.create ~nvars in
   Sos.add_nonneg_on ~mult_deg prob ~domain
     (Ppoly.of_poly
@@ -741,14 +735,12 @@ let check_escape ?(mult_deg = 2) ?(eps = 1e-2) ?policy ~nvars ~flow ~domain ~cer
           (Poly.neg (Poly.lie_derivative certificate flow))
           (Poly.const nvars eps)));
   let params = { Sdp.default_params with Sdp.max_iter = 60 } in
-  match policy with
-  | None -> (Sos.solve ~options:(Sos.Options.make ~params ()) prob).Sos.certified
-  | Some pol ->
-      (* Failure falls back to the escape search — probe. *)
-      (fst (Resilient.solve_sos (Resilient.probe pol) ~label:"escape-check" ~params prob))
-        .Sos.certified
+  (* Failure falls back to the escape search — probe. *)
+  (fst (Resilient.solve_sos (Resilient.probe policy) ~label:"escape-check" ~params prob))
+    .Sos.certified
 
-let find_escape ?(deg = 4) ?(eps = 1e-2) ?sdp_params ?policy ~nvars ~flow ~domain () =
+let find_escape ?(deg = 4) ?(eps = 1e-2) ?sdp_params
+    ?(policy = Resilient.probe (Resilient.default ())) ~nvars ~flow ~domain () =
   let t_start = Unix.gettimeofday () in
   let prob = Sos.create ~nvars in
   let e = Sos.fresh_poly prob ~deg ~min_deg:1 in
@@ -757,13 +749,8 @@ let find_escape ?(deg = 4) ?(eps = 1e-2) ?sdp_params ?policy ~nvars ~flow ~domai
     (Ppoly.sub
        (Ppoly.neg (Ppoly.lie_derivative e flow))
        (Ppoly.of_poly (Poly.const nvars eps)));
-  let sol =
-    match policy with
-    | None -> Sos.solve ~options:(Sos.Options.make ?params:sdp_params ()) prob
-    | Some pol ->
-        (* No escape certificate stalls the advection loop — ladder. *)
-        fst (Resilient.solve_sos pol ~label:"escape-search" ?params:sdp_params prob)
-  in
+  (* No escape certificate stalls the advection loop — ladder. *)
+  let sol = fst (Resilient.solve_sos policy ~label:"escape-search" ?params:sdp_params prob) in
   let time_s = Unix.gettimeofday () -. t_start in
   if sol.Sos.certified then Ok (Poly.chop ~tol:1e-9 (Sos.value sol e), stats_of prob sol time_s)
   else Error "no escape certificate at this degree"

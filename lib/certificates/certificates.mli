@@ -188,7 +188,9 @@ val check_escape :
     [∂E/∂x · f <= −eps] on the domain for the given [certificate] — a
     multiplier-only SOS feasibility check, far cheaper and more robust
     than the search. Used with [E = V_q], which always escapes the
-    advection residual thanks to the strict decrease margin. *)
+    advection residual thanks to the strict decrease margin. The check
+    is a probe of [policy] (one quiet attempt; default: a fresh
+    {!Resilient.default} policy). *)
 
 val find_escape :
   ?deg:int ->
@@ -202,7 +204,9 @@ val find_escape :
   (Poly.t * stats, string) result
 (** Find [E] with [∂E/∂x · f <= −eps] on the compact semialgebraic
     [domain] — trajectories must leave the set in finite time (at most
-    [(sup E − inf E)/eps]). *)
+    [(sup E − inf E)/eps]). The search climbs [policy]'s retry ladder;
+    the default, a probe of a fresh {!Resilient.default} policy, makes
+    one quiet attempt. *)
 
 (** {1 Validation and figure extraction} *)
 

@@ -265,4 +265,3 @@ let verdict_to_string = function
       Printf.sprintf "Gram block %s not PSD (witness value %s)"
         (block_id_to_string block) (Rat.to_string value)
 
-let pp_verdict fmt v = Format.pp_print_string fmt (verdict_to_string v)

@@ -114,4 +114,3 @@ val certify :
     {!Artifact} — together with its verdict. *)
 
 val verdict_to_string : verdict -> string
-val pp_verdict : Format.formatter -> verdict -> unit

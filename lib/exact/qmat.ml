@@ -67,9 +67,6 @@ let quad_form a v =
   Array.iteri (fun i x -> acc := Rat.add !acc (Rat.mul x av.(i))) v;
   !acc
 
-let of_mat (m : Linalg.Mat.t) =
-  init m.Linalg.Mat.rows m.Linalg.Mat.cols (fun i j -> Rat.of_float (Linalg.Mat.get m i j))
-
 let round_of_mat ~denom_bits (m : Linalg.Mat.t) =
   if denom_bits < 0 then invalid_arg "Qmat.round_of_mat";
   let den = Bigint.pow2 denom_bits in
@@ -80,8 +77,6 @@ let round_of_mat ~denom_bits (m : Linalg.Mat.t) =
     else Rat.of_float f
   in
   init m.Linalg.Mat.rows m.Linalg.Mat.cols (fun i j -> round_entry (Linalg.Mat.get m i j))
-
-let to_mat a = Linalg.Mat.init a.rows a.cols (fun i j -> Rat.to_float (get a i j))
 
 (* Any exact solution of the (possibly rectangular, possibly
    underdetermined) system A x = b, by fraction-aware Gaussian

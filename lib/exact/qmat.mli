@@ -39,18 +39,12 @@ val lin_solve : t -> Rat.t array -> Rat.t array option
     pivots are chosen by float magnitude as a conditioning heuristic,
     but every arithmetic step is exact. *)
 
-val of_mat : Linalg.Mat.t -> t
-(** Exact dyadic image of a float matrix (every double is a rational). *)
-
 val round_of_mat : denom_bits:int -> Linalg.Mat.t -> t
 (** Entrywise nearest rational with denominator [2^denom_bits]. Bounded
     denominators keep the LDLᵀ pivot growth (and artifact size) under
     control; the introduced perturbation is at most [2^-(denom_bits+1)]
     per entry and is subsequently repaired exactly by the residual
     absorption of {!Check}. *)
-
-val to_mat : t -> Linalg.Mat.t
-(** Nearest-double image. *)
 
 (** Outcome of the exact PSD decision. *)
 type psd_result =

@@ -38,8 +38,6 @@ let of_arrays rows =
     init m n (fun i j -> rows.(i).(j))
   end
 
-let to_arrays a = Array.init a.rows (fun i -> Array.init a.cols (fun j -> get a i j))
-
 let dims a = (a.rows, a.cols)
 
 let copy a = { a with data = Array.copy a.data }

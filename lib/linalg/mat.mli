@@ -26,9 +26,6 @@ val diag_of : t -> Vec.t
 val of_arrays : float array array -> t
 (** Matrix from an array of rows (rows must have equal length). *)
 
-val to_arrays : t -> float array array
-(** Rows as a fresh array of arrays. *)
-
 val dims : t -> int * int
 (** [(rows, cols)]. *)
 

@@ -56,8 +56,6 @@ let map2 f x y =
 
 let concat = Array.concat
 
-let sub_vec x off len = Array.sub x off len
-
 let max_abs_index x =
   let best = ref 0 and best_v = ref 0.0 in
   Array.iteri

@@ -59,9 +59,6 @@ val map2 : (float -> float -> float) -> t -> t -> t
 val concat : t list -> t
 (** Concatenation of vectors. *)
 
-val sub_vec : t -> int -> int -> t
-(** [sub_vec x off len] is the slice [x.(off) .. x.(off+len-1)]. *)
-
 val max_abs_index : t -> int
 (** Index of the entry with the largest absolute value; 0 if empty. *)
 

@@ -1,5 +1,6 @@
 (* Resilient solve orchestration: retry ladders, deadlines, fault
-   injection and graceful degradation around Sdp.solve / Sos.solve. *)
+   injection and graceful degradation around every SDP and SOS solve,
+   each of which goes through the policy's supervision context. *)
 
 let src = Logs.Src.create "resilient" ~doc:"Resilient SOS/SDP solve orchestration"
 
@@ -229,7 +230,7 @@ type policy = {
   quiet : bool;
   pipeline_deadline_s : float option;
   faults : Faults.plan;
-  supervise : Supervise.ctx option;
+  supervise : Supervise.ctx;
   session : Sdp.Session.t;
   clock : clock;
 }
@@ -248,7 +249,8 @@ and clock = {
 let fresh_clock () =
   { started = None; solve_count = 0; journal_rev = []; attempt_count = 0; attempt_s = 0.0 }
 
-let make ?(retries = true) ?pipeline_deadline_s ?(faults = Faults.none ()) ?supervise () =
+let make ?(retries = true) ?pipeline_deadline_s ?(faults = Faults.none ())
+    ?(supervise = Supervise.in_process ()) () =
   {
     retries_enabled = retries;
     quiet = false;
@@ -262,7 +264,6 @@ let make ?(retries = true) ?pipeline_deadline_s ?(faults = Faults.none ()) ?supe
 let default () = make ()
 let probe p = { p with retries_enabled = false; quiet = true }
 let supervisor p = p.supervise
-let with_supervisor p supervise = { p with supervise }
 
 (* Warm starts are withheld under a fault plan: the session's
    accept-or-re-solve discipline runs up to two interior-point passes
@@ -501,13 +502,18 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
               | _ -> Some (rung, payload, sdp.Sdp.best_score)
             else best
           in
+          (* Conclusive infeasibility is an answer, not a numerical
+             accident — retrying with looser tolerances cannot make an
+             infeasible program feasible. Out-of-time likewise stops the
+             ladder: salvage what we have. *)
+          let rest = if conclusive sdp.Sdp.status || out_of_time policy then [] else rest in
           (* Retry rungs warm-start from the best salvaged iterate seen
-             so far: the capsule (when the caller supplies one and this
-             attempt's iterate is the best yet) seeds the next rung. *)
+             so far: the capsule (when the caller supplies one, another
+             rung will run and this attempt's iterate is the best yet)
+             seeds the next rung. *)
           let hint =
             match capsule with
-            | None -> hint
-            | Some f ->
+            | Some f when rest <> [] ->
                 let better =
                   Float.is_finite sdp.Sdp.best_score
                   &&
@@ -518,50 +524,31 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
                   | Some w -> Some (w, sdp.Sdp.best_score)
                   | None -> hint
                 else hint
+            | _ -> hint
           in
-          (* Conclusive infeasibility is an answer, not a numerical
-             accident — retrying with looser tolerances cannot make an
-             infeasible program feasible. Out-of-time likewise stops the
-             ladder: salvage what we have. *)
-          if conclusive sdp.Sdp.status || out_of_time policy then
-            go params (attempt_idx + 1) [] attempts_rev best (Some payload) hint
-          else go params (attempt_idx + 1) rest attempts_rev best (Some payload) hint
+          go params (attempt_idx + 1) rest attempts_rev best (Some payload) hint
   in
   go base_params 0 rungs [] None None None
 
-(* The supervised inner solver for one ladder attempt, or [None] without
-   a supervisor. Process-level faults (kill/stall/corrupt-cache) target
-   the first attempt of their logical solve only, mirroring the
-   in-process fault contract, so the retry ladder demonstrably
-   recovers. The current logical solve index is read off the policy
-   clock — [run_ladder] has already counted this solve when an attempt
-   runs. *)
-let supervised_solver policy ~label ~attempt ?hint () =
-  match policy.supervise with
-  | None -> None
-  | Some ctx ->
-      let proc_fault =
-        if attempt = 0 then
-          Supervise.Fault.for_solve (Faults.proc_specs policy.faults)
-            policy.clock.solve_count
-        else None
-      in
-      let session = session_of policy in
-      Some
-        (fun ?params prob ->
-          Supervise.solve_sdp ctx ~label ?proc_fault ?session ?hint ?params prob)
+(* One ladder attempt's solve, through the policy's supervision context
+   — the one place a solve gets its warm start (the policy's session and
+   the ladder's capsule). Process-level faults (kill/stall/corrupt-cache)
+   target the first attempt of their logical solve only, mirroring the
+   in-process fault contract, so the retry ladder demonstrably recovers.
+   The current logical solve index is read off the policy clock —
+   [run_ladder] has already counted this solve when an attempt runs. *)
+let attempt_solver policy ~label ~attempt ?hint ?params prob =
+  let proc_fault =
+    if attempt = 0 then
+      Supervise.Fault.for_solve (Faults.proc_specs policy.faults) policy.clock.solve_count
+    else None
+  in
+  Supervise.solve_sdp policy.supervise ~label ?proc_fault ?session:(session_of policy) ?hint
+    ?params prob
 
 let solve_sdp policy ~label ?(params = Sdp.default_params) prob =
-  let session = session_of policy in
   let attempt_solve ~attempt ~hint p =
-    let sol =
-      match supervised_solver policy ~label ~attempt ?hint () with
-      | Some solve -> solve ~params:p prob
-      | None -> (
-          match session with
-          | Some sess -> Sdp.Session.solve sess ?hint ~params:p prob
-          | None -> Sdp.solve ~params:p prob)
-    in
+    let sol = attempt_solver policy ~label ~attempt ?hint ~params:p prob in
     (sol, sol)
   in
   let certified (s : Sdp.solution) = s.Sdp.status = Sdp.Optimal in
@@ -575,19 +562,17 @@ let solve_sdp policy ~label ?(params = Sdp.default_params) prob =
       prob.Sdp.n_free
   in
   let capsule =
-    Option.map (fun _ (s : Sdp.solution) -> Sdp.warm_start_of_solution prob s) session
+    Option.map (fun _ (s : Sdp.solution) -> Sdp.warm_start_of_solution prob s) (session_of policy)
   in
   run_ladder policy ~label ~describe ?capsule ~attempt_solve ~certified ~salvageable
     params
 
 let solve_sos policy ~label ?(params = Sdp.default_params) ?(psd_tol = 1e-7)
     ?(eq_tol = 1e-5) ?accept prob =
-  let session = session_of policy in
   let sdp_prob = lazy (Sos.sdp_problem prob) in
   let attempt_solve ~attempt ~hint p =
-    let solver = supervised_solver policy ~label ~attempt ?hint () in
-    let options = Sos.Options.make ?solver ~params:p ~psd_tol ~eq_tol ?session ?hint () in
-    let sol = Sos.solve ~options prob in
+    let solver = attempt_solver policy ~label ~attempt ?hint in
+    let sol = Sos.solve ~options:(Sos.Options.make ~solver ~params:p ~psd_tol ~eq_tol ()) prob in
     (sol, sol.Sos.sdp)
   in
   let certified =
@@ -612,7 +597,64 @@ let solve_sos policy ~label ?(params = Sdp.default_params) ?(psd_tol = 1e-7)
   let capsule =
     Option.map
       (fun _ (s : Sdp.solution) -> Sdp.warm_start_of_solution (Lazy.force sdp_prob) s)
-      session
+      (session_of policy)
   in
   run_ladder policy ~label ~describe ?capsule ~attempt_solve ~certified ~salvageable
     params
+
+(* ------------------------------------------------------------------ *)
+(* Fan-out                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* What one fan-out item added to the policy. *)
+type tally = {
+  t_solves : int;
+  t_attempts : int;
+  t_attempt_s : float;
+  t_journal_rev : diagnosis list;  (** newest first *)
+  t_fired : int;
+}
+
+let fan_out policy ~f items =
+  ensure_started policy;
+  let c = policy.clock and plan = policy.faults in
+  let solves0 = c.solve_count
+  and attempts0 = c.attempt_count
+  and attempt_s0 = c.attempt_s
+  and journal0 = c.journal_rev
+  and fired0 = plan.Faults.fired in
+  let item i x =
+    let solves = c.solve_count
+    and attempts = c.attempt_count
+    and attempt_s = c.attempt_s
+    and journaled = List.length c.journal_rev
+    and fired = plan.Faults.fired in
+    let v = f i x in
+    let fresh = List.length c.journal_rev - journaled in
+    ( v,
+      {
+        t_solves = c.solve_count - solves;
+        t_attempts = c.attempt_count - attempts;
+        t_attempt_s = c.attempt_s -. attempt_s;
+        t_journal_rev = List.filteri (fun k _ -> k < fresh) c.journal_rev;
+        t_fired = plan.Faults.fired - fired;
+      } )
+  in
+  let results = Supervise.Pool.map policy.supervise ~f:item items in
+  (* An inline item ran on this very clock, a forked one on its child's
+     copy: start again from the state before the fan-out and add every
+     item's tally in item order, so both count alike. *)
+  c.solve_count <- solves0;
+  c.attempt_count <- attempts0;
+  c.attempt_s <- attempt_s0;
+  c.journal_rev <- journal0;
+  plan.Faults.fired <- fired0;
+  List.map
+    (Result.map (fun (v, t) ->
+         c.solve_count <- c.solve_count + t.t_solves;
+         c.attempt_count <- c.attempt_count + t.t_attempts;
+         c.attempt_s <- c.attempt_s +. t.t_attempt_s;
+         c.journal_rev <- t.t_journal_rev @ c.journal_rev;
+         plan.Faults.fired <- plan.Faults.fired + t.t_fired;
+         v))
+    results

@@ -5,8 +5,7 @@
     barrier certificates) rests on a chain of interior-point SDP solves,
     and the from-scratch solver can return [Numerical_failure] or
     [Max_iterations] on ill-conditioned instances. This module turns a
-    single fragile [Sos.solve] / [Sdp.solve] call into an orchestrated
-    one:
+    single fragile SOS or SDP solve into an orchestrated one:
 
     - a fixed {e retry ladder}: on a non-certified outcome,
       re-solve with escalating interventions — Jacobi equilibration of
@@ -40,13 +39,16 @@
     isolation wall clock is the only base that measures the pipeline
     truthfully.
 
-    With a {!Supervise.ctx} attached ([make ~supervise]), every ladder
-    attempt's interior-point solve runs in a forked worker under the
-    supervisor's wall-clock timeout and memory cap, consults the
-    content-addressed solve cache, and is journaled for [--resume];
-    worker crashes and timeouts come back as [Numerical_failure] /
-    [Max_iterations] attempts that the ladder escalates exactly like
-    in-process failures. *)
+    Every ladder attempt's interior-point solve goes through the
+    policy's {!Supervise.ctx} ({!Supervise.solve_sdp}), which is also
+    where its warm start is chosen. Without [make ~supervise] that is an
+    in-process context ({!Supervise.in_process}): the solve runs inline,
+    with no cache or journal. With a supervisor it runs in a forked
+    worker under the supervisor's wall-clock timeout and memory cap,
+    consults the content-addressed solve cache, and is journaled for
+    [--resume]; worker crashes and timeouts come back as
+    [Numerical_failure] / [Max_iterations] attempts that the ladder
+    escalates exactly like in-process failures. *)
 
 val set_wall_clock_source : (unit -> float) option -> unit
 (** Replace (or with [None] restore) the wall-clock source
@@ -176,7 +178,6 @@ type diagnosis = {
   deadline_hit : bool;
 }
 
-val pp_diagnosis : Format.formatter -> diagnosis -> unit
 val diagnosis_to_json : diagnosis -> string
 
 (** A salvageable-but-uncertified solution is always surfaced as
@@ -190,15 +191,18 @@ type policy = {
   pipeline_deadline_s : float option;
       (** wall-clock budget for the whole pipeline sharing this policy *)
   faults : Faults.plan;
-  supervise : Supervise.ctx option;
-      (** when present, ladder attempts solve in forked workers through
-          {!Supervise.solve_sdp} (timeout, memory cap, cache, journal) *)
+  supervise : Supervise.ctx;
+      (** every ladder attempt solves through {!Supervise.solve_sdp} on
+          this context (an in-process one unless [make ~supervise]) *)
   session : Sdp.Session.t;
       (** warm-start session shared by every solve under this policy:
           bisection rungs and sweep neighbours of the same problem
           structure resume from the previous clean iterate, and retry
-          rungs warm-start from the best salvaged one (see
-          {!session_of}) *)
+          rungs warm-start from the best salvaged one. Withheld while a
+          fault plan is active: the session's warm-attempt/cold-re-solve
+          discipline can run two interior-point passes for one logical
+          attempt, which would double-fire iteration-indexed injected
+          faults. *)
   clock : clock;  (** mutable pipeline state (journal, counter, clock) *)
 }
 
@@ -212,15 +216,8 @@ val make :
   unit ->
   policy
 (** Fresh policy (fresh clock/journal, fresh warm-start session).
-    Defaults: retries on (the one ladder), no deadline, no faults, no
-    supervisor. *)
-
-val session_of : policy -> Sdp.Session.t option
-(** The session solves under this policy will actually use: the
-    policy's session, withheld while a fault plan is active — the
-    session's warm-attempt/cold-re-solve discipline can run two
-    interior-point passes for one logical attempt, which would
-    double-fire iteration-indexed injected faults. *)
+    Defaults: retries on (the one ladder), no deadline, no faults, a
+    fresh {!Supervise.in_process} context. *)
 
 val default : unit -> policy
 
@@ -231,12 +228,7 @@ val probe : policy -> policy
     probes, bisection steps) rather than an error worth escalating or
     journaling. *)
 
-val supervisor : policy -> Supervise.ctx option
-
-val with_supervisor : policy -> Supervise.ctx option -> policy
-(** The same policy (sharing clock, journal and faults) with the
-    supervisor replaced — e.g. dropped, for solves whose solutions feed
-    closures that must not cross a process boundary. *)
+val supervisor : policy -> Supervise.ctx
 
 val begin_pipeline : policy -> unit
 (** Reset the clock, solve counter, journal and fault counters; start
@@ -296,7 +288,8 @@ val solve_sos :
   ?accept:(Sos.solution -> bool) ->
   Sos.t ->
   Sos.solution * diagnosis
-(** Orchestrated [Sos.solve]: run the baseline attempt and then the
+(** Orchestrated [Sos.solve], its SDP solved by {!Supervise.solve_sdp}
+    on the policy's context: run the baseline attempt and then the
     ladder until an attempt is accepted — by default when the solution
     is [certified] (the a posteriori Gram PSD/residual checks pass);
     [accept] overrides the criterion (e.g. plain feasibility for
@@ -313,5 +306,17 @@ val solve_sdp :
   ?params:Sdp.params ->
   Sdp.problem ->
   Sdp.solution * diagnosis
-(** Orchestrated [Sdp.solve]; certification = [Optimal] status,
-    salvage = [Near_optimal] or a small best-iterate score. *)
+(** Orchestrated SDP solve through {!Supervise.solve_sdp};
+    certification = [Optimal] status, salvage = [Near_optimal] or a
+    small best-iterate score. *)
+
+val fan_out : policy -> f:(int -> 'a -> 'b) -> 'a list -> ('b, string) result list
+(** [f i item] for each independent item, as the items of a
+    {!Supervise.Pool.map} on the policy's context: in forked children
+    when the context forks, inline otherwise. Each item's solves,
+    attempts, attempt time, diagnoses and fired in-process faults are
+    added to [policy] in item order, so a forked item counts exactly as
+    an inline one (forked items number their solves from the count at
+    the fork). [f]'s result must be marshal-safe. An item that raises,
+    crashes or is killed yields [Error] for itself only, and its work is
+    not counted. *)

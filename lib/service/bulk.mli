@@ -57,9 +57,10 @@ val validate : cell_spec -> (unit, string) result
 (** Structural sanity (positive degree and advection cap, non-negative
     bisection steps, a cell id, a positive finite budget if any, no axis
     twice, positive finite bounds with lo <= hi) and that every box axis
-    exists at the order — everything {!Job.validate} refuses in a point,
-    so a submitted point is admitted by this check alone. The empty box
-    (the nominal model) is valid. *)
+    exists at the order. The one validator: the daemon admits a job by
+    it, and [verify_pll] and [verify_client] refuse a point [spec] as a
+    usage error when [validate (of_spec spec)] does. The empty box (the
+    nominal model) is valid. *)
 
 (** A completed cell's answer, local or remote alike, so a daemon
     answer lands in the atlas quarantine format verbatim. *)

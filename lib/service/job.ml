@@ -58,39 +58,6 @@ let sort_point point =
   in
   List.sort (fun (a, _) (b, _) -> compare (rank a) (rank b)) point
 
-let validate spec =
-  let ( let* ) = Result.bind in
-  let* () = if spec.degree > 0 then Ok () else Error "degree must be positive" in
-  let* () =
-    if spec.bisect_steps >= 0 then Ok () else Error "bisect-steps must be >= 0"
-  in
-  let* () =
-    if spec.advect_iters > 0 then Ok () else Error "advect-iters must be positive"
-  in
-  let* () =
-    match spec.deadline_s with
-    | Some d when not (Float.is_finite d && d > 0.0) ->
-        Error "deadline must be positive and finite"
-    | _ -> Ok ()
-  in
-  let rec dup = function
-    | [] -> Ok ()
-    | (a, _) :: tl ->
-        if List.mem_assoc a tl then
-          Error (Printf.sprintf "duplicate point axis %s" (Pll.axis_name a))
-        else dup tl
-  in
-  let* () = dup spec.point in
-  List.fold_left
-    (fun acc (a, v) ->
-      let* () = acc in
-      if Float.is_finite v && v > 0.0 then Ok ()
-      else
-        Error
-          (Printf.sprintf "point value for %s must be a positive finite relative factor"
-             (Pll.axis_name a)))
-    (Ok ()) spec.point
-
 let point_of_string s =
   let s = String.trim s in
   if s = "" || s = "nominal" then Ok []
@@ -339,23 +306,17 @@ let certify ~policy ?(validate = fun _ -> true) ?exact spec raw =
   in
   (* Exact re-validation gate: the run only counts as certified when the
      exact kernel re-proves it; the artifact lands in artifacts/<exact>
-     (check_cert replays it). The validation solves run without the
-     supervisor so their solutions stay in-process. *)
+     (check_cert replays it). *)
+  let supervisor = Resilient.supervisor policy in
   let certified (cert : Certificates.t) beta =
     match exact with
     | None -> outcome ~beta ("", "")
     | Some name -> (
-        let cfg' =
-          { cert.Certificates.cfg with resilience = Resilient.with_supervisor policy None }
-        in
-        match Certificates.validate_exactly s { cert with Certificates.cfg = cfg' } with
+        match Certificates.validate_exactly s cert with
         | Ok ev when ev.Certificates.all_proven ->
-            Option.iter
-              (fun ctx ->
-                ignore
-                  (Supervise.save_artifact ctx ~name
-                     (Exact.Artifact.write ev.Certificates.artifact)))
-              (Resilient.supervisor policy);
+            ignore
+              (Supervise.save_artifact supervisor ~name
+                 (Exact.Artifact.write ev.Certificates.artifact));
             outcome ~beta ("", "")
         | Ok ev ->
             let failed =
@@ -370,7 +331,7 @@ let certify ~policy ?(validate = fun _ -> true) ?exact spec raw =
   in
   (* Reap the solver worker when the verdict returns, so that its CPU
      time is accounted to the caller. *)
-  Fun.protect ~finally:(fun () -> Option.iter Supervise.release (Resilient.supervisor policy))
+  Fun.protect ~finally:(fun () -> Supervise.release supervisor)
   @@ fun () ->
   try
     match spec.property with

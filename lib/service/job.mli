@@ -52,13 +52,6 @@ val default_spec : Pll.order -> spec
     non-robust, 6 bisection steps, 25 advection iterations, default
     tolerances, no deadline. *)
 
-val validate : spec -> (unit, string) result
-(** Structural sanity: positive finite point values, no duplicate axes,
-    positive degree, non-negative step counts, a deadline (if any)
-    positive and finite, as {!Bulk.validate} requires. Whether an axis
-    exists at this order is checked by {!run} (a [bad-point] failure)
-    and, for daemon submits, at admission ({!Bulk.validate}). *)
-
 val sort_point : (Pll.axis * float) list -> (Pll.axis * float) list
 (** Canonical point order: axis declaration order. *)
 

@@ -94,8 +94,6 @@ let add_zero p pp =
       p.n_eqs <- p.n_eqs + 1)
     (Ppoly.terms pp)
 
-let add_eq p a b = add_zero p (Ppoly.sub a b)
-
 let vars_of_ppoly p pp =
   let mask = Array.make p.nvars false in
   List.iter
@@ -287,22 +285,12 @@ module Options = struct
     params : Sdp.params option;
     psd_tol : float;
     eq_tol : float;
-    session : Sdp.Session.t option;
-    hint : Sdp.warm_start option;
   }
 
-  let default =
-    {
-      solver = None;
-      params = None;
-      psd_tol = 1e-7;
-      eq_tol = 1e-5;
-      session = None;
-      hint = None;
-    }
+  let default = { solver = None; params = None; psd_tol = 1e-7; eq_tol = 1e-5 }
 
-  let make ?solver ?params ?(psd_tol = 1e-7) ?(eq_tol = 1e-5) ?session ?hint () =
-    { solver; params; psd_tol; eq_tol; session; hint }
+  let make ?solver ?params ?(psd_tol = 1e-7) ?(eq_tol = 1e-5) () =
+    { solver; params; psd_tol; eq_tol }
 end
 
 let solve ?(options = Options.default) p =
@@ -321,17 +309,9 @@ let solve ?(options = Options.default) p =
            (Array.to_list (Array.map string_of_int sdp_prob.Sdp.block_dims)))
         p.n_free);
   let sdp =
-    (* Dispatch precedence: an injected solver (the supervision boundary)
-       owns the whole numeric solve — it receives session and hint
-       through its own closure, not from here; otherwise a session, when
-       present, adds warm-start discipline around [Sdp.solve]. *)
-    match (options.Options.solver, options.Options.session) with
-    | Some solve, _ -> solve ?params:options.Options.params sdp_prob
-    | None, Some sess ->
-        Sdp.Session.solve sess ?hint:options.Options.hint
-          ?params:options.Options.params sdp_prob
-    | None, None ->
-        Sdp.solve ?params:options.Options.params ?warm:options.Options.hint sdp_prob
+    match options.Options.solver with
+    | Some solve -> solve ?params:options.Options.params sdp_prob
+    | None -> Sdp.solve ?params:options.Options.params sdp_prob
   in
   let assign = function
     | Dvar.Free k -> sdp.Sdp.f.(k)

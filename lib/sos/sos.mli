@@ -51,9 +51,6 @@ val add_zero : t -> Ppoly.t -> unit
 (** Constrain a parametric polynomial to be identically zero
     (coefficientwise). *)
 
-val add_eq : t -> Ppoly.t -> Ppoly.t -> unit
-(** [add_eq p q] constrains [p = q] as polynomials. *)
-
 val add_sos : t -> Ppoly.t -> unit
 (** Constrain the parametric polynomial to be a sum of squares: attaches
     a fresh Gram block with an automatically chosen monomial basis and
@@ -107,44 +104,31 @@ module Options : sig
   type t = {
     solver : solver_fn option;
         (** replaces the inner [Sdp.solve] call — the injection point
-            through which {!Supervise} runs the numeric solve in an
-            isolated worker process; the SOS-level reconstruction and
-            certificate check still run in the caller. When set, it owns
-            the whole numeric solve: [session]/[hint] below are ignored
-            here and must be threaded through the solver's own closure. *)
+            through which [Resilient] hands every attempt to
+            [Supervise.solve_sdp], which chooses its warm start and may
+            run it in an isolated worker process; the SOS-level
+            reconstruction and certificate check still run in the
+            caller. *)
     params : Sdp.params option;  (** interior-point parameters *)
     psd_tol : float;
         (** a posteriori Gram PSD tolerance for [certified]; default 1e-7 *)
     eq_tol : float;
         (** a posteriori equality-residual tolerance (relative to
             constraint scale); default 1e-5 *)
-    session : Sdp.Session.t option;
-        (** warm-start session wrapped around [Sdp.solve] when no
-            [solver] is injected *)
-    hint : Sdp.warm_start option;
-        (** explicit warm-start capsule, overriding the session's
-            remembered one when its structure matches *)
   }
 
   val default : t
-  (** No injected solver, default params/tolerances, no session. *)
+  (** No injected solver (a plain cold [Sdp.solve]), default
+      params/tolerances. *)
 
   val make :
-    ?solver:solver_fn ->
-    ?params:Sdp.params ->
-    ?psd_tol:float ->
-    ?eq_tol:float ->
-    ?session:Sdp.Session.t ->
-    ?hint:Sdp.warm_start ->
-    unit ->
-    t
+    ?solver:solver_fn -> ?params:Sdp.params -> ?psd_tol:float -> ?eq_tol:float -> unit -> t
 end
 
 val solve : ?options:Options.t -> t -> solution
-(** Translate to an SDP, solve, and validate. All solver configuration
-    lives in [options] (default {!Options.default}); see {!Options.t}
-    for the dispatch precedence between an injected solver and a
-    warm-start session. *)
+(** Translate to an SDP, solve (with the injected solver, else a cold
+    [Sdp.solve]), and validate. All solver configuration lives in
+    [options] (default {!Options.default}). *)
 
 val value : solution -> Ppoly.t -> Poly.t
 (** Instantiate a parametric polynomial under the solution. *)

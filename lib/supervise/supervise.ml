@@ -531,6 +531,13 @@ let claim ~run_dir ?fingerprint ~ledger ~resume () =
   in
   check_resume ledger ~run_dir ~resume
 
+(* Inside an isolation boundary already, as a pool child is: solves and
+   pool items run inline, and nothing is journaled. *)
+let in_process () =
+  let ctx = create ~jobs:1 ~isolate:false () in
+  ctx.in_worker <- true;
+  ctx
+
 let open_run ?run_dir ?resume ?jobs ?solve_timeout_s ?mem_limit_mb ~ledger ~fingerprint () =
   let run_dir = if resume <> None then resume else run_dir in
   let claimed =
@@ -544,7 +551,6 @@ let jobs ctx = ctx.jobs
 let run_dir ctx = ctx.run_dir
 let cache ctx = ctx.cache_
 let stats ctx = ctx.stats
-let in_worker ctx = ctx.in_worker
 let replayed ctx = ctx.replayed
 let interrupt ctx = ctx.interrupted <- true
 
@@ -742,6 +748,14 @@ let inject_proc_fault (pf : Fault.spec option) (params : Sdp.params) =
    problem, the warm-start hint and the process fault to inject. *)
 type request = Sdp.params * Sdp.problem * Sdp.warm_start option * Fault.spec option
 
+(* The numeric solve itself, in the worker or inline: with a hint, a
+   throwaway session applies the standard warm-start discipline
+   (bounded warm attempt, cold re-solve unless Optimal). *)
+let solve_hinted ?hint ~params prob =
+  match hint with
+  | Some w -> Sdp.Session.solve (Sdp.Session.create ()) ~hint:w ~params prob
+  | None -> Sdp.solve ~params prob
+
 (* The worker's loop: one request in, one answer out, until the request
    pipe reaches end of file (the parent retired it or died) or the
    answer cannot be written (the parent died). A solve that raised ends
@@ -755,15 +769,8 @@ let serve req res =
     | Some payload ->
         let params, prob, hint, proc_fault = (Marshal.from_string payload 0 : request) in
         let params = inject_proc_fault proc_fault params in
-        (* A throwaway session applies the standard warm-start discipline
-           (bounded warm attempt, cold re-solve unless Optimal). *)
         let result =
-          try
-            Ok
-              (match hint with
-              | Some w -> Sdp.Session.solve (Sdp.Session.create ()) ~hint:w ~params prob
-              | None -> Sdp.solve ~params prob)
-          with e -> Error (Printexc.to_string e)
+          try Ok (solve_hinted ?hint ~params prob) with e -> Error (Printexc.to_string e)
         in
         Frame.send res (Marshal.to_string (result : (Sdp.solution, string) result) []);
         if Result.is_ok result then loop ()
@@ -974,103 +981,91 @@ let solve_sdp ctx ~label ?proc_fault ?session ?hint ?(params = Sdp.default_param
   (* The cache key deliberately excludes [session]/[hint]: hints change
      the iterate path, never which request is being answered, so a
      cached result replays byte-identically whether or not the original
-     solve was warm-started. *)
-  let key = Sdp.fingerprint ~params prob in
+     solve was warm-started. It is built only for a cache or a journal. *)
+  let key = lazy (Sdp.fingerprint ~params prob) in
+  let journal = if ctx.in_worker then None else ctx.journal in
   let cached =
     match ctx.cache_ with
     | None -> None
     | Some c -> (
-        match Cache.load c ~key with
+        match Cache.load c ~key:(Lazy.force key) with
         | Ok sol -> Some sol
         | Error Cache.Missing -> None
         | Error err ->
             st.cache_rejects <- st.cache_rejects + 1;
             Log.warn (fun k ->
-                k "cache entry %s for %S rejected (%s) — re-solving" key label
+                k "cache entry %s for %S rejected (%s) — re-solving" (Lazy.force key) label
                   (Cache.error_to_string err));
             None)
   in
-  match cached with
-  | Some sol ->
-      st.cache_hits <- st.cache_hits + 1;
-      (* Replayed results still feed the session, so a resumed run
-         rebuilds the same warm-start memory the original run had. *)
-      (match session with Some s -> Sdp.Session.remember s prob sol | None -> ());
-      (match ctx.journal with
-      | Some j when not ctx.in_worker ->
-          Journal.record_done j ~seq ~key ~source:"cache"
-            ~status:(status_string sol.Sdp.status) ~wall_s:0.0 ~label
-      | _ -> ());
-      sol
-  | None ->
-      (match ctx.journal with
-      | Some j when not ctx.in_worker -> Journal.record_start j ~seq ~key ~label
-      | _ -> ());
-      let hint =
-        match hint with
-        | Some _ -> hint
-        | None -> ( match session with Some s -> Sdp.Session.hint_for s prob | None -> None)
-      in
-      let t0 = Unix.gettimeofday () in
-      (* After the cache key: the beat hook never reaches the canonical
-         serialization, but wrapping post-key keeps that invariant
-         obvious. *)
-      let params = Heartbeat.wrap_params params in
-      let sol, source =
-        if ctx.in_worker || not ctx.isolate then begin
-          st.inline_solves <- st.inline_solves + 1;
-          ( (match session with
-            | Some s -> Sdp.Session.solve s ?hint ~params prob
-            | None -> (
-                match hint with
-                | Some w -> Sdp.Session.solve (Sdp.Session.create ()) ~hint:w ~params prob
-                | None -> Sdp.solve ~params prob)),
-            "solved" )
-        end
-        else
-          match solve_in_worker ctx ~proc_fault ?hint ~params prob with
-          | W_done sol -> (sol, "solved")
-          | W_crashed why ->
-              st.crashes <- st.crashes + 1;
-              Log.warn (fun k -> k "solve #%d %S: %s" seq label why);
-              (failed_solution Sdp.Numerical_failure prob, "crash")
-          | W_timed_out after ->
-              st.timeouts <- st.timeouts + 1;
-              Log.warn (fun k ->
-                  k "solve #%d %S: worker reaped after %.1fs wall-clock timeout" seq
-                    label after);
-              (failed_solution Sdp.Max_iterations prob, "timeout")
-      in
-      let wall_s = Unix.gettimeofday () -. t0 in
-      (* Worker results reach the parent's session here (the inline path
-         already remembered through [Session.solve]); [remember] itself
-         keeps only clean Optimal solutions. *)
-      (if source = "solved" then
-         match session with Some s -> Sdp.Session.remember s prob sol | None -> ());
-      (* Only clean, uninterrupted solves are cached: a result shaped by
-         an injected fault or a deadline interrupt is not a function of
-         the request alone. *)
-      (if source = "solved" && sol.Sdp.injected = 0 then
-         match ctx.cache_ with
-         | Some c -> (
-             match Cache.store c ~key sol with
-             | Ok () -> (
-                 st.cache_stores <- st.cache_stores + 1;
-                 match proc_fault with
-                 | Some { Fault.kind = Fault.Corrupt_cache; _ } ->
-                     ignore (Cache.corrupt c ~key);
-                     Log.warn (fun k ->
-                         k "fault injection: corrupted cache entry %s for solve #%d" key
-                           seq)
-                 | _ -> ())
-             | Error e -> Log.warn (fun k -> k "%s" e))
-         | None -> ());
-      (match ctx.journal with
-      | Some j when not ctx.in_worker ->
-          Journal.record_done j ~seq ~key ~source
-            ~status:(status_string sol.Sdp.status) ~wall_s ~label
-      | _ -> ());
-      sol
+  let sol, source, wall_s =
+    match cached with
+    | Some sol ->
+        st.cache_hits <- st.cache_hits + 1;
+        (sol, "cache", 0.0)
+    | None ->
+        Option.iter (fun j -> Journal.record_start j ~seq ~key:(Lazy.force key) ~label) journal;
+        let hint =
+          match hint with
+          | Some _ -> hint
+          | None -> Option.bind session (fun s -> Sdp.Session.hint_for s prob)
+        in
+        let t0 = Unix.gettimeofday () in
+        (* After the cache key: the beat hook never reaches the canonical
+           serialization, but wrapping post-key keeps that invariant
+           obvious. *)
+        let params = Heartbeat.wrap_params params in
+        let sol, source =
+          if ctx.in_worker || not ctx.isolate then begin
+            st.inline_solves <- st.inline_solves + 1;
+            (solve_hinted ?hint ~params prob, "solved")
+          end
+          else
+            match solve_in_worker ctx ~proc_fault ?hint ~params prob with
+            | W_done sol -> (sol, "solved")
+            | W_crashed why ->
+                st.crashes <- st.crashes + 1;
+                Log.warn (fun k -> k "solve #%d %S: %s" seq label why);
+                (failed_solution Sdp.Numerical_failure prob, "crash")
+            | W_timed_out after ->
+                st.timeouts <- st.timeouts + 1;
+                Log.warn (fun k ->
+                    k "solve #%d %S: worker reaped after %.1fs wall-clock timeout" seq
+                      label after);
+                (failed_solution Sdp.Max_iterations prob, "timeout")
+        in
+        let wall_s = Unix.gettimeofday () -. t0 in
+        (* Only clean, uninterrupted solves are cached: a result shaped by
+           an injected fault or a deadline interrupt is not a function of
+           the request alone. *)
+        (if source = "solved" && sol.Sdp.injected = 0 then
+           match ctx.cache_ with
+           | Some c -> (
+               let key = Lazy.force key in
+               match Cache.store c ~key sol with
+               | Ok () -> (
+                   st.cache_stores <- st.cache_stores + 1;
+                   match proc_fault with
+                   | Some { Fault.kind = Fault.Corrupt_cache; _ } ->
+                       ignore (Cache.corrupt c ~key);
+                       Log.warn (fun k ->
+                           k "fault injection: corrupted cache entry %s for solve #%d" key
+                             seq)
+                   | _ -> ())
+               | Error e -> Log.warn (fun k -> k "%s" e))
+           | None -> ());
+        (sol, source, wall_s)
+  in
+  (* Solves and cache replays alike reach the session here, so a resumed
+     run rebuilds the warm-start memory the original run had; [remember]
+     keeps only clean Optimal solutions. *)
+  Option.iter (fun s -> Sdp.Session.remember s prob sol) session;
+  Option.iter
+    (fun j ->
+      Journal.record_done j ~seq ~key:(Lazy.force key) ~source
+        ~status:(status_string sol.Sdp.status) ~wall_s ~label)
+    journal;
+  sol
 
 let save_artifact ctx ~name content =
   match ctx.run_dir with

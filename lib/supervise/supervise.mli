@@ -228,7 +228,9 @@ end
 type stats = {
   mutable supervised : int;  (** supervised solve requests *)
   mutable forked : int;  (** processes forked: solver workers spawned plus pool children *)
-  mutable inline_solves : int;  (** solves run inline inside a pool worker *)
+  mutable inline_solves : int;
+      (** solves run inline: inside a pool worker, in an {!in_process}
+          context, or with [isolate] off *)
   mutable cache_hits : int;
   mutable cache_stores : int;
   mutable cache_rejects : int;  (** corrupt/truncated entries rejected, then re-solved *)
@@ -267,6 +269,12 @@ val create :
     directory, result files left in [tmp/] by runs of the earlier
     file-based worker protocol are deleted, and [tmp/] with them once
     empty. *)
+
+val in_process : unit -> ctx
+(** A context that never forks: no run directory, so no cache, journal
+    or artifacts; every solve and every {!Pool} item runs inline, as
+    inside a pool child. What a [Resilient] policy made without a
+    supervisor carries. *)
 
 (** {2 Opening a run directory}
 
@@ -317,7 +325,6 @@ val jobs : ctx -> int
 val run_dir : ctx -> string option
 val cache : ctx -> Cache.t option
 val stats : ctx -> stats
-val in_worker : ctx -> bool
 
 val replayed : ctx -> int
 (** Completed solves already on record in the journal when this context
@@ -346,27 +353,29 @@ val solve_sdp :
   ?params:Sdp.params ->
   Sdp.problem ->
   Sdp.solution
-(** The supervised [Sdp.solve]: fingerprint the request, return the
-    cached solution on a hit (rejecting corrupt entries with a logged
-    diagnosis), otherwise journal the start, run the solve in the
-    solver worker under the timeout/rlimit (inline when [isolate] is
-    off or already inside a pool worker), store a clean result atomically, and
-    journal completion. A crashed worker yields a synthetic
-    [Numerical_failure] solution, a timed-out one [Max_iterations] —
-    with [best_score = infinity] so they are never salvaged — letting
-    the caller's retry ladder escalate exactly as for in-process
-    failures. Never raises on worker trouble; raises {!Interrupted} only
-    after {!interrupt}.
+(** The supervised [Sdp.solve]: with a cache, return the cached
+    solution on a hit (rejecting corrupt entries with a logged
+    diagnosis); otherwise journal the start (with a journal), run the
+    solve in the solver worker under the timeout/rlimit (inline when
+    [isolate] is off or inside a pool child or an {!in_process}
+    context), store a clean result atomically, and journal completion.
+    The request's fingerprint ({!Sdp.fingerprint}) is computed only
+    when the context has a cache or a journal. A crashed worker yields
+    a synthetic [Numerical_failure] solution, a timed-out one
+    [Max_iterations] — with [best_score = infinity] so they are never
+    salvaged — letting the caller's retry ladder escalate exactly as
+    for in-process failures. Never raises on worker trouble; raises
+    {!Interrupted} only after {!interrupt}.
 
-    [session]/[hint] add warm-start support without touching the cache
-    identity: the fingerprint is computed from [(params, problem)]
-    alone, so whether a result was produced warm or cold never changes
-    which cache entry answers the request — [-jN] and [--resume]
-    determinism are preserved. The hint (explicit, or the session's
-    remembered capsule for this structure) travels in the request; the
-    worker applies the standard session
-    discipline, and the parent feeds clean results (including cache
-    replays) back into [session]'s memory. *)
+    [session]/[hint] are the one place warm starts are chosen, without
+    touching the cache identity: the fingerprint is computed from
+    [(params, problem)] alone, so whether a result was produced warm or
+    cold never changes which cache entry answers the request — [-jN]
+    and [--resume] determinism are preserved. The hint (explicit, or
+    the session's remembered capsule for this structure) travels in the
+    request; the solve, in the worker or inline, applies the standard
+    session discipline, and the caller's process feeds the result
+    (solved or replayed from cache) into [session]'s memory once. *)
 
 val status_string : Sdp.status -> string
 (** The one printed name of a solve status ([optimal], [near_optimal],
@@ -466,7 +475,7 @@ module Pool : sig
     'a list ->
     unit
   (** Run [f i item] for each item in a pool of {!jobs} children (inline
-      inside a pool worker), calling [on_start] just before an item is
+      inside a pool worker or an {!in_process} context), calling [on_start] just before an item is
       forked and [on_settle] as soon as it ends. [f]'s result must be
       marshal-safe. The fork is taken even for [jobs = 1], so [-j 1] and
       [-j N] traverse the same code path. Counts each item in

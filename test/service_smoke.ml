@@ -278,14 +278,24 @@ let () =
   in
   if not (contains ne "\"verdict\":\"not-established\"" && contains ne "\"cached\":true")
   then die "pre-seeded store entry not served:\n%s" ne;
-  (* A point naming an axis the order lacks is refused at admission. *)
+  (* A point naming an axis the order lacks: the client refuses it up
+     front as a usage error, with the daemon's own admission check, and
+     the daemon, sent it anyway, refuses it at admission. *)
   let absent =
     read_file
-      (run ~expect:1 ~what:"axis absent at the order refused"
+      (run ~expect:124 ~what:"axis absent at the order is a usage error"
          (client ^ " submit --sock " ^ qsock ^ " -o third --point c3=1.1"))
   in
-  if not (contains absent "\"type\":\"error\"") then
-    die "an axis absent at the order lacks the error reply:\n%s" absent;
+  if not (contains absent "c3") then
+    die "the usage error does not name the absent axis:\n%s" absent;
+  (match
+     Service.Client.submit ~sock
+       { (Service.Job.default_spec Pll.Third) with Service.Job.point = [ (Pll.C3, 1.1) ] }
+   with
+  | Ok v when Service.Json.mem_str "type" v = Some "error" -> ()
+  | Ok v ->
+      die "an axis absent at the order lacks the error reply:\n%s" (Service.Json.to_string v)
+  | Error diag -> die "an axis absent at the order: no reply (%s)" diag);
   Unix.kill d.pid Sys.sigterm;
   ignore (wait_daemon ~what:"verdict phase drain" ~expect:0 d);
 

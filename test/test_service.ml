@@ -132,20 +132,21 @@ let test_point_parse () =
 let test_validate_refuses () =
   let d = Service.Job.default_spec Pll.Third in
   let bad spec what =
-    match Service.Job.validate spec with
+    match Service.Bulk.validate (Service.Bulk.of_spec spec) with
     | Error _ -> ()
     | Ok () -> Alcotest.fail (what ^ " accepted")
   in
   bad { d with Service.Job.degree = 0 } "degree 0";
   bad { d with Service.Job.deadline_s = Some 0.0 } "zero deadline";
-  (* The daemon's Bulk.validate refuses a budget that is not finite, so
-     the client must refuse it first, as a usage error. *)
+  (* The CLIs refuse, as a usage error, exactly what the daemon refuses
+     at admission: a budget that is not finite, too. *)
   bad { d with Service.Job.deadline_s = Some Float.infinity } "infinite deadline";
   bad { d with Service.Job.deadline_s = Some Float.nan } "nan deadline";
   bad { d with Service.Job.point = [ (Pll.Ip, -1.0) ] } "negative factor";
   bad
     { d with Service.Job.point = [ (Pll.Ip, 1.0); (Pll.Ip, 2.0) ] }
-    "duplicate axis"
+    "duplicate axis";
+  bad { d with Service.Job.point = [ (Pll.C3, 1.1) ] } "axis absent at third order"
 
 (* A submitted point travels as the line of the cell it converts to. *)
 let test_spec_cell_line_roundtrip () =

@@ -231,7 +231,8 @@ let test_session_fig2_family () =
     Sos.add_nonneg_on ~mult_deg:2 prob
       ~domain:(Poly.neg (ball r_in) :: Pll.mode_domain s 0)
       (Sos.Ppoly.of_poly (Poly.neg (ball r_out)));
-    let options = Sos.Options.make ?session () in
+    let solver = Option.map (fun sess ?params p -> Sdp.Session.solve sess ?params p) session in
+    let options = Sos.Options.make ?solver () in
     (Sos.solve ~options prob).Sos.certified
   in
   List.iter

@@ -833,6 +833,70 @@ let test_open_run_resume () =
   | Ok () -> Alcotest.fail "a drifted resume must refuse");
   Supervise.Lock.release ~dir
 
+(* ---- one solve path: forked and inline work count alike ---- *)
+
+(* A fan-out item's diagnoses, solves and attempts reach the parent
+   policy whether the item ran in a forked child or inline. *)
+let test_fan_out_journal () =
+  List.iter
+    (fun (what, ctx) ->
+      let policy = Resilient.make ~supervise:ctx () in
+      let results =
+        Resilient.fan_out policy
+          ~f:(fun i rhs ->
+            let sol, _ =
+              Resilient.solve_sdp policy ~label:(Printf.sprintf "item-%d" i)
+                (small_problem ~rhs ())
+            in
+            sol.Sdp.status = Sdp.Optimal)
+          [ 1.0; 2.0 ]
+      in
+      Alcotest.(check bool) (what ^ ": both items solved") true (results = [ Ok true; Ok true ]);
+      Alcotest.(check (list string))
+        (what ^ ": the items' diagnoses are journaled, in item order")
+        [ "item-0"; "item-1" ]
+        (List.map (fun (d : Resilient.diagnosis) -> d.Resilient.label) (Resilient.journal policy));
+      let b = Resilient.consumed policy in
+      Alcotest.(check (pair int int)) (what ^ ": solves and attempts") (2, 2)
+        (b.Resilient.solves, b.Resilient.attempts);
+      Supervise.release ctx)
+    [ ("forked", Supervise.create ~jobs:2 ()); ("inline", Supervise.in_process ()) ];
+  let ctx = Supervise.create ~jobs:2 () in
+  ignore (Resilient.fan_out (Resilient.make ~supervise:ctx ()) ~f:(fun _ x -> x) [ 1; 2 ]);
+  Alcotest.(check int) "the forked fan-out did fork" 2 (Supervise.stats ctx).Supervise.pool_tasks
+
+(* The nominal third-order Full verdict at degree 4 with one advection
+   iteration fans its escape searches out: the count of its work must not
+   depend on whether they ran in forked children or inline. *)
+let test_solve_counts_agree () =
+  let spec =
+    {
+      (Service.Job.default_spec Pll.Third) with
+      Service.Job.property = Service.Job.Full;
+      degree = 4;
+      advect_iters = 1;
+    }
+  in
+  let count ctx =
+    let o = Service.Job.run ~policy:(Resilient.make ?supervise:ctx ()) spec in
+    (Service.Job.verdict_to_string o.Service.Job.verdict, o.Service.Job.solves, o.Service.Job.attempts)
+  in
+  let supervised = count (Some (Supervise.create ~jobs:2 ())) in
+  let unisolated = count (Some (Supervise.create ~jobs:2 ~isolate:false ())) in
+  let in_pool =
+    let ctx = Supervise.create ~jobs:2 () in
+    match Supervise.Pool.map ctx ~f:(fun _ () -> count (Some ctx)) [ () ] with
+    | [ Ok c ] -> c
+    | _ -> Alcotest.fail "the pool child did not answer"
+  in
+  let unsupervised = count None in
+  let show (v, s, a) = Printf.sprintf "%s, %d solves, %d attempts" v s a in
+  Alcotest.(check string) "verified under supervision" "verified"
+    (let v, _, _ = supervised in v);
+  List.iter
+    (fun (what, c) -> Alcotest.(check string) what (show supervised) (show c))
+    [ ("~isolate:false", unisolated); ("inside a pool child", in_pool); ("no supervisor", unsupervised) ]
+
 let suite =
   [
     Alcotest.test_case "fingerprint-stable" `Quick test_fingerprint_stable;
@@ -877,4 +941,6 @@ let suite =
     Alcotest.test_case "pool-deadline-kills" `Quick test_pool_deadline_kills;
     Alcotest.test_case "pool-lease" `Quick test_pool_lease;
     Alcotest.test_case "pool-cap-holds" `Quick test_pool_cap_holds;
+    Alcotest.test_case "fan-out-journal" `Quick test_fan_out_journal;
+    Alcotest.test_case "solve-counts-agree" `Slow test_solve_counts_agree;
   ]

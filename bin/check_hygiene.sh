@@ -47,7 +47,8 @@
 #     bin/ source calls `Unix.fork` or names `Supervise.Child.`,
 #     `Heartbeat.install` or `Lease.grant`/`renew`/`expired` (children,
 #     leases and deadlines belong to `Supervise.Pool`), and lib/supervise
-#     forks at most twice (solver worker, one-answer child); no
+#     forks at most once (one primitive makes the solver worker and every
+#     one-answer child); no
 #     lib/supervise source mentions `WNOHANG`, `temp_file` or `.res`,
 #     and no lib/service source `WNOHANG`, `waitpid`, `outbox` or
 #     `Unix.pipe`, so no polled result-file handoff comes back;
@@ -188,8 +189,8 @@ strays="$(grep -nE 'Unix\.fork' "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null 
 [ -z "$strays" ] || \
   fail "a fork outside lib/supervise (submit to a Supervise.Pool):$(echo " $strays" | sed "s|$repo/||g")"
 forks="$(cat "$repo"/lib/supervise/*.ml 2>/dev/null | grep -cE 'Unix\.fork' || true)"
-[ "$forks" -le 2 ] || \
-  fail "lib/supervise forks at $forks sites (the solver worker and Child.spawn are the two)"
+[ "$forks" -le 1 ] || \
+  fail "lib/supervise forks at $forks sites (the solver worker and every Child share one)"
 strays="$(grep -nE 'WNOHANG|temp_file|\.res\b' "$repo"/lib/supervise/* 2>/dev/null || true)"
 [ -z "$strays" ] || \
   fail "a polled result-file handoff in lib/supervise (workers answer over pipes):$(echo " $strays" | sed "s|$repo/||g")"

@@ -69,16 +69,6 @@ val absorb : certificate -> certificate
     {!Identity_defect}. Absorption only edits matrices that {!check}
     subsequently PSD-tests, so it cannot create unsoundness. *)
 
-val round_block : denom_bits:int -> Poly.Monomial.t array -> Linalg.Mat.t -> sos_block
-(** Symmetrized, denominator-bounded rounding of a float Gram block. *)
-
-val default_denom_bits : int
-(** Denominator budget of {!certify} (40: rounding noise ~1e-12, far
-    below the SDP's own equality residuals). *)
-
-val default_drop_tol : float
-(** Relative Gram-diagonal threshold below which a basis row is dropped
-    by {!certify} before rounding. *)
 
 val certify_q :
   ?denom_bits:int ->

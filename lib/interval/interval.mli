@@ -57,8 +57,6 @@ val hull : t -> t -> t
 val intersect : t -> t -> t option
 (** Intersection, when non-empty. *)
 
-val contains_zero : t -> bool
-
 val sample : t -> int -> float list
 (** [sample iv k] is [k] evenly spaced points of the interval, including
     both endpoints when [k >= 2]. *)

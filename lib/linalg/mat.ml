@@ -23,10 +23,6 @@ let get a i j = a.data.((i * a.cols) + j)
 
 let set a i j v = a.data.((i * a.cols) + j) <- v
 
-let diag_of a =
-  if a.rows <> a.cols then invalid_arg "Mat.diag_of: not square";
-  Array.init a.rows (fun i -> get a i i)
-
 let of_arrays rows =
   let m = Array.length rows in
   if m = 0 then create 0 0

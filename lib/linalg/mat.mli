@@ -20,9 +20,6 @@ val identity : int -> t
 val diag : Vec.t -> t
 (** Square matrix with the given diagonal and zeros elsewhere. *)
 
-val diag_of : t -> Vec.t
-(** Diagonal of a square matrix. *)
-
 val of_arrays : float array array -> t
 (** Matrix from an array of rows (rows must have equal length). *)
 
@@ -135,11 +132,9 @@ val solve : t -> Vec.t -> Vec.t
     with partial pivoting. Raises [Failure] on (numerically) singular
     systems. *)
 
-val solve_mat : t -> t -> t
-(** Multi-right-hand-side version of {!solve}. *)
-
 val inverse : t -> t
-(** Matrix inverse via {!solve_mat} against the identity. *)
+(** Matrix inverse, by the elimination of {!solve} with the identity as
+    right-hand side. *)
 
 val lstsq : t -> Vec.t -> Vec.t
 (** Least-squares solution of possibly rectangular [A x = b] via the

@@ -145,10 +145,6 @@ val mode_name : int -> string
 val theta_index : scaled -> int
 (** Index of the phase-difference state (last). *)
 
-val vco_index : scaled -> int
-(** Index of the voltage that drives the VCO (w2 for third order, w3 for
-    fourth). *)
-
 val flow : scaled -> point -> int -> Poly.t array
 (** [flow s p m] is the polynomial vector field of mode [m] at
     coefficient point [p]. *)

@@ -189,17 +189,6 @@ let shift p c =
   let q = Array.init p.nvars (fun i -> add (var p.nvars i) (const p.nvars c.(i))) in
   subst p q
 
-let extend n p =
-  if n < p.nvars then invalid_arg "Poly.extend: shrinking arity";
-  let terms =
-    MonoMap.fold
-      (fun m c acc ->
-        let m' = Array.append m (Array.make (n - p.nvars) 0) in
-        MonoMap.add m' c acc)
-      p.terms MonoMap.empty
-  in
-  { nvars = n; terms }
-
 let chop ?(tol = 1e-10) p =
   { p with terms = MonoMap.filter (fun _ c -> Float.abs c > tol) p.terms }
 

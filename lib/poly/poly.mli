@@ -71,9 +71,6 @@ val evaluator : t -> float array -> float
 val partial : int -> t -> t
 (** [partial i p] is [∂p/∂x_i]. *)
 
-val gradient : t -> t array
-(** All first partials. *)
-
 val hessian : t -> t array array
 (** Matrix of second partials. *)
 
@@ -88,10 +85,6 @@ val subst : t -> t array -> t
 val shift : t -> float array -> t
 (** [shift p c] is [p(x + c)] — the polynomial translated so that
     evaluating at [x] gives the old value at [x + c]. *)
-
-val extend : int -> t -> t
-(** [extend n p] reinterprets [p] over [n >= nvars p] variables (new
-    variables do not occur). *)
 
 val chop : ?tol:float -> t -> t
 (** Drop coefficients of magnitude below [tol] (default 1e-10). *)

@@ -138,27 +138,34 @@ module Faults = struct
 
   let of_string s = Result.map union (Substrate.Fault_plan.claim_all of_token s)
 
-  (* Faults fire only on the first attempt of their target solve, so the
-     retry ladder gets a clean re-solve to recover with. *)
-  let hook plan ~solve_index ~attempt =
-    if attempt > 0 then None
+  (* The triggers of one attempt. Faults fire only on the first attempt
+     of their target solve, so the retry ladder gets a clean re-solve to
+     recover with. *)
+  let triggers plan ~solve_index ~attempt =
+    if attempt > 0 then []
+    else List.filter (fun s -> s.solve = 0 || s.solve = solve_index) plan.specs
+
+  let hook triggers =
+    if triggers = [] then None
     else
-      let relevant =
-        List.filter (fun s -> s.solve = 0 || s.solve = solve_index) plan.specs
-      in
-      if relevant = [] then None
-      else
-        Some
-          (fun iter ->
-            match List.find_opt (fun s -> s.iter = iter) relevant with
-            | None -> None
-            | Some s ->
-                plan.fired <- plan.fired + 1;
-                Some
-                  (match s.kind with
-                  | Fail -> Sdp.Fail_now
-                  | Truncate -> Sdp.Stop_now
-                  | Noise m -> Sdp.Perturb m))
+      Some
+        (fun iter ->
+          Option.map
+            (fun s ->
+              match s.kind with
+              | Fail -> Sdp.Fail_now
+              | Truncate -> Sdp.Stop_now
+              | Noise m -> Sdp.Perturb m)
+            (List.find_opt (fun s -> s.iter = iter) triggers))
+
+  (* How many of [triggers] a solve fired, at most one per iteration.
+     The hook runs at the top of every iteration, so a trigger at
+     iteration [i] fired iff the solve reached it; a solve that never ran
+     the hook (a cache hit, a crashed worker) fired none. *)
+  let fired_in triggers (sol : Sdp.solution) =
+    let iters = List.sort_uniq compare (List.map (fun s -> s.iter) triggers) in
+    let reached = List.filter (fun i -> 1 <= i && i <= sol.Sdp.iterations) iters in
+    min sol.Sdp.injected (List.length reached)
 
   let reset plan = plan.fired <- 0
 end
@@ -371,13 +378,14 @@ let conclusive = function
 
 (* The iteration hook of one ladder attempt: the fault plan's trigger,
    then the pipeline deadline. Under supervision it travels to the
-   solver worker inside every request, so it captures only numbers, the
-   fault hook and [deadline_hit], never the policy (whose session would
-   ride along). The deadline counts from the hook's first firing, on top
-   of the time already spent when the attempt began, so it never
+   solver worker inside every request, so it captures only numbers and
+   the fault hook, never the policy (whose session would ride along),
+   and it changes nothing the caller reads: what it did is read off the
+   returned solution. The deadline counts from the hook's first firing,
+   on top of the time already spent when the attempt began, so it never
    compares clocks of two processes. *)
-let iteration_hook policy ~solve_index ~attempt ~deadline_hit (params : Sdp.params) =
-  let fault_hook = Faults.hook policy.faults ~solve_index ~attempt in
+let iteration_hook policy ~solve_index ~attempt (params : Sdp.params) =
+  let fault_hook = Faults.hook (Faults.triggers policy.faults ~solve_index ~attempt) in
   let pipeline_d = policy.pipeline_deadline_s in
   ensure_started policy;
   let spent = elapsed_s policy in
@@ -401,11 +409,7 @@ let iteration_hook policy ~solve_index ~attempt ~deadline_hit (params : Sdp.para
               in
               spent +. (t -. t0) >= d
         in
-        if over then begin
-          deadline_hit := true;
-          Some Sdp.Stop_now
-        end
-        else ( match inner with Some h -> h iter | None -> None)
+        if over then Some Sdp.Stop_now else match inner with Some h -> h iter | None -> None
   in
   { params with Sdp.on_iteration = Some hook }
 
@@ -421,7 +425,6 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
   policy.clock.solve_count <- policy.clock.solve_count + 1;
   let solve_index = policy.clock.solve_count in
   let deadline_hit = ref false in
-  let wrap ~attempt params = iteration_hook policy ~solve_index ~attempt ~deadline_hit params in
   let rungs = Baseline :: (if policy.retries_enabled then ladder else []) in
   let finish ~attempts_rev ~outcome ~accepted_rung payload =
     let d =
@@ -470,12 +473,18 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
             | None -> invalid_arg "Resilient.run_ladder: empty ladder"))
     | rung :: rest ->
         let params = apply_rung params rung in
-        let fired_before = Faults.fired policy.faults in
         let t0 = wall_now () in
         let payload, (sdp : Sdp.solution) =
           attempt_solve ~attempt:attempt_idx ~hint:(Option.map fst hint)
-            (wrap ~attempt:attempt_idx params)
+            (iteration_hook policy ~solve_index ~attempt:attempt_idx params)
         in
+        (* Every intervention that was not a fault trigger was the
+           deadline's. *)
+        let fired =
+          Faults.fired_in (Faults.triggers policy.faults ~solve_index ~attempt:attempt_idx) sdp
+        in
+        policy.faults.Faults.fired <- policy.faults.Faults.fired + fired;
+        if sdp.Sdp.injected > fired then deadline_hit := true;
         let a =
           {
             rung;
@@ -485,7 +494,7 @@ let run_ladder policy ~label ?describe ?capsule ~attempt_solve ~certified ~salva
             primal_res = sdp.Sdp.primal_res;
             dual_res = sdp.Sdp.dual_res;
             best_score = sdp.Sdp.best_score;
-            faults_fired = Faults.fired policy.faults - fired_before;
+            faults_fired = fired;
             time_s = wall_now () -. t0;
           }
         in

@@ -127,9 +127,10 @@ module Faults : sig
       policy carries a supervisor). *)
 
   val fired : plan -> int
-  (** How many {e in-process} injections have actually fired so far.
-      Process-level faults act on the worker, whose memory is discarded,
-      and are counted by {!Supervise.stats} instead. *)
+  (** How many {e in-process} injections have fired so far, in the
+      process that ran the ladder or in the solver worker alike: the
+      ladder counts them from each attempt's solution. Process-level
+      faults are counted by {!Supervise.stats} instead. *)
 end
 
 (** One rung of the retry ladder. Every retried solve climbs the same
@@ -240,21 +241,16 @@ val elapsed_s : policy -> float
 val solves : policy -> int
 (** Logical solves run under this policy so far. *)
 
-val iteration_hook :
-  policy ->
-  solve_index:int ->
-  attempt:int ->
-  deadline_hit:bool ref ->
-  Sdp.params ->
-  Sdp.params
+val iteration_hook : policy -> solve_index:int -> attempt:int -> Sdp.params -> Sdp.params
 (** [params] with the [on_iteration] hook that {!solve_sos} and
     {!solve_sdp} install for one attempt: the fault plan's trigger for
-    [(solve_index, attempt)], then the pipeline deadline (setting
-    [deadline_hit] when it stops the solve), then the caller's own hook.
-    Under supervision the hook is marshalled into every worker request,
-    so it captures no more than the deadline, the pipeline time spent
-    so far, the fault trigger and [deadline_hit] — never the policy
-    itself. *)
+    [(solve_index, attempt)], then the pipeline deadline, then the
+    caller's own hook. Under supervision the hook is marshalled into
+    every worker request, so it captures no more than the deadline, the
+    pipeline time spent so far and the fault trigger — never the policy
+    itself — and it changes nothing in the caller's process: the ladder
+    reads which faults fired, and whether the deadline stopped the
+    solve, off the returned solution's [iterations] and [injected]. *)
 
 (** Cumulative resource accounting for one policy/pipeline — the basis
     of per-cell budgets in the sweep orchestrator: an atlas cell gets a

@@ -242,9 +242,9 @@ module Journal = struct
   let record_start t ~seq ~key ~label =
     Wal.append t (Printf.sprintf "start %d %s %s" seq key label)
 
-  let record_done t ~seq ~key ~source ~status ~wall_s ~label =
+  let record_done t e =
     Wal.append t
-      (Printf.sprintf "done %d %s %s %s %.6f %s" seq key source status wall_s label)
+      (Printf.sprintf "done %d %s %s %s %.6f %s" e.seq e.key e.source e.status e.wall_s e.label)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -411,6 +411,15 @@ type stats = {
   mutable pool_tasks : int;
 }
 
+(* A forked process, as its parent holds it: the pid, the read end of
+   its answer pipe and, for the solver worker, the write end of its
+   request pipe. *)
+type proc = {
+  pid : int;
+  answers : Unix.file_descr;  (** child to parent *)
+  requests : Unix.file_descr option;  (** parent to child: the solver worker's *)
+}
+
 type ctx = {
   jobs : int;
   solve_timeout_s : float option;
@@ -420,20 +429,16 @@ type ctx = {
   cache_ : Cache.t option;
   journal : Journal.t option;
   replayed : int;
-  stats : stats;
+  mutable stats : stats;
   mutable seq : int;
   mutable in_worker : bool;
   mutable interrupted : bool;
-  mutable worker : worker option;
-}
-
-(* The solver worker: a fork of the context's process that serves solve
-   requests over two pipes until it is retired. *)
-and worker = {
-  pid : int;
-  owner : int;  (** the pid that spawned it: the only process that may talk to it *)
-  requests : Unix.file_descr;  (** parent to worker *)
-  answers : Unix.file_descr;  (** worker to parent *)
+  mutable worker : proc option;
+      (** the solver worker: a fork of the context's process that serves
+          solve requests until it is released *)
+  mutable unjournaled : Journal.entry list;
+      (** in a pool item, newest first: the [done] records of its solves,
+          which its parent journals when the item answers *)
 }
 
 exception Interrupted
@@ -453,20 +458,6 @@ let fresh_stats () =
     pool_tasks = 0;
   }
 
-(* Runs killed under the old per-solve protocol could leave their
-   workers' result files in [tmp/]; nothing else was ever kept there. *)
-let sweep_legacy_tmp dir =
-  let tmp = Filename.concat dir "tmp" in
-  match Sys.readdir tmp with
-  | exception Sys_error _ -> ()
-  | names ->
-      Array.iter
-        (fun f ->
-          if String.starts_with ~prefix:"worker" f then
-            try Sys.remove (Filename.concat tmp f) with Sys_error _ -> ())
-        names;
-      (try Unix.rmdir tmp with Unix.Unix_error _ -> ())
-
 (* Completed solves on record: what a resumed run replays from cache. *)
 let completed_solves entries =
   List.length
@@ -480,7 +471,6 @@ let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
     | Some dir ->
         Fs.mkdir_p dir;
         Fs.mkdir_p (Filename.concat dir "artifacts");
-        sweep_legacy_tmp dir;
         let completed, diags = Journal.read dir in
         List.iter (fun d -> Log.warn (fun k -> k "%s" d)) diags;
         ( Some (Cache.create ~dir:(Filename.concat dir "cache")),
@@ -501,6 +491,7 @@ let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
     in_worker = false;
     interrupted = false;
     worker = None;
+    unjournaled = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -622,52 +613,59 @@ let exit_reason = function
   | Unix.WSTOPPED sg -> Printf.sprintf "worker stopped by signal %d" sg
 
 (* ------------------------------------------------------------------ *)
-(* The solver worker                                                  *)
+(* Forked processes                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Solver workers this process image spawned or inherited and has not
-   retired: the [at_exit] reaper's list, and what a forked child closes
-   so that it never holds another worker's pipes open. *)
-let live : worker list ref = ref []
+(* The ends this process holds on the pipes of the processes it forked
+   and, in a forked process, its own answer end. Every fork closes them
+   in the child and starts the child's list afresh, so no process keeps
+   another's pipe open: a child's death is end of file on its answer
+   pipe at once, whatever it leaves running, and a solver worker's
+   request pipe has one writer. *)
+let held : Unix.file_descr list ref = ref []
 
-(* Let go of [w]. Its spawner closes the pipes and reaps it (after
-   SIGKILL when [kill]) and gets its wait status; any other process only
-   closes the ends it inherited, once, since the descriptor numbers may
-   be reused afterwards. *)
-let retire ?(kill = true) w =
-  if not (List.memq w !live) then None
-  else begin
-    live := List.filter (fun w' -> w' != w) !live;
-    close_quietly w.requests;
-    close_quietly w.answers;
-    if w.owner <> Unix.getpid () then None
-    else begin
-      if kill then (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-      match waitpid_retry w.pid with
-      | _, st -> Some st
-      | exception Unix.Unix_error _ -> None
-    end
-  end
+let hold fd = held := fd :: !held
 
-(* The write end of the answer pipe, when this process is a {!Child}.
-   Every process forked below it closes its copy, so the child's death
-   is end of file on the pipe at once, whatever it leaves running. *)
-let answer_end : Unix.file_descr option ref = ref None
+(* Close one of [held]'s ends, and forget it: its number may be reused. *)
+let let_go fd =
+  held := List.filter (fun fd' -> fd' <> fd) !held;
+  close_quietly fd
 
-(* In a child this module forks: close every inherited worker pipe and
-   the parent's answer end. *)
-let drop_inherited () =
-  List.iter
-    (fun w ->
-      close_quietly w.requests;
-      close_quietly w.answers)
-    !live;
-  live := [];
-  Option.iter close_quietly !answer_end;
-  answer_end := None
+(* The one fork: the child runs [body requests answers] and leaves by
+   [Unix._exit] (2 if [body] raised), so no at_exit or flush machinery
+   of the parent runs twice. [serve] adds a request pipe. *)
+let fork_proc ~serve body =
+  let ans_r, ans_w = Unix.pipe ~cloexec:true () in
+  let req = if serve then Some (Unix.pipe ~cloexec:true ()) else None in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      List.iter close_quietly (ans_r :: (Option.to_list (Option.map snd req) @ !held));
+      held := [ ans_w ];
+      (try body (Option.map fst req) ans_w with _ -> Unix._exit 2);
+      Unix._exit 0
+  | pid ->
+      Unix.close ans_w;
+      Option.iter (fun (r, _) -> Unix.close r) req;
+      hold ans_r;
+      Option.iter (fun (_, w) -> hold w) req;
+      { pid; answers = ans_r; requests = Option.map snd req }
+
+let kill p = try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+(* Close this process's ends of [p]'s pipes and wait for it. *)
+let reap p =
+  let_go p.answers;
+  Option.iter let_go p.requests;
+  match waitpid_retry p.pid with _, st -> st | exception Unix.Unix_error _ -> Unix.WEXITED 0
 
 let release ctx =
-  Option.iter (fun w -> ignore (retire w)) ctx.worker;
+  Option.iter
+    (fun w ->
+      kill w;
+      ignore (reap w))
+    ctx.worker;
   ctx.worker <- None
 
 (* ------------------------------------------------------------------ *)
@@ -675,49 +673,28 @@ let release ctx =
 (* ------------------------------------------------------------------ *)
 
 module Child = struct
-  type 'a t = { pid : int; answer : Unix.file_descr }
+  type 'a t = proc
 
-  (* The child runs [body], sends its result (or the text of the
-     exception it raised) as one frame and leaves by [Unix._exit], so no
-     at_exit or flush machinery of the parent runs twice. *)
+  (* The child sends its result, or the text of the exception it
+     raised, as one frame. *)
   let spawn body =
-    let r, w = Unix.pipe ~cloexec:true () in
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        Unix.close r;
-        drop_inherited ();
-        answer_end := Some w;
+    fork_proc ~serve:false (fun _ answers ->
         let res = try Ok (body ()) with e -> Error (Printexc.to_string e) in
-        (try Frame.send w (Marshal.to_string res []) with _ -> ());
-        Unix._exit 0
-    | pid ->
-        Unix.close w;
-        { pid; answer = r }
+        try Frame.send answers (Marshal.to_string res []) with _ -> ())
 
-  let fd c = c.answer
+  let fd c = c.answers
   let pid c = c.pid
 
   (* Read the answer before reaping: a child blocks writing an answer
      larger than the pipe buffer until it is read. *)
   let collect c =
-    let answer = Frame.recv c.answer in
-    close_quietly c.answer;
-    let status =
-      match waitpid_retry c.pid with
-      | _, st -> st
-      | exception Unix.Unix_error _ -> Unix.WEXITED 0
-    in
-    match (status, answer) with
+    let answer = Frame.recv c.answers in
+    match (reap c, answer) with
     | Unix.WEXITED 0, Some payload -> Result.join (decode payload)
     | st, _ -> Error (exit_reason st)
 
-  let kill c = try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
+  let kill = kill
 end
-
-(* Reap what a direct library caller left behind. *)
-let () = at_exit (fun () -> List.iter (fun w -> ignore (retire w)) !live)
 
 (* Chain a process-fault trigger in front of the caller's hook, so the
    worker kills or wedges itself at the requested interior-point
@@ -757,11 +734,9 @@ let solve_hinted ?hint ~params prob =
   | None -> Sdp.solve ~params prob
 
 (* The worker's loop: one request in, one answer out, until the request
-   pipe reaches end of file (the parent retired it or died) or the
+   pipe reaches end of file (the parent released it or died) or the
    answer cannot be written (the parent died). A solve that raised ends
-   the loop too, so the next request runs on a fresh heap. Never
-   returns: the worker leaves by [Unix._exit], so no parent at_exit or
-   flush machinery runs twice. *)
+   the loop too, so the next request runs on a fresh heap. *)
 let serve req res =
   let rec loop () =
     match Frame.recv req with
@@ -775,47 +750,24 @@ let serve req res =
         Frame.send res (Marshal.to_string (result : (Sdp.solution, string) result) []);
         if Result.is_ok result then loop ()
   in
-  (try loop () with _ -> Unix._exit 2);
-  Unix._exit 0
+  loop ()
 
 (* Spawned at the first isolated solve, not at [create], so it inherits
    whatever the process installed by then (a daemon job worker's
    heartbeat sink, say). *)
 let spawn ctx =
-  let req_r, req_w = Unix.pipe ~cloexec:true () in
-  let res_r, res_w = Unix.pipe ~cloexec:true () in
-  flush stdout;
-  flush stderr;
   ctx.stats.forked <- ctx.stats.forked + 1;
-  match Unix.fork () with
-  | 0 ->
-      Unix.close req_w;
-      Unix.close res_r;
-      drop_inherited ();
-      ctx.in_worker <- true;
-      (match ctx.mem_limit_mb with
-      | Some mb -> ignore (set_mem_limit_mb mb)
-      | None -> ());
-      (* A dead parent must surface as EPIPE on the answer, not kill the
-         worker mid-write with its inherited disposition. *)
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      serve req_r res_w
-  | pid ->
-      Unix.close req_r;
-      Unix.close res_w;
-      let w = { pid; owner = Unix.getpid (); requests = req_w; answers = res_r } in
-      live := w :: !live;
-      ctx.worker <- Some w;
-      w
-
-let worker_of ctx =
-  match ctx.worker with
-  | Some w when w.owner = Unix.getpid () && List.memq w !live -> w
-  | inherited ->
-      (* A copy of a context from before someone else's fork: not ours
-         to talk to. *)
-      Option.iter (fun w -> ignore (retire w)) inherited;
-      spawn ctx
+  let w =
+    fork_proc ~serve:true (fun requests answers ->
+        ctx.in_worker <- true;
+        Option.iter (fun mb -> ignore (set_mem_limit_mb mb)) ctx.mem_limit_mb;
+        (* A dead parent must surface as EPIPE on the answer, not kill the
+           worker mid-write with its inherited disposition. *)
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        serve (Option.get requests) answers)
+  in
+  ctx.worker <- Some w;
+  w
 
 (* A write to a worker that died while idle must fail with EPIPE, not
    kill this process. *)
@@ -823,7 +775,7 @@ let send_request w payload =
   let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect
     ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
-    (fun () -> Frame.send w.requests payload)
+    (fun () -> Frame.send (Option.get w.requests) payload)
 
 type worker_outcome =
   | W_done of Sdp.solution
@@ -832,20 +784,15 @@ type worker_outcome =
 
 (* Send the request to the context's worker and wait for the answer in
    [select], waking every 50 ms for interrupts, up to the solve
-   deadline. A crash, timeout or interrupt retires the worker; the next
+   deadline. A crash, timeout or interrupt ends the worker; the next
    solve spawns a fresh one. *)
 let solve_in_worker ctx ~proc_fault ?hint ~params prob =
-  let w = worker_of ctx in
+  let w = match ctx.worker with Some w -> w | None -> spawn ctx in
   let t0 = Unix.gettimeofday () in
   let deadline = Option.map (fun t -> t0 +. t) ctx.solve_timeout_s in
-  let retire_worker ?kill () =
-    ctx.worker <- None;
-    retire ?kill w
-  in
   let died () =
-    W_crashed
-      (exit_reason
-         (Option.value (retire_worker ~kill:false ()) ~default:(Unix.WEXITED 0)))
+    ctx.worker <- None;
+    W_crashed (exit_reason (reap w))
   in
   (* No sharing: with it, the extern table marshalling builds stays in
      this process's heap. The hook closures are valid in the worker
@@ -860,13 +807,13 @@ let solve_in_worker ctx ~proc_fault ?hint ~params prob =
   | () ->
       let rec wait () =
         if ctx.interrupted then begin
-          ignore (retire_worker ());
+          release ctx;
           raise Interrupted
         end;
         let now = Unix.gettimeofday () in
         match deadline with
         | Some d when now > d ->
-            ignore (retire_worker ());
+            release ctx;
             W_timed_out (Unix.gettimeofday () -. t0)
         | _ -> (
             let timeout =
@@ -882,10 +829,10 @@ let solve_in_worker ctx ~proc_fault ?hint ~params prob =
                     match decode payload with
                     | Ok (Ok sol) -> W_done sol
                     | Ok (Error e) ->
-                        ignore (retire_worker ());
+                        release ctx;
                         W_crashed ("worker exception: " ^ e)
                     | Error e ->
-                        ignore (retire_worker ());
+                        release ctx;
                         W_crashed e)))
       in
       wait ()
@@ -983,6 +930,8 @@ let solve_sdp ctx ~label ?proc_fault ?session ?hint ?(params = Sdp.default_param
      cached result replays byte-identically whether or not the original
      solve was warm-started. It is built only for a cache or a journal. *)
   let key = lazy (Sdp.fingerprint ~params prob) in
+  (* A pool item journals nothing itself: its [done] records travel up
+     with its answer. *)
   let journal = if ctx.in_worker then None else ctx.journal in
   let cached =
     match ctx.cache_ with
@@ -1060,11 +1009,14 @@ let solve_sdp ctx ~label ?proc_fault ?session ?hint ?(params = Sdp.default_param
      run rebuilds the warm-start memory the original run had; [remember]
      keeps only clean Optimal solutions. *)
   Option.iter (fun s -> Sdp.Session.remember s prob sol) session;
-  Option.iter
-    (fun j ->
-      Journal.record_done j ~seq ~key:(Lazy.force key) ~source
-        ~status:(status_string sol.Sdp.status) ~wall_s ~label)
-    journal;
+  if ctx.journal <> None then begin
+    let e =
+      { Journal.seq; key = Lazy.force key; source; status = status_string sol.Sdp.status; wall_s; label }
+    in
+    match journal with
+    | Some j -> Journal.record_done j e
+    | None -> ctx.unjournaled <- e :: ctx.unjournaled
+  end;
   sol
 
 let save_artifact ctx ~name content =
@@ -1126,12 +1078,8 @@ module Pool = struct
   let submit p ~key ?deadline_s body =
     if room p <= 0 then invalid_arg "Supervise.Pool.submit: the pool is full";
     let beats = Option.map (fun _ -> Unix.pipe ~cloexec:true ()) p.ttl_s in
-    let siblings =
-      List.concat_map (fun it -> Child.fd it.child :: Option.to_list it.beats) p.items
-    in
     let child =
       Child.spawn (fun () ->
-          List.iter close_quietly siblings;
           Option.iter
             (fun (r, w) ->
               close_quietly r;
@@ -1147,7 +1095,8 @@ module Pool = struct
     Option.iter
       (fun (r, w) ->
         Unix.close w;
-        Unix.set_nonblock r)
+        Unix.set_nonblock r;
+        hold r)
       beats;
     let now = Unix.gettimeofday () in
     p.items <-
@@ -1183,7 +1132,7 @@ module Pool = struct
         | Some fd, Some ttl -> (
             match Unix.read fd buf 0 (Bytes.length buf) with
             | 0 ->
-                close_quietly fd;
+                let_go fd;
                 it.beats <- None
             | _ -> it.expires <- now +. ttl
             | exception Unix.Unix_error _ -> ())
@@ -1200,7 +1149,7 @@ module Pool = struct
   (* An answer wins over the pool's kill: a child that answered before
      its SIGKILL landed is answered. *)
   let reap it =
-    Option.iter close_quietly it.beats;
+    Option.iter let_go it.beats;
     it.beats <- None;
     match (Child.collect it.child, it.fate) with
     | Ok v, _ -> Answered v
@@ -1221,6 +1170,27 @@ module Pool = struct
     List.iter (fun it -> Child.kill it.child) p.items;
     List.iter (fun it -> ignore (reap it)) p.items;
     p.items <- []
+
+  (* Add what an answered item did to the parent's counters (an item
+     solves inline and forks nothing, so its other counters stay zero),
+     and journal its solves under the parent's sequence numbers. *)
+  let absorb ctx = function
+    | Answered (v, (d : stats), dones) ->
+        let st = ctx.stats in
+        st.supervised <- st.supervised + d.supervised;
+        st.inline_solves <- st.inline_solves + d.inline_solves;
+        st.cache_hits <- st.cache_hits + d.cache_hits;
+        st.cache_stores <- st.cache_stores + d.cache_stores;
+        st.cache_rejects <- st.cache_rejects + d.cache_rejects;
+        List.iter
+          (fun (e : Journal.entry) ->
+            ctx.seq <- ctx.seq + 1;
+            Option.iter (fun j -> Journal.record_done j { e with seq = ctx.seq }) ctx.journal)
+          dones;
+        Answered v
+    | Died why -> Died why
+    | Timed_out -> Timed_out
+    | Lease_expired why -> Lease_expired why
 
   let run ctx ?deadline_s ?(on_start = fun _ _ -> ()) ~f ~on_settle items =
     let items = Array.of_list items in
@@ -1248,10 +1218,16 @@ module Pool = struct
             ctx.stats.forked <- ctx.stats.forked + 1;
             ignore
               (submit pool ~key:i ?deadline_s (fun () ->
+                   (* The parent's solver worker is not the child's: the
+                      fork closed its pipes here. The child counts its
+                      own work from zero. *)
                    ctx.in_worker <- true;
-                   f i items.(i)))
+                   ctx.worker <- None;
+                   ctx.stats <- fresh_stats ();
+                   let v = f i items.(i) in
+                   (v, ctx.stats, List.rev ctx.unjournaled)))
           end
-          else List.iter (fun (i, o) -> on_settle i items.(i) o) (settle ~wait_s:0.05 pool)
+          else List.iter (fun (i, o) -> on_settle i items.(i) (absorb ctx o)) (settle ~wait_s:0.05 pool)
         done
       with e ->
         shutdown pool;

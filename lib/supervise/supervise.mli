@@ -32,28 +32,41 @@
       [corrupt-cache@S] (the entry stored for solve [S] is truncated
       after the write) exercise every recovery path deterministically.
 
+    {b One fork.} This module forks in one place, and nothing else in
+    the libraries or the command-line tools forks. That one primitive
+    makes the answer pipe of every forked process (plus a request pipe
+    for the solver worker), and its handle is finished by one kill and
+    one reap: close this process's ends, [waitpid], name the exit
+    reason. The solver worker and the one-answer {!Child}, which the
+    {!Pool} spawns, are both made by it. The ends a process holds on its
+    children's pipes (and a child's own answer end) are kept in one
+    per-process list, which every fork closes and clears in the child:
+    no process keeps another's pipe open, so a child's death is end of
+    file on its answer pipe at once, and a worker's request pipe has one
+    writer.
+
     {b Worker protocol.} The solver worker is forked lazily, at the
-    context's first isolated solve. Each request is one frame on a pipe
-    (an 8-byte big-endian length, then the [Marshal]led parameters,
-    problem, warm-start hint and process fault); the answer is one frame
-    on a second pipe ([Ok solution] or [Error exception_text]). The
-    request is marshalled with [Closures] — valid because the worker is
-    a fork of the same image and is never exec'd — so the iteration
-    hook crosses with it; with [No_sharing], so this process keeps no
-    extern table. A {!Child} answers with the same framing.
+    context's first isolated solve. Each request is one frame on its
+    request pipe (an 8-byte big-endian length, then the [Marshal]led
+    parameters, problem, warm-start hint and process fault); the answer
+    is one frame on its answer pipe ([Ok solution] or
+    [Error exception_text]). The request is marshalled with [Closures] —
+    valid because the worker is a fork of the same image and is never
+    exec'd — so the iteration hook crosses with it; with [No_sharing],
+    so this process keeps no extern table. Whatever the hook changes, it
+    changes in the worker: what the parent needs to know comes back in
+    the answer. A {!Child} answers with the same framing.
 
-    {b Two fork sites.} This module forks in exactly two places: the
-    solver worker and the one-answer {!Child}, which the {!Pool} spawns;
-    nothing else in the libraries or the command-line tools forks.
-
-    {b Lifetime.} {!release} closes the pipes and reaps the worker, so
-    its CPU time lands in the caller's [cutime]; [Service.Job.certify]
-    releases when a verdict returns, and an [at_exit] hook reaps what a
-    direct caller left behind. The worker exits on end of file on its
-    request pipe and on a failed answer write, so it never outlives its
-    parent by more than one solve. Children this module forks close the
-    worker pipes they inherit, and the answer pipe of the child they
-    were forked from.
+    {b Lifetime.} {!release} kills and reaps the worker, so its CPU time
+    lands in the caller's [cutime]; [Service.Job.certify] releases when
+    a verdict returns. The worker exits on end of file on its request
+    pipe and on a failed answer write, so a worker nobody released
+    leaves when its parent does, and never outlives it by more than one
+    solve. A {!Pool.run} item forgets its parent's worker: only the
+    process that forked a child may kill or reap it. A closure given to
+    {!Pool.submit} or {!Child.spawn} directly must not solve through,
+    or {!release}, a context whose worker its parent spawned: it makes
+    its own context.
 
     The run directory also reserves [artifacts/] for exact-certificate
     artifacts ({!save_artifact}), so SOS proofs found along the way
@@ -65,7 +78,9 @@
 
     Fork-based, Unix-only. Inside a pool child, nested supervision
     degrades gracefully: solves run inline (the child is already the
-    isolation boundary) but still consult and populate the cache. *)
+    isolation boundary) but still consult and populate the cache, and
+    the child's counters and the journal records of its solves reach
+    the parent with its answer. *)
 
 (** Process-level fault injection specs: what the [kill@S:I],
     [stall@S:I] and [corrupt-cache@S] tokens of a {!Resilient.Faults}
@@ -149,7 +164,9 @@ end
     [run <ts> <pid>] line per opening, one [start <seq> <key> <label>]
     line fsync'd before each solve launches and one
     [done <seq> <key> <source> <status> <wall_s> <label>] line after it
-    completes (source: [solved], [cache], [crash], [timeout]). Appends
+    completes (source: [solved], [cache], [crash], [timeout]); a
+    {!Pool.run} item's solves get their [done] lines when the item
+    answers, and no [start] line. Appends
     follow the {!Substrate.Wal} fsync policy: a failed fsync raises.
     Malformed lines and a torn final line — the crash that killed the
     run — are skipped with a structured diagnosis, never a raise. *)
@@ -265,10 +282,7 @@ val create :
     without it there is no persistence (isolation and pooling still
     work). [jobs] defaults to {!ncpus}; [isolate] (default [true])
     controls whether individual solves run in the solver worker — with
-    [false] only the cache/journal layer is active. On an existing run
-    directory, result files left in [tmp/] by runs of the earlier
-    file-based worker protocol are deleted, and [tmp/] with them once
-    empty. *)
+    [false] only the cache/journal layer is active. *)
 
 val in_process : unit -> ctx
 (** A context that never forks: no run directory, so no cache, journal
@@ -331,8 +345,8 @@ val replayed : ctx -> int
     opened the run directory — what [--resume] will replay from cache. *)
 
 val release : ctx -> unit
-(** Close the context's solver-worker pipes and reap the worker, if one
-    is running; idempotent. The context stays usable: the next isolated
+(** Kill and reap the context's solver worker, if one is running;
+    idempotent. The context stays usable: the next isolated
     solve spawns a fresh worker. Call it when a verdict is done, so the
     worker's CPU time is accounted to the caller's reaped children. *)
 
@@ -396,7 +410,8 @@ val report_json : ctx -> string
     back as one frame on a pipe. The write end of that pipe is closed in
     every process this module forks below the child, so the child's
     death is end of file on {!fd} at once, even while processes it
-    spawned (pool items, a solver worker) still run. *)
+    spawned (pool items, a solver worker) still run. Made by the same
+    fork primitive as the solver worker. *)
 module Child : sig
   type 'a t
 
@@ -446,8 +461,8 @@ module Pool : sig
 
   val submit : ('k, 'a) t -> key:'k -> ?deadline_s:float -> (unit -> 'a) -> int
   (** Fork a child running the closure, with a deadline [deadline_s]
-      from now, and return its pid. The child closes its siblings'
-      descriptors. Raises [Invalid_argument] without {!room}. *)
+      from now, and return its pid. The child holds none of its
+      siblings' pipes. Raises [Invalid_argument] without {!room}. *)
 
   val room : ('k, 'a) t -> int
   val running : ('k, 'a) t -> int
@@ -479,7 +494,11 @@ module Pool : sig
       forked and [on_settle] as soon as it ends. [f]'s result must be
       marshal-safe. The fork is taken even for [jobs = 1], so [-j 1] and
       [-j N] traverse the same code path. Counts each item in
-      [pool_tasks] and [forked]. Raises {!Interrupted} on an interrupt;
+      [pool_tasks] and [forked]. A forked item's answer carries what it
+      did through the context: its counters are added to this context's
+      {!stats}, and the [done] records of its solves are journaled here,
+      under this context's sequence numbers, when it answers; an item
+      that dies takes its work with it. Raises {!Interrupted} on an interrupt;
       that and any exception of a callback kill and collect the running
       children first. *)
 

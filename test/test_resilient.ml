@@ -100,6 +100,30 @@ let test_pipeline_deadline () =
   Resilient.begin_pipeline pol;
   Alcotest.(check bool) "out of time" true (Resilient.out_of_time pol)
 
+(* What an attempt's hook did reaches the ladder even when the attempt
+   ran in the solver worker: the injected fault and the deadline stop
+   read the same in-process and isolated. *)
+let test_isolated_hook_effects () =
+  let effects supervise =
+    let faults = plan "fail@1:1" in
+    let pol = Resilient.make ~faults ~supervise () in
+    let _, d = Resilient.solve_sos pol ~label:"recovery" (feasible_prob ()) in
+    let late = Resilient.make ~pipeline_deadline_s:0.0 ~supervise () in
+    Resilient.begin_pipeline late;
+    let _, d' = Resilient.solve_sos late ~label:"late" (feasible_prob ()) in
+    Supervise.release supervise;
+    let first = List.hd d.Resilient.attempts in
+    ( first.Resilient.faults_fired,
+      Resilient.Faults.fired faults,
+      d.Resilient.deadline_hit,
+      d'.Resilient.deadline_hit )
+  in
+  let show (a, b, c, e) = Printf.sprintf "fired %d, Faults.fired %d, deadline %b/%b" a b c e in
+  let inline = effects (Supervise.in_process ()) in
+  Alcotest.(check string) "in-process" (show (1, 1, false, true)) (show inline);
+  Alcotest.(check string) "isolated as in-process" (show inline)
+    (show (effects (Supervise.create ~jobs:1 ())))
+
 (* ------------------------------------------------------------------ *)
 (* Probe mode: an expected "no" is neither retried nor journaled. *)
 
@@ -197,8 +221,7 @@ let test_hook_captures_little () =
   let bytes v = String.length (Marshal.to_string v [ Marshal.Closures ]) in
   Alcotest.(check bool) "the policy holds a warm session" true (bytes pol > 4096);
   let params =
-    Resilient.iteration_hook pol ~solve_index:1 ~attempt:0 ~deadline_hit:(ref false)
-      Sdp.default_params
+    Resilient.iteration_hook pol ~solve_index:1 ~attempt:0 Sdp.default_params
   in
   Alcotest.(check bool) "a hook is installed" true (params.Sdp.on_iteration <> None);
   let hook_bytes = bytes params.Sdp.on_iteration in
@@ -216,6 +239,7 @@ let suite =
     Alcotest.test_case "no retries: structured failure" `Quick
       test_no_retries_structured_failure;
     Alcotest.test_case "pipeline deadline" `Quick test_pipeline_deadline;
+    Alcotest.test_case "isolated hook effects" `Quick test_isolated_hook_effects;
     Alcotest.test_case "probe is quiet" `Quick test_probe_is_quiet;
     Alcotest.test_case "hook captures little" `Quick test_hook_captures_little;
   ]

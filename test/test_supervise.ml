@@ -450,17 +450,6 @@ let test_pool_large_results_intact () =
     results
 
 let test_legacy_tmp_swept () =
-  let dir = tmp_dir () in
-  let tmp = Filename.concat dir "tmp" in
-  Unix.mkdir dir 0o755;
-  Unix.mkdir tmp 0o755;
-  let planted = Filename.concat tmp "worker1a2b3c.res" in
-  let oc = open_out planted in
-  output_string oc "partial";
-  close_out oc;
-  ignore (Supervise.create ~run_dir:dir ());
-  Alcotest.(check bool) "leftover result file deleted" false (Sys.file_exists planted);
-  Alcotest.(check bool) "empty tmp/ removed" false (Sys.file_exists tmp);
   let fresh = tmp_dir () in
   let ctx = Supervise.create ~run_dir:fresh ~jobs:1 () in
   ignore (Supervise.solve_sdp ctx ~label:"fresh" (small_problem ()));
@@ -836,8 +825,11 @@ let test_open_run_resume () =
 (* ---- one solve path: forked and inline work count alike ---- *)
 
 (* A fan-out item's diagnoses, solves and attempts reach the parent
-   policy whether the item ran in a forked child or inline. *)
+   policy whether the item ran in a forked child or inline; a forked
+   item's cache stores and journal lines reach its parent's context. *)
 let test_fan_out_journal () =
+  let dir = tmp_dir () in
+  let forked = Supervise.create ~run_dir:dir ~jobs:2 () in
   List.iter
     (fun (what, ctx) ->
       let policy = Resilient.make ~supervise:ctx () in
@@ -860,7 +852,12 @@ let test_fan_out_journal () =
       Alcotest.(check (pair int int)) (what ^ ": solves and attempts") (2, 2)
         (b.Resilient.solves, b.Resilient.attempts);
       Supervise.release ctx)
-    [ ("forked", Supervise.create ~jobs:2 ()); ("inline", Supervise.in_process ()) ];
+    [ ("forked", forked); ("inline", Supervise.in_process ()) ];
+  Alcotest.(check int) "the forked items' cache stores are counted" 2
+    (Supervise.stats forked).Supervise.cache_stores;
+  Alcotest.(check (list string)) "the forked items' solves are journaled" [ "item-0"; "item-1" ]
+    (List.sort compare
+       (List.map (fun (e : Supervise.Journal.entry) -> e.label) (fst (Supervise.Journal.read dir))));
   let ctx = Supervise.create ~jobs:2 () in
   ignore (Resilient.fan_out (Resilient.make ~supervise:ctx ()) ~f:(fun _ x -> x) [ 1; 2 ]);
   Alcotest.(check int) "the forked fan-out did fork" 2 (Supervise.stats ctx).Supervise.pool_tasks

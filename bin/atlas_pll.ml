@@ -100,7 +100,8 @@ let run order degree grid_spec robust full exact bisect_steps max_subdiv cell_bu
               Format.printf "%a@." Atlas.pp_summary report;
               let st = Supervise.stats ctx in
               if verbose || st.Supervise.crashes > 0 || st.Supervise.timeouts > 0 then
-                Format.printf "supervision report: %s@." (Supervise.report_json ctx);
+                Format.printf "supervision report: %s@."
+                  (Substrate.Json.to_string (Supervise.report_json ctx));
               (match Supervise.run_dir ctx with
               | Some d -> Format.printf "atlas written to %s@." (Filename.concat d "atlas.json")
               | None -> ());

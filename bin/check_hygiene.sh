@@ -15,7 +15,8 @@
 #     counter (leases_reclaimed / redispatched / dead_lettered) is
 #     emitted by lib/service/daemon.ml's status and asserted by
 #     test/soak_smoke.ml, and each atlas counter (certified /
-#     quarantined) is emitted by Atlas.report_json and asserted by
+#     quarantined) is emitted by Atlas.report_json as an integer
+#     member (`("certified", int …)`) and asserted by
 #     test/atlas_smoke.ml;
 #  5. the README's documented daemon CLI must match reality — the
 #     `verifyd flags:` line in README.md and the flags reported by
@@ -80,7 +81,11 @@
 #     lib/advect source names `Supervise.Pool`: every solve goes
 #     `Resilient` → `Supervise.solve_sdp`, which chooses its warm start,
 #     and independent items fan out through `Resilient.fan_out`, which
-#     counts their work (bin/ and examples/ are exempt).
+#     counts their work (bin/ and examples/ are exempt);
+# 17. one JSON codec — outside lib/substrate no lib/ or bin/ .ml file
+#     contains an escaped quote before a colon (`\":`, a hand-built
+#     JSON key): every JSON document is a `Substrate.Json.t` printed by
+#     `Substrate.Json.to_string`.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -126,7 +131,7 @@ atlas="$repo/lib/atlas/atlas.ml"
 atlas_smoke="$repo/test/atlas_smoke.ml"
 if [ -f "$atlas" ]; then
   for field in certified quarantined; do
-    grep -qF '\"'"$field"'\":%d' "$atlas" || \
+    grep -qF "(\"$field\", int " "$atlas" || \
       fail "Atlas.report_json no longer emits the $field counter"
     grep -qE "json_int .*\"$field\"" "$atlas_smoke" 2>/dev/null || \
       fail "test/atlas_smoke.ml no longer asserts the $field counter"
@@ -247,6 +252,12 @@ strays="$( (grep -nE 'Sdp\.(Session\.)?solve\b' "$repo"/lib/*/*.ml \
   grep -nE 'Supervise\.Pool' "$repo"/lib/certificates/* "$repo"/lib/advect/*) 2>/dev/null || true)"
 [ -z "$strays" ] || \
   fail "a second solve path (solve through Resilient, fan out with Resilient.fan_out):$(echo " $strays" | sed "s|$repo/||g")"
+
+# One JSON codec (check 17).
+strays="$(grep -nF '\":' "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null \
+  | grep -v "^$repo/lib/substrate/" || true)"
+[ -z "$strays" ] || \
+  fail "hand-built JSON outside lib/substrate (build a Substrate.Json.t):$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

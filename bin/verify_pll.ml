@@ -24,6 +24,7 @@
    included (e.g. a --point axis the order does not have). *)
 
 open Cmdliner
+module Json = Substrate.Json
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -89,17 +90,19 @@ let run order degree robust advect_iters sim_validate psd_tol eq_tol point deadl
           let finish_reports () =
             (if Resilient.failures resilience <> [] || verbose then
                Format.printf "resilience report: %s@."
-                 (Resilient.report_json resilience));
+                 (Json.to_string (Resilient.report_json resilience)));
             let report = Supervise.report_json ctx in
             let st = Supervise.stats ctx in
             if verbose || st.Supervise.crashes > 0 || st.Supervise.timeouts > 0
                || st.Supervise.cache_rejects > 0
-            then Format.printf "supervision report: %s@." report;
+            then Format.printf "supervision report: %s@." (Json.to_string report);
             match Supervise.run_dir ctx with
             | Some dir ->
                 Substrate.Fs.write_atomic (Filename.concat dir "report.json")
-                  (Printf.sprintf "{\"supervise\":%s,\"resilient\":%s}\n" report
-                     (Resilient.report_json resilience))
+                  (Json.to_string
+                     (Json.Obj
+                        [ ("supervise", report); ("resilient", Resilient.report_json resilience) ])
+                  ^ "\n")
             | None -> ()
           in
           (* The (point-adjusted) scaled model the job will verify; also

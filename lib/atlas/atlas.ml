@@ -19,6 +19,7 @@
 let src = Logs.Src.create "atlas" ~doc:"certification atlas sweep"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Json = Substrate.Json
 
 (* ----------------------------------------------------------------- *)
 (* Grid *)
@@ -302,49 +303,38 @@ let exit_code r = if r.quarantined > 0 then 2 else 0
 
 let report_json r =
   (* Deterministic: no wall-clock, no replay/solve counts, no paths. *)
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"atlas\":\"v1\"";
-  add ",\"grid\":\"%s\"" (Service.Json.escape (Grid.to_string r.grid));
-  add ",\"order\":\"%s\",\"degree\":%d,\"robust\":%b,\"full\":%b,\"exact\":%b"
-    (Service.Job.order_name r.job.order) r.job.degree r.job.robust r.job.full r.job.exact;
-  add ",\"bisect_steps\":%d,\"max_subdiv\":%d" r.job.bisect_steps r.job.max_subdiv;
-  add ",\"cells_total\":%d,\"certified\":%d,\"subdivided\":%d,\"quarantined\":%d"
-    (List.length r.records) r.certified r.subdivided r.quarantined;
-  add ",\"certified_fraction\":%.6f" (certified_fraction r);
-  add ",\"depth_histogram\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun (d, n) -> Printf.sprintf "{\"depth\":%d,\"cells\":%d}" d n)
-          (depth_histogram r)));
-  add ",\"cells\":[";
-  List.iteri
-    (fun i rec_ ->
-      if i > 0 then add ",";
-      add "{\"id\":\"%s\",\"depth\":%d,\"box\":{" (Service.Json.escape rec_.cell.id)
-        rec_.cell.depth;
-      List.iteri
-        (fun j (ax, lo, hi) ->
-          if j > 0 then add ",";
-          add "\"%s\":[%.17g,%.17g]" (Pll.axis_name ax) lo hi)
-        rec_.cell.box;
-      add "}";
-      (match rec_.result with
-      | Certified { beta } -> add ",\"status\":\"certified\",\"beta\":%.17g" beta
-      | Subdivided -> add ",\"status\":\"subdivided\""
+  let open Json in
+  let cell rec_ =
+    let status =
+      match rec_.result with
+      | Certified { beta } -> [ ("status", Str "certified"); ("beta", Num beta) ]
+      | Subdivided -> [ ("status", Str "subdivided") ]
       | Quarantined d ->
-          add ",\"status\":\"quarantined\",\"diagnosis\":{\"kind\":\"%s\",\"detail\":\"%s\"}"
-            (Service.Json.escape d.kind) (Service.Json.escape d.detail));
-      add "}")
-    r.records;
-  add "]";
-  add ",\"quarantine\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun (id, _) -> Printf.sprintf "\"%s\"" (Service.Json.escape id))
-          (quarantine_list r)));
-  add "}";
-  Buffer.contents b
+          [ ("status", Str "quarantined");
+            ("diagnosis", Obj [ ("kind", Str d.kind); ("detail", Str d.detail) ]) ]
+    in
+    let bounds (ax, lo, hi) = (Pll.axis_name ax, Arr [ Num lo; Num hi ]) in
+    Obj
+      (("id", Str rec_.cell.id) :: ("depth", int rec_.cell.depth)
+      :: ("box", Obj (List.map bounds rec_.cell.box)) :: status)
+  in
+  to_string
+    (Obj
+       [
+         ("atlas", Str "v1"); ("grid", Str (Grid.to_string r.grid));
+         ("order", Str (Service.Job.order_name r.job.order)); ("degree", int r.job.degree);
+         ("robust", Bool r.job.robust); ("full", Bool r.job.full); ("exact", Bool r.job.exact);
+         ("bisect_steps", int r.job.bisect_steps); ("max_subdiv", int r.job.max_subdiv);
+         ("cells_total", int (List.length r.records)); ("certified", int r.certified);
+         ("subdivided", int r.subdivided); ("quarantined", int r.quarantined);
+         ("certified_fraction", Num (certified_fraction r));
+         ( "depth_histogram",
+           Arr
+             (List.map (fun (d, n) -> Obj [ ("depth", int d); ("cells", int n) ]) (depth_histogram r))
+         );
+         ("cells", Arr (List.map cell r.records));
+         ("quarantine", Arr (List.map (fun (id, _) -> Str id) (quarantine_list r)));
+       ])
 
 let pp_summary ppf r =
   let open Format in
@@ -618,11 +608,12 @@ let run ~ctx ?(faults = Fault.none) ?exec ~resume (job : job) (grid : Grid.t) =
               (Filename.concat qdir
                  (Printf.sprintf "%s.json"
                     (String.map (fun ch -> if ch = '/' then '_' else ch) c.id)))
-              (Printf.sprintf
-                 "{\"cell\":\"%s\",\"kind\":\"%s\",\"detail\":\"%s\",\"journal\":%s}\n"
-                 (Service.Json.escape c.id) (Service.Json.escape p.kind)
-                 (Service.Json.escape p.detail)
-                 (Option.value p.journal ~default:"null"))
+              Json.(
+                to_string
+                  (Obj
+                     [ ("cell", Str c.id); ("kind", Str p.kind); ("detail", Str p.detail);
+                       ("journal", Option.value p.journal ~default:Null) ])
+                ^ "\n")
         | _ -> ());
         let entry : Ledger.entry =
           {

@@ -375,7 +375,7 @@ let find_multi_lyapunov ?config (s : Pll.scaled) =
   let describe (diag : Resilient.diagnosis) =
     Printf.sprintf
       "multi-Lyapunov SOS program failed — try a higher degree; diagnosis: %s"
-      (Resilient.diagnosis_to_json diag)
+      (Substrate.Json.to_string (Resilient.diagnosis_to_json diag))
   in
   let rec go last_err = function
     | [] -> (

@@ -5,6 +5,7 @@
 let src = Logs.Src.create "resilient" ~doc:"Resilient SOS/SDP solve orchestration"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Json = Substrate.Json
 
 (* ------------------------------------------------------------------ *)
 (* Time sources                                                       *)
@@ -317,28 +318,22 @@ let outcome_string = function
   | Degraded -> "degraded"
   | Failed -> "failed"
 
-let json_float f =
-  if Float.is_nan f then "\"nan\""
-  else if f = Float.infinity then "\"inf\""
-  else if f = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.6g" f
-
 let attempt_to_json a =
-  Printf.sprintf
-    "{\"rung\":\"%s\",\"status\":\"%s\",\"iterations\":%d,\"gap\":%s,\"primal_res\":%s,\"dual_res\":%s,\"best_score\":%s,\"faults_fired\":%d,\"time_s\":%s}"
-    (Substrate.Json.escape (rung_name a.rung))
-    (Supervise.status_string a.status) a.iterations (json_float a.gap)
-    (json_float a.primal_res) (json_float a.dual_res) (json_float a.best_score) a.faults_fired (json_float a.time_s)
+  Json.(
+    Obj
+      [ ("rung", Str (rung_name a.rung)); ("status", Str (Supervise.status_string a.status));
+        ("iterations", int a.iterations); ("gap", Num a.gap); ("primal_res", Num a.primal_res);
+        ("dual_res", Num a.dual_res); ("best_score", Num a.best_score);
+        ("faults_fired", int a.faults_fired); ("time_s", Num a.time_s) ])
 
 let diagnosis_to_json d =
-  Printf.sprintf
-    "{\"label\":\"%s\",\"solve_index\":%d,\"outcome\":\"%s\",\"accepted_rung\":%s,\"deadline_hit\":%b,\"attempts\":[%s]}"
-    (Substrate.Json.escape d.label) d.solve_index (outcome_string d.outcome)
-    (match d.accepted_rung with
-    | None -> "null"
-    | Some r -> Printf.sprintf "\"%s\"" (Substrate.Json.escape (rung_name r)))
-    d.deadline_hit
-    (String.concat "," (List.map attempt_to_json d.attempts))
+  Json.(
+    Obj
+      [ ("label", Str d.label); ("solve_index", int d.solve_index);
+        ("outcome", Str (outcome_string d.outcome));
+        ("accepted_rung", match d.accepted_rung with Some r -> Str (rung_name r) | None -> Null);
+        ("deadline_hit", Bool d.deadline_hit);
+        ("attempts", Arr (List.map attempt_to_json d.attempts)) ])
 
 let pp_attempt fmt a =
   Format.fprintf fmt "%s: %s after %d iters (gap %.2e, pres %.2e, dres %.2e%s)"
@@ -358,15 +353,14 @@ let pp_diagnosis fmt d =
 
 let report_json p =
   let js = journal p in
-  let bad = List.filter (fun d -> d.outcome <> Certified) js in
-  Printf.sprintf
-    "{\"solves\":%d,\"faults_fired\":%d,\"elapsed_s\":%s,\"certified\":%d,\"degraded\":%d,\"failed\":%d,\"diagnoses\":[%s]}"
-    (solves p) (Faults.fired p.faults)
-    (json_float (elapsed_s p))
-    (List.length (List.filter (fun d -> d.outcome = Certified) js))
-    (List.length (List.filter (fun d -> d.outcome = Degraded) js))
-    (List.length (List.filter (fun d -> d.outcome = Failed) js))
-    (String.concat "," (List.map diagnosis_to_json bad))
+  let count o = Json.int (List.length (List.filter (fun d -> d.outcome = o) js)) in
+  let uncertified = List.filter (fun d -> d.outcome <> Certified) js in
+  Json.(
+    Obj
+      [ ("solves", int (solves p)); ("faults_fired", int (Faults.fired p.faults));
+        ("elapsed_s", Num (elapsed_s p)); ("certified", count Certified);
+        ("degraded", count Degraded); ("failed", count Failed);
+        ("diagnoses", Arr (List.map diagnosis_to_json uncertified)) ])
 
 (* ------------------------------------------------------------------ *)
 (* The orchestration engine                                           *)

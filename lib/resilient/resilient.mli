@@ -179,7 +179,9 @@ type diagnosis = {
   deadline_hit : bool;
 }
 
-val diagnosis_to_json : diagnosis -> string
+val diagnosis_to_json : diagnosis -> Substrate.Json.t
+(** The diagnosis as a value: a crashed attempt's infinite [gap],
+    residuals and [best_score] print as ["inf"] ({!Substrate.Json}). *)
 
 (** A salvageable-but-uncertified solution is always surfaced as
     [Degraded] rather than [Failed]; acceptance must then be gated by
@@ -270,7 +272,7 @@ val journal : policy -> diagnosis list
 
 val failures : policy -> diagnosis list
 
-val report_json : policy -> string
+val report_json : policy -> Substrate.Json.t
 (** Machine-readable pipeline report: solve/fault counters, elapsed
     time, and the full diagnosis of every failed (and degraded) solve
     with its attempt history. *)

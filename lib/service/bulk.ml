@@ -211,7 +211,7 @@ type probe = {
   beta : float;
   kind : string;  (* the atlas quarantine taxonomy; "" when ok *)
   detail : string;
-  journal : string option;  (* full diagnosis JSON, quarantine forensics *)
+  journal : Json.t option;  (* the full diagnosis, quarantine forensics *)
   solves : int;
   attempts : int;
   attempt_s : float;
@@ -223,7 +223,7 @@ let probe_fail ~kind ~detail =
     beta = 0.0;
     kind;
     detail;
-    journal = Some (Printf.sprintf "{\"error\":\"%s\"}" (Json.escape detail));
+    journal = Some (Json.Obj [ ("error", Json.Str detail) ]);
     solves = 0;
     attempts = 0;
     attempt_s = 0.0;
@@ -259,8 +259,7 @@ let probe_to_json p =
       ("beta", Json.Num p.beta);
       ("kind", Json.Str p.kind);
       ("detail", Json.Str p.detail);
-      ( "journal",
-        match p.journal with Some j -> Json.Str j | None -> Json.Null );
+      ("journal", Option.value p.journal ~default:Json.Null);
       ("solves", Json.Num (float_of_int p.solves));
       ("attempts", Json.Num (float_of_int p.attempts));
       ("attempt_s", Json.Num p.attempt_s);
@@ -276,7 +275,10 @@ let probe_of_json j =
           beta = Option.value (Json.mem_num "beta" j) ~default:0.0;
           kind = Option.value (Json.mem_str "kind" j) ~default:"";
           detail = Option.value (Json.mem_str "detail" j) ~default:"";
-          journal = Json.mem_str "journal" j;
+          journal =
+            (* A probe stored before diagnoses were values holds its
+               journal as a string; it reads back as one. *)
+            (match Json.member "journal" j with Some Json.Null -> None | v -> v);
           solves =
             (match Json.mem_num "solves" j with
             | Some f -> int_of_float f

@@ -71,7 +71,10 @@ type probe = {
       (** {!Job.kinds} entry (or [bad-cell], or an atlas-side [injected])
           when not [ok]; [""] when ok *)
   detail : string;
-  journal : string option;  (** full diagnosis JSON for quarantine forensics *)
+  journal : Json.t option;
+      (** the full diagnosis ({!Resilient.report_json}), for quarantine
+          forensics; a probe stored as a string journal reads back as
+          [Some (Str _)] *)
   solves : int;
   attempts : int;
   attempt_s : float;

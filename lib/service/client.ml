@@ -5,8 +5,7 @@ type conn = {
 
 let diag ~kind fmt =
   Printf.ksprintf
-    (fun msg ->
-      Printf.sprintf "{\"error\":\"%s\",\"message\":\"%s\"}" kind (Json.escape msg))
+    (fun msg -> Json.(to_string (Obj [ ("error", Str kind); ("message", Str msg) ])))
     fmt
 
 let ignore_sigpipe () =

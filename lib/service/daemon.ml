@@ -131,7 +131,9 @@ type st = {
   cfg : config;
   sock : string;
   q : Jobqueue.t;
-  cache : Supervise.Cache.t;
+  ctx : Supervise.ctx;
+      (* the run dir's solve context, opened once: every job's worker
+         certifies over its cache and journal *)
   listen : Unix.file_descr;
   mutable clients : client list;
   pending : job Queue.t;
@@ -147,6 +149,7 @@ type st = {
   interrupted : bool ref;
 }
 
+let cache st = Option.get (Supervise.cache st.ctx)
 let results_dir st = Filename.concat st.cfg.run_dir "results"
 let dead_letter_dir st = Filename.concat st.cfg.run_dir "dead-letter"
 let result_path st fp = Filename.concat (results_dir st) (fp ^ ".json")
@@ -328,8 +331,7 @@ let complete st j ?dead_letter probe =
 (* The worker body: certify the cell, store the probe when it is a fact
    about the problem, and answer it to the daemon. *)
 let run_job st (e : Jobqueue.entry) =
-  let ctx = Supervise.create ~run_dir:st.cfg.run_dir ~isolate:false ~jobs:1 () in
-  let probe = Bulk.run ~ctx e.Jobqueue.cell in
+  let probe = Bulk.run ~ctx:st.ctx e.Jobqueue.cell in
   if Bulk.storable probe then
     Fs.write_atomic (result_path st e.Jobqueue.fp)
       (Json.to_string (Bulk.probe_to_json probe));
@@ -389,7 +391,7 @@ let maybe_cache_gc st =
   match st.cfg.cache_max_mb with
   | None -> ()
   | Some mb ->
-      let stats = Supervise.Cache.gc st.cache ~max_bytes:(mb * 1024 * 1024) in
+      let stats = Supervise.Cache.gc (cache st) ~max_bytes:(mb * 1024 * 1024) in
       if stats.Supervise.Cache.evicted > 0 then
         Log.info (fun k ->
             k "cache gc: evicted %d entries (%d bytes); %d entries (%d bytes) remain"
@@ -427,18 +429,17 @@ let crash st j how =
     st.c.dead_lettered <- st.c.dead_lettered + 1;
     let probe = Bulk.crashed ~why:how in
     let dl =
-      Json.to_string
-        (Json.Obj
-           [
-             ("id", Json.Str id);
-             ("fp", Json.Str e.Jobqueue.fp);
-             ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
-             ("kind", Json.Str probe.Bulk.kind);
-             ("detail", Json.Str probe.Bulk.detail);
-             ("attempts", Json.Arr (List.rev_map (fun s -> Json.Str s) j.history));
-           ])
+      Json.Obj
+        [
+          ("id", Json.Str id);
+          ("fp", Json.Str e.Jobqueue.fp);
+          ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
+          ("kind", Json.Str probe.Bulk.kind);
+          ("detail", Json.Str probe.Bulk.detail);
+          ("attempts", Json.Arr (List.rev_map (fun s -> Json.Str s) j.history));
+        ]
     in
-    (try Fs.write_atomic (dead_letter_path st id) dl with _ -> ());
+    (try Fs.write_atomic (dead_letter_path st id) (Json.to_string dl) with _ -> ());
     complete st j ~dead_letter:true
       { probe with Bulk.journal = Some dl; Bulk.attempts = attempt };
     Format.printf "verifyd: job %s dead-lettered after %d attempt(s)@." id attempt;
@@ -507,7 +508,7 @@ let dispatch st =
 (* Requests *)
 
 let status_json st =
-  let entries, bytes = Supervise.Cache.usage st.cache in
+  let entries, bytes = Supervise.Cache.usage (cache st) in
   let hit_rate =
     if st.c.submits = 0 then 0.0
     else float_of_int st.c.cache_served /. float_of_int st.c.submits
@@ -774,7 +775,7 @@ let handle_request st cl line =
                    (error_response
                       "cache-gc needs max_mb (or start verifyd with --cache-max-mb)"))
           | Some mb ->
-              let s = Supervise.Cache.gc st.cache ~max_bytes:(mb * 1024 * 1024) in
+              let s = Supervise.Cache.gc (cache st) ~max_bytes:(mb * 1024 * 1024) in
               ignore
                 (send cl
                    (Json.Obj
@@ -905,9 +906,7 @@ let run cfg =
           | () ->
               Fs.mkdir_p (Filename.concat cfg.run_dir "results");
               Fs.mkdir_p (Filename.concat cfg.run_dir "dead-letter");
-              let cache =
-                Supervise.Cache.create ~dir:(Filename.concat cfg.run_dir "cache")
-              in
+              let ctx = Supervise.create ~run_dir:cfg.run_dir ~isolate:false ~jobs:1 () in
               let draining = ref false and interrupted = ref false in
               Sys.set_signal Sys.sigterm
                 (Sys.Signal_handle (fun _ -> draining := true));
@@ -920,7 +919,7 @@ let run cfg =
                   cfg;
                   sock;
                   q;
-                  cache;
+                  ctx;
                   listen;
                   clients = [];
                   pending = Queue.create ();

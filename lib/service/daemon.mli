@@ -18,7 +18,10 @@
     line of the one-cell job {!Bulk.of_spec} makes of a point, a [bulk]
     request a list of such lines, and both are parsed by {!Bulk.of_line}
     and checked by {!Bulk.validate} (an axis absent at the order is an
-    [error] reply). Workers certify every job with {!Bulk.run}. Each
+    [error] reply). Workers certify every job with {!Bulk.run}, over
+    the one solve context the daemon opens on its run directory at
+    start (its cache, and its journal, which gains one [run] line per
+    daemon lifetime). Each
     waiter is answered in its command's terms: a [result] for a submit,
     a [cell-result] for a bulk cell.
 

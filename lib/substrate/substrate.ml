@@ -1,7 +1,7 @@
-(* Durable run-directory state, fault-plan tokens and JSON string
-   escaping: the one copy of each, shared by the journal, the atlas
-   ledger, the job queue, the four fault layers and every hand-built
-   JSON diagnosis. *)
+(* Durable run-directory state, fault-plan tokens and the JSON codec:
+   the one copy of each, shared by the journal, the atlas ledger, the
+   job queue, the four fault layers and every JSON document the
+   program writes. *)
 
 module Fs = struct
   let rec mkdir_p dir =
@@ -180,19 +180,215 @@ module Fault_plan = struct
 end
 
 module Json = struct
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  (* ---- printing ---- *)
+
+  (* The one number rule. Integers print bare, other finite numbers
+     shortest-first (%.12g when it reads back exactly, %.17g otherwise),
+     and the three non-finite values as the strings "nan", "inf" and
+     "-inf": JSON has no literal for them, and a bare [inf] would not
+     parse. *)
+  let num_to_string f =
+    if Float.is_nan f then "\"nan\""
+    else if f = Float.infinity then "\"inf\""
+    else if f = Float.neg_infinity then "\"-inf\""
+    else if Float.is_integer f && Float.abs f < 9.007199254740992e15 then
+      Printf.sprintf "%.0f" f
+    else
+      let s = Printf.sprintf "%.12g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+  (* Quotes, backslashes and control characters escaped; every other
+     byte, UTF-8 included, as it is. *)
+  let add_str b s =
+    Buffer.add_char b '"';
     String.iter
-      (fun c ->
-        match c with
+      (function
         | '"' -> Buffer.add_string b "\\\""
         | '\\' -> Buffer.add_string b "\\\\"
         | '\n' -> Buffer.add_string b "\\n"
         | '\r' -> Buffer.add_string b "\\r"
         | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
         | c -> Buffer.add_char b c)
       s;
+    Buffer.add_char b '"'
+
+  let rec write b = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (if v then "true" else "false")
+    | Num f -> Buffer.add_string b (num_to_string f)
+    | Str s -> add_str b s
+    | Arr xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            write b x)
+          xs;
+        Buffer.add_char b ']'
+    | Obj kvs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            add_str b k;
+            Buffer.add_char b ':';
+            write b v)
+          kvs;
+        Buffer.add_char b '}'
+
+  let to_string v =
+    let b = Buffer.create 128 in
+    write b v;
     Buffer.contents b
+
+  let int n = Num (float_of_int n)
+
+  (* ---- parsing: plain recursive descent over the string ---- *)
+
+  exception Bad of string
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
+    in
+    let expect c = if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c) in
+    let literal word v =
+      let l = String.length word in
+      if !pos + l <= n && String.sub s !pos l = word then begin
+        pos := !pos + l;
+        v
+      end
+      else fail ("bad literal (wanted " ^ word ^ ")")
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' ->
+            advance ();
+            (match peek () with
+            | None -> fail "unterminated escape"
+            | Some (('"' | '\\' | '/') as c) -> Buffer.add_char b c
+            | Some 'n' -> Buffer.add_char b '\n'
+            | Some 'r' -> Buffer.add_char b '\r'
+            | Some 't' -> Buffer.add_char b '\t'
+            | Some 'b' -> Buffer.add_char b '\b'
+            | Some 'f' -> Buffer.add_char b '\012'
+            | Some 'u' ->
+                (* A BMP code point, as UTF-8; surrogate pairs are out of
+                   scope, and a lone surrogate reads as U+FFFD. *)
+                (match
+                   if !pos + 4 < n then int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4)
+                   else None
+                 with
+                | Some c ->
+                    Buffer.add_utf_8_uchar b (if Uchar.is_valid c then Uchar.of_int c else Uchar.rep)
+                | None -> fail "bad \\u escape");
+                pos := !pos + 4
+            | Some c -> fail (Printf.sprintf "bad escape \\%c" c));
+            advance ();
+            go ()
+        | Some c ->
+            Buffer.add_char b c;
+            advance ();
+            go ()
+      in
+      go ();
+      Buffer.contents b
+    in
+    let parse_number () =
+      let start = !pos in
+      while
+        !pos < n && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+      do
+        advance ()
+      done;
+      let tok = String.sub s start (!pos - start) in
+      match float_of_string_opt tok with Some f -> Num f | None -> fail ("bad number " ^ tok)
+    in
+    (* The items of an array or an object, from its opening bracket on. *)
+    let items close item =
+      advance ();
+      skip_ws ();
+      if peek () = Some close then begin
+        advance ();
+        []
+      end
+      else
+        let rec go acc =
+          let v = item () in
+          skip_ws ();
+          match peek () with
+          | Some ',' ->
+              advance ();
+              go (v :: acc)
+          | Some c when c = close ->
+              advance ();
+              List.rev (v :: acc)
+          | _ -> fail (Printf.sprintf "expected , or %c" close)
+        in
+        go []
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some '"' -> Str (parse_string ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some '[' -> Arr (items ']' parse_value)
+      | Some '{' -> Obj (items '}' member)
+      | Some _ -> parse_number ()
+    and member () =
+      skip_ws ();
+      let k = parse_string () in
+      skip_ws ();
+      expect ':';
+      (k, parse_value ())
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Bad msg -> Error msg
+
+  (* ---- accessors ---- *)
+
+  let member k = function
+    | Obj kvs -> List.assoc_opt k kvs
+    | _ -> None
+
+  let str = function Str s -> Some s | _ -> None
+  let num = function Num f -> Some f | _ -> None
+  let bool = function Bool b -> Some b | _ -> None
+  let arr = function Arr xs -> Some xs | _ -> None
+  let obj = function Obj kvs -> Some kvs | _ -> None
+  let mem_str k v = Option.bind (member k v) str
+  let mem_num k v = Option.bind (member k v) num
+  let mem_bool k v = Option.bind (member k v) bool
 end

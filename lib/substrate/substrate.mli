@@ -2,9 +2,9 @@
     keeps a run directory: the solve journal ({!Supervise}), the atlas
     ledger ({!Atlas}) and the daemon's job queue ([Service.Jobqueue]) all
     persist through {!Fs} and {!Wal}, every [--fault-plan] string is
-    tokenized by {!Fault_plan}, and hand-built JSON escapes strings
-    with {!Json.escape}. Callers own only their record codecs and
-    the typed meaning of their fault kinds. *)
+    tokenized by {!Fault_plan}, and every JSON document is a {!Json.t}
+    printed by {!Json.to_string}. Callers own only their record codecs
+    and the typed meaning of their fault kinds. *)
 
 (** Whole-file helpers. *)
 module Fs : sig
@@ -106,11 +106,47 @@ module Fault_plan : sig
       ['@'], for kinds whose key is an opaque id. *)
 end
 
-(** JSON string escaping for hand-built diagnoses (run directories are
-    user paths and may contain quotes or backslashes). *)
+(** The one JSON codec: every JSON document the program writes (run
+    directory refusals, [report.json], [atlas.json], quarantine and
+    dead-letter records, the daemon's wire protocol) is a {!t} printed
+    by {!to_string}.
+
+    Numbers are OCaml floats. Printing is compact and deterministic:
+    integers within [2^53] print bare, other finite numbers with the
+    fewer of 12 or 17 significant digits that reads back exactly, and
+    NaN, +∞ and −∞ as the strings ["nan"], ["inf"] and ["-inf"], which
+    {!parse} reads back as {!Str}. Strings escape the double quote, the
+    backslash and control characters; other bytes, UTF-8 included,
+    print as they are. Object member order is kept on print and parse;
+    duplicate keys keep the first binding on lookup. *)
 module Json : sig
-  val escape : string -> string
-  (** JSON string-escape, no surrounding quotes: the double quote, the
-      backslash, newline, carriage return and tab get their two-character
-      escapes, other control characters a [\u] escape. *)
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  val to_string : t -> string
+
+  val int : int -> t
+  (** [Num] of an integer. *)
+
+  val parse : string -> (t, string) result
+  (** One JSON document; trailing garbage after it is an error. Never
+      raises. [parse (to_string v) = Ok v] for every [v] whose numbers
+      are finite. *)
+
+  (** Accessors; [None] on shape mismatch. *)
+
+  val member : string -> t -> t option
+  val str : t -> string option
+  val num : t -> float option
+  val bool : t -> bool option
+  val arr : t -> t list option
+  val obj : t -> (string * t) list option
+  val mem_str : string -> t -> string option
+  val mem_num : string -> t -> float option
+  val mem_bool : string -> t -> bool option
 end

@@ -12,6 +12,9 @@ external set_mem_limit_mb : int -> int = "pll_supervise_set_mem_limit_mb"
 module Fs = Substrate.Fs
 module Json = Substrate.Json
 
+(* A run-directory refusal: one JSON object, its error kind first. *)
+let refusal error fields = Json.(to_string (Obj (("error", Str error) :: fields)))
+
 (* ------------------------------------------------------------------ *)
 (* Process-level fault specs                                          *)
 (* ------------------------------------------------------------------ *)
@@ -280,9 +283,17 @@ module Lock = struct
     Hashtbl.remove held file
 
   let diagnosis ~dir ~pid =
-    Printf.sprintf
-      "{\"error\":\"run-dir-locked\",\"dir\":\"%s\",\"lock\":\"%s\",\"holder_pid\":%d,\"hint\":\"another process is using this run directory's solve cache; wait for it, pick a fresh --run-dir, or remove the lock file if the holder is gone\"}"
-      (Json.escape dir) (Json.escape (path dir)) pid
+    refusal "run-dir-locked"
+      Json.
+        [
+          ("dir", Str dir);
+          ("lock", Str (path dir));
+          ("holder_pid", int pid);
+          ( "hint",
+            Str
+              "another process is using this run directory's solve cache; wait for it, pick a \
+               fresh --run-dir, or remove the lock file if the holder is gone" );
+        ]
 
   let acquire ~dir () =
     Fs.mkdir_p dir;
@@ -345,8 +356,7 @@ module Lock = struct
               go ~stole)
       | exception Unix.Unix_error (e, _, _) ->
           Error
-            (Printf.sprintf "{\"error\":\"lock-io\",\"lock\":\"%s\",\"detail\":\"%s\"}"
-               (Json.escape file) (Json.escape (Unix.error_message e)))
+            (refusal "lock-io" Json.[ ("lock", Str file); ("detail", Str (Unix.error_message e)) ])
     in
     go ~stole:None
 end
@@ -384,19 +394,26 @@ module Config_guard = struct
         with
         | () -> Ok Fresh
         | exception (Unix.Unix_error _ | Sys_error _) ->
-            Error
-              (Printf.sprintf
-                 "{\"error\":\"config-io\",\"detail\":\"cannot write %s\"}"
-                 (Json.escape (path run_dir))))
+            Error (refusal "config-io" Json.[ ("detail", Str ("cannot write " ^ path run_dir)) ]))
     | Some (stored, stored_summary) ->
         if stored = digest then Ok Matched
         else
+          let one_line s = String.concat " " (String.split_on_char '\n' s) in
           Error
-            (Printf.sprintf
-               "{\"error\":\"config-drift\",\"run_dir\":\"%s\",\"stored\":\"%s\",\"requested\":\"%s\",\"stored_config\":\"%s\",\"requested_config\":\"%s\",\"hint\":\"these CLI arguments change the problem fingerprints; resuming would silently mix cache entries from different problems — rerun with the original arguments or use a fresh --run-dir\"}"
-               (Json.escape run_dir) (Json.escape stored) digest
-               (Json.escape (String.concat " " (String.split_on_char '\n' stored_summary)))
-               (Json.escape (String.concat " " (String.split_on_char '\n' summary))))
+            (refusal "config-drift"
+               Json.
+                 [
+                   ("run_dir", Str run_dir);
+                   ("stored", Str stored);
+                   ("requested", Str digest);
+                   ("stored_config", Str (one_line stored_summary));
+                   ("requested_config", Str (one_line summary));
+                   ( "hint",
+                     Str
+                       "these CLI arguments change the problem fingerprints; resuming would \
+                        silently mix cache entries from different problems — rerun with the \
+                        original arguments or use a fresh --run-dir" );
+                 ])
 end
 
 type stats = {
@@ -436,9 +453,6 @@ type ctx = {
   mutable worker : proc option;
       (** the solver worker: a fork of the context's process that serves
           solve requests until it is released *)
-  mutable unjournaled : Journal.entry list;
-      (** in a pool item, newest first: the [done] records of its solves,
-          which its parent journals when the item answers *)
 }
 
 exception Interrupted
@@ -491,7 +505,6 @@ let create ?run_dir ?jobs ?solve_timeout_s ?mem_limit_mb ?(isolate = true) () =
     in_worker = false;
     interrupted = false;
     worker = None;
-    unjournaled = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -506,10 +519,19 @@ let check_resume ledger ~run_dir ~resume =
   match ledger.entries run_dir with
   | n when n > 0 && not resume ->
       Error
-        (Printf.sprintf
-           "{\"error\":\"%s-not-resumed\",\"run_dir\":\"%s\",\"entries\":%d,\"hint\":\"this run directory's %s ledger already holds %d entr%s; rerun with --resume to continue it, or use a fresh run directory\"}"
-           ledger.name (Json.escape run_dir) n ledger.name n
-           (if n = 1 then "y" else "ies"))
+        (refusal (ledger.name ^ "-not-resumed")
+           Json.
+             [
+               ("run_dir", Str run_dir);
+               ("entries", int n);
+               ( "hint",
+                 Str
+                   (Printf.sprintf
+                      "this run directory's %s ledger already holds %d entr%s; rerun with \
+                       --resume to continue it, or use a fresh run directory"
+                      ledger.name n
+                      (if n = 1 then "y" else "ies")) );
+             ])
   | _ -> Ok ()
 
 let claim ~run_dir ?fingerprint ~ledger ~resume () =
@@ -523,7 +545,8 @@ let claim ~run_dir ?fingerprint ~ledger ~resume () =
   check_resume ledger ~run_dir ~resume
 
 (* Inside an isolation boundary already, as a pool child is: solves and
-   pool items run inline, and nothing is journaled. *)
+   pool items run inline, and without a run directory nothing is cached
+   or journaled. *)
 let in_process () =
   let ctx = create ~jobs:1 ~isolate:false () in
   ctx.in_worker <- true;
@@ -930,9 +953,6 @@ let solve_sdp ctx ~label ?proc_fault ?session ?hint ?(params = Sdp.default_param
      cached result replays byte-identically whether or not the original
      solve was warm-started. It is built only for a cache or a journal. *)
   let key = lazy (Sdp.fingerprint ~params prob) in
-  (* A pool item journals nothing itself: its [done] records travel up
-     with its answer. *)
-  let journal = if ctx.in_worker then None else ctx.journal in
   let cached =
     match ctx.cache_ with
     | None -> None
@@ -953,7 +973,7 @@ let solve_sdp ctx ~label ?proc_fault ?session ?hint ?(params = Sdp.default_param
         st.cache_hits <- st.cache_hits + 1;
         (sol, "cache", 0.0)
     | None ->
-        Option.iter (fun j -> Journal.record_start j ~seq ~key:(Lazy.force key) ~label) journal;
+        Option.iter (fun j -> Journal.record_start j ~seq ~key:(Lazy.force key) ~label) ctx.journal;
         let hint =
           match hint with
           | Some _ -> hint
@@ -1009,14 +1029,12 @@ let solve_sdp ctx ~label ?proc_fault ?session ?hint ?(params = Sdp.default_param
      run rebuilds the warm-start memory the original run had; [remember]
      keeps only clean Optimal solutions. *)
   Option.iter (fun s -> Sdp.Session.remember s prob sol) session;
-  if ctx.journal <> None then begin
-    let e =
-      { Journal.seq; key = Lazy.force key; source; status = status_string sol.Sdp.status; wall_s; label }
-    in
-    match journal with
-    | Some j -> Journal.record_done j e
-    | None -> ctx.unjournaled <- e :: ctx.unjournaled
-  end;
+  Option.iter
+    (fun j ->
+      Journal.record_done j
+        { Journal.seq; key = Lazy.force key; source; status = status_string sol.Sdp.status; wall_s;
+          label })
+    ctx.journal;
   sol
 
 let save_artifact ctx ~name content =
@@ -1035,14 +1053,17 @@ let save_artifact ctx ~name content =
 
 let report_json ctx =
   let s = ctx.stats in
-  Printf.sprintf
-    "{\"jobs\":%d,\"run_dir\":%s,\"supervised\":%d,\"forked\":%d,\"inline\":%d,\"cache_hits\":%d,\"cache_stores\":%d,\"cache_rejects\":%d,\"crashes\":%d,\"timeouts\":%d,\"pool_tasks\":%d,\"replayed_on_open\":%d}"
-    ctx.jobs
-    (match ctx.run_dir with
-    | None -> "null"
-    | Some d -> Printf.sprintf "\"%s\"" (Json.escape d))
-    s.supervised s.forked s.inline_solves s.cache_hits s.cache_stores s.cache_rejects
-    s.crashes s.timeouts s.pool_tasks ctx.replayed
+  let counts =
+    [ ("supervised", s.supervised); ("forked", s.forked); ("inline", s.inline_solves);
+      ("cache_hits", s.cache_hits); ("cache_stores", s.cache_stores);
+      ("cache_rejects", s.cache_rejects); ("crashes", s.crashes); ("timeouts", s.timeouts);
+      ("pool_tasks", s.pool_tasks); ("replayed_on_open", ctx.replayed) ]
+  in
+  Json.(
+    Obj
+      (("jobs", int ctx.jobs)
+      :: ("run_dir", match ctx.run_dir with Some d -> Str d | None -> Null)
+      :: List.map (fun (k, n) -> (k, int n)) counts))
 
 (* ------------------------------------------------------------------ *)
 (* The one scheduler                                                  *)
@@ -1172,21 +1193,15 @@ module Pool = struct
     p.items <- []
 
   (* Add what an answered item did to the parent's counters (an item
-     solves inline and forks nothing, so its other counters stay zero),
-     and journal its solves under the parent's sequence numbers. *)
+     solves inline and forks nothing, so its other counters stay zero). *)
   let absorb ctx = function
-    | Answered (v, (d : stats), dones) ->
+    | Answered (v, (d : stats)) ->
         let st = ctx.stats in
         st.supervised <- st.supervised + d.supervised;
         st.inline_solves <- st.inline_solves + d.inline_solves;
         st.cache_hits <- st.cache_hits + d.cache_hits;
         st.cache_stores <- st.cache_stores + d.cache_stores;
         st.cache_rejects <- st.cache_rejects + d.cache_rejects;
-        List.iter
-          (fun (e : Journal.entry) ->
-            ctx.seq <- ctx.seq + 1;
-            Option.iter (fun j -> Journal.record_done j { e with seq = ctx.seq }) ctx.journal)
-          dones;
         Answered v
     | Died why -> Died why
     | Timed_out -> Timed_out
@@ -1220,12 +1235,13 @@ module Pool = struct
               (submit pool ~key:i ?deadline_s (fun () ->
                    (* The parent's solver worker is not the child's: the
                       fork closed its pipes here. The child counts its
-                      own work from zero. *)
+                      own work from zero, and journals its solves
+                      through the journal it inherited. *)
                    ctx.in_worker <- true;
                    ctx.worker <- None;
                    ctx.stats <- fresh_stats ();
                    let v = f i items.(i) in
-                   (v, ctx.stats, List.rev ctx.unjournaled)))
+                   (v, ctx.stats)))
           end
           else List.iter (fun (i, o) -> on_settle i items.(i) (absorb ctx o)) (settle ~wait_s:0.05 pool)
         done

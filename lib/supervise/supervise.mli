@@ -78,9 +78,9 @@
 
     Fork-based, Unix-only. Inside a pool child, nested supervision
     degrades gracefully: solves run inline (the child is already the
-    isolation boundary) but still consult and populate the cache, and
-    the child's counters and the journal records of its solves reach
-    the parent with its answer. *)
+    isolation boundary) but still consult and populate the cache and
+    append to the journal, and the child's counters reach the parent
+    with its answer. *)
 
 (** Process-level fault injection specs: what the [kill@S:I],
     [stall@S:I] and [corrupt-cache@S] tokens of a {!Resilient.Faults}
@@ -164,15 +164,17 @@ end
     [run <ts> <pid>] line per opening, one [start <seq> <key> <label>]
     line fsync'd before each solve launches and one
     [done <seq> <key> <source> <status> <wall_s> <label>] line after it
-    completes (source: [solved], [cache], [crash], [timeout]); a
-    {!Pool.run} item's solves get their [done] lines when the item
-    answers, and no [start] line. Appends
+    completes (source: [solved], [cache], [crash], [timeout]). A
+    {!Pool.run} item appends the lines of its own solves, through the
+    journal it inherited, numbered on from its parent's [seq] at the
+    fork: a [seq] is unique within one process only, and may repeat
+    across sibling items (nothing reads it across processes). Appends
     follow the {!Substrate.Wal} fsync policy: a failed fsync raises.
     Malformed lines and a torn final line — the crash that killed the
     run — are skipped with a structured diagnosis, never a raise. *)
 module Journal : sig
   type entry = {
-    seq : int;  (** supervised-solve sequence number within the run *)
+    seq : int;  (** supervised-solve sequence number within the process *)
     key : string;  (** solve-request fingerprint *)
     source : string;  (** [solved] or [cache] *)
     status : string;  (** final [Sdp.status] of the recorded solution *)
@@ -402,7 +404,7 @@ val save_artifact : ctx -> name:string -> string -> string option
     integration point). Returns the path written, or [None] without a
     run directory. *)
 
-val report_json : ctx -> string
+val report_json : ctx -> Substrate.Json.t
 (** Machine-readable supervision report: jobs, counters, replay count. *)
 
 (** A forked child that runs one closure and answers once: the
@@ -495,10 +497,9 @@ module Pool : sig
       marshal-safe. The fork is taken even for [jobs = 1], so [-j 1] and
       [-j N] traverse the same code path. Counts each item in
       [pool_tasks] and [forked]. A forked item's answer carries what it
-      did through the context: its counters are added to this context's
-      {!stats}, and the [done] records of its solves are journaled here,
-      under this context's sequence numbers, when it answers; an item
-      that dies takes its work with it. Raises {!Interrupted} on an interrupt;
+      did through the context: it journals its solves itself, and its
+      counters are added to this context's {!stats} when it answers; an
+      item that dies takes its counters with it. Raises {!Interrupted} on an interrupt;
       that and any exception of a callback kill and collect the running
       children first. *)
 

@@ -195,6 +195,16 @@ let () =
     die "the daemon's run directory holds an outbox/ after its jobs completed";
   Unix.kill d.pid Sys.sigterm;
   ignore (wait_bg ~what:"bulk baseline drain" ~expect:0 d);
+  (* The daemon opens its run dir's solve context once, not once per job:
+     one daemon lifetime is one [run] line in its journal. *)
+  let runs =
+    List.length
+      (List.filter
+         (fun l -> String.starts_with ~prefix:"run " l)
+         (String.split_on_char '\n' (read_file (Filename.concat d1 "journal.log"))))
+  in
+  if runs <> 1 then
+    die "bulk baseline: journal.log holds %d run lines for one daemon lifetime" runs;
 
   (* ---------------- lease storm: stall + kill + dropped client ----- *)
   let d2 = dir "storm" in

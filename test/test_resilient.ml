@@ -85,10 +85,10 @@ let test_no_retries_structured_failure () =
   Alcotest.(check bool) "failed" true (diag.Resilient.outcome = Resilient.Failed);
   Alcotest.(check int) "single attempt" 1 (List.length diag.Resilient.attempts);
   Alcotest.(check int) "journaled as failure" 1 (List.length (Resilient.failures pol));
-  let json = Resilient.diagnosis_to_json diag in
+  let json = Substrate.Json.to_string (Resilient.diagnosis_to_json diag) in
   Alcotest.(check bool) "names the condition" true (contains json "multi-lyapunov");
   Alcotest.(check bool) "names the status" true (contains json "numerical_failure");
-  let report = Resilient.report_json pol in
+  let report = Substrate.Json.to_string (Resilient.report_json pol) in
   Alcotest.(check bool) "report carries the diagnosis" true
     (contains report "multi-lyapunov")
 

@@ -333,16 +333,49 @@ let test_probe_storable () =
   storable (fail "solver-failure") "transient solver failure is not cached" false
 
 let test_probe_json_roundtrip () =
+  let journal =
+    Service.Json.(
+      Obj
+        [
+          ("solves", Num 3.0);
+          ("elapsed_s", Num 0.125);
+          ( "diagnoses",
+            Arr
+              [
+                Obj
+                  [
+                    ("label", Str "multi-lyapunov \"P1\"");
+                    ("accepted_rung", Null);
+                    ("attempts", Arr [ Obj [ ("gap", Num 1.5e-9); ("deadline_hit", Bool false) ] ]);
+                  ];
+              ] );
+        ])
+  in
   let p =
     { Service.Bulk.ok = false; beta = 0.0; kind = "crash";
-      detail = "cell worker crashed";
-      journal = Some "{\"attempts\":[\"attempt 1: worker died by signal -9\"]}";
+      detail = "cell worker crashed"; journal = Some journal;
       solves = 0; attempts = 2; attempt_s = 0.25 }
   in
-  match Service.Bulk.probe_of_json (Service.Bulk.probe_to_json p) with
+  let roundtrip p =
+    Result.bind
+      (Service.Json.parse (Service.Json.to_string (Service.Bulk.probe_to_json p)))
+      Service.Bulk.probe_of_json
+  in
+  (match roundtrip p with
   | Error e -> Alcotest.fail e
+  | Ok p' -> Alcotest.(check bool) "probe round-trips (nested journal included)" true (p' = p));
+  (match roundtrip { p with Service.Bulk.journal = None } with
   | Ok p' ->
-      Alcotest.(check bool) "probe round-trips (journal included)" true (p' = p)
+      Alcotest.(check bool) "no journal reads back as none" true (p'.Service.Bulk.journal = None)
+  | Error e -> Alcotest.fail e);
+  (* A probe stored when journals were JSON text: its journal reads as a
+     string. *)
+  let old = "{\"ok\":false,\"kind\":\"crash\",\"journal\":\"{\\\"error\\\":\\\"x\\\"}\"}" in
+  match Result.bind (Service.Json.parse old) Service.Bulk.probe_of_json with
+  | Ok p' ->
+      Alcotest.(check bool) "a string journal reads as a string" true
+        (p'.Service.Bulk.journal = Some (Service.Json.Str "{\"error\":\"x\"}"))
+  | Error e -> Alcotest.fail e
 
 let test_queue_cell_replay () =
   let dir = tmp_dir () in

@@ -1,6 +1,7 @@
 (* Tests of the run-directory substrate: atomic whole-file writes, the
    append-only log (torn tails, compaction, a replay property over every
-   truncation and byte flip), and the fault-plan grammar table. *)
+   truncation and byte flip), the fault-plan grammar table, and the JSON
+   codec (a round-trip property and the non-finite number rule). *)
 
 open Substrate
 
@@ -149,6 +150,81 @@ let test_fault_plan_grammar () =
         (Fault_plan.site t)
   | _ -> Alcotest.fail "'/' after '@' taken as a scope"
 
+(* ---- Json ---- *)
+
+(* Structural equality, with numbers compared bit for bit (so -0 must
+   come back as -0). *)
+let rec same a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Json.Arr xs, Json.Arr ys -> List.length xs = List.length ys && List.for_all2 same xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && same x y) xs ys
+  | _ -> a = b
+
+let finite_gen =
+  QCheck.Gen.(
+    let of_bits hi lo = Int64.(float_of_bits (logor (shift_left (of_int hi) 32) (of_int lo))) in
+    oneof
+      [
+        oneofl [ 0.0; -0.0; 0.1; 0.8; -1.5; 1e-300; 1e300; Float.min_float; Float.max_float ];
+        (* subnormals *)
+        map (fun k -> Int64.float_of_bits (Int64.of_int k)) (int_range 1 100_000);
+        (* integers around 2^53, where bare printing stops *)
+        map (fun k -> float_of_int k +. 9007199254740992.0) (int_range (-6) 6);
+        map (fun k -> float_of_int k) int;
+        map2 of_bits (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF)
+        |> map (fun f -> if Float.is_finite f then f else 0.25);
+      ])
+
+(* Any bytes: quotes, backslashes, control characters and bytes >= 0x80. *)
+let bytes_gen = QCheck.Gen.(string_size ~gen:char (int_bound 10))
+
+let json_gen =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun f -> Json.Num f) finite_gen;
+                 map (fun s -> Json.Str s) bytes_gen;
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 3))));
+                 ( 1,
+                   map (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair bytes_gen (self (n / 3)))) );
+               ]))
+
+let test_json_roundtrip_property =
+  QCheck.Test.make ~count:500 ~name:"json parse inverts to_string"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v ->
+      match Json.parse (Json.to_string v) with Ok v' -> same v v' | Error _ -> false)
+
+let test_json_non_finite () =
+  List.iter
+    (fun (f, word) ->
+      let doc = Json.to_string (Json.Arr [ Json.Num f; Json.Obj [ ("x", Json.Num f) ] ]) in
+      Alcotest.(check string) (word ^ " prints as a string")
+        (Printf.sprintf "[\"%s\",{\"x\":\"%s\"}]" word word)
+        doc;
+      match Json.parse doc with
+      | Ok v ->
+          Alcotest.(check bool) (word ^ " reads back as its string") true
+            (v = Json.Arr [ Json.Str word; Json.Obj [ ("x", Json.Str word) ] ])
+      | Error e -> Alcotest.failf "%s: %s does not parse: %s" word doc e)
+    [ (Float.nan, "nan"); (Float.infinity, "inf"); (Float.neg_infinity, "-inf") ]
+
 let suite =
   [
     Alcotest.test_case "write-atomic" `Quick test_write_atomic;
@@ -158,4 +234,6 @@ let suite =
     QCheck_alcotest.to_alcotest test_wal_replay_property;
     Alcotest.test_case "fault-plan-grammar" `Quick test_fault_plan_grammar;
     Alcotest.test_case "fault-plan-table" `Quick Fault_table.check_all;
+    QCheck_alcotest.to_alcotest test_json_roundtrip_property;
+    Alcotest.test_case "json-non-finite" `Quick test_json_non_finite;
   ]

@@ -858,6 +858,17 @@ let test_fan_out_journal () =
   Alcotest.(check (list string)) "the forked items' solves are journaled" [ "item-0"; "item-1" ]
     (List.sort compare
        (List.map (fun (e : Supervise.Journal.entry) -> e.label) (fst (Supervise.Journal.read dir))));
+  (* Each item wrote its own fsync'd [start] line before it solved. *)
+  let started =
+    Substrate.Fs.read_file (Supervise.Journal.path dir)
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "start"; _; _; label ] -> Some label
+           | _ -> None)
+  in
+  Alcotest.(check (list string)) "the forked items' solves have start lines"
+    [ "item-0"; "item-1" ] (List.sort compare started);
   let ctx = Supervise.create ~jobs:2 () in
   ignore (Resilient.fan_out (Resilient.make ~supervise:ctx ()) ~f:(fun _ x -> x) [ 1; 2 ]);
   Alcotest.(check int) "the forked fan-out did fork" 2 (Supervise.stats ctx).Supervise.pool_tasks

@@ -8,7 +8,7 @@
                                               instead of minutes)
 
    Artifacts: table1 table2 fig2 fig3 fig4 fig5 ablation-reachset
-   ablation-degree ablation-robust ablation-advect extensions kernels.
+   ablation-degree ablation-robust ablation-advect extensions.
    (--fast skips fig4 when running everything: it only re-renders
    fig2's already-forced pipeline.) An unknown artifact name exits 1.
 
@@ -313,76 +313,6 @@ let extensions () =
       | Error e -> Format.printf "  start-up safety: %s@." e)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the numerical kernels.                 *)
-
-let kernels () =
-  sect "Bechamel micro-benchmarks of the solver kernels";
-  let open Bechamel in
-  let s = Lazy.force third in
-  let pt = Pll.nominal s in
-  let flow = Pll.flow s pt Pll.off in
-  let v6 =
-    Poly.sum 3
-      (List.init 3 (fun i -> Poly.pow (Poly.var 3 i) 2)
-      @ List.init 3 (fun i -> Poly.pow (Poly.var 3 i) 6))
-  in
-  let spd =
-    let rng = Random.State.make [| 5 |] in
-    let b = Linalg.Mat.init 40 40 (fun _ _ -> Random.State.float rng 2.0 -. 1.0) in
-    Linalg.Mat.add
-      (Linalg.Mat.mul b (Linalg.Mat.transpose b))
-      (Linalg.Mat.scale 4.0 (Linalg.Mat.identity 40))
-  in
-  let small_sos () =
-    let prob = Sos.create ~nvars:2 in
-    let p =
-      Poly.of_terms 2
-        [
-          (Poly.Monomial.of_exponents [ 4; 0 ], 1.0);
-          (Poly.Monomial.of_exponents [ 2; 2 ], 1.0);
-          (Poly.Monomial.of_exponents [ 0; 4 ], 2.0);
-          (Poly.Monomial.of_exponents [ 0; 0 ], 0.5);
-        ]
-    in
-    Sos.add_sos prob (Sos.Ppoly.of_poly p);
-    ignore (Sos.solve prob)
-  in
-  let tests =
-    Test.make_grouped ~name:"kernels"
-      [
-        Test.make ~name:"mat-cholesky-40"
-          (Staged.stage (fun () -> ignore (Linalg.Mat.cholesky spd)));
-        Test.make ~name:"mat-sym-eig-40" (Staged.stage (fun () -> ignore (Linalg.Mat.sym_eig spd)));
-        Test.make ~name:"mat-expm-4"
-          (Staged.stage (fun () ->
-               ignore (Linalg.Mat.expm (Linalg.Mat.init 4 4 (fun i j -> 0.3 *. float_of_int (i - j))))));
-        Test.make ~name:"poly-lie-derivative-deg6"
-          (Staged.stage (fun () -> ignore (Poly.lie_derivative v6 flow)));
-        Test.make ~name:"hybrid-rk4-step"
-          (Staged.stage (fun () -> ignore (Hybrid.rk4_step flow 1e-3 [| 1.0; -1.0; 0.5 |])));
-        Test.make ~name:"sos-feasibility-small" (Staged.stage small_sos);
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | _ -> ())
-    results;
-  List.iter
-    (fun (name, est) -> Format.printf "  %-32s %14.1f ns/run@." name est)
-    (List.sort compare !rows)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -401,7 +331,6 @@ let () =
       ("ablation-robust", ablation_robust);
       ("ablation-advect", ablation_advect);
       ("extensions", extensions);
-      ("kernels", kernels);
     ]
   in
   match args with

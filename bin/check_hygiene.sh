@@ -57,9 +57,9 @@
 #     lib/advect source mentions `Sys.time`, whose CPU seconds of this
 #     process miss the work a supervised solve does in its worker;
 # 12. one benchmark gate — no BENCH_*.json is tracked, and
-#     bench/main.ml has no "ab", "--json" or "--cache-dir" literal:
-#     bench/main.exe prints the paper's artifacts, and benchsuite/run.sh
-#     measures performance;
+#     bench/main.ml has no "ab", "--json" or "--cache-dir" literal and
+#     does not name `Bechamel`: bench/main.exe prints the paper's
+#     artifacts, and benchsuite/run.sh measures performance;
 # 13. one daemon job kind — lib/service/jobqueue.ml declares no payload
 #     variant (no `type payload`, no constructor carrying a `Job.spec`
 #     or `Bulk.cell_spec`), lib/service/daemon.ml neither calls
@@ -85,7 +85,12 @@
 # 17. one JSON codec — outside lib/substrate no lib/ or bin/ .ml file
 #     contains an escaped quote before a colon (`\":`, a hand-built
 #     JSON key): every JSON document is a `Substrate.Json.t` printed by
-#     `Substrate.Json.to_string`.
+#     `Substrate.Json.to_string`;
+# 18. one owner per run directory — no lib/ or bin/ .ml file probes a
+#     pid with `Unix.kill <pid> 0` (a run dir is claimed by a kernel
+#     lock, not by the liveness of a pid), and lib/supervise's one fork
+#     site calls `die_with_parent ()`, so a killed run's children die
+#     with it.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -213,7 +218,7 @@ strays="$(grep -nE 'Sys\.time' "$repo"/lib/certificates/* "$repo"/lib/advect/* 2
 # One benchmark gate (check 12, the tracked-file half is below).
 bench="$repo/bench/main.ml"
 if [ -f "$bench" ]; then
-  strays="$(grep -nE '"(ab|--json|--cache-dir)"' "$bench" || true)"
+  strays="$(grep -nE '"(ab|--json|--cache-dir)"|Bechamel' "$bench" || true)"
   [ -z "$strays" ] || \
     fail "a second perf harness in bench/main.ml (measure with benchsuite/run.sh):$(echo " $strays")"
 fi
@@ -258,6 +263,14 @@ strays="$(grep -nF '\":' "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null \
   | grep -v "^$repo/lib/substrate/" || true)"
 [ -z "$strays" ] || \
   fail "hand-built JSON outside lib/substrate (build a Substrate.Json.t):$(echo " $strays" | sed "s|$repo/||g")"
+
+# One owner per run directory (check 18).
+strays="$(grep -nE 'Unix\.kill[[:space:]]+[^[:space:]]+[[:space:]]+0\b' "$repo"/lib/*/*.ml \
+  "$repo"/bin/*.ml 2>/dev/null || true)"
+[ -z "$strays" ] || \
+  fail "a pid liveness probe (claim a run dir with Supervise.Lock):$(echo " $strays" | sed "s|$repo/||g")"
+grep -A3 'Unix\.fork' "$repo"/lib/supervise/*.ml 2>/dev/null | grep -q 'die_with_parent ()' || \
+  fail "lib/supervise's fork site does not call die_with_parent (): a killed run would leave its children running"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

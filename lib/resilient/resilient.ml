@@ -175,22 +175,17 @@ end
 (* Retry ladder                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type rung =
-  | Baseline
-  | Equilibrate
-  | Jitter of int
-  | Relax_tol of float
-  | Bump_iters of float
+type rung = Baseline | Equilibrate | Jitter | Relax_tol | Bump_iters
 
 let rung_name = function
   | Baseline -> "baseline"
   | Equilibrate -> "equilibrate"
-  | Jitter k -> Printf.sprintf "jitter:%d" k
-  | Relax_tol f -> Printf.sprintf "relax:%g" f
-  | Bump_iters f -> Printf.sprintf "bump:%g" f
+  | Jitter -> "jitter:1"
+  | Relax_tol -> "relax:10"
+  | Bump_iters -> "bump:3"
 
 (* The one retry ladder: every retried solve climbs these rungs. *)
-let ladder = [ Equilibrate; Jitter 1; Relax_tol 10.0; Bump_iters 3.0 ]
+let ladder = [ Equilibrate; Jitter; Relax_tol; Bump_iters ]
 
 (* Rungs escalate cumulatively: each attempt's parameters build on the
    previous attempt's, so e.g. the Relax_tol attempt is still
@@ -198,13 +193,9 @@ let ladder = [ Equilibrate; Jitter 1; Relax_tol 10.0; Bump_iters 3.0 ]
 let apply_rung (p : Sdp.params) = function
   | Baseline -> p
   | Equilibrate -> { p with Sdp.equilibrate = true }
-  | Jitter k ->
-      let scales = [| 0.25; 4.0; 0.05 |] and steps = [| 0.95; 0.9; 0.85 |] in
-      let i = (max 1 k - 1) mod 3 in
-      { p with Sdp.init_scale = scales.(i); step_frac = steps.(i) }
-  | Relax_tol f -> { p with Sdp.tol_gap = p.Sdp.tol_gap *. f; tol_res = p.Sdp.tol_res *. f }
-  | Bump_iters f ->
-      { p with Sdp.max_iter = int_of_float (ceil (float_of_int p.Sdp.max_iter *. f)) }
+  | Jitter -> { p with Sdp.init_scale = 0.25; step_frac = 0.95 }
+  | Relax_tol -> { p with Sdp.tol_gap = p.Sdp.tol_gap *. 10.0; tol_res = p.Sdp.tol_res *. 10.0 }
+  | Bump_iters -> { p with Sdp.max_iter = p.Sdp.max_iter * 3 }
 
 (* ------------------------------------------------------------------ *)
 (* Attempts, diagnoses, policy                                        *)

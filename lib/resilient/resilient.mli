@@ -134,19 +134,19 @@ module Faults : sig
 end
 
 (** One rung of the retry ladder. Every retried solve climbs the same
-    ladder, [Equilibrate; Jitter 1; Relax_tol 10; Bump_iters 3], and
-    rungs apply {e cumulatively} — each attempt escalates on top of the
+    ladder, [Equilibrate; Jitter; Relax_tol; Bump_iters], and rungs
+    apply {e cumulatively} — each attempt escalates on top of the
     previous parameter set. *)
 type rung =
   | Baseline  (** the caller's own parameters (always attempt 0) *)
   | Equilibrate  (** Jacobi preconditioning of the SDP data *)
-  | Jitter of int  (** deterministic restart [k]: rescaled initial point
-                       and a shorter step fraction *)
-  | Relax_tol of float  (** multiply [tol_gap]/[tol_res] *)
-  | Bump_iters of float  (** multiply [max_iter] *)
+  | Jitter  (** a deterministic restart: initial point scaled by 0.25
+                and step fraction 0.95 *)
+  | Relax_tol  (** [tol_gap] and [tol_res] times 10 *)
+  | Bump_iters  (** [max_iter] times 3 *)
 
 val rung_name : rung -> string
-(** [baseline], [equilibrate], [jitter:K], [relax:F], [bump:F]. *)
+(** [baseline], [equilibrate], [jitter:1], [relax:10], [bump:3]. *)
 
 (** Everything recorded about one solve attempt. *)
 type attempt = {

@@ -1230,51 +1230,6 @@ let canonical_serialization ?(params = default_params) p =
 
 let fingerprint ?params p = Digest.to_hex (Digest.string (canonical_serialization ?params p))
 
-let to_sdpa p =
-  let buf = Buffer.create 4096 in
-  let m = Array.length p.constraints in
-  let nb = Array.length p.block_dims in
-  let nf = p.n_free in
-  (* Free variables become a diagonal block of size 2*nf (u - v split). *)
-  let nblocks = if nf > 0 then nb + 1 else nb in
-  Buffer.add_string buf (Printf.sprintf "%d = mDIM\n" m);
-  Buffer.add_string buf (Printf.sprintf "%d = nBLOCK\n" nblocks);
-  let dims =
-    Array.to_list (Array.map string_of_int p.block_dims)
-    @ (if nf > 0 then [ string_of_int (-2 * nf) ] else [])
-  in
-  Buffer.add_string buf ("(" ^ String.concat ", " dims ^ ") = bLOCKsTRUCT\n");
-  Buffer.add_string buf
-    (String.concat " "
-       (Array.to_list (Array.map (fun c -> Printf.sprintf "%.17g" c.rhs) p.constraints))
-    ^ "\n");
-  (* Entry lines: <matno> <blkno> <i> <j> <value>, 1-indexed; matno 0 is
-     the objective (SDPA convention: F0, with max tr(F0 Y) duality — we
-     emit C directly; sign conventions documented in the header). *)
-  let emit matno blk i j v =
-    if v <> 0.0 then
-      Buffer.add_string buf (Printf.sprintf "%d %d %d %d %.17g\n" matno (blk + 1) (i + 1) (j + 1) v)
-  in
-  List.iter (fun e -> emit 0 e.blk e.row e.col e.value) p.obj_blocks;
-  List.iter
-    (fun (k, v) ->
-      if nf > 0 then begin
-        emit 0 nb k k v;
-        emit 0 nb (nf + k) (nf + k) (-.v)
-      end)
-    p.obj_free;
-  Array.iteri
-    (fun idx c ->
-      let matno = idx + 1 in
-      List.iter (fun e -> emit matno e.blk e.row e.col e.value) c.lhs;
-      List.iter
-        (fun (k, v) ->
-          emit matno nb k k v;
-          emit matno nb (nf + k) (nf + k) (-.v))
-        c.free)
-    p.constraints;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Stateful solver sessions: a capsule memory keyed by structure
    fingerprint plus accept/reject accounting. The contract that keeps

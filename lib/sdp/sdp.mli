@@ -248,13 +248,6 @@ val iteration_count : unit -> int
     counts are unchanged; the benchmark's counting pass (benchsuite/)
     reads it with every solve run in-process. *)
 
-val to_sdpa : problem -> string
-(** Serialize the problem in the sparse SDPA format (.dat-s), the lingua
-    franca of SDP solvers (CSDP/SDPA/SDPT3) — handy for cross-checking
-    this solver against an external one. Free variables are rewritten as
-    differences of two nonnegative (1x1-block) variables, the standard
-    SDPA encoding. *)
-
 val feasibility_margin : problem -> solution -> float
 (** A posteriori check: the largest violation [|<A_i,X>+B_i f − b_i|]
     over all constraints, using the returned (unscaled) solution.

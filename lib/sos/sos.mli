@@ -152,5 +152,4 @@ val sdp_problem : t -> Sdp.problem
 (** The SDP translation of the problem as it stands — the exact problem
     {!solve} would hand to {!Sdp.solve}. Pure: building it does not
     mutate [t], so it is safe to call before or between solves (used by
-    the resilience layer to report failure sizes and by external
-    cross-checking via {!Sdp.to_sdpa}). *)
+    the resilience layer to report failure sizes). *)

@@ -8,6 +8,7 @@ let src = Logs.Src.create "supervise" ~doc:"Process-isolated solve supervision"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 external set_mem_limit_mb : int -> int = "pll_supervise_set_mem_limit_mb"
+external die_with_parent : unit -> int = "pll_supervise_die_with_parent"
 
 module Fs = Substrate.Fs
 module Json = Substrate.Json
@@ -251,36 +252,67 @@ module Journal = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Descriptors a fork must not pass on                                *)
+(* ------------------------------------------------------------------ *)
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* The descriptors of this process's run-directory locks, the ends it
+   holds on the pipes of the processes it forked and, in a forked
+   process, its own answer end. Every fork closes them in the child and
+   starts the child's list afresh, so no process keeps another's lock
+   or pipe: a child's death is end of file on its answer pipe at once,
+   whatever it leaves running, and a solver worker's request pipe has
+   one writer. *)
+let held : Unix.file_descr list ref = ref []
+
+let hold fd = held := fd :: !held
+
+(* Close one of [held]'s descriptors, and forget it: its number may be
+   reused. *)
+let let_go fd =
+  held := List.filter (fun fd' -> fd' <> fd) !held;
+  close_quietly fd
+
+(* ------------------------------------------------------------------ *)
 (* Advisory run-directory lock                                        *)
 (* ------------------------------------------------------------------ *)
 
 module Lock = struct
   type acquisition = Acquired | Reentrant | Stolen_stale of int
 
+  external flock : Unix.file_descr -> bool -> bool = "pll_supervise_flock"
+
   let path dir = Filename.concat dir "cache.lock"
 
-  (* Lock files released by at_exit of the acquiring process only: a
-     forked worker leaves via [Unix._exit] and never touches the lock,
-     so pool children cannot release their parent's claim. *)
-  let held : (string, int) Hashtbl.t = Hashtbl.create 4
+  (* Each lock this process took: its file, the descriptor that holds it
+     and the pid that took it. A forked child inherits the table but not
+     the lock ([held] closes the child's copy), so an entry is this
+     process's only if the pids match. *)
+  let locks : (string, Unix.file_descr * int) Hashtbl.t = Hashtbl.create 4
+
+  let mine file =
+    match Hashtbl.find_opt locks file with
+    | Some (fd, pid) when pid = Unix.getpid () -> Some fd
+    | _ -> None
 
   let holder ~dir =
     match Fs.read_file (path dir) with
     | exception Sys_error _ -> None
     | content -> int_of_string_opt (String.trim content)
 
-  let alive pid =
-    match Unix.kill pid 0 with
-    | () -> true
-    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-    | exception Unix.Unix_error (_, _, _) -> true (* EPERM etc.: someone owns it *)
-
+  (* Clear the pid before unlocking, so it never erases a successor's;
+     unlock before closing, so a forked process that still shares the
+     descriptor cannot keep the lock. *)
   let release ~dir =
     let file = path dir in
-    (match holder ~dir with
-    | Some pid when pid = Unix.getpid () -> ( try Sys.remove file with Sys_error _ -> ())
-    | _ -> ());
-    Hashtbl.remove held file
+    Option.iter
+      (fun fd ->
+        (try Unix.ftruncate fd 0 with Unix.Unix_error _ -> ());
+        (try ignore (flock fd false) with Unix.Unix_error _ -> ());
+        let_go fd;
+        Hashtbl.remove locks file)
+      (mine file)
 
   let diagnosis ~dir ~pid =
     refusal "run-dir-locked"
@@ -288,77 +320,47 @@ module Lock = struct
         [
           ("dir", Str dir);
           ("lock", Str (path dir));
-          ("holder_pid", int pid);
+          ("holder_pid", match pid with Some p -> int p | None -> Null);
           ( "hint",
             Str
-              "another process is using this run directory's solve cache; wait for it, pick a \
-               fresh --run-dir, or remove the lock file if the holder is gone" );
+              "another process is using this run directory's solve cache; wait for it or pick \
+               a fresh --run-dir" );
         ]
 
+  (* The kernel lock is the claim; the pid it writes only names the
+     holder. A pid already there is a holder that left without
+     releasing: its lock went with its last descriptor. *)
   let acquire ~dir () =
     Fs.mkdir_p dir;
     let file = path dir in
-    let rec go ~stole =
-      match Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
-      | fd ->
-          let payload = string_of_int (Unix.getpid ()) ^ "\n" in
-          let b = Bytes.of_string payload in
-          ignore (Unix.write fd b 0 (Bytes.length b));
-          (try Unix.fsync fd with Unix.Unix_error _ -> ());
-          Unix.close fd;
-          if not (Hashtbl.mem held file) then begin
-            Hashtbl.replace held file (Unix.getpid ());
-            at_exit (fun () -> if Hashtbl.mem held file then release ~dir)
-          end;
-          Ok (match stole with Some pid -> Stolen_stale pid | None -> Acquired)
-      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> (
-          match holder ~dir with
-          | Some pid when pid = Unix.getpid () -> Ok Reentrant
-          | Some pid when not (alive pid) -> (
-              (* The holder died (kill -9, OOM): steal the stale lock.
-                 The steal must itself be atomic — two contenders racing
-                 the same stale pidfile must produce exactly one winner.
-                 A bare remove-then-recreate is not: the slower stealer's
-                 remove can delete the faster one's *fresh* lock. So the
-                 stale file is renamed aside to a contender-unique claim
-                 (atomic; exactly one rename of the inode succeeds) and
-                 the claim's payload re-verified before the normal
-                 O_EXCL creation race resumes. *)
-              let claim = Printf.sprintf "%s.claim.%d" file (Unix.getpid ()) in
-              match Unix.rename file claim with
-              | exception Unix.Unix_error _ ->
-                  (* Another contender renamed it first: re-examine. *)
-                  go ~stole
-              | () -> (
-                  let claimed =
-                    match Fs.read_file claim with
-                    | exception Sys_error _ -> None
-                    | content -> int_of_string_opt (String.trim content)
-                  in
-                  match claimed with
-                  | Some p when not (alive p) ->
-                      (try Sys.remove claim with Sys_error _ -> ());
-                      Log.warn (fun k ->
-                          k "stealing stale lock %s held by dead process %d" file p);
-                      go ~stole:(Some p)
-                  | _ ->
-                      (* The dead holder was replaced by a live one
-                         between our read and our rename: we grabbed a
-                         valid lock by mistake. Put it back — [link]
-                         never clobbers a lock recreated meanwhile — and
-                         fall through to normal contention. *)
-                      (try Unix.link claim file with Unix.Unix_error _ -> ());
-                      (try Sys.remove claim with Sys_error _ -> ());
-                      go ~stole))
-          | Some pid -> Error (diagnosis ~dir ~pid)
-          | None ->
-              (* Lock vanished between EEXIST and the read: retry. *)
-              go ~stole)
-      | exception Unix.Unix_error (e, _, _) ->
-          Error
-            (refusal "lock-io" Json.[ ("lock", Str file); ("detail", Str (Unix.error_message e)) ])
+    let io_error e =
+      Error (refusal "lock-io" Json.[ ("lock", Str file); ("detail", Str (Unix.error_message e)) ])
     in
-    go ~stole:None
+    if mine file <> None then Ok Reentrant
+    else
+      match Unix.openfile file [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 with
+      | exception Unix.Unix_error (e, _, _) -> io_error e
+      | fd -> (
+          match flock fd true with
+          | exception Unix.Unix_error (e, _, _) ->
+              Unix.close fd;
+              io_error e
+          | false ->
+              Unix.close fd;
+              Error (diagnosis ~dir ~pid:(holder ~dir))
+          | true ->
+              let previous = holder ~dir in
+              let me = string_of_int (Unix.getpid ()) ^ "\n" in
+              Unix.ftruncate fd 0;
+              ignore (Unix.write_substring fd me 0 (String.length me));
+              (try Unix.fsync fd with Unix.Unix_error _ -> ());
+              hold fd;
+              Hashtbl.replace locks file (fd, Unix.getpid ());
+              match previous with
+              | Some pid ->
+                  Log.info (fun k -> k "took over %s from pid %d, which left it unreleased" file pid);
+                  Ok (Stolen_stale pid)
+              | None -> Ok Acquired)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -625,8 +627,6 @@ let decode payload =
 let rec waitpid_retry pid =
   try Unix.waitpid [] pid with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* Why a worker that produced no answer ended. *)
 let exit_reason = function
   | Unix.WEXITED 0 -> "worker wrote no result"
@@ -639,31 +639,21 @@ let exit_reason = function
 (* Forked processes                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The ends this process holds on the pipes of the processes it forked
-   and, in a forked process, its own answer end. Every fork closes them
-   in the child and starts the child's list afresh, so no process keeps
-   another's pipe open: a child's death is end of file on its answer
-   pipe at once, whatever it leaves running, and a solver worker's
-   request pipe has one writer. *)
-let held : Unix.file_descr list ref = ref []
-
-let hold fd = held := fd :: !held
-
-(* Close one of [held]'s ends, and forget it: its number may be reused. *)
-let let_go fd =
-  held := List.filter (fun fd' -> fd' <> fd) !held;
-  close_quietly fd
-
 (* The one fork: the child runs [body requests answers] and leaves by
    [Unix._exit] (2 if [body] raised), so no at_exit or flush machinery
-   of the parent runs twice. [serve] adds a request pipe. *)
+   of the parent runs twice. [serve] adds a request pipe. The child is
+   SIGKILLed when its parent dies; a parent that died before the signal
+   was armed shows as a changed parent pid. *)
 let fork_proc ~serve body =
   let ans_r, ans_w = Unix.pipe ~cloexec:true () in
   let req = if serve then Some (Unix.pipe ~cloexec:true ()) else None in
+  let parent = Unix.getpid () in
   flush stdout;
   flush stderr;
   match Unix.fork () with
   | 0 ->
+      ignore (die_with_parent ());
+      if Unix.getppid () <> parent then Unix._exit 1;
       List.iter close_quietly (ans_r :: (Option.to_list (Option.map snd req) @ !held));
       held := [ ans_w ];
       (try body (Option.map fst req) ans_w with _ -> Unix._exit 2);
@@ -721,21 +711,19 @@ end
 
 (* Chain a process-fault trigger in front of the caller's hook, so the
    worker kills or wedges itself at the requested interior-point
-   iteration. Runs in the worker only. A wedged worker leaves once its
-   parent is gone. *)
+   iteration. Runs in the worker only. A wedged worker dies with its
+   parent, as every forked process does. *)
 let inject_proc_fault (pf : Fault.spec option) (params : Sdp.params) =
   match pf with
   | None | Some { Fault.kind = Fault.Corrupt_cache; _ } -> params
   | Some { Fault.kind; iter; _ } ->
       let inner = params.Sdp.on_iteration in
-      let parent = Unix.getppid () in
       let hook i =
         if i = iter then begin
           match kind with
           | Fault.Kill -> Unix.kill (Unix.getpid ()) Sys.sigkill
           | Fault.Stall ->
               while true do
-                if Unix.getppid () <> parent then Unix._exit 1;
                 Unix.sleepf 0.05
               done
           | Fault.Corrupt_cache -> ()

@@ -39,11 +39,14 @@
     one reap: close this process's ends, [waitpid], name the exit
     reason. The solver worker and the one-answer {!Child}, which the
     {!Pool} spawns, are both made by it. The ends a process holds on its
-    children's pipes (and a child's own answer end) are kept in one
-    per-process list, which every fork closes and clears in the child:
-    no process keeps another's pipe open, so a child's death is end of
-    file on its answer pipe at once, and a worker's request pipe has one
-    writer.
+    children's pipes (and a child's own answer end) and its run-directory
+    {!Lock}s are kept in one per-process list, which every fork closes
+    and clears in the child: no process keeps another's pipe open or
+    lock held, so a child's death is end of file on its answer pipe at
+    once, and a worker's request pipe has one writer. Every forked
+    process is SIGKILLed when the process that forked it dies (Linux's
+    parent-death signal), so a killed run leaves no process writing into
+    its run directory.
 
     {b Worker protocol.} The solver worker is forked lazily, at the
     context's first isolated solve. Each request is one frame on its
@@ -60,9 +63,9 @@
     {b Lifetime.} {!release} kills and reaps the worker, so its CPU time
     lands in the caller's [cutime]; [Service.Job.certify] releases when
     a verdict returns. The worker exits on end of file on its request
-    pipe and on a failed answer write, so a worker nobody released
-    leaves when its parent does, and never outlives it by more than one
-    solve. A {!Pool.run} item forgets its parent's worker: only the
+    pipe and on a failed answer write, and is killed when its parent
+    dies, so a worker nobody released leaves when its parent does. A
+    {!Pool.run} item forgets its parent's worker: only the
     process that forked a child may kill or reap it. A closure given to
     {!Pool.submit} or {!Child.spawn} directly must not solve through,
     or {!release}, a context whose worker its parent spawned: it makes
@@ -194,29 +197,32 @@ end
 (** Advisory lock on a run directory, guarding its solve cache. Two
     processes sharing a [--run-dir] would interleave tmp+rename writes
     and journal appends; the lock makes the second fail fast with a
-    structured JSON diagnosis. The lock file
-    ([cache.lock]) carries the holder's pid; a lock whose holder is dead
-    (kill -9, OOM) is detected as stale and stolen, so a crashed run
-    never wedges its successors. Purely advisory: only cooperating
-    callers (the CLIs) consult it. Released via [at_exit] of the
-    acquiring process; forked workers leave through [Unix._exit] and
-    cannot release their parent's claim. *)
+    structured JSON diagnosis. The lock is an exclusive kernel lock
+    ([flock]) on [cache.lock], held on one descriptor for the life of
+    the process that took it, so it ends with that process however it
+    ends (kill -9, OOM) and a crashed run never wedges its successors.
+    The file carries the holder's pid, for the refusal and for the next
+    holder's report. The lock belongs to the process that took it: the
+    processes this module forks do not inherit it. Purely advisory: only
+    cooperating callers (the CLIs) consult it. *)
 module Lock : sig
   type acquisition =
     | Acquired  (** fresh lock taken *)
     | Reentrant  (** this process already holds it *)
-    | Stolen_stale of int  (** taken over from this dead pid *)
+    | Stolen_stale of int
+        (** taken over from this pid, which left without releasing *)
 
   val path : string -> string
   (** Lock-file path for a run directory. *)
 
   val acquire : dir:string -> unit -> (acquisition, string) result
-  (** Take the lock, or fail at once while a live holder exists:
+  (** Take the lock, or fail at once while another process holds it:
       [Error] carries a machine-readable JSON diagnosis naming the
-      holder pid. *)
+      holder pid ([null] while the holder has yet to write it). *)
 
   val release : dir:string -> unit
-  (** Remove the lock if this process holds it; no-op otherwise. *)
+  (** Clear the pid and unlock if this process holds the lock; no-op
+      otherwise. *)
 
   val holder : dir:string -> int option
   (** Pid recorded in the lock file, if any. *)

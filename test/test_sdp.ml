@@ -235,38 +235,6 @@ let test_solution_psd () =
   Alcotest.(check bool) "X PSD" true (Mat.is_psd ~tol:1e-7 sol.Sdp.x_blocks.(0));
   Alcotest.(check bool) "S PSD" true (Mat.is_psd ~tol:1e-7 sol.Sdp.s_blocks.(0))
 
-(* SDPA export: header structure and entry counts. *)
-let test_to_sdpa () =
-  let p =
-    {
-      Sdp.block_dims = [| 2 |];
-      n_free = 1;
-      constraints =
-        [| { Sdp.lhs = [ entry 0 0 0 1.0 ]; free = [ (0, 2.0) ]; rhs = 1.0 } |];
-      obj_blocks = [ entry 0 0 1 0.5 ];
-      obj_free = [ (0, -1.0) ];
-    }
-  in
-  let s = Sdp.to_sdpa p in
-  let lines = String.split_on_char '\n' s in
-  Alcotest.(check bool) "mDIM" true (List.exists (fun l -> l = "1 = mDIM") lines);
-  Alcotest.(check bool) "nBLOCK includes free split" true
-    (List.exists (fun l -> l = "2 = nBLOCK") lines);
-  Alcotest.(check bool) "block struct" true
-    (List.exists (fun l -> l = "(2, -2) = bLOCKsTRUCT") lines);
-  (* constraint 1 contributes one PSD entry and two split entries: lines
-     of the form "1 <blk> <i> <j> <v>" *)
-  let entry_lines =
-    List.filter
-      (fun l ->
-        String.length (String.trim l) > 0
-        && (match String.split_on_char ' ' l with
-           | [ "1"; _; _; _; _ ] -> true
-           | _ -> false))
-      lines
-  in
-  Alcotest.(check int) "constraint entries" 3 (List.length entry_lines)
-
 (* ------------------------------------------------------------------ *)
 (* Failure-status coverage: every status constructor must be reachable
    and correctly classified, and the solution record must stay
@@ -816,7 +784,6 @@ let prop_sparse_products_dense =
 
 let suite =
   [
-    Alcotest.test_case "sdpa export" `Quick test_to_sdpa;
     Alcotest.test_case "status: primal infeasible" `Quick test_status_primal_infeasible;
     Alcotest.test_case "status: dual infeasible" `Quick test_status_dual_infeasible;
     Alcotest.test_case "status: max iterations" `Quick test_status_max_iterations;

@@ -345,6 +345,54 @@ let test_job_leaves_no_children () =
         (Supervise.stats ctx).Supervise.forked;
       Alcotest.(check bool) "no child left after Job.run" true (no_children ()))
 
+(* A run killed by SIGKILL takes its forked children with it: the pool
+   item of a killed owner is gone, or a zombie awaiting its new parent's
+   reap, within half a second. *)
+let test_children_die_with_owner () =
+  let r, w = Unix.pipe () in
+  flush_all ();
+  let owner =
+    match Unix.fork () with
+    | 0 ->
+        Unix.close r;
+        (try
+           Supervise.Pool.run (Supervise.create ~jobs:1 ())
+             ~f:(fun _ () ->
+               let me = string_of_int (Unix.getpid ()) in
+               ignore (Unix.write_substring w me 0 (String.length me));
+               Unix.sleepf 5.0)
+             ~on_settle:(fun _ _ _ -> ())
+             [ () ]
+         with _ -> ());
+        Unix._exit 0
+    | pid -> pid
+  in
+  Unix.close w;
+  let buf = Bytes.create 32 in
+  let n = Unix.read r buf 0 (Bytes.length buf) in
+  Unix.close r;
+  let item = int_of_string (Bytes.sub_string buf 0 n) in
+  Unix.kill owner Sys.sigkill;
+  ignore (Unix.waitpid [] owner);
+  (* The state letter follows the parenthesized command name. *)
+  let state () =
+    match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" item) In_channel.input_all with
+    | exception Sys_error _ -> None
+    | stat -> Some stat.[String.rindex stat ')' + 2]
+  in
+  let deadline = Unix.gettimeofday () +. 0.5 in
+  let rec settled () =
+    match state () with
+    | None | Some 'Z' -> true
+    | Some _ when Unix.gettimeofday () > deadline -> false
+    | Some _ ->
+        Unix.sleepf 0.01;
+        settled ()
+  in
+  let gone = settled () in
+  if not gone then (try Unix.kill item Sys.sigkill with Unix.Unix_error _ -> ());
+  Alcotest.(check bool) "the killed owner's pool item died with it" true gone
+
 let test_worker_respawns_after_kill () =
   in_child "worker-respawns-after-kill" (fun () ->
       let ctx = Supervise.create ~jobs:1 () in
@@ -634,8 +682,9 @@ let test_pool_cap_holds () =
   Supervise.Pool.shutdown pool;
   Alcotest.(check int) "shutdown collects it" 0 (Supervise.Pool.running pool)
 
-(* Advisory run-dir lock: fresh acquire, reentrancy, stale-holder steal,
-   and the structured refusal when a live process holds it. *)
+(* Advisory run-dir lock: fresh acquire, reentrancy, takeover from a
+   holder that left without releasing, and the structured refusal while
+   another process holds it. Holders are real processes. *)
 
 let lock_tmpdir () =
   let d =
@@ -645,6 +694,39 @@ let lock_tmpdir () =
   in
   Unix.mkdir d 0o755;
   d
+
+let write_pidfile dir pid =
+  let oc = open_out (Supervise.Lock.path dir) in
+  output_string oc (string_of_int pid);
+  close_out oc
+
+(* A forked process that takes the lock and holds it until [finish],
+   then exits without releasing it. *)
+let lock_holder dir =
+  let ready_r, ready_w = Unix.pipe () and stop_r, stop_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close ready_r;
+      Unix.close stop_w;
+      let took = Result.is_ok (Supervise.Lock.acquire ~dir ()) in
+      ignore (Unix.write_substring ready_w (if took then "y" else "n") 0 1);
+      ignore (Unix.read stop_r (Bytes.create 1) 0 1);
+      Unix._exit 0
+  | pid ->
+      Unix.close ready_w;
+      Unix.close stop_r;
+      let b = Bytes.create 1 in
+      let took = Unix.read ready_r b 0 1 = 1 && Bytes.get b 0 = 'y' in
+      Unix.close ready_r;
+      let finish () =
+        Unix.close stop_w;
+        ignore (Unix.waitpid [] pid)
+      in
+      if not took then begin
+        finish ();
+        Alcotest.fail "the holder process could not take the lock"
+      end;
+      (pid, finish)
 
 let test_lock_acquire_and_reenter () =
   let dir = lock_tmpdir () in
@@ -657,32 +739,39 @@ let test_lock_acquire_and_reenter () =
   | Ok Supervise.Lock.Reentrant -> ()
   | _ -> Alcotest.fail "same process re-acquires");
   Supervise.Lock.release ~dir;
-  Alcotest.(check (option int)) "released" None (Supervise.Lock.holder ~dir)
+  Alcotest.(check (option int)) "released" None (Supervise.Lock.holder ~dir);
+  (* Released means free for another process. *)
+  let _, finish = lock_holder dir in
+  finish ()
 
 let test_lock_steals_stale () =
   let dir = lock_tmpdir () in
-  (* A dead holder: fork a child that exits immediately, use its pid. *)
-  let dead =
-    match Unix.fork () with
-    | 0 -> Unix._exit 0
-    | pid ->
-        ignore (Unix.waitpid [] pid);
-        pid
-  in
-  let oc = open_out (Supervise.Lock.path dir) in
-  output_string oc (string_of_int dead);
-  close_out oc;
+  let pid, finish = lock_holder dir in
+  finish ();
   (match Supervise.Lock.acquire ~dir () with
-  | Ok (Supervise.Lock.Stolen_stale pid) -> Alcotest.(check int) "stale pid" dead pid
-  | _ -> Alcotest.fail "stale lock must be stolen");
+  | Ok (Supervise.Lock.Stolen_stale p) -> Alcotest.(check int) "the exited holder's pid" pid p
+  | _ -> Alcotest.fail "a lock its holder left behind must be taken over");
   Supervise.Lock.release ~dir
 
-(* Two live contenders racing the same stale pidfile: the claim
-   protocol must elect exactly one winner; the loser gets the
-   structured run-dir-locked refusal, and the survivor pidfile names
-   the winner. *)
+(* A pidfile naming a live process that holds no lock (init) is taken
+   over: the kernel lock, not the pid, is the claim. *)
+let test_lock_takes_over_lockless_pid () =
+  let dir = lock_tmpdir () in
+  write_pidfile dir 1;
+  (match Supervise.Lock.acquire ~dir () with
+  | Ok (Supervise.Lock.Stolen_stale 1) -> ()
+  | Ok _ -> Alcotest.fail "expected a takeover from pid 1"
+  | Error diag -> Alcotest.fail ("refused: " ^ diag));
+  Supervise.Lock.release ~dir
+
+(* Two contenders racing for a lock its holder left behind: exactly one
+   wins, the other gets the structured run-dir-locked refusal, the
+   pidfile names the winner, and once both have exited a third
+   contender takes the winner's lock over. *)
 let test_lock_stale_steal_contention () =
   let dir = lock_tmpdir () in
+  (* A holder that left long ago: a child that has exited and been
+     reaped. *)
   let dead =
     match Unix.fork () with
     | 0 -> Unix._exit 0
@@ -690,82 +779,84 @@ let test_lock_stale_steal_contention () =
         ignore (Unix.waitpid [] pid);
         pid
   in
-  let oc = open_out (Supervise.Lock.path dir) in
-  output_string oc (string_of_int dead);
-  close_out oc;
+  write_pidfile dir dead;
   let go_r, go_w = Unix.pipe () in
+  let out_r, out_w = Unix.pipe () in
+  let stop_r, stop_w = Unix.pipe () in
   let contender () =
     match Unix.fork () with
     | 0 ->
         Unix.close go_w;
+        Unix.close out_r;
+        Unix.close stop_w;
         (* Block until the parent fires the start gun, so both
-           contenders hit the stale file as close together as fork
+           contenders reach the lock as close together as fork
            allows. *)
         ignore (Unix.read go_r (Bytes.create 1) 0 1);
-        Unix.close go_r;
         let outcome =
           match Supervise.Lock.acquire ~dir () with
-          | Ok _ -> 0 (* winner *)
-          | Error diag when contains diag "run-dir-locked" -> 1 (* loser *)
-          | Error _ -> 2
+          | Ok _ -> "0" (* winner *)
+          | Error diag when contains diag "run-dir-locked" -> "1" (* loser *)
+          | Error _ -> "2"
         in
-        Unix._exit outcome
+        ignore (Unix.write_substring out_w outcome 0 1);
+        (* The winner holds on until both have answered. *)
+        ignore (Unix.read stop_r (Bytes.create 1) 0 1);
+        Unix._exit 0
     | pid -> pid
   in
   let a = contender () in
   let b = contender () in
-  Unix.close go_r;
+  List.iter Unix.close [ go_r; out_w; stop_r ];
   ignore (Unix.write_substring go_w "go" 0 2);
   Unix.close go_w;
-  let wait pid =
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED c -> c
-    | _ -> 2
+  let buf = Bytes.create 2 in
+  let rec read_outcomes off =
+    if off < 2 then
+      match Unix.read out_r buf off (2 - off) with 0 -> off | n -> read_outcomes (off + n)
+    else off
   in
-  let ra = wait a and rb = wait b in
-  let outcomes = List.sort compare [ ra; rb ] in
-  Alcotest.(check (list int)) "exactly one winner, one structured refusal"
-    [ 0; 1 ] outcomes;
-  (* The survivor pidfile must name the winner (a live contender), not
-     the dead pid and not a mix of both writes. *)
-  (match Supervise.Lock.holder ~dir with
-  | Some pid ->
-      Alcotest.(check bool) "holder is the winner" true (pid = a || pid = b);
-      Alcotest.(check bool) "stale holder fully replaced" true (pid <> dead)
-  | None -> Alcotest.fail "no holder after a successful steal");
-  (* The winner has exited by now, so its lock is stale in turn and a
-     third contender steals it cleanly — the protocol leaves no debris
-     (claim files) that would wedge future acquisitions. *)
+  let got = read_outcomes 0 in
+  Unix.close out_r;
+  let outcomes = List.sort compare (List.of_seq (String.to_seq (Bytes.sub_string buf 0 got))) in
+  let winner = Supervise.Lock.holder ~dir in
+  Unix.close stop_w;
+  ignore (Unix.waitpid [] a);
+  ignore (Unix.waitpid [] b);
+  Alcotest.(check (list char)) "exactly one winner, one structured refusal" [ '0'; '1' ] outcomes;
+  (match winner with
+  | Some pid -> Alcotest.(check bool) "holder is a contender" true (pid = a || pid = b)
+  | None -> Alcotest.fail "no holder after a takeover");
   (match Supervise.Lock.acquire ~dir () with
   | Ok (Supervise.Lock.Stolen_stale pid) ->
-      Alcotest.(check bool) "third contender steals the dead winner's lock" true
-        (pid = a || pid = b)
-  | Ok _ -> Alcotest.fail "expected a stale steal, not a fresh acquire"
+      Alcotest.(check (option int)) "third contender takes the winner's lock over" winner
+        (Some pid)
+  | Ok _ -> Alcotest.fail "expected a takeover, not a fresh acquire"
   | Error diag -> Alcotest.fail ("third contender refused: " ^ diag));
   Supervise.Lock.release ~dir
 
 let test_lock_refuses_live_holder () =
   let dir = lock_tmpdir () in
-  (* A live holder this process does not own: init (pid 1). *)
-  let oc = open_out (Supervise.Lock.path dir) in
-  output_string oc "1";
-  close_out oc;
-  match Supervise.Lock.acquire ~dir () with
-  | Ok _ -> Alcotest.fail "live holder must refuse"
+  let pid, finish = lock_holder dir in
+  let refused = Supervise.Lock.acquire ~dir () in
+  finish ();
+  match refused with
+  | Ok _ -> Alcotest.fail "a held lock must refuse"
   | Error diag ->
       Alcotest.(check bool) "structured diagnosis" true
-        (contains diag "run-dir-locked" && contains diag "\"holder_pid\":1")
+        (contains diag "run-dir-locked"
+        && contains diag (Printf.sprintf "\"holder_pid\":%d" pid))
 
 (* The refusal is JSON even when the run directory's name needs
    escaping. *)
 let test_lock_diagnosis_escapes_dir () =
   let dir = Filename.concat (lock_tmpdir ()) "a\"b\\c" in
   Unix.mkdir dir 0o755;
-  let oc = open_out (Supervise.Lock.path dir) in
-  output_string oc "1";
-  close_out oc;
-  match Supervise.Lock.acquire ~dir () with
-  | Ok _ -> Alcotest.fail "live holder must refuse"
+  let _, finish = lock_holder dir in
+  let refused = Supervise.Lock.acquire ~dir () in
+  finish ();
+  match refused with
+  | Ok _ -> Alcotest.fail "a held lock must refuse"
   | Error diag -> (
       match Service.Json.parse diag with
       | Ok j ->
@@ -915,6 +1006,7 @@ let suite =
     Alcotest.test_case "cache-gc-lru" `Quick test_cache_gc_lru;
     Alcotest.test_case "lock-refuses-live-holder" `Quick test_lock_refuses_live_holder;
     Alcotest.test_case "lock-diagnosis-escapes-dir" `Quick test_lock_diagnosis_escapes_dir;
+    Alcotest.test_case "lock-takes-over-lockless-pid" `Quick test_lock_takes_over_lockless_pid;
     Alcotest.test_case "config-guard" `Quick test_config_guard;
     Alcotest.test_case "fingerprint-ignores-hooks" `Quick test_fingerprint_ignores_hooks;
     Alcotest.test_case "cache-roundtrip" `Quick test_cache_roundtrip;
@@ -935,6 +1027,7 @@ let suite =
     Alcotest.test_case "pool-jobs-equivalence" `Quick test_pool_jobs_equivalence;
     Alcotest.test_case "interrupt-raises" `Quick test_interrupt_raises;
     Alcotest.test_case "job-leaves-no-children" `Quick test_job_leaves_no_children;
+    Alcotest.test_case "children-die-with-owner" `Quick test_children_die_with_owner;
     Alcotest.test_case "worker-respawns-after-kill" `Quick test_worker_respawns_after_kill;
     Alcotest.test_case "worker-respawns-after-timeout" `Quick
       test_worker_respawns_after_timeout;

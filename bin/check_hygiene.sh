@@ -29,10 +29,11 @@
 #  7. solver-core changes must carry benchmark evidence — when run in
 #     a git work tree with pending changes under lib/sdp/, lib/linalg/,
 #     lib/poly/ (the polynomial kernel every certificate, sampler and
-#     SOS program evaluates through) or lib/certificates/ (the Lyapunov,
-#     level and Lemma-1 programs, the verdict's largest layer),
-#     EXPERIMENTS.md must change too, and its added lines must record a
-#     `benchsuite/run.sh ab OLD NEW` pair;
+#     SOS program evaluates through), lib/sos/ (posing, which a cached
+#     replay spends most of its solver-side time in) or lib/certificates/
+#     (the Lyapunov, level and Lemma-1 programs, the verdict's largest
+#     layer), EXPERIMENTS.md must change too, and its added lines must
+#     record a `benchsuite/run.sh ab OLD NEW` pair;
 #  8. run-directory state and fault plans keep one substrate — outside
 #     lib/substrate, no lib/ or bin/ source opens a file for appending
 #     (`O_APPEND`/`Open_append`: a second ledger) or mentions the `'@'`
@@ -90,7 +91,11 @@
 #     pid with `Unix.kill <pid> 0` (a run dir is claimed by a kernel
 #     lock, not by the liveness of a pid), and lib/supervise's one fork
 #     site calls `die_with_parent ()`, so a killed run's children die
-#     with it.
+#     with it;
+# 19. posing orders without polymorphic compare — no lib/poly or
+#     lib/sos source mentions `Stdlib.compare`: monomials and decision
+#     variables are compared by `Monomial.compare` and `Dvar.compare`,
+#     whose orders are part of the cache-key contract (DESIGN.md §3).
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -272,6 +277,11 @@ strays="$(grep -nE 'Unix\.kill[[:space:]]+[^[:space:]]+[[:space:]]+0\b' "$repo"/
 grep -A3 'Unix\.fork' "$repo"/lib/supervise/*.ml 2>/dev/null | grep -q 'die_with_parent ()' || \
   fail "lib/supervise's fork site does not call die_with_parent (): a killed run would leave its children running"
 
+# Posing orders without polymorphic compare (check 19).
+strays="$(grep -nF 'Stdlib.compare' "$repo"/lib/poly/* "$repo"/lib/sos/* 2>/dev/null || true)"
+[ -z "$strays" ] || \
+  fail "polymorphic compare in lib/poly or lib/sos (use Monomial.compare / Dvar.compare):$(echo " $strays" | sed "s|$repo/||g")"
+
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"
   if [ -n "$root" ]; then
@@ -282,14 +292,14 @@ if command -v git >/dev/null 2>&1; then
     [ -z "$benches" ] || \
       fail "tracked BENCH_*.json (measure with benchsuite/run.sh instead): $(echo $benches)"
     # Solver-core changes need benchmark evidence (check 7): pending
-    # edits under lib/sdp, lib/linalg, lib/poly or lib/certificates come
-    # with an EXPERIMENTS.md change whose added lines record a
-    # `benchsuite/run.sh ab` pair.
+    # edits under lib/sdp, lib/linalg, lib/poly, lib/sos or
+    # lib/certificates come with an EXPERIMENTS.md change whose added
+    # lines record a `benchsuite/run.sh ab` pair.
     pending="$(git -C "$root" diff --name-only HEAD -- 2>/dev/null || true)"
-    if printf '%s\n' "$pending" | grep -qE '^lib/(sdp|linalg|poly|certificates)/'; then
+    if printf '%s\n' "$pending" | grep -qE '^lib/(sdp|linalg|poly|sos|certificates)/'; then
       git -C "$root" diff HEAD -- EXPERIMENTS.md 2>/dev/null | grep '^+[^+]' \
         | grep -qE 'benchsuite/run\.sh ab [^ ]+ [^ ]+' || \
-        fail "lib/sdp, lib/linalg, lib/poly or lib/certificates changed without an EXPERIMENTS.md record of a 'benchsuite/run.sh ab OLD NEW' pair"
+        fail "lib/sdp, lib/linalg, lib/poly, lib/sos or lib/certificates changed without an EXPERIMENTS.md record of a 'benchsuite/run.sh ab OLD NEW' pair"
     fi
   fi
 fi

@@ -24,17 +24,32 @@ let check_arity name a b =
 
 let mul a b =
   check_arity "mul" a b;
-  Array.init (Array.length a) (fun i -> a.(i) + b.(i))
+  let n = Array.length a in
+  let m = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set m i (Array.unsafe_get a i + Array.unsafe_get b i)
+  done;
+  m
 
 let divide m d =
   check_arity "divide" m d;
   let q = Array.init (Array.length m) (fun i -> m.(i) - d.(i)) in
   if Array.for_all (fun e -> e >= 0) q then Some q else None
 
+(* Degree first, then the first differing exponent: one pass that sums
+   both degrees and remembers where the vectors first differ. The order
+   decides every map's binding order, so the SDPs posed from these maps
+   and their cache keys depend on it (DESIGN.md §3). *)
 let compare a b =
   check_arity "compare" a b;
-  let c = Int.compare (degree a) (degree b) in
-  if c <> 0 then c else Stdlib.compare a b
+  let da = ref 0 and db = ref 0 and first = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    da := !da + x;
+    db := !db + y;
+    if x <> y then first := Int.compare x y
+  done;
+  if !da <> !db then Int.compare !da !db else !first
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
 

@@ -21,9 +21,14 @@ let one n = const n 1.0
 let var n i =
   { nvars = n; terms = MonoMap.add (Monomial.var n i) 1.0 MonoMap.empty }
 
+(* One pass over the map: [c +. old] ([old] = 0.0 when absent), and a
+   zero sum removes the monomial. *)
 let add_term m c map =
-  let c' = c +. (match MonoMap.find_opt m map with Some v -> v | None -> 0.0) in
-  if c' = 0.0 then MonoMap.remove m map else MonoMap.add m c' map
+  MonoMap.update m
+    (fun old ->
+      let c' = c +. match old with Some v -> v | None -> 0.0 in
+      if c' = 0.0 then None else Some c')
+    map
 
 let of_terms n l =
   let terms =

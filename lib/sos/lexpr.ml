@@ -6,9 +6,14 @@ let zero = { const = 0.0; vars = VMap.empty }
 
 let const c = { const = c; vars = VMap.empty }
 
+(* One pass over the map: [c +. old] ([old] = 0.0 when absent), and a
+   zero sum removes the variable. *)
 let add_term v c m =
-  let c' = c +. (match VMap.find_opt v m with Some x -> x | None -> 0.0) in
-  if c' = 0.0 then VMap.remove v m else VMap.add v c' m
+  VMap.update v
+    (fun old ->
+      let c' = c +. match old with Some x -> x | None -> 0.0 in
+      if c' = 0.0 then None else Some c')
+    m
 
 let var v = { const = 0.0; vars = VMap.add v 1.0 VMap.empty }
 
@@ -25,11 +30,26 @@ let add a b = { const = a.const +. b.const; vars = VMap.fold add_term b.vars a.v
 
 let neg a = { const = -.a.const; vars = VMap.map (fun c -> -.c) a.vars }
 
-let sub a b = add a (neg b)
+(* [add a (neg b)] without the negated map: the same float operations
+   on the same terms in the same order. *)
+let sub a b =
+  {
+    const = a.const +. -.b.const;
+    vars = VMap.fold (fun v c m -> add_term v (-.c) m) b.vars a.vars;
+  }
 
 let scale s a =
   if s = 0.0 then zero
   else { const = s *. a.const; vars = VMap.map (fun c -> s *. c) a.vars }
+
+(* [add a (scale s b)] likewise; [scale 0.0 b] is [zero]. *)
+let add_scaled a s b =
+  if s = 0.0 then { a with const = a.const +. 0.0 }
+  else
+    {
+      const = a.const +. (s *. b.const);
+      vars = VMap.fold (fun v c m -> add_term v (s *. c) m) b.vars a.vars;
+    }
 
 let add_const c a = { a with const = a.const +. c }
 

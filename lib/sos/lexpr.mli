@@ -33,6 +33,10 @@ val sub : t -> t -> t
 val neg : t -> t
 val scale : float -> t -> t
 
+val add_scaled : t -> float -> t -> t
+(** [add_scaled a s b] is [add a (scale s b)], bit for bit, without
+    building [scale s b]. *)
+
 val add_const : float -> t -> t
 (** Add a scalar to the constant part. *)
 

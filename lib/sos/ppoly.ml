@@ -14,11 +14,25 @@ let zero n = { nvars = n; terms = MonoMap.empty }
 
 let is_zero_expr e = Lexpr.is_const e && Lexpr.constant e = 0.0
 
-let add_term m e map =
-  let e' =
-    match MonoMap.find_opt m map with Some x -> Lexpr.add x e | None -> e
-  in
-  if is_zero_expr e' then MonoMap.remove m map else MonoMap.add m e' map
+(* Set the term at [m] to [f old] in one pass over the map, [old] its
+   current expression if any; a zero result removes [m]. *)
+let update_term m f map =
+  MonoMap.update m
+    (fun old ->
+      let e' = f old in
+      if is_zero_expr e' then None else Some e')
+    map
+
+let add_term m e map = update_term m (function Some x -> Lexpr.add x e | None -> e) map
+
+(* [add_term m (Lexpr.neg e)] and [add_term m (Lexpr.scale s e)], bit
+   for bit, without building the negated or scaled expression first
+   when [m] is already present. *)
+let sub_term m e map =
+  update_term m (function Some x -> Lexpr.sub x e | None -> Lexpr.neg e) map
+
+let add_scaled_term m s e map =
+  update_term m (function Some x -> Lexpr.add_scaled x s e | None -> Lexpr.scale s e) map
 
 let of_poly p =
   {
@@ -53,7 +67,9 @@ let add a b =
 
 let neg a = { a with terms = MonoMap.map Lexpr.neg a.terms }
 
-let sub a b = add a (neg b)
+let sub a b =
+  check_arity "sub" a b;
+  { a with terms = MonoMap.fold sub_term b.terms a.terms }
 
 let scale s a =
   if s = 0.0 then zero a.nvars else { a with terms = MonoMap.map (Lexpr.scale s) a.terms }
@@ -73,7 +89,7 @@ let mul_poly q a =
     List.fold_left
       (fun acc (mq, cq) ->
         MonoMap.fold
-          (fun ma ea acc -> add_term (Monomial.mul mq ma) (Lexpr.scale cq ea) acc)
+          (fun ma ea acc -> add_scaled_term (Monomial.mul mq ma) cq ea acc)
           a.terms acc)
       MonoMap.empty (Poly.terms q)
   in
@@ -89,7 +105,7 @@ let partial i a =
         else begin
           let m' = Array.copy m in
           m'.(i) <- ei - 1;
-          add_term m' (Lexpr.scale (float_of_int ei) e) acc
+          add_scaled_term m' (float_of_int ei) e acc
         end)
       a.terms MonoMap.empty
   in
@@ -121,7 +137,7 @@ let fix_var i c a =
           let m' = Array.copy m in
           m'.(i) <- 0;
           let factor = Float.pow c (float_of_int ei) in
-          add_term m' (Lexpr.scale factor e) acc
+          add_scaled_term m' factor e acc
         end)
       a.terms MonoMap.empty
   in

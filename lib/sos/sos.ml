@@ -38,6 +38,19 @@ let fresh_free p =
   p.n_free <- k + 1;
   Lexpr.var (Dvar.Free k)
 
+(* [Monomial.all_upto n d], enumerated once per [(n, d)]: a verdict
+   poses hundreds of bases from a handful of these lists. The monomials
+   are shared, and never mutated. *)
+let all_upto =
+  let memo = ref [] in
+  fun n d ->
+    match List.find_opt (fun (n', d', _) -> n' = n && d' = d) !memo with
+    | Some (_, _, l) -> l
+    | None ->
+        let l = Monomial.all_upto n d in
+        memo := (n, d, l) :: !memo;
+        l
+
 let fresh_poly_basis p basis =
   Ppoly.of_terms p.nvars (List.map (fun m -> (m, fresh_free p)) basis)
 
@@ -45,7 +58,7 @@ let fresh_poly ?(min_deg = 0) p ~deg =
   let basis =
     List.filter
       (fun m -> Monomial.degree m >= min_deg)
-      (Monomial.all_upto p.nvars deg)
+      (all_upto p.nvars deg)
   in
   fresh_poly_basis p basis
 
@@ -80,7 +93,7 @@ let sos_basis ?vars p ~lo ~hi =
   Array.of_list
     (List.filter
        (fun m -> Monomial.degree m >= lo && allowed m)
-       (Monomial.all_upto p.nvars hi))
+       (all_upto p.nvars hi))
 
 let fresh_sos ?(min_deg = 0) ?vars p ~deg =
   let hi = (deg + 1) / 2 in
@@ -113,38 +126,50 @@ let vars_of_poly p q mask =
    other (distinct) basis monomials — the PSD Gram then forces the whole
    z-row to zero, so z only adds dimension. Iterate to a fixed point. *)
 let prune_basis pp basis =
-  let module MSet = Set.Make (struct
-    type t = Monomial.t
-
-    let compare = Monomial.compare
-  end) in
-  let support =
-    List.fold_left (fun acc (m, _) -> MSet.add m acc) MSet.empty (Ppoly.terms pp)
-  in
-  let basis = ref (Array.to_list basis) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let bset = MSet.of_list !basis in
-    let keep z =
-      let z2 = Monomial.mul z z in
-      MSet.mem z2 support
-      || List.exists
-           (fun zi ->
-             (not (Monomial.equal zi z))
-             &&
-             match Monomial.divide z2 zi with
-             | Some zj -> (not (Monomial.equal zj zi)) && MSet.mem zj bset
-             | None -> false)
-           !basis
+  let n = if Array.length basis = 0 then 0 else Monomial.arity basis.(0) in
+  (* Binary search of an array in {!Monomial.compare} order. *)
+  let mem sorted m =
+    let rec go lo hi =
+      lo < hi
+      &&
+      let mid = (lo + hi) / 2 in
+      let c = Monomial.compare m sorted.(mid) in
+      c = 0 || if c < 0 then go lo mid else go (mid + 1) hi
     in
-    let kept = List.filter keep !basis in
-    if List.length kept <> List.length !basis then begin
-      basis := kept;
-      changed := true
-    end
-  done;
-  Array.of_list !basis
+    go 0 (Array.length sorted)
+  in
+  let support = Array.of_list (List.map fst (Ppoly.terms pp)) in
+  let z2 = Array.make n 0 and zj = Array.make n 0 in
+  (* [basis] comes from [sos_basis], in {!Monomial.compare} order, and
+     filtering keeps that order. *)
+  let rec fix basis =
+    (* [zi * zj = z^2] for some [zi <> z] and [zj <> zi] of [basis];
+       [zj] is built in place. *)
+    let cross z =
+      Array.exists
+        (fun zi ->
+          (not (Monomial.equal zi z))
+          &&
+          let divides = ref true in
+          for i = 0 to n - 1 do
+            let e = z2.(i) - zi.(i) in
+            if e < 0 then divides := false;
+            zj.(i) <- e
+          done;
+          !divides && (not (Monomial.equal zj zi)) && mem basis zj)
+        basis
+    in
+    let keep z =
+      for i = 0 to n - 1 do
+        z2.(i) <- 2 * z.(i)
+      done;
+      mem support z2 || cross z
+    in
+    let kept = List.filter keep (Array.to_list basis) in
+    if List.compare_length_with kept (Array.length basis) = 0 then basis
+    else fix (Array.of_list kept)
+  in
+  fix basis
 
 let add_sos p pp =
   let dmin = Ppoly.min_degree pp in
@@ -210,7 +235,7 @@ let add_nonneg_on ?mult_deg ?(equalities = []) p ~domain pp =
               let ok = ref true in
               Array.iteri (fun i e -> if e > 0 && not vars.(i) then ok := false) m;
               !ok)
-            (Monomial.all_upto p.nvars (free_deg (Int.max 0 (Poly.degree h))))
+            (all_upto p.nvars (free_deg (Int.max 0 (Poly.degree h))))
         in
         let lambda = fresh_poly_basis p basis in
         Ppoly.sub acc (Ppoly.mul_poly h lambda))

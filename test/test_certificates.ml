@@ -324,6 +324,52 @@ let test_pinned_answers () =
   Alcotest.(check string) "fourth-order degree-4 certificate" "ad0ceb02d7be104d96e4efbdef472cb8"
     (cert_digest (Lazy.force cert4))
 
+(* A fresh supervised verdict's cache keys: how many [cache/*.solve]
+   entries it stores, and the MD5 of their sorted names joined by
+   newlines. Each name is an [Sdp.fingerprint] of a posed program, so a
+   posing change that moves one orphans every run dir written before
+   it. *)
+let cache_keys spec =
+  let run_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pll-test-keys-%d-%.0f" (Unix.getpid ()) (Unix.gettimeofday () *. 1e6))
+  in
+  let ctx = Supervise.create ~run_dir ~jobs:2 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Supervise.release ctx;
+      ignore (Sys.command ("rm -rf " ^ Filename.quote run_dir)))
+    (fun () ->
+      ignore (Service.Job.run ~policy:(Resilient.make ~supervise:ctx ()) spec);
+      let names =
+        Sys.readdir (Filename.concat run_dir "cache")
+        |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".solve")
+        |> List.sort String.compare
+      in
+      (List.length names, Digest.to_hex (Digest.string (String.concat "\n" names))))
+
+(* The seed-0 verdicts of the benchmark's verify workloads, keys pinned
+   from a fresh run: third order, full pipeline, degree 4, 4 advection
+   iterations; fourth order, P1, degree 4, 10 bisection steps. *)
+let test_pinned_replay_keys () =
+  let check name spec (count, digest) =
+    let n, d = cache_keys spec in
+    Alcotest.(check int) (name ^ " key count") count n;
+    Alcotest.(check string) (name ^ " keys") digest d
+  in
+  check "third order"
+    {
+      (Service.Job.default_spec Pll.Third) with
+      Service.Job.property = Service.Job.Full;
+      degree = 4;
+      advect_iters = 4;
+    }
+    (58, "ef8122b5bfc0b09e47a76ac63339e3f6");
+  check "fourth order"
+    { (Service.Job.default_spec Pll.Fourth) with Service.Job.degree = 4; bisect_steps = 10 }
+    (14, "edf380f4ba14685849446d54694a9423")
+
 (* Mode 0's first Lemma-1 program at [beta], as the bisection poses it. *)
 let level_problem s (cert : Certificates.t) beta =
   let v = cert.Certificates.vs.(0) in
@@ -368,5 +414,6 @@ let suite =
     Alcotest.test_case "simulation validation" `Slow test_validate_by_simulation;
     Alcotest.test_case "invariant boundary in box" `Slow test_invariant_boundary_inside_box;
     Alcotest.test_case "pinned certificates and level" `Slow test_pinned_answers;
+    Alcotest.test_case "pinned replay keys" `Slow test_pinned_replay_keys;
     Alcotest.test_case "diverged level program stops" `Slow test_diverged_level_stops;
   ]

@@ -256,6 +256,39 @@ let prop_eval_matches_fold =
     (fun (p, x) ->
       Int64.equal (Int64.bits_of_float (Poly.eval p x)) (Int64.bits_of_float (fold_eval p x)))
 
+(* The monomial order is part of the cache-key contract (DESIGN.md §3):
+   it fixes every map's binding order, so the SDPs posed from them. Its
+   definition: lower total degree first, then polymorphic compare on
+   the exponent vectors. Pairs are drawn small so that equal degrees and
+   equal vectors are common; a third of them are a permutation of the
+   first vector (same degree) and some are copies of it. *)
+let mono_pair_gen =
+  let open QCheck.Gen in
+  let* n = int_range 0 5 in
+  let* a = array_repeat n (int_bound 3) in
+  let* b =
+    frequency
+      [
+        (3, array_repeat n (int_bound 3));
+        (2, (let c = Array.copy a in shuffle_a c >|= fun () -> c));
+        (1, return (Array.copy a));
+      ]
+  in
+  return (a, b)
+
+let prop_mono_compare_order =
+  let sign c = Int.compare c 0 in
+  QCheck.Test.make ~name:"Monomial.compare is degree, then polymorphic compare" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "%s vs %s" (M.to_string a) (M.to_string b))
+       mono_pair_gen)
+    (fun (a, b) ->
+      let reference =
+        let c = Int.compare (M.degree a) (M.degree b) in
+        if c <> 0 then c else Stdlib.compare a b
+      in
+      sign (M.compare a b) = sign reference)
+
 let suite =
   [
     Alcotest.test_case "monomial basics" `Quick test_monomial_basics;
@@ -281,4 +314,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parse_roundtrip;
     QCheck_alcotest.to_alcotest prop_shift_inverse;
     QCheck_alcotest.to_alcotest prop_eval_matches_fold;
+    QCheck_alcotest.to_alcotest prop_mono_compare_order;
   ]

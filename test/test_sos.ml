@@ -247,6 +247,262 @@ let test_session_fig2_family () =
   let c = Sdp.Session.counters sess in
   Alcotest.(check bool) "sweep actually warm" true (c.Sdp.Session.warm_accepted >= 1)
 
+(* --- Posing's order and arithmetic contracts ---------------------------- *)
+
+(* The decision-variable order is part of the cache-key contract
+   (DESIGN.md §3): every constraint lists its variables in it. Its
+   definition is polymorphic compare on [Dvar.t]. Small index ranges make
+   equal values and equal leading fields common. *)
+let dvar_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, map (fun i -> Sos.Dvar.Free i) (int_range (-2) 3));
+      ( 2,
+        map3 (fun b i j -> Sos.Dvar.Gram (b, i, j)) (int_range (-1) 2) (int_bound 2) (int_bound 2)
+      );
+    ]
+
+let print_dvar v = Format.asprintf "%a" Sos.Dvar.pp v
+
+let prop_dvar_compare_order =
+  let sign c = Int.compare c 0 in
+  QCheck.Test.make ~name:"Dvar.compare is polymorphic compare" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_dvar a ^ " vs " ^ print_dvar b)
+       QCheck.Gen.(frequency [ (4, pair dvar_gen dvar_gen); (1, dvar_gen >|= fun v -> (v, v)) ]))
+    (fun (a, b) -> sign (Sos.Dvar.compare a b) = sign (Stdlib.compare a b))
+
+(* The map arithmetic posing replaced, kept as the oracle it must match
+   bit for bit: monomials ordered by degree, then polymorphic compare;
+   variables by polymorphic compare; a term added with [find_opt] then
+   [add] or [remove]; subtraction through a negated copy; a product
+   term scaled before it is added. *)
+module Old = struct
+  module M = Poly.Monomial
+
+  module MonoMap = Map.Make (struct
+    type t = M.t
+
+    let compare a b =
+      let c = Int.compare (M.degree a) (M.degree b) in
+      if c <> 0 then c else Stdlib.compare a b
+  end)
+
+  module VMap = Map.Make (struct
+    type t = Sos.Dvar.t
+
+    let compare = Stdlib.compare
+  end)
+
+  type lexpr = { const : float; vars : float VMap.t }
+
+  let l_zero = { const = 0.0; vars = VMap.empty }
+
+  let l_add_term v c m =
+    let c' = c +. (match VMap.find_opt v m with Some x -> x | None -> 0.0) in
+    if c' = 0.0 then VMap.remove v m else VMap.add v c' m
+
+  let l_of_terms c terms =
+    { const = c; vars = List.fold_left (fun m (v, c) -> l_add_term v c m) VMap.empty terms }
+
+  let l_add a b = { const = a.const +. b.const; vars = VMap.fold l_add_term b.vars a.vars }
+  let l_neg a = { const = -.a.const; vars = VMap.map (fun c -> -.c) a.vars }
+
+  let l_scale s a =
+    if s = 0.0 then l_zero else { const = s *. a.const; vars = VMap.map (fun c -> s *. c) a.vars }
+
+  let l_is_zero e = VMap.is_empty e.vars && e.const = 0.0
+
+  (* Ppoly *)
+  let p_add_term m e map =
+    let e' = match MonoMap.find_opt m map with Some x -> l_add x e | None -> e in
+    if l_is_zero e' then MonoMap.remove m map else MonoMap.add m e' map
+
+  let p_of_terms l = List.fold_left (fun acc (m, e) -> p_add_term m e acc) MonoMap.empty l
+  let p_add a b = MonoMap.fold p_add_term b a
+  let p_sub a b = p_add a (MonoMap.map l_neg b)
+  let p_scale s a = if s = 0.0 then MonoMap.empty else MonoMap.map (l_scale s) a
+
+  let p_mul_poly q a =
+    MonoMap.fold
+      (fun mq cq acc ->
+        MonoMap.fold (fun ma ea acc -> p_add_term (M.mul mq ma) (l_scale cq ea) acc) a acc)
+      q MonoMap.empty
+
+  let p_partial i a =
+    MonoMap.fold
+      (fun m e acc ->
+        let ei = m.(i) in
+        if ei = 0 then acc
+        else begin
+          let m' = Array.copy m in
+          m'.(i) <- ei - 1;
+          p_add_term m' (l_scale (float_of_int ei) e) acc
+        end)
+      a MonoMap.empty
+
+  let p_fix_var i c a =
+    MonoMap.fold
+      (fun m e acc ->
+        let ei = m.(i) in
+        if ei = 0 then p_add_term m e acc
+        else begin
+          let m' = Array.copy m in
+          m'.(i) <- 0;
+          p_add_term m' (l_scale (Float.pow c (float_of_int ei)) e) acc
+        end)
+      a MonoMap.empty
+
+  (* Poly *)
+  let add_term m c map =
+    let c' = c +. (match MonoMap.find_opt m map with Some v -> v | None -> 0.0) in
+    if c' = 0.0 then MonoMap.remove m map else MonoMap.add m c' map
+
+  let of_terms l = List.fold_left (fun acc (m, c) -> add_term m c acc) MonoMap.empty l
+  let add a b = MonoMap.fold add_term b a
+  let sub a b = add a (MonoMap.map (fun c -> -.c) b)
+
+  let mul a b =
+    MonoMap.fold
+      (fun ma ca acc ->
+        MonoMap.fold (fun mb cb acc -> add_term (M.mul ma mb) (ca *. cb) acc) b acc)
+      a MonoMap.empty
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let pairwise f a b = List.compare_lengths a b = 0 && List.for_all2 f a b
+
+let same_poly p o =
+  pairwise
+    (fun (m, c) (m', c') -> Poly.Monomial.equal m m' && same_bits c c')
+    (Poly.terms p) (Old.MonoMap.bindings o)
+
+let same_lexpr e (o : Old.lexpr) =
+  same_bits (Lexpr.constant e) o.Old.const
+  && pairwise
+       (fun (v, c) (v', c') -> Sos.Dvar.equal v v' && same_bits c c')
+       (Lexpr.terms e) (Old.VMap.bindings o.Old.vars)
+
+let same_ppoly p o =
+  pairwise
+    (fun (m, e) (m', e') -> Poly.Monomial.equal m m' && same_lexpr e e')
+    (Ppoly.terms p) (Old.MonoMap.bindings o)
+
+(* Few monomials (two variables, exponents <= 2), few variables and
+   coefficients that cancel: signed zeros, +-x pairs, and subnormals
+   that a product flushes to zero. *)
+let coeff_gen =
+  QCheck.Gen.oneofl [ 1.0; -1.0; 0.5; -0.5; 0.1; -0.1; 3.0; 0.0; -0.0; 1e-310; -1e-310 ]
+
+let mono_gen = QCheck.Gen.(map2 (fun i j -> Poly.Monomial.of_exponents [ i; j ]) (int_bound 2) (int_bound 2))
+
+let lexpr_gen =
+  QCheck.Gen.(pair coeff_gen (list_size (int_bound 4) (pair dvar_gen coeff_gen)))
+
+(* A partner for the terms [t]: each kept whole, negated, or dropped,
+   then fresh terms, so adding or subtracting the two cancels terms
+   exactly. *)
+let partner_gen neg fresh t =
+  let open QCheck.Gen in
+  let* kept =
+    flatten_l
+      (List.map
+         (fun (m, x) ->
+           oneofl [ Some (m, x); Some (m, neg x); None ])
+         t)
+  in
+  let* extra = fresh in
+  return (List.filter_map Fun.id kept @ extra)
+
+let neg_lexpr (c, vs) = (-.c, List.map (fun (v, c) -> (v, -.c)) vs)
+
+let ppoly_terms_gen = QCheck.Gen.(list_size (int_bound 6) (pair mono_gen lexpr_gen))
+let poly_terms_gen = QCheck.Gen.(list_size (int_bound 6) (pair mono_gen coeff_gen))
+
+type case = {
+  pt : (Poly.Monomial.t * (float * (Sos.Dvar.t * float) list)) list;
+  pt' : (Poly.Monomial.t * (float * (Sos.Dvar.t * float) list)) list;
+  qt : (Poly.Monomial.t * float) list;
+  qt' : (Poly.Monomial.t * float) list;
+  s : float;
+}
+
+let case_gen =
+  let open QCheck.Gen in
+  let* pt = ppoly_terms_gen in
+  let* pt' = partner_gen neg_lexpr ppoly_terms_gen pt in
+  let* qt = poly_terms_gen in
+  let* qt' = partner_gen (fun c -> -.c) poly_terms_gen qt in
+  let* s = coeff_gen in
+  return { pt; pt'; qt; qt'; s }
+
+let print_case c =
+  let mono = Poly.Monomial.to_string in
+  let lexpr (k, vs) =
+    String.concat " + "
+      (Printf.sprintf "%h" k :: List.map (fun (v, c) -> Printf.sprintf "%h*%s" c (print_dvar v)) vs)
+  in
+  let pterms t = String.concat "; " (List.map (fun (m, e) -> Printf.sprintf "%s: %s" (mono m) (lexpr e)) t) in
+  let qterms t = String.concat "; " (List.map (fun (m, c) -> Printf.sprintf "%h*%s" c (mono m)) t) in
+  Printf.sprintf "p = [%s]\np' = [%s]\nq = [%s]\nq' = [%s]\ns = %h" (pterms c.pt) (pterms c.pt')
+    (qterms c.qt) (qterms c.qt') c.s
+
+let prop_map_arithmetic_oracle =
+  QCheck.Test.make ~name:"Ppoly and Poly arithmetic match the find/add/remove oracle bit for bit"
+    ~count:1000 (QCheck.make ~print:print_case case_gen) (fun c ->
+      let lexprs t = List.map (fun (m, (k, vs)) -> (m, Lexpr.of_terms k vs)) t in
+      let old_lexprs t = List.map (fun (m, (k, vs)) -> (m, Old.l_of_terms k vs)) t in
+      let p = Ppoly.of_terms 2 (lexprs c.pt) and p' = Ppoly.of_terms 2 (lexprs c.pt') in
+      let op = Old.p_of_terms (old_lexprs c.pt) and op' = Old.p_of_terms (old_lexprs c.pt') in
+      let q = Poly.of_terms 2 c.qt and q' = Poly.of_terms 2 c.qt' in
+      let oq = Old.of_terms c.qt and oq' = Old.of_terms c.qt' in
+      same_ppoly p op && same_ppoly p' op'
+      && same_ppoly (Ppoly.add p p') (Old.p_add op op')
+      && same_ppoly (Ppoly.sub p p') (Old.p_sub op op')
+      && same_ppoly (Ppoly.mul_poly q p) (Old.p_mul_poly oq op)
+      && same_ppoly (Ppoly.mul_poly q' p') (Old.p_mul_poly oq' op')
+      && same_ppoly (Ppoly.scale c.s p) (Old.p_scale c.s op)
+      && same_ppoly (Ppoly.partial 0 p) (Old.p_partial 0 op)
+      && same_ppoly (Ppoly.fix_var 1 c.s p') (Old.p_fix_var 1 c.s op')
+      && same_poly q oq
+      && same_poly (Poly.add q q') (Old.add oq oq')
+      && same_poly (Poly.sub q q') (Old.sub oq oq')
+      && same_poly (Poly.mul q q') (Old.mul oq oq'))
+
+(* Correct results, not only unchanged bytes: a polynomial built as a
+   sum of 1-3 squares of random polynomials of degree <= 2 in 2-3
+   variables is certified SOS by posing it and solving. Fixed seed. *)
+let square_sum_gen =
+  let open QCheck.Gen in
+  let* n = int_range 2 3 in
+  let term =
+    pair
+      (array_repeat n (int_bound 2)
+      |> map (fun e -> Poly.Monomial.of_exponents (Array.to_list e)))
+      (oneofl [ -2.0; -1.5; -1.0; -0.5; 0.5; 1.0; 1.5; 2.0 ])
+  in
+  let factor =
+    list_size (int_range 1 4) term
+    |> map (fun ts ->
+           List.filter (fun (m, _) -> Poly.Monomial.degree m <= 2) ts |> Poly.of_terms n)
+  in
+  let* qs = list_size (int_range 1 3) factor in
+  let qs = List.filter (fun q -> not (Poly.is_zero q)) qs in
+  return (n, if qs = [] then [ Poly.one n ] else qs)
+
+let prop_random_sos_certified =
+  QCheck.Test.make ~name:"a random sum of squares is certified SOS" ~count:30
+    (QCheck.make
+       ~print:(fun (_, qs) -> String.concat " ; " (List.map Poly.to_string qs))
+       square_sum_gen)
+    (fun (n, qs) ->
+      let p = Poly.sum n (List.map (fun q -> Poly.mul q q) qs) in
+      let prob = Sos.create ~nvars:n in
+      Sos.add_sos prob (Ppoly.of_poly p);
+      (Sos.solve prob).Sos.certified)
+
 let suite =
   [
     Alcotest.test_case "lexpr ops" `Quick test_lexpr_ops;
@@ -267,4 +523,7 @@ let suite =
     Alcotest.test_case "sos witness" `Quick test_sos_witness;
     Alcotest.test_case "session: fig2-family warm/cold verdicts" `Quick
       test_session_fig2_family;
+    QCheck_alcotest.to_alcotest prop_dvar_compare_order;
+    QCheck_alcotest.to_alcotest prop_map_arithmetic_oracle;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20151 |]) prop_random_sos_certified;
   ]

@@ -30,10 +30,11 @@
 #     a git work tree with pending changes under lib/sdp/, lib/linalg/,
 #     lib/poly/ (the polynomial kernel every certificate, sampler and
 #     SOS program evaluates through), lib/sos/ (posing, which a cached
-#     replay spends most of its solver-side time in) or lib/certificates/
+#     replay spends most of its solver-side time in), lib/certificates/
 #     (the Lyapunov, level and Lemma-1 programs, the verdict's largest
-#     layer), EXPERIMENTS.md must change too, and its added lines must
-#     record a `benchsuite/run.sh ab OLD NEW` pair;
+#     layer) or lib/advect/ (the advection sampler, a replay's other
+#     large layer), EXPERIMENTS.md must change too, and its added lines
+#     must record a `benchsuite/run.sh ab OLD NEW` pair;
 #  8. run-directory state and fault plans keep one substrate — outside
 #     lib/substrate, no lib/ or bin/ source opens a file for appending
 #     (`O_APPEND`/`Open_append`: a second ledger) or mentions the `'@'`
@@ -292,14 +293,14 @@ if command -v git >/dev/null 2>&1; then
     [ -z "$benches" ] || \
       fail "tracked BENCH_*.json (measure with benchsuite/run.sh instead): $(echo $benches)"
     # Solver-core changes need benchmark evidence (check 7): pending
-    # edits under lib/sdp, lib/linalg, lib/poly, lib/sos or
-    # lib/certificates come with an EXPERIMENTS.md change whose added
+    # edits under lib/sdp, lib/linalg, lib/poly, lib/sos, lib/certificates
+    # or lib/advect come with an EXPERIMENTS.md change whose added
     # lines record a `benchsuite/run.sh ab` pair.
     pending="$(git -C "$root" diff --name-only HEAD -- 2>/dev/null || true)"
-    if printf '%s\n' "$pending" | grep -qE '^lib/(sdp|linalg|poly|sos|certificates)/'; then
+    if printf '%s\n' "$pending" | grep -qE '^lib/(sdp|linalg|poly|sos|certificates|advect)/'; then
       git -C "$root" diff HEAD -- EXPERIMENTS.md 2>/dev/null | grep '^+[^+]' \
         | grep -qE 'benchsuite/run\.sh ab [^ ]+ [^ ]+' || \
-        fail "lib/sdp, lib/linalg, lib/poly, lib/sos or lib/certificates changed without an EXPERIMENTS.md record of a 'benchsuite/run.sh ab OLD NEW' pair"
+        fail "lib/sdp, lib/linalg, lib/poly, lib/sos, lib/certificates or lib/advect changed without an EXPERIMENTS.md record of a 'benchsuite/run.sh ab OLD NEW' pair"
     fi
   fi
 fi

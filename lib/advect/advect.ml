@@ -106,31 +106,111 @@ let caps_of ai vmax =
   Array.map (fun v -> Poly.sub (Poly.const (Poly.nvars v) vmax) v)
     ai.Certificates.cert.Certificates.vs
 
-(* Rejection sampling of {q_cur <= 0} ∩ {cap >= 0} ∩ D_m over the
-   region box. The polynomials are staged once and every draw fills one
-   buffer, copied only when accepted: the draws, their order and the
-   accepted points are those of evaluating each test afresh. *)
+(* Half-widths of the verification region: |w_i| <= w_max, |θ| <= theta_max. *)
+let region_bound (s : Pll.scaled) =
+  Array.init s.Pll.nvars (fun i ->
+      if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max)
+
+(* Above this (Frobenius) condition number of q's quadratic form the
+   rounding bound below no longer covers the computed centre and
+   widths, and the box falls back to the whole region. *)
+let max_condition = 1e8
+
+(* Write q = xᵀAx + bᵀx + c₀ = (x−c)ᵀA(x−c) + q(c) with c = −½A⁻¹b.
+   Over the box, the evaluator's value of q is within (terms + 2)·u·S of
+   the exact one, where S sums each term's largest magnitude on the box,
+   and q(c) is computed to within cond(A)·n·u·(|c₀| + |bᵀc|): both are
+   below δ = 1e-6·(S + |bᵀc|) for cond(A) <= 1e8. So a point of the box
+   where the evaluator reads q <= 0 has exact q <= δ, and
+   {q <= δ} = {(x−c)ᵀA(x−c) <= δ − q(c)} spans c_i ± √((δ − q(c))·(A⁻¹)ᵢᵢ)
+   on axis i. The relative 1e-6 widening (plus 1e-6·‖c‖∞) covers the
+   rounding of A⁻¹ and c, about cond(A)·n·u ≈ 4e-8 relative. *)
+let sublevel_box ~bound q =
+  let n = Array.length bound in
+  let lo = Array.map Float.neg bound and hi = Array.copy bound in
+  (if Poly.nvars q = n && Poly.degree q = 2 then
+     let a = Mat.create n n and b = Array.make n 0.0 and c0 = ref 0.0 and size = ref 0.0 in
+     List.iter
+       (fun (mono, c) ->
+         let vars = ref [] and mag = ref (Float.abs c) in
+         Array.iteri
+           (fun i e ->
+             for _ = 1 to e do
+               vars := i :: !vars;
+               mag := !mag *. bound.(i)
+             done)
+           mono;
+         size := !size +. !mag;
+         match !vars with
+         | [] -> c0 := c
+         | [ i ] -> b.(i) <- c
+         | [ i; j ] when i = j -> Mat.set a i i c
+         | [ i; j ] ->
+             Mat.set a i j (0.5 *. c);
+             Mat.set a j i (0.5 *. c)
+         | _ -> assert false)
+       (Poly.terms q);
+     match Mat.cholesky a with
+     | None -> ()
+     | Some l ->
+         let inv = Mat.chol_inverse l in
+         if Mat.norm_fro a *. Mat.norm_fro inv <= max_condition then begin
+           let centre = Array.map (fun v -> -0.5 *. v) (Mat.mul_vec inv b) in
+           let btc = Linalg.Vec.dot b centre in
+           let r2 = Float.max 0.0 ((1e-6 *. (!size +. Float.abs btc)) -. (!c0 +. (0.5 *. btc))) in
+           let slack = 1e-6 *. Linalg.Vec.norm_inf centre in
+           for i = 0 to n - 1 do
+             let w = ((1.0 +. 1e-6) *. sqrt (r2 *. Mat.get inv i i)) +. slack in
+             lo.(i) <- Float.max lo.(i) (centre.(i) -. w);
+             hi.(i) <- Float.min hi.(i) (centre.(i) +. w)
+           done
+         end);
+  (lo, hi)
+
+(* Uniform draws in the box [lo, hi], each passed to [take] when
+   [accept] holds, until [count] are taken or the attempts run out. The
+   budget is [per_point·count] attempts scaled by the box's share of the
+   region [−bound, bound]: what a draw over the whole region needs for
+   the same expected number of taken points. Both functions see one
+   reused buffer. *)
+let draw_in_box rng ~bound (lo, hi) ~per_point count accept take =
+  let n = Array.length bound in
+  let share = ref 1.0 in
+  for i = 0 to n - 1 do
+    share := !share *. (Float.max 0.0 (hi.(i) -. lo.(i)) /. (2.0 *. bound.(i)))
+  done;
+  let budget = int_of_float (Float.ceil (float_of_int (per_point * count) *. !share)) in
+  let x = Array.make n 0.0 in
+  let found = ref 0 and attempts = ref 0 in
+  while !found < count && !attempts < budget do
+    incr attempts;
+    for i = 0 to n - 1 do
+      x.(i) <- lo.(i) +. Random.State.float rng (hi.(i) -. lo.(i))
+    done;
+    if accept x then begin
+      incr found;
+      take x
+    end
+  done
+
+(* Rejection sampling of {q_cur <= 0} ∩ D_m ∩ {cap >= 0}, drawn from the
+   part of the region box that can hold such a point: mode m's θ-slab
+   and the box around {q_cur <= 0}. The law is that of drawing over the
+   whole region with a 300-attempts-per-point budget, not the points. *)
 let sample_piece ?caps (s : Pll.scaled) q_cur m rng count =
-  let n = s.Pll.nvars in
-  let bound =
-    Array.init n (fun i -> if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max)
-  in
+  let bound = region_bound s and t = Pll.theta_index s in
+  let lo, hi = sublevel_box ~bound q_cur in
+  let th_lo, th_hi = Pll.mode_theta_range s m in
+  lo.(t) <- Float.max lo.(t) th_lo;
+  hi.(t) <- Float.min hi.(t) th_hi;
   let q_cur = Poly.evaluator q_cur
   and cap = Option.map (fun c -> Poly.evaluator c.(m)) caps
   and domain = List.map Poly.evaluator (Pll.mode_domain s m) in
   let cap_ok x = match cap with None -> true | Some c -> c x >= 0.0 in
-  let x = Array.make n 0.0 in
-  let pts = ref [] and found = ref 0 and attempts = ref 0 in
-  while !found < count && !attempts < count * 300 do
-    incr attempts;
-    for i = 0 to n - 1 do
-      x.(i) <- (Random.State.float rng 2.0 -. 1.0) *. bound.(i)
-    done;
-    if q_cur x <= 0.0 && cap_ok x && List.for_all (fun g -> g x >= 0.0) domain then begin
-      incr found;
-      pts := Array.copy x :: !pts
-    end
-  done;
+  let pts = ref [] in
+  draw_in_box rng ~bound (lo, hi) ~per_point:300 count
+    (fun x -> q_cur x <= 0.0 && List.for_all (fun g -> g x >= 0.0) domain && cap_ok x)
+    (fun x -> pts := Array.copy x :: !pts);
   !pts
 
 (* An ellipsoid (x-c)' P (x-c) <= 1 containing all points, built from the
@@ -188,7 +268,7 @@ let certify_transport ?caps cfg (s : Pll.scaled) pt q_cur front gamma =
       in
       let image_in_region =
         List.init n (fun i ->
-            let b = if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max in
+            let b = (region_bound s).(i) in
             Poly.sub (Poly.const n (b *. b)) (Poly.mul map_polys.(i) map_polys.(i)))
       in
       let cap = match caps with None -> [] | Some c -> [ c.(m) ] in
@@ -241,7 +321,7 @@ let try_gamma cfg (s : Pll.scaled) pt q_cur gamma =
            (Ppoly.of_poly (Poly.one n)));
       let box =
         List.init n (fun i ->
-            let b = if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max in
+            let b = (region_bound s).(i) in
             Poly.sub (Poly.const n (b *. b)) (Poly.mul (Poly.var n i) (Poly.var n i)))
       in
       (* ∇w · x *)
@@ -277,7 +357,7 @@ let try_gamma cfg (s : Pll.scaled) pt q_cur gamma =
        [validate_step_by_simulation] re-checks numerically. *)
     let image_in_region =
       List.init n (fun i ->
-          let b = if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max in
+          let b = (region_bound s).(i) in
           Poly.sub (Poly.const n (b *. b)) (Poly.mul map_polys.(i) map_polys.(i)))
     in
     (* transport: old set flows into the new front with margin gamma *)
@@ -310,7 +390,7 @@ let try_gamma cfg (s : Pll.scaled) pt q_cur gamma =
         let moment = ref 1.0 in
         Array.iteri
           (fun i ei ->
-            let b = if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max in
+            let b = (region_bound s).(i) in
             if ei mod 2 = 1 then moment := 0.0
             else
               (* normalized moment of x^ei over [-b, b] *)
@@ -415,20 +495,15 @@ let contained_in_invariant ?(mult_deg = 2) ?caps ?(probe_iters = 60) (s : Pll.sc
 let validate_step_by_simulation ?(samples = 200) ?(seed = 7) (s : Pll.scaled) pt ~h
     ~old_front front =
   let rng = Random.State.make [| seed |] in
-  let n = s.Pll.nvars in
   let sys = Pll.hybrid_system s pt in
+  let bound = region_bound s in
+  let box = sublevel_box ~bound old_front in
   let old_front = Poly.evaluator old_front and front = Poly.evaluator front in
-  let ok = ref true in
-  let found = ref 0 and attempts = ref 0 in
-  while !found < samples && !attempts < samples * 100 do
-    incr attempts;
-    let x =
-      Array.init n (fun i ->
-          let b = if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max in
-          (Random.State.float rng 2.0 -. 1.0) *. b)
-    in
-    if old_front x <= 0.0 then begin
-      incr found;
+  let ok = ref true and found = ref false in
+  draw_in_box rng ~bound box ~per_point:100 samples
+    (fun x -> old_front x <= 0.0)
+    (fun x ->
+      found := true;
       (* Integrate the true hybrid dynamics (including mode switches
          mid-step) from whichever mode's slab contains x. *)
       let th = x.(Pll.theta_index s) in
@@ -439,10 +514,8 @@ let validate_step_by_simulation ?(samples = 200) ?(seed = 7) (s : Pll.scaled) pt
       in
       let r = Hybrid.simulate ~dt:(h /. 50.0) sys ~mode0:m ~x0:x ~t_max:h in
       (* Allow a small numerical tolerance at the front boundary. *)
-      if front r.Hybrid.final.Hybrid.state > 1e-6 then ok := false
-    end
-  done;
-  !ok && !found > 0
+      if front r.Hybrid.final.Hybrid.state > 1e-6 then ok := false);
+  !ok && !found
 
 type run_result = {
   fronts : step list;

@@ -78,6 +78,35 @@ val ellipsoid_front : Pll.scaled -> radii:float array -> Poly.t
 (** [Σ (x_i / r_i)² − 1] — the solid outer initial set [X2] of the
     paper's figures. *)
 
+val sublevel_box : bound:float array -> Poly.t -> float array * float array
+(** [sublevel_box ~bound q] is a box [(lo, hi)] inside [[−bound, bound]]
+    holding every point of that box where [Poly.evaluator q] reads
+    [<= 0]. When [q] is a quadratic whose form [A] is positive definite
+    with Frobenius condition number at most 1e8, the box is the bounding
+    box of the ellipsoid [{q <= δ}], centre [−½A⁻¹b] and half-widths
+    [√((δ − q(c))·(A⁻¹)ᵢᵢ)], with [δ] and a relative 1e-6 widening
+    covering the rounding of the evaluator and of the box itself (see
+    the implementation). Otherwise it is the whole of [[−bound, bound]].
+    The arrays are fresh. *)
+
+val covering_quadric : int -> float array list -> float -> Poly.t
+(** [covering_quadric n points inflate] is the advection step's
+    candidate front [(x − c)ᵀP(x − c) − 1]: [c] the sample mean, [P] the
+    inverse of the (regularized) sample covariance scaled so the
+    farthest sample, in that metric, sits at level [1/inflate − 1]. *)
+
+val sample_piece :
+  ?caps:Poly.t array -> Pll.scaled -> Poly.t -> int -> Random.State.t -> int -> float array list
+(** [sample_piece ?caps s q m rng count] draws up to [count] points of
+    [{q <= 0} ∩ D_m ∩ {caps.(m) >= 0}], newest first, for the advection
+    step's covering-ellipsoid fit. Draws are uniform in the verification
+    region intersected with mode [m]'s θ-slab ({!Pll.mode_theta_range})
+    and with {!sublevel_box}; a draw is kept when it passes the exact
+    tests ([q], then [D_m], then the cap). The attempt budget is
+    [⌈count·300·vol(proposal)/vol(region)⌉], so the accepted points
+    follow the law of drawing over the whole region with [count·300]
+    attempts, though not the same points. *)
+
 val advect_step :
   ?config:config -> ?caps:Poly.t array -> Pll.scaled -> Pll.point -> Poly.t -> (step, string) result
 (** One bounded advection step of the front across all three PFD modes:
@@ -117,9 +146,11 @@ val contained_in_invariant :
 
 val validate_step_by_simulation :
   ?samples:int -> ?seed:int -> Pll.scaled -> Pll.point -> h:float -> old_front:Poly.t -> Poly.t -> bool
-(** Numerical soundness check of one step: sample states of the old
-    front (per mode), integrate the hybrid flow for time [h], and
-    verify the images satisfy [new front <= 0]. *)
+(** Numerical soundness check of one step: sample up to [samples]
+    states of the old front, drawn from its {!sublevel_box} with
+    {!sample_piece}'s volume-scaled budget (100 attempts per point over
+    the whole region), integrate the hybrid flow for time [h] from each,
+    and verify the images satisfy [new front <= 0]. *)
 
 (** Result of running Algorithm 1. *)
 type run_result = {

@@ -277,21 +277,21 @@ let voltage_box s =
   List.init (n - 1) (fun i ->
       Poly.sub (Poly.const n (s.w_max *. s.w_max)) (Poly.mul (Poly.var n i) (Poly.var n i)))
 
+let mode_theta_range s m =
+  match m with
+  | 0 -> (-.s.theta_on, s.theta_on)
+  | 1 -> (s.theta_on, s.theta_max)
+  | 2 -> (-.s.theta_max, -.s.theta_on)
+  | _ -> invalid_arg "Pll.mode_theta_range: bad mode"
+
 let mode_domain s m =
   let n = s.nvars in
   let th = Poly.var n (theta_index s) in
   let c x = Poly.const n x in
-  (* Each θ-slab is encoded as a single quadratic [(θ−a)(b−θ) >= 0]: one
+  (* The θ-slab is encoded as a single quadratic [(θ−a)(b−θ) >= 0]: one
      even-degree S-procedure multiplier covers both faces. *)
-  let slab a b = Poly.mul (Poly.sub th (c a)) (Poly.sub (c b) th) in
-  let theta_constraints =
-    match m with
-    | 0 -> [ slab (-.s.theta_on) s.theta_on ]
-    | 1 -> [ slab s.theta_on s.theta_max ]
-    | 2 -> [ slab (-.s.theta_max) (-.s.theta_on) ]
-    | _ -> invalid_arg "Pll.mode_domain: bad mode"
-  in
-  theta_constraints @ voltage_box s
+  let a, b = mode_theta_range s m in
+  Poly.mul (Poly.sub th (c a)) (Poly.sub (c b) th) :: voltage_box s
 
 let containment_constraints s m =
   let n = s.nvars in

@@ -149,6 +149,12 @@ val flow : scaled -> point -> int -> Poly.t array
 (** [flow s p m] is the polynomial vector field of mode [m] at
     coefficient point [p]. *)
 
+val mode_theta_range : scaled -> int -> float * float
+(** [(lo, hi)]: mode [m]'s θ-slab [lo <= θ <= hi] — [[−theta_on,
+    theta_on]] for {!off}, [[theta_on, theta_max]] for {!up},
+    [[−theta_max, −theta_on]] for {!down}. {!mode_domain} encodes it as
+    one quadratic, and the advection sampler draws inside it. *)
+
 val mode_domain : scaled -> int -> Poly.t list
 (** Flow-set inequalities [g(x) >= 0] of a mode, including the
     verification box bounds [|w_i| <= w_max]. *)

@@ -97,6 +97,11 @@
 #     lib/sos source mentions `Stdlib.compare`: monomials and decision
 #     variables are compared by `Monomial.compare` and `Dvar.compare`,
 #     whose orders are part of the cache-key contract (DESIGN.md §3).
+# 20. seeded randomness only — no lib/ or bin/ .ml file calls the global
+#     generator (`Random.int`, `Random.float`, `Random.self_init`, ...):
+#     every draw goes through an explicitly seeded `Random.State`, so the
+#     samplers and the level witness search give the same answers at any
+#     `-j`, and a killed and resumed atlas writes the same `atlas.json`.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -282,6 +287,12 @@ grep -A3 'Unix\.fork' "$repo"/lib/supervise/*.ml 2>/dev/null | grep -q 'die_with
 strays="$(grep -nF 'Stdlib.compare' "$repo"/lib/poly/* "$repo"/lib/sos/* 2>/dev/null || true)"
 [ -z "$strays" ] || \
   fail "polymorphic compare in lib/poly or lib/sos (use Monomial.compare / Dvar.compare):$(echo " $strays" | sed "s|$repo/||g")"
+
+# Seeded randomness only (check 20).
+strays="$(grep -nE 'Random\.' "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null \
+  | sed -E 's/Random\.State\b//g' | grep -E 'Random\.' || true)"
+[ -z "$strays" ] || \
+  fail "the global Random generator in lib/ or bin/ (draw from a seeded Random.State):$(echo " $strays" | sed "s|$repo/||g")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

@@ -429,15 +429,114 @@ let level_programs (s : Pll.scaled) =
 
 let level_margin = 1e-3
 
-(* Cheap numeric prefilter: a sampled counterexample refutes the level
-   without touching the SDP. A sample refutes [beta] for program [(m, g)]
-   when it lies in the θ-slab, within [level_margin] of the face [g], and
-   has [V_m <= beta]; only that last test depends on [beta], so the 4000
+(* [lowest] keeps the smallest value, ties going to the smaller program
+   index. *)
+let keep_lowest lowest v p =
+  match !lowest with
+  | Some (w, q) when not (v < w || (v = w && p < q)) -> ()
+  | _ -> lowest := Some (v, p)
+
+(* Witness search: a point of D_m in the band [0 <= g < level_margin]
+   refutes program [(m, g)] at every level at or above its [V_m], with
+   no solve. Each face ([w_max² − w_i²], [theta_max ∓ θ]) is monotone
+   along every ray from the origin, so a ray meets its band at most once,
+   and bisecting [t] on [g(t·d) >= level_margin] lands on the band's
+   inner edge, its point nearest the origin on that ray, where a [V_m]
+   growing outward is lowest. Per program, the best of
+   [witness_rays] fixed-seed directions starts a compass search over the
+   direction (each coordinate ± a step, the step halved when no move
+   improves, [witness_probes] rays at most). All evaluators are staged
+   once and every ray reuses the same buffers. *)
+let witness_rays = 100
+let witness_halvings = 30
+let witness_probes = 300
+
+let level_witnesses (s : Pll.scaled) cert =
+  let n = s.Pll.nvars in
+  let bound =
+    Array.init n (fun i -> if i = Pll.theta_index s then s.Pll.theta_max else s.Pll.w_max)
+  in
+  let rng = Random.State.make [| 37 |] in
+  let rays =
+    Array.init (witness_rays * n) (fun k -> (Random.State.float rng 2.0 -. 1.0) *. bound.(k mod n))
+  in
+  let vs = Array.map Poly.evaluator cert.vs
+  and domains =
+    Array.init Pll.n_modes (fun m -> Array.of_list (List.map Poly.evaluator (Pll.mode_domain s m)))
+  in
+  let x = Array.make n 0.0 and dir = Array.make n 0.0 and trial = Array.make n 0.0 in
+  let place d t =
+    for i = 0 to n - 1 do
+      x.(i) <- t *. d.(i)
+    done
+  in
+  let search p (m, g) =
+    let v = vs.(m) and domain = domains.(m) and g = Poly.evaluator g in
+    let rec inside k = k = Array.length domain || (domain.(k) x >= 0.0 && inside (k + 1)) in
+    (* [V_m] at the band's inner edge on the ray along [d], left in [x];
+       nan when that point is no witness. *)
+    let probe d =
+      let reach = ref 0.0 in
+      for i = 0 to n - 1 do
+        reach := Float.max !reach (Float.abs d.(i) /. bound.(i))
+      done;
+      let lo = ref 0.0 and hi = ref (1.0 /. !reach) in
+      place d !hi;
+      if not (!reach > 0.0 && g x < level_margin) then Float.nan
+      else begin
+        for _ = 1 to witness_halvings do
+          let mid = 0.5 *. (!lo +. !hi) in
+          place d mid;
+          if g x >= level_margin then lo := mid else hi := mid
+        done;
+        place d !hi;
+        if g x >= 0.0 && inside 0 then v x else Float.nan
+      end
+    in
+    let best = ref Float.infinity and point = Array.make n 0.0 in
+    let improves d =
+      let w = probe d in
+      w < !best
+      && begin
+           best := w;
+           Array.blit x 0 point 0 n;
+           Array.blit d 0 dir 0 n;
+           true
+         end
+    in
+    for r = 0 to witness_rays - 1 do
+      Array.blit rays (r * n) trial 0 n;
+      ignore (improves trial)
+    done;
+    if !best = Float.infinity then None
+    else begin
+      let step = ref 0.1 and probes = ref 0 in
+      while !probes < witness_probes do
+        let moved = ref false in
+        for i = 0 to (2 * n) - 1 do
+          Array.blit dir 0 trial 0 n;
+          let c = i / 2 in
+          trial.(c) <- dir.(c) +. (if i land 1 = 0 then !step else -. !step) *. bound.(c);
+          incr probes;
+          if improves trial then moved := true
+        done;
+        if not !moved then step := 0.5 *. !step
+      done;
+      Some (p, !best, point)
+    end
+  in
+  List.filter_map Fun.id (Array.to_list (Array.mapi search (level_programs s)))
+
+(* Cheap numeric prefilter: a counterexample refutes the level without
+   touching the SDP. A sample refutes [beta] for program [(m, g)] when
+   it lies in the θ-slab, within [level_margin] of the face [g], and has
+   [V_m <= beta]; only that last test depends on [beta], so the 4000
    samples are drawn and evaluated once, and the pass keeps the smallest
    such [V_m] with the first program (by index) it refutes at that
-   value; [None] when no sample counts. [V_m], the slabs and the faces
-   are staged once (Poly.evaluator), and every sample is drawn into one
-   buffer. *)
+   value. The witnesses of {!level_witnesses} then compete under the
+   same rule; [None] when neither pass finds a point. [V_m], the slabs
+   and the faces are staged once (Poly.evaluator), and every sample is
+   drawn into one buffer. *)
 let level_samples (s : Pll.scaled) cert =
   let n = s.Pll.nvars in
   let rng = Random.State.make [| 31 |] in
@@ -461,19 +560,14 @@ let level_samples (s : Pll.scaled) cert =
       if List.for_all (fun g -> g x >= 0.0) slabs.(m) then begin
         let v = vs.(m) x in
         if not (Float.is_nan v) then
-          List.iter
-            (fun (p, g) ->
-              if g x < level_margin then
-                match !lowest with
-                | Some (w, q) when not (v < w || (v = w && p < q)) -> ()
-                | _ -> lowest := Some (v, p))
-            faces.(m)
+          List.iter (fun (p, g) -> if g x < level_margin then keep_lowest lowest v p) faces.(m)
       end
     done
   done;
+  List.iter (fun (p, w, _) -> keep_lowest lowest w p) (level_witnesses s cert);
   !lowest
 
-(* The prefilter's verdict on [beta]: no sample refutes it. *)
+(* The prefilter's verdict on [beta]: no sample or witness refutes it. *)
 let sampled_check lowest beta = match lowest with None -> true | Some (v, _) -> not (v <= beta)
 
 let level_prefilter s cert = sampled_check (level_samples s cert)
@@ -511,10 +605,11 @@ let check_level ?(mult_deg = 2) (s : Pll.scaled) cert beta =
    then activates it and the bisection is replayed from the start, the
    memo making every step already solved free. The active set only
    grows, so this ends, on the path and β of the plain bisection.
-   The active set starts with the program whose face the prefilter's
-   samples reach at the smallest [V_m] (ties by index): the lowest
-   sampled face is likely the binding one. It is picked with the
-   prefilter, in the first check the deadline lets through.
+   The active set starts with the program the prefilter's samples and
+   witnesses reach at the smallest [V_m] (ties by index): the lowest
+   face is likely the binding one. It is picked with the prefilter, in
+   the first check the deadline lets through. A midpoint at or above
+   the lowest witness fails the prefilter, so it never reaches a solve.
    Under a pipeline deadline, until some level has passed every program
    (the floor), a check runs them all, active ones first, so a deadline
    hit past the floor leaves a level certified by every program to
@@ -537,7 +632,7 @@ let maximize_level ?(bisect_steps = 20) ?(beta_hi = 2000.0) (s : Pll.scaled) cer
   in
   (* Active programs in the order they were activated, so a replayed
      step reaches the program that failed it before any activated
-     later; the lowest sampled one until then. *)
+     later; the prefilter's lowest one until then. *)
   let active = ref [] in
   let active_programs () =
     if !active = [] then

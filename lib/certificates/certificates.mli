@@ -113,12 +113,27 @@ val validate_exactly :
     re-solve failed structurally; individual failed conditions surface
     as non-[Proven] verdicts instead. *)
 
+val level_margin : float
+(** The strict margin of every Lemma-1 program: the slice must keep
+    [g >= level_margin] on each containment face [g]. *)
+
+val level_witnesses : Pll.scaled -> t -> (int * float * float array) list
+(** Counterexamples to Lemma 1, one per program where the search finds
+    one: [(p, v, x)] with [x] in program [p]'s mode domain [D_m], in its
+    face's band [0 <= g(x) < level_margin], and [v = V_m(x)] bit for
+    bit, so program [p] fails at every level [>= v]. The search bisects
+    100 fixed-seed rays from the origin onto each band and refines the
+    best by a compass search over the ray direction; it is
+    deterministic, and ascending in [p]. *)
+
 val check_level : ?mult_deg:int -> Pll.scaled -> t -> float -> bool
 (** One Lemma-1 feasibility check: is every slice
     [{V_q <= β} ∩ slab_q] strictly inside the certified region? A
-    sampled prefilter, then one SOS program per (mode, containment
-    constraint) in mode-major order, stopping at the first failure.
-    [mult_deg] (default 2) is the S-procedure multiplier degree. *)
+    numeric prefilter first — 4000 fixed-seed samples and the
+    {!level_witnesses}, any of which at [V <= β] refutes [β] — then one
+    SOS program per (mode, containment constraint) in mode-major order,
+    stopping at the first failure. [mult_deg] (default 2) is the
+    S-procedure multiplier degree. *)
 
 val maximize_level :
   ?bisect_steps:int -> ?beta_hi:float -> Pll.scaled -> t -> float * stats
@@ -126,14 +141,16 @@ val maximize_level :
     over [[0, beta_hi]] (the product [σ·β] is bilinear, so each step is
     a linear SOS feasibility problem). Each step solves the prefilter
     and only the {e active} Lemma-1 programs of {!check_level} — those
-    that have failed at some level, starting with the program whose
-    face the prefilter's samples reach at the lowest [V]. The final
-    level is then confirmed against all of them, and a program failing
-    there is activated and the bisection replayed (memoized, so only
-    new solves cost). Since
-    each program is monotone in [β], the result is the plain
-    bisection's over {!check_level}, bit for bit. The returned [β]
-    always passed every program. Under a pipeline deadline, steps run
+    that have failed at some level, starting with the program the
+    prefilter reaches at the lowest [V] (its lowest witness, as a
+    rule). A midpoint at or above a witness is refuted without a solve,
+    so the returned [β] lies strictly below every
+    {!level_witnesses} value. The final level is then confirmed against
+    all programs, and a program failing there is activated and the
+    bisection replayed (memoized, so only new solves cost). Since each
+    program is monotone in [β], the result is the plain bisection's over
+    {!check_level}, bit for bit. The returned [β] always passed every
+    program. Under a pipeline deadline, steps run
     every program until some level has passed them all (the floor),
     and a stopped walk returns the largest such level reached. Returns
     [0.] if even tiny levels fail. *)

@@ -125,12 +125,74 @@ let plain_bisection ~steps s cert =
 let with_policy cert pol =
   { cert with Certificates.cfg = { cert.Certificates.cfg with Certificates.resilience = pol } }
 
+(* The lowest witness value over every program: no level at or above it
+   can pass. *)
+let lowest_witness s cert =
+  List.fold_left (fun acc (_, v, _) -> Float.min acc v) Float.infinity
+    (Certificates.level_witnesses s cert)
+
+(* The prefilter's 4000-sample pass alone: the smallest [V_m] over
+   samples in the θ-slab within [level_margin] of a face. *)
+let sampled_lowest s (cert : Certificates.t) =
+  let n = s.Pll.nvars in
+  let rng = Random.State.make [| 31 |] in
+  let bound =
+    Array.init n (fun i -> if i = Pll.theta_index s then s.Pll.theta_max else 1.3 *. s.Pll.w_max)
+  in
+  let x = Array.make n 0.0 and lowest = ref Float.infinity in
+  for _ = 1 to 4000 do
+    for i = 0 to n - 1 do
+      x.(i) <- (Random.State.float rng 2.0 -. 1.0) *. bound.(i)
+    done;
+    for m = 0 to Pll.n_modes - 1 do
+      if Poly.eval (List.hd (Pll.mode_domain s m)) x >= 0.0 then begin
+        let v = Poly.eval cert.Certificates.vs.(m) x in
+        if List.exists (fun g -> Poly.eval g x < Certificates.level_margin)
+             (Pll.containment_constraints s m)
+        then lowest := Float.min !lowest v
+      end
+    done
+  done;
+  !lowest
+
+(* Every witness lies in its program's D_m and band, reports V_m at its
+   point bit for bit, comes out the same on a second call, and together
+   they reach no higher than the samples do. *)
+let witnesses_sound s (cert : Certificates.t) =
+  let programs =
+    Array.of_list
+      (List.concat
+         (List.init Pll.n_modes (fun m ->
+              List.map (fun g -> (m, g)) (Pll.containment_constraints s m))))
+  in
+  let print ws =
+    String.concat "\n"
+      (List.map
+         (fun (p, v, x) ->
+           Printf.sprintf "%d %h [%s]" p v
+             (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") x))))
+         ws)
+  in
+  let ws = Certificates.level_witnesses s cert in
+  let sound (p, v, x) =
+    let m, g = programs.(p) in
+    let gx = Poly.eval g x in
+    List.for_all (fun d -> Poly.eval d x >= 0.0) (Pll.mode_domain s m)
+    && 0.0 <= gx && gx < Certificates.level_margin
+    && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float (Poly.eval cert.Certificates.vs.(m) x))
+  in
+  ws <> []
+  && List.for_all sound ws
+  && String.equal (print ws) (print (Certificates.level_witnesses s cert))
+  && lowest_witness s cert <= sampled_lowest s cert
+
 (* Scaling V_0 by 2 shrinks mode 0's slices, so the programs that bind
    change: a program that never failed before fails at the lazily
    reached level, and only the final confirmation and replay recover the
-   plain bisection's answer. On the fourth order the prefilter's samples
-   rank program 2 first (its face's lowest sampled V is about 10, program
-   0's about 160), so the walk does not start from program 0. *)
+   plain bisection's answer. On the fourth order the prefilter ranks
+   program 2 first (its lowest witness is about 6.4, program 0's about
+   151), so the walk does not start from program 0. Each certificate's
+   witnesses must also be sound, the scaled one's included. *)
 let test_level_matches_plain_bisection () =
   let same_level ~steps s (cert : Certificates.t) c =
     let vs = Array.mapi (fun m v -> if m = 0 then Poly.scale c v else v) cert.Certificates.vs in
@@ -142,7 +204,9 @@ let test_level_matches_plain_bisection () =
       true (beta = plain);
     Alcotest.(check bool) "positive level" true (beta > 0.0);
     Alcotest.(check bool) "check_level passes at the returned level" true
-      (Certificates.check_level s (cert ()) beta)
+      (Certificates.check_level s (cert ()) beta);
+    Alcotest.(check bool) (Printf.sprintf "V_0 x %g: witnesses sound" c) true
+      (witnesses_sound s (cert ()))
   in
   let ai = Lazy.force ai3 in
   List.iter (same_level ~steps:12 (Lazy.force s3) ai.Certificates.cert) [ 1.0; 2.0 ];
@@ -170,33 +234,37 @@ let supervised_level ~bisect_steps s cert =
       let entries, _ = Supervise.Journal.read run_dir in
       (beta, List.length (List.filter (fun e -> is_level_label e.Supervise.Journal.label) entries)))
 
+(* The witness at V_0 = 198.776092 refutes every midpoint above it
+   without a solve: 17 level solves. *)
 let test_level_solve_count () =
   let s = Lazy.force s3 and ai = Lazy.force ai3 in
   let beta, levels = supervised_level ~bisect_steps:20 s ai.Certificates.cert in
   Alcotest.(check bool) "supervised level equals the shared invariant's" true
     (beta = ai.Certificates.beta);
   Alcotest.(check bool)
-    (Printf.sprintf "at most 24 level solves journaled (%d)" levels)
+    (Printf.sprintf "at most 17 level solves journaled (%d)" levels)
     true
-    (levels > 0 && levels <= 24)
+    (levels > 0 && levels <= 17)
 
 (* Without a deadline no floor is bought, and the walk starts from the
-   sample-ranked program, which binds: 13 level solves instead of 25. *)
+   lowest-witness program, which binds: 12 level solves instead of 25.
+   The witness at 6.3748 refutes the midpoint 7.8125 without a solve. *)
 let test_fourth_level_solve_count () =
   let beta, levels = supervised_level ~bisect_steps:10 (Lazy.force s4) (Lazy.force cert4) in
   Alcotest.(check string) "fourth-order level" "0x1.77p+2" (Printf.sprintf "%h" beta);
   Alcotest.(check bool)
-    (Printf.sprintf "at most 13 level solves journaled (%d)" levels)
+    (Printf.sprintf "at most 12 level solves journaled (%d)" levels)
     true
-    (levels > 0 && levels <= 13)
+    (levels > 0 && levels <= 12)
 
-(* The pipeline deadline fires once 20 solves have run: past the first
-   level every program passed, before the bisection ends. *)
+(* The pipeline deadline fires once 16 solves have run: past the first
+   level every program passed (the floor, after 8 solves), before the
+   bisection ends (24 solves under a deadline). *)
 let test_level_deadline_degrades () =
   let s = Lazy.force s3 and ai = Lazy.force ai3 in
   let pol = Resilient.make ~pipeline_deadline_s:10.0 () in
   Resilient.set_wall_clock_source
-    (Some (fun () -> if Resilient.solves pol >= 20 then 1e9 else 0.0));
+    (Some (fun () -> if Resilient.solves pol >= 16 then 1e9 else 0.0));
   let beta, hit =
     Fun.protect
       ~finally:(fun () -> Resilient.set_wall_clock_source None)
@@ -213,6 +281,42 @@ let test_level_deadline_degrades () =
     (beta < ai.Certificates.beta);
   Alcotest.(check bool) "check_level passes at the degraded level" true
     (Certificates.check_level s (with_policy ai.Certificates.cert (Resilient.default ())) beta)
+
+let beta4 = lazy (fst (Certificates.maximize_level ~bisect_steps:10 (Lazy.force s4) (Lazy.force cert4)))
+
+(* A witness is a point of D_m in the face's band, so every level at or
+   above its V_m is refuted: the walk's β must sit strictly below the
+   lowest one, and still pass every Lemma-1 program. The SDPs alone do
+   not ensure this: within their tolerances they accept the seed-0 third
+   order at 198.776245, above a point of D_m at V_0 = 198.776092. *)
+let test_level_below_witnesses () =
+  let check name s cert beta =
+    let w = lowest_witness s cert in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: level %.6f below the lowest witness %.6f" name beta w)
+      true (beta < w);
+    Alcotest.(check bool) (name ^ ": check_level passes at the level") true
+      (Certificates.check_level s cert beta)
+  in
+  let ai = Lazy.force ai3 in
+  check "third order" (Lazy.force s3) ai.Certificates.cert ai.Certificates.beta;
+  check "fourth order" (Lazy.force s4) (Lazy.force cert4) (Lazy.force beta4)
+
+let prop_witnesses_sound =
+  QCheck.Test.make ~name:"level witnesses are counterexamples" ~count:4
+    (QCheck.make
+       ~print:(fun (ip, kv) -> Printf.sprintf "Ip x %g, Kv x %g" ip kv)
+       QCheck.Gen.(pair (float_range 0.97 1.03) (float_range 0.97 1.03)))
+    (fun (ip, kv) ->
+      let raw =
+        Result.get_ok
+          (Result.bind (Pll.set_axis_relative Pll.table1_third Pll.Ip ~lo:ip ~hi:ip) (fun raw ->
+               Pll.set_axis_relative raw Pll.Kv ~lo:kv ~hi:kv))
+      in
+      let s = Pll.scale raw in
+      match Certificates.find_multi_lyapunov ~config:(Lazy.force cfg4) s with
+      | Ok cert -> witnesses_sound s cert
+      | Error e -> QCheck.Test.fail_reportf "Lyapunov search failed: %s" e)
 
 let test_member () =
   let s = Lazy.force s3 and ai = Lazy.force ai3 in
@@ -321,7 +425,7 @@ let test_pinned_answers () =
   let ai = Lazy.force ai3 in
   Alcotest.(check string) "third-order degree-4 certificate" "3673564a67e3d0cf2a4b7bc8c28aea71"
     (cert_digest ai.Certificates.cert);
-  Alcotest.(check string) "third-order level" "0x1.8d8d7p+7"
+  Alcotest.(check string) "third-order level" "0x1.8d8c76p+7"
     (Printf.sprintf "%h" ai.Certificates.beta);
   Alcotest.(check string) "fourth-order degree-4 certificate" "ad0ceb02d7be104d96e4efbdef472cb8"
     (cert_digest (Lazy.force cert4))
@@ -370,10 +474,10 @@ let test_pinned_replay_keys () =
       degree = 4;
       advect_iters = 4;
     }
-    (61, "533699a347ae8d08807115121fc2dcfd");
+    (54, "25c1cd6346a27f47238693c4338152e4");
   check "fourth order"
     { (Service.Job.default_spec Pll.Fourth) with Service.Job.degree = 4; bisect_steps = 10 }
-    (14, "edf380f4ba14685849446d54694a9423")
+    (13, "60ff030f4a8280b40ef0ea8a75a39bcd")
 
 (* Mode 0's first Lemma-1 program at [beta], as the bisection poses it. *)
 let level_problem s (cert : Certificates.t) beta =
@@ -415,6 +519,8 @@ let suite =
     Alcotest.test_case "level solve count" `Slow test_level_solve_count;
     Alcotest.test_case "fourth-order level solve count" `Slow test_fourth_level_solve_count;
     Alcotest.test_case "level deadline degrades" `Slow test_level_deadline_degrades;
+    Alcotest.test_case "level sits below every witness" `Slow test_level_below_witnesses;
+    QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 36 |]) prop_witnesses_sound;
     Alcotest.test_case "membership" `Slow test_member;
     Alcotest.test_case "simulation validation" `Slow test_validate_by_simulation;
     Alcotest.test_case "invariant boundary in box" `Slow test_invariant_boundary_inside_box;

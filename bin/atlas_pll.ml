@@ -140,7 +140,8 @@ let exact =
                replay; cells the exact kernel cannot re-prove are quarantined.")
 
 let bisect_steps =
-  Arg.(value & opt int 6 & info [ "bisect-steps" ] ~docv:"N"
+  Arg.(value & opt int (Atlas.default_job Pll.Third).Atlas.bisect_steps
+       & info [ "bisect-steps" ] ~docv:"N"
          ~doc:"Level-maximization bisection steps per cell.")
 
 let max_subdiv =

@@ -64,7 +64,7 @@
 #     artifacts, and benchsuite/run.sh measures performance;
 # 13. one daemon job kind — lib/service/jobqueue.ml declares no payload
 #     variant (no `type payload`, no constructor carrying a `Job.spec`
-#     or `Bulk.cell_spec`), lib/service/daemon.ml neither calls
+#     or `Job.cell_spec`), lib/service/daemon.ml neither calls
 #     `Job.run` nor names `Job.storable`, and at most one storability
 #     predicate (`let …storable`) is defined under lib/service: a point
 #     is a one-cell job, stored by `Bulk.storable`;
@@ -102,6 +102,10 @@
 #     every draw goes through an explicitly seeded `Random.State`, so the
 #     samplers and the level witness search give the same answers at any
 #     `-j`, and a killed and resumed atlas writes the same `atlas.json`.
+# 21. one codec per format — each format-magic literal `"pll-<name> vN`
+#     appears in exactly one lib/ or bin/ .ml file, so a second printer
+#     or parser of a line format (the retired `pll-job v1` point line
+#     next to `pll-cell v1`) cannot creep back.
 #
 # Wired into `dune runtest` from test/dune; also runnable standalone:
 #
@@ -237,10 +241,10 @@ fi
 # One daemon job kind (check 13).
 service="$repo/lib/service"
 if [ -d "$service" ]; then
-  strays="$(grep -nE 'type[[:space:]]+payload|[A-Z][A-Za-z_]*[[:space:]]+of[[:space:]]+(Job\.spec|Bulk\.cell_spec)' \
+  strays="$(grep -nE 'type[[:space:]]+payload|[A-Z][A-Za-z_]*[[:space:]]+of[[:space:]]+(Job\.spec|Job\.cell_spec)' \
     "$service/jobqueue.ml" 2>/dev/null || true)"
   [ -z "$strays" ] || \
-    fail "a second job kind in lib/service/jobqueue.ml (queue Bulk.cell_spec only):$(echo " $strays")"
+    fail "a second job kind in lib/service/jobqueue.ml (queue Job.cell_spec only):$(echo " $strays")"
   strays="$(grep -nE 'Job\.(run|storable)\b' "$service/daemon.ml" 2>/dev/null || true)"
   [ -z "$strays" ] || \
     fail "a point path in lib/service/daemon.ml (run and store every job as a cell):$(echo " $strays")"
@@ -293,6 +297,12 @@ strays="$(grep -nE 'Random\.' "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null \
   | sed -E 's/Random\.State\b//g' | grep -E 'Random\.' || true)"
 [ -z "$strays" ] || \
   fail "the global Random generator in lib/ or bin/ (draw from a seeded Random.State):$(echo " $strays" | sed "s|$repo/||g")"
+
+# One codec per format (check 21).
+dups="$(grep -oE '"pll-[a-z0-9-]+ v[0-9]+' "$repo"/lib/*/*.ml "$repo"/bin/*.ml 2>/dev/null \
+  | sort -u | sed -E 's/^[^:]*://' | sort | uniq -d || true)"
+[ -z "$dups" ] || \
+  fail "a format magic literal in more than one lib/ or bin/ file (one codec per format):$(echo " $dups")"
 
 if command -v git >/dev/null 2>&1; then
   root="$(git rev-parse --show-toplevel 2>/dev/null || true)"

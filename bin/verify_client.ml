@@ -54,7 +54,7 @@ let submit sock timeout order property degree robust point bisect_steps advect_i
         deadline_s = deadline;
       }
     in
-    let* () = Service.Bulk.validate (Service.Bulk.of_spec spec) in
+    let* () = Service.Bulk.validate (Service.Job.of_spec spec) in
     let* () = if retries >= 0 then Ok () else Error "--retries must be >= 0" in
     let* () =
       if retry_base > 0.0 then Ok () else Error "--retry-base must be positive"
@@ -107,11 +107,13 @@ let point_arg =
                Empty = nominal.")
 
 let bisect_steps_arg =
-  Arg.(value & opt int 6 & info [ "bisect-steps" ] ~docv:"N"
+  Arg.(value & opt int (Service.Job.default_spec Pll.Third).Service.Job.bisect_steps
+       & info [ "bisect-steps" ] ~docv:"N"
          ~doc:"Invariant-level maximization bisection steps (p1 property).")
 
 let advect_iters_arg =
-  Arg.(value & opt int 25 & info [ "advect-iters" ] ~docv:"N"
+  Arg.(value & opt int (Service.Job.default_spec Pll.Third).Service.Job.advect_iters
+       & info [ "advect-iters" ] ~docv:"N"
          ~doc:"Maximum bounded-advection iterations (full property).")
 
 let deadline_arg =

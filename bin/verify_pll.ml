@@ -55,20 +55,20 @@ let run order degree robust advect_iters sim_validate psd_tol eq_tol point deadl
         deadline_s = deadline;
       }
     in
-    let* () = Service.Bulk.validate (Service.Bulk.of_spec spec) in
+    let* () = Service.Bulk.validate (Service.Job.of_spec spec) in
     Ok (spec, faults)
   with
   | Error e ->
       Format.eprintf "verify_pll: %s@." e;
       cli_error
   | Ok (spec, faults) -> (
-      (* The job's canonical line covers every problem-determining
-         field, including the parameter point: the run dir's config
+      (* The point's cell line covers every problem-determining field,
+         including the parameter point: the run dir's config
          fingerprint. *)
       match
         Supervise.open_run ?run_dir ?resume ?jobs ?solve_timeout_s:solve_timeout
           ?mem_limit_mb:mem_limit ~ledger:Supervise.journal
-          ~fingerprint:("pll-verify v2 " ^ Service.Job.to_line spec)
+          ~fingerprint:("pll-verify v3 " ^ Service.Job.to_line spec)
           ()
       with
       | Error diag ->
@@ -110,8 +110,7 @@ let run order degree robust advect_iters sim_validate psd_tol eq_tol point deadl
           let scaled =
             Result.to_option
               (Result.map Pll.scale
-                 (Service.Job.raw_of_box order
-                    (List.map (fun (a, v) -> (a, v, v)) spec.Service.Job.point)))
+                 (Service.Job.raw_of_box order (Service.Job.of_spec spec).Service.Job.box))
           in
           (match scaled with
           | Some s -> Format.printf "%a@.@." Pll.pp_scaled s
@@ -171,7 +170,8 @@ let robust =
                coefficient box instead of the nominal point only.")
 
 let advect_iters =
-  Arg.(value & opt int 25 & info [ "advect-iters" ] ~docv:"N"
+  Arg.(value & opt int (Service.Job.default_spec Pll.Third).Service.Job.advect_iters
+       & info [ "advect-iters" ] ~docv:"N"
          ~doc:"Maximum bounded-advection iterations for property P2.")
 
 let sim_validate =

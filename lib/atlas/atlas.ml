@@ -1,12 +1,12 @@
 (* Fault-tolerant certification atlas over the Table-1 parameter space.
 
-   Layering: each cell is certified by Service.Bulk.run (the pipeline
-   point jobs use too) under a fresh Resilient policy wired to the shared
-   Supervise context, so per-solve isolation / caching / journaling come
-   from the existing stack. This module owns only sweep-level state: the
-   cell tree (grid cells and their subdivision descendants), the
-   write-ahead ledger that makes the tree restartable, quarantine, and
-   the deterministic atlas report.
+   Layering: each cell is certified by Service.Bulk.run (through
+   Service.Job.certify, the entry point jobs use too) under a fresh
+   Resilient policy wired to the shared Supervise context, so per-solve
+   isolation / caching / journaling come from the existing stack. This
+   module owns only sweep-level state: the cell tree (grid cells and
+   their subdivision descendants), the write-ahead ledger that makes the
+   tree restartable, quarantine, and the deterministic atlas report.
 
    Determinism contract (the smoke tests compare atlas.json bytes across
    -j 1 / -j N / killed-and-resumed runs): everything that reaches
@@ -163,7 +163,7 @@ let default_job order =
     robust = false;
     full = false;
     exact = false;
-    bisect_steps = 6;
+    bisect_steps = (Service.Job.default_spec order).Service.Job.bisect_steps;
     max_subdiv = 2;
     cell_budget_s = None;
   }
@@ -455,15 +455,15 @@ let ledger = { Supervise.name = "atlas"; entries = (fun dir -> List.length (fst 
 (* A cell as the service layer certifies it, locally or on a daemon.
    Conclusions are shared by box content (the spec fingerprint), not by
    grid position. *)
-let cell_to_spec (job : job) (c : cell) =
+let cell_to_spec (job : job) (c : cell) : Service.Job.cell_spec =
   {
-    Service.Bulk.order = job.order;
+    order = job.order;
     degree = job.degree;
     robust = job.robust;
-    full = job.full;
+    property = (if job.full then Service.Job.Full else Service.Job.P1);
     exact = job.exact;
     bisect_steps = job.bisect_steps;
-    advect_iters = Service.Bulk.default_advect_iters;
+    advect_iters = Service.Job.default_advect_iters;
     psd_tol = None;
     eq_tol = None;
     budget_s = job.cell_budget_s;
@@ -512,7 +512,7 @@ let exec_via_daemon ~sock ?retries (job : job) : exec =
   in
   Service.Client.bulk ~sock ?retries ~timeout_s (List.map snd specs)
     ~answer:(fun fp r ->
-      List.iter (fun (c, s) -> if Service.Bulk.fingerprint s = fp then settle c r) specs)
+      List.iter (fun (c, s) -> if Service.Job.fingerprint s = fp then settle c r) specs)
 
 (* ----------------------------------------------------------------- *)
 (* Orchestration *)

@@ -6,9 +6,10 @@
     Each {e cell} of the grid is a box of circuit parameters in relative
     units (multiples of the Table-1 nominals, see
     {!Pll.set_axis_relative}). A cell is certified by
-    {!Service.Bulk.run} — the attractive-invariant search (property P1)
-    or the full inevitability pipeline, the same code that serves point
-    jobs — on the model it induces, under a fresh {!Resilient} policy
+    {!Service.Bulk.run} — through {!Service.Job.certify}, the entry
+    that serves point jobs too: the attractive-invariant search
+    (property P1) or the full inevitability pipeline — on the model it
+    induces, under a fresh {!Resilient} policy
     wired to a shared {!Supervise} context, so every
     interior-point solve is isolated, cached and journaled. When a cell
     cannot be certified the orchestrator {e subdivides} it (bisecting

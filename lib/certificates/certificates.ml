@@ -528,49 +528,19 @@ let level_witnesses (s : Pll.scaled) cert =
   List.filter_map Fun.id (Array.to_list (Array.mapi search (level_programs s)))
 
 (* Cheap numeric prefilter: a counterexample refutes the level without
-   touching the SDP. A sample refutes [beta] for program [(m, g)] when
-   it lies in the θ-slab, within [level_margin] of the face [g], and has
-   [V_m <= beta]; only that last test depends on [beta], so the 4000
-   samples are drawn and evaluated once, and the pass keeps the smallest
-   such [V_m] with the first program (by index) it refutes at that
-   value. The witnesses of {!level_witnesses} then compete under the
-   same rule; [None] when neither pass finds a point. [V_m], the slabs
-   and the faces are staged once (Poly.evaluator), and every sample is
-   drawn into one buffer. *)
-let level_samples (s : Pll.scaled) cert =
-  let n = s.Pll.nvars in
-  let rng = Random.State.make [| 31 |] in
-  let bound =
-    Array.init n (fun i ->
-        if i = Pll.theta_index s then s.Pll.theta_max else 1.3 *. s.Pll.w_max)
-  in
-  let slab m = match Pll.mode_domain s m with theta_slab :: _ -> [ theta_slab ] | [] -> [] in
-  let vs = Array.map Poly.evaluator cert.vs
-  and slabs = Array.init Pll.n_modes (fun m -> List.map Poly.evaluator (slab m)) in
-  (* Per mode, its programs' indices and faces. *)
-  let faces = Array.make Pll.n_modes [] in
-  Array.iteri (fun p (m, g) -> faces.(m) <- faces.(m) @ [ (p, Poly.evaluator g) ]) (level_programs s);
-  let x = Array.make n 0.0 in
+   touching the SDP. The witnesses of {!level_witnesses} are searched
+   once per [check_level] or [maximize_level] call; the prefilter keeps
+   the smallest [V_m] with the first program (by index) refuted at that
+   value, [None] when no program has a witness. *)
+let lowest_witness (s : Pll.scaled) cert =
   let lowest = ref None in
-  for _ = 1 to 4000 do
-    for i = 0 to n - 1 do
-      x.(i) <- (Random.State.float rng 2.0 -. 1.0) *. bound.(i)
-    done;
-    for m = 0 to Pll.n_modes - 1 do
-      if List.for_all (fun g -> g x >= 0.0) slabs.(m) then begin
-        let v = vs.(m) x in
-        if not (Float.is_nan v) then
-          List.iter (fun (p, g) -> if g x < level_margin then keep_lowest lowest v p) faces.(m)
-      end
-    done
-  done;
   List.iter (fun (p, w, _) -> keep_lowest lowest w p) (level_witnesses s cert);
   !lowest
 
-(* The prefilter's verdict on [beta]: no sample or witness refutes it. *)
-let sampled_check lowest beta = match lowest with None -> true | Some (v, _) -> not (v <= beta)
+(* The prefilter's verdict on [beta]: no witness refutes it. *)
+let witness_check lowest beta = match lowest with None -> true | Some (v, _) -> not (v <= beta)
 
-let level_prefilter s cert = sampled_check (level_samples s cert)
+let level_prefilter s cert = witness_check (lowest_witness s cert)
 
 (* One Lemma-1 program, solved under [pol]. *)
 let level_program ~mult_deg pol (s : Pll.scaled) cert (m, g) beta =
@@ -605,9 +575,9 @@ let check_level ?(mult_deg = 2) (s : Pll.scaled) cert beta =
    then activates it and the bisection is replayed from the start, the
    memo making every step already solved free. The active set only
    grows, so this ends, on the path and β of the plain bisection.
-   The active set starts with the program the prefilter's samples and
-   witnesses reach at the smallest [V_m] (ties by index): the lowest
-   face is likely the binding one. It is picked with the prefilter, in
+   The active set starts with the program whose witness reaches the
+   smallest [V_m] (ties by index): the lowest face is likely the
+   binding one. It is picked with the prefilter, in
    the first check the deadline lets through. A midpoint at or above
    the lowest witness fails the prefilter, so it never reaches a solve.
    Under a pipeline deadline, until some level has passed every program
@@ -621,7 +591,7 @@ let maximize_level ?(bisect_steps = 20) ?(beta_hi = 2000.0) (s : Pll.scaled) cer
   let programs = level_programs s in
   let memo = Hashtbl.create 64 in
   let indices = List.init (Array.length programs) Fun.id in
-  let sampled = lazy (level_samples s cert) in
+  let lowest = lazy (lowest_witness s cert) in
   let passes beta i =
     match Hashtbl.find_opt memo (i, beta) with
     | Some r -> r
@@ -636,7 +606,7 @@ let maximize_level ?(bisect_steps = 20) ?(beta_hi = 2000.0) (s : Pll.scaled) cer
   let active = ref [] in
   let active_programs () =
     if !active = [] then
-      active := [ (match Lazy.force sampled with Some (_, p) -> p | None -> 0) ];
+      active := [ (match Lazy.force lowest with Some (_, p) -> p | None -> 0) ];
     !active
   in
   (* Every program, active ones first, then in index (mode-major)
@@ -656,7 +626,7 @@ let maximize_level ?(bisect_steps = 20) ?(beta_hi = 2000.0) (s : Pll.scaled) cer
   let certified = ref 0.0 in
   let check beta =
     (not (Resilient.out_of_time pol))
-    && sampled_check (Lazy.force sampled) beta
+    && witness_check (Lazy.force lowest) beta
     &&
     if buy_floor && !certified = 0.0 then begin
       let ok = all_pass beta in

@@ -129,8 +129,8 @@ val level_witnesses : Pll.scaled -> t -> (int * float * float array) list
 val check_level : ?mult_deg:int -> Pll.scaled -> t -> float -> bool
 (** One Lemma-1 feasibility check: is every slice
     [{V_q <= β} ∩ slab_q] strictly inside the certified region? A
-    numeric prefilter first — 4000 fixed-seed samples and the
-    {!level_witnesses}, any of which at [V <= β] refutes [β] — then one
+    numeric prefilter first — the {!level_witnesses}, any of which at
+    [V <= β] refutes [β] — then one
     SOS program per (mode, containment constraint) in mode-major order,
     stopping at the first failure. [mult_deg] (default 2) is the
     S-procedure multiplier degree. *)

@@ -117,13 +117,13 @@ let terminal_types = [ "result"; "overloaded"; "degraded"; "draining"; "error" ]
 let refusal_types = [ "overloaded"; "degraded"; "draining" ]
 
 let submit ~sock ?(wait = true) ?timeout_s ?(retries = 0) ?(retry_base_s = 0.5) spec =
-  let cell = Bulk.of_spec spec in
+  let cell = Job.of_spec spec in
   let req =
     Json.Obj
       [
         ("cmd", Json.Str "submit");
         ("wait", Json.Bool wait);
-        ("cell", Json.Str (Bulk.to_line cell));
+        ("cell", Json.Str (Job.cell_to_line cell));
       ]
   in
   let once () =
@@ -148,7 +148,7 @@ let submit ~sock ?(wait = true) ?timeout_s ?(retries = 0) ?(retry_base_s = 0.5) 
      failures (daemon restarting, socket not yet bound) on the backoff
      ladder alone. *)
   let policy = { Resilient.Backoff.default_policy with Resilient.Backoff.base_s = retry_base_s } in
-  with_retries ~retries ~policy ~key:(Bulk.fingerprint cell) (fun () ->
+  with_retries ~retries ~policy ~key:(Job.fingerprint cell) (fun () ->
       let r = once () in
       match r with
       | Ok v -> (
@@ -164,7 +164,7 @@ let bulk ~sock ?(retries = 10) ?(timeout_s = 600.0) cells ~answer =
   let cells =
     List.filter_map
       (fun c ->
-        let fp = Bulk.fingerprint c in
+        let fp = Job.fingerprint c in
         if Hashtbl.mem answered fp then None
         else (
           Hashtbl.replace answered fp false;
@@ -216,7 +216,7 @@ let bulk ~sock ?(retries = 10) ?(timeout_s = 600.0) cells ~answer =
                         (fun f ->
                           not
                             (List.exists
-                               (fun (fp, c) -> fp = f && List.mem c.Bulk.cell_id ids)
+                               (fun (fp, c) -> fp = f && List.mem c.Job.cell_id ids)
                                todo))
                         !waiting;
                     drain ()
@@ -231,7 +231,7 @@ let bulk ~sock ?(retries = 10) ?(timeout_s = 600.0) cells ~answer =
           Json.Obj
             [
               ("cmd", Json.Str "bulk");
-              ("cells", Json.Arr (List.map (fun (_, c) -> Json.Str (Bulk.to_line c)) todo));
+              ("cells", Json.Arr (List.map (fun (_, c) -> Json.Str (Job.cell_to_line c)) todo));
             ]
         in
         Fun.protect ~finally:(fun () -> close conn) (fun () ->

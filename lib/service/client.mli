@@ -8,7 +8,7 @@
     receives an [accepted] line (carrying the job id) and then waits
     for the [result]; a [bulk] request is answered by [bulk-accepted]
     and one streamed [cell-result] per cell. A job travels in one
-    encoding, its canonical {!Bulk.to_line} cell line, whether it is a
+    encoding, its canonical {!Job.cell_to_line} cell line, whether it is a
     submitted point or a sweep cell. This is the only client of the
     protocol: [verify_client] and the atlas's daemon backend call it.
 
@@ -29,7 +29,7 @@ val submit :
   Job.spec ->
   (Json.t, string) result
 (** Submit a point as the canonical line of the one-cell job
-    {!Bulk.of_spec} makes of it. With [wait] (default true) returns the
+    {!Job.of_spec} makes of it. With [wait] (default true) returns the
     terminal response — a [result], a structured refusal ([overloaded] /
     [degraded] / [draining]), or an [error] (a malformed cell, or a point
     axis absent at the order); with [wait:false] returns the immediate
@@ -43,11 +43,11 @@ val bulk :
   sock:string ->
   ?retries:int ->
   ?timeout_s:float ->
-  Bulk.cell_spec list ->
+  Job.cell_spec list ->
   answer:(string -> (Bulk.probe, string) result -> unit) ->
   unit
 (** Run cells through the daemon as [bulk] requests and call [answer]
-    exactly once per distinct {!Bulk.fingerprint}: with [Ok] as its
+    exactly once per distinct {!Job.fingerprint}: with [Ok] as its
     [cell-result] streams in, or with [Error] when the daemon rejects the
     request or [retries] (default 10) extra rounds pass without an
     answer. Each round ships the unanswered cells over one connection;

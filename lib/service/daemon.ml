@@ -166,7 +166,7 @@ let fault_fires st f =
 (* A one-shot fault aimed at a job fires on its job id or on its cell id
    (job ids depend on submission order, sweep cell ids do not). *)
 let fires_for st (e : Jobqueue.entry) fault =
-  fault_fires st (fault e.Jobqueue.id) || fault_fires st (fault e.Jobqueue.cell.Bulk.cell_id)
+  fault_fires st (fault e.Jobqueue.id) || fault_fires st (fault e.Jobqueue.cell.Job.cell_id)
 
 let wedged st = List.mem Fault.Wedge_queue st.cfg.faults
 
@@ -322,7 +322,7 @@ let complete st j ?dead_letter probe =
   let e = j.e in
   Jobqueue.finish st.q e (Bulk.verdict probe);
   notify st j
-    (answer ~id:e.Jobqueue.id ~fp:e.Jobqueue.fp ~cell_id:e.Jobqueue.cell.Bulk.cell_id
+    (answer ~id:e.Jobqueue.id ~fp:e.Jobqueue.fp ~cell_id:e.Jobqueue.cell.Job.cell_id
        ~cached:false ?dead_letter probe)
 
 (* ----------------------------------------------------------------- *)
@@ -340,7 +340,7 @@ let run_job st (e : Jobqueue.entry) =
 let spawn_worker st j =
   let e = j.e in
   let id = e.Jobqueue.id in
-  let key = e.Jobqueue.cell.Bulk.cell_id in
+  let key = e.Jobqueue.cell.Job.cell_id in
   Jobqueue.start st.q e;
   if fires_for st e (fun k -> Fault.Die_at k) then begin
     (* Deterministic kill -9 mid-job: the start line is ledgered and
@@ -361,7 +361,7 @@ let spawn_worker st j =
   let pid =
     Supervise.Pool.submit st.pool ~key:id
       ?deadline_s:
-        (Option.map (fun b -> b +. Bulk.deadline_grace_s) e.Jobqueue.cell.Bulk.budget_s)
+        (Option.map (fun b -> b +. Bulk.deadline_grace_s) e.Jobqueue.cell.Job.budget_s)
       (fun () ->
         (* Worker. Shed the inherited daemon fds so client EOF detection
            keeps working in the parent, then run the job over the shared
@@ -433,7 +433,7 @@ let crash st j how =
         [
           ("id", Json.Str id);
           ("fp", Json.Str e.Jobqueue.fp);
-          ("cell_id", Json.Str e.Jobqueue.cell.Bulk.cell_id);
+          ("cell_id", Json.Str e.Jobqueue.cell.Job.cell_id);
           ("kind", Json.Str probe.Bulk.kind);
           ("detail", Json.Str probe.Bulk.detail);
           ("attempts", Json.Arr (List.rev_map (fun s -> Json.Str s) j.history));
@@ -457,7 +457,7 @@ let finish st (id, outcome) =
   | Some j, Supervise.Pool.Answered probe ->
       complete st j probe;
       Format.printf "verifyd: job %s (cell %s) done: %s (%d solves)@." id
-        j.e.Jobqueue.cell.Bulk.cell_id
+        j.e.Jobqueue.cell.Job.cell_id
         (Job.verdict_to_string (Bulk.verdict probe))
         probe.Bulk.solves;
       st.c.completed <- st.c.completed + 1;
@@ -560,14 +560,14 @@ type admission =
    bulk request: result-store hit, in-flight dedup, drain, breaker,
    queue cap, then enqueue. A waiting client is attached to the job with
    the reply it asked for; a no-wait submit leaves it detached. *)
-let admit st cl ~reply ~wait (cell : Bulk.cell_spec) =
+let admit st cl ~reply ~wait (cell : Job.cell_spec) =
   st.c.submits <- st.c.submits + 1;
   let cell =
-    match (cell.Bulk.budget_s, st.cfg.default_deadline_s) with
-    | None, Some d -> { cell with Bulk.budget_s = Some d }
+    match (cell.Job.budget_s, st.cfg.default_deadline_s) with
+    | None, Some d -> { cell with Job.budget_s = Some d }
     | _ -> cell
   in
-  let fp = Bulk.fingerprint cell in
+  let fp = Job.fingerprint cell in
   let attach j =
     if not (List.exists (fun w -> w.wfd == cl.cfd && w.reply = reply) j.waiters) then
       j.waiters <- { wfd = cl.cfd; reply } :: j.waiters
@@ -622,7 +622,7 @@ let admit st cl ~reply ~wait (cell : Bulk.cell_spec) =
    validated. *)
 let cell_of_json = function
   | Json.Str line ->
-      Result.bind (Bulk.of_line line) (fun c -> Result.map (fun () -> c) (Bulk.validate c))
+      Result.bind (Job.cell_of_line line) (fun c -> Result.map (fun () -> c) (Bulk.validate c))
   | _ -> Error "cells travel as canonical cell lines (strings)"
 
 (* A [submit]: one point, as the line of the one-cell job it converts to. *)
@@ -648,7 +648,7 @@ let handle_submit st cl req =
       | Stored p ->
           ignore
             (send cl
-               (answer ~id:("cached-" ^ fp) ~fp ~cell_id:cell.Bulk.cell_id ~cached:true p
+               (answer ~id:("cached-" ^ fp) ~fp ~cell_id:cell.Job.cell_id ~cached:true p
                   Result))
       | Joined id -> ignore (send cl (accepted id true))
       | Queued (id, drop) ->
@@ -729,25 +729,25 @@ let handle_bulk st cl req =
                 ( "deferred",
                   Json.Arr
                     (List.filter_map
-                       (fun ((c : Bulk.cell_spec), _, a) ->
+                       (fun ((c : Job.cell_spec), _, a) ->
                          match a with
                          | Refused (_, r) ->
                              Some
                                (Json.Obj
                                   [
-                                    ("cell_id", Json.Str c.Bulk.cell_id);
+                                    ("cell_id", Json.Str c.Job.cell_id);
                                     ("retry_after_s", Json.Num r);
                                   ])
                          | _ -> None)
                        admitted) );
               ]));
       List.iter
-        (fun ((c : Bulk.cell_spec), fp, a) ->
+        (fun ((c : Job.cell_spec), fp, a) ->
           match a with
           | Stored p ->
               ignore
                 (send cl
-                   (answer ~id:("cached-" ^ fp) ~fp ~cell_id:c.Bulk.cell_id ~cached:true
+                   (answer ~id:("cached-" ^ fp) ~fp ~cell_id:c.Job.cell_id ~cached:true
                       ~degraded p Cell_result))
           | _ -> ())
         admitted;

@@ -13,10 +13,10 @@
     record (queue entry, worker pid, waiters, detached flag, attempt
     count, backoff time, attempt history), held by id and by
     fingerprint; settling the job drops it from both.
-    The daemon has one job type, the {!Bulk.cell_spec}, and one wire
+    The daemon has one job type, the {!Job.cell_spec}, and one wire
     encoding for it, the canonical cell line: a [submit] carries the
-    line of the one-cell job {!Bulk.of_spec} makes of a point, a [bulk]
-    request a list of such lines, and both are parsed by {!Bulk.of_line}
+    line of the one-cell job {!Job.of_spec} makes of a point, a [bulk]
+    request a list of such lines, and both are parsed by {!Job.cell_of_line}
     and checked by {!Bulk.validate} (an axis absent at the order is an
     [error] reply). Workers certify every job with {!Bulk.run}, over
     the one solve context the daemon opens on its run directory at
@@ -35,7 +35,7 @@
     - {e backpressure}: a bounded admission queue — beyond
       [queue_cap], submits receive a structured [overloaded] refusal
       with a retry-after hint instead of growing memory;
-    - {e dedup}: jobs are keyed by {!Bulk.fingerprint}; a submit or
+    - {e dedup}: jobs are keyed by {!Job.fingerprint}; a submit or
       bulk cell matching an in-flight job attaches to it instead of
       re-solving, and one matching the per-fingerprint result store
       (probes {!Bulk.storable} accepts) is answered immediately from

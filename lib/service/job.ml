@@ -2,6 +2,24 @@ module Log = (val Logs.src_log (Logs.Src.create "service.job") : Logs.LOG)
 
 type property = P1 | Full
 
+(* The cell is defined before [spec], so that [spec]'s labels, which
+   callers read unqualified, are the ones in scope. *)
+type cell_spec = {
+  order : Pll.order;
+  degree : int;
+  robust : bool;
+  property : property;
+  exact : bool;
+  bisect_steps : int;
+  advect_iters : int;
+  psd_tol : float option;
+  eq_tol : float option;
+  budget_s : float option;
+  cell_id : string;
+  depth : int;
+  box : (Pll.axis * float * float) list;
+}
+
 type spec = {
   order : Pll.order;
   property : property;
@@ -38,25 +56,10 @@ let order_of_name = function
   | "fourth" -> Ok Pll.Fourth
   | s -> Error (Printf.sprintf "unknown order %S (third|fourth)" s)
 
-let property_name = function P1 -> "p1" | Full -> "full"
-
 let property_of_name = function
   | "p1" -> Ok P1
   | "full" -> Ok Full
   | s -> Error (Printf.sprintf "unknown property %S (p1|full)" s)
-
-(* Canonical point order: axis declaration order, so the fingerprint is
-   independent of how the client happened to list the axes. *)
-let sort_point point =
-  let rank a =
-    let rec go i = function
-      | [] -> max_int
-      | x :: _ when x = a -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 Pll.axes
-  in
-  List.sort (fun (a, _) (b, _) -> compare (rank a) (rank b)) point
 
 let point_of_string s =
   let s = String.trim s in
@@ -79,31 +82,64 @@ let point_of_string s =
     |> Result.map List.rev
 
 (* ----------------------------------------------------------------- *)
-(* Canonical line + fingerprint *)
+(* The cell line: the one request codec *)
 
-let magic = "pll-job v1"
+let magic = "pll-cell v1"
 
-let to_line spec =
+(* Advect's default cap, which --full sweep cells have always run with
+   (point jobs default to 25). A cell line names its cap only when it
+   differs, so sweep cells keep the line they always had. *)
+let default_advect_iters = 20
+
+let box_to_string box =
+  String.concat ","
+    (List.map
+       (fun (a, lo, hi) -> Printf.sprintf "%s:%h:%h" (Pll.axis_name a) lo hi)
+       box)
+
+let box_of_string s =
+  let ( let* ) = Result.bind in
+  List.fold_left
+    (fun acc tok ->
+      let* bx = acc in
+      match String.split_on_char ':' tok with
+      | [ a; lo; hi ] -> (
+          let* a = Pll.axis_of_string a in
+          match (float_of_string_opt lo, float_of_string_opt hi) with
+          | Some lo, Some hi -> Ok ((a, lo, hi) :: bx)
+          | _ -> Error (Printf.sprintf "bad box bounds in %S" tok))
+      | _ -> Error (Printf.sprintf "bad box token %S (want AXIS:LO:HI)" tok))
+    (Ok [])
+    (String.split_on_char ',' s)
+  |> Result.map List.rev
+
+(* [with_identity:false] drops the cell id, depth and budget: the box
+   and the certification configuration fully determine the per-cell
+   problem, so two grids that tile the same box share results — and a
+   re-budgeted resubmission replays instead of re-solving. *)
+let cell_to_line ?(with_identity = true) (c : cell_spec) =
   let b = Buffer.create 128 in
   Buffer.add_string b magic;
-  Printf.bprintf b " order=%s prop=%s degree=%d robust=%b bisect=%d advect=%d"
-    (order_name spec.order) (property_name spec.property) spec.degree spec.robust
-    spec.bisect_steps spec.advect_iters;
-  (match spec.psd_tol with Some t -> Printf.bprintf b " psd-tol=%h" t | None -> ());
-  (match spec.eq_tol with Some t -> Printf.bprintf b " eq-tol=%h" t | None -> ());
-  Printf.bprintf b " point=%s"
-    (match sort_point spec.point with
-    | [] -> "nominal"
-    | pt ->
-        String.concat ","
-          (List.map (fun (a, v) -> Printf.sprintf "%s:%h" (Pll.axis_name a) v) pt));
+  Printf.bprintf b " order=%s degree=%d robust=%b full=%b exact=%b bisect=%d"
+    (order_name c.order) c.degree c.robust (c.property = Full) c.exact c.bisect_steps;
+  if c.advect_iters <> default_advect_iters then
+    Printf.bprintf b " advect=%d" c.advect_iters;
+  Option.iter (Printf.bprintf b " psd-tol=%h") c.psd_tol;
+  Option.iter (Printf.bprintf b " eq-tol=%h") c.eq_tol;
+  Printf.bprintf b " box=%s" (box_to_string c.box);
+  if with_identity then begin
+    Printf.bprintf b " id=%s depth=%d" c.cell_id c.depth;
+    match c.budget_s with
+    | Some s -> Printf.bprintf b " budget=%h" s
+    | None -> ()
+  end;
   Buffer.contents b
 
-let of_line line =
+let cell_of_line line =
   let ( let* ) = Result.bind in
   let l = String.length magic in
   if String.length line < l || String.sub line 0 l <> magic then
-    Error "not a job line (bad magic)"
+    Error "not a cell line (bad magic)"
   else
     let fields =
       String.sub line l (String.length line - l)
@@ -119,12 +155,11 @@ let of_line line =
     in
     let get k = List.assoc_opt k fields in
     let* order =
-      match get "order" with Some o -> order_of_name o | None -> Error "missing order"
+      match get "order" with
+      | Some o -> order_of_name o
+      | None -> Error "missing order"
     in
     let d = default_spec order in
-    let* property =
-      match get "prop" with Some p -> property_of_name p | None -> Ok d.property
-    in
     let int_field k dflt =
       match get k with
       | None -> Ok dflt
@@ -133,6 +168,10 @@ let of_line line =
           | Some i -> Ok i
           | None -> Error (Printf.sprintf "bad %s field %S" k v))
     in
+    let* degree = int_field "degree" d.degree in
+    let* bisect_steps = int_field "bisect" d.bisect_steps in
+    let* advect_iters = int_field "advect" default_advect_iters in
+    let* depth = int_field "depth" 0 in
     let float_field k =
       match get k with
       | None -> Ok None
@@ -141,47 +180,58 @@ let of_line line =
           | Some f -> Ok (Some f)
           | None -> Error (Printf.sprintf "bad %s field %S" k v))
     in
-    let* degree = int_field "degree" d.degree in
-    let* bisect_steps = int_field "bisect" d.bisect_steps in
-    let* advect_iters = int_field "advect" d.advect_iters in
-    let robust = get "robust" = Some "true" in
     let* psd_tol = float_field "psd-tol" in
     let* eq_tol = float_field "eq-tol" in
-    let* deadline_s = float_field "deadline" in
-    let* point =
-      match get "point" with
-      | None | Some "nominal" -> Ok []
-      | Some p ->
-          List.fold_left
-            (fun acc tok ->
-              let* pt = acc in
-              match String.index_opt tok ':' with
-              | None -> Error (Printf.sprintf "bad point token %S" tok)
-              | Some i -> (
-                  let* a = Pll.axis_of_string (String.sub tok 0 i) in
-                  match
-                    float_of_string_opt
-                      (String.sub tok (i + 1) (String.length tok - i - 1))
-                  with
-                  | Some v -> Ok ((a, v) :: pt)
-                  | None -> Error (Printf.sprintf "bad point value in %S" tok)))
-            (Ok [])
-            (String.split_on_char ',' p)
-          |> Result.map List.rev
+    let* budget_s = float_field "budget" in
+    let* box =
+      match get "box" with
+      | None -> Error "missing box"
+      | Some "" -> Ok []
+      | Some s -> box_of_string s
     in
     Ok
       {
         order;
-        property;
         degree;
-        robust;
-        point;
+        robust = get "robust" = Some "true";
+        property = (if get "full" = Some "true" then Full else P1);
+        exact = get "exact" = Some "true";
         bisect_steps;
         advect_iters;
         psd_tol;
         eq_tol;
-        deadline_s;
+        budget_s;
+        cell_id = Option.value (get "id") ~default:"";
+        depth;
+        box;
       }
+
+let fingerprint c = Digest.to_hex (Digest.string (cell_to_line ~with_identity:false c))
+
+(* A point is a degenerate box, listed in the order of [Pll.axes] so the
+   fingerprint does not depend on how the client ordered the axes. *)
+let of_spec (spec : spec) : cell_spec =
+  let rank (a, _) = List.find_index (( = ) a) Pll.axes in
+  {
+    order = spec.order;
+    degree = spec.degree;
+    robust = spec.robust;
+    property = spec.property;
+    exact = false;
+    bisect_steps = spec.bisect_steps;
+    advect_iters = spec.advect_iters;
+    psd_tol = spec.psd_tol;
+    eq_tol = spec.eq_tol;
+    budget_s = spec.deadline_s;
+    cell_id = "point";
+    depth = 0;
+    box =
+      List.map
+        (fun (a, v) -> (a, v, v))
+        (List.sort (fun p q -> compare (rank p) (rank q)) spec.point);
+  }
+
+let to_line spec = cell_to_line ~with_identity:false (of_spec spec)
 
 (* ----------------------------------------------------------------- *)
 (* Verdicts and results *)
@@ -225,9 +275,9 @@ let result_json r =
 (* ----------------------------------------------------------------- *)
 (* Execution *)
 
-let make_policy ?supervise ?faults spec =
+let make_policy ?supervise ?faults (c : cell_spec) =
   let faults = match faults with Some f -> f | None -> Resilient.Faults.none () in
-  Resilient.make ~faults ?pipeline_deadline_s:spec.deadline_s ?supervise ()
+  Resilient.make ~faults ?pipeline_deadline_s:c.budget_s ?supervise ()
 
 let raw_of_box order box =
   let base = match order with Pll.Third -> Pll.table1_third | Pll.Fourth -> Pll.table1_fourth in
@@ -246,7 +296,7 @@ let kinds =
     ("solver-failure", Failed);
     ("budget-exhausted", Failed);
     ("crash", Failed);
-    ("bad-point", Failed);
+    ("bad-cell", Failed);
   ]
 
 (* Deterministic failure classification from the policy's journal: only
@@ -290,54 +340,50 @@ let outcome policy ?(beta = 0.0) (kind, detail) =
     deadline_hit = kind = "budget-exhausted";
   }
 
-let certify ~policy ?(validate = fun _ -> true) ?exact spec raw =
+(* The pipeline on the model [s] that cell [c] poses. *)
+let pipeline ~policy ~validate (c : cell_spec) s =
   let outcome = outcome policy in
-  let s = Pll.scale raw in
   let base = Certificates.default_config s.Pll.order in
   let cfg =
     {
       base with
-      Certificates.degree = spec.degree;
-      robust_vertices = spec.robust;
-      psd_tol = Option.value spec.psd_tol ~default:base.Certificates.psd_tol;
-      eq_tol = Option.value spec.eq_tol ~default:base.Certificates.eq_tol;
+      Certificates.degree = c.degree;
+      robust_vertices = c.robust;
+      psd_tol = Option.value c.psd_tol ~default:base.Certificates.psd_tol;
+      eq_tol = Option.value c.eq_tol ~default:base.Certificates.eq_tol;
       resilience = policy;
     }
   in
-  (* Exact re-validation gate: the run only counts as certified when the
-     exact kernel re-proves it; the artifact lands in artifacts/<exact>
-     (check_cert replays it). *)
+  (* Exact re-validation gate: the cell only counts as certified when
+     the exact kernel re-proves it; the artifact lands in
+     artifacts/cell-<id>.artifact (check_cert replays it). *)
   let supervisor = Resilient.supervisor policy in
   let certified (cert : Certificates.t) beta =
-    match exact with
-    | None -> outcome ~beta ("", "")
-    | Some name -> (
-        match Certificates.validate_exactly s cert with
-        | Ok ev when ev.Certificates.all_proven ->
-            ignore
-              (Supervise.save_artifact supervisor ~name
-                 (Exact.Artifact.write ev.Certificates.artifact));
-            outcome ~beta ("", "")
-        | Ok ev ->
-            let failed =
-              List.filter_map
-                (fun (name, v) ->
-                  match v with Exact.Check.Proven _ -> None | _ -> Some name)
-                ev.Certificates.verdicts
-            in
-            outcome
-              ("exact-unproven", "exact kernel could not prove: " ^ String.concat ", " failed)
-        | Error _ -> outcome ("exact-unproven", "exact re-validation solve failed"))
+    if not c.exact then outcome ~beta ("", "")
+    else
+      match Certificates.validate_exactly s cert with
+      | Ok ev when ev.Certificates.all_proven ->
+          ignore
+            (Supervise.save_artifact supervisor
+               ~name:("cell-" ^ c.cell_id ^ ".artifact")
+               (Exact.Artifact.write ev.Certificates.artifact));
+          outcome ~beta ("", "")
+      | Ok ev ->
+          let failed =
+            List.filter_map
+              (fun (name, v) ->
+                match v with Exact.Check.Proven _ -> None | _ -> Some name)
+              ev.Certificates.verdicts
+          in
+          outcome
+            ("exact-unproven", "exact kernel could not prove: " ^ String.concat ", " failed)
+      | Error _ -> outcome ("exact-unproven", "exact re-validation solve failed")
   in
-  (* Reap the solver worker when the verdict returns, so that its CPU
-     time is accounted to the caller. *)
-  Fun.protect ~finally:(fun () -> Supervise.release supervisor)
-  @@ fun () ->
   try
-    match spec.property with
+    match c.property with
     | Full -> (
         match
-          Pll_core.Inevitability.verify ~cert_config:cfg ~max_advect_iter:spec.advect_iters
+          Pll_core.Inevitability.verify ~cert_config:cfg ~max_advect_iter:c.advect_iters
             ~resilience:policy s
         with
         | Ok report when report.Pll_core.Inevitability.verified ->
@@ -353,7 +399,7 @@ let certify ~policy ?(validate = fun _ -> true) ?exact spec raw =
     | P1 -> (
         (* [attractive_invariant] answers [Error] rather than a level <= 0. *)
         match
-          Certificates.attractive_invariant ~config:cfg ~bisect_steps:spec.bisect_steps s
+          Certificates.attractive_invariant ~config:cfg ~bisect_steps:c.bisect_steps s
         with
         | Ok ai -> certified ai.Certificates.cert ai.Certificates.beta
         | Error _ -> outcome (classify policy))
@@ -363,7 +409,24 @@ let certify ~policy ?(validate = fun _ -> true) ?exact spec raw =
       Log.warn (fun k -> k "certification crashed: %s" (Printexc.to_string e));
       outcome ("crash", Printexc.to_string e)
 
-let run ~policy ?validate spec =
-  match raw_of_box spec.order (List.map (fun (a, v) -> (a, v, v)) spec.point) with
-  | Error e -> outcome policy ("bad-point", e)
-  | Ok raw -> certify ~policy ?validate spec raw
+(* A box is certified at its midpoint, or as a whole when robust; a
+   point's midpoint is the point itself. *)
+let certify ~policy ?(validate = fun _ -> true) (c : cell_spec) =
+  let box =
+    if c.robust then c.box
+    else
+      List.map
+        (fun (a, lo, hi) ->
+          let m = 0.5 *. (lo +. hi) in
+          (a, m, m))
+        c.box
+  in
+  (* Reap the solver worker when the verdict returns, so that its CPU
+     time is accounted to the caller. *)
+  Fun.protect ~finally:(fun () -> Supervise.release (Resilient.supervisor policy))
+  @@ fun () ->
+  match raw_of_box c.order box with
+  | Error e -> outcome policy ("bad-cell", e)
+  | Ok raw -> pipeline ~policy ~validate c (Pll.scale raw)
+
+let run ~policy ?validate spec = certify ~policy ?validate (of_spec spec)

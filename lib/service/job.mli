@@ -1,24 +1,24 @@
-(** The library-level verify-job API shared by the [verify_pll] CLI and
-    the [verifyd] daemon, so verdict and exit-code semantics are defined
-    once.
+(** The library-level verify-job API shared by the [verify_pll] CLI, the
+    [verifyd] daemon and the atlas, so verdict and exit-code semantics
+    are defined once.
 
-    A {!spec} names everything that determines the verification problem:
-    the PLL order, a relative parameter point (multiples of the Table-1
-    nominals, empty = nominal model), the property (P1 attractive
-    invariant only, or the full P1+P2 inevitability pipeline), the
-    certificate degree and search knobs, plus a per-job pipeline
-    deadline. A client sends a spec to the daemon as the line of the
-    one-cell job {!Bulk.of_spec} makes of it, keyed by the cell's
-    fingerprint.
+    What is certified, queued, stored and fingerprinted is a
+    {!cell_spec}: a box of relative parameters with the certification
+    configuration, one line ({!cell_to_line}, magic [pll-cell v1]) and
+    one {!fingerprint}. A {!spec} is how the CLIs and the daemon client
+    name a point job — the PLL order, a relative parameter point
+    (multiples of the Table-1 nominals, empty = nominal model), the
+    property (P1 attractive invariant only, or the full P1+P2
+    inevitability pipeline), the certificate degree and search knobs,
+    plus a per-job pipeline deadline — and {!of_spec} converts it once
+    into the degenerate box it stands for.
 
-    {!run} executes the job under a caller-supplied {!Resilient.policy}
-    (so the CLI can wire its own retry ladder and the daemon can attach
-    its per-worker supervision context) and returns a flat, marshal-free
-    {!outcome} whose deterministic core ({!result_json}) is byte-stable:
-    replaying the same spec against a warm solve cache reproduces it
-    exactly. {!certify}, the pipeline under {!run}, is also what
-    certifies sweep cells ({!Bulk.run}), so points and cells share one
-    classification. *)
+    {!certify} is the one certification entry: {!run} calls it on a
+    point's cell under a caller-supplied {!Resilient.policy} (so the CLI
+    can wire its own retry ladder), and {!Bulk.run} on sweep and daemon
+    cells. It returns a flat, marshal-free {!outcome} whose
+    deterministic core ({!result_json}) is byte-stable: replaying the
+    same cell against a warm solve cache reproduces it exactly. *)
 
 type property = P1 | Full
 
@@ -26,10 +26,28 @@ val property_of_name : string -> (property, string) result
 (** ["p1"] or ["full"]. *)
 
 val order_name : Pll.order -> string
-val order_of_name : string -> (Pll.order, string) result
 
 val paper_degree : Pll.order -> int
 (** The paper's certificate degree for the order: 6 third, 4 fourth. *)
+
+(** Everything that determines one cell's certification problem, plus
+    its sweep identity (cell id, depth) and budget. Declared before
+    {!spec}, whose labels callers read unqualified. *)
+type cell_spec = {
+  order : Pll.order;
+  degree : int;
+  robust : bool;  (** certify the whole box, not just its midpoint *)
+  property : property;  (** [full=true|false] on the line *)
+  exact : bool;  (** gate certification on exact re-validation *)
+  bisect_steps : int;
+  advect_iters : int;  (** advection cap of [Full] cells *)
+  psd_tol : float option;  (** a-posteriori PSD tolerance override *)
+  eq_tol : float option;  (** a-posteriori equality tolerance override *)
+  budget_s : float option;  (** per-cell pipeline deadline *)
+  cell_id : string;
+  depth : int;
+  box : (Pll.axis * float * float) list;  (** per-axis [lo, hi], relative *)
+}
 
 type spec = {
   order : Pll.order;
@@ -50,22 +68,43 @@ type spec = {
 val default_spec : Pll.order -> spec
 (** P1 at the paper degree for the order (6/4), nominal point,
     non-robust, 6 bisection steps, 25 advection iterations, default
-    tolerances, no deadline. *)
-
-val sort_point : (Pll.axis * float) list -> (Pll.axis * float) list
-(** Canonical point order: axis declaration order. *)
-
-val to_line : spec -> string
-(** Canonical one-line rendering, magic [pll-job v1] (floats in hex so
-    the round-trip is exact; the deadline is not part of it). *)
-
-val of_line : string -> (spec, string) result
-(** Inverse of {!to_line}; also reads the [deadline=] field of the
-    point lines older daemon queue ledgers hold. *)
+    tolerances, no deadline. These are the point defaults of every CLI
+    and of the cell line; only the advection cap differs for cells
+    ({!default_advect_iters}). *)
 
 val point_of_string : string -> ((Pll.axis * float) list, string) result
 (** Parse a CLI point spec like ["ip=1.05,kv=0.9"]. Empty string is the
     nominal point. *)
+
+val default_advect_iters : int
+(** 20, the advection cap sweep cells have always run with. *)
+
+val cell_to_line : ?with_identity:bool -> cell_spec -> string
+(** Canonical one-line rendering, magic [pll-cell v1], floats in hex.
+    [advect_iters], [psd_tol] and [eq_tol] are rendered only when they
+    differ from the cell defaults (20, none, none), so sweep cells keep
+    their line and fingerprint. [with_identity:false] drops the cell id,
+    depth and budget — the fingerprint input, so results are shared by
+    box content, not by grid position or budget. *)
+
+val cell_of_line : string -> (cell_spec, string) result
+(** Inverse of {!cell_to_line}; absent fields take {!default_spec}'s
+    degree and bisection steps and the cell advection cap. *)
+
+val fingerprint : cell_spec -> string
+(** Hex digest of [cell_to_line ~with_identity:false] — the dedup and
+    result-store key. *)
+
+val of_spec : spec -> cell_spec
+(** A point job as a one-cell job: each point axis becomes a degenerate
+    interval (in canonical axis order; the nominal point is the empty
+    box), the deadline becomes the budget, [exact = false], cell id
+    [point], depth 0. *)
+
+val to_line : spec -> string
+(** The identity-free line of the point's cell,
+    [cell_to_line ~with_identity:false (of_spec spec)]: independent of
+    the order the point lists its axes in and of the deadline. *)
 
 (** The three verdicts of the established exit-code convention. *)
 type verdict = Verified | Not_established | Failed
@@ -95,7 +134,7 @@ val kinds : (string * verdict) list
     level search found no positive level), [not-established],
     [validation-failed], [exact-unproven] (not established); and
     [solver-failure], [budget-exhausted] (the one kind with
-    [deadline_hit]), [crash], [bad-point] (failed). {!Bulk.storable}
+    [deadline_hit]), [crash], [bad-cell] (failed). {!Bulk.storable}
     stores what is not [Failed]. *)
 
 val result_json : outcome -> string
@@ -105,9 +144,9 @@ val result_json : outcome -> string
     the cell probe. *)
 
 val make_policy :
-  ?supervise:Supervise.ctx -> ?faults:Resilient.Faults.plan -> spec -> Resilient.policy
-(** The policy for a job or cell: default ladder, the spec's deadline
-    as the pipeline deadline, optional supervision context. *)
+  ?supervise:Supervise.ctx -> ?faults:Resilient.Faults.plan -> cell_spec -> Resilient.policy
+(** The policy for a cell: default ladder, the cell's budget as the
+    pipeline deadline, optional supervision context. *)
 
 val raw_of_box : Pll.order -> (Pll.axis * float * float) list -> (Pll.raw, string) result
 (** The Table-1 model of the order with each listed axis's interval
@@ -118,31 +157,29 @@ val raw_of_box : Pll.order -> (Pll.axis * float * float) list -> (Pll.raw, strin
 val certify :
   policy:Resilient.policy ->
   ?validate:(Pll_core.Inevitability.report -> bool) ->
-  ?exact:string ->
-  spec ->
-  Pll.raw ->
+  cell_spec ->
   outcome
-(** The one certification pipeline, shared by point jobs ({!run}) and
-    sweep cells ({!Bulk.run}): P1 (attractive invariant + level
-    maximization, [bisect_steps]) or the full P1+P2 pipeline (advection
-    capped at [advect_iters]) on the given model, failures classified
-    from the policy's journal. The spec's [point] is ignored — the
-    caller built the model. [exact] gates certification on exact
-    rational re-validation and names the artifact saved under
-    [artifacts/] in the policy's run directory; a failed re-proof is
-    [exact-unproven]. [validate] is as in {!run}. On return, normal or
-    by exception, the policy's supervisor is {!Supervise.release}d. *)
+(** The one certification entry, for point jobs ({!run}) and sweep and
+    daemon cells ({!Bulk.run}): the model at the cell's midpoint (the
+    whole box when [robust]; [bad-cell] when an axis does not exist at
+    the order), then P1 (attractive invariant + level maximization,
+    [bisect_steps]) or the full P1+P2 pipeline (advection capped at
+    [advect_iters]), failures classified from the policy's journal. The
+    cell's budget is not read: the policy carries the deadline. An
+    [exact] cell is certified only when the exact rational re-validation
+    proves it, and its artifact is saved as
+    [artifacts/cell-<id>.artifact] in the policy's run directory; a
+    failed re-proof is [exact-unproven]. [validate] (Full property only)
+    is the CLI's hook for printing the pipeline report and running extra
+    checks (e.g. Monte-Carlo simulation); returning [false] downgrades a
+    verified run to [Not_established] with kind [validation-failed].
+    Catches everything except {!Supervise.Interrupted}, which is
+    re-raised so drivers can checkpoint and exit 130. On return, normal
+    or by exception, the policy's supervisor is {!Supervise.release}d. *)
 
 val run :
   policy:Resilient.policy ->
   ?validate:(Pll_core.Inevitability.report -> bool) ->
   spec ->
   outcome
-(** Execute the job: {!certify} on the model at the spec's point
-    ([bad-point] when an axis does not exist at the order). [validate]
-    (Full property only) is the CLI's hook for printing the pipeline
-    report and running extra checks (e.g. Monte-Carlo simulation);
-    returning [false] downgrades a verified run to [Not_established]
-    with kind [validation-failed]. Catches everything except
-    {!Supervise.Interrupted}, which is re-raised so drivers can
-    checkpoint and exit 130. *)
+(** [certify ~policy ?validate (of_spec spec)]. *)

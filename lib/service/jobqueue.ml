@@ -2,20 +2,10 @@ module Log = (val Logs.src_log (Logs.Src.create "service.queue") : Logs.LOG)
 
 type state = Pending | Running | Done of Job.verdict | Cancelled
 
-(* Every job is a cell ([pll-cell v1] line). A [pll-job v1] point line
-   from an older ledger is read as the one-cell job it converts to. *)
-let cell_of_line line =
-  match Bulk.of_line line with
-  | Ok c -> Ok c
-  | Error why -> (
-      match Job.of_line line with
-      | Ok spec -> Ok (Bulk.of_spec spec)
-      | Error _ -> Error why)
-
 type entry = {
   id : string;
   fp : string;
-  cell : Bulk.cell_spec;
+  cell : Job.cell_spec;
   mutable state : state;
 }
 
@@ -41,6 +31,11 @@ let seq_of_id id =
     int_of_string_opt (String.sub id 1 (String.length id - 1))
   else None
 
+(* A complete [submit] line whose cell does not read: the job it held
+   cannot be recovered, and compacting it away would lose it, so the
+   ledger is refused as it stands. *)
+exception Unreadable of Json.t
+
 (* Last event per id wins. *)
 let replay file =
   let r = Wal.replay ~magic file in
@@ -59,16 +54,26 @@ let replay file =
           | None -> diag "bad seq line")
       | "submit" -> (
           let id, rest = split_word rest in
-          match split_word rest with
-          | ("", _) | (_, "") -> diag "malformed submit line"
-          | _, job_line -> (
-              match cell_of_line job_line with
-              | Ok cell ->
-                  if not (Hashtbl.mem entries id) then order := id :: !order;
-                  Hashtbl.replace entries id
-                    { id; fp = Bulk.fingerprint cell; cell; state = Pending };
-                  Option.iter (fun n -> seq_hw := max !seq_hw n) (seq_of_id id)
-              | Error why -> diag why))
+          let _, job_line = split_word rest in
+          match Job.cell_of_line job_line with
+          | Ok cell ->
+              if not (Hashtbl.mem entries id) then order := id :: !order;
+              Hashtbl.replace entries id { id; fp = Job.fingerprint cell; cell; state = Pending };
+              Option.iter (fun n -> seq_hw := max !seq_hw n) (seq_of_id id)
+          | Error why ->
+              let lineno, text = numbered in
+              raise
+                (Unreadable
+                   Json.(
+                     Obj
+                       [
+                         ("error", Str "queue-unreadable");
+                         ("ledger", Str file);
+                         ("line", int lineno);
+                         ("text", Str text);
+                         ("detail", Str why);
+                         ("hint", Str "the job cannot be read; the ledger is left as it is");
+                       ])))
       | "start" -> (
           match Hashtbl.find_opt entries rest with
           | Some e -> e.state <- Running
@@ -94,21 +99,26 @@ let replay file =
 (* Appends *)
 
 let submit_line e =
-  Printf.sprintf "submit %s %s %s" e.id e.fp (Bulk.to_line e.cell)
+  Printf.sprintf "submit %s %s %s" e.id e.fp (Job.cell_to_line e.cell)
 
 let open_ ~dir =
   Substrate.Fs.mkdir_p dir;
   let file = path dir in
-  let all, seq_hw, diags = replay file in
-  let recovered = List.filter (fun e -> e.state = Pending || e.state = Running) all in
-  List.iter (fun e -> e.state <- Pending) recovered;
-  (* Compact: survivors only, re-submitted, under a fresh seq high-water
-     — atomically, so a crash mid-compaction keeps the old ledger. *)
-  (try Wal.rewrite ~magic file (Printf.sprintf "seq %d" seq_hw :: List.map submit_line recovered)
-   with e -> Log.warn (fun k -> k "queue compaction failed: %s" (Printexc.to_string e)));
-  match Wal.open_ ~magic file with
-  | exception e -> Error ("cannot open queue ledger: " ^ Printexc.to_string e)
-  | wal -> Ok ({ wal; next_seq = seq_hw + 1 }, recovered, diags)
+  match replay file with
+  | exception Unreadable refusal -> Error (Json.to_string refusal)
+  | all, seq_hw, diags -> (
+      let recovered = List.filter (fun e -> e.state = Pending || e.state = Running) all in
+      List.iter (fun e -> e.state <- Pending) recovered;
+      (* Compact: survivors only, re-submitted, under a fresh seq
+         high-water — atomically, so a crash mid-compaction keeps the
+         old ledger. *)
+      (try
+         Wal.rewrite ~magic file
+           (Printf.sprintf "seq %d" seq_hw :: List.map submit_line recovered)
+       with e -> Log.warn (fun k -> k "queue compaction failed: %s" (Printexc.to_string e)));
+      match Wal.open_ ~magic file with
+      | exception e -> Error ("cannot open queue ledger: " ^ Printexc.to_string e)
+      | wal -> Ok ({ wal; next_seq = seq_hw + 1 }, recovered, diags))
 
 (* Every job line on record counts, terminal or not, torn or not: a
    ledger that ever held a job is never silently discarded. The [seq]
@@ -126,7 +136,7 @@ let ledger =
 let submit t cell =
   let id = Printf.sprintf "j%d" t.next_seq in
   t.next_seq <- t.next_seq + 1;
-  let e = { id; fp = Bulk.fingerprint cell; cell; state = Pending } in
+  let e = { id; fp = Job.fingerprint cell; cell; state = Pending } in
   Wal.append t.wal (submit_line e);
   e
 

@@ -26,11 +26,12 @@
     crash) are skipped with a diagnosis, never a raise. An append whose
     write or fsync fails raises.
 
-    Every job is one {!Bulk.cell_spec}. A [submit] line carrying a
-    [pll-job v1] point (written by daemons that queued points as a
-    second job kind) replays as the one-cell job {!Bulk.of_spec} makes
-    of it; only cell lines are written. The fingerprint is recomputed
-    from the cell on replay. *)
+    Every job is one {!Job.cell_spec}, ledgered as its cell line; the
+    fingerprint is recomputed from the cell on replay. A complete
+    [submit] line whose cell does not read (a [pll-job v1] point line
+    from a daemon that queued points as a second job kind, say) holds a
+    job that cannot be recovered, so {!open_} refuses the ledger rather
+    than compact the job away. *)
 
 type state =
   | Pending
@@ -40,8 +41,8 @@ type state =
 
 type entry = {
   id : string;  (** [j<seq>], unique across restarts of one run dir *)
-  fp : string;  (** {!Bulk.fingerprint} of the cell *)
-  cell : Bulk.cell_spec;
+  fp : string;  (** {!Job.fingerprint} of the cell *)
+  cell : Job.cell_spec;
   mutable state : state;
 }
 
@@ -55,7 +56,11 @@ val open_ :
 (** Open (creating if absent) the queue of a run directory: replays and
     compacts the ledger, then reopens it for fsync'd appends. Returns
     the recovered non-terminal entries (now pending, in original submit
-    order) and one diagnosis per malformed line. *)
+    order) and one diagnosis per malformed line. A complete [submit]
+    line whose cell does not read is refused before anything is
+    written: [Error] with the JSON diagnosis
+    [{"error":"queue-unreadable","ledger":…,"line":N,"text":…,"detail":…,"hint":…}],
+    the ledger left byte for byte. *)
 
 val ledger : Supervise.ledger
 (** The queue ledger as the daemon's record of work: its job lines on
@@ -64,7 +69,7 @@ val ledger : Supervise.ledger
     leaves nothing on record). The daemon refuses a directory whose
     ledger holds any without [--resume] ([queue-not-resumed]). *)
 
-val submit : t -> Bulk.cell_spec -> entry
+val submit : t -> Job.cell_spec -> entry
 (** Admit a job: assign the next id, ledger the [submit] line (fsync'd)
     and return the pending entry. *)
 

@@ -264,7 +264,7 @@ let () =
   let oc =
     open_out
       (Filename.concat results
-         (Service.Bulk.fingerprint (Service.Bulk.of_spec ne_spec) ^ ".json"))
+         (Service.Job.fingerprint (Service.Job.of_spec ne_spec) ^ ".json"))
   in
   output_string oc
     "{\"ok\":false,\"beta\":0,\"kind\":\"infeasible\",\"detail\":\"conclusively infeasible at certificate search\",\"journal\":null,\"solves\":0,\"attempts\":0,\"attempt_s\":0}";

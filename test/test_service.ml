@@ -83,21 +83,8 @@ let spec_with_point () =
     deadline_s = Some 12.5;
   }
 
-let test_job_line_roundtrip () =
-  let spec = spec_with_point () in
-  (match Service.Job.of_line (Service.Job.to_line spec) with
-  | Error e -> Alcotest.fail e
-  | Ok spec' ->
-      Alcotest.(check bool) "round-trips (deadline excluded)" true
-        (spec' = { spec with Service.Job.deadline_s = None }));
-  (* Older queue ledgers carry the deadline on the point line. *)
-  match Service.Job.of_line (Service.Job.to_line spec ^ " deadline=0x1.9p+3") with
-  | Error e -> Alcotest.fail e
-  | Ok spec' ->
-      Alcotest.(check bool) "a ledgered deadline is read back" true (spec' = spec)
-
 (* The daemon keys a point by the fingerprint of the cell it becomes. *)
-let point_fp spec = Service.Bulk.fingerprint (Service.Bulk.of_spec spec)
+let point_fp spec = Service.Job.fingerprint (Service.Job.of_spec spec)
 
 let test_fingerprint_deadline_independent () =
   let spec = spec_with_point () in
@@ -132,7 +119,7 @@ let test_point_parse () =
 let test_validate_refuses () =
   let d = Service.Job.default_spec Pll.Third in
   let bad spec what =
-    match Service.Bulk.validate (Service.Bulk.of_spec spec) with
+    match Service.Bulk.validate (Service.Job.of_spec spec) with
     | Error _ -> ()
     | Ok () -> Alcotest.fail (what ^ " accepted")
   in
@@ -151,13 +138,13 @@ let test_validate_refuses () =
 (* A submitted point travels as the line of the cell it converts to. *)
 let test_spec_cell_line_roundtrip () =
   let spec = spec_with_point () in
-  let c = Service.Bulk.of_spec spec in
-  match Service.Bulk.of_line (Service.Bulk.to_line c) with
+  let c = Service.Job.of_spec spec in
+  match Service.Job.cell_of_line (Service.Job.cell_to_line c) with
   | Error e -> Alcotest.fail e
   | Ok c' ->
       Alcotest.(check bool) "wire encoding round-trips" true (c' = c);
       Alcotest.(check string) "same fingerprint across the wire"
-        (point_fp spec) (Service.Bulk.fingerprint c')
+        (point_fp spec) (Service.Job.fingerprint c')
 
 let test_result_json_roundtrip () =
   let r =
@@ -187,15 +174,15 @@ let test_result_json_roundtrip () =
 
 (* ---- queue ledger ---- *)
 
-let sample_cell () =
+let sample_cell () : Service.Job.cell_spec =
   {
-    Service.Bulk.order = Pll.Third;
+    order = Pll.Third;
     degree = 4;
     robust = false;
-    full = false;
+    property = Service.Job.P1;
     exact = false;
     bisect_steps = 4;
-    advect_iters = Service.Bulk.default_advect_iters;
+    advect_iters = Service.Job.default_advect_iters;
     psd_tol = None;
     eq_tol = None;
     budget_s = Some 30.0;
@@ -204,7 +191,7 @@ let sample_cell () =
     box = [ (Pll.Ip, 0.9, 1.0); (Pll.Kv, 1.0, 1.1) ];
   }
 
-let cell_of_degree degree = { (sample_cell ()) with Service.Bulk.degree }
+let cell_of_degree degree = { (sample_cell ()) with Service.Job.degree }
 
 let open_q dir =
   match Service.Jobqueue.open_ ~dir with
@@ -246,7 +233,7 @@ let test_queue_replay_and_compaction () =
         (e.Service.Jobqueue.state = Service.Jobqueue.Pending))
     recovered;
   Alcotest.(check string) "recovered cell survives"
-    (Service.Bulk.fingerprint (cell_of_degree 4))
+    (Service.Job.fingerprint (cell_of_degree 4))
     (List.nth recovered 0).Service.Jobqueue.fp;
   let e4 = Service.Jobqueue.submit q2 (cell_of_degree 7) in
   Alcotest.(check string) "seq high-water survives restart" "j4"
@@ -290,10 +277,10 @@ let test_queue_cancel_is_terminal () =
 
 let test_cell_line_roundtrip () =
   let c = sample_cell () in
-  (match Service.Bulk.of_line (Service.Bulk.to_line c) with
+  (match Service.Job.cell_of_line (Service.Job.cell_to_line c) with
   | Error e -> Alcotest.fail e
   | Ok c' -> Alcotest.(check bool) "round-trips exactly" true (c' = c));
-  match Service.Bulk.of_line "pll-cell v2 nonsense" with
+  match Service.Job.cell_of_line "pll-cell v2 nonsense" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown magic accepted"
 
@@ -301,18 +288,18 @@ let test_cell_fingerprint_identity_excluded () =
   let c = sample_cell () in
   (* Sweep identity and budget never change the content key: two grid
      positions with the same box share one cache entry. *)
-  let moved = { c with Service.Bulk.cell_id = "c9-9"; depth = 0; budget_s = None } in
+  let moved = { c with Service.Job.cell_id = "c9-9"; depth = 0; budget_s = None } in
   Alcotest.(check string) "identity and budget excluded"
-    (Service.Bulk.fingerprint c)
-    (Service.Bulk.fingerprint moved);
-  let other = { c with Service.Bulk.degree = 6 } in
+    (Service.Job.fingerprint c)
+    (Service.Job.fingerprint moved);
+  let other = { c with Service.Job.degree = 6 } in
   Alcotest.(check bool) "problem fields included" true
-    (Service.Bulk.fingerprint c <> Service.Bulk.fingerprint other);
+    (Service.Job.fingerprint c <> Service.Job.fingerprint other);
   let wider =
-    { c with Service.Bulk.box = [ (Pll.Ip, 0.9, 1.05); (Pll.Kv, 1.0, 1.1) ] }
+    { c with Service.Job.box = [ (Pll.Ip, 0.9, 1.05); (Pll.Kv, 1.0, 1.1) ] }
   in
   Alcotest.(check bool) "box included" true
-    (Service.Bulk.fingerprint c <> Service.Bulk.fingerprint wider)
+    (Service.Job.fingerprint c <> Service.Job.fingerprint wider)
 
 let test_probe_storable () =
   let storable p what expect =
@@ -383,7 +370,7 @@ let test_queue_cell_replay () =
   let c = sample_cell () in
   let e = Service.Jobqueue.submit q c in
   Alcotest.(check string) "cell fingerprint keys the entry"
-    (Service.Bulk.fingerprint c) e.Service.Jobqueue.fp;
+    (Service.Job.fingerprint c) e.Service.Jobqueue.fp;
   Service.Jobqueue.start q e;
   (* Daemon killed mid-cell: the replayed entry must still be a cell
      with its sweep identity intact. *)
@@ -400,11 +387,19 @@ let test_queue_cell_replay () =
    one-cell jobs: sweep cells must keep their store keys. *)
 let test_cell_fingerprints_pinned () =
   let cell ~robust ~full ~exact ~id box =
-    { (sample_cell ()) with Service.Bulk.robust; full; exact; cell_id = id; depth = 0; box }
+    {
+      (sample_cell ()) with
+      Service.Job.robust;
+      property = (if full then Service.Job.Full else Service.Job.P1);
+      exact;
+      cell_id = id;
+      depth = 0;
+      box;
+    }
   in
   List.iter
     (fun (what, c, fp) ->
-      Alcotest.(check string) what fp (Service.Bulk.fingerprint c))
+      Alcotest.(check string) what fp (Service.Job.fingerprint c))
     [
       ( "robust P1 cell",
         cell ~robust:true ~full:false ~exact:false ~id:"c0-0"
@@ -427,7 +422,7 @@ let gen_cell =
     let* degree = int_range 1 8 in
     let* robust = bool and* full = bool and* exact = bool in
     let* bisect_steps = int_range 0 20 in
-    let* advect_iters = oneof [ return Service.Bulk.default_advect_iters; int_range 1 60 ] in
+    let* advect_iters = oneof [ return Service.Job.default_advect_iters; int_range 1 60 ] in
     let* psd_tol = opt (float_bound_inclusive 1e-3) in
     let* eq_tol = opt (float_bound_inclusive 1e-3) in
     let* budget_s = opt pos in
@@ -442,10 +437,10 @@ let gen_cell =
     in
     return
       {
-        Service.Bulk.order;
+        Service.Job.order;
         degree;
         robust;
-        full;
+        property = (if full then Service.Job.Full else Service.Job.P1);
         exact;
         bisect_steps;
         advect_iters;
@@ -457,82 +452,123 @@ let gen_cell =
         box;
       })
 
+(* A point made through [Job.spec], and the same point with its axes
+   listed in another order and another deadline. *)
+let gen_point =
+  QCheck.Gen.(
+    let* c = gen_cell in
+    let* property = oneofl [ Service.Job.P1; Service.Job.Full ] in
+    let point = List.map (fun (a, lo, _) -> (a, lo)) c.Service.Job.box in
+    let spec =
+      {
+        (Service.Job.default_spec c.Service.Job.order) with
+        Service.Job.property;
+        degree = c.Service.Job.degree;
+        robust = c.Service.Job.robust;
+        point;
+        bisect_steps = c.Service.Job.bisect_steps;
+        advect_iters = c.Service.Job.advect_iters;
+        psd_tol = c.Service.Job.psd_tol;
+        eq_tol = c.Service.Job.eq_tol;
+        deadline_s = c.Service.Job.budget_s;
+      }
+    in
+    let* shuffled = shuffle_l point in
+    let* deadline_s = option (map (fun f -> 1.0 +. f) (float_bound_inclusive 100.0)) in
+    return (c, spec, { spec with Service.Job.point = shuffled; deadline_s }))
+
 let prop_cell_line_roundtrip =
   QCheck.Test.make ~name:"cell line round-trips" ~count:300
-    (QCheck.make ~print:Service.Bulk.to_line gen_cell)
-    (fun c -> Service.Bulk.of_line (Service.Bulk.to_line c) = Ok c)
+    (QCheck.make
+       ~print:(fun (c, spec, _) ->
+         Service.Job.cell_to_line c ^ "\n" ^ Service.Job.cell_to_line (Service.Job.of_spec spec))
+       gen_point)
+    (fun (c, spec, moved) ->
+      let point = Service.Job.of_spec spec in
+      Service.Job.cell_of_line (Service.Job.cell_to_line c) = Ok c
+      && Service.Job.cell_of_line (Service.Job.cell_to_line point) = Ok point
+      && Service.Job.to_line spec = Service.Job.cell_to_line ~with_identity:false point
+      && Service.Job.to_line moved = Service.Job.to_line spec)
 
 (* A point is a one-cell job: degenerate intervals in canonical axis
    order, the nominal point as the empty box, axes absent at the order
    refused at admission. *)
 let test_point_as_cell () =
   let spec = spec_with_point () in
-  let c = Service.Bulk.of_spec { spec with Service.Job.point = [ (Pll.Kv, 0.9); (Pll.Ip, 1.05) ] } in
+  let c = Service.Job.of_spec { spec with Service.Job.point = [ (Pll.Kv, 0.9); (Pll.Ip, 1.05) ] } in
   Alcotest.(check bool) "degenerate box" true
-    (c.Service.Bulk.box = [ (Pll.Ip, 1.05, 1.05); (Pll.Kv, 0.9, 0.9) ]);
+    (c.Service.Job.box = [ (Pll.Ip, 1.05, 1.05); (Pll.Kv, 0.9, 0.9) ]);
   Alcotest.(check bool) "problem fields carried" true
-    (c.Service.Bulk.degree = 4 && c.Service.Bulk.robust && (not c.Service.Bulk.full)
-    && (not c.Service.Bulk.exact) && c.Service.Bulk.bisect_steps = 3
-    && c.Service.Bulk.advect_iters = 25 && c.Service.Bulk.psd_tol = Some 1e-6
-    && c.Service.Bulk.budget_s = Some 12.5);
-  let full = Service.Bulk.of_spec { spec with Service.Job.property = Service.Job.Full } in
-  Alcotest.(check bool) "full property" true full.Service.Bulk.full;
-  let nominal = Service.Bulk.of_spec (Service.Job.default_spec Pll.Third) in
-  Alcotest.(check bool) "nominal is the empty box" true (nominal.Service.Bulk.box = []);
+    (c.Service.Job.degree = 4 && c.Service.Job.robust && c.Service.Job.property = Service.Job.P1
+    && (not c.Service.Job.exact) && c.Service.Job.bisect_steps = 3
+    && c.Service.Job.advect_iters = 25 && c.Service.Job.psd_tol = Some 1e-6
+    && c.Service.Job.budget_s = Some 12.5);
+  let full = Service.Job.of_spec { spec with Service.Job.property = Service.Job.Full } in
+  Alcotest.(check bool) "full property" true (full.Service.Job.property = Service.Job.Full);
+  let nominal = Service.Job.of_spec (Service.Job.default_spec Pll.Third) in
+  Alcotest.(check bool) "nominal is the empty box" true (nominal.Service.Job.box = []);
   Alcotest.(check bool) "the empty box is valid" true
     (Service.Bulk.validate nominal = Ok ());
-  (match Service.Bulk.of_line (Service.Bulk.to_line nominal) with
+  (match Service.Job.cell_of_line (Service.Job.cell_to_line nominal) with
   | Ok c' -> Alcotest.(check bool) "empty box round-trips" true (c' = nominal)
   | Error e -> Alcotest.fail e);
   let absent =
-    Service.Bulk.of_spec
+    Service.Job.of_spec
       { (Service.Job.default_spec Pll.Third) with Service.Job.point = [ (Pll.C3, 1.1) ] }
   in
   (match Service.Bulk.validate absent with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "an axis absent at third order was admitted");
-  let dup = { c with Service.Bulk.box = (Pll.Ip, 1.0, 1.0) :: c.Service.Bulk.box } in
+  let dup = { c with Service.Job.box = (Pll.Ip, 1.0, 1.0) :: c.Service.Job.box } in
   (match Service.Bulk.validate dup with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "a duplicate box axis was admitted");
   List.iter
     (fun b ->
-      match Service.Bulk.validate { c with Service.Bulk.budget_s = Some b } with
+      match Service.Bulk.validate { c with Service.Job.budget_s = Some b } with
       | Error _ -> ()
       | Ok () -> Alcotest.failf "budget %g was admitted" b)
     [ 0.0; -1.0; Float.nan; Float.infinity ];
   Alcotest.(check bool) "the point line names its non-default fields" true
-    (contains (Service.Bulk.to_line c) " advect=25 psd-tol=")
+    (contains (Service.Job.cell_to_line c) " advect=25 psd-tol=")
 
-(* A queue.log written while points were a second job kind: the pending
-   point resumes as one pending cell job with the same box, degree,
-   property and deadline. *)
-let test_queue_point_line_replay () =
+(* A queue ledger whose complete [submit] line does not read as a cell
+   is refused with a structured JSON diagnosis naming the line, and left
+   byte for byte: compacting it would drop the job the line holds. *)
+let refuses_ledger ~line_no contents =
   let dir = tmp_dir () in
-  let oc = open_out (Service.Jobqueue.path dir) in
-  output_string oc
+  let file = Service.Jobqueue.path dir in
+  Out_channel.with_open_bin file (fun oc -> output_string oc contents);
+  (match Service.Jobqueue.open_ ~dir with
+  | Ok (q, _, _) ->
+      Service.Jobqueue.close q;
+      Alcotest.fail "an unreadable submit line was accepted"
+  | Error diag -> (
+      match Service.Json.parse diag with
+      | Error e -> Alcotest.failf "refusal is not JSON (%s): %s" e diag
+      | Ok j ->
+          Alcotest.(check (option string)) "error" (Some "queue-unreadable")
+            (Service.Json.mem_str "error" j);
+          Alcotest.(check (option (float 0.0))) "names its line" (Some (float_of_int line_no))
+            (Service.Json.mem_num "line" j)));
+  Alcotest.(check string) "ledger left byte for byte" contents
+    (In_channel.with_open_bin file In_channel.input_all)
+
+(* A pending point in the retired [pll-job v1] format, and a complete
+   cell line naming an order that does not exist after a readable job. *)
+let test_queue_unreadable_submit_refused () =
+  refuses_ledger ~line_no:3
     "pll-queue v1\n\
      seq 0\n\
      submit j1 77179b9f31e7fa10c843fc5bf9ffa08e pll-job v1 order=third prop=full \
      degree=4 robust=false bisect=4 advect=25 point=ip:0x1.f333333333333p-1 \
      deadline=0x1.ep+4\n\
      start j1\n";
-  close_out oc;
-  let q, recovered, diags = open_q dir in
-  Alcotest.(check int) "clean replay" 0 (List.length diags);
-  (match recovered with
-  | [ { Service.Jobqueue.id = "j1"; cell = c; fp; state = Service.Jobqueue.Pending } ] ->
-      Alcotest.(check bool) "same box" true (c.Service.Bulk.box = [ (Pll.Ip, 0.975, 0.975) ]);
-      Alcotest.(check int) "same degree" 4 c.Service.Bulk.degree;
-      Alcotest.(check bool) "same property" true c.Service.Bulk.full;
-      Alcotest.(check (option (float 0.0))) "same deadline" (Some 30.0) c.Service.Bulk.budget_s;
-      Alcotest.(check string) "keyed by the cell" (Service.Bulk.fingerprint c) fp
-  | l -> Alcotest.failf "expected 1 pending job j1, got %d entries" (List.length l));
-  Service.Jobqueue.close q;
-  (* Compaction rewrote it as a cell line. *)
-  let ledger = In_channel.with_open_bin (Service.Jobqueue.path dir) In_channel.input_all in
-  Alcotest.(check bool) "rewritten as a cell line" true
-    (contains ledger "pll-cell v1" && not (contains ledger "pll-job v1"))
+  let good = sample_cell () in
+  refuses_ledger ~line_no:4
+    (Printf.sprintf
+       "pll-queue v1\nseq 0\nsubmit j1 %s %s\nsubmit j2 cafe pll-cell v1 order=fifth box=\n"
+       (Service.Job.fingerprint good) (Service.Job.cell_to_line good))
 
 (* ---- circuit breaker ---- *)
 
@@ -589,7 +625,8 @@ let test_level_collapse () =
     | Error e -> Alcotest.fail e
   in
   let spec = nominal_p1 () in
-  let r = Service.Job.run ~policy:(Service.Job.make_policy ~faults spec) spec in
+  let policy = Service.Job.make_policy ~faults (Service.Job.of_spec spec) in
+  let r = Service.Job.run ~policy spec in
   Alcotest.(check string) "verdict" "not-established"
     (Service.Job.verdict_to_string r.Service.Job.verdict);
   Alcotest.(check string) "kind" "level-collapse" r.Service.Job.kind;
@@ -622,7 +659,7 @@ let test_cell_certification () =
   let cell =
     {
       (sample_cell ()) with
-      Service.Bulk.bisect_steps = 6;
+      Service.Job.bisect_steps = 6;
       budget_s = None;
       cell_id = "c0";
       depth = 0;
@@ -651,8 +688,8 @@ let test_point_cell_same_outcome () =
   let spec =
     { (nominal_p1 ()) with Service.Job.bisect_steps = 4; point = [ (Pll.Ip, 0.975) ] }
   in
-  let o = Service.Job.run ~policy:(Service.Job.make_policy spec) spec in
-  let p = Service.Bulk.run ~ctx:(Supervise.create ~jobs:1 ()) (Service.Bulk.of_spec spec) in
+  let o = Service.Job.run ~policy:(Service.Job.make_policy (Service.Job.of_spec spec)) spec in
+  let p = Service.Bulk.run ~ctx:(Supervise.create ~jobs:1 ()) (Service.Job.of_spec spec) in
   Alcotest.(check string) "same result core" (Service.Job.result_json o)
     (Service.Job.result_json
        {
@@ -685,7 +722,6 @@ let suite =
     Alcotest.test_case "json-roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json-escapes" `Quick test_json_escapes;
     Alcotest.test_case "json-malformed" `Quick test_json_malformed;
-    Alcotest.test_case "job-line-roundtrip" `Quick test_job_line_roundtrip;
     Alcotest.test_case "fingerprint-deadline-independent" `Quick
       test_fingerprint_deadline_independent;
     Alcotest.test_case "fingerprint-point-order" `Quick
@@ -704,7 +740,8 @@ let suite =
     Alcotest.test_case "probe-storable" `Quick test_probe_storable;
     Alcotest.test_case "probe-json-roundtrip" `Quick test_probe_json_roundtrip;
     Alcotest.test_case "queue-cell-replay" `Quick test_queue_cell_replay;
-    Alcotest.test_case "queue-point-line-replay" `Quick test_queue_point_line_replay;
+    Alcotest.test_case "queue-unreadable-submit-refused" `Quick
+      test_queue_unreadable_submit_refused;
     Alcotest.test_case "cell-fingerprints-pinned" `Quick test_cell_fingerprints_pinned;
     QCheck_alcotest.to_alcotest prop_cell_line_roundtrip;
     Alcotest.test_case "point-as-cell" `Quick test_point_as_cell;
